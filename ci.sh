@@ -2,12 +2,17 @@
 # Tier-1 verification for the SDM workspace. Run from anywhere; everything
 # is relative to the repository root.
 #
-#   ./ci.sh          # full gate: fmt, clippy, analyze, build, test, bench compile
+#   ./ci.sh          # full gate: fmt, clippy, analyze, build, test, bench
+#                    # compile, and a release build of the benchmark/ harness
+#                    # against the workspace crates
 #   ./ci.sh quick    # skip fmt/clippy/analyze (what the paper-repro driver runs)
 #   ./ci.sh bench    # run the criterion benches (quick shim), write
 #                    # BENCH_hotpath.json via the exp_hotpath experiment and
 #                    # enforce the numeric regression gate vs the committed
 #                    # snapshot (exp_hotpath --check)
+#   ./ci.sh benchmark  # the benchmark/ package's own gate (benchmark/check.sh:
+#                    # fmt, clippy, harness tests, smoke run of every workload
+#                    # on both paths)
 #   ./ci.sh analyze  # static-analysis lane: sdm-analyze lint driver over the
 #                    # workspace, its fixture self-tests, and the
 #                    # lock-discipline suite (debug + release profiles)
@@ -22,6 +27,13 @@ set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")"
 
 mode="${1:-full}"
+
+if [[ "$mode" == "benchmark" ]]; then
+    echo "==> benchmark/check.sh (fmt, clippy, harness tests, smoke run)"
+    benchmark/check.sh
+    echo "Benchmark lane passed."
+    exit 0
+fi
 
 if [[ "$mode" == "analyze" ]]; then
     echo "==> sdm-analyze (workspace lint driver)"
@@ -155,5 +167,11 @@ SDM_POOL_KERNEL=scalar cargo test --locked -q --test kernel_equivalence --test z
 
 echo "==> cargo bench --no-run --workspace"
 cargo bench --locked --no-run --workspace
+
+echo "==> benchmark harness builds against the workspace crates"
+# benchmark/ is its own package (BENCHMARK.json) with path dependencies on
+# crates/*: an API change that breaks its compile surface must fail here,
+# not in the perf pipeline. './ci.sh benchmark' runs its full gate.
+cargo build --locked --release --manifest-path benchmark/Cargo.toml
 
 echo "CI gate passed."

@@ -1,12 +1,35 @@
 //! The asynchronous IO engine: request routing, throttling and accounting.
+//!
+//! # Host cost per IO
+//!
+//! Everything here is bookkeeping around a modelled device, so its own cost
+//! is pure overhead on the miss path. `submit` + `drain_each` are O(1) in
+//! the number of tables and allocation-free once warmed:
+//!
+//! * **Scheduling state** is one [`DeviceSched`] (a sorted list of in-flight
+//!   completion instants) per device and per table. Table schedules live in
+//!   a dense `Vec`; `table_slots` maps the opaque [`TableTag`] to its slot
+//!   on the integer hasher, so nothing is sized by the largest tag value.
+//! * **Tables in flight.** `tables_tracked` counts the table schedules whose
+//!   list is non-empty. Lists are pruned only when their own table submits,
+//!   so this is a *superset* of the tables with a completion still ahead of
+//!   the admission instant; the exact scan (one `last()` per table) runs
+//!   only when that superset can reach `max_tables_in_flight`. Invariant:
+//!   `tables_tracked == table_sched.iter().filter(|s| !s.is_empty()).count()`.
+//! * **Payload buffers** are recycled: `submit` pops one from `buffers`, the
+//!   device fills it in place, and `drain_each` returns it after the
+//!   caller's closure has looked at the completion. `poll`/`drain` hand
+//!   completions out by value, so their buffers leave the pool.
+//! * **Reaping order** is `(completed_at, submission sequence)`: a total
+//!   order, so the in-place unstable sort reaps equal instants in
+//!   submission order exactly as a stable sort by `completed_at` would.
 
 use crate::completion::{CompletionMode, CpuCostModel};
 use crate::error::{FailureKind, IoError};
 use crate::retry::{ResilienceStats, RetryConfig};
-use scm_device::{checksum64, DeviceArray, DeviceId, ReadCommand, ReadOutcome};
+use scm_device::{checksum64, DeviceArray, DeviceId, ReadCommand, ReadInfo};
 use sdm_metrics::units::{split_share, Bytes};
-use sdm_metrics::{LatencyHistogram, SimDuration, SimInstant};
-use std::collections::HashMap;
+use sdm_metrics::{IntMap, LatencyHistogram, SimDuration, SimInstant};
 
 /// Identifier for the embedding table an IO belongs to, used by the
 /// per-table throttling knobs. The engine treats it as an opaque tag.
@@ -172,6 +195,17 @@ impl EngineConfig {
         }
         self.retry.validate()
     }
+
+    /// The configuration with every limit raised to its minimum legal
+    /// value (one slot, one table, one attempt) — what the engine runs on
+    /// when handed a configuration [`EngineConfig::validate`] rejects.
+    fn clamped(mut self) -> EngineConfig {
+        self.max_outstanding_per_device = self.max_outstanding_per_device.max(1);
+        self.max_outstanding_per_table = self.max_outstanding_per_table.max(1);
+        self.max_tables_in_flight = self.max_tables_in_flight.max(1);
+        self.retry.max_attempts = self.retry.max_attempts.max(1);
+        self
+    }
 }
 
 /// Per-submission queue-occupancy accounting.
@@ -252,13 +286,14 @@ impl EngineStats {
     }
 }
 
-/// Per-device scheduling state: completion times of IOs still in flight.
+/// Scheduling state of one queue (a device's, or a table's): the completion
+/// instants of the IOs still in flight against it.
 ///
-/// The completion list is kept **sorted** so the hot submission path never
-/// allocates: pruning drains a prefix, admission reads one element, and the
-/// insertion point comes from a binary search. The seed implementation
-/// collected + sorted a fresh `Vec` per submitted IO, which dominated the
-/// host-side cost of a cache-miss burst.
+/// The list is kept **sorted**, so pruning drains a prefix, admission reads
+/// one element, the insertion point comes from a binary search and "is
+/// anything still ahead of `t`" is a look at the last element. Nothing on
+/// the submission path allocates once the list has reached its working
+/// capacity.
 #[derive(Debug, Default)]
 struct DeviceSched {
     /// In-flight completion instants, ascending.
@@ -266,6 +301,10 @@ struct DeviceSched {
 }
 
 impl DeviceSched {
+    fn is_empty(&self) -> bool {
+        self.completions.is_empty()
+    }
+
     fn prune(&mut self, now: SimInstant) {
         let done = self.completions.partition_point(|t| *t <= now);
         if done > 0 {
@@ -274,7 +313,8 @@ impl DeviceSched {
     }
 
     /// Earliest instant (≥ `now`) at which fewer than `cap` IOs are active.
-    /// Assumes `prune(now)` ran, so every tracked completion is `> now`.
+    /// Assumes `prune(now)` ran, so every tracked completion is `> now`, and
+    /// `cap >= 1` (the engine clamps its limits).
     fn admission_time(&self, now: SimInstant, cap: usize) -> SimInstant {
         if self.completions.len() < cap {
             return now;
@@ -294,7 +334,8 @@ impl DeviceSched {
         self.completions.insert(at, completed_at);
     }
 
-    /// Latest in-flight completion strictly after `now`, if any.
+    /// Latest in-flight completion strictly after `now`, if any — `Some`
+    /// exactly when the queue still has an IO active at `now`.
     fn last_after(&self, now: SimInstant) -> Option<SimInstant> {
         self.completions.last().copied().filter(|t| *t > now)
     }
@@ -303,11 +344,12 @@ impl DeviceSched {
 /// One device command's fate inside the retry loop.
 #[derive(Debug)]
 enum Attempt {
-    /// Clean completion: correct payload, within deadline.
+    /// Clean completion: correct payload (left in the attempt's buffer),
+    /// within deadline.
     Completed {
         issued_at: SimInstant,
         completed_at: SimInstant,
-        outcome: ReadOutcome,
+        info: ReadInfo,
     },
     /// Failed attempt; `retry_at` is the instant the failure became known
     /// to the host (backoff starts there).
@@ -329,9 +371,26 @@ pub struct IoEngine {
     array: DeviceArray,
     config: EngineConfig,
     device_sched: Vec<DeviceSched>,
-    table_sched: HashMap<TableTag, DeviceSched>,
-    ready: Vec<IoCompletion>,
+    /// Per-table schedules, densely packed in first-submission order.
+    table_sched: Vec<DeviceSched>,
+    /// Table tag → index into `table_sched`.
+    table_slots: IntMap<TableTag, usize>,
+    /// Entries of `table_sched` with a non-empty completion list.
+    tables_tracked: usize,
+    ready: Vec<Scheduled>,
+    /// Submissions so far; stamps [`Scheduled::seq`].
+    submissions: u64,
+    /// Recycled completion payload buffers.
+    buffers: Vec<Vec<u8>>,
     stats: EngineStats,
+}
+
+/// A scheduled completion waiting to be reaped, with the submission sequence
+/// number that orders completions landing on the same instant.
+#[derive(Debug)]
+struct Scheduled {
+    seq: u64,
+    completion: IoCompletion,
 }
 
 impl IoEngine {
@@ -343,22 +402,27 @@ impl IoEngine {
         let device_sched = (0..array.len()).map(|_| DeviceSched::default()).collect();
         IoEngine {
             array,
-            config,
+            config: config.clamped(),
             device_sched,
-            table_sched: HashMap::new(),
+            table_sched: Vec::new(),
+            table_slots: IntMap::default(),
+            tables_tracked: 0,
             ready: Vec::new(),
+            submissions: 0,
+            buffers: Vec::new(),
             stats: EngineStats::default(),
         }
     }
 
-    /// The engine's tuning configuration.
+    /// The engine's tuning configuration (after clamping).
     pub fn config(&self) -> &EngineConfig {
         &self.config
     }
 
     /// Replaces the tuning configuration (applies to subsequent requests).
+    /// Invalid configurations are clamped exactly as in [`IoEngine::new`].
     pub fn set_config(&mut self, config: EngineConfig) {
-        self.config = config;
+        self.config = config.clamped();
     }
 
     /// Shared view of the device array.
@@ -407,15 +471,66 @@ impl IoEngine {
             }));
         }
 
+        let mut data = self.buffers.pop().unwrap_or_default();
+        let (issued_at, completed_at, info) = match self.read_with_retries(&request, now, &mut data)
+        {
+            Ok(done) => done,
+            Err(e) => {
+                self.buffers.push(data);
+                return Err(e);
+            }
+        };
+
+        let completion = IoCompletion {
+            user_data: request.user_data,
+            table: request.table,
+            data,
+            submitted_at: now,
+            issued_at,
+            completed_at,
+            queue_delay: issued_at.duration_since(now),
+            device_latency: info.device_latency,
+            bus_bytes: info.bus_bytes,
+        };
+
+        self.stats.submitted += 1;
+        self.stats.completed += 1;
+        self.stats.cpu_time += self
+            .config
+            .cpu_cost
+            .cpu_time_per_io(self.config.completion_mode);
+        self.stats.bus_bytes += info.bus_bytes;
+        self.stats.requested_bytes += info.requested_bytes;
+        self.stats.queue_delay += completion.queue_delay;
+        self.stats.device_time += completion.device_latency;
+        self.stats.latency.record(completion.total_latency());
+
+        self.ready.push(Scheduled {
+            seq: self.submissions,
+            completion,
+        });
+        self.submissions += 1;
+        Ok(())
+    }
+
+    /// The retry/hedge loop of one logical read: returns the winning
+    /// attempt's issue instant, completion instant and device report, with
+    /// its payload in `data`.
+    fn read_with_retries(
+        &mut self,
+        request: &IoRequest,
+        now: SimInstant,
+        data: &mut Vec<u8>,
+    ) -> Result<(SimInstant, SimInstant, ReadInfo), IoError> {
         let retry = self.config.retry;
         let mut attempt: u32 = 0;
         let mut earliest = now;
-        let (issued_at, completed_at, outcome) = loop {
+        loop {
             attempt += 1;
-            match self.issue_attempt(&request, earliest)? {
+            match self.issue_attempt(request, earliest, data)? {
                 Attempt::Failed { kind, retry_at } => {
                     self.note_failure(kind);
-                    if attempt >= retry.max_attempts.max(1) {
+                    if attempt >= retry.max_attempts {
                         self.stats.resilience.exhausted += 1;
                         return Err(IoError::RetriesExhausted {
                             attempts: attempt,
@@ -428,9 +543,9 @@ impl IoEngine {
                 Attempt::Completed {
                     issued_at,
                     completed_at,
-                    outcome,
+                    info,
                 } => {
-                    let mut best = (issued_at, completed_at, outcome);
+                    let mut best = (issued_at, completed_at, info);
                     // Hedge: the primary is clean but slow — issue a
                     // duplicate at the hedge mark and let the first clean
                     // completion win. A failed hedge is simply discarded;
@@ -438,63 +553,54 @@ impl IoEngine {
                     if let Some(delay) = retry.hedge_after {
                         if best.1.duration_since(earliest) > delay {
                             self.stats.resilience.hedges += 1;
-                            match self.issue_attempt(&request, earliest + delay)? {
-                                Attempt::Completed {
+                            let mut hedge_data = self.buffers.pop().unwrap_or_default();
+                            match self.issue_attempt(request, earliest + delay, &mut hedge_data) {
+                                Ok(Attempt::Completed {
                                     issued_at: h_issued,
                                     completed_at: h_done,
-                                    outcome: h_out,
-                                } => {
+                                    info: h_info,
+                                }) => {
                                     if h_done < best.1 {
                                         self.stats.resilience.hedge_wins += 1;
-                                        best = (h_issued, h_done, h_out);
+                                        best = (h_issued, h_done, h_info);
+                                        std::mem::swap(data, &mut hedge_data);
                                     }
                                 }
-                                Attempt::Failed { kind, .. } => self.note_failure(kind),
+                                Ok(Attempt::Failed { kind, .. }) => self.note_failure(kind),
+                                Err(e) => {
+                                    self.buffers.push(hedge_data);
+                                    return Err(e);
+                                }
                             }
+                            self.buffers.push(hedge_data);
                         }
                     }
-                    break best;
+                    return Ok(best);
                 }
             }
-        };
+        }
+    }
 
-        let completion = IoCompletion {
-            user_data: request.user_data,
-            table: request.table,
-            data: outcome.data,
-            submitted_at: now,
-            issued_at,
-            completed_at,
-            queue_delay: issued_at.duration_since(now),
-            device_latency: outcome.device_latency,
-            bus_bytes: outcome.bus_bytes,
-        };
-
-        self.stats.submitted += 1;
-        self.stats.completed += 1;
-        self.stats.cpu_time += self
-            .config
-            .cpu_cost
-            .cpu_time_per_io(self.config.completion_mode);
-        self.stats.bus_bytes += outcome.bus_bytes;
-        self.stats.requested_bytes += outcome.requested_bytes;
-        self.stats.queue_delay += completion.queue_delay;
-        self.stats.device_time += completion.device_latency;
-        self.stats.latency.record(completion.total_latency());
-
-        self.ready.push(completion);
-        Ok(())
+    /// Index of `tag`'s schedule in `table_sched`, created on first sight.
+    fn table_slot(&mut self, tag: TableTag) -> usize {
+        let next = self.table_sched.len();
+        let slot = *self.table_slots.entry(tag).or_insert(next);
+        if slot == next {
+            self.table_sched.push(DeviceSched::default());
+        }
+        slot
     }
 
     /// Issues one device command for the request, no earlier than
-    /// `earliest`. Successful and abandoned commands are recorded in the
-    /// scheduling state (they occupy their device queue slot either way);
-    /// transient failures occupy nothing — the device rejected the command
-    /// at issue.
+    /// `earliest`, reading its payload into `data`. Successful and abandoned
+    /// commands are recorded in the scheduling state (they occupy their
+    /// device queue slot either way); transient failures occupy nothing —
+    /// the device rejected the command at issue.
     fn issue_attempt(
         &mut self,
         request: &IoRequest,
         earliest: SimInstant,
+        data: &mut Vec<u8>,
     ) -> Result<Attempt, IoError> {
         let dev_index = request.device.0;
 
@@ -503,60 +609,73 @@ impl IoEngine {
         let mut issue_at = self.device_sched[dev_index]
             .admission_time(earliest, self.config.max_outstanding_per_device);
 
-        if let Some(tag) = request.table {
-            let sched = self.table_sched.entry(tag).or_default();
+        let table_slot = request.table.map(|tag| self.table_slot(tag));
+        if let Some(slot) = table_slot {
+            let sched = &mut self.table_sched[slot];
+            let was_tracked = !sched.is_empty();
             sched.prune(earliest);
+            let tracked = !sched.is_empty();
             issue_at =
                 issue_at.max(sched.admission_time(earliest, self.config.max_outstanding_per_table));
-        }
+            self.tables_tracked -= usize::from(was_tracked && !tracked);
 
-        // Max-tables-in-flight: if this table is not already active and the
-        // limit is reached, wait until the busiest constraint relaxes (the
-        // earliest instant at which some active table fully drains).
-        // Counted in place — no temporary collection on the submit path.
-        if let Some(tag) = request.table {
-            let active_tables = self
-                .table_sched
-                .iter()
-                .filter(|(t, s)| **t != tag && s.active_at(earliest) > 0)
-                .count();
-            if active_tables >= self.config.max_tables_in_flight {
-                let earliest_drain = self
-                    .table_sched
-                    .iter()
-                    .filter(|(t, s)| **t != tag && s.active_at(earliest) > 0)
-                    .filter_map(|(_, s)| s.last_after(earliest))
-                    .min()
-                    .unwrap_or(earliest);
-                issue_at = issue_at.max(earliest_drain);
+            // Max-tables-in-flight: if this table is not already active and
+            // the limit is reached, wait until the busiest constraint
+            // relaxes (the earliest instant at which some active table fully
+            // drains). Only tables with tracked completions can be active,
+            // so the per-table look is skipped while even all of them
+            // together stay under the limit.
+            let others_tracked = self.tables_tracked - usize::from(tracked);
+            if others_tracked >= self.config.max_tables_in_flight {
+                let mut active_tables = 0usize;
+                let mut earliest_drain: Option<SimInstant> = None;
+                for (other, sched) in self.table_sched.iter().enumerate() {
+                    if other == slot {
+                        continue;
+                    }
+                    if let Some(last) = sched.last_after(earliest) {
+                        active_tables += 1;
+                        earliest_drain = Some(earliest_drain.map_or(last, |d| d.min(last)));
+                    }
+                }
+                if active_tables >= self.config.max_tables_in_flight {
+                    issue_at = issue_at.max(earliest_drain.unwrap_or(earliest));
+                }
             }
         }
 
         // 2. Ask the device for the service time at the observed depth.
         let queue_depth = self.device_sched[dev_index].active_at(issue_at) + 1;
         self.stats.queue_depth.record(queue_depth);
-        let outcome =
-            match self
-                .array
-                .read_at(request.device, &request.command, queue_depth, issue_at)
-            {
-                Ok(outcome) => outcome,
-                Err(e) if e.is_transient() => {
-                    return Ok(Attempt::Failed {
-                        kind: FailureKind::Transient,
-                        retry_at: issue_at,
-                    })
-                }
-                Err(e) => return Err(IoError::Device(e)),
-            };
-        let completed_at = issue_at + outcome.device_latency;
+        let info = match self.array.read_into(
+            request.device,
+            &request.command,
+            queue_depth,
+            issue_at,
+            data,
+        ) {
+            Ok(info) => info,
+            Err(e) if e.is_transient() => {
+                return Ok(Attempt::Failed {
+                    kind: FailureKind::Transient,
+                    retry_at: issue_at,
+                })
+            }
+            Err(e) => return Err(IoError::Device(e)),
+        };
+        let completed_at = issue_at + info.device_latency;
 
         // 3. Record scheduling state; even attempts the host abandons keep
         // their queue slot until the device would have finished.
-        self.track_inflight(dev_index, request.table, completed_at);
+        self.device_sched[dev_index].push(completed_at);
+        if let Some(slot) = table_slot {
+            let sched = &mut self.table_sched[slot];
+            self.tables_tracked += usize::from(sched.is_empty());
+            sched.push(completed_at);
+        }
 
         let deadline = self.config.retry.io_deadline;
-        if !deadline.is_zero() && outcome.device_latency > deadline {
+        if !deadline.is_zero() && info.device_latency > deadline {
             return Ok(Attempt::Failed {
                 kind: FailureKind::DeadlineExceeded,
                 retry_at: issue_at + deadline,
@@ -565,7 +684,7 @@ impl IoEngine {
         // End-to-end protection: verify the guard tag the device stamped
         // before any injected corruption. A mismatch is known only once the
         // data is back, so the retry clock starts at completion.
-        if checksum64(&outcome.data) != outcome.checksum {
+        if checksum64(data) != info.checksum {
             return Ok(Attempt::Failed {
                 kind: FailureKind::ChecksumMismatch,
                 retry_at: completed_at,
@@ -575,15 +694,8 @@ impl IoEngine {
         Ok(Attempt::Completed {
             issued_at: issue_at,
             completed_at,
-            outcome,
+            info,
         })
-    }
-
-    fn track_inflight(&mut self, dev_index: usize, table: Option<TableTag>, at: SimInstant) {
-        self.device_sched[dev_index].push(at);
-        if let Some(tag) = table {
-            self.table_sched.entry(tag).or_default().push(at);
-        }
     }
 
     fn note_failure(&mut self, kind: FailureKind) {
@@ -617,15 +729,25 @@ impl IoEngine {
         Ok(())
     }
 
+    /// Puts the ready queue into reaping order — completion instant, then
+    /// submission order — in its own storage, and returns the instant the
+    /// last scheduled completion finishes (`now` when nothing is in flight).
+    fn sort_ready(&mut self, now: SimInstant) -> SimInstant {
+        self.ready
+            .sort_unstable_by_key(|s| (s.completion.completed_at, s.seq));
+        self.ready
+            .last()
+            .map_or(now, |s| s.completion.completed_at.max(now))
+    }
+
     /// Returns every completion whose completion instant is at or before
     /// `now`, in completion order.
     pub fn poll(&mut self, now: SimInstant) -> Vec<IoCompletion> {
-        let (done, not_done): (Vec<_>, Vec<_>) =
-            self.ready.drain(..).partition(|c| c.completed_at <= now);
-        self.ready = not_done;
-        let mut done = done;
-        done.sort_by_key(|c| c.completed_at);
-        done
+        self.sort_ready(now);
+        let done = self
+            .ready
+            .partition_point(|s| s.completion.completed_at <= now);
+        self.ready.drain(..done).map(|s| s.completion).collect()
     }
 
     /// Waits for everything in flight: returns all outstanding completions
@@ -637,21 +759,21 @@ impl IoEngine {
     /// This method is currently infallible but returns `Result` so the
     /// signature can accommodate cancellation in the future.
     pub fn drain(&mut self, now: SimInstant) -> Result<(Vec<IoCompletion>, SimInstant), IoError> {
-        let mut done: Vec<IoCompletion> = self.ready.drain(..).collect();
-        done.sort_by_key(|c| c.completed_at);
-        let finished_at = done.last().map(|c| c.completed_at).unwrap_or(now).max(now);
+        let finished_at = self.sort_ready(now);
+        let done = self.ready.drain(..).map(|s| s.completion).collect();
         Ok((done, finished_at))
     }
 
-    /// Like [`IoEngine::drain`], but hands each completion to `f` in
+    /// Like [`IoEngine::drain`], but lends each completion to `f` in
     /// completion order instead of collecting them, and returns the instant
     /// the last one finished (`now` when nothing was in flight).
     ///
     /// This lets the caller overlap completion reaping with downstream work
     /// (the serving loop dequantises and pools each row as it is reaped)
-    /// without an intermediate completion vector — the sort happens in the
-    /// ready queue's own storage. The stable sort matches [`IoEngine::drain`],
-    /// so both paths reap equal-time completions in submission order.
+    /// without an intermediate completion vector, and lets the engine take
+    /// each payload buffer back for the next submission. Equal-time
+    /// completions are reaped in submission order, as in
+    /// [`IoEngine::drain`].
     ///
     /// # Errors
     ///
@@ -659,17 +781,12 @@ impl IoEngine {
     pub fn drain_each(
         &mut self,
         now: SimInstant,
-        mut f: impl FnMut(IoCompletion),
+        mut f: impl FnMut(&IoCompletion),
     ) -> Result<SimInstant, IoError> {
-        self.ready.sort_by_key(|c| c.completed_at);
-        let finished_at = self
-            .ready
-            .last()
-            .map(|c| c.completed_at)
-            .unwrap_or(now)
-            .max(now);
-        for completion in self.ready.drain(..) {
-            f(completion);
+        let finished_at = self.sort_ready(now);
+        for scheduled in self.ready.drain(..) {
+            f(&scheduled.completion);
+            self.buffers.push(scheduled.completion.data);
         }
         Ok(finished_at)
     }
@@ -924,6 +1041,137 @@ mod tests {
     }
 
     #[test]
+    fn invalid_limits_are_clamped_instead_of_panicking() {
+        // Regression: `new`/`set_config` documented clamping but stored the
+        // configuration verbatim, and a zero device or table limit indexed
+        // an empty completion list on the first submit.
+        let zeroed = || EngineConfig {
+            max_outstanding_per_device: 0,
+            max_outstanding_per_table: 0,
+            max_tables_in_flight: 0,
+            retry: RetryConfig {
+                max_attempts: 0,
+                ..RetryConfig::default()
+            },
+            ..EngineConfig::default()
+        };
+        assert!(zeroed().validate().is_err());
+        let mut built = engine_with(TechnologyProfile::optane_ssd(), 1, zeroed());
+        let mut reconfigured =
+            engine_with(TechnologyProfile::optane_ssd(), 1, EngineConfig::default());
+        reconfigured.set_config(zeroed());
+        for engine in [&mut built, &mut reconfigured] {
+            let cfg = engine.config();
+            assert_eq!(
+                (
+                    cfg.max_outstanding_per_device,
+                    cfg.max_outstanding_per_table,
+                    cfg.max_tables_in_flight,
+                    cfg.retry.max_attempts
+                ),
+                (1, 1, 1, 1)
+            );
+            assert!(cfg.validate().is_ok());
+            let now = SimInstant::EPOCH;
+            for i in 0..4u64 {
+                engine
+                    .submit(
+                        IoRequest::new(DeviceId(0), ReadCommand::sgl(i * 512, 64))
+                            .with_table(i as TableTag % 2)
+                            .with_user_data(i),
+                        now,
+                    )
+                    .unwrap();
+            }
+            // One slot: the four reads issue strictly one after another.
+            let (completions, _) = engine.drain(now).unwrap();
+            assert_eq!(completions.len(), 4);
+            for pair in completions.windows(2) {
+                assert!(pair[1].issued_at >= pair[0].completed_at);
+            }
+        }
+    }
+
+    #[test]
+    fn tracked_table_count_matches_the_schedules() {
+        // `tables_tracked` is maintained incrementally on prune and push;
+        // it must always equal a recount, across retries and time jumps.
+        let cfg = EngineConfig {
+            max_outstanding_per_table: 2,
+            max_tables_in_flight: 2,
+            retry: RetryConfig {
+                max_attempts: 4,
+                ..RetryConfig::default()
+            },
+            ..EngineConfig::default()
+        };
+        let mut engine = engine_with(TechnologyProfile::nand_flash(), 1, cfg);
+        engine
+            .array_mut()
+            .device_mut(DeviceId(0))
+            .unwrap()
+            .set_fault_plan(Some(
+                scm_device::FaultPlan::new(3).with_transient_errors(0.2),
+            ));
+        let mut now = SimInstant::EPOCH;
+        for i in 0..300u64 {
+            if i % 7 == 0 {
+                now += SimDuration::from_micros(i % 400);
+            }
+            let _ = engine.submit(
+                IoRequest::new(DeviceId(0), ReadCommand::sgl((i % 900) * 4096, 64))
+                    .with_table((i * i % 11) as TableTag * 1_000_003),
+                now,
+            );
+            let recount = engine.table_sched.iter().filter(|s| !s.is_empty()).count();
+            assert_eq!(engine.tables_tracked, recount, "after submit {i}");
+            assert_eq!(engine.table_sched.len(), engine.table_slots.len());
+        }
+        assert!(engine.table_sched.len() <= 11);
+    }
+
+    #[test]
+    fn equal_instants_reap_in_submission_order_and_buffers_are_recycled() {
+        // Optane at queue depth 1 per device: reads on different devices at
+        // one instant complete at the same instant, so only the submission
+        // sequence orders them.
+        let mut engine = engine_with(TechnologyProfile::optane_ssd(), 8, EngineConfig::default());
+        let now = SimInstant::EPOCH;
+        let submit_round = |engine: &mut IoEngine| {
+            for d in (0..8usize).rev() {
+                engine
+                    .submit(
+                        IoRequest::new(DeviceId(d), ReadCommand::sgl(0, 96))
+                            .with_user_data(7 - d as u64),
+                        now,
+                    )
+                    .unwrap();
+            }
+        };
+        submit_round(&mut engine);
+        let mut order = Vec::new();
+        let mut instants = Vec::new();
+        engine
+            .drain_each(now, |c| {
+                order.push(c.user_data);
+                instants.push(c.completed_at);
+            })
+            .unwrap();
+        assert!(instants.windows(2).all(|w| w[0] == w[1]), "{instants:?}");
+        assert_eq!(order, (0..8).collect::<Vec<u64>>());
+        // The eight payload buffers came back; a second round reuses them.
+        assert_eq!(engine.buffers.len(), 8);
+        submit_round(&mut engine);
+        assert!(engine.buffers.is_empty());
+        let polled = engine.poll(now + SimDuration::from_millis(1));
+        assert_eq!(
+            polled.iter().map(|c| c.user_data).collect::<Vec<_>>(),
+            (0..8).collect::<Vec<u64>>()
+        );
+        assert!(polled.iter().all(|c| c.data.len() == 96));
+    }
+
+    #[test]
     fn drain_each_matches_drain() {
         let make = || {
             let mut e = engine_with(TechnologyProfile::nand_flash(), 1, EngineConfig::default());
@@ -941,7 +1189,7 @@ mod tests {
         let (collected, finished_a) = a.drain(SimInstant::EPOCH).unwrap();
         let mut streamed = Vec::new();
         let finished_b = b
-            .drain_each(SimInstant::EPOCH, |c| streamed.push(c))
+            .drain_each(SimInstant::EPOCH, |c| streamed.push(c.clone()))
             .unwrap();
         assert_eq!(finished_a, finished_b);
         assert_eq!(collected.len(), streamed.len());
@@ -1115,6 +1363,66 @@ mod tests {
         assert_eq!(completions.len(), 32);
         for c in &completions {
             assert_eq!(c.data, vec![0xA5u8; 64], "corrupt payload served");
+        }
+    }
+
+    #[test]
+    fn corruption_in_the_tail_bytes_of_odd_length_rows_is_always_detected() {
+        // The guard checksum folds eight bytes per step and a zero-padded
+        // tail word; rows whose length is not a multiple of 8 (or shorter
+        // than 8 altogether) must be protected just the same.
+        for len in [1u32, 3, 5, 7, 9, 12, 61, 100, 131] {
+            let cfg = EngineConfig {
+                retry: RetryConfig {
+                    max_attempts: 16,
+                    ..RetryConfig::default()
+                },
+                ..EngineConfig::default()
+            };
+            let mut engine = engine_with(TechnologyProfile::optane_ssd(), 1, cfg);
+            let image: Vec<u8> = (0..4096u32).map(|i| (i * 31 + len) as u8).collect();
+            engine.array_mut().write(DeviceId(0), 0, &image).unwrap();
+            engine
+                .array_mut()
+                .device_mut(DeviceId(0))
+                .unwrap()
+                .set_fault_plan(Some(
+                    scm_device::FaultPlan::new(u64::from(len)).with_corruption(0.4),
+                ));
+            let now = SimInstant::EPOCH;
+            for i in 0..24u64 {
+                engine
+                    .submit(
+                        IoRequest::new(DeviceId(0), ReadCommand::sgl(i * 150, len))
+                            .with_user_data(i),
+                        now,
+                    )
+                    .unwrap();
+            }
+            let injected = engine
+                .array()
+                .device(DeviceId(0))
+                .unwrap()
+                .fault_plan()
+                .unwrap()
+                .stats()
+                .corruptions;
+            assert!(injected > 0, "len {len}: 40% corruption must fire");
+            assert_eq!(
+                engine.stats().resilience.checksum_failures,
+                injected,
+                "len {len}: every injected corruption must be detected"
+            );
+            engine
+                .drain_each(now, |c| {
+                    let at = c.user_data as usize * 150;
+                    assert_eq!(
+                        c.data,
+                        image[at..at + len as usize],
+                        "len {len}: corrupt payload served"
+                    );
+                })
+                .unwrap();
         }
     }
 

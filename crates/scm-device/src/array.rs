@@ -1,6 +1,6 @@
 //! A host's set of SCM devices.
 
-use crate::device::{ReadOutcome, ScmDevice, WriteOutcome};
+use crate::device::{ReadInfo, ReadOutcome, ScmDevice, WriteOutcome};
 use crate::error::DeviceError;
 use crate::nvme::ReadCommand;
 use crate::tech::TechnologyProfile;
@@ -147,6 +147,23 @@ impl DeviceArray {
         now: SimInstant,
     ) -> Result<ReadOutcome, DeviceError> {
         self.device_mut(id)?.read_at(cmd, queue_depth, now)
+    }
+
+    /// [`DeviceArray::read_at`] into a caller-owned buffer (see
+    /// [`ScmDevice::read_into`]).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`DeviceArray::read_at`].
+    pub fn read_into(
+        &mut self,
+        id: DeviceId,
+        cmd: &ReadCommand,
+        queue_depth: usize,
+        now: SimInstant,
+        data: &mut Vec<u8>,
+    ) -> Result<ReadInfo, DeviceError> {
+        self.device_mut(id)?.read_into(cmd, queue_depth, now, data)
     }
 
     /// Writes to a specific device.

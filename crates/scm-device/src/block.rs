@@ -2,7 +2,7 @@
 
 use crate::error::DeviceError;
 use sdm_metrics::units::Bytes;
-use std::collections::HashMap;
+use sdm_metrics::IntMap;
 
 /// Chunk size used for the sparse store. This is an implementation detail
 /// independent of the device's access granularity.
@@ -30,7 +30,10 @@ const CHUNK: usize = 4096;
 #[derive(Debug, Clone)]
 pub struct PageStore {
     capacity: Bytes,
-    chunks: HashMap<u64, Box<[u8; CHUNK]>>,
+    /// Resident chunks by chunk index (`offset / CHUNK`). Indices are
+    /// program-generated, so the map runs on the cheap integer hasher:
+    /// every device read looks one up.
+    chunks: IntMap<u64, Box<[u8; CHUNK]>>,
 }
 
 impl PageStore {
@@ -45,7 +48,7 @@ impl PageStore {
         }
         Ok(PageStore {
             capacity,
-            chunks: HashMap::new(),
+            chunks: IntMap::default(),
         })
     }
 

@@ -7,7 +7,7 @@ use crate::latency::LoadedLatencyModel;
 use crate::nvme::ReadCommand;
 use crate::tech::TechnologyProfile;
 use sdm_metrics::units::Bytes;
-use sdm_metrics::{CounterSet, SimDuration, SimInstant};
+use sdm_metrics::{Counter, CounterSet, SimDuration, SimInstant};
 
 /// Outcome of one read command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,6 +25,22 @@ pub struct ReadOutcome {
     /// End-to-end protection guard: [`checksum64`] of the payload as read
     /// from the media, stamped *before* any injected corruption. The host
     /// verifies it at IO completion (NVMe end-to-end data protection).
+    pub checksum: u64,
+}
+
+/// Everything [`ScmDevice::read_into`] reports about one read besides the
+/// payload, which it leaves in the caller's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadInfo {
+    /// Time the device and link needed to serve this command.
+    pub device_latency: SimDuration,
+    /// Bytes that crossed the host link (includes read amplification).
+    pub bus_bytes: Bytes,
+    /// Bytes the caller actually asked for.
+    pub requested_bytes: Bytes,
+    /// Device blocks touched on the media.
+    pub blocks_touched: u64,
+    /// Guard tag of the payload; see [`ReadOutcome::checksum`].
     pub checksum: u64,
 }
 
@@ -81,6 +97,13 @@ pub struct ScmDevice {
     latency: LoadedLatencyModel,
     stats: DeviceStats,
     counters: CounterSet,
+    /// Handles into `counters`, resolved once here so the read and write
+    /// paths bump an atomic instead of taking the registry lock and
+    /// building a `String` per call.
+    reads: Counter,
+    bus_bytes: Counter,
+    writes: Counter,
+    bytes_written: Counter,
     lifetime_write_budget: Option<Bytes>,
     enforce_endurance: bool,
     fault: Option<FaultPlan>,
@@ -100,13 +123,18 @@ impl ScmDevice {
         let store = PageStore::new(capacity)?;
         let latency = LoadedLatencyModel::new(&profile);
         let lifetime_write_budget = profile.lifetime_write_budget(capacity);
+        let counters = CounterSet::new();
         Ok(ScmDevice {
             name: name.into(),
             profile,
             store,
             latency,
             stats: DeviceStats::default(),
-            counters: CounterSet::new(),
+            reads: counters.counter("reads"),
+            bus_bytes: counters.counter("bus_bytes"),
+            writes: counters.counter("writes"),
+            bytes_written: counters.counter("bytes_written"),
+            counters,
             lifetime_write_budget,
             enforce_endurance: false,
             fault: None,
@@ -180,8 +208,8 @@ impl ScmDevice {
         let written = Bytes(data.len() as u64);
         self.stats.writes += 1;
         self.stats.bytes_written += written;
-        self.counters.counter("writes").incr();
-        self.counters.counter("bytes_written").add(written.as_u64());
+        self.writes.incr();
+        self.bytes_written.add(written.as_u64());
         let latency = self.profile.base_write_latency
             + SimDuration::from_secs_f64(
                 written.as_u64() as f64 / self.profile.write_bandwidth.max(1.0),
@@ -228,20 +256,52 @@ impl ScmDevice {
         queue_depth: usize,
         now: SimInstant,
     ) -> Result<ReadOutcome, DeviceError> {
-        if cmd.requested_bytes().is_zero() {
+        let mut data = Vec::new();
+        let info = self.read_into(cmd, queue_depth, now, &mut data)?;
+        Ok(ReadOutcome {
+            data,
+            device_latency: info.device_latency,
+            bus_bytes: info.bus_bytes,
+            requested_bytes: info.requested_bytes,
+            blocks_touched: info.blocks_touched,
+            checksum: info.checksum,
+        })
+    }
+
+    /// [`ScmDevice::read_at`] into a caller-owned buffer: `data` is resized
+    /// to the requested length and filled straight from the page store, so a
+    /// caller that recycles its buffers (the IO engine) reads without
+    /// touching the allocator. On error the buffer's contents are
+    /// unspecified.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ScmDevice::read_at`].
+    pub fn read_into(
+        &mut self,
+        cmd: &ReadCommand,
+        queue_depth: usize,
+        now: SimInstant,
+        data: &mut Vec<u8>,
+    ) -> Result<ReadInfo, DeviceError> {
+        let requested_bytes = cmd.requested_bytes();
+        if requested_bytes.is_zero() {
             return Err(DeviceError::EmptyCommand);
         }
         let bus_bytes = cmd.bus_bytes(&self.profile)?;
         let blocks = cmd.blocks_touched(self.profile.access_granularity);
 
-        let mut data = Vec::with_capacity(cmd.requested_bytes().as_u64() as usize);
+        data.clear();
+        data.resize(requested_bytes.as_u64() as usize, 0);
+        let mut filled = 0usize;
         for range in cmd.ranges() {
-            let part = self.store.read_at(range.offset, range.len as u64)?;
-            data.extend_from_slice(&part);
+            let end = filled + range.len as usize;
+            self.store.read_into(range.offset, &mut data[filled..end])?;
+            filled = end;
         }
         // Guard tag over the payload as the media holds it; injected
         // corruption below happens after, so the host can always detect it.
-        let checksum = checksum64(&data);
+        let checksum = checksum64(data);
 
         // Media latency at the current load plus the link transfer time for
         // the bytes that actually cross the bus. Multi-block commands pay the
@@ -285,17 +345,16 @@ impl ScmDevice {
         }
 
         self.stats.reads += 1;
-        self.stats.bytes_requested += cmd.requested_bytes();
+        self.stats.bytes_requested += requested_bytes;
         self.stats.bytes_on_bus += bus_bytes;
         self.stats.read_time += latency;
-        self.counters.counter("reads").incr();
-        self.counters.counter("bus_bytes").add(bus_bytes.as_u64());
+        self.reads.incr();
+        self.bus_bytes.add(bus_bytes.as_u64());
 
-        Ok(ReadOutcome {
-            data,
+        Ok(ReadInfo {
             device_latency: latency,
             bus_bytes,
-            requested_bytes: cmd.requested_bytes(),
+            requested_bytes,
             blocks_touched: blocks,
             checksum,
         })
@@ -421,6 +480,30 @@ mod tests {
         dev.write_at(0, &[5u8; 128]).unwrap();
         let out = dev.read(&ReadCommand::sgl(0, 128), 1).unwrap();
         assert_eq!(out.checksum, checksum64(&out.data));
+    }
+
+    #[test]
+    fn read_into_reuses_the_buffer_and_matches_read_at() {
+        let mut a = small_optane();
+        let mut b = small_optane();
+        let image: Vec<u8> = (0..8192u32).map(|i| (i % 253) as u8).collect();
+        a.write_at(0, &image).unwrap();
+        b.write_at(0, &image).unwrap();
+        let mut buf = Vec::new();
+        // Shrinking, growing and chunk-straddling reads through one buffer.
+        for (offset, len) in [(0u64, 300u32), (4000, 200), (17, 5), (100, 4096)] {
+            let cmd = ReadCommand::sgl(offset, len);
+            let owned = a.read_at(&cmd, 2, SimInstant::EPOCH).unwrap();
+            let info = b.read_into(&cmd, 2, SimInstant::EPOCH, &mut buf).unwrap();
+            assert_eq!(buf, owned.data);
+            assert_eq!(buf, image[offset as usize..offset as usize + len as usize]);
+            assert_eq!(info.checksum, owned.checksum);
+            assert_eq!(info.device_latency, owned.device_latency);
+            assert_eq!(info.bus_bytes, owned.bus_bytes);
+            assert_eq!(info.blocks_touched, owned.blocks_touched);
+        }
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(b.counters().value("reads"), 4);
     }
 
     #[test]

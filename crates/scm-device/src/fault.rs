@@ -24,29 +24,48 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdm_metrics::{SimDuration, SimInstant};
 
-/// FNV-1a 64-bit checksum of a byte slice.
+/// Odd multiplier of the guard checksum (the 64-bit FNV prime).
+const CHECKSUM_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// 64-bit guard checksum of a byte slice: FNV-style xor-multiply over
+/// little-endian 8-byte words, the zero-padded tail word and the length.
 ///
-/// Used as the per-row guard tag of the end-to-end data protection path: a
-/// single flipped bit always changes the digest, so every injected
-/// corruption is detectable at IO completion.
+/// Used as the per-row guard tag of the end-to-end data protection path.
+/// Every step is `state = (state ^ word) * odd`, a bijection of the state
+/// for a fixed word and of the word for a fixed state — so two payloads of
+/// one length that differ in a single word (a flipped bit, in the body or in
+/// the tail bytes) leave that step in different states and every later step
+/// keeps them apart: a single-bit flip *always* changes the digest, and
+/// every injected corruption is detectable at IO completion. One multiply
+/// covers eight bytes; the device stamps and the engine verifies this on
+/// every read attempt.
 ///
 /// # Example
 ///
 /// ```
 /// use scm_device::checksum64;
 ///
-/// let mut row = vec![7u8; 64];
+/// let mut row = vec![7u8; 67];
 /// let guard = checksum64(&row);
-/// row[13] ^= 0x10; // single bit flip
+/// row[66] ^= 0x10; // single bit flip in the 3-byte tail
 /// assert_ne!(checksum64(&row), guard);
 /// ```
 pub fn checksum64(bytes: &[u8]) -> u64 {
+    let step = |hash: u64, word: u64| (hash ^ word).wrapping_mul(CHECKSUM_PRIME);
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(word);
+        hash = step(hash, u64::from_le_bytes(le));
     }
-    hash
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut le = [0u8; 8];
+        le[..tail.len()].copy_from_slice(tail);
+        hash = step(hash, u64::from_le_bytes(le));
+    }
+    step(hash, bytes.len() as u64)
 }
 
 /// A latency-storm window: reads issued at a virtual instant inside
@@ -286,6 +305,25 @@ mod tests {
             }
         }
         assert_eq!(checksum64(&data), guard);
+    }
+
+    #[test]
+    fn checksum_detects_every_single_bit_flip_at_every_length() {
+        // Exhaustive over every bit of every payload length 1..=40, which
+        // covers empty/partial/full tail words and multi-word bodies.
+        for len in 1..=40usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8).collect();
+            let guard = checksum64(&data);
+            for bit in 0..len * 8 {
+                let mut flipped = data.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum64(&flipped), guard, "len {len}: flip {bit} missed");
+            }
+            assert_eq!(checksum64(&data), guard);
+        }
+        // Zero padding of the tail must not alias a longer payload.
+        assert_ne!(checksum64(&[1, 2, 3]), checksum64(&[1, 2, 3, 0]));
+        assert_ne!(checksum64(&[]), checksum64(&[0]));
     }
 
     #[test]

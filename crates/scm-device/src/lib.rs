@@ -59,7 +59,7 @@ mod tech;
 
 pub use array::{DeviceArray, DeviceId};
 pub use block::PageStore;
-pub use device::{DeviceStats, ReadOutcome, ScmDevice, WriteOutcome};
+pub use device::{DeviceStats, ReadInfo, ReadOutcome, ScmDevice, WriteOutcome};
 pub use error::DeviceError;
 pub use fault::{checksum64, FaultPlan, FaultStats, FaultWindow};
 pub use latency::LoadedLatencyModel;

@@ -62,6 +62,15 @@ pub enum AccessMode {
     Sgl,
 }
 
+/// The ranges of one command. Nearly every command in this stack reads a
+/// single embedding row, so that range lives inline and building a command
+/// touches no allocator; gathers keep their list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Ranges {
+    One(SglRange),
+    Many(Vec<SglRange>),
+}
+
 /// A read command against one device.
 ///
 /// A command may carry several ranges (one NVMe command can gather multiple
@@ -69,7 +78,7 @@ pub enum AccessMode {
 /// in this stack is a single embedding row per command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadCommand {
-    ranges: Vec<SglRange>,
+    ranges: Ranges,
     mode: AccessMode,
 }
 
@@ -77,7 +86,7 @@ impl ReadCommand {
     /// Creates a single-range command using whole-block IO.
     pub fn block(offset: u64, len: u32) -> Self {
         ReadCommand {
-            ranges: vec![SglRange::new(offset, len)],
+            ranges: Ranges::One(SglRange::new(offset, len)),
             mode: AccessMode::Block,
         }
     }
@@ -85,7 +94,7 @@ impl ReadCommand {
     /// Creates a single-range command using SGL bit-bucket IO.
     pub fn sgl(offset: u64, len: u32) -> Self {
         ReadCommand {
-            ranges: vec![SglRange::new(offset, len)],
+            ranges: Ranges::One(SglRange::new(offset, len)),
             mode: AccessMode::Sgl,
         }
     }
@@ -100,12 +109,19 @@ impl ReadCommand {
         if ranges.is_empty() || ranges.iter().all(|r| r.len == 0) {
             return Err(DeviceError::EmptyCommand);
         }
+        let ranges = match ranges[..] {
+            [single] => Ranges::One(single),
+            _ => Ranges::Many(ranges),
+        };
         Ok(ReadCommand { ranges, mode })
     }
 
     /// The requested ranges.
     pub fn ranges(&self) -> &[SglRange] {
-        &self.ranges
+        match &self.ranges {
+            Ranges::One(range) => std::slice::from_ref(range),
+            Ranges::Many(ranges) => ranges,
+        }
     }
 
     /// The access mode.
@@ -115,7 +131,7 @@ impl ReadCommand {
 
     /// Total payload bytes the caller asked for.
     pub fn requested_bytes(&self) -> Bytes {
-        Bytes(self.ranges.iter().map(|r| r.len as u64).sum())
+        Bytes(self.ranges().iter().map(|r| r.len as u64).sum())
     }
 
     /// Number of device blocks (of `granularity`) this command touches.
@@ -124,8 +140,13 @@ impl ReadCommand {
     /// always senses whole blocks internally.
     pub fn blocks_touched(&self, granularity: Bytes) -> u64 {
         let g = granularity.as_u64().max(1);
-        let mut blocks: Vec<(u64, u64)> = self
-            .ranges
+        let ranges = match &self.ranges {
+            // One range covers one contiguous run of blocks.
+            Ranges::One(r) if r.len == 0 => return 0,
+            Ranges::One(r) => return (r.end() - 1) / g - r.offset / g + 1,
+            Ranges::Many(ranges) => ranges,
+        };
+        let mut blocks: Vec<(u64, u64)> = ranges
             .iter()
             .filter(|r| r.len > 0)
             .map(|r| (r.offset / g, (r.end() - 1) / g))
@@ -168,7 +189,7 @@ impl ReadCommand {
                     });
                 }
                 Ok(Bytes(
-                    self.ranges
+                    self.ranges()
                         .iter()
                         .map(|r| r.dword_aligned().len as u64)
                         .sum(),
@@ -268,6 +289,30 @@ mod tests {
         .unwrap();
         assert_eq!(cmd.blocks_touched(nand.access_granularity), 1);
         assert_eq!(cmd.requested_bytes(), Bytes(256));
+    }
+
+    #[test]
+    fn single_range_closed_form_matches_the_interval_merge() {
+        for g in [512u64, 4096] {
+            for offset in [0u64, 1, 511, 512, 4000, 4095, 4096, 8191] {
+                for len in [0u32, 1, 96, 512, 513, 4096, 9000] {
+                    let one = ReadCommand::block(offset, len);
+                    // Two copies of the range take the general merge path.
+                    let twice = ReadCommand {
+                        ranges: Ranges::Many(vec![SglRange::new(offset, len); 2]),
+                        mode: AccessMode::Block,
+                    };
+                    assert_eq!(
+                        one.blocks_touched(Bytes(g)),
+                        twice.blocks_touched(Bytes(g)),
+                        "g={g} offset={offset} len={len}"
+                    );
+                }
+            }
+        }
+        // A one-element list is stored inline, so equality stays structural.
+        let listed = ReadCommand::with_ranges(vec![SglRange::new(8, 64)], AccessMode::Sgl);
+        assert_eq!(listed, Ok(ReadCommand::sgl(8, 64)));
     }
 
     #[test]

@@ -36,12 +36,6 @@ impl CpuOptimizedCache {
         }
     }
 
-    /// Records a miss observed by a routing layer that probed this engine
-    /// without calling [`RowCache::get`] (see [`crate::DualRowCache`]).
-    pub(crate) fn note_routed_miss(&mut self) {
-        self.engine.note_routed_miss();
-    }
-
     /// Side-effect-free probe: returns the cached bytes without touching
     /// the LRU order or the hit/miss statistics. Used to software-prefetch
     /// the next row of a pooled scan while the current one is accumulated —

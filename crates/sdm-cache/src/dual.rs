@@ -14,7 +14,6 @@ use crate::row_cache::{RowCache, RowKey};
 use crate::stats::CacheStats;
 use sdm_metrics::units::Bytes;
 use sdm_metrics::SimDuration;
-use std::collections::HashSet;
 
 /// The dual-engine unified row cache.
 #[derive(Debug)]
@@ -22,7 +21,10 @@ pub struct DualRowCache {
     small: MemoryOptimizedCache,
     large: CpuOptimizedCache,
     small_row_threshold: usize,
-    disabled_tables: HashSet<u32>,
+    /// `disabled_tables[t]` is set for tables whose caching is turned off;
+    /// tables past the end are enabled. Sized by the largest table ever
+    /// *disabled* (a model's own table ids), never by the keys looked up.
+    disabled_tables: Vec<bool>,
     merged_stats: CacheStats,
 }
 
@@ -38,7 +40,7 @@ impl DualRowCache {
             small,
             large,
             small_row_threshold: config.small_row_threshold,
-            disabled_tables: HashSet::new(),
+            disabled_tables: Vec::new(),
             merged_stats: CacheStats::new(),
         }
     }
@@ -46,17 +48,23 @@ impl DualRowCache {
     /// Disables caching for a table (its lookups always miss and its rows
     /// are never admitted).
     pub fn disable_table(&mut self, table: u32) {
-        self.disabled_tables.insert(table);
+        let index = table as usize;
+        if self.disabled_tables.len() <= index {
+            self.disabled_tables.resize(index + 1, false);
+        }
+        self.disabled_tables[index] = true;
     }
 
     /// Re-enables caching for a table.
     pub fn enable_table(&mut self, table: u32) {
-        self.disabled_tables.remove(&table);
+        if let Some(disabled) = self.disabled_tables.get_mut(table as usize) {
+            *disabled = false;
+        }
     }
 
     /// Returns true if the table participates in caching.
     pub fn table_enabled(&self, table: u32) -> bool {
-        !self.disabled_tables.contains(&table)
+        self.disabled_tables.get(table as usize) != Some(&true)
     }
 
     /// The row-size threshold routing to the memory-optimized engine.
@@ -107,20 +115,18 @@ impl RowCache for DualRowCache {
         }
         // The row size is not known at lookup time; probe the small engine
         // first (the overwhelmingly common case), then the large engine.
-        // `contains` pre-checks keep the borrow of the winning engine's
-        // arena disjoint from the other engine's statistics update.
-        if self.small.contains(key) {
+        // Each engine is probed once and records its own hit or miss.
+        if let Some(bytes) = self.small.get(key) {
             self.merged_stats.record_hit();
-            return self.small.get(key);
+            return Some(bytes);
         }
-        self.small.note_routed_miss();
-        if self.large.contains(key) {
+        let found = self.large.get(key);
+        if found.is_some() {
             self.merged_stats.record_hit();
-            return self.large.get(key);
+        } else {
+            self.merged_stats.record_miss();
         }
-        self.large.note_routed_miss();
-        self.merged_stats.record_miss();
-        None
+        found
     }
 
     fn insert(&mut self, key: RowKey, value: &[u8]) {
@@ -246,6 +252,36 @@ mod tests {
         assert_eq!(c.stats().hits, 2);
         assert_eq!(c.stats().misses, 1);
         assert!((c.stats().hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn each_engine_is_probed_once_and_counts_its_own_outcome() {
+        let mut c = cache();
+        c.insert(RowKey::new(0, 1), &[0u8; 64]); // small engine
+        c.insert(RowKey::new(0, 2), &[0u8; 400]); // large engine
+        c.get(&RowKey::new(0, 1));
+        assert_eq!((c.small.stats().hits, c.small.stats().misses), (1, 0));
+        assert_eq!((c.large.stats().hits, c.large.stats().misses), (0, 0));
+        c.get(&RowKey::new(0, 2));
+        assert_eq!((c.small.stats().hits, c.small.stats().misses), (1, 1));
+        assert_eq!((c.large.stats().hits, c.large.stats().misses), (1, 0));
+        c.get(&RowKey::new(0, 3));
+        assert_eq!((c.small.stats().hits, c.small.stats().misses), (1, 2));
+        assert_eq!((c.large.stats().hits, c.large.stats().misses), (1, 1));
+    }
+
+    #[test]
+    fn table_flags_are_sized_by_disabled_tables_not_by_lookups() {
+        let mut c = cache();
+        c.disable_table(5);
+        // Far-away table ids are enabled and cost nothing to ask about.
+        assert!(c.table_enabled(u32::MAX));
+        c.insert(RowKey::new(u32::MAX, 1), &[3u8; 32]);
+        assert!(c.contains(&RowKey::new(u32::MAX, 1)));
+        c.enable_table(u32::MAX); // never disabled: a no-op, not a resize
+        assert_eq!(c.disabled_tables.len(), 6);
+        assert!(!c.table_enabled(5));
+        assert!(c.table_enabled(4));
     }
 
     #[test]

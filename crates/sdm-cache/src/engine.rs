@@ -150,12 +150,6 @@ where
         self.map.get(key).map(|&slot| &self.slots[slot].tag)
     }
 
-    /// Records a miss observed by a routing layer that probed this engine
-    /// without calling [`ArenaLru::get`] (see [`crate::DualRowCache`]).
-    pub fn note_routed_miss(&mut self) {
-        self.stats.record_miss();
-    }
-
     /// Inserts (or replaces) an entry, evicting LRU entries as needed to
     /// stay within the byte budget. Returns whether the entry is resident
     /// afterwards (`false` when it cannot fit even after evicting

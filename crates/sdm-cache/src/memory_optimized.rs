@@ -13,6 +13,13 @@
 //! cache), which is what keeps per-entry metadata tiny. Row payloads live in
 //! a shared [`SlabArena`], so hits hand out borrowed slices without cloning
 //! and evicted ranges are recycled by later inserts.
+//!
+//! When the target bucket has nothing left to evict the engine falls back to
+//! the least recently used entry of the whole cache. `bucket_min[b]` caches
+//! the oldest stamp in bucket `b` (`u64::MAX` when empty) and is kept exact
+//! by every mutation, so that fallback reads one word per bucket and scans a
+//! single bucket instead of every entry; stamps are unique, so the victim is
+//! the one a full scan would pick.
 
 use crate::arena::SlabArena;
 use crate::row_cache::{RowCache, RowKey};
@@ -36,6 +43,8 @@ struct Entry {
 #[derive(Debug)]
 pub struct MemoryOptimizedCache {
     buckets: Vec<Vec<Entry>>,
+    /// Oldest stamp per bucket, `u64::MAX` for an empty bucket.
+    bucket_min: Vec<u64>,
     arena: SlabArena<u8>,
     budget: Bytes,
     used: u64,
@@ -48,8 +57,10 @@ impl MemoryOptimizedCache {
     ///
     /// A zero bucket count is clamped to 1.
     pub fn new(budget: Bytes, buckets: usize) -> Self {
+        let buckets = buckets.max(1);
         MemoryOptimizedCache {
-            buckets: vec![Vec::new(); buckets.max(1)],
+            buckets: vec![Vec::new(); buckets],
+            bucket_min: vec![u64::MAX; buckets],
             arena: SlabArena::new(),
             budget,
             used: 0,
@@ -75,12 +86,6 @@ impl MemoryOptimizedCache {
         (value_len + ENTRY_OVERHEAD) as u64
     }
 
-    /// Records a miss observed by a routing layer that probed this engine
-    /// without calling [`RowCache::get`] (see [`crate::DualRowCache`]).
-    pub(crate) fn note_routed_miss(&mut self) {
-        self.stats.record_miss();
-    }
-
     /// Refreshes the residency gauges from the arena after any mutation
     /// that allocates or frees payload ranges.
     fn note_residency(&mut self) {
@@ -88,12 +93,37 @@ impl MemoryOptimizedCache {
         self.stats.live_bytes = self.arena.live_len() as u64;
     }
 
+    /// Recomputes `bucket_min[bucket]` after a mutation that may have moved
+    /// it (the oldest entry was touched or removed).
+    fn refresh_bucket_min(&mut self, bucket: usize) {
+        self.bucket_min[bucket] = self.buckets[bucket]
+            .iter()
+            .map(|e| e.stamp)
+            .min()
+            .unwrap_or(u64::MAX);
+    }
+
+    /// Evicts the oldest entry of `bucket`, leaving the runner-up's stamp as
+    /// the bucket's new minimum — one scan for both. Returns false for an
+    /// empty bucket.
     fn evict_lru_in_bucket(&mut self, bucket: usize) -> bool {
         let b = &mut self.buckets[bucket];
-        let Some((idx, _)) = b.iter().enumerate().min_by_key(|(_, e)| e.stamp) else {
+        let mut oldest: Option<(usize, u64)> = None;
+        let mut runner_up = u64::MAX;
+        for (idx, e) in b.iter().enumerate() {
+            match oldest {
+                Some((_, stamp)) if e.stamp > stamp => runner_up = runner_up.min(e.stamp),
+                _ => {
+                    runner_up = oldest.map_or(u64::MAX, |(_, stamp)| stamp);
+                    oldest = Some((idx, e.stamp));
+                }
+            }
+        }
+        let Some((idx, _)) = oldest else {
             return false;
         };
         let removed = b.swap_remove(idx);
+        self.bucket_min[bucket] = runner_up;
         self.arena.free(removed.start, removed.len);
         self.used -= Self::entry_cost(removed.len);
         self.stats.evictions += 1;
@@ -113,51 +143,33 @@ impl MemoryOptimizedCache {
     /// Evicts the least recently used entry across *all* buckets; used when
     /// the target bucket alone cannot free enough space.
     fn evict_global_lru(&mut self) -> bool {
-        let victim = self
-            .buckets
+        let oldest = self
+            .bucket_min
             .iter()
             .enumerate()
-            .filter_map(|(bi, b)| {
-                b.iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.stamp)
-                    .map(|(ei, e)| (bi, ei, e.stamp))
-            })
-            .min_by_key(|(_, _, stamp)| *stamp);
-        if let Some((bi, ei, _)) = victim {
-            let removed = self.buckets[bi].swap_remove(ei);
-            self.arena.free(removed.start, removed.len);
-            self.used -= Self::entry_cost(removed.len);
-            self.stats.evictions += 1;
-            true
-        } else {
-            false
+            .min_by_key(|(_, stamp)| **stamp);
+        match oldest {
+            Some((bucket, _)) => self.evict_lru_in_bucket(bucket),
+            None => false,
         }
     }
 }
 
 impl RowCache for MemoryOptimizedCache {
     fn get(&mut self, key: &RowKey) -> Option<&[u8]> {
-        self.clock += 1;
         let bucket = self.bucket_of(key);
-        let clock = self.clock;
-        let found = self.buckets[bucket]
-            .iter_mut()
-            .find(|e| e.key == *key)
-            .map(|e| {
-                e.stamp = clock;
-                (e.start, e.len)
-            });
-        match found {
-            Some((start, len)) => {
-                self.stats.record_hit();
-                Some(self.arena.slice(start, len))
-            }
-            None => {
-                self.stats.record_miss();
-                None
-            }
+        let Some(entry) = self.buckets[bucket].iter_mut().find(|e| e.key == *key) else {
+            self.stats.record_miss();
+            return None;
+        };
+        self.clock += 1;
+        let previous = std::mem::replace(&mut entry.stamp, self.clock);
+        let (start, len) = (entry.start, entry.len);
+        self.stats.record_hit();
+        if previous == self.bucket_min[bucket] {
+            self.refresh_bucket_min(bucket);
         }
+        Some(self.arena.slice(start, len))
     }
 
     fn insert(&mut self, key: RowKey, value: &[u8]) {
@@ -190,6 +202,7 @@ impl RowCache for MemoryOptimizedCache {
             e.start = start;
             e.len = value.len();
             e.stamp = self.clock;
+            self.refresh_bucket_min(bucket);
             // A replacement may push us over budget if the new value is
             // larger; shed entries until we fit again.
             while self.used > self.budget.as_u64() {
@@ -222,6 +235,8 @@ impl RowCache for MemoryOptimizedCache {
             len: value.len(),
             stamp,
         });
+        // The newest stamp only becomes the oldest in an empty bucket.
+        self.bucket_min[bucket] = self.bucket_min[bucket].min(stamp);
         self.note_residency();
     }
 
@@ -260,6 +275,7 @@ impl RowCache for MemoryOptimizedCache {
         for b in &mut self.buckets {
             b.clear();
         }
+        self.bucket_min.fill(u64::MAX);
         self.arena.clear();
         self.used = 0;
         self.note_residency();
@@ -358,6 +374,44 @@ mod tests {
         c.clear();
         assert_eq!(c.stats().resident_bytes, 0);
         assert_eq!(c.stats().live_bytes, 0);
+    }
+
+    #[test]
+    fn cached_bucket_minimum_picks_the_victim_a_full_scan_would() {
+        // Few rows per bucket and a budget most inserts overflow: empty
+        // target buckets force the cache-wide fallback again and again.
+        let mut c = MemoryOptimizedCache::new(Bytes(40 * (64 + ENTRY_OVERHEAD as u64)), 97);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x9e37_79b9_7f4a_7c15) % n
+        };
+        let mut global_evictions = 0;
+        for step in 0..6000u64 {
+            let key = RowKey::new((next(3)) as u32, next(400));
+            if next(3) == 0 {
+                let _ = c.get(&key);
+            } else {
+                // What a scan over every entry says must go next, should
+                // the target bucket turn out to be empty.
+                let oldest = c.buckets.iter().flatten().map(|e| (e.stamp, e.key)).min();
+                let bucket_empty = c.buckets[c.bucket_of(&key)].is_empty();
+                let full = c.used + MemoryOptimizedCache::entry_cost(64) > c.budget.as_u64();
+                c.insert(key, &[step as u8; 64]);
+                if bucket_empty && full {
+                    let (_, victim) = oldest.unwrap();
+                    assert!(!c.contains(&victim), "step {step}: {victim} survived");
+                    global_evictions += 1;
+                }
+            }
+            for (bucket, entries) in c.buckets.iter().enumerate() {
+                let oldest = entries.iter().map(|e| e.stamp).min().unwrap_or(u64::MAX);
+                assert_eq!(c.bucket_min[bucket], oldest, "step {step} bucket {bucket}");
+            }
+        }
+        assert!(global_evictions > 50, "only {global_evictions} fallbacks");
     }
 
     #[test]

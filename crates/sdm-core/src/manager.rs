@@ -1,4 +1,38 @@
 //! The SDM memory manager: the serving-time read path.
+//!
+//! # The miss path, layer by layer
+//!
+//! A row-cache miss costs modelled device time on the virtual clock and
+//! host time in the four layers below the manager. The host side is O(1)
+//! per IO and allocation-free once warmed (`tests/zero_alloc.rs` holds a
+//! steady-state miss workload to zero allocations per batch):
+//!
+//! 1. **Scan** ([`SdmMemoryManager::sm_lookup_core`]): one
+//!    [`DualRowCache`] probe per row — a flat per-table enable flag, then
+//!    one bucket scan in the memory-optimized engine and, only if that
+//!    misses, one index probe in the CPU-optimized engine. Misses collect
+//!    in a reused scratch list, in ascending position order.
+//! 2. **Submit**: one [`IoRequest`] per miss, its single range inline in
+//!    the [`ReadCommand`]. The engine admits it from per-device and
+//!    per-table sorted completion lists and an incrementally maintained
+//!    count of tables in flight, and the device fills a recycled payload
+//!    buffer straight from its page store, stamping the guard checksum the
+//!    engine verifies (see `io_engine`'s engine module docs).
+//! 3. **Drain**: [`IoEngine::drain_each`] sorts the ready queue in place
+//!    and lends each completion to the closure below, then takes its
+//!    buffer back; the closure finds the miss's stored row by binary
+//!    search over the scratch list, accumulates the payload into the
+//!    pooled vector and
+//! 4. **Fill**: copies it into the row cache — an in-bucket LRU eviction
+//!    plus one free and one best-fit allocation in the engine's
+//!    [`sdm_cache::SlabArena`] (segregated bins and boundary maps, O(1)
+//!    each) — and offers it to the shared tier.
+//!
+//! Invariants the manager relies on: completions are reaped in
+//! `(completed_at, submission order)`, so the pooled sum is
+//! order-deterministic; no stripe lock is held across submit or drain; a
+//! read that exhausts its retries produces no completion and is counted as
+//! a degraded row instead.
 
 use crate::config::{AccessGranularity, SdmConfig};
 use crate::error::SdmError;

@@ -103,6 +103,10 @@ mod parking_counters {
             self.locked().entry(name.to_owned()).or_default().clone()
         }
 
+        pub fn value(&self, name: &str) -> Option<u64> {
+            self.locked().get(name).map(Counter::get)
+        }
+
         pub fn snapshot(&self) -> BTreeMap<String, u64> {
             self.locked()
                 .iter()
@@ -134,7 +138,7 @@ impl CounterSet {
     /// Current value of a named counter; zero when the counter does not
     /// exist yet.
     pub fn value(&self, name: &str) -> u64 {
-        self.counters.snapshot().get(name).copied().unwrap_or(0)
+        self.counters.value(name).unwrap_or(0)
     }
 
     /// Snapshot of all counters, sorted by name.

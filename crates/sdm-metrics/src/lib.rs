@@ -27,6 +27,9 @@
 //!   (throughput retention, degraded-row rate, the injected-vs-detected
 //!   corruption ledger CI pins to "nothing corrupted ever served").
 //! * [`RateEstimator`] — windowed rate estimation (QPS, IOPS).
+//! * [`IntMap`] — a `HashMap` on a one-multiply-per-word hasher for the
+//!   program-generated integer keys of the per-IO paths (arena offsets,
+//!   chunk indices, table tags).
 //! * [`units`] — byte, power and cost units used by the datacenter-level
 //!   modelling.
 //! * [`alloc_hook`] — process-wide allocation counters fed by counting
@@ -56,6 +59,7 @@ mod cachepolicy;
 mod clock;
 mod counters;
 mod histogram;
+mod inthash;
 mod loadcurve;
 mod multistream;
 mod rate;
@@ -68,6 +72,7 @@ pub use cachepolicy::{CachePolicyMeasurement, CachePolicyReport};
 pub use clock::{LocalCursor, SimClock, SimDuration, SimInstant};
 pub use counters::{Counter, CounterSet};
 pub use histogram::LatencyHistogram;
+pub use inthash::{IntBuildHasher, IntHasher, IntMap};
 pub use loadcurve::{LoadCurveReport, LoadPoint};
 pub use multistream::{MultiStreamReport, StreamMeasurement};
 pub use rate::RateEstimator;

@@ -9,7 +9,7 @@
 
 use dlrm::{model_zoo, QueryResult};
 use io_engine::RetryConfig;
-use sdm_cache::SharedRowTier;
+use sdm_cache::{RowCache, SharedRowTier};
 use sdm_core::{
     BatchMode, Frontend, FrontendConfig, PoolKernel, SdmConfig, SdmSystem, ServingHost, Shard,
     TokenBucketConfig,
@@ -318,6 +318,71 @@ fn warmed_hot_path_performs_zero_allocations() {
         scalar_system.manager().kernel().name(),
         "scalar",
         "forced scalar kernel did not take effect"
+    );
+
+    // --- steady-state MISS path: SM reads on every batch ---
+    // A row cache a quarter of the stream's working set, the pooled cache
+    // off and eight queries in flight: every batch evicts, reads from the
+    // devices and refills. The per-IO machinery — inline read commands,
+    // recycled completion buffers, resolved counter handles, the arena's
+    // bins and boundary maps, the in-place completion sort — must run on
+    // retained capacity alone once warmed.
+    let miss_model = model_zoo::tiny(3, 2, 4_000);
+    let miss_queries = {
+        let cfg = WorkloadConfig {
+            item_batch: miss_model.item_batch,
+            user_population: 64,
+            ..WorkloadConfig::default()
+        };
+        QueryGenerator::new(&miss_model.tables, cfg, 11)
+            .unwrap()
+            .generate(48)
+    };
+    let miss_config = |row_cache_budget: Bytes| {
+        let mut cfg = SdmConfig::for_tests().with_batch_mode(BatchMode::Relaxed {
+            max_inflight_queries: 8,
+        });
+        cfg.cache.row_cache_budget = row_cache_budget;
+        cfg.cache.pooled_cache_budget = Bytes::ZERO;
+        cfg
+    };
+    let working_set = {
+        let mut roomy = SdmSystem::build(&miss_model, miss_config(Bytes::from_mib(4)), 11).unwrap();
+        roomy.run_batch(&miss_queries).unwrap();
+        roomy.manager().row_cache().memory_used()
+    };
+    let mut missing = SdmSystem::build(
+        &miss_model,
+        miss_config(Bytes(working_set.as_u64() / 4)),
+        11,
+    )
+    .unwrap();
+    for _ in 0..12 {
+        missing.run_batch(&miss_queries).unwrap();
+    }
+    let reads_before = missing.manager().stats().sm_reads;
+    let evictions_before = missing.manager().row_cache().small_engine_stats().evictions;
+    for batch in 0..4 {
+        alloc_hook::reset();
+        alloc_hook::set_enabled(true);
+        missing.run_batch(&miss_queries).unwrap();
+        alloc_hook::set_enabled(false);
+        let miss_allocs = alloc_hook::allocations();
+        assert_eq!(
+            miss_allocs,
+            0,
+            "steady-state miss-path batch {batch} allocated {miss_allocs} times over {} queries \
+             ({} bytes)",
+            miss_queries.len(),
+            alloc_hook::allocated_bytes()
+        );
+    }
+    let reads = missing.manager().stats().sm_reads - reads_before;
+    let evictions = missing.manager().row_cache().small_engine_stats().evictions - evictions_before;
+    assert!(
+        reads > 4 * 200 && evictions > 4 * 100,
+        "measured batches made {reads} SM reads and {evictions} evictions; \
+         the miss-path measurement is vacuous"
     );
 
     // Control: the allocating run_query wrapper does allocate (the returned
