@@ -36,6 +36,9 @@ if [[ "$mode" == "benchmark" ]]; then
 fi
 
 if [[ "$mode" == "analyze" ]]; then
+    echo "==> sdm-analyze rules"
+    cargo run --locked --release -p sdm-analyze -- --list-rules
+
     echo "==> sdm-analyze (workspace lint driver)"
     cargo run --locked --release -p sdm-analyze
 

@@ -50,8 +50,8 @@ fn main() -> ExitCode {
 
     if list_rules {
         for rule in sdm_analyze::RULES {
-            println!("{:<28} {}", rule.name, rule.rationale);
-            println!("{:<28}   scope: {}", "", rule.scope);
+            println!("{:<32} {}", rule.name, rule.rationale);
+            println!("{:<32}   scope: {}", "", rule.scope);
         }
         return ExitCode::SUCCESS;
     }

@@ -19,6 +19,7 @@
 //! | `unsafe-needs-safety-comment` | everywhere | every `unsafe` block/fn/impl carries a `// SAFETY:` or `# Safety` justification |
 //! | `no-print-in-libs` | library sources, non-test code | `println!`/`eprintln!`/`dbg!` belong to bins, tests and examples |
 //! | `lock-across-await-style` | library sources | a held lock guard's scope must not contain an IO submission call |
+//! | `default-hasher-on-serving-path` | serving-path crates, non-test code | a `HashMap`/`HashSet` on the default (SipHash) hasher is a decision: program-generated keys take `IntMap`, outside input keeps the default and says so |
 //!
 //! # Suppressions
 //!
@@ -57,6 +58,13 @@ pub const VIRTUAL_CLOCK_CRATES: &[&str] = &[
     "workload",
     "sdm-cache",
 ];
+
+/// Crates a query passes through. A map on the default hasher there either
+/// pays SipHash per lookup for keys the program generated itself, or is
+/// keyed by outside input and needs the default — the rule makes each site
+/// say which.
+pub const SERVING_PATH_CRATES: &[&str] =
+    &["dlrm", "sdm-core", "sdm-cache", "io-engine", "scm-device"];
 
 /// Call markers treated as IO submission points by
 /// [`lock-across-await-style`](self#rules).
@@ -122,6 +130,11 @@ pub const RULES: &[RuleInfo] = &[
         name: "lock-across-await-style",
         scope: "library sources",
         rationale: "a lock guard's scope must not contain an IO submission call",
+    },
+    RuleInfo {
+        name: "default-hasher-on-serving-path",
+        scope: "serving-path crates: dlrm, sdm-core, sdm-cache, io-engine, scm-device, outside #[cfg(test)]",
+        rationale: "program-generated keys use IntMap; a default-hasher map states why its keys are outside input",
     },
 ];
 
@@ -484,9 +497,37 @@ pub fn analyze_source(rel_path: &str, content: &str) -> Vec<Finding> {
 
     let in_virtual_clock_crate =
         crate_of(rel_path).is_some_and(|c| VIRTUAL_CLOCK_CRATES.contains(&c));
+    let in_serving_path_crate =
+        crate_of(rel_path).is_some_and(|c| SERVING_PATH_CRATES.contains(&c));
+    // Inside a (possibly multi-line) `use` item: an import is not a use.
+    let mut in_use_item = false;
 
     for (idx, line) in lines.iter().enumerate() {
         let code = line.code.as_str();
+
+        // default-hasher-on-serving-path: the std map types named without
+        // an explicit hasher (`IntMap`, `…Hasher…`, `with_hasher`) on the
+        // same line.
+        let item = code.trim_start().trim_start_matches("pub ");
+        in_use_item |= item.starts_with("use ");
+        if kind == FileKind::Lib
+            && in_serving_path_crate
+            && !line.in_test
+            && !in_use_item
+            && (contains_word(code, "HashMap") || contains_word(code, "HashSet"))
+            && !code.contains("Hasher")
+            && !code.contains("with_hasher")
+            && !suppressed(&lines, idx, "default-hasher-on-serving-path", &allows)
+        {
+            push(
+                idx,
+                "default-hasher-on-serving-path",
+                "HashMap/HashSet on the default hasher in a serving-path crate: use \
+                 sdm_metrics::IntMap for program-generated keys, or keep it and say why"
+                    .to_string(),
+            );
+        }
+        in_use_item &= !code.contains(';');
 
         // no-unwrap-outside-tests
         if kind == FileKind::Lib
@@ -779,7 +820,32 @@ mod tests {
                 "unsafe-needs-safety-comment",
                 "no-print-in-libs",
                 "lock-across-await-style",
+                "default-hasher-on-serving-path",
             ]
         );
+    }
+
+    #[test]
+    fn default_hasher_flagged_only_on_the_serving_path() {
+        let src = "use std::collections::{\n\
+                   HashMap,\n\
+                   };\n\
+                   struct S { m: HashMap<u32, usize> }\n\
+                   fn f() -> S { S { m: HashMap::new() } }\n\
+                   struct T { m: HashMap<u32, usize, IntBuildHasher>, n: IntMap<u32, u8> }\n\
+                   // keyed by query-supplied row indices\n\
+                   // sdm-analyze: allow(default-hasher-on-serving-path)\n\
+                   struct U { m: HashSet<u64> }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   fn g() { let s: HashSet<u8> = HashSet::new(); }\n\
+                   }\n";
+        let f = analyze_source("crates/sdm-cache/src/fixture.rs", src);
+        let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![4, 5], "{f:?}");
+        assert!(f.iter().all(|f| f.rule == "default-hasher-on-serving-path"));
+        // Off the serving path the default hasher needs no justification.
+        assert!(analyze_source("crates/cluster/src/fixture.rs", src).is_empty());
+        assert!(analyze_source("crates/bench/src/bin/exp_x.rs", src).is_empty());
     }
 }

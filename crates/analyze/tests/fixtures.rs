@@ -101,6 +101,18 @@ fn lock_fixture_trips_lock_across_await_style() {
 }
 
 #[test]
+fn default_hasher_fixture_trips_default_hasher_on_serving_path() {
+    assert_trips(
+        "default_hasher.rs",
+        "crates/sdm-core/src/fixture.rs",
+        "default-hasher-on-serving-path",
+        3,
+    );
+    // The same file off the serving path (cluster-level planning) is legal.
+    assert!(scan_fixture("default_hasher.rs", "crates/cluster/src/fixture.rs").is_empty());
+}
+
+#[test]
 fn suppressed_fixture_is_clean() {
     let findings = scan_fixture("suppressed_clean.rs", "crates/workload/src/fixture.rs");
     assert!(findings.is_empty(), "suppressions ignored: {findings:?}");
@@ -116,6 +128,7 @@ fn every_rule_has_a_fixture_that_trips_it() {
         "unsafe-needs-safety-comment",
         "no-print-in-libs",
         "lock-across-await-style",
+        "default-hasher-on-serving-path",
     ];
     for rule in RULES {
         assert!(

@@ -11,8 +11,7 @@ use crate::error::DlrmError;
 use embedding::kernels::{self, SelectedKernel};
 use embedding::{EmbeddingTable, PoolKernel, TableId};
 use sdm_cache::SlotPool;
-use sdm_metrics::{SimDuration, SimInstant};
-use std::collections::HashMap;
+use sdm_metrics::{IntMap, SimDuration, SimInstant};
 
 /// Serves pooled embedding lookups for the inference engine.
 pub trait EmbeddingBackend {
@@ -119,7 +118,8 @@ pub trait OverlappedBackend: EmbeddingBackend {
 /// the reference point the SDM configurations are compared against.
 #[derive(Debug)]
 pub struct DramBackend {
-    tables: HashMap<TableId, EmbeddingTable>,
+    /// Keyed by the model's own table ids.
+    tables: IntMap<TableId, EmbeddingTable>,
     /// Resolved dequant-accumulate kernel (auto-detected at construction,
     /// overridable via [`DramBackend::with_pool_kernel`]).
     kernel: SelectedKernel,

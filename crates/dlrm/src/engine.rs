@@ -6,8 +6,7 @@ use crate::error::DlrmError;
 use crate::mlp::Mlp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sdm_metrics::{SimDuration, SimInstant};
-use std::collections::HashMap;
+use sdm_metrics::{IntMap, SimDuration, SimInstant};
 use workload::Query;
 
 /// Whether embedding operators run one after another or overlap.
@@ -78,6 +77,12 @@ struct PooledOp {
 /// one `f32` arena addressed by `(start, dim)` ranges, and the MLPs
 /// ping-pong between two scratch buffers. After the first few queries the
 /// steady state performs zero heap allocations per query.
+///
+/// The interaction is built in two halves that mirror the paper's broadcast
+/// structure (§2–§3: the user side of a query has a batch of one): `prefix`
+/// holds the bottom-MLP output and every user-side pooled vector folded
+/// once per query, and `interaction` starts each ranked item from a copy of
+/// it before folding that item's own operators.
 #[derive(Debug, Default)]
 pub struct PoolingBuffers {
     /// Dense (continuous) feature staging, resized to the bottom MLP input.
@@ -95,7 +100,10 @@ pub struct PoolingBuffers {
     /// Item-side operators: ranges into `pooled` plus the owning item slot,
     /// in request order (item slots are contiguous).
     item_ops: Vec<(PooledOp, usize)>,
-    /// Interaction buffer, rebuilt per ranked item.
+    /// The broadcast half of the interaction (bottom MLP + user side),
+    /// folded once per query.
+    prefix: Vec<f32>,
+    /// Interaction buffer, rebuilt per ranked item from `prefix`.
     interaction: Vec<f32>,
 }
 
@@ -168,8 +176,9 @@ pub struct InferenceEngine {
     mode: ExecutionMode,
     dense_rng_seed: u64,
     /// Embedding dimension per table, so output ranges can be sized without
-    /// consulting the backend.
-    table_dims: HashMap<u32, usize>,
+    /// consulting the backend. Keyed by the model's own table ids; an
+    /// unknown id from a query only misses.
+    table_dims: IntMap<u32, usize>,
     /// Item-side table count, cached so the hot path never materialises the
     /// `Vec<&TableDescriptor>` that `ModelConfig::item_tables` collects.
     item_table_count: usize,
@@ -233,13 +242,25 @@ impl InferenceEngine {
     /// buffer. The paper's models concatenate; since this reproduction cares
     /// about systems behaviour rather than model accuracy, folding keeps the
     /// top-MLP input width independent of the (configurable) table count.
+    ///
+    /// Element `i` lands in slot `(i + salt * 13) % buffer.len()`. The start
+    /// slot is computed once and the vector is added as contiguous segments,
+    /// wrapping as often as its length needs — elements still arrive in
+    /// increasing-`i` order, so a slot hit by several wraps sums them in the
+    /// same order as the per-element form.
     fn fold_into(buffer: &mut [f32], vector: &[f32], salt: usize) {
         if buffer.is_empty() {
             return;
         }
-        for (i, v) in vector.iter().enumerate() {
-            let pos = (i + salt * 13) % buffer.len();
-            buffer[pos] += *v;
+        let mut pos = (salt * 13) % buffer.len();
+        let mut rest = vector;
+        while !rest.is_empty() {
+            let (segment, tail) = rest.split_at(rest.len().min(buffer.len() - pos));
+            for (slot, v) in buffer[pos..pos + segment.len()].iter_mut().zip(segment) {
+                *slot += *v;
+            }
+            rest = tail;
+            pos = 0;
         }
     }
 
@@ -361,6 +382,14 @@ impl InferenceEngine {
     /// ([`InferenceEngine::finish_query_into`]) paths. Expects every pooled
     /// vector in `buffers.pooled` to be final; writes one score per ranked
     /// item and returns the top-MLP time.
+    ///
+    /// User embeddings are looked up once and broadcast over the ranked
+    /// items, so their half of the interaction is folded once per query into
+    /// `buffers.prefix`; each item copies the prefix and folds only its own
+    /// operators. Every slot still receives `0 + bottom + u₁ + … + uₙ + i₁ +
+    /// …` in that order — float addition is only reassociated if the order
+    /// changes, and it does not — so the scores are bit-identical to folding
+    /// the whole sequence per item.
     fn rank_items(
         &self,
         query: &Query,
@@ -371,15 +400,17 @@ impl InferenceEngine {
         let top_in_dim = self.top.input_dim().max(1);
         result.scores.clear();
         result.scores.reserve(item_slots);
+        buffers.prefix.clear();
+        buffers.prefix.resize(top_in_dim, 0.0);
+        Self::fold_into(&mut buffers.prefix, &buffers.bottom_out, 0);
+        for (salt, op) in buffers.user_ops.iter().enumerate() {
+            let v = &buffers.pooled[op.start..op.start + op.dim];
+            Self::fold_into(&mut buffers.prefix, v, salt + 1 + op.table as usize);
+        }
         let mut item_cursor = 0usize;
         for item in 0..item_slots {
             buffers.interaction.clear();
-            buffers.interaction.resize(top_in_dim, 0.0);
-            Self::fold_into(&mut buffers.interaction, &buffers.bottom_out, 0);
-            for (salt, op) in buffers.user_ops.iter().enumerate() {
-                let v = &buffers.pooled[op.start..op.start + op.dim];
-                Self::fold_into(&mut buffers.interaction, v, salt + 1 + op.table as usize);
-            }
+            buffers.interaction.extend_from_slice(&buffers.prefix);
             // This item's contiguous run of operators, salted by their
             // position within the item (exactly the seed's per-item order).
             let mut salt = 0usize;
@@ -701,6 +732,37 @@ mod tests {
         assert_send::<PoolingBuffers>();
         assert_send::<QueryResult>();
         assert_send::<LatencyBreakdown>();
+    }
+
+    #[test]
+    fn fold_matches_the_per_element_reference_bit_for_bit() {
+        // The seed expression, kept here as the reference.
+        fn reference(buffer: &mut [f32], vector: &[f32], salt: usize) {
+            for (i, v) in vector.iter().enumerate() {
+                buffer[(i + salt * 13) % buffer.len()] += *v;
+            }
+        }
+        let value = |i: usize| (i as f32 * 0.37 - 11.0) * 1.000_123;
+        let salts = [0, 1, 7, 61, 101, 162, u32::MAX as usize + 101];
+        for len in 1..=70usize {
+            for vector_len in 0..=200usize {
+                let vector: Vec<f32> = (0..vector_len).map(|i| value(i + len)).collect();
+                let start: Vec<f32> = (0..len).map(|i| value(i * 3 + vector_len)).collect();
+                for salt in salts {
+                    let (mut want, mut got) = (start.clone(), start.clone());
+                    reference(&mut want, &vector, salt);
+                    InferenceEngine::fold_into(&mut got, &vector, salt);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                    assert_eq!(
+                        bits(&want),
+                        bits(&got),
+                        "buffer {len}, vector {vector_len}, salt {salt}"
+                    );
+                }
+            }
+        }
+        // An empty buffer is left alone instead of dividing by zero.
+        InferenceEngine::fold_into(&mut [], &[1.0, 2.0], 3);
     }
 
     #[test]

@@ -35,14 +35,6 @@ impl CpuOptimizedCache {
             engine: ArenaLru::new(budget, ENTRY_OVERHEAD),
         }
     }
-
-    /// Side-effect-free probe: returns the cached bytes without touching
-    /// the LRU order or the hit/miss statistics. Used to software-prefetch
-    /// the next row of a pooled scan while the current one is accumulated —
-    /// a prefetch probe must not perturb eviction order or hit rates.
-    pub fn peek(&self, key: &RowKey) -> Option<&[u8]> {
-        self.engine.peek(key)
-    }
 }
 
 impl RowCache for CpuOptimizedCache {
@@ -76,10 +68,6 @@ impl RowCache for CpuOptimizedCache {
 
     fn stats(&self) -> &CacheStats {
         self.engine.stats()
-    }
-
-    fn peek(&self, key: &RowKey) -> Option<&[u8]> {
-        CpuOptimizedCache::peek(self, key)
     }
 
     fn clear(&mut self) {
@@ -181,18 +169,6 @@ mod tests {
         assert_eq!(c.memory_used(), used_before);
         assert_eq!(c.get(&k).unwrap(), &[9u8; 64]);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn peek_has_no_side_effects() {
-        let mut c = CpuOptimizedCache::new(Bytes(330));
-        c.insert(RowKey::new(0, 1), &[1u8; 100]);
-        c.insert(RowKey::new(0, 2), &[2u8; 100]);
-        assert_eq!(c.peek(&RowKey::new(0, 1)).unwrap(), &[1u8; 100]);
-        let (hits, misses) = (c.stats().hits, c.stats().misses);
-        c.insert(RowKey::new(0, 3), &[3u8; 100]);
-        assert!(!c.contains(&RowKey::new(0, 1)), "peek refreshed recency");
-        assert_eq!((c.stats().hits, c.stats().misses), (hits, misses));
     }
 
     #[test]

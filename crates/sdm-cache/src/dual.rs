@@ -72,17 +72,6 @@ impl DualRowCache {
         self.small_row_threshold
     }
 
-    /// Side-effect-free probe across both engines: returns the cached bytes
-    /// without recording a hit/miss or touching recency state. The serving
-    /// path uses this to software-prefetch the next row of a pooled scan;
-    /// a [`RowCache::get`] here would double-count hits and reorder the LRU.
-    pub fn peek(&self, key: &RowKey) -> Option<&[u8]> {
-        if !self.table_enabled(key.table) {
-            return None;
-        }
-        self.small.peek(key).or_else(|| self.large.peek(key))
-    }
-
     /// Statistics of the memory-optimized engine.
     pub fn small_engine_stats(&self) -> &CacheStats {
         self.small.stats()
@@ -165,10 +154,6 @@ impl RowCache for DualRowCache {
         &self.merged_stats
     }
 
-    fn peek(&self, key: &RowKey) -> Option<&[u8]> {
-        DualRowCache::peek(self, key)
-    }
-
     fn clear(&mut self) {
         self.small.clear();
         self.large.clear();
@@ -221,24 +206,6 @@ mod tests {
         c.enable_table(7);
         c.insert(RowKey::new(7, 1), &[1u8; 64]);
         assert!(c.contains(&RowKey::new(7, 1)));
-    }
-
-    #[test]
-    fn peek_finds_rows_without_stats_or_lru_side_effects() {
-        let mut c = cache();
-        c.insert(RowKey::new(0, 1), &[7u8; 64]); // small engine
-        c.insert(RowKey::new(0, 2), &[9u8; 400]); // large engine
-        assert_eq!(c.peek(&RowKey::new(0, 1)), Some(&[7u8; 64][..]));
-        assert_eq!(c.peek(&RowKey::new(0, 2)), Some(&[9u8; 400][..]));
-        assert_eq!(c.peek(&RowKey::new(0, 3)), None);
-        assert_eq!(c.stats().hits, 0, "peek must not record a hit");
-        assert_eq!(c.stats().misses, 0, "peek must not record a miss");
-        // Disabled tables stay invisible to peek, like get.
-        c.disable_table(4);
-        c.enable_table(4); // re-enable so the insert lands
-        c.insert(RowKey::new(4, 0), &[1u8; 16]);
-        c.disable_table(4);
-        assert_eq!(c.peek(&RowKey::new(4, 0)), None);
     }
 
     #[test]

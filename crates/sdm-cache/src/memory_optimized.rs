@@ -130,16 +130,6 @@ impl MemoryOptimizedCache {
         true
     }
 
-    /// Side-effect-free probe: returns the cached bytes without bumping the
-    /// recency stamp or the hit/miss statistics (see
-    /// [`crate::DualRowCache::peek`]).
-    pub fn peek(&self, key: &RowKey) -> Option<&[u8]> {
-        self.buckets[self.bucket_of(key)]
-            .iter()
-            .find(|e| e.key == *key)
-            .map(|e| self.arena.slice(e.start, e.len))
-    }
-
     /// Evicts the least recently used entry across *all* buckets; used when
     /// the target bucket alone cannot free enough space.
     fn evict_global_lru(&mut self) -> bool {
@@ -265,10 +255,6 @@ impl RowCache for MemoryOptimizedCache {
 
     fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    fn peek(&self, key: &RowKey) -> Option<&[u8]> {
-        MemoryOptimizedCache::peek(self, key)
     }
 
     fn clear(&mut self) {

@@ -108,25 +108,28 @@ impl PooledEmbeddingCache {
     }
 
     /// Looks up the pooled output for a table + index sequence, returning a
-    /// slice borrowed from the cache's arena.
-    ///
-    /// Ineligible (short) sequences return `None` without being counted as
-    /// misses — the paper's Algorithm 1 only consults the cache above the
-    /// threshold.
+    /// slice borrowed from the cache's arena. See
+    /// [`PooledEmbeddingCache::lookup_key`].
     pub fn lookup(&mut self, table: u32, indices: &[u64]) -> Option<&[f32]> {
-        if !self.eligible(indices.len()) {
+        self.lookup_key(&PooledKey::new(table, indices))
+    }
+
+    /// [`PooledEmbeddingCache::lookup`] for a caller that already built the
+    /// op's key (the serving path hashes each index sequence once and
+    /// reuses the key for the insert that follows a miss).
+    ///
+    /// Ineligible (short) sequences return `None` and are counted in
+    /// [`PooledEmbeddingCache::skipped_short`], not as misses — the paper's
+    /// Algorithm 1 only consults the cache above the threshold. This is the
+    /// one place that count is kept.
+    pub fn lookup_key(&mut self, key: &PooledKey) -> Option<&[f32]> {
+        if !self.eligible(key.len as usize) {
             self.skipped_short += 1;
             return None;
         }
-        let key = PooledKey::new(table, indices);
-        let sequence_len = match self.engine.get(&key) {
-            Some((_, &sequence_len)) => sequence_len,
-            None => return None,
-        };
+        let (vector, &sequence_len) = self.engine.get(key)?;
         self.hit_len_total += u64::from(sequence_len);
-        // Recency and hit accounting happened in `get`; re-borrow the
-        // payload side-effect-free now that the statistic is updated.
-        self.engine.peek(&key)
+        Some(vector)
     }
 
     /// Side-effect-free probe: returns the pooled output without touching
@@ -135,15 +138,19 @@ impl PooledEmbeddingCache {
         self.engine.peek(&PooledKey::new(table, indices))
     }
 
-    /// Inserts the pooled output for a table + index sequence. Ineligible
+    /// Inserts the pooled output for a table + index sequence. See
+    /// [`PooledEmbeddingCache::insert_key`].
+    pub fn insert(&mut self, table: u32, indices: &[u64], vector: &[f32]) {
+        self.insert_key(PooledKey::new(table, indices), vector);
+    }
+
+    /// Inserts the pooled output under an already-built key. Ineligible
     /// sequences are ignored; the vector is only copied (into the cache's
     /// arena) when the entry is actually admitted.
-    pub fn insert(&mut self, table: u32, indices: &[u64], vector: &[f32]) {
-        if !self.eligible(indices.len()) {
-            return;
+    pub fn insert_key(&mut self, key: PooledKey, vector: &[f32]) {
+        if self.eligible(key.len as usize) {
+            self.engine.insert(key, vector, key.len);
         }
-        let key = PooledKey::new(table, indices);
-        self.engine.insert(key, vector, indices.len() as u32);
     }
 
     /// Number of cached pooled vectors.

@@ -81,11 +81,6 @@ pub trait RowCache {
     /// Cache statistics.
     fn stats(&self) -> &CacheStats;
 
-    /// Side-effect-free probe: returns the cached bytes without touching
-    /// the LRU order or the hit/miss statistics. Prefetch probes and
-    /// routing layers must not perturb eviction order or hit rates.
-    fn peek(&self, key: &RowKey) -> Option<&[u8]>;
-
     /// Drops every resident row and resets usage (statistics are kept).
     fn clear(&mut self);
 }

@@ -6,13 +6,13 @@ use crate::error::SdmError;
 use crate::placement::{PlacementPlan, TableLocation};
 use dlrm::ModelConfig;
 use embedding::{
-    EmbeddingTable, MappingTensor, PrunedTable, QuantScheme, SmLayout, TableDescriptor, TableId,
+    EmbeddingError, EmbeddingTable, MappingTensor, PrunedTable, QuantScheme, SmLayout,
+    TableDescriptor, TableId,
 };
 use io_engine::IoEngine;
 use scm_device::DeviceId;
 use sdm_metrics::units::Bytes;
-use sdm_metrics::SimDuration;
-use std::collections::HashMap;
+use sdm_metrics::{IntMap, SimDuration};
 
 /// One table as it exists after loading.
 #[derive(Debug)]
@@ -33,10 +33,11 @@ pub struct LoadedTable {
 pub struct LoadedModel {
     /// The (scaled) model being served.
     pub model: ModelConfig,
-    /// Per-table load state.
-    pub tables: HashMap<TableId, LoadedTable>,
-    /// Tables resident directly in fast memory.
-    pub fm_tables: HashMap<TableId, EmbeddingTable>,
+    /// Per-table load state, keyed by the model's own table ids.
+    pub tables: IntMap<TableId, LoadedTable>,
+    /// Tables resident directly in fast memory: exactly the tables whose
+    /// [`LoadedTable::location`] is [`TableLocation::FastMemory`].
+    pub fm_tables: IntMap<TableId, EmbeddingTable>,
     /// Byte layout of the SM-resident tables.
     pub layout: SmLayout,
     /// The placement plan that was applied.
@@ -52,6 +53,18 @@ pub struct LoadedModel {
 }
 
 impl LoadedModel {
+    /// Load state of a table.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmbeddingError::UnknownTable`] for an id the model does not
+    /// have.
+    pub fn table(&self, table: TableId) -> Result<&LoadedTable, EmbeddingError> {
+        self.tables
+            .get(&table)
+            .ok_or(EmbeddingError::UnknownTable { table })
+    }
+
     /// Whether a table is SM-resident.
     pub fn on_sm(&self, table: TableId) -> bool {
         matches!(
@@ -88,8 +101,8 @@ impl ModelLoader {
         // Descriptor/model clones below are load-time only (once per model
         // deployment, never on the query path), so the simplicity of owned
         // copies beats threading lifetimes through the serving structs.
-        let mut fm_tables = HashMap::new();
-        let mut loaded_tables = HashMap::new();
+        let mut fm_tables = IntMap::default();
+        let mut loaded_tables = IntMap::default();
         let mut sm_materialised: Vec<(TableDescriptor, EmbeddingTable)> = Vec::new();
         let mut fm_table_bytes = Bytes::ZERO;
         let mut fm_mapping_bytes = Bytes::ZERO;

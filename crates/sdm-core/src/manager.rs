@@ -7,11 +7,11 @@
 //! per IO and allocation-free once warmed (`tests/zero_alloc.rs` holds a
 //! steady-state miss workload to zero allocations per batch):
 //!
-//! 1. **Scan** ([`SdmMemoryManager::sm_lookup_core`]): one
-//!    [`DualRowCache`] probe per row — a flat per-table enable flag, then
-//!    one bucket scan in the memory-optimized engine and, only if that
-//!    misses, one index probe in the CPU-optimized engine. Misses collect
-//!    in a reused scratch list, in ascending position order.
+//! 1. **Scan** (`ReadPath::sm_lookup_core`): one [`DualRowCache`] probe per
+//!    row — a flat per-table enable flag, then one bucket scan in the
+//!    memory-optimized engine and, only if that misses, one index probe in
+//!    the CPU-optimized engine. Misses collect in a reused scratch list, in
+//!    ascending position order.
 //! 2. **Submit**: one [`IoRequest`] per miss, its single range inline in
 //!    the [`ReadCommand`]. The engine admits it from per-device and
 //!    per-table sorted completion lists and an incrementally maintained
@@ -33,19 +33,29 @@
 //! order-deterministic; no stripe lock is held across submit or drain; a
 //! read that exhausts its retries produces no completion and is counted as
 //! a degraded row instead.
+//!
+//! # One table resolve per operator
+//!
+//! An operator names its table by id. The entry points
+//! ([`SdmMemoryManager::pooled_lookup_into_at`] and the split-phase begin)
+//! resolve that id once — against the fast-memory tables first, where most
+//! of a query's operators live, then the SM-side load state — and hand the
+//! resolved table down; nothing below them looks the id up again. That is
+//! why the state a lookup *mutates* (`ReadPath`) is a separate struct from
+//! the [`LoadedModel`] it reads.
 
 use crate::config::{AccessGranularity, SdmConfig};
 use crate::error::SdmError;
-use crate::loader::LoadedModel;
-use crate::placement::TableLocation;
+use crate::loader::{LoadedModel, LoadedTable};
 use crate::stats::SdmStats;
 use dlrm::{DlrmError, EmbeddingBackend, LookupTicket, OverlappedBackend};
 use embedding::kernels::{self, SelectedKernel};
-use embedding::{QuantScheme, TableId};
+use embedding::{EmbeddingError, EmbeddingTable, QuantScheme, SmLayout, TableId};
 use io_engine::{IoEngine, IoError, IoRequest};
 use scm_device::{DeviceId, ReadCommand};
 use sdm_cache::{
-    DualRowCache, PooledEmbeddingCache, RowCache, RowKey, SharedRowTier, SlotPool, WarmupTracker,
+    DualRowCache, PooledEmbeddingCache, PooledKey, RowCache, RowKey, SharedRowTier, SlotPool,
+    WarmupTracker,
 };
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{SimDuration, SimInstant};
@@ -80,49 +90,6 @@ struct SharedTierHandle {
     source: u32,
 }
 
-/// Probes the shared tier for a private-cache miss, dequant-accumulating a
-/// hit into `acc` under the stripe lock and keeping the hit/miss/cross
-/// counters and warmup tracking consistent between the exact and
-/// split-phase scan loops (which share this helper). Returns whether the
-/// row was served; a detached tier (`None`) serves nothing.
-// Takes the split borrows of the two scan loops individually — bundling
-// them into a context struct would just move the field list.
-#[allow(clippy::too_many_arguments)]
-fn probe_shared_tier(
-    shared: &Option<SharedTierHandle>,
-    stats: &mut SdmStats,
-    warmup: &mut WarmupTracker,
-    key: &RowKey,
-    quant: QuantScheme,
-    kernel: SelectedKernel,
-    latency: &mut SimDuration,
-    acc: &mut [f32],
-) -> Result<bool, SdmError> {
-    let Some(shared) = shared else {
-        return Ok(false);
-    };
-    *latency += shared.tier.lookup_cost();
-    let mut pool_error: Option<embedding::EmbeddingError> = None;
-    let hit = shared.tier.lookup_with(key, shared.source, |bytes| {
-        pool_error = kernels::accumulate_row_with(kernel, bytes, quant, acc).err();
-    });
-    match hit {
-        Some(h) => {
-            if let Some(e) = pool_error {
-                return Err(e.into());
-            }
-            stats.shared_tier_hits += 1;
-            stats.shared_tier_cross_hits += u64::from(h.cross_shard);
-            warmup.record(true);
-            Ok(true)
-        }
-        None => {
-            stats.shared_tier_misses += 1;
-            Ok(false)
-        }
-    }
-}
-
 /// Which resolution path a split-phase lookup took at begin time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum PendingKind {
@@ -140,16 +107,16 @@ enum PendingKind {
 /// Everything is owned and capacity-reusing: the accumulation buffer plays
 /// the role the caller's `out` slice plays on the exact path (hits in index
 /// order, then misses in completion order — the identical summation order),
-/// and the index copy allows the deferred pooled-cache insert at finish.
+/// and the pooled-cache key built for the begin-time probe is kept for the
+/// deferred insert at finish.
 #[derive(Debug, Default)]
 struct PendingLookup {
     kind: PendingKind,
-    table: TableId,
     quant: QuantScheme,
     /// Pooled accumulation buffer, sized to the table's dimension.
     acc: Vec<f32>,
-    /// The op's index sequence (for the pooled-cache insert at finish).
-    indices: Vec<u64>,
+    /// The op's pooled-cache key (`None` with the pooled cache off).
+    pooled_key: Option<PooledKey>,
     /// Probe + mapping + hit-side latency accumulated at begin.
     hit_latency: SimDuration,
     /// Rows pooled so far (hits at begin, misses at drain).
@@ -160,8 +127,7 @@ struct PendingLookup {
     submitted_at: SimInstant,
 }
 
-/// Outcome of the shared SM scan core
-/// ([`SdmMemoryManager::sm_lookup_core`]).
+/// Outcome of the shared SM scan core (`ReadPath::sm_lookup_core`).
 struct SmScan {
     /// Mapping + cache-probe + shared-tier latency accrued by the scan.
     latency: SimDuration,
@@ -171,57 +137,15 @@ struct SmScan {
     io_time: SimDuration,
 }
 
-/// Tail shared by the exact SM path and the split-phase finish: accounts
-/// the dequantise+pool cost, feeds the pooled-embedding cache with the
-/// final vector, and records the op's total latency. `pre_pool_latency`
-/// is everything accrued before pooling (probe + scan + IO wait).
-// Takes the split borrows of its two callers individually — bundling them
-// into a context struct would just move the field list.
-#[allow(clippy::too_many_arguments)]
-fn finish_sm_op(
-    config: &SdmConfig,
-    pooled_cache: &mut PooledEmbeddingCache,
-    stats: &mut SdmStats,
-    table: TableId,
-    indices: &[u64],
-    quant: QuantScheme,
-    pooled_rows: usize,
-    pre_pool_latency: SimDuration,
-    out: &[f32],
-) -> SimDuration {
-    let per_element = if quant == QuantScheme::Fp32 {
-        POOL_ONLY_COST_PER_ELEMENT
-    } else {
-        DEQUANT_POOL_COST_PER_ELEMENT
-    };
-    let pool_time = per_element * (pooled_rows * out.len()) as u64 + SimDuration::from_nanos(100);
-    stats.pooling_time += pool_time;
-    if !config.cache.pooled_cache_budget.is_zero() {
-        pooled_cache.insert(table, indices, out);
-    }
-    let latency = pre_pool_latency + pool_time;
-    stats.sm_op_latency.record(latency);
-    latency
-}
-
-/// The serving-path memory manager.
-///
-/// Implements [`dlrm::EmbeddingBackend`]: the DLRM inference engine asks for
-/// pooled embeddings, and the manager resolves each one through (in order)
-/// the pooled-embedding cache, the fast-memory row cache, and finally
-/// SGL reads from the SCM devices (paper Algorithm 1).
-///
-/// The hot path is allocation- and copy-free on a warmed cache: cache hits
-/// are dequant-accumulated straight out of the caches' arenas into the
-/// caller's output range, and misses are submitted as one ring submission
-/// whose completions are pooled as they drain.
+/// Everything a lookup mutates — caches, IO engine, statistics, scratch —
+/// kept apart from the [`LoadedModel`] a lookup only reads, so an operator's
+/// table can be resolved once and borrowed for the whole lookup.
 #[derive(Debug)]
-pub struct SdmMemoryManager {
+struct ReadPath {
     config: SdmConfig,
     /// Dequant-accumulate kernel resolved once from
     /// `config.pool_kernel` at build time (all choices bit-identical).
     kernel: SelectedKernel,
-    loaded: LoadedModel,
     engine: IoEngine,
     row_cache: DualRowCache,
     pooled_cache: PooledEmbeddingCache,
@@ -232,134 +156,92 @@ pub struct SdmMemoryManager {
     warmup: WarmupTracker,
     stats: SdmStats,
     scratch: LookupScratch,
-    /// Slab of begun-but-unfinished split-phase lookups. The pool's
-    /// generation tickets reject tickets retained across a slot's reuse —
-    /// see [`sdm_cache::SlotPool`].
-    pending: SlotPool<PendingLookup>,
-    clock: SimInstant,
 }
 
-impl SdmMemoryManager {
-    /// Creates the manager from a loaded model and the IO engine that owns
-    /// the devices holding its SM image.
-    pub fn new(config: SdmConfig, loaded: LoadedModel, engine: IoEngine) -> Self {
-        // Construction-time clone (once per deployment, not per query).
-        let mut row_cache = DualRowCache::new(config.cache.clone());
-        for table in loaded.placement.uncached_tables() {
-            row_cache.disable_table(table);
+impl ReadPath {
+    /// Probes the shared tier for a private-cache miss, dequant-accumulating
+    /// a hit into `acc` under the stripe lock and keeping the hit/miss/cross
+    /// counters and warmup tracking consistent. Returns whether the row was
+    /// served; a detached tier (`None`) serves nothing.
+    fn probe_shared_tier(
+        &mut self,
+        key: &RowKey,
+        quant: QuantScheme,
+        latency: &mut SimDuration,
+        acc: &mut [f32],
+    ) -> Result<bool, SdmError> {
+        let Some(shared) = &self.shared else {
+            return Ok(false);
+        };
+        *latency += shared.tier.lookup_cost();
+        let kernel = self.kernel;
+        let mut pool_error: Option<EmbeddingError> = None;
+        let hit = shared.tier.lookup_with(key, shared.source, |bytes| {
+            pool_error = kernels::accumulate_row_with(kernel, bytes, quant, acc).err();
+        });
+        match hit {
+            Some(h) => {
+                if let Some(e) = pool_error {
+                    return Err(e.into());
+                }
+                self.stats.shared_tier_hits += 1;
+                self.stats.shared_tier_cross_hits += u64::from(h.cross_shard);
+                self.warmup.record(true);
+                Ok(true)
+            }
+            None => {
+                self.stats.shared_tier_misses += 1;
+                Ok(false)
+            }
         }
-        let pooled_cache = PooledEmbeddingCache::new(
-            config.cache.pooled_cache_budget,
-            config.cache.pooled_len_threshold,
-        );
-        let kernel = config.pool_kernel.resolve_default();
-        SdmMemoryManager {
-            config,
-            kernel,
-            loaded,
-            engine,
-            row_cache,
-            pooled_cache,
-            shared: None,
-            warmup: WarmupTracker::new(2_000, 0.8),
-            stats: SdmStats::new(),
-            scratch: LookupScratch::default(),
-            pending: SlotPool::new(),
-            clock: SimInstant::EPOCH,
+    }
+
+    /// Step 1 of Algorithm 1, shared by the exact and split-phase halves:
+    /// builds the op's pooled-cache key — once; the same key serves the
+    /// probe and the insert that follows a miss — and charges the probe to
+    /// `latency` when the sequence is long enough to be probed at all.
+    /// `None` with the pooled cache off.
+    fn pooled_key(
+        &self,
+        table: TableId,
+        indices: &[u64],
+        latency: &mut SimDuration,
+    ) -> Option<PooledKey> {
+        if self.config.cache.pooled_cache_budget.is_zero() {
+            return None;
         }
-    }
-
-    /// Attaches the host-shared cache tier, tagging this manager's
-    /// promotions with `source` (its shard id). The serving host calls
-    /// this once per shard at build time; without an attachment the
-    /// manager serves exactly as before (private caches then SM).
-    pub fn attach_shared_tier(&mut self, tier: Arc<SharedRowTier>, source: u32) {
-        self.shared = Some(SharedTierHandle { tier, source });
-    }
-
-    /// The attached host-shared tier, if any.
-    pub fn shared_tier(&self) -> Option<&Arc<SharedRowTier>> {
-        self.shared.as_ref().map(|h| &h.tier)
-    }
-
-    /// The deployment configuration.
-    pub fn config(&self) -> &SdmConfig {
-        &self.config
-    }
-
-    /// The pooling kernel the manager resolved from
-    /// [`SdmConfig::pool_kernel`] at construction time.
-    pub fn kernel(&self) -> SelectedKernel {
-        self.kernel
-    }
-
-    /// The loaded model.
-    pub fn loaded(&self) -> &LoadedModel {
-        &self.loaded
-    }
-
-    /// Mutable access to the loaded model (used by the model updater).
-    pub(crate) fn loaded_mut(&mut self) -> &mut LoadedModel {
-        &mut self.loaded
-    }
-
-    /// The IO engine (for device statistics).
-    pub fn io_engine(&self) -> &IoEngine {
-        &self.engine
-    }
-
-    /// Mutable access to the IO engine (model updater, fault-plan
-    /// injection on the underlying devices, retry-policy tuning).
-    pub fn io_engine_mut(&mut self) -> &mut IoEngine {
-        &mut self.engine
-    }
-
-    /// Serving statistics.
-    pub fn stats(&self) -> &SdmStats {
-        &self.stats
-    }
-
-    /// The fast-memory row cache.
-    pub fn row_cache(&self) -> &DualRowCache {
-        &self.row_cache
-    }
-
-    /// The pooled-embedding cache.
-    pub fn pooled_cache(&self) -> &PooledEmbeddingCache {
-        &self.pooled_cache
-    }
-
-    /// Warmup tracker (hit-rate windows since the last cache invalidation).
-    pub fn warmup(&self) -> &WarmupTracker {
-        &self.warmup
-    }
-
-    /// Current position of the manager's virtual clock.
-    pub fn now(&self) -> SimInstant {
-        self.clock
-    }
-
-    /// Fast-memory bytes consumed by the stack: directly placed tables,
-    /// mapping tensors, and the configured cache budgets.
-    pub fn fm_usage(&self) -> Bytes {
-        self.loaded.fm_table_bytes
-            + self.loaded.fm_mapping_bytes
-            + self.config.cache.row_cache_budget
-            + self.config.cache.pooled_cache_budget
-    }
-
-    /// Drops every cached row and pooled vector (what a full model update
-    /// does) and restarts warmup tracking. With a shared tier attached the
-    /// tier is cleared too — it caches rows of the same model image, so a
-    /// model update invalidates it host-wide (idempotent when several
-    /// shards invalidate after the same update).
-    pub fn invalidate_caches(&mut self) {
-        self.row_cache.clear();
-        self.pooled_cache.clear();
-        if let Some(shared) = &self.shared {
-            shared.tier.clear();
+        if self.pooled_cache.eligible(indices.len()) {
+            *latency += POOLED_CACHE_PROBE_COST;
         }
-        self.warmup = WarmupTracker::new(2_000, 0.8);
+        Some(PooledKey::new(table, indices))
+    }
+
+    /// Tail shared by the exact SM path and the split-phase finish: accounts
+    /// the dequantise+pool cost, feeds the pooled-embedding cache with the
+    /// final vector, and records the op's total latency. `pre_pool_latency`
+    /// is everything accrued before pooling (probe + scan + IO wait).
+    fn finish_sm_op(
+        &mut self,
+        pooled_key: Option<PooledKey>,
+        quant: QuantScheme,
+        pooled_rows: usize,
+        pre_pool_latency: SimDuration,
+        out: &[f32],
+    ) -> SimDuration {
+        let per_element = if quant == QuantScheme::Fp32 {
+            POOL_ONLY_COST_PER_ELEMENT
+        } else {
+            DEQUANT_POOL_COST_PER_ELEMENT
+        };
+        let pool_time =
+            per_element * (pooled_rows * out.len()) as u64 + SimDuration::from_nanos(100);
+        self.stats.pooling_time += pool_time;
+        if let Some(key) = pooled_key {
+            self.pooled_cache.insert_key(key, out);
+        }
+        let latency = pre_pool_latency + pool_time;
+        self.stats.sm_op_latency.record(latency);
+        latency
     }
 
     /// Scan core of the fast-memory path, shared by the exact
@@ -368,27 +250,21 @@ impl SdmMemoryManager {
     /// dimension), records the fm stats and returns the op latency.
     fn fm_lookup_core(
         &mut self,
-        table: TableId,
+        t: &EmbeddingTable,
         indices: &[u64],
         out: &mut [f32],
     ) -> Result<SimDuration, SdmError> {
-        let t = self
-            .loaded
-            .fm_tables
-            .get(&table)
-            .ok_or(embedding::EmbeddingError::UnknownTable { table })?;
         // Copy out the two plain fields instead of cloning the descriptor —
         // the descriptor carries a heap-allocated name, and this runs once
         // per operator.
         let (quant, dim) = (t.descriptor().quant, t.descriptor().dim);
         if out.len() != dim {
-            return Err(embedding::EmbeddingError::MalformedRow {
+            return Err(EmbeddingError::MalformedRow {
                 expected: dim,
                 actual: out.len(),
             }
             .into());
         }
-        let kernel = self.kernel;
         for (i, &idx) in indices.iter().enumerate() {
             let row = t.row(idx)?;
             // Pull the next row's cache lines in while this one is
@@ -400,7 +276,7 @@ impl SdmMemoryManager {
                     kernels::prefetch_row(next_row);
                 }
             }
-            kernels::accumulate_row_with(kernel, row, quant, out)?;
+            kernels::accumulate_row_with(self.kernel, row, quant, out)?;
         }
         self.stats.fm_direct_lookups += indices.len() as u64;
         let latency = FM_ROW_COST * indices.len() as u64
@@ -410,24 +286,20 @@ impl SdmMemoryManager {
     }
 
     /// Serves a pooled lookup against an SM-resident table: pooled cache →
-    /// the shared scan core ([`SdmMemoryManager::sm_lookup_core`]) → the
-    /// shared pool-cost + pooled-cache-feed tail ([`finish_sm_op`]).
+    /// the shared scan core (`sm_lookup_core`) → the shared pool-cost +
+    /// pooled-cache-feed tail (`finish_sm_op`).
     fn sm_pooled_lookup_into(
         &mut self,
+        layout: &SmLayout,
         table: TableId,
+        t: &LoadedTable,
         indices: &[u64],
         now: SimInstant,
         out: &mut [f32],
     ) -> Result<SimDuration, SdmError> {
-        let t = self
-            .loaded
-            .tables
-            .get(&table)
-            .ok_or(embedding::EmbeddingError::UnknownTable { table })?;
-        let (quant, dim) = (t.stored.quant, t.stored.dim);
-        if out.len() != dim {
-            return Err(embedding::EmbeddingError::MalformedRow {
-                expected: dim,
+        if out.len() != t.stored.dim {
+            return Err(EmbeddingError::MalformedRow {
+                expected: t.stored.dim,
                 actual: out.len(),
             }
             .into());
@@ -435,11 +307,9 @@ impl SdmMemoryManager {
         let mut latency = SimDuration::ZERO;
 
         // 1. Pooled-embedding cache (Algorithm 1).
-        if !self.config.cache.pooled_cache_budget.is_zero()
-            && self.pooled_cache.eligible(indices.len())
-        {
-            latency += POOLED_CACHE_PROBE_COST;
-            if let Some(vector) = self.pooled_cache.lookup(table, indices) {
+        let pooled_key = self.pooled_key(table, indices, &mut latency);
+        if let Some(key) = &pooled_key {
+            if let Some(vector) = self.pooled_cache.lookup_key(key) {
                 out.copy_from_slice(vector);
                 self.stats.pooled_cache_hits += 1;
                 self.stats.sm_op_latency.record(latency);
@@ -448,21 +318,64 @@ impl SdmMemoryManager {
         }
 
         // 2–3. Row caches, shared tier and SM IO via the shared core.
-        let scan = self.sm_lookup_core(table, indices, now, out)?;
+        let scan = self.sm_lookup_core(layout, table, t, indices, now, out)?;
         latency += scan.latency + scan.io_time;
 
         // 4–5. Pool-cost accounting + pooled-cache feed (shared tail).
-        Ok(finish_sm_op(
-            &self.config,
-            &mut self.pooled_cache,
-            &mut self.stats,
-            table,
-            indices,
-            quant,
-            scan.pooled_rows,
-            latency,
-            out,
-        ))
+        Ok(self.finish_sm_op(pooled_key, t.stored.quant, scan.pooled_rows, latency, out))
+    }
+
+    /// Begin half of a split-phase lookup: resolves everything immediately
+    /// available — fast-memory rows, a pooled-cache hit, row-cache hits —
+    /// into the slot's accumulation buffer (capacity reused) through the
+    /// same scan cores as the exact path, and issues the misses. The
+    /// pooled-cache *insert* is deferred to finish time, when the vector is
+    /// final; the key built for the probe waits in the slot until then.
+    fn lookup_begin(
+        &mut self,
+        loaded: &LoadedModel,
+        table: TableId,
+        indices: &[u64],
+        now: SimInstant,
+        op: &mut PendingLookup,
+    ) -> Result<(), SdmError> {
+        op.submitted_at = now;
+        op.pooled_key = None;
+        op.pooled_rows = 0;
+        op.io_time = SimDuration::ZERO;
+        op.acc.clear();
+        if let Some(t) = loaded.fm_tables.get(&table) {
+            op.kind = PendingKind::Fm;
+            op.acc.resize(t.descriptor().dim, 0.0);
+            op.hit_latency = self.fm_lookup_core(t, indices, &mut op.acc)?;
+            return Ok(());
+        }
+        let t = loaded.table(table)?;
+        op.quant = t.stored.quant;
+        op.acc.resize(t.stored.dim, 0.0);
+        let mut latency = SimDuration::ZERO;
+
+        // 1. Pooled-embedding cache (Algorithm 1). A hit copies the cached
+        // vector and the op is done.
+        op.pooled_key = self.pooled_key(table, indices, &mut latency);
+        if let Some(key) = &op.pooled_key {
+            if let Some(vector) = self.pooled_cache.lookup_key(key) {
+                op.kind = PendingKind::PooledHit;
+                op.acc.copy_from_slice(vector);
+                op.hit_latency = latency;
+                self.stats.pooled_cache_hits += 1;
+                return Ok(());
+            }
+        }
+
+        // 2–3. The same scan core as the exact path, accumulating into the
+        // slot's buffer instead of the caller's.
+        op.kind = PendingKind::Sm;
+        let scan = self.sm_lookup_core(&loaded.layout, table, t, indices, now, &mut op.acc)?;
+        op.hit_latency = latency + scan.latency;
+        op.pooled_rows = scan.pooled_rows;
+        op.io_time = scan.io_time;
+        Ok(())
     }
 
     /// Scan + IO core of the SM path (Algorithm 1 steps 2–3), shared by
@@ -482,31 +395,17 @@ impl SdmMemoryManager {
     /// pooled as their completions drain — overlapping completion reaping
     /// with the dequantise+pool work. Completed reads are promoted into the
     /// shared tier at drain time, so no stripe lock is ever held across IO.
+    /// Each row costs one private-cache probe.
     fn sm_lookup_core(
         &mut self,
+        layout: &SmLayout,
         table: TableId,
+        t: &LoadedTable,
         indices: &[u64],
         now: SimInstant,
         out: &mut [f32],
     ) -> Result<SmScan, SdmError> {
-        // Split borrows once so cache hits can be accumulated into `out`
-        // while statistics and scratch update alongside.
         let kernel = self.kernel;
-        let Self {
-            config,
-            loaded,
-            engine,
-            row_cache,
-            shared,
-            warmup,
-            stats,
-            scratch,
-            ..
-        } = self;
-        let t = loaded
-            .tables
-            .get(&table)
-            .ok_or(embedding::EmbeddingError::UnknownTable { table })?;
         let quant = t.stored.quant;
         let logical_rows = t.logical.num_rows;
         let mapping = t.mapping.as_ref();
@@ -515,12 +414,12 @@ impl SdmMemoryManager {
         // 2. Resolve each index: mapping tensor, row cache, then SM IO.
         // Hits accumulate straight into `out` in index order; misses queue
         // in the reused scratch list.
-        scratch.io_targets.clear();
+        self.scratch.io_targets.clear();
         let mut zero_rows = 0u64;
         let mut pooled_rows = 0usize;
         for (pos, &idx) in indices.iter().enumerate() {
             if idx >= logical_rows {
-                return Err(embedding::EmbeddingError::RowOutOfRange {
+                return Err(EmbeddingError::RowOutOfRange {
                     row: idx,
                     rows: logical_rows,
                 }
@@ -540,63 +439,53 @@ impl SdmMemoryManager {
                 idx
             };
 
-            latency += row_cache.lookup_cost();
+            latency += self.row_cache.lookup_cost();
             let key = RowKey::new(table, stored_row);
-            // Software-prefetch the next index's cached row (if resident)
-            // while this one is looked up and accumulated; `peek` leaves
-            // the LRU order and hit/miss statistics untouched. Pruned
-            // tables are skipped — translating the lookahead index through
-            // the mapping tensor would double-charge its lookup cost.
-            if mapping.is_none() {
-                if let Some(&next) = indices.get(pos + 1) {
-                    if let Some(bytes) = row_cache.peek(&RowKey::new(table, next)) {
-                        kernels::prefetch_row(bytes);
-                    }
-                }
-            }
-            match row_cache.get(&key) {
+            match self.row_cache.get(&key) {
                 Some(bytes) => {
                     kernels::accumulate_row_with(kernel, bytes, quant, out)?;
-                    stats.row_cache_hits += 1;
-                    warmup.record(true);
+                    self.stats.row_cache_hits += 1;
+                    self.warmup.record(true);
                     pooled_rows += 1;
                 }
                 None => {
                     // Host-shared tier between the private miss and SM IO:
                     // a hit accumulates under the stripe lock, in the same
                     // index-order slot a private hit would occupy.
-                    if probe_shared_tier(
-                        shared,
-                        stats,
-                        warmup,
-                        &key,
-                        quant,
-                        kernel,
-                        &mut latency,
-                        out,
-                    )? {
+                    if self.probe_shared_tier(&key, quant, &mut latency, out)? {
                         pooled_rows += 1;
                     } else {
-                        stats.sm_reads += 1;
-                        warmup.record(false);
-                        scratch.io_targets.push((pos, stored_row));
+                        self.stats.sm_reads += 1;
+                        self.warmup.record(false);
+                        self.scratch.io_targets.push((pos, stored_row));
                     }
                 }
             }
         }
-        stats.pruned_zero_rows += zero_rows;
+        self.stats.pruned_zero_rows += zero_rows;
 
         // 3. Issue the misses as one ring submission of SGL (or block)
         // reads, then pool each row as its completion drains.
         let mut io_time = SimDuration::ZERO;
-        if !scratch.io_targets.is_empty() {
+        if !self.scratch.io_targets.is_empty() {
             // Lock-discipline boundary: stripe locks are sub-microsecond
             // critical sections and fills happen at IO *completion*, so no
             // tracked lock may be held while SM reads are submitted. Debug
             // builds panic here on a violation; release builds compile this
             // to nothing.
             sdm_cache::assert_no_locks_held("SM submit boundary (manager::sm_lookup_core)");
-            let placement = loaded.layout.placement(table)?;
+            // Split borrows so the drain closure can fill the caches and
+            // count while the engine lends it completions.
+            let Self {
+                config,
+                engine,
+                row_cache,
+                shared,
+                stats,
+                scratch,
+                ..
+            } = self;
+            let placement = layout.placement(table)?;
             let device = DeviceId(placement.device_index);
             for (pos, stored_row) in &scratch.io_targets {
                 let offset = placement.row_offset(*stored_row)?;
@@ -688,6 +577,154 @@ impl SdmMemoryManager {
             io_time,
         })
     }
+}
+
+/// The serving-path memory manager.
+///
+/// Implements [`dlrm::EmbeddingBackend`]: the DLRM inference engine asks for
+/// pooled embeddings, and the manager resolves each one through (in order)
+/// the pooled-embedding cache, the fast-memory row cache, and finally
+/// SGL reads from the SCM devices (paper Algorithm 1).
+///
+/// The hot path is allocation- and copy-free on a warmed cache: cache hits
+/// are dequant-accumulated straight out of the caches' arenas into the
+/// caller's output range, and misses are submitted as one ring submission
+/// whose completions are pooled as they drain.
+#[derive(Debug)]
+pub struct SdmMemoryManager {
+    loaded: LoadedModel,
+    path: ReadPath,
+    /// Slab of begun-but-unfinished split-phase lookups. The pool's
+    /// generation tickets reject tickets retained across a slot's reuse —
+    /// see [`sdm_cache::SlotPool`].
+    pending: SlotPool<PendingLookup>,
+    clock: SimInstant,
+}
+
+impl SdmMemoryManager {
+    /// Creates the manager from a loaded model and the IO engine that owns
+    /// the devices holding its SM image.
+    pub fn new(config: SdmConfig, loaded: LoadedModel, engine: IoEngine) -> Self {
+        // Construction-time clone (once per deployment, not per query).
+        let mut row_cache = DualRowCache::new(config.cache.clone());
+        for table in loaded.placement.uncached_tables() {
+            row_cache.disable_table(table);
+        }
+        let pooled_cache = PooledEmbeddingCache::new(
+            config.cache.pooled_cache_budget,
+            config.cache.pooled_len_threshold,
+        );
+        let kernel = config.pool_kernel.resolve_default();
+        SdmMemoryManager {
+            loaded,
+            path: ReadPath {
+                config,
+                kernel,
+                engine,
+                row_cache,
+                pooled_cache,
+                shared: None,
+                warmup: WarmupTracker::new(2_000, 0.8),
+                stats: SdmStats::new(),
+                scratch: LookupScratch::default(),
+            },
+            pending: SlotPool::new(),
+            clock: SimInstant::EPOCH,
+        }
+    }
+
+    /// Attaches the host-shared cache tier, tagging this manager's
+    /// promotions with `source` (its shard id). The serving host calls
+    /// this once per shard at build time; without an attachment the
+    /// manager serves exactly as before (private caches then SM).
+    pub fn attach_shared_tier(&mut self, tier: Arc<SharedRowTier>, source: u32) {
+        self.path.shared = Some(SharedTierHandle { tier, source });
+    }
+
+    /// The attached host-shared tier, if any.
+    pub fn shared_tier(&self) -> Option<&Arc<SharedRowTier>> {
+        self.path.shared.as_ref().map(|h| &h.tier)
+    }
+
+    /// The deployment configuration.
+    pub fn config(&self) -> &SdmConfig {
+        &self.path.config
+    }
+
+    /// The pooling kernel the manager resolved from
+    /// [`SdmConfig::pool_kernel`] at construction time.
+    pub fn kernel(&self) -> SelectedKernel {
+        self.path.kernel
+    }
+
+    /// The loaded model.
+    pub fn loaded(&self) -> &LoadedModel {
+        &self.loaded
+    }
+
+    /// Mutable access to the loaded model (used by the model updater).
+    pub(crate) fn loaded_mut(&mut self) -> &mut LoadedModel {
+        &mut self.loaded
+    }
+
+    /// The IO engine (for device statistics).
+    pub fn io_engine(&self) -> &IoEngine {
+        &self.path.engine
+    }
+
+    /// Mutable access to the IO engine (model updater, fault-plan
+    /// injection on the underlying devices, retry-policy tuning).
+    pub fn io_engine_mut(&mut self) -> &mut IoEngine {
+        &mut self.path.engine
+    }
+
+    /// Serving statistics.
+    pub fn stats(&self) -> &SdmStats {
+        &self.path.stats
+    }
+
+    /// The fast-memory row cache.
+    pub fn row_cache(&self) -> &DualRowCache {
+        &self.path.row_cache
+    }
+
+    /// The pooled-embedding cache.
+    pub fn pooled_cache(&self) -> &PooledEmbeddingCache {
+        &self.path.pooled_cache
+    }
+
+    /// Warmup tracker (hit-rate windows since the last cache invalidation).
+    pub fn warmup(&self) -> &WarmupTracker {
+        &self.path.warmup
+    }
+
+    /// Current position of the manager's virtual clock.
+    pub fn now(&self) -> SimInstant {
+        self.clock
+    }
+
+    /// Fast-memory bytes consumed by the stack: directly placed tables,
+    /// mapping tensors, and the configured cache budgets.
+    pub fn fm_usage(&self) -> Bytes {
+        self.loaded.fm_table_bytes
+            + self.loaded.fm_mapping_bytes
+            + self.path.config.cache.row_cache_budget
+            + self.path.config.cache.pooled_cache_budget
+    }
+
+    /// Drops every cached row and pooled vector (what a full model update
+    /// does) and restarts warmup tracking. With a shared tier attached the
+    /// tier is cleared too — it caches rows of the same model image, so a
+    /// model update invalidates it host-wide (idempotent when several
+    /// shards invalidate after the same update).
+    pub fn invalidate_caches(&mut self) {
+        self.path.row_cache.clear();
+        self.path.pooled_cache.clear();
+        if let Some(shared) = &self.path.shared {
+            shared.tier.clear();
+        }
+        self.path.warmup = WarmupTracker::new(2_000, 0.8);
+    }
 
     /// Serves one pooled embedding operator into `out` (sized to the
     /// table's dimension), advancing the manager's clock. This is the
@@ -710,13 +747,13 @@ impl SdmMemoryManager {
         out: &mut [f32],
     ) -> Result<SimDuration, SdmError> {
         out.fill(0.0);
-        self.stats.pooled_ops += 1;
-        let location = self.loaded.placement.location(table);
-        let took = match location {
-            TableLocation::FastMemory => self.fm_lookup_core(table, indices, out),
-            TableLocation::SlowMemoryCached | TableLocation::SlowMemoryUncached => {
-                self.sm_pooled_lookup_into(table, indices, now, out)
-            }
+        let Self { loaded, path, .. } = self;
+        path.stats.pooled_ops += 1;
+        let took = if let Some(t) = loaded.fm_tables.get(&table) {
+            path.fm_lookup_core(t, indices, out)
+        } else {
+            let t = loaded.table(table)?;
+            path.sm_pooled_lookup_into(&loaded.layout, table, t, indices, now, out)
         }?;
         self.clock = self.clock.max(now + took);
         Ok(took)
@@ -736,13 +773,7 @@ impl SdmMemoryManager {
         indices: &[u64],
         now: SimInstant,
     ) -> Result<(Vec<f32>, SimDuration), SdmError> {
-        let dim = self
-            .loaded
-            .tables
-            .get(&table)
-            .ok_or(embedding::EmbeddingError::UnknownTable { table })?
-            .stored
-            .dim;
+        let dim = self.loaded.table(table)?.stored.dim;
         let mut pooled = vec![0.0f32; dim];
         let took = self.pooled_lookup_into_at(table, indices, now, &mut pooled)?;
         Ok((pooled, took))
@@ -770,134 +801,21 @@ impl SdmMemoryManager {
         indices: &[u64],
         now: SimInstant,
     ) -> Result<LookupTicket, SdmError> {
-        self.stats.pooled_ops += 1;
+        self.path.stats.pooled_ops += 1;
         let id = self.pending.acquire();
-        let outcome = match self.loaded.placement.location(table) {
-            TableLocation::FastMemory => self.fm_lookup_begin(id, table, indices, now),
-            TableLocation::SlowMemoryCached | TableLocation::SlowMemoryUncached => {
-                self.sm_lookup_begin(id, table, indices, now)
-            }
-        };
-        match outcome {
-            Ok(()) => Ok(LookupTicket(self.pending.ticket(id))),
+        let Self {
+            loaded,
+            path,
+            pending,
+            ..
+        } = self;
+        match path.lookup_begin(loaded, table, indices, now, pending.slot_mut(id)) {
+            Ok(()) => Ok(LookupTicket(pending.ticket(id))),
             Err(e) => {
-                self.pending.release(id);
+                pending.release(id);
                 Err(e)
             }
         }
-    }
-
-    /// Begin path for a table placed directly in fast memory: fully
-    /// resolved at begin time through the shared scan core
-    /// ([`SdmMemoryManager::fm_lookup_core`]), accumulating into the
-    /// slot's buffer instead of the caller's.
-    fn fm_lookup_begin(
-        &mut self,
-        id: usize,
-        table: TableId,
-        indices: &[u64],
-        now: SimInstant,
-    ) -> Result<(), SdmError> {
-        let t = self
-            .loaded
-            .fm_tables
-            .get(&table)
-            .ok_or(embedding::EmbeddingError::UnknownTable { table })?;
-        let (quant, dim) = (t.descriptor().quant, t.descriptor().dim);
-        // Take the slot's accumulation buffer so the core can borrow the
-        // manager; it is put back (resized to the table's dimension, with
-        // its capacity reused) whether or not the scan succeeds.
-        let op = self.pending.slot_mut(id);
-        op.kind = PendingKind::Fm;
-        op.table = table;
-        op.quant = quant;
-        op.indices.clear();
-        op.pooled_rows = 0;
-        op.io_time = SimDuration::ZERO;
-        op.submitted_at = now;
-        let mut acc = std::mem::take(&mut op.acc);
-        acc.clear();
-        acc.resize(dim, 0.0);
-        let outcome = self.fm_lookup_core(table, indices, &mut acc);
-        let op = self.pending.slot_mut(id);
-        op.acc = acc;
-        op.hit_latency = outcome?;
-        Ok(())
-    }
-
-    /// Begin path for an SM-resident table: pooled-cache probe, then the
-    /// shared scan core ([`SdmMemoryManager::sm_lookup_core`]) into the
-    /// slot's buffer. The pooled-cache *insert* is deferred to finish
-    /// time, when the vector is final.
-    fn sm_lookup_begin(
-        &mut self,
-        id: usize,
-        table: TableId,
-        indices: &[u64],
-        now: SimInstant,
-    ) -> Result<(), SdmError> {
-        let t = self
-            .loaded
-            .tables
-            .get(&table)
-            .ok_or(embedding::EmbeddingError::UnknownTable { table })?;
-        let (quant, dim) = (t.stored.quant, t.stored.dim);
-        let mut latency = SimDuration::ZERO;
-
-        // 1. Pooled-embedding cache (Algorithm 1). A hit copies the cached
-        // vector; the insert side waits until finish, when the vector is
-        // complete.
-        if !self.config.cache.pooled_cache_budget.is_zero()
-            && self.pooled_cache.eligible(indices.len())
-        {
-            latency += POOLED_CACHE_PROBE_COST;
-            let Self {
-                pooled_cache,
-                pending,
-                stats,
-                ..
-            } = self;
-            if let Some(vector) = pooled_cache.lookup(table, indices) {
-                let op = pending.slot_mut(id);
-                op.kind = PendingKind::PooledHit;
-                op.table = table;
-                op.quant = quant;
-                op.acc.clear();
-                op.acc.resize(dim, 0.0);
-                op.acc.copy_from_slice(vector);
-                op.pooled_rows = 0;
-                op.io_time = SimDuration::ZERO;
-                op.submitted_at = now;
-                op.hit_latency = latency;
-                stats.pooled_cache_hits += 1;
-                return Ok(());
-            }
-        }
-
-        // Only the SM path reaches finish-time with a deferred pooled-cache
-        // insert, so the index copy happens after the pooled probe — a
-        // pooled hit never reads `op.indices` and skips the copy entirely.
-        let op = self.pending.slot_mut(id);
-        op.kind = PendingKind::Sm;
-        op.table = table;
-        op.quant = quant;
-        op.indices.clear();
-        op.indices.extend_from_slice(indices);
-        op.submitted_at = now;
-        // 2–3. The same scan core as the exact path, accumulating into the
-        // slot's buffer (taken so the core can borrow the manager, and put
-        // back whether or not the scan succeeds) instead of the caller's.
-        let mut acc = std::mem::take(&mut op.acc);
-        acc.clear();
-        acc.resize(dim, 0.0);
-        let outcome = self.sm_lookup_core(table, indices, now, &mut acc);
-        let op = self.pending.slot_mut(id);
-        op.acc = acc;
-        let scan = outcome?;
-        op.hit_latency = latency + scan.latency;
-        op.pooled_rows = scan.pooled_rows;
-        op.io_time = scan.io_time;
-        Ok(())
     }
 
     /// Finish half of a split-phase pooled lookup: copies the completed
@@ -912,18 +830,10 @@ impl SdmMemoryManager {
         let Some(id) = self.pending.checked_slot(ticket.0) else {
             return Err(SdmError::Dlrm(DlrmError::StaleTicket { ticket: ticket.0 }));
         };
-        let Self {
-            config,
-            pooled_cache,
-            stats,
-            pending,
-            clock,
-            ..
-        } = self;
-        let op = pending.slot_mut(id);
+        let op = self.pending.slot_mut(id);
         // Validate before releasing, so a mis-sized buffer is retryable.
         if out.len() != op.acc.len() {
-            return Err(embedding::EmbeddingError::MalformedRow {
+            return Err(EmbeddingError::MalformedRow {
                 expected: op.acc.len(),
                 actual: out.len(),
             }
@@ -933,25 +843,21 @@ impl SdmMemoryManager {
         let latency = match op.kind {
             PendingKind::Fm => op.hit_latency, // fm stats recorded at begin
             PendingKind::PooledHit => {
-                stats.sm_op_latency.record(op.hit_latency);
+                self.path.stats.sm_op_latency.record(op.hit_latency);
                 op.hit_latency
             }
             // 4–5. Deferred pool-cost accounting + pooled-cache feed: the
             // vector is final now (same shared tail as the exact path).
-            PendingKind::Sm => finish_sm_op(
-                config,
-                pooled_cache,
-                stats,
-                op.table,
-                &op.indices,
+            PendingKind::Sm => self.path.finish_sm_op(
+                op.pooled_key.take(),
                 op.quant,
                 op.pooled_rows,
                 op.hit_latency + op.io_time,
                 out,
             ),
         };
-        *clock = (*clock).max(op.submitted_at + latency);
-        pending.release(id);
+        self.clock = self.clock.max(op.submitted_at + latency);
+        self.pending.release(id);
         Ok(latency)
     }
 }
@@ -1090,6 +996,36 @@ mod tests {
         assert_eq!(sdm.stats().pooled_cache_hits, before + 1);
         assert!(latency <= SimDuration::from_micros(1));
         assert!(sdm.stats().pooled_cache_hit_rate() > 0.0);
+    }
+
+    #[test]
+    fn sub_threshold_sequences_are_counted_as_skipped_not_probed() {
+        let model = model_zoo::tiny(1, 0, 500);
+        let mut config = SdmConfig::for_tests();
+        config.cache.pooled_len_threshold = 4;
+        let mut exact = build(&model, config.clone());
+        let mut split = build(&model, config);
+        let short = vec![5u64, 6, 7];
+        let long = vec![5u64, 6, 7, 8];
+        let mut out = vec![0.0f32; 32];
+        for indices in [&short, &short, &long] {
+            let (_, took_exact) = exact
+                .pooled_lookup_at(0, indices, SimInstant::EPOCH)
+                .unwrap();
+            let ticket = split
+                .lookup_begin_at(0, indices, SimInstant::EPOCH)
+                .unwrap();
+            let took_split = split.lookup_finish_into(ticket, &mut out).unwrap();
+            // A short sequence is not charged the probe it never makes.
+            assert_eq!(took_exact, took_split);
+        }
+        for sdm in [&exact, &split] {
+            let pooled = sdm.pooled_cache();
+            assert_eq!(pooled.skipped_short(), 2, "one count per short op");
+            assert_eq!(pooled.stats().lookups(), 1, "only the long op probed");
+            assert_eq!(pooled.len(), 1, "only the long op was admitted");
+            assert_eq!(sdm.stats().pooled_cache_hits, 0);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use dlrm::ModelConfig;
 use embedding::{TableDescriptor, TableId, TableKind};
 use sdm_metrics::units::Bytes;
-use std::collections::{HashMap, HashSet};
+use sdm_metrics::IntMap;
 
 /// Where a table's rows live at serving time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,7 +52,8 @@ pub enum PlacementPolicy {
 /// The resolved placement of every table of a model.
 #[derive(Debug, Clone, Default)]
 pub struct PlacementPlan {
-    locations: HashMap<TableId, TableLocation>,
+    /// Keyed by the model's own table ids.
+    locations: IntMap<TableId, TableLocation>,
     fm_direct_bytes: Bytes,
     sm_bytes: Bytes,
 }
@@ -114,7 +115,6 @@ impl PlacementPlan {
                 pinned,
                 dram_budget,
             } => {
-                let pinned: HashSet<TableId> = pinned.iter().copied().collect();
                 let mut spent = Bytes::ZERO;
                 for t in user_tables {
                     if pinned.contains(&t.id) && spent + t.capacity() <= *dram_budget {
