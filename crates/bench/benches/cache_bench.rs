@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sdm_cache::{
-    CacheConfig, CpuOptimizedCache, DualRowCache, MemoryOptimizedCache, RowCache, RowKey,
+    ArenaLru, CacheConfig, CpuOptimizedCache, DualRowCache, MemoryOptimizedCache, RowCache, RowKey,
 };
 use sdm_metrics::units::Bytes;
 
@@ -60,5 +60,41 @@ fn pooled_cache(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, cache_engines, pooled_cache);
+/// The generic engine's two costs: a random hit (hash probe + recency
+/// update + payload borrow) and an insert that evicts (victim search + slot
+/// and arena recycling), at three cache sizes. Recency stamps trade a
+/// cheaper hit for a dearer eviction; both sides are on the record here.
+fn arena_lru(c: &mut Criterion) {
+    const OVERHEAD: usize = 64;
+    let mut group = c.benchmark_group("arena_lru");
+    group.sample_size(30);
+    let payload = [0.5f32; 64];
+    for entries in [2_000u64, 20_000, 100_000] {
+        let budget = Bytes(entries * (std::mem::size_of_val(&payload) + OVERHEAD) as u64);
+        let mut engine: ArenaLru<u64, u32, f32> = ArenaLru::new(budget, OVERHEAD);
+        for key in 0..entries {
+            engine.insert(key, &payload, 0);
+        }
+        let mut rng = 0x5d_2022u64;
+        group.bench_function(format!("random_hit_{entries}"), |b| {
+            b.iter(|| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                engine.get(&(rng % entries)).map(|(row, _)| row.len())
+            })
+        });
+        // The cache is exactly full: every insert of a fresh key evicts one.
+        let mut fresh = entries;
+        group.bench_function(format!("insert_evict_{entries}"), |b| {
+            b.iter(|| {
+                fresh += 1;
+                engine.insert(fresh, &payload, 0)
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, cache_engines, pooled_cache, arena_lru);
 criterion_main!(benches);

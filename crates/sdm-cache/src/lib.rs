@@ -55,7 +55,6 @@ mod cpu_optimized;
 mod dual;
 mod engine;
 mod error;
-mod lru;
 mod memory_optimized;
 mod pool;
 mod pooled;
@@ -75,7 +74,7 @@ pub use memory_optimized::MemoryOptimizedCache;
 pub use pool::SlotPool;
 pub use pooled::{PooledEmbeddingCache, PooledKey};
 pub use row_cache::{RowCache, RowKey};
-pub use shared::{SharedHit, SharedRowTier};
+pub use shared::{SharedHit, SharedRowTier, TierProbe};
 pub use stats::CacheStats;
 pub use tracked::{assert_no_locks_held, TrackedMutex};
 #[cfg(debug_assertions)]

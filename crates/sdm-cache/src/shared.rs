@@ -16,12 +16,20 @@
 //! share one tier through an `Arc` — the tier is `Send + Sync` by
 //! construction (asserted by the `send_assertions` suite).
 //!
-//! Lookups hand the row bytes to a caller closure *under the stripe lock*
-//! ([`SharedRowTier::lookup_with`]): the serving loop dequant-accumulates
-//! straight out of the stripe's arena, so a shared-tier hit performs no
-//! copy and no allocation, and the lock is released the moment the closure
-//! returns. Fills happen only at IO completion ([`SharedRowTier::insert`]),
-//! so no stripe lock is ever held across an SM read.
+//! Lookups hand the row bytes to a caller closure *under the stripe lock*.
+//! The serving loop probes a whole operator at once
+//! ([`SharedRowTier::lookup_many`]): the probes are ordered by stripe, each
+//! stripe is locked **once**, its index probes run back to back (each one
+//! a hash lookup plus one recency-stamp store into the entry's own slot
+//! record — see [`ArenaLru`]), and each hit's bytes go to the closure,
+//! which *copies* them (≈ 100 B) into the caller's staging buffer. The copy
+//! is what buys one lock acquisition per (operator, stripe) instead of one
+//! per row while the caller still pools in index order. Every stripe sees
+//! its own probes in the operator's order, so its counters, recency and
+//! later evictions are exactly those of one [`SharedRowTier::lookup_with`]
+//! (the one-row form) per row. Fills happen only at IO completion
+//! ([`SharedRowTier::insert`]), so no stripe lock is ever held across an SM
+//! read.
 //!
 //! Every entry records the shard that promoted it, which is what makes the
 //! tier's effect measurable: a hit whose origin differs from the probing
@@ -41,8 +49,8 @@ use crate::tracked::TrackedMutex;
 use sdm_metrics::units::{split_share, Bytes};
 use sdm_metrics::SimDuration;
 
-/// Metadata overhead per shared-tier entry (hash node, LRU links, slot
-/// record, origin tag).
+/// Metadata overhead per shared-tier entry (hash node, slot record with
+/// recency stamp and origin tag, victim-queue share).
 pub const ENTRY_OVERHEAD: usize = 64;
 
 /// Doorkeeper capacity per stripe for [`TierAdmission::SecondTouch`]:
@@ -57,6 +65,30 @@ pub struct SharedHit {
     /// True when the entry was promoted by a *different* shard than the one
     /// probing — the cross-shard reuse the tier exists to recover.
     pub cross_shard: bool,
+}
+
+/// One row of a batched lookup ([`SharedRowTier::lookup_many`]): the key
+/// plus the caller's handle for it, handed back with a hit.
+#[derive(Debug, Clone, Copy)]
+pub struct TierProbe {
+    key: RowKey,
+    tag: u32,
+    stripe: u32,
+    /// Engine slot of a hit; meaningful only under the stripe lock.
+    slot: Option<usize>,
+}
+
+impl TierProbe {
+    /// A probe for `key`. Tags must ascend along the probe list: a stripe
+    /// serves its probes in tag order.
+    pub fn new(key: RowKey, tag: u32) -> Self {
+        TierProbe {
+            key,
+            tag,
+            stripe: 0,
+            slot: None,
+        }
+    }
 }
 
 /// One lock-striped partition: the shared [`ArenaLru`] engine core tagged
@@ -94,10 +126,10 @@ pub struct SharedRowTier {
     // stack, so the "no stripe lock across SM submit" contract is enforced
     // by `assert_no_locks_held` at the submission boundary; in release it
     // is a transparent `Mutex`. Poison recovery lives there too: a stripe
-    // can only be poisoned by a panic in caller code running under
-    // [`SharedRowTier::lookup_with`]'s closure — the engine itself
-    // completes every mutation before handing bytes out — so the stripe
-    // data is still consistent and serving can continue.
+    // can only be poisoned by a panic in caller code running under a
+    // lookup's closure — the engine itself completes every mutation
+    // before handing bytes out — so the stripe data is still consistent
+    // and serving can continue.
     stripes: Vec<TrackedMutex<Stripe>>,
     budget: Bytes,
     admission: TierAdmission,
@@ -165,12 +197,48 @@ impl SharedRowTier {
         SimDuration::from_nanos(300)
     }
 
-    fn stripe_of(&self, key: &RowKey) -> &TrackedMutex<Stripe> {
+    fn stripe_index(&self, key: &RowKey) -> usize {
         // Use the high half of the mixed key so stripe choice stays
         // decorrelated from the private caches' bucket choice (which uses
         // the low bits via `mix() % buckets`).
-        let h = (key.mix() >> 32) as usize;
-        &self.stripes[h % self.stripes.len()]
+        (key.mix() >> 32) as usize % self.stripes.len()
+    }
+
+    fn stripe_of(&self, key: &RowKey) -> &TrackedMutex<Stripe> {
+        &self.stripes[self.stripe_index(key)]
+    }
+
+    /// Looks a whole operator's rows up with one lock acquisition per stripe
+    /// touched: reorders `probes` by `(stripe, tag)` in place, then per
+    /// stripe refreshes recency and the hit/miss counters for every probe
+    /// before handing each hit's tag and bytes to `on_hit` under the lock.
+    /// Equivalent to one [`SharedRowTier::lookup_with`] per probe in tag
+    /// order. The closure must not call back into the same tier.
+    pub fn lookup_many<F: FnMut(u32, &[u8], SharedHit)>(
+        &self,
+        probes: &mut [TierProbe],
+        source: u32,
+        mut on_hit: F,
+    ) {
+        for p in probes.iter_mut() {
+            p.stripe = self.stripe_index(&p.key) as u32;
+        }
+        probes.sort_unstable_by_key(|p| (p.stripe, p.tag));
+        for group in probes.chunk_by_mut(|a, b| a.stripe == b.stripe) {
+            let mut stripe = self.stripes[group[0].stripe as usize].lock();
+            // Index probes first, payload reads after: the probes are
+            // independent of one another, so their cache misses overlap.
+            for p in group.iter_mut() {
+                p.slot = stripe.engine.touch(&p.key);
+            }
+            for p in group.iter() {
+                if let Some(slot) = p.slot {
+                    let (bytes, &origin) = stripe.engine.entry(slot);
+                    let cross_shard = origin != source;
+                    on_hit(p.tag, bytes, SharedHit { cross_shard });
+                }
+            }
+        }
     }
 
     /// Looks a row up and, on a hit, hands its bytes to `f` under the
@@ -280,7 +348,8 @@ impl SharedRowTier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use proptest::prelude::*;
+    use std::sync::{Arc, Barrier};
 
     fn tier(budget: Bytes, stripes: usize) -> SharedRowTier {
         SharedRowTier::new(budget, stripes)
@@ -427,6 +496,145 @@ mod tests {
             t.stats().evictions > 0,
             "churn never evicted — test is inert"
         );
+    }
+
+    /// Mixed row sizes, fixed per key, so that a wrong row shows as a wrong
+    /// length or a wrong fill byte.
+    fn row_for(key: &RowKey) -> Vec<u8> {
+        const SIZES: [usize; 6] = [90, 104, 113, 145, 151, 172];
+        let mix = key.mix();
+        vec![(mix >> 8) as u8; SIZES[(mix % SIZES.len() as u64) as usize]]
+    }
+
+    /// One generated round: an operator's rows, the probing shard, and the
+    /// rows promoted afterwards.
+    type Round = (Vec<u64>, u32, Vec<u64>);
+
+    /// Serves every round through `lookup_many` on one tier and through one
+    /// `lookup_with` per row on its twin; everything observable must agree.
+    fn check_twins(
+        stripes: usize,
+        admission: TierAdmission,
+        rounds: &[Round],
+    ) -> Result<(), TestCaseError> {
+        // ~100 of the 300 keys fit: inserts evict, so recency matters.
+        let build = || SharedRowTier::with_admission(Bytes::from_kib(20), stripes, admission);
+        let (batched, per_row) = (build(), build());
+        for (rows, source, promoted) in rounds {
+            let keys: Vec<RowKey> = rows.iter().map(|&r| RowKey::new(0, r)).collect();
+            let mut probes: Vec<TierProbe> = keys
+                .iter()
+                .enumerate()
+                .map(|(pos, key)| TierProbe::new(*key, pos as u32))
+                .collect();
+            let mut got = vec![None; keys.len()];
+            batched.lookup_many(&mut probes, *source, |tag, bytes, hit| {
+                got[tag as usize] = Some((bytes.to_vec(), hit.cross_shard));
+            });
+            for (pos, key) in keys.iter().enumerate() {
+                let mut bytes = Vec::new();
+                let want = per_row
+                    .lookup_with(key, *source, |b| bytes.extend_from_slice(b))
+                    .map(|hit| (bytes, hit.cross_shard));
+                prop_assert_eq!(&got[pos], &want, "position {} ({:?})", pos, key);
+            }
+            for &r in promoted {
+                let key = RowKey::new(0, r);
+                let admitted = batched.insert(key, &row_for(&key), *source);
+                prop_assert_eq!(admitted, per_row.insert(key, &row_for(&key), *source));
+            }
+            prop_assert_eq!(batched.stats(), per_row.stats());
+            prop_assert_eq!(batched.len(), per_row.len());
+            prop_assert_eq!(batched.admission_denied(), per_row.admission_denied());
+            // The promotions above evicted by recency: the same rows survive
+            // only if both tiers recorded the lookups' recency identically.
+            for r in 0..300 {
+                let key = RowKey::new(0, r);
+                prop_assert_eq!(batched.contains(&key), per_row.contains(&key), "{:?}", key);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 1 } else { 24 }))]
+
+        #[test]
+        fn lookup_many_equals_one_lookup_with_per_row(
+            rounds in prop::collection::vec(
+                (
+                    prop::collection::vec(0u64..300, 1..81),
+                    0u32..3,
+                    prop::collection::vec(0u64..300, 0..40),
+                ),
+                8..24,
+            )
+        ) {
+            for stripes in [1, 3, 8] {
+                check_twins(stripes, TierAdmission::Always, &rounds)?;
+            }
+            check_twins(3, TierAdmission::SecondTouch, &rounds)?;
+        }
+    }
+
+    #[test]
+    fn concurrent_lookup_many_never_serves_a_wrong_row() {
+        // `mixed_size_churn_never_serves_wrong_row`'s shape, from two
+        // threads at once and through the batched lookup: whatever the
+        // interleaving, a hit carries its own key's bytes and every probe
+        // is counted exactly once.
+        let t = Arc::new(tier(Bytes::from_kib(32), 3));
+        let start = Barrier::new(2);
+        let (mut hits, mut probed) = (0u64, 0u64);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2u32)
+                .map(|shard| {
+                    let (t, start) = (&t, &start);
+                    scope.spawn(move || {
+                        let mut rng = 0x5d_2022u64 + u64::from(shard);
+                        let mut next = move || {
+                            rng ^= rng << 13;
+                            rng ^= rng >> 7;
+                            rng ^= rng << 17;
+                            rng
+                        };
+                        let (mut hits, mut probed) = (0u64, 0u64);
+                        let mut probes = Vec::new();
+                        start.wait();
+                        for _ in 0..4_000 {
+                            let r = next();
+                            let key = RowKey::new((r % 7) as u32, (r >> 8) % 400);
+                            if r.is_multiple_of(3) {
+                                t.insert(key, &row_for(&key), shard);
+                                continue;
+                            }
+                            probes.clear();
+                            for tag in 0..(r >> 20) % 40 + 1 {
+                                let r = next();
+                                let key = RowKey::new((r % 7) as u32, (r >> 8) % 400);
+                                probes.push(TierProbe::new(key, tag as u32));
+                            }
+                            let keys: Vec<RowKey> = probes.iter().map(|p| p.key).collect();
+                            probed += probes.len() as u64;
+                            t.lookup_many(&mut probes, shard, |tag, bytes, _| {
+                                assert_eq!(bytes, row_for(&keys[tag as usize]), "wrong row");
+                                hits += 1;
+                            });
+                        }
+                        (hits, probed)
+                    })
+                })
+                .collect();
+            for w in workers {
+                let (h, p) = w.join().unwrap();
+                hits += h;
+                probed += p;
+            }
+        });
+        let stats = t.stats();
+        assert!(hits > 0 && stats.evictions > 0, "churn is inert");
+        assert_eq!(stats.hits, hits);
+        assert_eq!(stats.hits + stats.misses, probed);
     }
 
     #[test]

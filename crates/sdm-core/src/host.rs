@@ -6,15 +6,17 @@
 //! [`Shard`]s — each a complete serving replica with its own
 //! [`crate::SdmMemoryManager`], IO engine, caches and scratch — routes each
 //! incoming batch across them with a [`workload::Scheduler`] policy, runs
-//! the shards on scoped worker threads, and merges per-shard scores,
+//! the first non-empty partition on the calling thread and every other
+//! non-empty one on a scoped worker thread, and merges per-shard scores,
 //! latencies and cache counters back into query order. The reported
 //! [`HostReport::wall_qps`] is real wall-clock throughput, shaped by the
 //! machine's core count and by how the routing policy concentrates each
 //! shard's working set, not by an idealized linear model.
 //!
-//! The host also owns end-to-end failure handling: a worker panic is
-//! caught at the join and converted into [`SdmError::ShardFailed`] so a
-//! poisoned shard fails its batch cleanly, and per-shard health tracking
+//! The host also owns end-to-end failure handling: a panic in a shard —
+//! on a worker or on the calling thread — is caught around the shard's
+//! batch and converted into [`SdmError::ShardFailed`] so a poisoned shard
+//! fails its batch cleanly, and per-shard health tracking
 //! (consecutive failures plus a makespan EWMA) routes subsequent batches
 //! away from failing or straggling shards, with a periodic probe batch
 //! that gives them traffic back so they can recover. The aggregate
@@ -225,6 +227,9 @@ struct MergeScratch {
     latencies: Vec<LatencyBreakdown>,
     /// Merged latency histogram of the last batch.
     hist: LatencyHistogram,
+    /// Each shard's failure in the batch being executed (all `None` after a
+    /// successful one); the first, in shard order, fails the batch.
+    errors: Vec<Option<SdmError>>,
 }
 
 /// A multi-stream serving host: N shards behind a routing scheduler.
@@ -234,9 +239,10 @@ struct MergeScratch {
 /// slice of the host's fast-memory cache budget and device-queue slots. A
 /// batch is partitioned by the configured [`RoutingPolicy`] — user-sticky
 /// routing keeps each user's repeating index sequences on one shard, which
-/// is what makes per-shard caches effective (paper Figure 4c) — executed on
-/// one `std::thread::scope` worker per shard, and merged back into query
-/// order.
+/// is what makes per-shard caches effective (paper Figure 4c) — executed
+/// with the first non-empty partition on the calling thread and one
+/// `std::thread::scope` worker for each other non-empty one, and merged
+/// back into query order.
 ///
 /// A 1-shard host divides nothing, spawns nothing and executes exactly the
 /// [`crate::SdmSystem::run_batch`] hot path, so its results are bit-identical
@@ -268,6 +274,25 @@ pub struct ServingHost {
     failovers: u64,
 }
 
+/// Runs one shard's partition. A panic becomes a typed per-shard error
+/// instead of unwinding through the host (or, on a worker, through the
+/// thread scope).
+fn run_guarded(
+    index: usize,
+    shard: &mut Shard,
+    queries: &[Query],
+    picks: &[usize],
+) -> Result<(), SdmError> {
+    catch_unwind(AssertUnwindSafe(|| shard.run_indexed_batch(queries, picks))).unwrap_or_else(
+        |payload| {
+            Err(SdmError::ShardFailed {
+                shard: index,
+                cause: panic_message(payload),
+            })
+        },
+    )
+}
+
 /// Runs every shard on its partition and merges scores, latencies and the
 /// latency histogram back into selection order; returns the batch's virtual
 /// makespan (the slowest shard's).
@@ -290,46 +315,37 @@ fn execute_and_merge(
     merged.latencies.clear();
     merged.hist.reset();
 
-    if shards.len() == 1 {
-        // Inline, allocation-free: a single stream needs no worker threads.
-        // The unwind guard mirrors the threaded join below so a panicking
-        // shard fails its batch with the same typed error either way.
-        let shard = &mut shards[0];
-        match catch_unwind(AssertUnwindSafe(|| {
-            shard.run_indexed_batch(queries, &exec_parts[0])
-        })) {
-            Ok(r) => r?,
-            Err(payload) => {
-                return Err(SdmError::ShardFailed {
-                    shard: 0,
-                    cause: panic_message(payload),
-                })
-            }
+    // The first non-empty partition runs on the calling thread and only the
+    // other non-empty ones get a scoped worker: a batch that routes to one
+    // shard (always, on a 1-shard host) spawns nothing and allocates
+    // nothing. Empty partitions still run, inline, so their batch scratch,
+    // histogram and makespan are reset rather than left over from an
+    // earlier batch.
+    let inline = exec_parts.iter().position(|p| !p.is_empty());
+    merged.errors.clear();
+    merged.errors.resize_with(shards.len(), || None);
+    let jobs = shards.iter_mut().zip(exec_parts).zip(&mut merged.errors);
+    if exec_parts.iter().filter(|p| !p.is_empty()).count() < 2 {
+        for (i, ((shard, picks), error)) in jobs.enumerate() {
+            *error = run_guarded(i, shard, queries, picks).err();
         }
     } else {
-        let results: Vec<Result<(), SdmError>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = shards
-                .iter_mut()
-                .zip(exec_parts.iter())
-                .map(|(shard, picks)| scope.spawn(move || shard.run_indexed_batch(queries, picks)))
-                .collect();
-            // A panicking worker becomes a typed per-shard error instead of
-            // unwinding through the scope and tearing down the host.
-            workers
-                .into_iter()
-                .enumerate()
-                .map(|(i, w)| match w.join() {
-                    Ok(r) => r,
-                    Err(payload) => Err(SdmError::ShardFailed {
-                        shard: i,
-                        cause: panic_message(payload),
-                    }),
-                })
-                .collect()
+        std::thread::scope(|scope| {
+            // Last shard first: by the time the caller reaches its own
+            // partition every worker is under way. The scope joins them;
+            // each outcome lands in its shard's error slot, so no handle
+            // is kept.
+            for (i, ((shard, picks), error)) in jobs.enumerate().rev() {
+                if picks.is_empty() || Some(i) == inline {
+                    *error = run_guarded(i, shard, queries, picks).err();
+                } else {
+                    scope.spawn(move || *error = run_guarded(i, shard, queries, picks).err());
+                }
+            }
         });
-        for r in results {
-            r?;
-        }
+    }
+    if let Some(e) = merged.errors.iter_mut().find_map(Option::take) {
+        return Err(e);
     }
 
     // Merge per-shard results back into selection order: shard `s` executed
@@ -544,16 +560,17 @@ impl ServingHost {
         total
     }
 
-    /// Executes a batch: partitions it across the shards, runs every shard
-    /// on its own worker thread, merges the results back into query order
-    /// and reports **measured** wall-clock throughput.
+    /// Executes a batch: partitions it across the shards, runs the
+    /// partitions concurrently (the first on the calling thread), merges the
+    /// results back into query order and reports **measured** wall-clock
+    /// throughput.
     ///
     /// Scores are readable per query via [`ServingHost::scores`] — query
     /// `i` of `queries` produces the same scores no matter how many shards
     /// the host has or which policy routed it (asserted by the
-    /// `sharded_equivalence` suite). With one shard the batch runs inline
-    /// on the calling thread, bit-identical to
-    /// [`crate::SdmSystem::run_batch`].
+    /// `sharded_equivalence` suite). A batch that routes to a single shard
+    /// — every batch of a 1-shard host — runs entirely on the calling
+    /// thread, bit-identical to [`crate::SdmSystem::run_batch`].
     ///
     /// # Errors
     ///
@@ -876,28 +893,66 @@ mod tests {
     fn poisoned_shard_fails_the_batch_cleanly() {
         let model = model_zoo::tiny(2, 1, 300);
         let queries = workload(&model, 12, 21);
+        // Round-robin gives every shard work: shard 0, the first non-empty
+        // partition, runs on the calling thread, shard 1 on a worker. Either
+        // way the panic surfaces as the same typed error.
+        for poisoned in [0, 1] {
+            let mut host = ServingHost::build(
+                &model,
+                &SdmConfig::for_tests(),
+                21,
+                3,
+                RoutingPolicy::RoundRobin,
+            )
+            .unwrap();
+            host.shard_mut(poisoned).poison();
+            let err = host.run_batch(&queries).unwrap_err();
+            match err {
+                SdmError::ShardFailed { shard, cause } => {
+                    assert_eq!(shard, poisoned);
+                    assert!(cause.contains("poisoned"), "cause: {cause}");
+                }
+                other => panic!("expected ShardFailed, got {other}"),
+            }
+            // The failed batch reports empty results, never stale ones.
+            assert!(host.is_empty());
+            // The host survives: the next batch (poison cleared) serves fine.
+            let report = host.run_batch(&queries).unwrap();
+            assert_eq!(report.queries, queries.len() as u64);
+        }
+    }
+
+    #[test]
+    fn batch_routed_to_one_shard_leaves_the_other_empty() {
+        let model = model_zoo::tiny(2, 1, 300);
+        let queries = workload(&model, 24, 24);
         let mut host = ServingHost::build(
             &model,
             &SdmConfig::for_tests(),
-            21,
-            3,
-            RoutingPolicy::RoundRobin,
+            24,
+            2,
+            RoutingPolicy::UserSticky,
         )
         .unwrap();
-        host.shard_mut(1).poison();
-        let err = host.run_batch(&queries).unwrap_err();
-        match err {
-            SdmError::ShardFailed { shard, cause } => {
-                assert_eq!(shard, 1);
-                assert!(cause.contains("poisoned"), "cause: {cause}");
-            }
-            other => panic!("expected ShardFailed, got {other}"),
-        }
-        // The failed batch reports empty results, never stale ones.
-        assert!(host.is_empty());
-        // The host survives: the next batch (poison cleared) serves fine.
-        let report = host.run_batch(&queries).unwrap();
-        assert_eq!(report.queries, queries.len() as u64);
+        // A full batch first, so shard 0 has results that could go stale.
+        host.run_batch(&queries).unwrap();
+        assert!(host.shard(0).batch_len() > 0);
+        let mut parts = Vec::new();
+        Scheduler::new(2, RoutingPolicy::UserSticky).partition_indices_into(&queries, &mut parts);
+        let for_shard_1 = parts[1].clone();
+        assert!(!for_shard_1.is_empty());
+        // Shard 1's partition runs on the calling thread; shard 0 runs an
+        // empty batch that resets its scratch and adds nothing to the merge.
+        let report = host.run_selected_batch(&queries, &for_shard_1).unwrap();
+        assert_eq!(host.shard(0).batch_len(), 0);
+        assert_eq!(host.shard(0).batch_hist().count(), 0);
+        assert_eq!(host.shard(1).batch_len(), for_shard_1.len());
+        assert_eq!(report.queries, for_shard_1.len() as u64);
+        assert_eq!(
+            report.virtual_makespan,
+            host.shard(1).batch_report().makespan
+        );
+        assert_eq!(report.mean_latency, host.shard(1).batch_hist().mean());
     }
 
     #[test]

@@ -10,8 +10,14 @@
 //! 1. **Scan** (`ReadPath::sm_lookup_core`): one [`DualRowCache`] probe per
 //!    row — a flat per-table enable flag, then one bucket scan in the
 //!    memory-optimized engine and, only if that misses, one index probe in
-//!    the CPU-optimized engine. Misses collect in a reused scratch list, in
-//!    ascending position order.
+//!    the CPU-optimized engine. Without a shared tier, misses collect in a
+//!    reused scratch list, in ascending position order. With one attached
+//!    the scan is resolve → tier → pool: private misses collect in a probe
+//!    list that goes to [`SharedRowTier::lookup_many`] **once** per operator
+//!    (one stripe lock per stripe touched, hit bytes copied into a reused
+//!    staging buffer under it); rows from the first probe on — later
+//!    private hits included, staged the same way — pool in a last pass in
+//!    index order, and the tier's misses join the miss list there.
 //! 2. **Submit**: one [`IoRequest`] per miss, its single range inline in
 //!    the [`ReadCommand`]. The engine admits it from per-device and
 //!    per-table sorted completion lists and an incrementally maintained
@@ -55,7 +61,7 @@ use io_engine::{IoEngine, IoError, IoRequest};
 use scm_device::{DeviceId, ReadCommand};
 use sdm_cache::{
     DualRowCache, PooledEmbeddingCache, PooledKey, RowCache, RowKey, SharedRowTier, SlotPool,
-    WarmupTracker,
+    TierProbe, WarmupTracker,
 };
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{SimDuration, SimInstant};
@@ -72,12 +78,37 @@ const MAPPING_LOOKUP_COST: SimDuration = SimDuration::from_nanos(40);
 /// DRAM random access cost for rows of directly-placed tables.
 const FM_ROW_COST: SimDuration = SimDuration::from_nanos(150);
 
-/// Reusable per-lookup scratch: the IO miss list survives across lookups so
-/// a steady-state query never allocates for it.
+/// Reusable per-lookup scratch: every list survives across lookups so a
+/// steady-state query never allocates for them.
 #[derive(Debug, Default)]
 struct LookupScratch {
     /// `(position in the index list, stored row)` of each cache miss.
     io_targets: Vec<(usize, u64)>,
+    /// Private-cache misses of the operator, probed in the shared tier in
+    /// one [`SharedRowTier::lookup_many`] after the index walk.
+    probes: Vec<TierProbe>,
+    /// The operator's rows from its first tier probe on, in index order:
+    /// they pool after the tier has answered, so that summation stays in
+    /// index order.
+    deferred: Vec<DeferredRow>,
+    /// Bytes of the deferred hits (private hits copied during the walk,
+    /// tier hits copied under the stripe lock).
+    staged: Vec<u8>,
+}
+
+/// One row whose pooling waits for the operator's tier lookup.
+#[derive(Debug, Clone, Copy)]
+enum DeferredRow {
+    /// Private-cache hit, its bytes at `staged[start..start + len]`.
+    PrivateHit { start: usize, len: usize },
+    /// Tier hit, staged the same way by the lookup's closure.
+    TierHit {
+        start: usize,
+        len: usize,
+        cross_shard: bool,
+    },
+    /// Asked of the tier; what the row stays when the tier misses too.
+    TierMiss { pos: usize, stored_row: u64 },
 }
 
 /// This shard's handle on the host-shared cache tier: the tier itself
@@ -159,43 +190,6 @@ struct ReadPath {
 }
 
 impl ReadPath {
-    /// Probes the shared tier for a private-cache miss, dequant-accumulating
-    /// a hit into `acc` under the stripe lock and keeping the hit/miss/cross
-    /// counters and warmup tracking consistent. Returns whether the row was
-    /// served; a detached tier (`None`) serves nothing.
-    fn probe_shared_tier(
-        &mut self,
-        key: &RowKey,
-        quant: QuantScheme,
-        latency: &mut SimDuration,
-        acc: &mut [f32],
-    ) -> Result<bool, SdmError> {
-        let Some(shared) = &self.shared else {
-            return Ok(false);
-        };
-        *latency += shared.tier.lookup_cost();
-        let kernel = self.kernel;
-        let mut pool_error: Option<EmbeddingError> = None;
-        let hit = shared.tier.lookup_with(key, shared.source, |bytes| {
-            pool_error = kernels::accumulate_row_with(kernel, bytes, quant, acc).err();
-        });
-        match hit {
-            Some(h) => {
-                if let Some(e) = pool_error {
-                    return Err(e.into());
-                }
-                self.stats.shared_tier_hits += 1;
-                self.stats.shared_tier_cross_hits += u64::from(h.cross_shard);
-                self.warmup.record(true);
-                Ok(true)
-            }
-            None => {
-                self.stats.shared_tier_misses += 1;
-                Ok(false)
-            }
-        }
-    }
-
     /// Step 1 of Algorithm 1, shared by the exact and split-phase halves:
     /// builds the op's pooled-cache key — once; the same key serves the
     /// probe and the insert that follows a miss — and charges the probe to
@@ -387,15 +381,20 @@ impl ReadPath {
     /// completion order — so both halves produce bit-identical pooled
     /// vectors.
     ///
-    /// Cache hits — private or shared — are dequant-accumulated
-    /// immediately, straight out of the owning arena (no copy, no
-    /// allocation; shared hits accumulate under the stripe lock, which is
-    /// released before the scan continues); the misses are gathered into a
-    /// reused scratch list, submitted as **one ring submission**, and
-    /// pooled as their completions drain — overlapping completion reaping
+    /// Private-cache hits are dequant-accumulated straight out of the
+    /// cache's arena (no copy, no allocation) until the operator's first
+    /// private miss on a host with a shared tier. From that row on the walk
+    /// only resolves: misses join a probe list, hits are copied into a
+    /// staging buffer. The tier then answers the whole list in one
+    /// [`SharedRowTier::lookup_many`] — one lock acquisition per stripe, a
+    /// hit's bytes copied out under it — and a last pass pools the deferred
+    /// rows in index order, counting hits and warm-up samples exactly where
+    /// a row-at-a-time probe would have. What is still missing is gathered
+    /// into a reused scratch list, submitted as **one ring submission**,
+    /// and pooled as the completions drain — overlapping completion reaping
     /// with the dequantise+pool work. Completed reads are promoted into the
     /// shared tier at drain time, so no stripe lock is ever held across IO.
-    /// Each row costs one private-cache probe.
+    /// Each row costs one private-cache probe and at most one tier probe.
     fn sm_lookup_core(
         &mut self,
         layout: &SmLayout,
@@ -411,10 +410,16 @@ impl ReadPath {
         let mapping = t.mapping.as_ref();
         let mut latency = SimDuration::ZERO;
 
-        // 2. Resolve each index: mapping tensor, row cache, then SM IO.
-        // Hits accumulate straight into `out` in index order; misses queue
-        // in the reused scratch list.
-        self.scratch.io_targets.clear();
+        // 2. Resolve each index: mapping tensor, row cache, then the
+        // shared tier (when attached) or SM IO. Hits accumulate straight
+        // into `out` in index order until the first row that has to ask the
+        // tier; from there on rows are deferred — hit bytes staged — and
+        // pooled, still in index order, once the tier has answered.
+        let scratch = &mut self.scratch;
+        scratch.io_targets.clear();
+        scratch.probes.clear();
+        scratch.deferred.clear();
+        scratch.staged.clear();
         let mut zero_rows = 0u64;
         let mut pooled_rows = 0usize;
         for (pos, &idx) in indices.iter().enumerate() {
@@ -442,25 +447,79 @@ impl ReadPath {
             latency += self.row_cache.lookup_cost();
             let key = RowKey::new(table, stored_row);
             match self.row_cache.get(&key) {
-                Some(bytes) => {
+                // Nothing of this operator is waiting on the tier: pool now.
+                Some(bytes) if scratch.deferred.is_empty() => {
                     kernels::accumulate_row_with(kernel, bytes, quant, out)?;
                     self.stats.row_cache_hits += 1;
                     self.warmup.record(true);
                     pooled_rows += 1;
                 }
-                None => {
-                    // Host-shared tier between the private miss and SM IO:
-                    // a hit accumulates under the stripe lock, in the same
-                    // index-order slot a private hit would occupy.
-                    if self.probe_shared_tier(&key, quant, &mut latency, out)? {
-                        pooled_rows += 1;
-                    } else {
+                Some(bytes) => {
+                    let (start, len) = (scratch.staged.len(), bytes.len());
+                    scratch
+                        .deferred
+                        .push(DeferredRow::PrivateHit { start, len });
+                    scratch.staged.extend_from_slice(bytes);
+                }
+                None => match &self.shared {
+                    Some(shared) => {
+                        latency += shared.tier.lookup_cost();
+                        let tag = scratch.deferred.len() as u32;
+                        scratch.probes.push(TierProbe::new(key, tag));
+                        let miss = DeferredRow::TierMiss { pos, stored_row };
+                        scratch.deferred.push(miss);
+                    }
+                    None => {
                         self.stats.sm_reads += 1;
                         self.warmup.record(false);
-                        self.scratch.io_targets.push((pos, stored_row));
+                        scratch.io_targets.push((pos, stored_row));
                     }
-                }
+                },
             }
+        }
+        if let Some(shared) = &self.shared {
+            // One stripe lock per stripe the operator touches; a hit's
+            // bytes are copied out under it.
+            let (deferred, staged) = (&mut scratch.deferred, &mut scratch.staged);
+            shared
+                .tier
+                .lookup_many(&mut scratch.probes, shared.source, |tag, bytes, hit| {
+                    deferred[tag as usize] = DeferredRow::TierHit {
+                        start: staged.len(),
+                        len: bytes.len(),
+                        cross_shard: hit.cross_shard,
+                    };
+                    staged.extend_from_slice(bytes);
+                });
+        }
+        for row in &scratch.deferred {
+            let stats = &mut self.stats;
+            let (start, len) = match *row {
+                DeferredRow::PrivateHit { start, len } => {
+                    stats.row_cache_hits += 1;
+                    (start, len)
+                }
+                DeferredRow::TierHit {
+                    start,
+                    len,
+                    cross_shard,
+                } => {
+                    stats.shared_tier_hits += 1;
+                    stats.shared_tier_cross_hits += u64::from(cross_shard);
+                    (start, len)
+                }
+                DeferredRow::TierMiss { pos, stored_row } => {
+                    stats.shared_tier_misses += 1;
+                    stats.sm_reads += 1;
+                    self.warmup.record(false);
+                    scratch.io_targets.push((pos, stored_row));
+                    continue;
+                }
+            };
+            let bytes = &scratch.staged[start..start + len];
+            kernels::accumulate_row_with(kernel, bytes, quant, out)?;
+            self.warmup.record(true);
+            pooled_rows += 1;
         }
         self.stats.pruned_zero_rows += zero_rows;
 
@@ -586,10 +645,12 @@ impl ReadPath {
 /// the pooled-embedding cache, the fast-memory row cache, and finally
 /// SGL reads from the SCM devices (paper Algorithm 1).
 ///
-/// The hot path is allocation- and copy-free on a warmed cache: cache hits
-/// are dequant-accumulated straight out of the caches' arenas into the
-/// caller's output range, and misses are submitted as one ring submission
-/// whose completions are pooled as they drain.
+/// The hot path is allocation-free on a warmed cache: private-cache hits
+/// are dequant-accumulated straight out of the cache's arena into the
+/// caller's output range (rows the shared tier serves, and the private hits
+/// behind them in the same operator, take one staging copy — see
+/// `ReadPath::sm_lookup_core`), and misses are submitted as one ring
+/// submission whose completions are pooled as they drain.
 #[derive(Debug)]
 pub struct SdmMemoryManager {
     loaded: LoadedModel,

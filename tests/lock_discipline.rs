@@ -2,9 +2,10 @@
 //!
 //! `sdm_cache::TrackedMutex` wraps the `SharedRowTier` stripe locks and the
 //! memory manager calls `sdm_cache::assert_no_locks_held` at the SM submit
-//! boundary. This suite seeds both violations the instrumentation exists to
-//! catch and proves each is *detected* (a caught panic, not a deadlock or a
-//! silent pass), then runs the full serving pipeline — exact, relaxed, and
+//! boundary. This suite seeds the violations the instrumentation exists to
+//! catch — an order inversion, a lock held across submit, a re-entrant tier
+//! call under `lookup_many` — and proves each is *detected* (a caught panic,
+//! not a deadlock or a silent pass), then runs the full serving pipeline — exact, relaxed, and
 //! shared-tier configurations — to show the discipline holds on the real
 //! code. A release-build compilation of this test asserts the tracking
 //! layer adds no bytes to the lock (`TrackedMutex` is a transparent
@@ -14,7 +15,7 @@ use sdm_cache::TrackedMutex;
 
 #[cfg(debug_assertions)]
 mod detection {
-    use sdm_cache::{assert_no_locks_held, LockRegistry, SharedRowTier, TrackedMutex};
+    use sdm_cache::{assert_no_locks_held, LockRegistry, SharedRowTier, TierProbe, TrackedMutex};
     use sdm_metrics::units::Bytes;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -110,6 +111,59 @@ mod detection {
                 held_inside = LockRegistry::held_by_current_thread();
             });
             assert_eq!(held_inside, vec!["shared-tier-stripe"]);
+            assert!(LockRegistry::held_by_current_thread().is_empty());
+        });
+    }
+
+    /// Rows across all four stripes of a tier, resident, as one operator's
+    /// probe list.
+    fn resident_probes(tier: &SharedRowTier) -> Vec<TierProbe> {
+        (0..32u32)
+            .map(|i| {
+                let key = sdm_cache::RowKey::new(2, u64::from(i));
+                assert!(tier.insert(key, &[i as u8; 24], 0));
+                TierProbe::new(key, i)
+            })
+            .collect()
+    }
+
+    /// The batched lookup visits stripe after stripe: whichever hit the
+    /// closure is handed, exactly one stripe lock is held, and none is once
+    /// the lookup returns.
+    #[test]
+    fn lookup_many_holds_one_stripe_lock_at_a_time() {
+        on_fresh_thread(|| {
+            let tier = SharedRowTier::new(Bytes::from_kib(64), 4);
+            let mut probes = resident_probes(&tier);
+            let mut held_inside = Vec::new();
+            tier.lookup_many(&mut probes, 1, |_, _, _| {
+                held_inside.push(LockRegistry::held_by_current_thread());
+            });
+            assert_eq!(held_inside.len(), 32, "every probe is resident");
+            assert!(held_inside.iter().all(|h| h == &["shared-tier-stripe"]));
+            assert!(LockRegistry::held_by_current_thread().is_empty());
+            assert_no_locks_held("after lookup_many");
+        });
+    }
+
+    /// Seeded violation 3: the hit closure calls back into the tier. The
+    /// stripe it is called under is not re-entrant, so this would deadlock;
+    /// the registry turns it into a panic.
+    #[test]
+    fn reentrant_tier_call_inside_lookup_many_is_detected() {
+        on_fresh_thread(|| {
+            let tier = SharedRowTier::new(Bytes::from_kib(64), 4);
+            let mut probes = resident_probes(&tier);
+            let first = sdm_cache::RowKey::new(2, 0);
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                tier.lookup_many(&mut probes[..1], 1, |_, _, _| {
+                    tier.contains(&first);
+                });
+            }))
+            .expect_err("re-entering the held stripe must panic, not deadlock");
+            let msg = panic_message(err);
+            assert!(msg.contains("recursive acquisition"), "diagnostic: {msg}");
+            assert!(msg.contains("shared-tier-stripe"), "diagnostic: {msg}");
             assert!(LockRegistry::held_by_current_thread().is_empty());
         });
     }
