@@ -158,8 +158,8 @@ cargo build --locked --release --workspace --lib --bins --examples
 echo "==> cargo test --workspace"
 cargo test --locked -q --workspace
 
-echo "==> cargo test fault_injection (randomized fault-plan invariants)"
-cargo test --locked -q --test fault_injection
+echo "==> cargo test fault_injection + model_update (pinned-seed fault-plan invariants)"
+cargo test --locked -q --test fault_injection --test model_update
 
 echo "==> kernel equivalence with the pooling kernel forced to scalar"
 # The SIMD kernels' bit-identity contract is covered by the default run;

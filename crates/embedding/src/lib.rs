@@ -60,6 +60,7 @@ pub use kernels::{PoolKernel, SelectedKernel};
 pub use layout::{SmLayout, TablePlacement};
 pub use pruning::{DepruneReport, MappingTensor, PrunedTable};
 pub use quant::{
-    accumulate_row, accumulate_row_weighted, dequantize_row, quantize_row, QuantScheme,
+    accumulate_row, accumulate_row_weighted, dequantize_row, quantize_row, quantize_row_into,
+    QuantScheme,
 };
 pub use table::{EmbeddingTable, TableDescriptor, TableId, TableKind};

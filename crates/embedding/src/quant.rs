@@ -53,41 +53,57 @@ impl fmt::Display for QuantScheme {
 
 /// Quantises one row of `f32` values under the given scheme.
 ///
-/// The returned buffer has exactly [`QuantScheme::row_bytes`] bytes.
+/// The returned buffer has exactly [`QuantScheme::row_bytes`] bytes. This is
+/// the allocating form of [`quantize_row_into`].
 pub fn quantize_row(values: &[f32], scheme: QuantScheme) -> Vec<u8> {
-    match scheme {
-        QuantScheme::Fp32 => values.iter().flat_map(|v| v.to_le_bytes()).collect(),
-        QuantScheme::Int8 | QuantScheme::Int4 => {
-            let (min, max) = min_max(values);
-            let levels: f32 = match scheme {
-                QuantScheme::Int8 => 255.0,
-                QuantScheme::Int4 => 15.0,
-                QuantScheme::Fp32 => unreachable!(),
-            };
-            let range = (max - min).max(f32::EPSILON);
-            let scale = range / levels;
-            let bias = min;
-            let codes: Vec<u8> = values
-                .iter()
-                .map(|&v| (((v - bias) / scale).round().clamp(0.0, levels)) as u8)
-                .collect();
-            let mut out = Vec::with_capacity(scheme.row_bytes(values.len()));
-            match scheme {
-                QuantScheme::Int8 => out.extend_from_slice(&codes),
-                QuantScheme::Int4 => {
-                    for pair in codes.chunks(2) {
-                        let low = pair[0] & 0x0F;
-                        let high = pair.get(1).copied().unwrap_or(0) & 0x0F;
-                        out.push(low | (high << 4));
-                    }
-                }
-                QuantScheme::Fp32 => unreachable!(),
+    let mut out = vec![0u8; scheme.row_bytes(values.len())];
+    quantize_row_into(values, scheme, &mut out);
+    out
+}
+
+/// Quantises one row of `f32` values straight into `out` — a table
+/// generator's arena slot, say — without an intermediate buffer.
+///
+/// # Panics
+///
+/// Panics when `out` is not exactly [`QuantScheme::row_bytes`] long.
+pub fn quantize_row_into(values: &[f32], scheme: QuantScheme, out: &mut [u8]) {
+    assert_eq!(
+        out.len(),
+        scheme.row_bytes(values.len()),
+        "quantize_row_into: output buffer is not one {scheme} row of {} elements",
+        values.len()
+    );
+    let levels: f32 = match scheme {
+        QuantScheme::Fp32 => {
+            for (bytes, v) in out.chunks_exact_mut(4).zip(values) {
+                bytes.copy_from_slice(&v.to_le_bytes());
             }
-            out.extend_from_slice(&scale.to_le_bytes());
-            out.extend_from_slice(&bias.to_le_bytes());
-            out
+            return;
+        }
+        QuantScheme::Int8 => 255.0,
+        QuantScheme::Int4 => 15.0,
+    };
+    let (min, max) = min_max(values);
+    let range = (max - min).max(f32::EPSILON);
+    let scale = range / levels;
+    let bias = min;
+    let code = |v: f32| ((v - bias) / scale).round().clamp(0.0, levels) as u8;
+    let (codes, params) = out.split_at_mut(out.len() - ROW_PARAM_BYTES);
+    if scheme == QuantScheme::Int8 {
+        for (byte, &v) in codes.iter_mut().zip(values) {
+            *byte = code(v);
+        }
+    } else {
+        // Int4: two codes per byte, low nibble first; an odd row's last
+        // high nibble is zero padding.
+        for (byte, pair) in codes.iter_mut().zip(values.chunks(2)) {
+            let high = pair.get(1).map_or(0, |&v| code(v));
+            *byte = (code(pair[0]) & 0x0F) | ((high & 0x0F) << 4);
         }
     }
+    params[..4].copy_from_slice(&scale.to_le_bytes());
+    params[4..].copy_from_slice(&bias.to_le_bytes());
 }
 
 /// De-quantises a row buffer produced by [`quantize_row`].
@@ -225,6 +241,70 @@ mod tests {
         (0..dim)
             .map(|i| (i as f32 * 0.37).sin() * 2.5 - 0.3)
             .collect()
+    }
+
+    /// The two-buffer form `quantize_row` had before it wrote in place: the
+    /// reference the in-place form must reproduce byte for byte.
+    fn reference_quantize_row(values: &[f32], scheme: QuantScheme) -> Vec<u8> {
+        let levels: f32 = match scheme {
+            QuantScheme::Fp32 => return values.iter().flat_map(|v| v.to_le_bytes()).collect(),
+            QuantScheme::Int8 => 255.0,
+            QuantScheme::Int4 => 15.0,
+        };
+        let (min, max) = min_max(values);
+        let scale = (max - min).max(f32::EPSILON) / levels;
+        let codes: Vec<u8> = values
+            .iter()
+            .map(|&v| (((v - min) / scale).round().clamp(0.0, levels)) as u8)
+            .collect();
+        let mut out = Vec::new();
+        if scheme == QuantScheme::Int8 {
+            out.extend_from_slice(&codes);
+        } else {
+            for pair in codes.chunks(2) {
+                out.push((pair[0] & 0x0F) | ((pair.get(1).copied().unwrap_or(0) & 0x0F) << 4));
+            }
+        }
+        out.extend_from_slice(&scale.to_le_bytes());
+        out.extend_from_slice(&min.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn in_place_quantisation_matches_the_two_buffer_reference() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / (1u64 << 24) as f32 * 2.0 - 1.0
+        };
+        for scheme in [QuantScheme::Int8, QuantScheme::Int4, QuantScheme::Fp32] {
+            // Even, odd (the int4 padding nibble), empty and one-element rows.
+            for dim in [0usize, 1, 2, 7, 32, 33, 64, 127] {
+                for case in 0..8 {
+                    let mut row: Vec<f32> = (0..dim).map(|_| next()).collect();
+                    match case {
+                        0 => row.fill(0.75), // constant row: epsilon range
+                        1 if dim > 0 => row[dim / 2] = f32::NAN,
+                        2 if dim > 0 => row[0] = f32::INFINITY,
+                        _ => {}
+                    }
+                    let want = reference_quantize_row(&row, scheme);
+                    assert_eq!(quantize_row(&row, scheme), want, "{scheme} dim {dim}");
+                    // Stale bytes in the destination must not leak through.
+                    let mut out = vec![0xA5u8; scheme.row_bytes(dim)];
+                    quantize_row_into(&row, scheme, &mut out);
+                    assert_eq!(out, want, "{scheme} dim {dim} case {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "output buffer is not one int8 row")]
+    fn in_place_quantisation_rejects_a_mis_sized_buffer() {
+        quantize_row_into(&[0.0; 8], QuantScheme::Int8, &mut [0u8; 8]);
     }
 
     #[test]

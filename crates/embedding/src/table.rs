@@ -2,7 +2,7 @@
 
 use crate::arena::RowArena;
 use crate::error::EmbeddingError;
-use crate::quant::{dequantize_row, quantize_row, QuantScheme};
+use crate::quant::{dequantize_row, quantize_row, quantize_row_into, QuantScheme};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdm_metrics::units::Bytes;
@@ -194,7 +194,7 @@ impl EmbeddingTable {
             for v in &mut values {
                 *v = rng.gen_range(-1.0f32..1.0f32);
             }
-            out.copy_from_slice(&quantize_row(&values, quant));
+            quantize_row_into(&values, quant, out);
         });
         EmbeddingTable {
             descriptor: descriptor.clone(),

@@ -35,6 +35,12 @@ impl CpuOptimizedCache {
             engine: ArenaLru::new(budget, ENTRY_OVERHEAD),
         }
     }
+
+    /// Appends `(stamp, key)` of every resident row to `out`; see
+    /// [`ArenaLru::append_resident`].
+    pub(crate) fn append_resident(&self, out: &mut Vec<(u64, RowKey)>) {
+        self.engine.append_resident(out);
+    }
 }
 
 impl RowCache for CpuOptimizedCache {

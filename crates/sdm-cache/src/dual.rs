@@ -90,6 +90,22 @@ impl DualRowCache {
         Bytes(self.small.stats().resident_bytes + self.large.stats().resident_bytes)
     }
 
+    /// Appends `(stamp, key)` of every resident row to `out`: the
+    /// memory-optimized engine's rows, then the CPU-optimized engine's, each
+    /// engine's least recently used first (the two stamp counters are
+    /// separate recency domains, so rows are not ordered across engines).
+    /// Read-only — recency and statistics are untouched. This is the hot-set
+    /// snapshot a model update re-reads from the new image before `clear`
+    /// would have thrown it away.
+    pub fn append_resident_lru_first(&self, out: &mut Vec<(u64, RowKey)>) {
+        let small_from = out.len();
+        self.small.append_resident(out);
+        out[small_from..].sort_unstable();
+        let large_from = out.len();
+        self.large.append_resident(out);
+        out[large_from..].sort_unstable();
+    }
+
     /// Payload bytes of live entries across both engines.
     pub fn live_bytes(&self) -> Bytes {
         Bytes(self.small.stats().live_bytes + self.large.stats().live_bytes)
@@ -257,6 +273,35 @@ mod tests {
         assert!(c.small.budget() > c.large.budget());
         assert_eq!(c.budget(), c.small.budget() + c.large.budget());
         assert_eq!(c.memory_used(), Bytes::ZERO);
+    }
+
+    #[test]
+    fn resident_snapshot_is_lru_first_per_engine_and_read_only() {
+        let mut c = cache();
+        for row in 0..4 {
+            c.insert(RowKey::new(0, row), &[0u8; 64]); // small engine
+        }
+        for row in 10..13 {
+            c.insert(RowKey::new(0, row), &[0u8; 400]); // large engine
+        }
+        // A hit makes a row the most recent of its own engine only.
+        c.get(&RowKey::new(0, 0));
+        c.get(&RowKey::new(0, 10));
+        let stats = c.stats().clone();
+        let mut out = vec![(7, RowKey::new(9, 9))]; // appended to, not replaced
+        c.append_resident_lru_first(&mut out);
+        assert_eq!(out[0], (7, RowKey::new(9, 9)));
+        let rows: Vec<u64> = out[1..].iter().map(|(_, key)| key.row).collect();
+        assert_eq!(rows, [1, 2, 3, 0, 11, 12, 10]);
+        // Read-only: a second walk sees the same order and no counter moved.
+        let mut again = Vec::new();
+        c.append_resident_lru_first(&mut again);
+        assert_eq!(again, out[1..]);
+        assert_eq!(c.stats(), &stats);
+        c.clear();
+        again.clear();
+        c.append_resident_lru_first(&mut again);
+        assert!(again.is_empty());
     }
 
     #[test]

@@ -292,6 +292,14 @@ where
         true
     }
 
+    /// Appends `(stamp, key)` of every resident entry to `out`, in slot
+    /// order. Stamps are unique and grow with every touch, so sorting what
+    /// was appended orders the entries least recently used first.
+    pub(crate) fn append_resident(&self, out: &mut Vec<(u64, K)>) {
+        let live = self.slots.iter().filter(|s| s.stamp != 0);
+        out.extend(live.map(|s| (s.stamp, s.key)));
+    }
+
     /// Returns true when the key is resident (without touching recency).
     pub fn contains(&self, key: &K) -> bool {
         self.map.contains_key(key)
@@ -471,6 +479,25 @@ mod tests {
         assert!(!e.contains(&1), "peek refreshed recency");
         // ...and must not move the hit/miss counters.
         assert_eq!((e.stats().hits, e.stats().misses), (hits, misses));
+    }
+
+    #[test]
+    fn resident_walk_skips_freed_slots_and_sorts_into_lru_order() {
+        // Budget for three 100-byte entries: inserting a fourth evicts key 2
+        // (key 1 was touched), whose slot record stays behind, free-listed.
+        let mut e: Engine = ArenaLru::new(Bytes(3 * 164), 64);
+        for key in 1..=3 {
+            e.insert(key, &[0u8; 100], ());
+        }
+        e.get(&1);
+        e.insert(4, &[0u8; 100], ());
+        e.insert(5, &[0u8; 50], ()); // evicts 3; reuses a freed slot
+        let mut out = Vec::new();
+        e.append_resident(&mut out);
+        assert_eq!(out.len(), e.len());
+        out.sort_unstable();
+        let keys: Vec<u64> = out.iter().map(|(_, key)| *key).collect();
+        assert_eq!(keys, [1, 4, 5]);
     }
 
     #[test]

@@ -103,6 +103,13 @@ impl MemoryOptimizedCache {
             .unwrap_or(u64::MAX);
     }
 
+    /// Appends `(stamp, key)` of every resident row to `out`, in bucket
+    /// order. Stamps are unique and grow with every touch, so sorting what
+    /// was appended orders the rows least recently used first.
+    pub(crate) fn append_resident(&self, out: &mut Vec<(u64, RowKey)>) {
+        out.extend(self.buckets.iter().flatten().map(|e| (e.stamp, e.key)));
+    }
+
     /// Evicts the oldest entry of `bucket`, leaving the runner-up's stamp as
     /// the bucket's new minimum — one scan for both. Returns false for an
     /// empty bucket.

@@ -27,6 +27,7 @@ use crate::config::SdmConfig;
 use crate::error::SdmError;
 use crate::shard::Shard;
 use crate::stats::SdmStats;
+use crate::update::{self, UpdateKind, UpdateReport};
 use dlrm::{LatencyBreakdown, ModelConfig};
 use io_engine::IoStats;
 use sdm_cache::SharedRowTier;
@@ -558,6 +559,32 @@ impl ServingHost {
             }
         }
         total
+    }
+
+    /// Applies a model update to the whole host: every shard's SM image is
+    /// rewritten from tables generated once, every shard's caches and the
+    /// shared tier are invalidated, and then each shard re-reads the rows
+    /// its private cache held — promoting them into the tier as any fill
+    /// does — so serving resumes warm (see [`crate::ModelUpdater`]'s module
+    /// docs for the steps). The tier is emptied before the first re-read
+    /// and never after, which per-shard [`crate::ModelUpdater::apply`]
+    /// calls cannot offer. Rows resident *only* in the tier are not re-read.
+    ///
+    /// Each shard's first batch afterwards carries that shard's update
+    /// window in its makespan. The merged report sums bytes and rows and
+    /// takes the slowest shard's `write_time` and `rewarm_time`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SdmError`] for device write failures and hard IO errors of
+    /// the re-read.
+    pub fn apply_update(
+        &mut self,
+        kind: UpdateKind,
+        new_version: u64,
+    ) -> Result<UpdateReport, SdmError> {
+        let mut managers: Vec<_> = self.shards.iter_mut().map(Shard::manager_mut).collect();
+        update::apply_to_all(&mut managers, kind, new_version)
     }
 
     /// Executes a batch: partitions it across the shards, runs the

@@ -21,8 +21,9 @@
 //! * [`SdmMemoryManager`] — the serving path. It implements
 //!   [`dlrm::EmbeddingBackend`], so the unmodified DLRM inference engine can
 //!   run on top of DRAM or SDM interchangeably.
-//! * [`ModelUpdater`] — full and incremental model updates and their
-//!   endurance / warmup consequences (§A.3, §A.4).
+//! * [`ModelUpdater`] / [`ServingHost::apply_update`] — full model updates
+//!   that end with the rows the caches held re-read from the new image, and
+//!   their endurance consequences (§A.3, §A.4).
 //! * [`Shard`] / [`ServingHost`] — multi-stream serving: N complete
 //!   per-stream serving replicas run on worker threads behind a
 //!   [`workload::Scheduler`] routing policy, replacing the paper's linear

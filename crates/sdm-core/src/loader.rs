@@ -7,10 +7,10 @@ use crate::placement::{PlacementPlan, TableLocation};
 use dlrm::ModelConfig;
 use embedding::{
     EmbeddingError, EmbeddingTable, MappingTensor, PrunedTable, QuantScheme, SmLayout,
-    TableDescriptor, TableId,
+    TableDescriptor, TableId, TablePlacement,
 };
 use io_engine::IoEngine;
-use scm_device::DeviceId;
+use scm_device::{DeviceId, WriteOutcome};
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{IntMap, SimDuration};
 
@@ -72,6 +72,28 @@ impl LoadedModel {
             TableLocation::SlowMemoryCached | TableLocation::SlowMemoryUncached
         )
     }
+}
+
+/// Writes `table`'s rows to their place on the SM devices, one row per
+/// stride (the padding between rows zeroed). `image` is scratch, reused from
+/// table to table by the model load and by every model update.
+pub(crate) fn write_table(
+    engine: &mut IoEngine,
+    placement: &TablePlacement,
+    table: &EmbeddingTable,
+    image: &mut Vec<u8>,
+) -> Result<WriteOutcome, SdmError> {
+    let stride = placement.row_stride as usize;
+    image.clear();
+    image.resize(placement.num_rows as usize * stride, 0u8);
+    for (i, row) in table.iter().enumerate() {
+        let at = i * stride;
+        image[at..at + row.len()].copy_from_slice(row);
+    }
+    let device = DeviceId(placement.device_index);
+    Ok(engine
+        .array_mut()
+        .write(device, placement.base_offset, image)?)
 }
 
 /// Loads models onto a host's devices.
@@ -156,19 +178,9 @@ impl ModelLoader {
 
         let mut sm_written_bytes = Bytes::ZERO;
         let mut load_time = SimDuration::ZERO;
+        let mut image = Vec::new();
         for (desc, table) in &sm_materialised {
-            let placement = layout.placement(desc.id)?;
-            let stride = placement.row_stride as usize;
-            let mut image = vec![0u8; (placement.num_rows as usize) * stride];
-            for (i, row) in table.iter().enumerate() {
-                let at = i * stride;
-                image[at..at + row.len()].copy_from_slice(row);
-            }
-            let outcome = engine.array_mut().write(
-                DeviceId(placement.device_index),
-                placement.base_offset,
-                &image,
-            )?;
+            let outcome = write_table(engine, layout.placement(desc.id)?, table, &mut image)?;
             sm_written_bytes += outcome.written;
             load_time += outcome.device_latency;
         }

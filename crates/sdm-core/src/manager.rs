@@ -49,6 +49,43 @@
 //! resolved table down; nothing below them looks the id up again. That is
 //! why the state a lookup *mutates* (`ReadPath`) is a separate struct from
 //! the [`LoadedModel`] it reads.
+//!
+//! # After a model update
+//!
+//! A full update ([`crate::ModelUpdater`]) makes every cached row stale but
+//! not the *choice* of rows: new weights do not change which users and items
+//! are popular. So the update snapshots the private row cache's resident
+//! keys, invalidates, and [`SdmMemoryManager::reread_rows`] reads them back
+//! through steps 2–4 above — same request, same admission limits, retries,
+//! back-off, hedging and checksum guard, same fill (row cache, then shared
+//! tier), recycled payload buffers, no stripe lock across submit or drain —
+//! in groups of `REWARM_GROUP_ROWS`, oldest first. A group is submitted at
+//! one instant and drained before the next is submitted, and fills happen in
+//! drain order, so every row of an earlier group ends up older than every
+//! row of a later one: recency survives group-wise. What differs from a
+//! demand miss is the accounting: the reads show in the engine's and the
+//! devices' statistics as the IO they are and in **no** demand counter
+//! (`sm_reads`, `row_cache_hits`, warm-up samples), so row conservation
+//! keeps its meaning; and a read that exhausts its retries leaves its row
+//! uncached for a later miss instead of counting as degraded — nobody was
+//! waiting for it. The manager's clock advances to the last completion;
+//! [`crate::Shard`] raises its own to it, which puts the update's window in
+//! the makespan of the first batch afterwards.
+//!
+//! | workload | winner | factor | reason |
+//! |---|---|---|---|
+//! | refill after an update, `refresh_nand` (29 190 resident rows, two Nand devices) | bulk re-read over demand misses | 30 542 → 142 demand reads in the next segment; the refill itself ≈ 124 ms at up to 2 048 deep against ≈ 85 ms *per query* for the first ≈ 21 queries | queue depth: a group fills both devices' queues, eight in-flight queries fill them with whatever they happen to miss on |
+//!
+//! Group size is a constant because only its order of magnitude matters
+//! (same 29 190 rows, no faults): groups of 128 / 512 / 2 048 / 8 192 take
+//! 390 / 176 / 124 / 112 ms — small groups pay for the barrier at their end,
+//! and past a few thousand the devices are simply busy — while one group of
+//! payload buffers stays in the engine's pool afterwards, which is what
+//! keeps it from being larger. Not done on purpose: coalescing neighbours
+//! under [`AccessGranularity::Block`] (each row costs its own read, as a
+//! demand miss does), re-creating pooled-cache entries (their keys are
+//! hashes of index sequences), and interleaving the re-read with serving
+//! under a share of the queue slots (needs an asynchronous serving path).
 
 use crate::config::{AccessGranularity, SdmConfig};
 use crate::error::SdmError;
@@ -77,6 +114,10 @@ const POOLED_CACHE_PROBE_COST: SimDuration = SimDuration::from_nanos(400);
 const MAPPING_LOOKUP_COST: SimDuration = SimDuration::from_nanos(40);
 /// DRAM random access cost for rows of directly-placed tables.
 const FM_ROW_COST: SimDuration = SimDuration::from_nanos(150);
+
+/// Rows per group of the post-update re-read. A constant, not a knob: see
+/// the module docs ("After a model update") for the measured sizes.
+pub(crate) const REWARM_GROUP_ROWS: usize = 2_048;
 
 /// Reusable per-lookup scratch: every list survives across lookups so a
 /// steady-state query never allocates for them.
@@ -166,6 +207,24 @@ struct SmScan {
     pooled_rows: usize,
     /// Time the op's SM reads spent in flight (zero without misses).
     io_time: SimDuration,
+}
+
+/// The fill every row read from SM gets, on a demand miss or a post-update
+/// re-read alike: copied into the private cache's arena and offered to the
+/// shared tier, so other shards can serve it without an SM read of their own.
+fn fill_caches(
+    row_cache: &mut DualRowCache,
+    shared: &Option<SharedTierHandle>,
+    stats: &mut SdmStats,
+    key: RowKey,
+    data: &[u8],
+) {
+    row_cache.insert(key, data);
+    if let Some(shared) = shared {
+        if shared.tier.insert(key, data, shared.source) {
+            stats.shared_tier_promotions += 1;
+        }
+    }
 }
 
 /// Everything a lookup mutates — caches, IO engine, statistics, scratch —
@@ -611,17 +670,8 @@ impl ReadPath {
                         pooled_rows += 1;
                     }
                 }
-                // Copied into the cache's arena (the seed's extra
-                // intermediate clone is gone, not the final copy).
                 let key = RowKey::new(table, stored_row);
-                row_cache.insert(key, &completion.data);
-                // Promote into the shared tier so other shards can serve
-                // this row without their own SM read.
-                if let Some(shared) = shared {
-                    if shared.tier.insert(key, &completion.data, shared.source) {
-                        stats.shared_tier_promotions += 1;
-                    }
-                }
+                fill_caches(row_cache, shared, stats, key, &completion.data);
             })?;
             if let Some(e) = pool_error {
                 return Err(e);
@@ -723,11 +773,6 @@ impl SdmMemoryManager {
         &self.loaded
     }
 
-    /// Mutable access to the loaded model (used by the model updater).
-    pub(crate) fn loaded_mut(&mut self) -> &mut LoadedModel {
-        &mut self.loaded
-    }
-
     /// The IO engine (for device statistics).
     pub fn io_engine(&self) -> &IoEngine {
         &self.path.engine
@@ -747,6 +792,12 @@ impl SdmMemoryManager {
     /// The fast-memory row cache.
     pub fn row_cache(&self) -> &DualRowCache {
         &self.path.row_cache
+    }
+
+    /// Mutable row cache, for tests that read cached bytes back.
+    #[cfg(test)]
+    pub(crate) fn row_cache_mut(&mut self) -> &mut DualRowCache {
+        &mut self.path.row_cache
     }
 
     /// The pooled-embedding cache.
@@ -785,6 +836,86 @@ impl SdmMemoryManager {
             shared.tier.clear();
         }
         self.path.warmup = WarmupTracker::new(2_000, 0.8);
+    }
+
+    /// Re-reads `rows` (a snapshot from
+    /// [`DualRowCache::append_resident_lru_first`], taken before the caches
+    /// were invalidated) from the SM image, starting at virtual time
+    /// `start`, and fills the caches with what comes back. Returns the rows
+    /// read back and the instant the last one landed, to which the
+    /// manager's clock advances. See the module docs ("After a model
+    /// update").
+    ///
+    /// # Errors
+    ///
+    /// Propagates hard IO errors. A read that exhausts its retries is not
+    /// one: its row stays uncached.
+    pub(crate) fn reread_rows(
+        &mut self,
+        rows: &[(u64, RowKey)],
+        start: SimInstant,
+    ) -> Result<(u64, SimInstant), SdmError> {
+        let ReadPath {
+            config,
+            engine,
+            row_cache,
+            shared,
+            stats,
+            ..
+        } = &mut self.path;
+        // Completions are matched to rows by their position in the group, so
+        // a stray one from an aborted lookup would fill the wrong key.
+        if engine.outstanding() != 0 {
+            return Err(SdmError::Internal {
+                invariant: "no IO is in flight when a model update re-reads",
+            });
+        }
+        let mut now = start;
+        let mut reread = 0u64;
+        for group in rows.chunks(REWARM_GROUP_ROWS) {
+            // Same boundary as the miss path: fills happen at completion,
+            // so no stripe lock is held while the group is submitted.
+            sdm_cache::assert_no_locks_held("SM submit boundary (manager::reread_rows)");
+            for (i, (_, key)) in group.iter().enumerate() {
+                // The miss path's request (`sm_lookup_core`, step 3), row by
+                // row. Kept as a second copy on purpose: building it in a
+                // shared helper cost the miss path 8 % of `sm_bound`'s
+                // `wall_qps`.
+                let placement = self.loaded.layout.placement(key.table)?;
+                let offset = placement.row_offset(key.row)?;
+                let command = match config.granularity {
+                    AccessGranularity::Sgl => ReadCommand::sgl(offset, placement.row_bytes),
+                    AccessGranularity::Block => ReadCommand::block(offset, placement.row_bytes),
+                };
+                let request = IoRequest::new(DeviceId(placement.device_index), command)
+                    .with_table(key.table)
+                    .with_user_data(i as u64);
+                match engine.submit(request, now) {
+                    Ok(()) => {}
+                    // Unlike a demand miss, nobody is waiting for this row:
+                    // it stays uncached and a later miss reads it.
+                    Err(IoError::RetriesExhausted { .. }) => {}
+                    Err(e) => return Err(e.into()),
+                }
+            }
+            // The group's last completion is the next group's submission
+            // instant, and fills happen in drain order, so every row of an
+            // earlier group ends up older than every row of a later one.
+            now = engine.drain_each(now, |completion| {
+                let (_, key) = group[completion.user_data as usize];
+                fill_caches(row_cache, shared, stats, key, &completion.data);
+                reread += 1;
+            })?;
+        }
+        self.clock = self.clock.max(now);
+        Ok((reread, now))
+    }
+
+    /// Raises the manager's clock to `to` (never lowers it). The shard calls
+    /// this when a stretch of work ends, so that a model update applied next
+    /// starts at the shard's present rather than at its last lookup.
+    pub(crate) fn advance_clock(&mut self, to: SimInstant) {
+        self.clock = self.clock.max(to);
     }
 
     /// Serves one pooled embedding operator into `out` (sized to the

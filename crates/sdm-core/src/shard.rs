@@ -192,6 +192,20 @@ impl Shard {
         self.clock
     }
 
+    /// Brings the shard's clock and its manager's to the later of the two;
+    /// called where a stretch of work starts (after the batch's start is
+    /// stamped) and where it ends. Serving never puts the manager ahead —
+    /// every lookup ends inside its query — so at a start this is the
+    /// identity unless a model update ran in between: the update advanced
+    /// the manager's clock by its writes and re-read, and raising the shard
+    /// to it charges that window to the batch about to run, in its
+    /// makespan. At an end it tells the manager the shard's present, which
+    /// is when an update applied next begins.
+    fn sync_clocks(&mut self) {
+        self.clock = self.clock.max(self.manager.now());
+        self.manager.advance_clock(self.clock);
+    }
+
     /// Executes one query into a caller-provided (reusable) result,
     /// advancing the shard's virtual clock by its latency.
     ///
@@ -207,6 +221,7 @@ impl Shard {
         query: &Query,
         result: &mut QueryResult,
     ) -> Result<(), SdmError> {
+        self.sync_clocks();
         self.engine.execute_into(
             query,
             &mut self.manager,
@@ -215,6 +230,7 @@ impl Shard {
             result,
         )?;
         self.clock += result.latency.total;
+        self.sync_clocks();
         Ok(())
     }
 
@@ -230,8 +246,10 @@ impl Shard {
     ///
     /// Propagates engine and memory errors.
     pub fn run_query(&mut self, query: &Query) -> Result<QueryResult, SdmError> {
+        self.sync_clocks();
         let result = self.engine.execute(query, &mut self.manager, self.clock)?;
         self.clock += result.latency.total;
+        self.sync_clocks();
         Ok(result)
     }
 
@@ -248,6 +266,7 @@ impl Shard {
         queries: impl Iterator<Item = &'a Query>,
     ) -> Result<(), SdmError> {
         self.batch.reset(self.clock);
+        self.sync_clocks();
         for q in queries {
             self.engine.execute_into(
                 q,
@@ -259,6 +278,7 @@ impl Shard {
             self.clock += self.batch.result.latency.total;
             self.batch.push_result();
         }
+        self.sync_clocks();
         Ok(())
     }
 
@@ -286,6 +306,7 @@ impl Shard {
         let n = picks.map_or(queries.len(), <[usize]>::len);
         let query_at = |k: usize| picks.map_or(&queries[k], |p| &queries[p[k]]);
         self.batch.reset(self.clock);
+        self.sync_clocks();
         self.manager.reset_pending();
         self.relaxed.reset();
 
@@ -315,6 +336,7 @@ impl Shard {
             latest = latest.max(finished);
         }
         self.clock = self.clock.max(latest);
+        self.sync_clocks();
         Ok(())
     }
 

@@ -1,6 +1,6 @@
 //! The paper's §5.1 scenario in miniature: serve model M1 from Nand Flash
 //! on a small host, watch the cache reach its steady-state hit rate, apply a
-//! model update and watch the warmup transient.
+//! model update and watch serving resume on a re-read cache.
 //!
 //! Run with: `cargo run --release --example serve_m1_on_nand`
 
@@ -44,12 +44,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  wrote {} to SM in {}, min update interval at rated endurance: {:.4} days",
         update.bytes_written, update.write_time, update.min_update_interval_days
     );
+    println!(
+        "  re-read the {} rows the cache held from the new image in {}",
+        update.rows_rewarmed, update.rewarm_time
+    );
 
-    println!("\npost-update warmup:");
+    println!("\npost-update rounds (the first carries the update window):");
     for round in 0..4 {
         let queries = generator.generate(50);
         let report = system.run_queries(&queries)?;
-        println!("  round {round}: p95 = {:>10}", report.p95_latency);
+        println!(
+            "  round {round}: p95 = {:>10}, makespan = {:>10}",
+            report.p95_latency, report.makespan
+        );
     }
     println!(
         "\nfinal stats: {:?}",
