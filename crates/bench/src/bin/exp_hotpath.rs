@@ -288,13 +288,25 @@ fn regression_failures(baseline: &str, fresh: &str, compare_wall_clock: bool) ->
     // Open-loop curve-shape invariants on the fresh run (virtual clock —
     // deterministic). Gated on shape, not on jitter-prone absolutes: p99
     // must be monotone non-decreasing in offered load, nothing may be shed
-    // at the lowest rate, and a host can never serve more than was offered.
+    // at the lowest rate, the batcher's timer is not inside light-load
+    // latency (a free host takes the query on arrival), and a host can
+    // never serve more than was offered.
     let open = |field: &str| json_field(fresh, "open_loop", field);
     for mode in ["exact", "relaxed"] {
         match open(&format!("{mode}_shed_rate_1")) {
             Some(rate) if rate <= 0.0 => {}
             other => failures.push(format!(
                 "open_loop: {mode}_shed_rate_1 not zero at the lowest offered load ({other:?})"
+            )),
+        }
+        match (
+            open(&format!("{mode}_p50_us_1")),
+            open("max_batch_delay_us"),
+        ) {
+            (Some(p50), Some(delay)) if p50 < delay => {}
+            other => failures.push(format!(
+                "open_loop: {mode}_p50_us_1 not below max_batch_delay_us — the median \
+                 light-load query waited out the batch timer ({other:?})"
             )),
         }
         let p99 = |i: usize| open(&format!("{mode}_p99_us_{i}"));

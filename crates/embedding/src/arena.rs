@@ -99,6 +99,7 @@ impl RowArena {
     /// # Errors
     ///
     /// Returns [`EmbeddingError::RowOutOfRange`] for an invalid index.
+    #[inline]
     pub fn row(&self, index: u64) -> Result<&[u8], EmbeddingError> {
         if index >= self.num_rows {
             return Err(EmbeddingError::RowOutOfRange {

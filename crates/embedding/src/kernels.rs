@@ -246,6 +246,7 @@ pub fn auto_kernel() -> SelectedKernel {
 ///
 /// Returns [`EmbeddingError::MalformedRow`] when the buffer length does not
 /// match `scheme.row_bytes(out.len())`.
+#[inline]
 pub fn accumulate_row_with(
     kernel: SelectedKernel,
     buf: &[u8],
@@ -303,6 +304,7 @@ pub fn prefetch_row(bytes: &[u8]) {
 /// Shared validation + scheme/kernel dispatch. `W` selects the weighted
 /// forms at compile time so the unweighted hot loops never pay the extra
 /// multiply.
+#[inline]
 fn dispatch<const W: bool>(
     kernel: SelectedKernel,
     buf: &[u8],

@@ -242,6 +242,7 @@ impl EmbeddingTable {
     /// # Errors
     ///
     /// Returns [`EmbeddingError::RowOutOfRange`] for an invalid index.
+    #[inline]
     pub fn row(&self, index: u64) -> Result<&[u8], EmbeddingError> {
         self.rows.row(index)
     }

@@ -206,6 +206,7 @@ impl<T: Copy + Default> SlabArena<T> {
     }
 
     /// Borrows a previously allocated range.
+    #[inline]
     pub fn slice(&self, start: usize, len: usize) -> &[T] {
         &self.buf[start..start + len]
     }

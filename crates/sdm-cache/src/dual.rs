@@ -63,6 +63,7 @@ impl DualRowCache {
     }
 
     /// Returns true if the table participates in caching.
+    #[inline]
     pub fn table_enabled(&self, table: u32) -> bool {
         self.disabled_tables.get(table as usize) != Some(&true)
     }
@@ -113,6 +114,7 @@ impl DualRowCache {
 }
 
 impl RowCache for DualRowCache {
+    #[inline]
     fn get(&mut self, key: &RowKey) -> Option<&[u8]> {
         if !self.table_enabled(key.table) {
             self.merged_stats.record_miss();
@@ -161,6 +163,7 @@ impl RowCache for DualRowCache {
         self.small.budget() + self.large.budget()
     }
 
+    #[inline]
     fn lookup_cost(&self) -> SimDuration {
         // Dominated by the memory-optimized probe.
         self.small.lookup_cost()

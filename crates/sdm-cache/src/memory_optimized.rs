@@ -78,6 +78,7 @@ impl MemoryOptimizedCache {
         Self::new(budget, buckets)
     }
 
+    #[inline]
     fn bucket_of(&self, key: &RowKey) -> usize {
         (key.mix() % self.buckets.len() as u64) as usize
     }
@@ -153,6 +154,7 @@ impl MemoryOptimizedCache {
 }
 
 impl RowCache for MemoryOptimizedCache {
+    #[inline]
     fn get(&mut self, key: &RowKey) -> Option<&[u8]> {
         let bucket = self.bucket_of(key);
         let Some(entry) = self.buckets[bucket].iter_mut().find(|e| e.key == *key) else {
@@ -255,6 +257,7 @@ impl RowCache for MemoryOptimizedCache {
         self.budget
     }
 
+    #[inline]
     fn lookup_cost(&self) -> SimDuration {
         // Bucket scan: a couple of cache lines more than a direct index.
         SimDuration::from_nanos(250)

@@ -17,12 +17,14 @@ pub struct RowKey {
 
 impl RowKey {
     /// Creates a key.
+    #[inline]
     pub fn new(table: u32, row: u64) -> Self {
         RowKey { table, row }
     }
 
     /// A well-mixed 64-bit hash of the key (splitmix64 over both fields),
     /// used by the bucketed engine.
+    #[inline]
     pub fn mix(&self) -> u64 {
         let mut x = (self.table as u64) << 48 ^ self.row ^ 0x9e37_79b9_7f4a_7c15;
         x ^= x >> 30;

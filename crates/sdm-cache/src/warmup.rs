@@ -49,6 +49,7 @@ impl WarmupTracker {
     }
 
     /// Records one cache lookup outcome.
+    #[inline]
     pub fn record(&mut self, hit: bool) {
         self.current_lookups += 1;
         if hit {

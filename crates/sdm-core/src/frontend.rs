@@ -8,9 +8,12 @@
 //!
 //! * arrivals come from a seeded [`workload::ArrivalGenerator`] (open loop
 //!   — the arrival instants do not depend on how fast the server runs);
-//! * a **dynamic batcher** accumulates admitted queries and closes the
-//!   batch on size-or-deadline (`max_batch` reached, or the oldest queued
-//!   query has waited `max_batch_delay`);
+//! * a **work-conserving dynamic batcher** accumulates admitted queries
+//!   and closes the open batch at the earliest of three instants:
+//!   (a) `max_batch` reached, (b) the host can take it —
+//!   `max(server_free, oldest_arrival)` — and (c) the deadline
+//!   `oldest_arrival + max_batch_delay`. Batches form by themselves under
+//!   load: whatever arrives while one batch is in service is the next one;
 //! * **admission control** sheds queries instead of queueing without
 //!   bound: a token bucket (rate limit) and an SLO guard that rejects a
 //!   query when the estimated queue wait (time until the server frees up)
@@ -28,6 +31,13 @@
 //! measured [`HostReport::virtual_makespan`]. Every query in a batch
 //! completes when the batch does, so a served query's latency is
 //! `batch_completion - arrival`.
+//!
+//! **Start law.** Close rule (b) means the host is never idle while an
+//! admitted query waits: every batch starts at
+//! `max(previous batch's completed_at, its own oldest_arrival)`. Rule (c)
+//! therefore binds only while the host is busy past the deadline — the
+//! overload regime, where batches close `Full` or `Deadline` and queue for
+//! the host — and below saturation no latency contains the timer.
 
 use crate::error::SdmError;
 use crate::host::ServingHost;
@@ -51,7 +61,9 @@ pub struct FrontendConfig {
     pub max_batch: usize,
     /// Close the open batch once its oldest query has waited this long —
     /// no admitted query is held past `arrival + max_batch_delay` before
-    /// its batch is handed to the host.
+    /// its batch is handed to the host. A free host takes the batch
+    /// earlier ([`CloseReason::HostFree`]), so this binds only while the
+    /// host is busy past the deadline.
     pub max_batch_delay: SimDuration,
     /// SLO guard: shed an arrival when the estimated queue wait (time
     /// until the server frees up) already exceeds this.
@@ -95,10 +107,15 @@ impl FrontendConfig {
 pub enum CloseReason {
     /// The batch reached `max_batch` queries.
     Full,
-    /// The oldest query reached its `max_batch_delay` deadline.
+    /// The host could take the batch: it closed at
+    /// `max(server_free, oldest_arrival)`, at or before its deadline.
+    HostFree,
+    /// The oldest query reached its `max_batch_delay` deadline with the
+    /// host still busy; the closed batch queues for the host.
     Deadline,
     /// End of the arrival stream: the final partial batch is dispatched at
-    /// its (not yet reached) deadline.
+    /// the instant it would have closed anyway (host free or deadline,
+    /// whichever is first).
     Flush,
 }
 
@@ -143,7 +160,9 @@ pub struct BatchRecord {
     /// When the batcher closed the batch. Never exceeds
     /// `oldest_arrival + max_batch_delay`.
     pub closed_at: SimInstant,
-    /// When the host started executing it: `max(closed_at, server_free)`.
+    /// When the host started executing it: `max(closed_at, server_free)`,
+    /// which the close rules make `max(previous batch's completed_at,
+    /// oldest_arrival)`.
     pub started_at: SimInstant,
     /// `started_at` plus the batch's measured virtual makespan.
     pub completed_at: SimInstant,
@@ -381,13 +400,12 @@ impl Frontend {
                 first_arrival = t;
             }
             last_arrival = t;
-            // The open batch closes on its own timeline, not the server's:
-            // if its deadline passed before this arrival, it was dispatched
-            // back then.
+            // If the open batch's close instant (host free, else deadline)
+            // passed before this arrival, it was dispatched back then.
             if !self.picks.is_empty() {
-                let deadline = self.oldest_arrival + self.config.max_batch_delay;
-                if deadline <= t {
-                    self.dispatch(host, queries, deadline, CloseReason::Deadline)?;
+                let (close, reason) = self.pending_close();
+                if close <= t {
+                    self.dispatch(host, queries, close, reason)?;
                 }
             }
             self.query_log.push(QueryRecord {
@@ -434,17 +452,32 @@ impl Frontend {
             self.admitted += 1;
             if self.picks.len() >= self.config.max_batch {
                 self.dispatch(host, queries, t, CloseReason::Full)?;
+            } else if self.server_free <= t {
+                // An idle host takes the query now.
+                self.dispatch(host, queries, t, CloseReason::HostFree)?;
             }
         }
         if !self.picks.is_empty() {
-            let deadline = self.oldest_arrival + self.config.max_batch_delay;
-            self.dispatch(host, queries, deadline, CloseReason::Flush)?;
+            let (close, _) = self.pending_close();
+            self.dispatch(host, queries, close, CloseReason::Flush)?;
         }
         self.cum_admitted += self.admitted;
         self.cum_shed_rate_limited += self.shed_rate_limited;
         self.cum_shed_overload += self.shed_overload;
         self.cum_shed_brownout += self.shed_brownout;
         Ok(self.report(first_arrival, last_arrival))
+    }
+
+    /// When and why the open batch closes if it does not fill first: the
+    /// instant the host can take it, or its deadline if that comes sooner.
+    fn pending_close(&self) -> (SimInstant, CloseReason) {
+        let ready = self.server_free.max(self.oldest_arrival);
+        let deadline = self.oldest_arrival + self.config.max_batch_delay;
+        if ready <= deadline {
+            (ready, CloseReason::HostFree)
+        } else {
+            (deadline, CloseReason::Deadline)
+        }
     }
 
     /// Resets all per-run state; buffer capacity is retained.
@@ -618,55 +651,69 @@ mod tests {
     }
 
     #[test]
-    fn slow_arrivals_close_batches_on_deadline_and_shed_nothing() {
+    fn slow_arrivals_start_on_arrival_and_shed_nothing() {
         let (mut host, queries) = setup(24, 21);
         // 20 qps: mean gap 50ms, far above both the 2ms close deadline and
         // the tiny model's service time, and far below capacity.
+        let delay = SimDuration::from_micros(2_000);
         let mut fe = frontend(8, 2_000, 1_000_000);
         let report = fe.run(&mut host, &queries, &mut poisson(20.0, 1)).unwrap();
         assert_eq!(report.offered, 24);
         assert_eq!(report.served, 24);
         assert_eq!(report.shed(), 0);
         assert!(report.shed_rate() == 0.0);
-        // Gaps dwarf the deadline, so batches stay small and close by
-        // deadline (the last one by flush).
+        // Gaps dwarf the service time, so the host is idle at nearly every
+        // arrival and takes the query at once: no batch waits for the
+        // timer (a query that found the host busy goes when it frees, the
+        // last such batch by flush).
         assert!(report.batches >= 20, "batches {}", report.batches);
         let log = fe.batch_log();
         assert_eq!(log.len(), report.batches as usize);
-        for batch in &log[..log.len() - 1] {
-            assert_eq!(batch.reason, CloseReason::Deadline);
-        }
-        assert_eq!(log[log.len() - 1].reason, CloseReason::Flush);
         for batch in log {
-            assert!(batch.closed_at <= batch.oldest_arrival + SimDuration::from_micros(2_000));
-            assert!(batch.started_at >= batch.closed_at);
+            assert!(
+                matches!(batch.reason, CloseReason::HostFree | CloseReason::Flush),
+                "a trickle never closes on the timer: {batch:?}"
+            );
+            assert_eq!(batch.started_at, batch.closed_at);
+            assert!(batch.closed_at <= batch.oldest_arrival + delay);
             assert!(batch.completed_at > batch.started_at);
         }
-        // Every query served, with latency ≥ the time to its batch close.
+        let idle_starts = log
+            .iter()
+            .filter(|b| b.started_at == b.oldest_arrival)
+            .count();
+        assert!(idle_starts >= 20, "idle starts {idle_starts}");
         for record in fe.query_log() {
             match record.outcome {
                 QueryOutcome::Served { completed } => assert!(completed > record.arrival),
                 other => panic!("expected served, got {other:?}"),
             }
         }
-        assert!(report.p50_latency >= SimDuration::from_micros(2_000));
+        // The median query met an idle host: its latency is its service
+        // time, with no share of the close deadline in it.
+        assert!(report.p50_latency < delay, "p50 {:?}", report.p50_latency);
         assert!(report.max_latency >= report.p99_latency);
         assert!(report.served_qps <= report.offered_qps);
     }
 
     #[test]
-    fn fast_arrivals_fill_batches_to_max_size() {
-        let (mut host, queries) = setup(32, 22);
-        // 1M qps: ~1µs gaps, so batches hit max_batch long before the 1s
-        // deadline; a generous SLO admits everything.
+    fn fast_arrivals_fill_batches_behind_the_first_query() {
+        let (mut host, queries) = setup(33, 22);
+        // 1M qps: ~1µs gaps. The first query meets an idle host and goes
+        // alone; everything behind it queues while the host is busy and
+        // hits max_batch long before the 1s deadline. A generous SLO
+        // admits everything.
         let mut fe = frontend(4, 1_000_000, 10_000_000);
         let report = fe
             .run(&mut host, &queries, &mut poisson(1_000_000.0, 2))
             .unwrap();
-        assert_eq!(report.served, 32);
-        assert_eq!(report.batches, 8);
-        assert!((report.mean_batch - 4.0).abs() < 1e-12);
-        for batch in fe.batch_log() {
+        assert_eq!(report.served, 33);
+        assert_eq!(report.batches, 9);
+        let log = fe.batch_log();
+        assert_eq!(log[0].len, 1);
+        assert_eq!(log[0].reason, CloseReason::HostFree);
+        assert_eq!(log[0].started_at, log[0].oldest_arrival);
+        for batch in &log[1..] {
             assert_eq!(batch.len, 4);
             assert_eq!(batch.reason, CloseReason::Full);
         }

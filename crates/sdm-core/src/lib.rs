@@ -29,7 +29,8 @@
 //!   [`workload::Scheduler`] routing policy, replacing the paper's linear
 //!   single-stream QPS extrapolation with measured wall-clock throughput.
 //! * [`Frontend`] — open-loop serving: seeded arrival processes, an
-//!   SLO-aware dynamic batcher (size-or-deadline close) and token-bucket
+//!   SLO-aware work-conserving dynamic batcher (a batch closes when it is
+//!   full, when the host can take it, or at its deadline) and token-bucket
 //!   admission control with load shedding, turning makespan numbers into
 //!   latency-vs-offered-load curves.
 //!

@@ -7,6 +7,8 @@ use std::fmt;
 /// resolution at the cost of memory; 16 gives <6.25% relative error which is
 /// more than enough for the p95/p99 style reporting used by the paper.
 const SUB_BUCKETS: usize = 16;
+/// `log2(SUB_BUCKETS)`: the sub-bucket of a value is a shift, not a division.
+const SUB_BITS: usize = SUB_BUCKETS.trailing_zeros() as usize;
 /// Maximum exponent tracked (2^40 ns ≈ 18 minutes), everything above clamps.
 const MAX_EXP: usize = 40;
 
@@ -56,10 +58,16 @@ impl LatencyHistogram {
         }
         let exp = 63 - nanos.leading_zeros() as usize;
         let exp = exp.min(MAX_EXP);
-        let base = 1u64 << exp;
-        // Position within [2^exp, 2^(exp+1)) split into SUB_BUCKETS slots.
-        let offset = ((nanos - base) as u128 * SUB_BUCKETS as u128 / base as u128) as usize;
-        exp * SUB_BUCKETS + offset.min(SUB_BUCKETS - 1)
+        let above = nanos - (1u64 << exp);
+        // Position within [2^exp, 2^(exp+1)) split into SUB_BUCKETS slots:
+        // `above * SUB_BUCKETS / 2^exp`, which for powers of two is a shift.
+        // Past 2^(MAX_EXP+1) the quotient exceeds the slot count and clamps.
+        let offset = if exp >= SUB_BITS {
+            above >> (exp - SUB_BITS)
+        } else {
+            above << (SUB_BITS - exp)
+        };
+        exp * SUB_BUCKETS + (offset as usize).min(SUB_BUCKETS - 1)
     }
 
     fn bucket_upper_bound(index: usize) -> u64 {
@@ -77,6 +85,7 @@ impl LatencyHistogram {
     }
 
     /// Records one latency sample.
+    #[inline]
     pub fn record(&mut self, d: SimDuration) {
         let idx = Self::bucket_index(d.as_nanos());
         self.buckets[idx] += 1;
@@ -351,6 +360,53 @@ mod tests {
         }
         assert!(h.percentile(0.0) >= h.min());
         assert_eq!(h.percentile(1.0), h.max());
+    }
+
+    #[test]
+    fn shifted_bucket_index_equals_the_wide_division() {
+        let divided = |nanos: u64| -> usize {
+            if nanos == 0 {
+                return 0;
+            }
+            let exp = (63 - nanos.leading_zeros() as usize).min(MAX_EXP);
+            let base = 1u64 << exp;
+            let offset = ((nanos - base) as u128 * SUB_BUCKETS as u128 / base as u128) as usize;
+            exp * SUB_BUCKETS + offset.min(SUB_BUCKETS - 1)
+        };
+        let check = |nanos: u64| {
+            assert_eq!(
+                LatencyHistogram::bucket_index(nanos),
+                divided(nanos),
+                "nanos {nanos}"
+            );
+        };
+        check(0);
+        check(u64::MAX);
+        // Every power-of-two boundary ±1, which covers the clamp region
+        // above 2^(MAX_EXP+1) as well.
+        for exp in 0..64 {
+            let base = 1u64 << exp;
+            for nanos in [base - 1, base, base + 1] {
+                check(nanos);
+            }
+        }
+        // Sub-bucket boundaries of the overflow bucket and the values
+        // around where the clamp starts to bind.
+        let top = 1u64 << MAX_EXP;
+        for sub in 0..=(2 * SUB_BUCKETS as u64) {
+            let edge = top + sub * (top >> SUB_BITS);
+            for nanos in [edge - 1, edge, edge + 1] {
+                check(nanos);
+            }
+        }
+        // A million values spread over every magnitude.
+        let mut x = 0x5d11_0007u64;
+        for _ in 0..1_000_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            check(x >> (x >> 58));
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use dlrm::model_zoo;
 use proptest::prelude::*;
 use sdm_bench::{bench_sdm_config, measure_batch_modes, measure_load_curve, queries_for, scaled};
-use sdm_core::{CloseReason, Frontend, FrontendConfig, SdmConfig, ServingHost};
+use sdm_core::{CloseReason, Frontend, FrontendConfig, QueryOutcome, SdmConfig, ServingHost};
 use sdm_metrics::SimDuration;
 use workload::{ArrivalGenerator, ArrivalProcess, RoutingPolicy};
 
@@ -72,7 +72,9 @@ proptest! {
     /// Whatever the traffic and batcher settings, the dynamic batcher
     /// honours its envelope: no batch exceeds `max_batch`, no batch closes
     /// later than its oldest query's deadline, batches dispatch in order,
-    /// and the per-query bookkeeping conserves arrivals.
+    /// the host is never idle while an admitted query waits (the start
+    /// law), queries are served first in, first out, and the per-query
+    /// bookkeeping conserves arrivals.
     #[test]
     fn dynamic_batcher_honours_its_envelope(
         rate_exp in 1.0f64..6.0,
@@ -107,6 +109,11 @@ proptest! {
         // Batch envelope.
         let mut dispatched = 0u64;
         let mut last_close = None;
+        let mut host_free = None;
+        let mut served = frontend.query_log().iter().filter_map(|q| match q.outcome {
+            QueryOutcome::Served { completed } => Some((q.arrival, completed)),
+            _ => None,
+        });
         for batch in frontend.batch_log() {
             prop_assert!(batch.len >= 1 && batch.len <= max_batch);
             if batch.reason == CloseReason::Full {
@@ -124,10 +131,80 @@ proptest! {
                 prop_assert!(batch.closed_at >= prev, "batches must dispatch in close order");
             }
             last_close = Some(batch.closed_at);
+            // Start law: the batch starts when the previous one completes,
+            // or on its oldest query's arrival if the host was idle then.
+            let law = host_free.map_or(batch.oldest_arrival, |free| batch.oldest_arrival.max(free));
+            prop_assert_eq!(batch.started_at, law, "host idled with a query waiting: {:?}", batch);
+            host_free = Some(batch.completed_at);
+            // FIFO: the batch holds the next `len` served queries.
+            for k in 0..batch.len {
+                let (arrival, completed) = served.next().expect("batch log outruns the query log");
+                prop_assert_eq!(completed, batch.completed_at);
+                if k == 0 {
+                    prop_assert_eq!(arrival, batch.oldest_arrival);
+                }
+            }
             dispatched += batch.len as u64;
         }
+        prop_assert!(served.next().is_none(), "a served query belongs to no batch");
         prop_assert_eq!(dispatched, report.served);
     }
+}
+
+/// Once the host is busy at every arrival, the free-host close never
+/// fires: batches close full or at their deadline and queue for the host,
+/// exactly as a size-or-deadline batcher would close them.
+#[test]
+fn overload_closes_batches_full_or_on_deadline_only() {
+    let model = model_zoo::tiny(2, 1, 300);
+    let queries = queries_for(&model, 64, 9);
+    let mut host = ServingHost::build(
+        &model,
+        &SdmConfig::for_tests(),
+        9,
+        1,
+        RoutingPolicy::UserSticky,
+    )
+    .unwrap();
+    let config = FrontendConfig {
+        max_batch: 4,
+        max_batch_delay: SimDuration::from_micros(3),
+        max_queue_wait: SimDuration::from_secs(10),
+        token_bucket: None,
+    };
+    let mut frontend = Frontend::new(config).unwrap();
+    // ~1 µs gaps against a service time of tens of µs.
+    let mut arrivals = ArrivalGenerator::new(ArrivalProcess::Poisson { rate_qps: 1e6 }, 7).unwrap();
+    let report = frontend.run(&mut host, &queries, &mut arrivals).unwrap();
+    assert_eq!(report.served, 64);
+    let log = frontend.batch_log();
+    // The first arrival meets an idle host; from then on it never is.
+    assert_eq!(log[0].reason, CloseReason::HostFree);
+    let queries_log = frontend.query_log();
+    let mut free = log[0].completed_at;
+    let mut next = log[0].len;
+    let (mut full, mut deadline) = (0, 0);
+    for (i, batch) in log.iter().enumerate().skip(1) {
+        for record in &queries_log[next..next + batch.len] {
+            assert!(free > record.arrival, "host idle at an arrival: {batch:?}");
+        }
+        next += batch.len;
+        match batch.reason {
+            CloseReason::Full => full += 1,
+            CloseReason::Deadline => {
+                deadline += 1;
+                assert_eq!(
+                    batch.closed_at,
+                    batch.oldest_arrival + config.max_batch_delay
+                );
+            }
+            CloseReason::Flush => assert_eq!(i, log.len() - 1),
+            CloseReason::HostFree => panic!("busy host took a batch early: {batch:?}"),
+        }
+        assert_eq!(batch.started_at, free);
+        free = batch.completed_at;
+    }
+    assert!(full > 0 && deadline > 0, "full {full}, deadline {deadline}");
 }
 
 /// Regression for the histogram percentile fix: on the cold M1-scaled
