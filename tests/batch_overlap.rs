@@ -30,9 +30,21 @@ const BATCH_SIZES: &[usize] = &[1, 8, 33];
 
 fn queries_for(model: &dlrm::ModelConfig, count: usize, seed: u64) -> Vec<Query> {
     let cfg = WorkloadConfig {
-        item_batch: model.item_batch.min(8),
         user_population: 400,
         ..WorkloadConfig::default()
+    };
+    stream_for(model, cfg, count, seed)
+}
+
+fn stream_for(
+    model: &dlrm::ModelConfig,
+    cfg: WorkloadConfig,
+    count: usize,
+    seed: u64,
+) -> Vec<Query> {
+    let cfg = WorkloadConfig {
+        item_batch: model.item_batch.min(8),
+        ..cfg
     };
     QueryGenerator::new(&model.tables, cfg, seed)
         .unwrap()
@@ -47,12 +59,23 @@ fn scaled_config() -> SdmConfig {
     }
 }
 
-/// Runs the same stream through exact mode and `Relaxed { 1 }` on two
-/// identically built systems and asserts bit-identical behaviour, warm
-/// state included (batch sizes consume successive chunks of one stream).
+/// [`assert_window1_identical_on`] over the suite's default stream.
 fn assert_window1_identical(model: &dlrm::ModelConfig, config: SdmConfig, seed: u64) {
     let total: usize = BATCH_SIZES.iter().sum();
     let queries = queries_for(model, total, seed);
+    assert_window1_identical_on(model, config, seed, &queries);
+}
+
+/// Runs the same stream through exact mode and `Relaxed { 1 }` on two
+/// identically built systems and asserts bit-identical behaviour, warm
+/// state included (batch sizes consume successive chunks of one stream).
+fn assert_window1_identical_on(
+    model: &dlrm::ModelConfig,
+    config: SdmConfig,
+    seed: u64,
+    queries: &[Query],
+) {
+    assert_eq!(queries.len(), BATCH_SIZES.iter().sum::<usize>());
     let mut exact = SdmSystem::build(model, config.clone(), seed).unwrap();
     let relaxed_cfg = config.with_relaxed_batching(1);
     let mut relaxed = SdmSystem::build(model, relaxed_cfg, seed).unwrap();
@@ -131,6 +154,29 @@ fn window1_is_bit_identical_tiny() {
 fn window1_is_bit_identical_m1() {
     let model = model_zoo::scaled_model(&model_zoo::m1(), 400_000, 60.0);
     assert_window1_identical(&model, scaled_config(), 21);
+}
+
+#[test]
+fn window1_is_bit_identical_under_pooled_cache_eviction() {
+    // The other window-1 cases leave the pooled cache either empty of
+    // evictions (4 MiB) or off. Here a skewed stream replays users against
+    // a pooled cache that evicts, so *when* a pooled vector is inserted —
+    // in program order, or deferred past the operators behind it — decides
+    // what it displaces and what later operators hit.
+    let model = model_zoo::scaled_model(&model_zoo::m1(), 400_000, 60.0);
+    let mut config = SdmConfig::for_tests();
+    config.cache.row_cache_budget = Bytes::from_kib(96);
+    config.cache.pooled_cache_budget = Bytes::from_kib(64);
+    let total: usize = BATCH_SIZES.iter().sum();
+    let queries = stream_for(&model, WorkloadConfig::skewed(48, 1.1), total, 24);
+    assert_window1_identical_on(&model, config.clone(), 24, &queries);
+
+    // The case means what it says only while the pooled cache both hits
+    // and evicts on this stream.
+    let mut probe = SdmSystem::build(&model, config, 24).unwrap();
+    probe.run_batch(&queries).unwrap();
+    let pooled = probe.manager().pooled_cache().stats();
+    assert!(pooled.hits > 0 && pooled.evictions > 0, "{pooled:?}");
 }
 
 #[test]
