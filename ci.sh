@@ -65,15 +65,13 @@ if [[ "$mode" == "miri" ]]; then
     fi
     echo "==> miri setup"
     cargo +nightly miri setup
-    # Curated subset: the unsafe-adjacent and concurrency-heavy suites
-    # (cache engine units incl. TrackedMutex, SlotPool property tests) —
-    # small enough to finish under Miri's interpreter. Isolation is
-    # disabled so proptest can read its persisted failure seeds.
+    # Curated subset: the unsafe-adjacent and concurrency-heavy suite
+    # (cache engine units incl. TrackedMutex) — small enough to finish
+    # under Miri's interpreter. Isolation is disabled so proptest can read
+    # its persisted failure seeds.
     echo "==> curated test subset under Miri"
     MIRIFLAGS="-Zmiri-disable-isolation" \
         cargo +nightly miri test --locked -q -p sdm-cache --lib
-    MIRIFLAGS="-Zmiri-disable-isolation" \
-        cargo +nightly miri test --locked -q --test slot_pool
     echo "Miri lane passed."
     exit 0
 fi
@@ -97,7 +95,7 @@ if [[ "$mode" == "asan" ]]; then
         -p sdm-cache --lib
     RUSTFLAGS="-Zsanitizer=address" \
         cargo +nightly test --locked -q -Zbuild-std --target x86_64-unknown-linux-gnu \
-        --test slot_pool --test kernel_equivalence
+        --test kernel_equivalence
     echo "ASan lane passed."
     exit 0
 fi

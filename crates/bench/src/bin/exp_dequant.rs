@@ -3,7 +3,7 @@
 //! cache (fewer, larger rows), which usually loses.
 
 use sdm_bench::{header, pct, EXPERIMENT_SEED};
-use sdm_core::{LoadTransform, SdmConfig, SdmSystem};
+use sdm_core::{LoadTransform, SdmConfig, Shard};
 use sdm_metrics::units::Bytes;
 use workload::{QueryGenerator, WorkloadConfig};
 
@@ -40,7 +40,7 @@ fn main() {
         config.fm_budget = Bytes::from_mib(8);
         config.cache = sdm_cache::CacheConfig::with_total_budget(Bytes::from_mib(1));
         config.seed = EXPERIMENT_SEED;
-        let mut system = SdmSystem::build(&model, config, EXPERIMENT_SEED).expect("build failed");
+        let mut system = Shard::build(&model, config, EXPERIMENT_SEED).expect("build failed");
         let _ = system.run_queries(&queries[..100]).unwrap();
         let report = system.run_queries(&queries[100..]).unwrap();
         let stats = system.manager().stats();

@@ -7,7 +7,7 @@ use cluster::{ScenarioComparison, ServingScenario};
 use dlrm::ComputeModel;
 use scm_device::TechnologyProfile;
 use sdm_bench::{bench_sdm_config, header, pct, queries_for, scaled, EXPERIMENT_SEED};
-use sdm_core::SdmSystem;
+use sdm_core::Shard;
 use sdm_metrics::units::Watts;
 use sdm_metrics::SimDuration;
 
@@ -18,13 +18,11 @@ fn main() {
     let queries = queries_for(&model, 40, 92);
 
     // 1. Measure the steady-state cache hit rate on the simulated stack.
-    let mut system = SdmSystem::build_with_compute(
-        &model,
-        bench_sdm_config(),
-        ComputeModel::accelerator(),
-        EXPERIMENT_SEED,
-    )
-    .expect("system build failed");
+    let mut system =
+        Shard::build(&model, bench_sdm_config(), EXPERIMENT_SEED).expect("system build failed");
+    system
+        .set_compute(ComputeModel::accelerator(), EXPERIMENT_SEED)
+        .expect("compute model rejected");
     let _ = system.run_queries(&queries[..20]).unwrap();
     system.manager_mut().invalidate_caches();
     let _ = system.run_queries(&queries[20..]).unwrap();

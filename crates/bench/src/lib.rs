@@ -27,7 +27,7 @@
 use dlrm::{model_zoo, ModelConfig};
 use io_engine::RetryConfig;
 use scm_device::{DeviceId, FaultPlan, FaultStats};
-use sdm_core::{Frontend, FrontendConfig, SdmConfig, SdmSystem, ServingHost};
+use sdm_core::{Frontend, FrontendConfig, SdmConfig, ServingHost, Shard};
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{
     BatchModeMeasurement, BatchModeReport, CachePolicyMeasurement, CachePolicyReport,
@@ -81,8 +81,8 @@ pub fn bench_sdm_config() -> SdmConfig {
 // Harness policy: a fatal setup/serving error aborts the experiment
 // with the message below (crate docs, "Panic policy").
 #[allow(clippy::expect_used)]
-pub fn build_system(model: &ModelConfig, config: SdmConfig) -> SdmSystem {
-    SdmSystem::build(model, config, EXPERIMENT_SEED).expect("failed to build SDM system")
+pub fn build_system(model: &ModelConfig, config: SdmConfig) -> Shard {
+    Shard::build(model, config, EXPERIMENT_SEED).expect("failed to build SDM system")
 }
 
 /// Generates a query stream for a (scaled) model.
@@ -203,13 +203,13 @@ pub fn measure_batch_modes(
             config.clone()
         };
         let mut system =
-            SdmSystem::build(model, cfg, EXPERIMENT_SEED).expect("failed to build SDM system");
+            Shard::build(model, cfg, EXPERIMENT_SEED).expect("failed to build SDM system");
         let qps = system.run_batch(queries).expect("mode batch failed");
         let depth = &system.manager().io_engine().stats().queue_depth;
         let m = BatchModeMeasurement {
             queries: qps.queries,
             makespan: qps.makespan,
-            p50_latency: system.shard().batch_hist().percentile(0.5),
+            p50_latency: system.batch_hist().percentile(0.5),
             p99_latency: qps.p99_latency,
             mean_queue_depth: depth.mean_depth(),
             max_queue_depth: depth.max_depth,

@@ -10,7 +10,6 @@ use crate::config::ModelConfig;
 use crate::error::DlrmError;
 use embedding::kernels::{self, SelectedKernel};
 use embedding::{EmbeddingTable, PoolKernel, TableId};
-use sdm_cache::SlotPool;
 use sdm_metrics::{IntMap, SimDuration, SimInstant};
 
 /// Serves pooled embedding lookups for the inference engine.
@@ -66,52 +65,6 @@ pub trait EmbeddingBackend {
     }
 }
 
-/// Handle to a pooled lookup that has been *begun* but not yet folded into
-/// the query's pooled-vector arena (see [`OverlappedBackend`]).
-///
-/// Tickets are only meaningful to the backend that issued them and must be
-/// finished exactly once, in any order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LookupTicket(pub u64);
-
-/// Split-phase extension of [`EmbeddingBackend`] for overlapped batch
-/// execution (paper §3.2: deep device queues across in-flight queries).
-///
-/// `lookup_begin` resolves everything that is immediately available (cache
-/// hits, fast-memory rows) into backend-owned scratch and *issues* the slow
-/// reads without waiting for them; `lookup_finish` waits for the op's IO,
-/// writes the completed pooled vector into `out` and reports the op's total
-/// simulated latency. Between the two calls the backend may begin ops of
-/// *other* queries, which is what lets a relaxed batch executor keep many
-/// queries' misses in flight at once.
-pub trait OverlappedBackend: EmbeddingBackend {
-    /// Begins one pooled lookup at virtual time `now`: accumulates hits into
-    /// backend scratch and issues IO for the misses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError`] for unknown tables or out-of-range indices.
-    fn lookup_begin(
-        &mut self,
-        table: TableId,
-        indices: &[u64],
-        now: SimInstant,
-    ) -> Result<LookupTicket, DlrmError>;
-
-    /// Completes a begun lookup: writes the pooled vector into `out` (sized
-    /// to the table's dimension) and returns the op's simulated latency,
-    /// including any IO wait.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError`] for stale tickets or a mis-sized buffer.
-    fn lookup_finish(
-        &mut self,
-        ticket: LookupTicket,
-        out: &mut [f32],
-    ) -> Result<SimDuration, DlrmError>;
-}
-
 /// Baseline backend: every table fully resident in DRAM.
 ///
 /// This is the paper's HW-L style deployment (dual socket, 256 GB DRAM) and
@@ -127,11 +80,6 @@ pub struct DramBackend {
     per_row_latency: SimDuration,
     /// Per-element dequantise + accumulate cost.
     per_element_cost: SimDuration,
-    /// Begun-but-unfinished split-phase lookups (DRAM has no asynchronous
-    /// IO, so `lookup_begin` resolves eagerly and parks the result here).
-    /// The pool's generation tickets reject retained tickets whose slot was
-    /// released or re-acquired — see [`sdm_cache::SlotPool`].
-    pending: SlotPool<(Vec<f32>, SimDuration)>,
 }
 
 impl DramBackend {
@@ -147,7 +95,6 @@ impl DramBackend {
             kernel: kernels::auto_kernel(),
             per_row_latency: SimDuration::from_nanos(150),
             per_element_cost: SimDuration::from_nanos(1),
-            pending: SlotPool::new(),
         }
     }
 
@@ -158,7 +105,6 @@ impl DramBackend {
             kernel: kernels::auto_kernel(),
             per_row_latency: SimDuration::from_nanos(150),
             per_element_cost: SimDuration::from_nanos(1),
-            pending: SlotPool::new(),
         }
     }
 
@@ -183,15 +129,6 @@ impl DramBackend {
     /// Access to a resident table (for tests).
     pub fn table(&self, id: TableId) -> Option<&EmbeddingTable> {
         self.tables.get(&id)
-    }
-
-    /// Discards every begun-but-unfinished split-phase lookup. Callers that
-    /// abandon a pipeline mid-flight (an error between `lookup_begin` and
-    /// `lookup_finish`) use this so orphaned slots cannot accumulate. The
-    /// pool bumps the generation of every abandoned slot, so the orphaned
-    /// tickets stay stale even after their slot is re-acquired.
-    pub fn reset_pending(&mut self) {
-        self.pending.reset();
     }
 }
 
@@ -253,49 +190,6 @@ impl EmbeddingBackend for DramBackend {
 
     fn backend_name(&self) -> &str {
         "dram"
-    }
-}
-
-impl OverlappedBackend for DramBackend {
-    fn lookup_begin(
-        &mut self,
-        table: TableId,
-        indices: &[u64],
-        now: SimInstant,
-    ) -> Result<LookupTicket, DlrmError> {
-        // DRAM resolves synchronously: begin computes the pooled vector
-        // eagerly, finish just hands it back. This keeps the baseline
-        // backend usable under the overlapped executor for comparisons.
-        let (pooled, took) = self.pooled_lookup(table, indices, now)?;
-        let slot = self.pending.acquire();
-        *self.pending.slot_mut(slot) = (pooled, took);
-        Ok(LookupTicket(self.pending.ticket(slot)))
-    }
-
-    fn lookup_finish(
-        &mut self,
-        ticket: LookupTicket,
-        out: &mut [f32],
-    ) -> Result<SimDuration, DlrmError> {
-        let slot = self
-            .pending
-            .checked_slot(ticket.0)
-            .ok_or(DlrmError::StaleTicket { ticket: ticket.0 })?;
-        let (pooled, took) = self.pending.slot(slot);
-        // Validate before releasing, so a mis-sized buffer is retryable —
-        // the same semantics as the SDM manager's finish half.
-        if pooled.len() != out.len() {
-            return Err(DlrmError::DimensionMismatch {
-                expected: out.len(),
-                actual: pooled.len(),
-            });
-        }
-        out.copy_from_slice(pooled);
-        let took = *took;
-        // Release stales the consumed ticket; the next begin of this slot
-        // issues a fresh generation.
-        self.pending.release(slot);
-        Ok(took)
     }
 }
 
@@ -362,71 +256,6 @@ mod tests {
         assert!(backend
             .pooled_lookup(0, &[10_000], SimInstant::EPOCH)
             .is_err());
-    }
-
-    #[test]
-    fn free_list_reuses_slots_and_keeps_tickets_generation_safe() {
-        let model = model_zoo::tiny(1, 0, 50);
-        let mut backend = DramBackend::new(&model, 7);
-        let dim = backend.table(0).unwrap().descriptor().dim;
-        let mut out = vec![0.0f32; dim];
-
-        // Begin/finish interleaved: after the window drains, later begins
-        // must come from the free list instead of growing `pending`.
-        let a = backend.lookup_begin(0, &[1], SimInstant::EPOCH).unwrap();
-        let b = backend.lookup_begin(0, &[2], SimInstant::EPOCH).unwrap();
-        assert_eq!(backend.pending.len(), 2);
-        assert_eq!(backend.pending.free_len(), 0);
-        backend.lookup_finish(a, &mut out).unwrap();
-        backend.lookup_finish(b, &mut out).unwrap();
-        let c = backend.lookup_begin(0, &[3], SimInstant::EPOCH).unwrap();
-        let d = backend.lookup_begin(0, &[4], SimInstant::EPOCH).unwrap();
-        assert_eq!(backend.pending.len(), 2, "drained slots were not reused");
-
-        // The retained ticket `a` names a reused slot with an older
-        // generation: it must be rejected, not consume the new occupant.
-        assert!(matches!(
-            backend.lookup_finish(a, &mut out),
-            Err(DlrmError::StaleTicket { .. })
-        ));
-        backend.lookup_finish(c, &mut out).unwrap();
-        backend.lookup_finish(d, &mut out).unwrap();
-
-        // reset_pending returns abandoned slots to the free list and stales
-        // their tickets even after the slots are re-acquired.
-        let e = backend.lookup_begin(0, &[5], SimInstant::EPOCH).unwrap();
-        backend.reset_pending();
-        let f = backend.lookup_begin(0, &[6], SimInstant::EPOCH).unwrap();
-        assert_eq!(backend.pending.len(), 2, "reset_pending leaked a slot");
-        assert!(matches!(
-            backend.lookup_finish(e, &mut out),
-            Err(DlrmError::StaleTicket { .. })
-        ));
-        backend.lookup_finish(f, &mut out).unwrap();
-
-        // Free-list invariant: every pending slot is vacant again.
-        assert!(backend.pending.all_free());
-    }
-
-    #[test]
-    fn mis_sized_finish_is_retryable_and_does_not_free_the_slot() {
-        let model = model_zoo::tiny(1, 0, 50);
-        let mut backend = DramBackend::new(&model, 7);
-        let dim = backend.table(0).unwrap().descriptor().dim;
-        let t = backend.lookup_begin(0, &[1], SimInstant::EPOCH).unwrap();
-        let mut short = vec![0.0f32; dim - 1];
-        assert!(matches!(
-            backend.lookup_finish(t, &mut short),
-            Err(DlrmError::DimensionMismatch { .. })
-        ));
-        assert_eq!(
-            backend.pending.free_len(),
-            0,
-            "failed finish freed the slot"
-        );
-        let mut out = vec![0.0f32; dim];
-        backend.lookup_finish(t, &mut out).unwrap();
-        assert_eq!(backend.pending.free_len(), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Query execution: bottom MLP, embedding operators, interaction, top MLP.
 
-use crate::backend::{EmbeddingBackend, LookupTicket, OverlappedBackend};
+use crate::backend::EmbeddingBackend;
 use crate::config::{ComputeModel, ModelConfig};
 use crate::error::DlrmError;
 use crate::mlp::Mlp;
@@ -117,46 +117,6 @@ impl PoolingBuffers {
         self.pooled.clear();
         self.user_ops.clear();
         self.item_ops.clear();
-    }
-}
-
-/// A query whose embedding ops have been *begun* against an
-/// [`OverlappedBackend`] but whose pooled vectors are not yet final.
-///
-/// Reusable like [`PoolingBuffers`]: the relaxed batch executor keeps one
-/// per in-flight slot and recycles it, so a warmed pipeline allocates
-/// nothing per query. Always paired with the `PoolingBuffers` the query was
-/// begun with — the tickets index into that scratch's op lists.
-#[derive(Debug, Default)]
-pub struct PendingQuery {
-    /// One ticket per user-side op, in `PoolingBuffers::user_ops` order.
-    user_tickets: Vec<LookupTicket>,
-    /// One ticket per item-side op, in `PoolingBuffers::item_ops` order.
-    item_tickets: Vec<LookupTicket>,
-    bottom_time: SimDuration,
-    begun_at: SimInstant,
-}
-
-impl PendingQuery {
-    /// Creates an empty pending slot (capacity grows on first use).
-    pub fn new() -> Self {
-        PendingQuery::default()
-    }
-
-    fn reset(&mut self) {
-        self.user_tickets.clear();
-        self.item_tickets.clear();
-    }
-
-    /// Simulated cost of the work done at begin time (the bottom MLP) —
-    /// what a pipelined issuer spends before it can begin the next query.
-    pub fn issue_cost(&self) -> SimDuration {
-        self.bottom_time
-    }
-
-    /// Virtual instant the query was begun at.
-    pub fn begun_at(&self) -> SimInstant {
-        self.begun_at
     }
 }
 
@@ -377,11 +337,9 @@ impl InferenceEngine {
         Ok(())
     }
 
-    /// The interaction + top-MLP half of query execution, shared by the
-    /// exact ([`InferenceEngine::execute_into`]) and split-phase
-    /// ([`InferenceEngine::finish_query_into`]) paths. Expects every pooled
-    /// vector in `buffers.pooled` to be final; writes one score per ranked
-    /// item and returns the top-MLP time.
+    /// The interaction + top-MLP half of query execution. Expects every
+    /// pooled vector in `buffers.pooled` to be final; writes one score per
+    /// ranked item and returns the top-MLP time.
     ///
     /// User embeddings are looked up once and broadcast over the ranked
     /// items, so their half of the interaction is folded once per query into
@@ -433,119 +391,6 @@ impl InferenceEngine {
         Ok(self
             .compute
             .time_for_flops(self.top.flops() * query.item_batch.max(1) as u64))
-    }
-
-    /// Reserves a zeroed `dim`-wide range in the pooled arena for a table's
-    /// op without running the lookup (split-phase issue side).
-    fn reserve_op(&self, table: u32, pooled: &mut Vec<f32>) -> Result<PooledOp, DlrmError> {
-        let dim = *self
-            .table_dims
-            .get(&table)
-            .ok_or(DlrmError::UnknownTable { table })?;
-        let start = pooled.len();
-        pooled.resize(start + dim, 0.0);
-        Ok(PooledOp { table, start, dim })
-    }
-
-    /// Begins one query against a split-phase backend: runs the bottom MLP
-    /// and *issues* every embedding op at virtual time `now` (hits resolve
-    /// into backend scratch, misses go to the device queues) without waiting
-    /// for the IO. The query completes later via
-    /// [`InferenceEngine::finish_query_into`] with the same
-    /// `buffers`/`pending` pair.
-    ///
-    /// This is the issue half of the relaxed batch executor: a pipeline can
-    /// begin up to its in-flight window of queries before finishing the
-    /// oldest, which is what keeps many queries' SM reads in the device
-    /// queues at once (paper §3.2).
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend failures and dimension errors; on error the
-    /// `pending` slot is left unfinishable and must be reset by beginning
-    /// another query with it.
-    pub fn begin_query_into<B: OverlappedBackend + ?Sized>(
-        &self,
-        query: &Query,
-        backend: &mut B,
-        now: SimInstant,
-        buffers: &mut PoolingBuffers,
-        pending: &mut PendingQuery,
-    ) -> Result<(), DlrmError> {
-        buffers.reset();
-        pending.reset();
-        pending.begun_at = now;
-
-        self.dense_features_into(query, &mut buffers.dense);
-        buffers.dense.resize(self.bottom.input_dim().max(1), 0.0);
-        self.bottom.forward_into(
-            &buffers.dense,
-            &mut buffers.bottom_out,
-            &mut buffers.mlp_scratch,
-        )?;
-        pending.bottom_time = self.compute.time_for_flops(self.bottom.flops());
-
-        for req in &query.user_requests {
-            let op = self.reserve_op(req.table, &mut buffers.pooled)?;
-            let ticket = backend.lookup_begin(req.table, &req.indices, now)?;
-            buffers.user_ops.push(op);
-            pending.user_tickets.push(ticket);
-        }
-        let item_tables = self.item_table_count.max(1);
-        let item_slots = query.item_batch.max(1) as usize;
-        for (pos, req) in query.item_requests.iter().enumerate() {
-            let op = self.reserve_op(req.table, &mut buffers.pooled)?;
-            let ticket = backend.lookup_begin(req.table, &req.indices, now)?;
-            let item_index = (pos / item_tables).min(item_slots - 1);
-            buffers.item_ops.push((op, item_index));
-            pending.item_tickets.push(ticket);
-        }
-        Ok(())
-    }
-
-    /// Completes a begun query: resolves every op's ticket (waiting on its
-    /// IO, folding the final pooled vector into the arena), then runs the
-    /// interaction + top MLP exactly like [`InferenceEngine::execute_into`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend failures and dimension errors.
-    pub fn finish_query_into<B: OverlappedBackend + ?Sized>(
-        &self,
-        query: &Query,
-        backend: &mut B,
-        buffers: &mut PoolingBuffers,
-        pending: &mut PendingQuery,
-        result: &mut QueryResult,
-    ) -> Result<(), DlrmError> {
-        let mut user_time = SimDuration::ZERO;
-        for (op, ticket) in buffers.user_ops.iter().zip(&pending.user_tickets) {
-            let out = &mut buffers.pooled[op.start..op.start + op.dim];
-            user_time += backend.lookup_finish(*ticket, out)? + self.compute.operator_overhead;
-        }
-        let mut item_time = SimDuration::ZERO;
-        for ((op, _), ticket) in buffers.item_ops.iter().zip(&pending.item_tickets) {
-            let out = &mut buffers.pooled[op.start..op.start + op.dim];
-            item_time += backend.lookup_finish(*ticket, out)? + self.compute.operator_overhead;
-        }
-        let top_time = self.rank_items(query, buffers, result)?;
-        let embedding_time = match self.mode {
-            ExecutionMode::Sequential => user_time + item_time,
-            ExecutionMode::InterOpParallel => user_time.max(item_time),
-        };
-        let total = pending.bottom_time + embedding_time + top_time;
-        result.latency = LatencyBreakdown {
-            bottom_mlp: pending.bottom_time,
-            user_embeddings: user_time,
-            item_embeddings: item_time,
-            top_mlp: top_time,
-            total,
-        };
-        // Tickets are consumed; the slot can be recycled for another query
-        // (begun_at / issue_cost stay readable for the caller's pipeline
-        // bookkeeping until the next begin).
-        pending.reset();
-        Ok(())
     }
 }
 
@@ -630,78 +475,6 @@ mod tests {
             assert_eq!(fresh.scores, result.scores);
             assert_eq!(fresh.latency, result.latency);
         }
-    }
-
-    #[test]
-    fn split_phase_execution_matches_execute() {
-        let (engine, mut backend, queries) = setup();
-        let mut buffers = PoolingBuffers::new();
-        let mut pending = PendingQuery::new();
-        let mut result = QueryResult::default();
-        for q in &queries {
-            let fresh = engine.execute(q, &mut backend, SimInstant::EPOCH).unwrap();
-            engine
-                .begin_query_into(
-                    q,
-                    &mut backend,
-                    SimInstant::EPOCH,
-                    &mut buffers,
-                    &mut pending,
-                )
-                .unwrap();
-            assert_eq!(pending.begun_at(), SimInstant::EPOCH);
-            assert!(pending.issue_cost() > SimDuration::ZERO);
-            engine
-                .finish_query_into(q, &mut backend, &mut buffers, &mut pending, &mut result)
-                .unwrap();
-            assert_eq!(fresh.scores, result.scores);
-            assert_eq!(fresh.latency, result.latency);
-        }
-    }
-
-    #[test]
-    fn finishing_a_ticket_twice_is_stale() {
-        let model = model_zoo::tiny(1, 0, 100);
-        let mut backend = DramBackend::new(&model, 1);
-        use crate::backend::OverlappedBackend;
-        let ticket = backend.lookup_begin(0, &[1, 2], SimInstant::EPOCH).unwrap();
-        // A mis-sized buffer is a retryable error: the slot stays pending.
-        let mut short = vec![0.0f32; 8];
-        assert!(matches!(
-            backend.lookup_finish(ticket, &mut short),
-            Err(crate::DlrmError::DimensionMismatch { .. })
-        ));
-        let mut out = vec![0.0f32; 32];
-        backend.lookup_finish(ticket, &mut out).unwrap();
-        assert!(matches!(
-            backend.lookup_finish(ticket, &mut out),
-            Err(crate::DlrmError::StaleTicket { .. })
-        ));
-        // A retained ticket stays stale after its slot is re-acquired by a
-        // later begin (generation mismatch) — it must not consume the new
-        // occupant's result, which remains finishable.
-        let reused = backend.lookup_begin(0, &[5, 6], SimInstant::EPOCH).unwrap();
-        assert_ne!(ticket, reused);
-        assert!(matches!(
-            backend.lookup_finish(ticket, &mut out),
-            Err(crate::DlrmError::StaleTicket { .. })
-        ));
-        backend.lookup_finish(reused, &mut out).unwrap();
-
-        // Abandoned tickets can be reclaimed wholesale, and stay stale even
-        // once their slot is re-acquired after the reset.
-        let orphan = backend.lookup_begin(0, &[3, 4], SimInstant::EPOCH).unwrap();
-        backend.reset_pending();
-        assert!(matches!(
-            backend.lookup_finish(orphan, &mut out),
-            Err(crate::DlrmError::StaleTicket { .. })
-        ));
-        let fresh = backend.lookup_begin(0, &[7, 8], SimInstant::EPOCH).unwrap();
-        assert!(matches!(
-            backend.lookup_finish(orphan, &mut out),
-            Err(crate::DlrmError::StaleTicket { .. })
-        ));
-        backend.lookup_finish(fresh, &mut out).unwrap();
     }
 
     #[test]

@@ -24,11 +24,6 @@ pub enum DlrmError {
         /// Actual length.
         actual: usize,
     },
-    /// A split-phase lookup ticket was finished twice or never begun.
-    StaleTicket {
-        /// The offending ticket value.
-        ticket: u64,
-    },
     /// The embedding backend failed.
     Backend {
         /// The underlying error.
@@ -45,9 +40,6 @@ impl fmt::Display for DlrmError {
             }
             DlrmError::DimensionMismatch { expected, actual } => {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")
-            }
-            DlrmError::StaleTicket { ticket } => {
-                write!(f, "lookup ticket {ticket} is not pending")
             }
             DlrmError::Backend { source } => write!(f, "embedding backend error: {source}"),
         }

@@ -44,10 +44,8 @@ mod error;
 mod mlp;
 pub mod model_zoo;
 
-pub use backend::{DramBackend, EmbeddingBackend, LookupTicket, OverlappedBackend};
+pub use backend::{DramBackend, EmbeddingBackend};
 pub use config::{ComputeModel, MlpConfig, ModelConfig, UseCase};
-pub use engine::{
-    ExecutionMode, InferenceEngine, LatencyBreakdown, PendingQuery, PoolingBuffers, QueryResult,
-};
+pub use engine::{ExecutionMode, InferenceEngine, LatencyBreakdown, PoolingBuffers, QueryResult};
 pub use error::DlrmError;
 pub use mlp::{DenseLayer, Mlp};

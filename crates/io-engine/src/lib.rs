@@ -6,8 +6,6 @@
 //! embedding rows DLRM reads (§4.1). This crate reproduces that software
 //! layer on top of [`scm_device`]:
 //!
-//! * [`IoRing`] — an io_uring-like submission/completion queue pair with
-//!   bounded depth.
 //! * [`IoEngine`] — routes requests to devices, enforces the paper's tuning
 //!   knobs (maximum outstanding IOs per device, per table, and the number of
 //!   tables in flight), and computes per-request queueing + device latency on
@@ -53,11 +51,9 @@ mod engine;
 mod error;
 mod mmap;
 mod retry;
-mod ring;
 
 pub use completion::{CompletionMode, CpuCostModel};
 pub use engine::{EngineConfig, EngineStats, IoCompletion, IoEngine, IoRequest, IoStats};
 pub use error::{FailureKind, IoError};
 pub use mmap::{MmapIo, MmapStats};
 pub use retry::{ResilienceStats, RetryConfig};
-pub use ring::{IoRing, RingEntry};

@@ -56,7 +56,6 @@ mod dual;
 mod engine;
 mod error;
 mod memory_optimized;
-mod pool;
 mod pooled;
 mod row_cache;
 mod shared;
@@ -71,7 +70,6 @@ pub use dual::DualRowCache;
 pub use engine::{AdmissionPolicy, AlwaysAdmit, ArenaLru, SecondTouch};
 pub use error::CacheError;
 pub use memory_optimized::MemoryOptimizedCache;
-pub use pool::SlotPool;
 pub use pooled::{PooledEmbeddingCache, PooledKey};
 pub use row_cache::{RowCache, RowKey};
 pub use shared::{SharedHit, SharedRowTier, TierProbe};

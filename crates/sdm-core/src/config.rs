@@ -24,22 +24,30 @@ pub enum AccessGranularity {
 /// How batches of queries move through the serving loop (paper §3.2).
 ///
 /// The paper's serving stack hides SCM latency by keeping the device queues
-/// deep: reads from many in-flight requests overlap, so pooling work runs
-/// while other requests' IO is still in the queue. `Exact` keeps the
-/// seed-compatible contract — each query's SM reads drain before the next
-/// query issues, bit-identical to a sequential loop — while `Relaxed`
-/// pipelines the batch: up to `max_inflight_queries` queries issue their
-/// cache misses before the oldest query completes, trading per-query tail
-/// latency for batch throughput and queue occupancy.
+/// deep: reads from many in-flight requests overlap, trading per-query tail
+/// latency for batch throughput and queue occupancy. Here that is a
+/// schedule of start instants over the one query path, in two rules. State
+/// changes — row-cache fill, tier promotion, pooled-cache insert — apply in
+/// program order, query by query, in every mode. `Relaxed { W }` starts
+/// query *k* at `max(start[k−1] + issue cost of k−1, finish[k−W])` on the
+/// virtual clock (the issue cost is the bottom MLP), and `Exact` is
+/// `W = 1`: each query starts where the previous one finished.
+///
+/// Why the insert is in program order: an earlier split-phase path deferred
+/// the pooled-cache insert to the query's finish, which made
+/// `Relaxed { 1 }` differ from `Exact` whenever the pooled cache evicts
+/// (scaled M1, 96 KiB row / 64 KiB pooled budgets, one shard, 72 queries:
+/// 1 464 vs 1 530 pooled hits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchMode {
     /// Batches execute exactly like a sequential per-query loop (the
-    /// `batch_equivalence` contract).
+    /// `batch_equivalence` contract): `Relaxed` with a window of 1.
     #[default]
     Exact,
-    /// Overlapped execution: queries are begun up to a window ahead, so
-    /// their SM reads share the device queues (`batch_overlap` contract:
-    /// a window of 1 is bit-identical to [`BatchMode::Exact`]).
+    /// Overlapped execution: query *k* starts at `max(start[k−1] + issue
+    /// cost of k−1, finish[k−W])`, so the SM reads of up to `W` queries
+    /// share the device queues (`batch_overlap` contract: a window of 1 is
+    /// bit-identical to [`BatchMode::Exact`]).
     Relaxed {
         /// In-flight query window; must be at least 1.
         max_inflight_queries: usize,
@@ -176,11 +184,10 @@ impl SdmConfig {
     /// (paper §3's host-level DRAM cache in front of SM). The budget is a
     /// host-level resource: [`SdmConfig::divide_among_indexed`] does not
     /// divide it, and [`crate::ServingHost::build`] carves the tier out
-    /// exactly once and hands every shard a handle
-    /// ([`crate::SdmSystem::build`] likewise attaches one for its single
-    /// stream; only a bare [`crate::Shard::build`] leaves attachment to
-    /// its owner). Zero disables the tier (the default), which keeps
-    /// single-tier serving bit-identical.
+    /// exactly once and hands every shard a handle (a bare
+    /// [`crate::Shard::build`] never attaches one — a single stream that
+    /// wants the tier is a 1-shard host). Zero disables the tier (the
+    /// default), which keeps single-tier serving bit-identical.
     pub fn with_shared_tier(mut self, budget: Bytes) -> Self {
         self.cache.shared_tier_budget = budget;
         self

@@ -246,9 +246,8 @@ struct MergeScratch {
 /// back into query order.
 ///
 /// A 1-shard host divides nothing, spawns nothing and executes exactly the
-/// [`crate::SdmSystem::run_batch`] hot path, so its results are bit-identical
-/// to the single-stream system (asserted by the `sharded_equivalence`
-/// suite).
+/// [`Shard::run_batch`] hot path, so its results are bit-identical to a bare
+/// shard's (asserted by the `sharded_equivalence` suite).
 #[derive(Debug)]
 pub struct ServingHost {
     shards: Vec<Shard>,
@@ -256,15 +255,13 @@ pub struct ServingHost {
     /// The host-shared second cache tier, `None` when disabled. Shards hold
     /// `Arc` clones; this handle serves the host-level accessors.
     shared: Option<Arc<SharedRowTier>>,
-    /// Per-shard pick lists (positions into the current batch), reused
+    /// Per-shard positions within `queries` each shard executes, reused
     /// across batches so steady-state partitioning allocates nothing.
-    parts: Vec<Vec<usize>>,
-    /// Per-shard global query positions for [`ServingHost::run_selected_batch`],
-    /// reused like `parts`.
-    sel_exec: Vec<Vec<usize>>,
+    exec: Vec<Vec<usize>>,
     /// Per-shard positions within the selection (where each result merges
-    /// back), parallel to `sel_exec`.
-    sel_pos: Vec<Vec<usize>>,
+    /// back), parallel to `exec`; unused when the selection is the whole
+    /// batch, where `exec` is its own merge mapping.
+    pos: Vec<Vec<usize>>,
     merged: MergeScratch,
     /// Per-shard health (failure streaks + makespan EWMA), driving
     /// failover rerouting and the front end's brownout signal.
@@ -300,9 +297,9 @@ fn run_guarded(
 ///
 /// `exec_parts[s]` holds the positions within `queries` shard `s` executes;
 /// `merge_pos[s]` the parallel positions within the output selection
-/// (`0..out_len`) each result lands at. `run_batch` passes the same buffers
-/// for both (the selection is the whole batch); `run_selected_batch` passes
-/// the two-level mapping from [`Scheduler::partition_picks_into`].
+/// (`0..out_len`) each result lands at: the same buffers when the selection
+/// is the whole batch, the two-level mapping from
+/// [`Scheduler::partition_picks_into`] otherwise.
 fn execute_and_merge(
     shards: &mut [Shard],
     queries: &[Query],
@@ -456,9 +453,8 @@ impl ServingHost {
             shards: built,
             scheduler: Scheduler::new(count, policy),
             shared,
-            parts: Vec::new(),
-            sel_exec: Vec::new(),
-            sel_pos: Vec::new(),
+            exec: Vec::new(),
+            pos: Vec::new(),
             merged: MergeScratch::default(),
             health: vec![ShardHealth::default(); count],
             batches_run: 0,
@@ -597,7 +593,7 @@ impl ServingHost {
     /// the host has or which policy routed it (asserted by the
     /// `sharded_equivalence` suite). A batch that routes to a single shard
     /// — every batch of a 1-shard host — runs entirely on the calling
-    /// thread, bit-identical to [`crate::SdmSystem::run_batch`].
+    /// thread, bit-identical to [`Shard::run_batch`].
     ///
     /// # Errors
     ///
@@ -606,54 +602,7 @@ impl ServingHost {
     /// ([`ServingHost::len`], [`ServingHost::scores`], …) report an empty
     /// batch — never a previous batch's stale results.
     pub fn run_batch(&mut self, queries: &[Query]) -> Result<HostReport, SdmError> {
-        let Self {
-            shards,
-            scheduler,
-            parts,
-            merged,
-            health,
-            batches_run,
-            failovers,
-            ..
-        } = self;
-        // The measured window covers the whole host-side batch — the
-        // serial partition, the parallel shard execution and the serial
-        // merge — so `wall_qps` is delivered throughput, not just the
-        // threaded middle. This is the host's *measurement* of real thread
-        // scaling (PR 3's whole point) — the only legitimate wall-clock
-        // read in the virtual-clock stack; serving decisions never see it.
-        // sdm-analyze: allow(no-wall-clock)
-        let wall = Instant::now();
-        scheduler.partition_indices_into(queries, parts);
-        *batches_run += 1;
-        // Failover: move picks off unhealthy shards, except on the
-        // periodic probe batch that lets them demonstrate recovery.
-        if *batches_run % PROBE_INTERVAL != 0 {
-            *failovers += reroute_unhealthy(health, parts, None);
-        }
-        // Over the whole batch, pick positions equal query positions, so
-        // `parts` serves as both the execution and the merge mapping
-        // (rerouting moves entries within `parts`, preserving that).
-        let virtual_makespan =
-            match execute_and_merge(shards, queries, parts, parts, queries.len(), merged) {
-                Ok(m) => m,
-                Err(e) => {
-                    if let SdmError::ShardFailed { shard, .. } = &e {
-                        if let Some(h) = health.get_mut(*shard) {
-                            h.record_failure();
-                        }
-                    }
-                    return Err(e);
-                }
-            };
-        record_batch_health(health, shards, parts);
-        let wall_seconds = wall.elapsed().as_secs_f64();
-        Ok(finish_report(
-            shards.len(),
-            merged,
-            wall_seconds,
-            virtual_makespan,
-        ))
+        self.run_partitioned(queries, None)
     }
 
     /// Executes a *selection* of a query stream: `picks` holds positions
@@ -676,30 +625,55 @@ impl ServingHost {
         queries: &[Query],
         picks: &[usize],
     ) -> Result<HostReport, SdmError> {
+        self.run_partitioned(queries, Some(picks))
+    }
+
+    /// The one batch body: `picks = None` selects the whole of `queries`,
+    /// which is the selection over identity picks without materialising
+    /// them — pick positions equal query positions, so `exec` serves as
+    /// both the execution and the merge mapping (rerouting moves entries
+    /// within it, preserving that).
+    fn run_partitioned(
+        &mut self,
+        queries: &[Query],
+        picks: Option<&[usize]>,
+    ) -> Result<HostReport, SdmError> {
         let Self {
             shards,
             scheduler,
-            sel_exec,
-            sel_pos,
+            exec,
+            pos,
             merged,
             health,
             batches_run,
             failovers,
             ..
         } = self;
-        // Wall-clock QPS measurement, as in `run_batch` above — never an
-        // input to serving decisions.
+        // The measured window covers the whole host-side batch — the
+        // serial partition, the parallel shard execution and the serial
+        // merge — so `wall_qps` is delivered throughput, not just the
+        // threaded middle. This is the host's *measurement* of real thread
+        // scaling (PR 3's whole point) — the only legitimate wall-clock
+        // read in the virtual-clock stack; serving decisions never see it.
         // sdm-analyze: allow(no-wall-clock)
         let wall = Instant::now();
-        scheduler.partition_picks_into(queries, picks, sel_exec, sel_pos);
-        *batches_run += 1;
-        // Same failover policy as `run_batch`, with the merge positions
-        // moved in tandem with the execution picks.
-        if *batches_run % PROBE_INTERVAL != 0 {
-            *failovers += reroute_unhealthy(health, sel_exec, Some(sel_pos));
+        match picks {
+            None => scheduler.partition_indices_into(queries, exec),
+            Some(picks) => scheduler.partition_picks_into(queries, picks, exec, pos),
         }
+        *batches_run += 1;
+        // Failover: move picks off unhealthy shards — merge positions in
+        // tandem — except on the periodic probe batch that lets them
+        // demonstrate recovery.
+        if *batches_run % PROBE_INTERVAL != 0 {
+            *failovers += reroute_unhealthy(health, exec, picks.map(|_| pos.as_mut_slice()));
+        }
+        let (merge_pos, out_len) = match picks {
+            None => (&*exec, queries.len()),
+            Some(picks) => (&*pos, picks.len()),
+        };
         let virtual_makespan =
-            match execute_and_merge(shards, queries, sel_exec, sel_pos, picks.len(), merged) {
+            match execute_and_merge(shards, queries, exec, merge_pos, out_len, merged) {
                 Ok(m) => m,
                 Err(e) => {
                     if let SdmError::ShardFailed { shard, .. } = &e {
@@ -710,7 +684,7 @@ impl ServingHost {
                     return Err(e);
                 }
             };
-        record_batch_health(health, shards, sel_exec);
+        record_batch_health(health, shards, exec);
         let wall_seconds = wall.elapsed().as_secs_f64();
         Ok(finish_report(
             shards.len(),
@@ -808,7 +782,7 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_host_matches_sdm_system_bit_for_bit() {
+    fn single_shard_host_matches_a_bare_shard_bit_for_bit() {
         let model = model_zoo::tiny(2, 1, 300);
         let queries = workload(&model, 16, 10);
         let mut host = ServingHost::build(
@@ -819,16 +793,16 @@ mod tests {
             RoutingPolicy::RoundRobin,
         )
         .unwrap();
-        let mut system = crate::SdmSystem::build(&model, SdmConfig::for_tests(), 10).unwrap();
+        let mut shard = Shard::build(&model, SdmConfig::for_tests(), 10).unwrap();
         host.run_batch(&queries).unwrap();
-        let report = system.run_batch(&queries).unwrap();
-        assert_eq!(host.len(), system.batch_len());
+        let report = shard.run_batch(&queries).unwrap();
+        assert_eq!(host.len(), shard.batch_len());
         for i in 0..host.len() {
-            assert_eq!(host.scores(i), system.batch_scores(i));
-            assert_eq!(host.latency(i), system.batch_latency(i));
+            assert_eq!(host.scores(i), shard.batch_scores(i));
+            assert_eq!(host.latency(i), shard.batch_latency(i));
         }
         let a = host.stats();
-        let b = system.manager().stats();
+        let b = shard.manager().stats();
         assert_eq!(a.row_cache_hits, b.row_cache_hits);
         assert_eq!(a.sm_reads, b.sm_reads);
         assert_eq!(report.queries, queries.len() as u64);

@@ -24,8 +24,9 @@
 //! * [`ModelUpdater`] / [`ServingHost::apply_update`] — full model updates
 //!   that end with the rows the caches held re-read from the new image, and
 //!   their endurance consequences (§A.3, §A.4).
-//! * [`Shard`] / [`ServingHost`] — multi-stream serving: N complete
-//!   per-stream serving replicas run on worker threads behind a
+//! * [`Shard`] / [`ServingHost`] — a `Shard` is one complete serving
+//!   stream (engine, manager, clock, scratch); a host runs N of them on
+//!   worker threads behind a
 //!   [`workload::Scheduler`] routing policy, replacing the paper's linear
 //!   single-stream QPS extrapolation with measured wall-clock throughput.
 //! * [`Frontend`] — open-loop serving: seeded arrival processes, an
@@ -38,18 +39,18 @@
 //!
 //! ```
 //! use dlrm::model_zoo;
-//! use sdm_core::{SdmConfig, SdmSystem};
+//! use sdm_core::{SdmConfig, Shard};
 //! use workload::{QueryGenerator, WorkloadConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let model = model_zoo::tiny(2, 1, 500);
-//! let mut system = SdmSystem::build(&model, SdmConfig::default(), 7)?;
+//! let mut shard = Shard::build(&model, SdmConfig::default(), 7)?;
 //! let mut gen = QueryGenerator::new(
 //!     &model.tables,
 //!     WorkloadConfig { item_batch: model.item_batch, ..WorkloadConfig::default() },
 //!     7,
 //! )?;
-//! let result = system.run_query(&gen.next_query())?;
+//! let result = shard.run_query(&gen.next_query())?;
 //! assert_eq!(result.scores.len(), model.item_batch as usize);
 //! # Ok(())
 //! # }
@@ -68,7 +69,6 @@ mod manager;
 mod placement;
 mod shard;
 mod stats;
-mod system;
 mod update;
 
 pub use config::{AccessGranularity, BatchMode, LoadTransform, SdmConfig};
@@ -82,7 +82,6 @@ pub use host::{HostReport, ServingHost};
 pub use loader::{LoadedModel, LoadedTable, ModelLoader};
 pub use manager::SdmMemoryManager;
 pub use placement::{PlacementPlan, PlacementPolicy, TableLocation};
-pub use shard::Shard;
+pub use shard::{QpsReport, Shard};
 pub use stats::SdmStats;
-pub use system::{QpsReport, SdmSystem};
 pub use update::{ModelUpdater, UpdateKind, UpdateReport};

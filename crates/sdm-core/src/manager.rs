@@ -42,13 +42,24 @@
 //!
 //! # One table resolve per operator
 //!
-//! An operator names its table by id. The entry points
-//! ([`SdmMemoryManager::pooled_lookup_into_at`] and the split-phase begin)
-//! resolve that id once — against the fast-memory tables first, where most
-//! of a query's operators live, then the SM-side load state — and hand the
-//! resolved table down; nothing below them looks the id up again. That is
-//! why the state a lookup *mutates* (`ReadPath`) is a separate struct from
-//! the [`LoadedModel`] it reads.
+//! An operator names its table by id. The entry point
+//! ([`SdmMemoryManager::pooled_lookup_into_at`]) resolves that id once —
+//! against the fast-memory tables first, where most of a query's operators
+//! live, then the SM-side load state — and hands the resolved table down;
+//! nothing below it looks the id up again. That is why the state a lookup
+//! *mutates* (`ReadPath`) is a separate struct from the [`LoadedModel`] it
+//! reads.
+//!
+//! # One request path
+//!
+//! A lookup is synchronous: `sm_lookup_core` submits an operator's reads
+//! and drains them before it returns, so when a lookup returns no IO is in
+//! flight and every state change it made (row-cache fill, tier promotion,
+//! pooled-cache insert) is applied. Overlap between queries is a matter of
+//! the `now` each is handed (see [`crate::BatchMode`]): the engine's
+//! admission schedules remember what earlier, later-finishing queries put on
+//! the devices. A begin/finish seam belongs here only once a backend can
+//! actually leave an operation in flight.
 //!
 //! # After a model update
 //!
@@ -91,14 +102,14 @@ use crate::config::{AccessGranularity, SdmConfig};
 use crate::error::SdmError;
 use crate::loader::{LoadedModel, LoadedTable};
 use crate::stats::SdmStats;
-use dlrm::{DlrmError, EmbeddingBackend, LookupTicket, OverlappedBackend};
+use dlrm::{DlrmError, EmbeddingBackend};
 use embedding::kernels::{self, SelectedKernel};
 use embedding::{EmbeddingError, EmbeddingTable, QuantScheme, SmLayout, TableId};
 use io_engine::{IoEngine, IoError, IoRequest};
 use scm_device::{DeviceId, ReadCommand};
 use sdm_cache::{
-    DualRowCache, PooledEmbeddingCache, PooledKey, RowCache, RowKey, SharedRowTier, SlotPool,
-    TierProbe, WarmupTracker,
+    DualRowCache, PooledEmbeddingCache, PooledKey, RowCache, RowKey, SharedRowTier, TierProbe,
+    WarmupTracker,
 };
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{SimDuration, SimInstant};
@@ -162,44 +173,7 @@ struct SharedTierHandle {
     source: u32,
 }
 
-/// Which resolution path a split-phase lookup took at begin time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum PendingKind {
-    /// Table placed directly in fast memory; fully resolved at begin.
-    Fm,
-    /// Answered by the pooled-embedding cache; fully resolved at begin.
-    PooledHit,
-    /// SM-resident table: hits resolved at begin, misses read from SM.
-    #[default]
-    Sm,
-}
-
-/// One begun-but-unfinished pooled lookup of the relaxed batch path.
-///
-/// Everything is owned and capacity-reusing: the accumulation buffer plays
-/// the role the caller's `out` slice plays on the exact path (hits in index
-/// order, then misses in completion order — the identical summation order),
-/// and the pooled-cache key built for the begin-time probe is kept for the
-/// deferred insert at finish.
-#[derive(Debug, Default)]
-struct PendingLookup {
-    kind: PendingKind,
-    quant: QuantScheme,
-    /// Pooled accumulation buffer, sized to the table's dimension.
-    acc: Vec<f32>,
-    /// The op's pooled-cache key (`None` with the pooled cache off).
-    pooled_key: Option<PooledKey>,
-    /// Probe + mapping + hit-side latency accumulated at begin.
-    hit_latency: SimDuration,
-    /// Rows pooled so far (hits at begin, misses at drain).
-    pooled_rows: usize,
-    /// Time the op's SM reads spent in flight (zero without misses).
-    io_time: SimDuration,
-    /// Virtual instant the op was begun (and its misses submitted) at.
-    submitted_at: SimInstant,
-}
-
-/// Outcome of the shared SM scan core (`ReadPath::sm_lookup_core`).
+/// Outcome of the SM scan core (`ReadPath::sm_lookup_core`).
 struct SmScan {
     /// Mapping + cache-probe + shared-tier latency accrued by the scan.
     latency: SimDuration,
@@ -249,58 +223,8 @@ struct ReadPath {
 }
 
 impl ReadPath {
-    /// Step 1 of Algorithm 1, shared by the exact and split-phase halves:
-    /// builds the op's pooled-cache key — once; the same key serves the
-    /// probe and the insert that follows a miss — and charges the probe to
-    /// `latency` when the sequence is long enough to be probed at all.
-    /// `None` with the pooled cache off.
-    fn pooled_key(
-        &self,
-        table: TableId,
-        indices: &[u64],
-        latency: &mut SimDuration,
-    ) -> Option<PooledKey> {
-        if self.config.cache.pooled_cache_budget.is_zero() {
-            return None;
-        }
-        if self.pooled_cache.eligible(indices.len()) {
-            *latency += POOLED_CACHE_PROBE_COST;
-        }
-        Some(PooledKey::new(table, indices))
-    }
-
-    /// Tail shared by the exact SM path and the split-phase finish: accounts
-    /// the dequantise+pool cost, feeds the pooled-embedding cache with the
-    /// final vector, and records the op's total latency. `pre_pool_latency`
-    /// is everything accrued before pooling (probe + scan + IO wait).
-    fn finish_sm_op(
-        &mut self,
-        pooled_key: Option<PooledKey>,
-        quant: QuantScheme,
-        pooled_rows: usize,
-        pre_pool_latency: SimDuration,
-        out: &[f32],
-    ) -> SimDuration {
-        let per_element = if quant == QuantScheme::Fp32 {
-            POOL_ONLY_COST_PER_ELEMENT
-        } else {
-            DEQUANT_POOL_COST_PER_ELEMENT
-        };
-        let pool_time =
-            per_element * (pooled_rows * out.len()) as u64 + SimDuration::from_nanos(100);
-        self.stats.pooling_time += pool_time;
-        if let Some(key) = pooled_key {
-            self.pooled_cache.insert_key(key, out);
-        }
-        let latency = pre_pool_latency + pool_time;
-        self.stats.sm_op_latency.record(latency);
-        latency
-    }
-
-    /// Scan core of the fast-memory path, shared by the exact
-    /// (`pooled_lookup_into_at`) and split-phase (`fm_lookup_begin`)
-    /// halves: accumulates every row into `out` (sized to the table's
-    /// dimension), records the fm stats and returns the op latency.
+    /// The fast-memory path: accumulates every row into `out` (sized to the
+    /// table's dimension), records the fm stats and returns the op latency.
     fn fm_lookup_core(
         &mut self,
         t: &EmbeddingTable,
@@ -338,9 +262,8 @@ impl ReadPath {
         Ok(latency)
     }
 
-    /// Serves a pooled lookup against an SM-resident table: pooled cache →
-    /// the shared scan core (`sm_lookup_core`) → the shared pool-cost +
-    /// pooled-cache-feed tail (`finish_sm_op`).
+    /// Serves a pooled lookup against an SM-resident table — paper
+    /// Algorithm 1, top to bottom.
     fn sm_pooled_lookup_into(
         &mut self,
         layout: &SmLayout,
@@ -359,8 +282,18 @@ impl ReadPath {
         }
         let mut latency = SimDuration::ZERO;
 
-        // 1. Pooled-embedding cache (Algorithm 1).
-        let pooled_key = self.pooled_key(table, indices, &mut latency);
+        // 1. Pooled-embedding cache. The key is built once and serves the
+        // probe and the insert that follows a miss; a sequence too short to
+        // be probed at all is not charged for a probe (`lookup_key` counts
+        // it as skipped).
+        let pooled_key = if self.config.cache.pooled_cache_budget.is_zero() {
+            None
+        } else {
+            if self.pooled_cache.eligible(indices.len()) {
+                latency += POOLED_CACHE_PROBE_COST;
+            }
+            Some(PooledKey::new(table, indices))
+        };
         if let Some(key) = &pooled_key {
             if let Some(vector) = self.pooled_cache.lookup_key(key) {
                 out.copy_from_slice(vector);
@@ -370,75 +303,35 @@ impl ReadPath {
             }
         }
 
-        // 2–3. Row caches, shared tier and SM IO via the shared core.
+        // 2–3. Row caches, shared tier and SM IO.
         let scan = self.sm_lookup_core(layout, table, t, indices, now, out)?;
         latency += scan.latency + scan.io_time;
 
-        // 4–5. Pool-cost accounting + pooled-cache feed (shared tail).
-        Ok(self.finish_sm_op(pooled_key, t.stored.quant, scan.pooled_rows, latency, out))
+        // 4. Dequantise + pool cost of the rows that were accumulated.
+        let per_element = if t.stored.quant == QuantScheme::Fp32 {
+            POOL_ONLY_COST_PER_ELEMENT
+        } else {
+            DEQUANT_POOL_COST_PER_ELEMENT
+        };
+        let pool_time =
+            per_element * (scan.pooled_rows * out.len()) as u64 + SimDuration::from_nanos(100);
+        self.stats.pooling_time += pool_time;
+        latency += pool_time;
+
+        // 5. Feed the pooled-embedding cache with the final vector.
+        if let Some(key) = pooled_key {
+            self.pooled_cache.insert_key(key, out);
+        }
+        self.stats.sm_op_latency.record(latency);
+        Ok(latency)
     }
 
-    /// Begin half of a split-phase lookup: resolves everything immediately
-    /// available — fast-memory rows, a pooled-cache hit, row-cache hits —
-    /// into the slot's accumulation buffer (capacity reused) through the
-    /// same scan cores as the exact path, and issues the misses. The
-    /// pooled-cache *insert* is deferred to finish time, when the vector is
-    /// final; the key built for the probe waits in the slot until then.
-    fn lookup_begin(
-        &mut self,
-        loaded: &LoadedModel,
-        table: TableId,
-        indices: &[u64],
-        now: SimInstant,
-        op: &mut PendingLookup,
-    ) -> Result<(), SdmError> {
-        op.submitted_at = now;
-        op.pooled_key = None;
-        op.pooled_rows = 0;
-        op.io_time = SimDuration::ZERO;
-        op.acc.clear();
-        if let Some(t) = loaded.fm_tables.get(&table) {
-            op.kind = PendingKind::Fm;
-            op.acc.resize(t.descriptor().dim, 0.0);
-            op.hit_latency = self.fm_lookup_core(t, indices, &mut op.acc)?;
-            return Ok(());
-        }
-        let t = loaded.table(table)?;
-        op.quant = t.stored.quant;
-        op.acc.resize(t.stored.dim, 0.0);
-        let mut latency = SimDuration::ZERO;
-
-        // 1. Pooled-embedding cache (Algorithm 1). A hit copies the cached
-        // vector and the op is done.
-        op.pooled_key = self.pooled_key(table, indices, &mut latency);
-        if let Some(key) = &op.pooled_key {
-            if let Some(vector) = self.pooled_cache.lookup_key(key) {
-                op.kind = PendingKind::PooledHit;
-                op.acc.copy_from_slice(vector);
-                op.hit_latency = latency;
-                self.stats.pooled_cache_hits += 1;
-                return Ok(());
-            }
-        }
-
-        // 2–3. The same scan core as the exact path, accumulating into the
-        // slot's buffer instead of the caller's.
-        op.kind = PendingKind::Sm;
-        let scan = self.sm_lookup_core(&loaded.layout, table, t, indices, now, &mut op.acc)?;
-        op.hit_latency = latency + scan.latency;
-        op.pooled_rows = scan.pooled_rows;
-        op.io_time = scan.io_time;
-        Ok(())
-    }
-
-    /// Scan + IO core of the SM path (Algorithm 1 steps 2–3), shared by
-    /// the exact and split-phase halves: resolves each index through the
-    /// mapping tensor, the private row cache, the shared tier (paper
-    /// Algorithm 1 with the host-shared second tier between the private
-    /// miss and the device) and finally SM reads, accumulating into `out`
-    /// in the canonical order — hits in index order, then misses in
-    /// completion order — so both halves produce bit-identical pooled
-    /// vectors.
+    /// Scan + IO core of the SM path (Algorithm 1 steps 2–3): resolves each
+    /// index through the mapping tensor, the private row cache, the shared
+    /// tier (paper Algorithm 1 with the host-shared second tier between the
+    /// private miss and the device) and finally SM reads, accumulating into
+    /// `out` in one canonical order — hits in index order, then misses in
+    /// completion order.
     ///
     /// Private-cache hits are dequant-accumulated straight out of the
     /// cache's arena (no copy, no allocation) until the operator's first
@@ -705,10 +598,6 @@ impl ReadPath {
 pub struct SdmMemoryManager {
     loaded: LoadedModel,
     path: ReadPath,
-    /// Slab of begun-but-unfinished split-phase lookups. The pool's
-    /// generation tickets reject tickets retained across a slot's reuse —
-    /// see [`sdm_cache::SlotPool`].
-    pending: SlotPool<PendingLookup>,
     clock: SimInstant,
 }
 
@@ -739,7 +628,6 @@ impl SdmMemoryManager {
                 stats: SdmStats::new(),
                 scratch: LookupScratch::default(),
             },
-            pending: SlotPool::new(),
             clock: SimInstant::EPOCH,
         }
     }
@@ -970,88 +858,6 @@ impl SdmMemoryManager {
         let took = self.pooled_lookup_into_at(table, indices, now, &mut pooled)?;
         Ok((pooled, took))
     }
-
-    /// Returns every split-phase lookup slot to the free list. The relaxed
-    /// batch executor calls this before each batch so an aborted previous
-    /// batch can never leak pending slots.
-    pub(crate) fn reset_pending(&mut self) {
-        self.pending.reset();
-    }
-
-    /// Begin half of a split-phase pooled lookup (the relaxed batch path).
-    ///
-    /// Resolves everything immediately available — fast-memory rows,
-    /// pooled-cache hits, row-cache hits — into a manager-owned
-    /// accumulation buffer and issues the misses to the IO engine at
-    /// virtual time `now`. The summation order matches the exact path
-    /// exactly (hits in index order, then misses in completion order), so
-    /// a pipeline whose begin instants equal the exact path's query starts
-    /// produces bit-identical pooled vectors.
-    pub(crate) fn lookup_begin_at(
-        &mut self,
-        table: TableId,
-        indices: &[u64],
-        now: SimInstant,
-    ) -> Result<LookupTicket, SdmError> {
-        self.path.stats.pooled_ops += 1;
-        let id = self.pending.acquire();
-        let Self {
-            loaded,
-            path,
-            pending,
-            ..
-        } = self;
-        match path.lookup_begin(loaded, table, indices, now, pending.slot_mut(id)) {
-            Ok(()) => Ok(LookupTicket(pending.ticket(id))),
-            Err(e) => {
-                pending.release(id);
-                Err(e)
-            }
-        }
-    }
-
-    /// Finish half of a split-phase pooled lookup: copies the completed
-    /// vector into `out`, performs the deferred pooled-cache insert,
-    /// accounts pooling cost and returns the op's full latency (hit side +
-    /// IO wait + pooling).
-    pub(crate) fn lookup_finish_into(
-        &mut self,
-        ticket: LookupTicket,
-        out: &mut [f32],
-    ) -> Result<SimDuration, SdmError> {
-        let Some(id) = self.pending.checked_slot(ticket.0) else {
-            return Err(SdmError::Dlrm(DlrmError::StaleTicket { ticket: ticket.0 }));
-        };
-        let op = self.pending.slot_mut(id);
-        // Validate before releasing, so a mis-sized buffer is retryable.
-        if out.len() != op.acc.len() {
-            return Err(EmbeddingError::MalformedRow {
-                expected: op.acc.len(),
-                actual: out.len(),
-            }
-            .into());
-        }
-        out.copy_from_slice(&op.acc);
-        let latency = match op.kind {
-            PendingKind::Fm => op.hit_latency, // fm stats recorded at begin
-            PendingKind::PooledHit => {
-                self.path.stats.sm_op_latency.record(op.hit_latency);
-                op.hit_latency
-            }
-            // 4–5. Deferred pool-cost accounting + pooled-cache feed: the
-            // vector is final now (same shared tail as the exact path).
-            PendingKind::Sm => self.path.finish_sm_op(
-                op.pooled_key.take(),
-                op.quant,
-                op.pooled_rows,
-                op.hit_latency + op.io_time,
-                out,
-            ),
-        };
-        self.clock = self.clock.max(op.submitted_at + latency);
-        self.pending.release(id);
-        Ok(latency)
-    }
 }
 
 impl EmbeddingBackend for SdmMemoryManager {
@@ -1078,31 +884,6 @@ impl EmbeddingBackend for SdmMemoryManager {
 
     fn backend_name(&self) -> &str {
         "sdm"
-    }
-}
-
-impl OverlappedBackend for SdmMemoryManager {
-    fn lookup_begin(
-        &mut self,
-        table: TableId,
-        indices: &[u64],
-        now: SimInstant,
-    ) -> Result<LookupTicket, DlrmError> {
-        self.lookup_begin_at(table, indices, now)
-            .map_err(DlrmError::backend)
-    }
-
-    fn lookup_finish(
-        &mut self,
-        ticket: LookupTicket,
-        out: &mut [f32],
-    ) -> Result<SimDuration, DlrmError> {
-        match self.lookup_finish_into(ticket, out) {
-            Ok(latency) => Ok(latency),
-            // Surface stale tickets unwrapped so callers can match on them.
-            Err(SdmError::Dlrm(e @ DlrmError::StaleTicket { .. })) => Err(e),
-            Err(e) => Err(DlrmError::backend(e)),
-        }
     }
 }
 
@@ -1195,29 +976,29 @@ mod tests {
         let model = model_zoo::tiny(1, 0, 500);
         let mut config = SdmConfig::for_tests();
         config.cache.pooled_len_threshold = 4;
-        let mut exact = build(&model, config.clone());
-        let mut split = build(&model, config);
+        let mut sdm = build(&model, config.clone());
+        // The same lookups with the pooled cache off: what a short
+        // sequence must cost, since it never makes the probe.
+        config.cache.pooled_cache_budget = Bytes::ZERO;
+        let mut unprobed = build(&model, config);
         let short = vec![5u64, 6, 7];
         let long = vec![5u64, 6, 7, 8];
-        let mut out = vec![0.0f32; 32];
-        for indices in [&short, &short, &long] {
-            let (_, took_exact) = exact
+        for (indices, probe) in [
+            (&short, SimDuration::ZERO),
+            (&short, SimDuration::ZERO),
+            (&long, POOLED_CACHE_PROBE_COST),
+        ] {
+            let (_, took) = sdm.pooled_lookup_at(0, indices, SimInstant::EPOCH).unwrap();
+            let (_, base) = unprobed
                 .pooled_lookup_at(0, indices, SimInstant::EPOCH)
                 .unwrap();
-            let ticket = split
-                .lookup_begin_at(0, indices, SimInstant::EPOCH)
-                .unwrap();
-            let took_split = split.lookup_finish_into(ticket, &mut out).unwrap();
-            // A short sequence is not charged the probe it never makes.
-            assert_eq!(took_exact, took_split);
+            assert_eq!(took, base + probe);
         }
-        for sdm in [&exact, &split] {
-            let pooled = sdm.pooled_cache();
-            assert_eq!(pooled.skipped_short(), 2, "one count per short op");
-            assert_eq!(pooled.stats().lookups(), 1, "only the long op probed");
-            assert_eq!(pooled.len(), 1, "only the long op was admitted");
-            assert_eq!(sdm.stats().pooled_cache_hits, 0);
-        }
+        let pooled = sdm.pooled_cache();
+        assert_eq!(pooled.skipped_short(), 2, "one count per short op");
+        assert_eq!(pooled.stats().lookups(), 1, "only the long op probed");
+        assert_eq!(pooled.len(), 1, "only the long op was admitted");
+        assert_eq!(sdm.stats().pooled_cache_hits, 0);
     }
 
     #[test]
@@ -1230,67 +1011,6 @@ mod tests {
         assert_eq!(sdm.stats().sm_reads, 0);
         assert_eq!(sdm.stats().fm_direct_lookups, 3);
         assert_eq!(sdm.io_engine().stats().submitted, 0);
-    }
-
-    #[test]
-    fn split_phase_lookup_matches_exact_lookup() {
-        let model = model_zoo::tiny(2, 1, 400);
-        let config = SdmConfig::for_tests();
-        let mut exact = build(&model, config.clone());
-        let mut split = build(&model, config);
-        let indices = vec![3u64, 17, 99, 250, 3];
-        // Two passes: cold (IO on the misses) and warm (cache hits, pooled
-        // cache); covers FM tables (id 2 is the item table) and SM tables.
-        for _pass in 0..2 {
-            for table in [0u32, 1, 2] {
-                let (want, took_exact) = exact
-                    .pooled_lookup_at(table, &indices, SimInstant::EPOCH)
-                    .unwrap();
-                let ticket = split
-                    .lookup_begin_at(table, &indices, SimInstant::EPOCH)
-                    .unwrap();
-                let mut got = vec![0.0f32; want.len()];
-                let took_split = split.lookup_finish_into(ticket, &mut got).unwrap();
-                assert_eq!(want, got, "table {table} pooled vectors diverge");
-                assert_eq!(took_exact, took_split, "table {table} latency diverges");
-            }
-        }
-        // Counters agree between the two paths.
-        let a = exact.stats();
-        let b = split.stats();
-        assert_eq!(a.pooled_ops, b.pooled_ops);
-        assert_eq!(a.row_cache_hits, b.row_cache_hits);
-        assert_eq!(a.sm_reads, b.sm_reads);
-        assert_eq!(a.pooled_cache_hits, b.pooled_cache_hits);
-        assert_eq!(a.fm_direct_lookups, b.fm_direct_lookups);
-        assert_eq!(a.io_time, b.io_time);
-        assert_eq!(a.pooling_time, b.pooling_time);
-        assert_eq!(exact.now(), split.now());
-
-        // A consumed ticket goes stale.
-        let ticket = split
-            .lookup_begin_at(0, &indices, SimInstant::EPOCH)
-            .unwrap();
-        let mut out = vec![0.0f32; 32];
-        split.lookup_finish_into(ticket, &mut out).unwrap();
-        assert!(matches!(
-            split.lookup_finish_into(ticket, &mut out),
-            Err(SdmError::Dlrm(DlrmError::StaleTicket { .. }))
-        ));
-
-        // A retained ticket stays stale even after its slot is re-acquired
-        // by a later begin (generation mismatch): the old ticket must not
-        // consume the new occupant's result.
-        let reused = split
-            .lookup_begin_at(0, &indices, SimInstant::EPOCH)
-            .unwrap();
-        assert_ne!(ticket, reused, "re-acquired slot must issue a new ticket");
-        assert!(matches!(
-            split.lookup_finish_into(ticket, &mut out),
-            Err(SdmError::Dlrm(DlrmError::StaleTicket { .. }))
-        ));
-        // The legitimate in-flight lookup is unaffected by the rejection.
-        split.lookup_finish_into(reused, &mut out).unwrap();
     }
 
     #[test]
@@ -1326,41 +1046,6 @@ mod tests {
         a2.pooled_lookup_at(0, &indices, SimInstant::EPOCH).unwrap();
         assert_eq!(a2.stats().shared_tier_hits, 4);
         assert_eq!(a2.stats().shared_tier_cross_hits, 0);
-    }
-
-    #[test]
-    fn split_phase_lookup_matches_exact_with_shared_tier() {
-        let model = model_zoo::tiny(2, 1, 400);
-        let config = SdmConfig::for_tests();
-        let exact_tier = Arc::new(SharedRowTier::new(Bytes::from_mib(1), 4));
-        let split_tier = Arc::new(SharedRowTier::new(Bytes::from_mib(1), 4));
-        let mut exact = build(&model, config.clone());
-        let mut split = build(&model, config);
-        exact.attach_shared_tier(exact_tier, 2);
-        split.attach_shared_tier(split_tier, 2);
-        let indices = vec![3u64, 17, 99, 250, 3];
-        for _pass in 0..2 {
-            for table in [0u32, 1, 2] {
-                let (want, took_exact) = exact
-                    .pooled_lookup_at(table, &indices, SimInstant::EPOCH)
-                    .unwrap();
-                let ticket = split
-                    .lookup_begin_at(table, &indices, SimInstant::EPOCH)
-                    .unwrap();
-                let mut got = vec![0.0f32; want.len()];
-                let took_split = split.lookup_finish_into(ticket, &mut got).unwrap();
-                assert_eq!(want, got, "table {table} pooled vectors diverge");
-                assert_eq!(took_exact, took_split, "table {table} latency diverges");
-            }
-        }
-        let a = exact.stats();
-        let b = split.stats();
-        assert_eq!(a.shared_tier_hits, b.shared_tier_hits);
-        assert_eq!(a.shared_tier_misses, b.shared_tier_misses);
-        assert_eq!(a.shared_tier_promotions, b.shared_tier_promotions);
-        assert_eq!(a.sm_reads, b.sm_reads);
-        assert_eq!(a.io_time, b.io_time);
-        assert_eq!(exact.now(), split.now());
     }
 
     #[test]

@@ -5,25 +5,82 @@
 //! caches), a virtual clock and the reusable scratch that makes the hot
 //! path allocation-free. Shards share nothing, so they are `Send` by
 //! construction (asserted by the `send_assertions` suite) and a
-//! [`crate::ServingHost`] can run one per worker thread. A single-shard
-//! deployment is exactly the [`crate::SdmSystem`] of previous revisions:
-//! `SdmSystem` is now a thin wrapper over one `Shard`.
+//! [`crate::ServingHost`] can run one per worker thread. A single stream is
+//! one bare `Shard`; a host-shared cache tier is attached by the
+//! [`crate::ServingHost`] that owns it, never by the shard.
+//!
+//! There is one query path — [`dlrm::InferenceEngine::execute_into`] over
+//! [`crate::SdmMemoryManager`] — and one batch loop over it. Every state
+//! change a query makes (row-cache fill, tier promotion, pooled-cache
+//! insert) happens in program order; what [`BatchMode`] chooses is only the
+//! *instant* each query is handed, which is where overlap lives on a
+//! virtual clock: a query's reads queue on the devices behind those of the
+//! queries started before it finished.
 
 use crate::config::{BatchMode, SdmConfig};
 use crate::error::SdmError;
 use crate::loader::ModelLoader;
 use crate::manager::SdmMemoryManager;
-use crate::system::QpsReport;
 use dlrm::{
-    ComputeModel, InferenceEngine, LatencyBreakdown, ModelConfig, PendingQuery, PoolingBuffers,
-    QueryResult,
+    ComputeModel, InferenceEngine, LatencyBreakdown, ModelConfig, PoolingBuffers, QueryResult,
 };
 use io_engine::IoEngine;
 use scm_device::DeviceArray;
-use sdm_cache::SlotPool;
-use sdm_metrics::{LatencyHistogram, SimInstant};
+use sdm_metrics::{LatencyHistogram, SimDuration, SimInstant};
 use std::collections::VecDeque;
 use workload::Query;
+
+/// Throughput/latency summary of a batch of queries executed on one stream.
+///
+/// Multi-stream throughput is *measured* by [`crate::ServingHost`] and
+/// reported through [`sdm_metrics::MultiStreamReport`], not extrapolated
+/// from this.
+#[derive(Debug, Clone)]
+pub struct QpsReport {
+    /// Queries executed.
+    pub queries: u64,
+    /// Mean end-to-end latency.
+    pub mean_latency: SimDuration,
+    /// 95th percentile latency.
+    pub p95_latency: SimDuration,
+    /// 99th percentile latency.
+    pub p99_latency: SimDuration,
+    /// Queries per second a single serving stream achieves
+    /// (`1 / mean latency`).
+    pub qps_single_stream: f64,
+    /// Virtual time from the batch's first issue to its last completion.
+    /// Under [`crate::BatchMode::Exact`] this is the sum of per-query
+    /// latencies; under [`crate::BatchMode::Relaxed`] overlapped IO makes
+    /// it shorter than the sum.
+    pub makespan: SimDuration,
+    /// Batch throughput on the virtual clock: `queries / makespan`. This is
+    /// the number the exact-vs-relaxed comparison trades against per-query
+    /// tail latency.
+    pub batch_qps: f64,
+}
+
+impl QpsReport {
+    fn new(hist: &LatencyHistogram, makespan: SimDuration) -> Self {
+        let mean = hist.mean();
+        QpsReport {
+            queries: hist.count(),
+            mean_latency: mean,
+            p95_latency: hist.p95(),
+            p99_latency: hist.p99(),
+            qps_single_stream: if mean.is_zero() {
+                0.0
+            } else {
+                1.0 / mean.as_secs_f64()
+            },
+            makespan,
+            batch_qps: if makespan.is_zero() {
+                0.0
+            } else {
+                hist.count() as f64 / makespan.as_secs_f64()
+            },
+        }
+    }
+}
 
 /// Reusable storage for the results of the last batch a shard executed:
 /// scores live back to back in one flat arena, so executing a batch
@@ -63,32 +120,6 @@ impl BatchScratch {
     }
 }
 
-/// One in-flight slot of the relaxed pipeline: the pooled-vector scratch a
-/// query was begun with and its pending tickets.
-#[derive(Debug, Default)]
-struct RelaxedSlot {
-    buffers: PoolingBuffers,
-    pending: PendingQuery,
-}
-
-/// Reusable state of the relaxed (overlapped) batch executor: a
-/// [`SlotPool`] of per-query scratch plus the FIFO of begun queries.
-#[derive(Debug, Default)]
-struct RelaxedScratch {
-    /// Slot pool; grows to the in-flight window and is then recycled.
-    slots: SlotPool<RelaxedSlot>,
-    /// Begun-but-unfinished queries: `(slot id, batch position)` in begin
-    /// order (queries finish strictly FIFO).
-    inflight: VecDeque<(usize, usize)>,
-}
-
-impl RelaxedScratch {
-    fn reset(&mut self) {
-        self.inflight.clear();
-        self.slots.reset();
-    }
-}
-
 /// A self-contained serving shard: devices, IO engine, SDM manager and the
 /// DLRM inference engine, plus per-stream execution scratch.
 #[derive(Debug)]
@@ -99,8 +130,9 @@ pub struct Shard {
     /// Persistent execution scratch shared by every query this shard runs.
     buffers: PoolingBuffers,
     pub(crate) batch: BatchScratch,
-    /// Per-slot scratch of the relaxed (overlapped) batch executor.
-    relaxed: RelaxedScratch,
+    /// Finish instants of the batch's queries still in flight, oldest
+    /// first; never longer than the in-flight window, reused across batches.
+    inflight: VecDeque<SimInstant>,
     /// Test hook: when set, the next batch panics inside the worker. Lets
     /// the failure-handling tests exercise the host's panic-to-error
     /// conversion without a real crash site.
@@ -131,7 +163,7 @@ impl Shard {
             clock: SimInstant::EPOCH,
             buffers: PoolingBuffers::new(),
             batch: BatchScratch::default(),
-            relaxed: RelaxedScratch::default(),
+            inflight: VecDeque::new(),
             poisoned: false,
         })
     }
@@ -193,14 +225,14 @@ impl Shard {
     }
 
     /// Brings the shard's clock and its manager's to the later of the two;
-    /// called where a stretch of work starts (after the batch's start is
-    /// stamped) and where it ends. Serving never puts the manager ahead —
-    /// every lookup ends inside its query — so at a start this is the
-    /// identity unless a model update ran in between: the update advanced
-    /// the manager's clock by its writes and re-read, and raising the shard
-    /// to it charges that window to the batch about to run, in its
-    /// makespan. At an end it tells the manager the shard's present, which
-    /// is when an update applied next begins.
+    /// called where a stretch of work — a query or a batch — starts (after
+    /// a batch's start is stamped) and where it ends. Serving never puts
+    /// the manager ahead — every lookup ends inside its query — so at a
+    /// start this is the identity unless a model update ran in between: the
+    /// update advanced the manager's clock by its writes and re-read, and
+    /// raising the shard to it charges that window to the batch about to
+    /// run, in its makespan. At an end it tells the manager the shard's
+    /// present, which is when an update applied next begins.
     fn sync_clocks(&mut self) {
         self.clock = self.clock.max(self.manager.now());
         self.manager.advance_clock(self.clock);
@@ -236,9 +268,9 @@ impl Shard {
 
     /// Executes one query, advancing the virtual clock by its latency.
     ///
-    /// Stateless convenience form: scratch is created per call and the
-    /// returned `QueryResult` owns its scores, so each call pays the
-    /// allocation cost the reusable paths ([`Shard::run_query_into`] and
+    /// Convenience form of [`Shard::run_query_into`]: the returned
+    /// `QueryResult` is fresh and owns its scores, so each call pays the
+    /// allocation the reusable paths ([`Shard::run_query_into`] and
     /// [`Shard::run_batch`]) amortise away. Results are identical either
     /// way — scratch never affects values.
     ///
@@ -246,10 +278,8 @@ impl Shard {
     ///
     /// Propagates engine and memory errors.
     pub fn run_query(&mut self, query: &Query) -> Result<QueryResult, SdmError> {
-        self.sync_clocks();
-        let result = self.engine.execute(query, &mut self.manager, self.clock)?;
-        self.clock += result.latency.total;
-        self.sync_clocks();
+        let mut result = QueryResult::default();
+        self.run_query_into(query, &mut result)?;
         Ok(result)
     }
 
@@ -258,136 +288,66 @@ impl Shard {
         self.manager.config().batch_mode
     }
 
-    /// The exact batch core: executes every yielded query through the
-    /// zero-allocation hot path, recording scores, latencies and the
-    /// latency histogram into the batch scratch.
-    fn run_batch_iter<'a>(
+    /// The in-flight window of the configured [`BatchMode`].
+    fn window(&self) -> usize {
+        match self.batch_mode() {
+            BatchMode::Exact => 1,
+            BatchMode::Relaxed {
+                max_inflight_queries,
+            } => max_inflight_queries.max(1),
+        }
+    }
+
+    /// The batch core: executes every yielded query through the
+    /// zero-allocation hot path, in order, recording scores, latencies and
+    /// the latency histogram into the batch scratch. Query `k` starts at
+    /// `max(start[k−1] + bottom MLP of k−1, finish[k−W])` — the issuer is
+    /// busy for a query's bottom MLP before it can start the next, and a
+    /// full window waits for its oldest query — and the shard clock ends at
+    /// the latest finish. With `W = 1` the second term always wins, so each
+    /// query starts where the previous one finished: the per-query loop.
+    ///
+    /// A failing query ends the batch; the clock has advanced over the
+    /// queries that ran.
+    fn run_batch_core<'a>(
         &mut self,
         queries: impl Iterator<Item = &'a Query>,
     ) -> Result<(), SdmError> {
+        let window = self.window();
         self.batch.reset(self.clock);
         self.sync_clocks();
+        self.inflight.clear();
+        let mut submit = self.clock;
         for q in queries {
+            if self.inflight.len() == window {
+                if let Some(finished) = self.inflight.pop_front() {
+                    submit = submit.max(finished);
+                }
+            }
             self.engine.execute_into(
                 q,
                 &mut self.manager,
-                self.clock,
+                submit,
                 &mut self.buffers,
                 &mut self.batch.result,
             )?;
-            self.clock += self.batch.result.latency.total;
+            let latency = self.batch.result.latency;
+            let finish = submit + latency.total;
+            self.clock = self.clock.max(finish);
+            self.inflight.push_back(finish);
+            submit += latency.bottom_mlp;
             self.batch.push_result();
         }
         self.sync_clocks();
         Ok(())
     }
 
-    /// The relaxed batch core (paper §3.2): pipelines the batch through the
-    /// IO engine with up to `window` queries in flight.
-    ///
-    /// Queries are *begun* in order — bottom MLP, cache probes, and one ring
-    /// submission per operator's misses — at a submit clock that advances
-    /// only by each query's issue cost, so the misses of up to `window`
-    /// queries share the device queues; each query is *finished* (IO wait
-    /// resolved, interaction + top MLP) when the window is full or the batch
-    /// ends. The shard clock advances to the latest finish instant, so the
-    /// batch makespan reflects the overlap instead of a serial sum.
-    ///
-    /// With `window == 1` every begin instant equals the exact path's query
-    /// start, making results, counters and clocks bit-identical to
-    /// [`BatchMode::Exact`] (asserted by the `batch_overlap` suite).
-    fn run_batch_relaxed(
-        &mut self,
-        queries: &[Query],
-        picks: Option<&[usize]>,
-        window: usize,
-    ) -> Result<(), SdmError> {
-        let window = window.max(1);
-        let n = picks.map_or(queries.len(), <[usize]>::len);
-        let query_at = |k: usize| picks.map_or(&queries[k], |p| &queries[p[k]]);
-        self.batch.reset(self.clock);
-        self.sync_clocks();
-        self.manager.reset_pending();
-        self.relaxed.reset();
-
-        let mut submit = self.clock;
-        let mut latest = self.clock;
-        for k in 0..n {
-            if self.relaxed.inflight.len() == window {
-                let finished = self.finish_front(&query_at)?;
-                latest = latest.max(finished);
-                // The vacated pipeline stage gates the next begin.
-                submit = submit.max(finished);
-            }
-            let slot = self.relaxed.slots.acquire();
-            let s = self.relaxed.slots.slot_mut(slot);
-            self.engine.begin_query_into(
-                query_at(k),
-                &mut self.manager,
-                submit,
-                &mut s.buffers,
-                &mut s.pending,
-            )?;
-            submit += s.pending.issue_cost();
-            self.relaxed.inflight.push_back((slot, k));
-        }
-        while !self.relaxed.inflight.is_empty() {
-            let finished = self.finish_front(&query_at)?;
-            latest = latest.max(finished);
-        }
-        self.clock = self.clock.max(latest);
-        self.sync_clocks();
-        Ok(())
-    }
-
-    /// Finishes the oldest in-flight query of the relaxed pipeline and
-    /// returns its virtual finish instant.
-    fn finish_front<'a>(
-        &mut self,
-        query_at: &impl Fn(usize) -> &'a Query,
-    ) -> Result<SimInstant, SdmError> {
-        let Some((slot, k)) = self.relaxed.inflight.pop_front() else {
-            // Callers drain the pipeline under `!inflight.is_empty()`
-            // guards; finishing an empty pipeline is a scheduling bug.
-            return Err(SdmError::Internal {
-                invariant: "finish_front called with queries in flight",
-            });
-        };
-        let s = self.relaxed.slots.slot_mut(slot);
-        self.engine.finish_query_into(
-            query_at(k),
-            &mut self.manager,
-            &mut s.buffers,
-            &mut s.pending,
-            &mut self.batch.result,
-        )?;
-        let finished = s.pending.begun_at() + self.batch.result.latency.total;
-        self.relaxed.slots.release(slot);
-        self.batch.push_result();
-        Ok(finished)
-    }
-
     /// Summarises the last batch from its histogram and makespan.
     pub(crate) fn batch_report(&self) -> QpsReport {
-        let mean = self.batch.hist.mean();
-        let makespan = self.clock.duration_since(self.batch.started_at);
-        QpsReport {
-            queries: self.batch.hist.count(),
-            mean_latency: mean,
-            p95_latency: self.batch.hist.p95(),
-            p99_latency: self.batch.hist.p99(),
-            qps_single_stream: if mean.is_zero() {
-                0.0
-            } else {
-                1.0 / mean.as_secs_f64()
-            },
-            makespan,
-            batch_qps: if makespan.is_zero() {
-                0.0
-            } else {
-                self.batch.hist.count() as f64 / makespan.as_secs_f64()
-            },
-        }
+        QpsReport::new(
+            &self.batch.hist,
+            self.clock.duration_since(self.batch.started_at),
+        )
     }
 
     /// Executes a batch of queries through the zero-allocation hot path and
@@ -395,20 +355,19 @@ impl Shard {
     /// [`BatchMode`].
     ///
     /// In [`BatchMode::Exact`] (the default) virtual-time semantics are
-    /// identical to looping [`Shard::run_query`] — each query still
-    /// observes the clock its predecessors advanced, so results, cache
-    /// counters and IO totals are bit-for-bit the same (asserted by the
-    /// `batch_equivalence` suite). What batching buys is host-side
-    /// efficiency: one set of scratch buffers serves the whole batch,
-    /// per-query results land in a flat reused arena (readable via
-    /// [`Shard::batch_scores`]) instead of a fresh `QueryResult` per query,
-    /// and each operator's SM misses go to the device as one ring
-    /// submission whose completions are pooled as they drain.
+    /// identical to looping [`Shard::run_query`] — each query starts where
+    /// its predecessor finished, so results, cache counters and IO totals
+    /// are bit-for-bit the same (asserted by the `batch_equivalence`
+    /// suite). What batching buys is host-side efficiency: one set of
+    /// scratch buffers serves the whole batch, per-query results land in a
+    /// flat reused arena (readable via [`Shard::batch_scores`]) instead of
+    /// a fresh `QueryResult` per query, and each operator's SM misses go to
+    /// the device as one ring submission whose completions are pooled as
+    /// they drain.
     ///
-    /// In [`BatchMode::Relaxed`] the batch is additionally pipelined
-    /// through the IO engine — up to `max_inflight_queries` queries issue
-    /// their SM misses before the oldest completes, which deepens the
-    /// device queues and shrinks the batch makespan
+    /// In [`BatchMode::Relaxed`] up to `max_inflight_queries` queries are
+    /// started before the oldest finishes, so their SM misses share the
+    /// device queues: deeper queues and a shorter batch makespan
     /// ([`QpsReport::batch_qps`]) at the cost of per-query tail latency
     /// (the `batch_overlap` suite pins down the equivalence and
     /// conservation contracts).
@@ -418,13 +377,31 @@ impl Shard {
     /// Propagates engine and memory errors; the batch stops at the first
     /// failing query.
     pub fn run_batch(&mut self, queries: &[Query]) -> Result<QpsReport, SdmError> {
-        match self.batch_mode() {
-            BatchMode::Exact => self.run_batch_iter(queries.iter())?,
-            BatchMode::Relaxed {
-                max_inflight_queries,
-            } => self.run_batch_relaxed(queries, None, max_inflight_queries)?,
-        }
+        self.run_batch_core(queries.iter())?;
         Ok(self.batch_report())
+    }
+
+    /// Executes a stream of queries and summarises latency and throughput:
+    /// a thin loop over [`Shard::run_batch`] in bounded chunks, so an
+    /// arbitrarily long stream never retains more than one chunk's worth of
+    /// per-query scores in the batch scratch.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine and memory errors.
+    pub fn run_queries(&mut self, queries: &[Query]) -> Result<QpsReport, SdmError> {
+        /// Caps batch-scratch retention (scores, latencies) for long streams.
+        const CHUNK: usize = 1024;
+        if queries.len() <= CHUNK {
+            return self.run_batch(queries);
+        }
+        let started = self.now();
+        let mut hist = LatencyHistogram::new();
+        for chunk in queries.chunks(CHUNK) {
+            self.run_batch(chunk)?;
+            hist.merge(&self.batch.hist);
+        }
+        Ok(QpsReport::new(&hist, self.now().duration_since(started)))
     }
 
     /// Executes the subset of `queries` selected by `picks` (positions into
@@ -452,12 +429,7 @@ impl Shard {
             self.poisoned = false;
             panic!("poisoned shard (test hook)");
         }
-        match self.batch_mode() {
-            BatchMode::Exact => self.run_batch_iter(picks.iter().map(|&i| &queries[i])),
-            BatchMode::Relaxed {
-                max_inflight_queries,
-            } => self.run_batch_relaxed(queries, Some(picks), max_inflight_queries),
-        }
+        self.run_batch_core(picks.iter().map(|&i| &queries[i]))
     }
 
     /// Number of queries in the last batch.
@@ -551,6 +523,109 @@ mod tests {
         assert_eq!(shard.batch_len(), 0);
         assert_eq!(shard.batch_report().queries, 0);
         assert_eq!(shard.now(), SimInstant::EPOCH);
+    }
+
+    #[test]
+    fn run_queries_executes_a_stream_end_to_end() {
+        let model = model_zoo::tiny(2, 1, 400);
+        let mut shard = Shard::build(&model, SdmConfig::for_tests(), 3).unwrap();
+        let queries = workload(&model, 20, 3);
+        let report = shard.run_queries(&queries).unwrap();
+        assert_eq!(report.queries, 20);
+        assert!(report.mean_latency > SimDuration::ZERO);
+        assert!(report.p99_latency >= report.p95_latency);
+        assert!(report.qps_single_stream > 0.0);
+        assert!(shard.now() > SimInstant::EPOCH);
+        // The SM path was actually exercised.
+        assert!(shard.manager().stats().sm_reads > 0);
+    }
+
+    #[test]
+    fn batch_report_carries_virtual_makespan_and_qps() {
+        // In exact mode the makespan is the serial sum of per-query
+        // latencies, so batch_qps and the 1/mean extrapolation agree.
+        let model = model_zoo::tiny(2, 1, 300);
+        let mut shard = Shard::build(&model, SdmConfig::for_tests(), 5).unwrap();
+        let queries = workload(&model, 12, 5);
+        let before = shard.now();
+        let report = shard.run_batch(&queries).unwrap();
+        assert_eq!(
+            report.makespan,
+            shard.now().duration_since(before),
+            "exact makespan must equal the clock advance"
+        );
+        assert!(report.batch_qps > 0.0);
+        // Mean latency truncates to whole nanoseconds, so the two rates
+        // agree only up to that rounding.
+        assert!(
+            (report.batch_qps - report.qps_single_stream).abs() / report.qps_single_stream < 1e-4,
+            "serial batch throughput equals 1/mean-latency (up to ns rounding)"
+        );
+    }
+
+    #[test]
+    fn chunked_run_queries_matches_single_batch_report() {
+        let model = model_zoo::tiny(1, 1, 200);
+        let queries = workload(&model, 1200, 8); // > CHUNK forces the chunked path
+        let mut chunked = Shard::build(&model, SdmConfig::for_tests(), 8).unwrap();
+        let mut single = Shard::build(&model, SdmConfig::for_tests(), 8).unwrap();
+        let a = chunked.run_queries(&queries).unwrap();
+        let b = single.run_batch(&queries).unwrap();
+        assert_eq!(a.queries, 1200);
+        assert_eq!(a.queries, b.queries);
+        assert_eq!(a.mean_latency, b.mean_latency);
+        assert_eq!(a.p95_latency, b.p95_latency);
+        assert_eq!(a.p99_latency, b.p99_latency);
+        assert_eq!(chunked.now(), single.now());
+        // The chunked path retains at most one chunk of scores.
+        assert!(chunked.batch_len() <= 1024);
+    }
+
+    #[test]
+    fn invalid_config_is_rejected_at_build() {
+        let model = model_zoo::tiny(1, 1, 100);
+        let mut config = SdmConfig::for_tests();
+        config.device_count = 0;
+        assert!(Shard::build(&model, config, 0).is_err());
+    }
+
+    #[test]
+    fn the_clock_follows_the_schedule_law_at_every_window() {
+        // No digest: rebuild every start instant from the per-query
+        // latencies alone — `start[k] = max(start[k−1] + bottom[k−1],
+        // finish[k−W])`, `finish[k] = start[k] + total[k]` — and the shard
+        // clock and the reported makespan must come out exactly.
+        let model = model_zoo::tiny(2, 1, 400);
+        let queries = workload(&model, 30, 9);
+        for window in [1usize, 2, 8] {
+            let config = SdmConfig::for_tests().with_relaxed_batching(window);
+            let mut shard = Shard::build(&model, config, 9).unwrap();
+            // Two batches: the second starts from a non-zero clock.
+            for batch in queries.chunks(15) {
+                let began = shard.now();
+                let report = shard.run_batch(batch).unwrap();
+                let mut starts: Vec<SimInstant> = Vec::new();
+                let mut finishes: Vec<SimInstant> = Vec::new();
+                for k in 0..batch.len() {
+                    let mut start = match k {
+                        0 => began,
+                        _ => starts[k - 1] + shard.batch_latency(k - 1).bottom_mlp,
+                    };
+                    if k >= window {
+                        start = start.max(finishes[k - window]);
+                    }
+                    starts.push(start);
+                    finishes.push(start + shard.batch_latency(k).total);
+                }
+                let end = finishes.iter().copied().max().unwrap();
+                assert_eq!(shard.now(), end, "window {window}: clock");
+                assert_eq!(
+                    report.makespan,
+                    end.duration_since(began),
+                    "window {window}: makespan"
+                );
+            }
+        }
     }
 
     #[test]

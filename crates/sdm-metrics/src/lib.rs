@@ -26,7 +26,6 @@
 //! * [`ResilienceReport`] — serving quality under injected faults
 //!   (throughput retention, degraded-row rate, the injected-vs-detected
 //!   corruption ledger CI pins to "nothing corrupted ever served").
-//! * [`RateEstimator`] — windowed rate estimation (QPS, IOPS).
 //! * [`IntMap`] — a `HashMap` on a one-multiply-per-word hasher for the
 //!   program-generated integer keys of the per-IO paths (arena offsets,
 //!   chunk indices, table tags).
@@ -62,7 +61,6 @@ mod histogram;
 mod inthash;
 mod loadcurve;
 mod multistream;
-mod rate;
 mod resilience;
 mod sharedtier;
 pub mod units;
@@ -75,6 +73,5 @@ pub use histogram::LatencyHistogram;
 pub use inthash::{IntBuildHasher, IntHasher, IntMap};
 pub use loadcurve::{LoadCurveReport, LoadPoint};
 pub use multistream::{MultiStreamReport, StreamMeasurement};
-pub use rate::RateEstimator;
 pub use resilience::{ResilienceMeasurement, ResilienceReport};
 pub use sharedtier::{SharedTierMeasurement, SharedTierReport};

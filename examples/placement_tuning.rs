@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example placement_tuning`
 
 use dlrm::model_zoo;
-use sdm_core::{PlacementPolicy, SdmConfig, SdmSystem};
+use sdm_core::{PlacementPolicy, SdmConfig, Shard};
 use sdm_metrics::units::Bytes;
 use workload::{QueryGenerator, WorkloadConfig};
 
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             config.device_capacity = Bytes::from_mib(256);
             config.fm_budget = Bytes::from_mib(64);
             config.cache = sdm_cache::CacheConfig::with_total_budget(Bytes::from_mib(cache_mib));
-            let mut system = SdmSystem::build(&model, config, 21)?;
+            let mut system = Shard::build(&model, config, 21)?;
             let _ = system.run_queries(&queries[..40])?;
             let report = system.run_queries(&queries[40..])?;
             let label = format!("{policy_name}, {cache_mib} MiB cache");

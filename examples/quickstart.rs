@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use dlrm::model_zoo;
-use sdm_core::{SdmConfig, SdmSystem};
+use sdm_core::{SdmConfig, Shard};
 use workload::{QueryGenerator, WorkloadConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Default SDM deployment: user tables on 2 simulated Optane SSDs, item
     // tables in fast memory, dual row cache + pooled-embedding cache in
     // front.
-    let mut system = SdmSystem::build(&model, SdmConfig::default(), 42)?;
+    let mut system = Shard::build(&model, SdmConfig::default(), 42)?;
 
     // Generate a query stream and serve it.
     let workload = WorkloadConfig {

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example serve_m1_on_nand`
 
 use dlrm::model_zoo;
-use sdm_core::{ModelUpdater, SdmConfig, SdmSystem, UpdateKind};
+use sdm_core::{ModelUpdater, SdmConfig, Shard, UpdateKind};
 use sdm_metrics::units::Bytes;
 use workload::{QueryGenerator, WorkloadConfig};
 
@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.device_capacity = Bytes::from_mib(256);
     config.cache = sdm_cache::CacheConfig::with_total_budget(Bytes::from_mib(16));
     config.fm_budget = Bytes::from_mib(32);
-    let mut system = SdmSystem::build(&model, config, 7)?;
+    let mut system = Shard::build(&model, config, 7)?;
 
     let workload = WorkloadConfig {
         item_batch: 16,

@@ -1,4 +1,4 @@
-//! Equivalence suite: `SdmSystem::run_batch` must be **bit-identical** to
+//! Equivalence suite: `Shard::run_batch` must be **bit-identical** to
 //! looping `run_query` — same scores, same latency breakdowns, same cache
 //! hit/miss counters, same IO byte totals — across the model zoo and a
 //! range of batch sizes.
@@ -11,7 +11,7 @@
 
 use dlrm::model_zoo;
 use sdm_cache::RowCache;
-use sdm_core::{SdmConfig, SdmSystem};
+use sdm_core::{SdmConfig, Shard};
 use sdm_metrics::units::Bytes;
 use workload::{Query, QueryGenerator, WorkloadConfig};
 
@@ -47,8 +47,8 @@ fn scaled_config() -> SdmConfig {
 fn assert_equivalent(model: &dlrm::ModelConfig, config: SdmConfig, seed: u64) {
     let total: usize = BATCH_SIZES.iter().sum();
     let queries = queries_for(model, total, seed);
-    let mut looped = SdmSystem::build(model, config.clone(), seed).unwrap();
-    let mut batched = SdmSystem::build(model, config, seed).unwrap();
+    let mut looped = Shard::build(model, config.clone(), seed).unwrap();
+    let mut batched = Shard::build(model, config, seed).unwrap();
     let mut at = 0usize;
     for &batch in BATCH_SIZES {
         let stream = &queries[at..at + batch];

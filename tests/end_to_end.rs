@@ -1,7 +1,7 @@
 //! Integration tests: the full SDM stack against the DRAM baseline.
 
 use dlrm::{model_zoo, ComputeModel, DramBackend, InferenceEngine};
-use sdm_core::{ModelUpdater, SdmConfig, SdmSystem, UpdateKind};
+use sdm_core::{ModelUpdater, SdmConfig, Shard, UpdateKind};
 use sdm_metrics::SimInstant;
 use workload::{Query, QueryGenerator, WorkloadConfig};
 
@@ -21,7 +21,7 @@ fn sdm_and_dram_backends_rank_items_identically() {
     let model = model_zoo::tiny(3, 2, 600);
     let config = SdmConfig::for_tests();
     let seed = config.seed;
-    let mut sdm = SdmSystem::build(&model, config, 11).unwrap();
+    let mut sdm = Shard::build(&model, config, 11).unwrap();
     let engine = InferenceEngine::new(model.clone(), ComputeModel::default(), 11).unwrap();
     let mut dram = DramBackend::from_tables(
         model
@@ -44,7 +44,7 @@ fn sdm_and_dram_backends_rank_items_identically() {
 #[test]
 fn cache_warms_up_and_serving_gets_faster() {
     let model = model_zoo::tiny(4, 1, 800);
-    let mut system = SdmSystem::build(&model, SdmConfig::for_tests(), 5).unwrap();
+    let mut system = Shard::build(&model, SdmConfig::for_tests(), 5).unwrap();
     let stream = queries(&model, 120, 5);
     let cold = system.run_queries(&stream[..40]).unwrap();
     let warm = system.run_queries(&stream[80..]).unwrap();
@@ -62,7 +62,7 @@ fn cache_warms_up_and_serving_gets_faster() {
 #[test]
 fn full_update_serves_new_weights_and_survives_warmup() {
     let model = model_zoo::tiny(2, 1, 400);
-    let mut system = SdmSystem::build(&model, SdmConfig::for_tests(), 9).unwrap();
+    let mut system = Shard::build(&model, SdmConfig::for_tests(), 9).unwrap();
     let stream = queries(&model, 30, 9);
     let before = system.run_query(&stream[0]).unwrap();
 
@@ -89,8 +89,8 @@ fn full_update_serves_new_weights_and_survives_warmup() {
 fn nand_and_optane_both_serve_but_optane_is_faster_under_load() {
     let model = model_zoo::tiny(4, 1, 600);
     let stream = queries(&model, 60, 7);
-    let mut optane = SdmSystem::build(&model, SdmConfig::for_tests(), 7).unwrap();
-    let mut nand = SdmSystem::build(&model, SdmConfig::for_tests().with_nand_flash(), 7).unwrap();
+    let mut optane = Shard::build(&model, SdmConfig::for_tests(), 7).unwrap();
+    let mut nand = Shard::build(&model, SdmConfig::for_tests().with_nand_flash(), 7).unwrap();
     let optane_report = optane.run_queries(&stream).unwrap();
     let nand_report = nand.run_queries(&stream).unwrap();
     assert!(optane_report.mean_latency < nand_report.mean_latency);
@@ -101,9 +101,9 @@ fn nand_and_optane_both_serve_but_optane_is_faster_under_load() {
 fn interop_parallelism_improves_latency_on_the_sdm_backend() {
     let model = model_zoo::tiny(4, 2, 500);
     let stream = queries(&model, 40, 13);
-    let mut seq = SdmSystem::build(&model, SdmConfig::for_tests().with_nand_flash(), 13).unwrap();
+    let mut seq = Shard::build(&model, SdmConfig::for_tests().with_nand_flash(), 13).unwrap();
     seq.engine_mut().set_mode(dlrm::ExecutionMode::Sequential);
-    let mut par = SdmSystem::build(&model, SdmConfig::for_tests().with_nand_flash(), 13).unwrap();
+    let mut par = Shard::build(&model, SdmConfig::for_tests().with_nand_flash(), 13).unwrap();
     par.engine_mut()
         .set_mode(dlrm::ExecutionMode::InterOpParallel);
     let seq_report = seq.run_queries(&stream).unwrap();

@@ -25,7 +25,7 @@ use dlrm::model_zoo;
 use io_engine::ResilienceStats;
 use proptest::prelude::*;
 use scm_device::{DeviceId, FaultPlan, FaultStats};
-use sdm_core::{SdmConfig, SdmStats, SdmSystem};
+use sdm_core::{SdmConfig, SdmStats, Shard};
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{SimDuration, SimInstant};
 use workload::{Query, QueryGenerator, WorkloadConfig};
@@ -66,7 +66,7 @@ fn fault_config() -> SdmConfig {
 }
 
 /// Attaches `plan_for(device_index)` to every SM device of the system.
-fn attach_plans(system: &mut SdmSystem, mut plan_for: impl FnMut(usize) -> Option<FaultPlan>) {
+fn attach_plans(system: &mut Shard, mut plan_for: impl FnMut(usize) -> Option<FaultPlan>) {
     let array = system.manager_mut().io_engine_mut().array_mut();
     for d in 0..array.len() {
         let plan = plan_for(d);
@@ -78,7 +78,7 @@ fn attach_plans(system: &mut SdmSystem, mut plan_for: impl FnMut(usize) -> Optio
 }
 
 /// Sum of the fault ledgers of every attached plan.
-fn injected(system: &SdmSystem) -> FaultStats {
+fn injected(system: &Shard) -> FaultStats {
     let mut total = FaultStats::default();
     for (_, device) in system.manager().io_engine().array().iter() {
         if let Some(plan) = device.fault_plan() {
@@ -94,7 +94,7 @@ fn injected(system: &SdmSystem) -> FaultStats {
 /// multi-shard host folds it into `SdmStats`, a bare system reports it
 /// from the engine directly).
 fn serve(
-    system: &mut SdmSystem,
+    system: &mut Shard,
     queries: &[Query],
     rounds: usize,
 ) -> (Vec<f32>, SdmStats, ResilienceStats) {
@@ -167,14 +167,14 @@ proptest! {
         let stuck_latency = SimDuration::from_micros(200);
 
         // Baseline: no plans attached.
-        let mut baseline = SdmSystem::build(&model, fault_config(), 11).unwrap();
+        let mut baseline = Shard::build(&model, fault_config(), 11).unwrap();
         let (base_scores, base_stats, base_io) = serve(&mut baseline, &queries, rounds);
         prop_assert_eq!(accounted_lookups(&base_stats), expected);
         prop_assert_eq!(base_stats.degraded_rows, 0);
         prop_assert_eq!(base_io.checksum_failures, 0);
 
         // Attached but all-zero-rate plan: bit-identical to no plan.
-        let mut inert = SdmSystem::build(&model, fault_config(), 11).unwrap();
+        let mut inert = Shard::build(&model, fault_config(), 11).unwrap();
         attach_plans(&mut inert, |d| Some(FaultPlan::new(device_seed(fault_seed, d))));
         let (inert_scores, inert_stats, inert_io) = serve(&mut inert, &queries, rounds);
         prop_assert_eq!(&inert_scores, &base_scores);
@@ -198,7 +198,7 @@ proptest! {
                     .with_storm(SimInstant::EPOCH, storm_end, storm_mult),
             )
         };
-        let mut faulty = SdmSystem::build(&model, fault_config(), 11).unwrap();
+        let mut faulty = Shard::build(&model, fault_config(), 11).unwrap();
         attach_plans(&mut faulty, plan_for);
         let (faulty_scores, faulty_stats, faulty_io) = serve(&mut faulty, &queries, rounds);
         let faulty_injected = injected(&faulty);
@@ -219,7 +219,7 @@ proptest! {
         }
 
         // Replay: the same fault seed reproduces the run bit-exactly.
-        let mut replay = SdmSystem::build(&model, fault_config(), 11).unwrap();
+        let mut replay = Shard::build(&model, fault_config(), 11).unwrap();
         attach_plans(&mut replay, plan_for);
         let (replay_scores, replay_stats, replay_io) = serve(&mut replay, &queries, rounds);
         prop_assert_eq!(&replay_scores, &faulty_scores);

@@ -178,7 +178,7 @@ mod detection {
 #[test]
 fn full_pipeline_runs_clean_under_lock_tracking() {
     use dlrm::model_zoo;
-    use sdm_core::{SdmConfig, SdmSystem, ServingHost};
+    use sdm_core::{SdmConfig, ServingHost, Shard};
     use sdm_metrics::units::Bytes;
     use workload::{QueryGenerator, RoutingPolicy, WorkloadConfig};
 
@@ -198,7 +198,7 @@ fn full_pipeline_runs_clean_under_lock_tracking() {
     config.cache.row_cache_budget = Bytes::from_kib(64);
     config.cache.pooled_cache_budget = Bytes::ZERO;
 
-    let mut system = SdmSystem::build(&model, config.clone(), 71).unwrap();
+    let mut system = Shard::build(&model, config.clone(), 71).unwrap();
     system.run_batch(&queries).unwrap();
     assert!(
         system.manager().stats().sm_reads > 0,

@@ -24,8 +24,7 @@ use io_engine::{EngineConfig, RetryConfig};
 use scm_device::{DeviceId, FaultPlan, FaultStats};
 use sdm_cache::{RowCache, RowKey};
 use sdm_core::{
-    ModelUpdater, SdmConfig, SdmMemoryManager, SdmSystem, ServingHost, Shard, UpdateKind,
-    UpdateReport,
+    ModelUpdater, SdmConfig, SdmMemoryManager, ServingHost, Shard, UpdateKind, UpdateReport,
 };
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{SimDuration, SimInstant};
@@ -92,7 +91,7 @@ fn resident_keys(manager: &SdmMemoryManager) -> Vec<RowKey> {
     keys
 }
 
-fn attach_plans(system: &mut SdmSystem, mut plan_for: impl FnMut(usize) -> Option<FaultPlan>) {
+fn attach_plans(system: &mut Shard, mut plan_for: impl FnMut(usize) -> Option<FaultPlan>) {
     let array = system.manager_mut().io_engine_mut().array_mut();
     for d in 0..array.len() {
         let plan = plan_for(d);
@@ -100,7 +99,7 @@ fn attach_plans(system: &mut SdmSystem, mut plan_for: impl FnMut(usize) -> Optio
     }
 }
 
-fn injected(system: &SdmSystem) -> FaultStats {
+fn injected(system: &Shard) -> FaultStats {
     let mut total = FaultStats::default();
     for (_, device) in system.manager().io_engine().array().iter() {
         if let Some(plan) = device.fault_plan() {
@@ -118,7 +117,7 @@ fn device_seed(fault_seed: u64, device: usize) -> u64 {
 fn every_row_served_after_an_update_comes_from_the_new_image() {
     let model = model_zoo::tiny(3, 1, 500);
     let queries = queries_for(&model, 24, 5);
-    let mut system = SdmSystem::build(&model, SdmConfig::for_tests(), ENGINE_SEED).unwrap();
+    let mut system = Shard::build(&model, SdmConfig::for_tests(), ENGINE_SEED).unwrap();
     system.run_batch(&queries).unwrap();
     let before = resident_keys(system.manager());
     assert!(!before.is_empty());
@@ -151,10 +150,10 @@ fn faulty_update(
     queries: &[Query],
     retry: RetryConfig,
     plan_for: impl Fn(usize) -> Option<FaultPlan>,
-) -> (SdmSystem, UpdateReport, Vec<RowKey>) {
+) -> (Shard, UpdateReport, Vec<RowKey>) {
     let mut config = SdmConfig::for_tests().with_nand_flash();
     config.cache.pooled_cache_budget = Bytes::ZERO;
-    let mut system = SdmSystem::build(model, config, ENGINE_SEED).unwrap();
+    let mut system = Shard::build(model, config, ENGINE_SEED).unwrap();
     system.run_batch(queries).unwrap();
     let before = resident_keys(system.manager());
     attach_plans(&mut system, plan_for);

@@ -5,12 +5,11 @@
 //! `%` per element, and reuses scratch across queries. `naive_scores` does
 //! none of that: per ranked item it zeroes a fresh vector, re-folds
 //! everything element by element and calls the allocating `Mlp::forward`.
-//! Same additions in the same order, so the scores must agree to the bit —
-//! on the exact path and on the split-phase one.
+//! Same additions in the same order, so the scores must agree to the bit.
 
 use dlrm::{
     model_zoo, ComputeModel, DramBackend, EmbeddingBackend, ExecutionMode, InferenceEngine, Mlp,
-    MlpConfig, ModelConfig, PendingQuery, PoolingBuffers, QueryResult,
+    MlpConfig, ModelConfig, PoolingBuffers, QueryResult,
 };
 use embedding::TableKind;
 use rand::rngs::StdRng;
@@ -104,7 +103,6 @@ fn engine_scores_match_the_naive_ranker_bit_for_bit() {
         // One scratch set across every case: stale prefix or interaction
         // contents from a wider query must not leak into a narrower one.
         let mut buffers = PoolingBuffers::new();
-        let mut pending = PendingQuery::new();
         let mut result = QueryResult::default();
         let mut live_scores = 0usize;
         for item_batch in [16u32, 1, 8] {
@@ -137,25 +135,6 @@ fn engine_scores_match_the_naive_ranker_bit_for_bit() {
                         )
                         .unwrap();
                     assert_eq!(bits(&result.scores), want, "execute_into, {case}");
-                    engine
-                        .begin_query_into(
-                            query,
-                            &mut backend,
-                            SimInstant::EPOCH,
-                            &mut buffers,
-                            &mut pending,
-                        )
-                        .unwrap();
-                    engine
-                        .finish_query_into(
-                            query,
-                            &mut backend,
-                            &mut buffers,
-                            &mut pending,
-                            &mut result,
-                        )
-                        .unwrap();
-                    assert_eq!(bits(&result.scores), want, "split phase, {case}");
                 }
             }
         }

@@ -2,7 +2,7 @@
 //! interact correctly across the embedding, cache, IO and core crates.
 
 use dlrm::model_zoo;
-use sdm_core::{LoadTransform, PlacementPolicy, SdmConfig, SdmSystem};
+use sdm_core::{LoadTransform, PlacementPolicy, SdmConfig, Shard};
 use sdm_metrics::units::Bytes;
 use workload::{Query, QueryGenerator, WorkloadConfig};
 
@@ -22,8 +22,8 @@ fn direct_dram_placement_reduces_sm_traffic() {
     let model = model_zoo::tiny(4, 1, 500);
     let stream = queries(&model, 40, 2);
 
-    let mut sm_only = SdmSystem::build(&model, SdmConfig::for_tests(), 2).unwrap();
-    let mut half_dram = SdmSystem::build(
+    let mut sm_only = Shard::build(&model, SdmConfig::for_tests(), 2).unwrap();
+    let mut half_dram = Shard::build(
         &model,
         SdmConfig::for_tests().with_placement(PlacementPolicy::FixedFmThenSm {
             dram_budget: model.user_capacity() / 2,
@@ -46,7 +46,7 @@ fn per_table_cache_enablement_disables_caching_for_cold_tables() {
     model.tables[0].zipf_exponent = 0.05; // effectively uniform
     model.tables[1].zipf_exponent = 1.1;
     let stream = queries(&model, 60, 3);
-    let mut system = SdmSystem::build(
+    let mut system = Shard::build(
         &model,
         SdmConfig::for_tests().with_placement(PlacementPolicy::PerTableCacheEnablement {
             min_zipf_exponent: 0.5,
@@ -72,8 +72,8 @@ fn depruning_trades_fm_mapping_space_for_sm_capacity() {
     }
     let stream = queries(&model, 30, 4);
 
-    let mut mapped = SdmSystem::build(&model, SdmConfig::for_tests(), 4).unwrap();
-    let mut depruned = SdmSystem::build(
+    let mut mapped = Shard::build(&model, SdmConfig::for_tests(), 4).unwrap();
+    let mut depruned = Shard::build(
         &model,
         SdmConfig::for_tests().with_transform(LoadTransform {
             deprune: true,
@@ -108,8 +108,8 @@ fn depruning_trades_fm_mapping_space_for_sm_capacity() {
 fn dequantization_at_load_grows_the_sm_image_and_preserves_results() {
     let model = model_zoo::tiny(2, 1, 300);
     let stream = queries(&model, 10, 6);
-    let mut int8 = SdmSystem::build(&model, SdmConfig::for_tests(), 6).unwrap();
-    let mut fp32 = SdmSystem::build(
+    let mut int8 = Shard::build(&model, SdmConfig::for_tests(), 6).unwrap();
+    let mut fp32 = Shard::build(
         &model,
         SdmConfig::for_tests().with_transform(LoadTransform {
             deprune: false,
@@ -133,7 +133,7 @@ fn dequantization_at_load_grows_the_sm_image_and_preserves_results() {
 #[test]
 fn pinned_tables_stay_in_fast_memory() {
     let model = model_zoo::tiny(3, 0, 400);
-    let system = SdmSystem::build(
+    let system = Shard::build(
         &model,
         SdmConfig::for_tests().with_placement(PlacementPolicy::PinnedTables {
             pinned: vec![1],

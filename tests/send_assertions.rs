@@ -12,7 +12,7 @@
 use dlrm::{InferenceEngine, PoolingBuffers, QueryResult};
 use io_engine::IoEngine;
 use sdm_cache::{DualRowCache, PooledEmbeddingCache, SharedRowTier};
-use sdm_core::{SdmMemoryManager, SdmSystem, ServingHost, Shard};
+use sdm_core::{SdmMemoryManager, ServingHost, Shard};
 use workload::Scheduler;
 
 fn assert_send<T: Send>() {}
@@ -20,9 +20,8 @@ fn assert_sync<T: Sync>() {}
 
 #[test]
 fn per_shard_serving_state_is_send() {
-    // The shard type a worker thread owns, and the system wrapper.
+    // The shard type a worker thread owns, and the host that owns shards.
     assert_send::<Shard>();
-    assert_send::<SdmSystem>();
     assert_send::<ServingHost>();
 }
 

@@ -30,7 +30,7 @@
 //!   and clock included.
 
 use dlrm::model_zoo;
-use sdm_core::{SdmConfig, SdmSystem, ServingHost};
+use sdm_core::{SdmConfig, ServingHost, Shard};
 use sdm_metrics::units::Bytes;
 use workload::{Query, QueryGenerator, RoutingPolicy, WorkloadConfig};
 
@@ -84,7 +84,7 @@ fn assert_scores_close(got: &[f32], want: &[f32], context: &str) {
 /// equivalence per query id and the partition-invariant counter totals.
 fn assert_sharding_equivalent(model: &dlrm::ModelConfig, config: &SdmConfig, seed: u64) {
     let queries = queries_for(model, 48, seed);
-    let mut baseline = SdmSystem::build(model, config.clone(), seed).unwrap();
+    let mut baseline = Shard::build(model, config.clone(), seed).unwrap();
     let report = baseline.run_batch(&queries).unwrap();
     assert_eq!(report.queries, queries.len() as u64);
     let base = baseline.manager().stats().clone();
@@ -220,7 +220,7 @@ fn pooled_cache_enabled_sharding_keeps_scores_equivalent() {
     let model = model_zoo::tiny(3, 2, 500);
     let config = scaled_config();
     let queries = queries_for(&model, 48, 46);
-    let mut baseline = SdmSystem::build(&model, config.clone(), 46).unwrap();
+    let mut baseline = Shard::build(&model, config.clone(), 46).unwrap();
     baseline.run_batch(&queries).unwrap();
     let base = baseline.manager().stats().clone();
     for &shards in SHARD_COUNTS {

@@ -4,7 +4,7 @@
 //!
 //! * **Disabled tier (the default)** — serving is bit-identical to the
 //!   committed PR-4 behaviour: a 1-shard host (exact mode, and relaxed
-//!   window 1) reproduces the single-stream `SdmSystem` scores, latencies,
+//!   window 1) reproduces the single-stream `Shard` scores, latencies,
 //!   clock and counters exactly, and `ServingHost::shared_tier()` is
 //!   `None`.
 //! * **Enabled tier** — scores stay within f32 reassociation tolerance of
@@ -21,7 +21,7 @@
 //!   the tier-off host.
 
 use dlrm::model_zoo;
-use sdm_core::{SdmConfig, SdmSystem, ServingHost};
+use sdm_core::{SdmConfig, ServingHost, Shard};
 use sdm_metrics::units::Bytes;
 use workload::{Query, QueryGenerator, RoutingPolicy, WorkloadConfig};
 
@@ -98,7 +98,7 @@ fn tier_disabled_single_shard_serving_is_bit_identical() {
             let mut host =
                 ServingHost::build(model, &config, seed, 1, RoutingPolicy::UserSticky).unwrap();
             assert!(host.shared_tier().is_none(), "tier must be off by default");
-            let mut system = SdmSystem::build(model, config, seed).unwrap();
+            let mut system = Shard::build(model, config, seed).unwrap();
             host.run_batch(&queries).unwrap();
             system.run_batch(&queries).unwrap();
             let tag = format!("{} (window {window:?})", model.name);
@@ -133,7 +133,7 @@ fn tier_enabled_sharding_stays_equivalent_and_recovers_reuse() {
     let config = constrained_config();
 
     // Baseline: single stream, tier off.
-    let mut baseline = SdmSystem::build(&model, config.clone(), 71).unwrap();
+    let mut baseline = Shard::build(&model, config.clone(), 71).unwrap();
     baseline.run_batch(&queries).unwrap();
     let base = baseline.manager().stats().clone();
     let base_accesses = base.row_cache_hits + base.sm_reads + base.pruned_zero_rows;

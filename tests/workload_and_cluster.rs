@@ -5,7 +5,7 @@ use cluster::multi_tenancy::fleet_power_ratio;
 use cluster::sizing::{size_ssds, SizingInputs};
 use cluster::{ScenarioComparison, ServingScenario};
 use dlrm::{analysis, model_zoo};
-use sdm_core::{SdmConfig, SdmSystem};
+use sdm_core::{SdmConfig, Shard};
 use sdm_metrics::units::Watts;
 use workload::{AccessTrace, QueryGenerator, RoutingPolicy, Scheduler, WorkloadConfig};
 
@@ -23,7 +23,7 @@ fn skewed_tables_get_higher_cache_hit_rates() {
     let queries = QueryGenerator::new(&model.tables, cfg, 5)
         .unwrap()
         .generate(400);
-    let mut system = SdmSystem::build(&model, SdmConfig::for_tests(), 5).unwrap();
+    let mut system = Shard::build(&model, SdmConfig::for_tests(), 5).unwrap();
     system.run_queries(&queries).unwrap();
 
     // Reconstruct per-table hit behaviour from the trace: the skewed table

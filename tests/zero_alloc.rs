@@ -11,7 +11,7 @@ use dlrm::{model_zoo, QueryResult};
 use io_engine::RetryConfig;
 use sdm_cache::{RowCache, SharedRowTier};
 use sdm_core::{
-    BatchMode, Frontend, FrontendConfig, PoolKernel, SdmConfig, SdmSystem, ServingHost, Shard,
+    BatchMode, Frontend, FrontendConfig, PoolKernel, SdmConfig, ServingHost, Shard,
     TokenBucketConfig,
 };
 use sdm_metrics::alloc_hook;
@@ -78,12 +78,8 @@ fn queries_for(model: &dlrm::ModelConfig, count: usize, seed: u64) -> Vec<Query>
 
 /// Warm every level: row cache, pooled cache, scratch-buffer capacity,
 /// batch-scratch capacity — by running the exact stream we will measure.
-fn warmed_system(
-    model: &dlrm::ModelConfig,
-    queries: &[Query],
-    seed: u64,
-) -> (SdmSystem, QueryResult) {
-    let mut system = SdmSystem::build(model, SdmConfig::for_tests(), seed).unwrap();
+fn warmed_system(model: &dlrm::ModelConfig, queries: &[Query], seed: u64) -> (Shard, QueryResult) {
+    let mut system = Shard::build(model, SdmConfig::for_tests(), seed).unwrap();
     let mut result = QueryResult::default();
     for _ in 0..3 {
         for q in queries {
@@ -142,13 +138,13 @@ fn warmed_hot_path_performs_zero_allocations() {
     );
 
     // --- relaxed (overlapped) run_batch over a warmed stream ---
-    // The pipeline's slot pool, pending-op slab and accumulation buffers
-    // all reuse capacity, so the overlapped executor is as allocation-free
-    // as the exact one once warmed.
+    // The same loop as exact, handed different start instants: the ring of
+    // in-flight finish instants is a reused field, so a deeper window
+    // allocates nothing either.
     let relaxed_cfg = SdmConfig::for_tests().with_batch_mode(BatchMode::Relaxed {
         max_inflight_queries: 4,
     });
-    let mut relaxed = SdmSystem::build(&model, relaxed_cfg, 7).unwrap();
+    let mut relaxed = Shard::build(&model, relaxed_cfg, 7).unwrap();
     relaxed.run_batch(&queries).unwrap();
     relaxed.run_batch(&queries).unwrap();
     relaxed.run_batch(&queries).unwrap();
@@ -176,7 +172,7 @@ fn warmed_hot_path_performs_zero_allocations() {
         hedge_after: Some(SimDuration::from_millis(10)),
         ..RetryConfig::default()
     };
-    let mut resilient = SdmSystem::build(&model, resilient_cfg, 7).unwrap();
+    let mut resilient = Shard::build(&model, resilient_cfg, 7).unwrap();
     for _ in 0..3 {
         for q in &queries {
             resilient.run_query_into(q, &mut result).unwrap();
@@ -292,7 +288,7 @@ fn warmed_hot_path_performs_zero_allocations() {
     // per-query work: the scalar-forced system is as allocation-free as the
     // auto-dispatched one.
     let scalar_cfg = SdmConfig::for_tests().with_pool_kernel(PoolKernel::Scalar);
-    let mut scalar_system = SdmSystem::build(&model, scalar_cfg, 7).unwrap();
+    let mut scalar_system = Shard::build(&model, scalar_cfg, 7).unwrap();
     for _ in 0..3 {
         for q in &queries {
             scalar_system.run_query_into(q, &mut result).unwrap();
@@ -347,11 +343,11 @@ fn warmed_hot_path_performs_zero_allocations() {
         cfg
     };
     let working_set = {
-        let mut roomy = SdmSystem::build(&miss_model, miss_config(Bytes::from_mib(4)), 11).unwrap();
+        let mut roomy = Shard::build(&miss_model, miss_config(Bytes::from_mib(4)), 11).unwrap();
         roomy.run_batch(&miss_queries).unwrap();
         roomy.manager().row_cache().memory_used()
     };
-    let mut missing = SdmSystem::build(
+    let mut missing = Shard::build(
         &miss_model,
         miss_config(Bytes(working_set.as_u64() / 4)),
         11,
