@@ -456,6 +456,95 @@ mod tests {
         assert_eq!(engine.mode(), ExecutionMode::InterOpParallel);
     }
 
+    /// Answers table `t` in a fixed `t + 1` µs and records the instant every
+    /// operator was handed.
+    #[derive(Default)]
+    struct RecordingBackend {
+        handed: Vec<(u32, SimInstant)>,
+    }
+
+    impl RecordingBackend {
+        fn took(table: u32) -> SimDuration {
+            SimDuration::from_micros(u64::from(table) + 1)
+        }
+    }
+
+    impl EmbeddingBackend for RecordingBackend {
+        fn pooled_lookup(
+            &mut self,
+            table: u32,
+            indices: &[u64],
+            now: SimInstant,
+        ) -> Result<(Vec<f32>, SimDuration), DlrmError> {
+            let mut out = vec![0.0; 32];
+            let took = self.pooled_lookup_into(table, indices, now, &mut out)?;
+            Ok((out, took))
+        }
+
+        fn pooled_lookup_into(
+            &mut self,
+            table: u32,
+            _indices: &[u64],
+            now: SimInstant,
+            _out: &mut [f32],
+        ) -> Result<SimDuration, DlrmError> {
+            self.handed.push((table, now));
+            Ok(Self::took(table))
+        }
+    }
+
+    #[test]
+    fn each_chain_hands_an_operator_the_instant_its_predecessor_finished() {
+        let (mut engine, _, queries) = setup();
+        let query = &queries[0];
+        let overhead = engine.compute().operator_overhead;
+        let start = SimInstant::EPOCH + SimDuration::from_millis(7);
+        // The chain rule, rebuilt from the fixed answers alone: operator k
+        // of a chain starts at `chain_start + Σ_{j<k}(took_j + overhead)`.
+        let chain = |requests: &[workload::EmbeddingRequest], from: SimInstant| {
+            let mut at = from;
+            let mut handed = Vec::new();
+            for req in requests {
+                handed.push((req.table, at));
+                at += RecordingBackend::took(req.table) + overhead;
+            }
+            (handed, at.duration_since(from))
+        };
+        assert!(!query.user_requests.is_empty() && !query.item_requests.is_empty());
+        for mode in [ExecutionMode::InterOpParallel, ExecutionMode::Sequential] {
+            engine.set_mode(mode);
+            let mut backend = RecordingBackend::default();
+            let r = engine.execute(query, &mut backend, start).unwrap();
+
+            let (mut want, user_time) = chain(&query.user_requests, start);
+            let item_start = match mode {
+                ExecutionMode::Sequential => start + user_time,
+                ExecutionMode::InterOpParallel => start,
+            };
+            let (item, item_time) = chain(&query.item_requests, item_start);
+            want.extend(item);
+            assert_eq!(backend.handed, want, "{mode:?}: handed instants");
+
+            // Only the instants moved: the ledger keeps its formulas.
+            let embedding_time = match mode {
+                ExecutionMode::Sequential => user_time + item_time,
+                ExecutionMode::InterOpParallel => user_time.max(item_time),
+            };
+            let bottom = engine.compute().time_for_flops(engine.bottom.flops());
+            let top = engine
+                .compute()
+                .time_for_flops(engine.top.flops() * u64::from(query.item_batch.max(1)));
+            let want_latency = LatencyBreakdown {
+                bottom_mlp: bottom,
+                user_embeddings: user_time,
+                item_embeddings: item_time,
+                top_mlp: top,
+                total: bottom + embedding_time + top,
+            };
+            assert_eq!(r.latency, want_latency, "{mode:?}: breakdown");
+        }
+    }
+
     #[test]
     fn execute_into_with_reused_buffers_matches_execute() {
         let (engine, mut backend, queries) = setup();

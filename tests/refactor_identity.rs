@@ -42,6 +42,9 @@
 //! `SDM_CAPTURE_GOLDEN=1 cargo test --test refactor_identity -- --nocapture`
 //! and paste the printed table over `GOLDEN`.
 
+mod common;
+
+use common::assert_live_scores;
 use dlrm::model_zoo;
 use sdm_cache::RowCache;
 use sdm_core::{SdmConfig, ServingHost};
@@ -168,32 +171,6 @@ fn scenario_config(scenario: Scenario) -> SdmConfig {
     config
 }
 
-/// A digest of scores that are all one value guards nothing: the inputs of
-/// every score digest must show at least two distinct values and a non-zero
-/// variance.
-fn assert_live_scores(tag: &str, scores: &[f32]) {
-    let mut distinct: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
-    distinct.sort_unstable();
-    distinct.dedup();
-    assert!(
-        distinct.len() >= 2,
-        "{tag}: all {} scores are {:?} — the digest is blind",
-        scores.len(),
-        scores.first()
-    );
-    let n = scores.len() as f64;
-    let mean = scores.iter().map(|&s| f64::from(s)).sum::<f64>() / n;
-    let variance = scores
-        .iter()
-        .map(|&s| (f64::from(s) - mean).powi(2))
-        .sum::<f64>()
-        / n;
-    assert!(
-        variance.is_finite() && variance > 0.0,
-        "{tag}: score variance {variance} — the digest is blind"
-    );
-}
-
 fn run_scenario(model: &dlrm::ModelConfig, seed: u64, scenario: Scenario) -> Fingerprint {
     let queries = skewed_queries(model, 24, seed);
     let config = scenario_config(scenario);
@@ -214,7 +191,7 @@ fn run_scenario(model: &dlrm::ModelConfig, seed: u64, scenario: Scenario) -> Fin
             all_scores.extend_from_slice(host.scores(i));
         }
     }
-    assert_live_scores(&format!("{} {scenario:?}", model.name), &all_scores);
+    assert_live_scores(&format!("{} {scenario:?}", model.name), [&all_scores[..]]);
 
     let mut stats = 0xcbf2_9ce4_8422_2325u64;
     hash_str(&mut stats, &format!("{:?}", host.stats()));

@@ -29,6 +29,9 @@
 //!   nothing and runs today's `run_batch` inline, bit for bit, latencies
 //!   and clock included.
 
+mod common;
+
+use common::assert_live_scores;
 use dlrm::model_zoo;
 use sdm_core::{SdmConfig, ServingHost, Shard};
 use sdm_metrics::units::Bytes;
@@ -87,6 +90,10 @@ fn assert_sharding_equivalent(model: &dlrm::ModelConfig, config: &SdmConfig, see
     let mut baseline = Shard::build(model, config.clone(), seed).unwrap();
     let report = baseline.run_batch(&queries).unwrap();
     assert_eq!(report.queries, queries.len() as u64);
+    assert_live_scores(
+        &format!("{} seed {seed}", model.name),
+        (0..baseline.batch_len()).map(|i| baseline.batch_scores(i)),
+    );
     let base = baseline.manager().stats().clone();
 
     for &shards in SHARD_COUNTS {
@@ -192,7 +199,8 @@ fn m3_scaled_sharding_is_equivalent() {
     // M3 is the terabyte-scale model (2700 tables); sharding decisions are
     // made per query and equivalence per embedding operator, so a subset of
     // its tables exercises the same code paths at a fraction of the cost.
-    let mut model = model_zoo::scaled_model(&model_zoo::m3(), 4_000_000, 300.0);
+    // Divisor 40, seed 93: divisor 300 at seed 45 scores 0.0 everywhere.
+    let mut model = model_zoo::scaled_model(&model_zoo::m3(), 4_000_000, 40.0);
     let user: Vec<_> = model
         .tables
         .iter()
@@ -208,7 +216,7 @@ fn m3_scaled_sharding_is_equivalent() {
         .cloned()
         .collect();
     model.tables = user.into_iter().chain(item).collect();
-    assert_sharding_equivalent(&model, &exact_config(), 45);
+    assert_sharding_equivalent(&model, &exact_config(), 93);
 }
 
 #[test]
@@ -222,6 +230,10 @@ fn pooled_cache_enabled_sharding_keeps_scores_equivalent() {
     let queries = queries_for(&model, 48, 46);
     let mut baseline = Shard::build(&model, config.clone(), 46).unwrap();
     baseline.run_batch(&queries).unwrap();
+    assert_live_scores(
+        "pooled-on",
+        (0..baseline.batch_len()).map(|i| baseline.batch_scores(i)),
+    );
     let base = baseline.manager().stats().clone();
     for &shards in SHARD_COUNTS {
         for &policy in POLICIES {
