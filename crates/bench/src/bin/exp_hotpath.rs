@@ -222,6 +222,26 @@ fn regression_failures(baseline: &str, fresh: &str, compare_wall_clock: bool) ->
             "io_overlap: relaxed queue depth not strictly deeper ({other:?})"
         )),
     }
+    // Each embedding operator is handed the instant its chain reaches it,
+    // so an exact run never has more reads on a device than its operators
+    // in flight at once can put there: no read queues behind reads its own
+    // query has not reached yet.
+    let table_limit = bench_sdm_config().io.max_outstanding_per_table as f64;
+    match overlap("max_queue_depth_exact") {
+        Some(depth) if depth <= table_limit => {}
+        other => failures.push(format!(
+            "io_overlap: exact max_queue_depth above max_outstanding_per_table \
+             {table_limit} ({other:?})"
+        )),
+    }
+    // Overlap across queries buys throughput with some tail latency, not
+    // with an order of magnitude of it.
+    match (overlap("p99_latency_exact"), overlap("p99_latency_relaxed")) {
+        (Some(exact), Some(relaxed)) if relaxed <= 2.0 * exact => {}
+        other => failures.push(format!(
+            "io_overlap: relaxed p99 above twice the exact p99 ({other:?})"
+        )),
+    }
 
     // Shared-tier invariants on the fresh run (virtual clock —
     // deterministic): enabling the tier must never cost batch throughput on

@@ -15,12 +15,20 @@ use workload::Query;
 /// themselves must execute asynchronously so user-side SM reads overlap with
 /// item-side work. Inter-op parallelism cut M1's latency (and therefore
 /// raised QPS at fixed latency) by about 20 %.
+///
+/// Both modes run a query's operators as two **chains**, user side and item
+/// side. Within a chain operators run back to back: operator *k* is handed
+/// `chain_start + Σ_{j<k}(took_j + operator_overhead)`, the instant its
+/// predecessor finished, so its SM reads never queue behind reads the chain
+/// has not reached yet. A chain's time is that same sum. The mode decides
+/// where the item chain starts and how the two chains combine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecutionMode {
-    /// Operators run back to back (no overlap).
+    /// The item chain starts where the user chain ends (no overlap); the
+    /// embedding phase is the sum of the two chains.
     Sequential,
-    /// User-side and item-side embedding phases overlap; the embedding phase
-    /// takes the maximum of the two (Equation 3's budget).
+    /// Both chains start at the query's start and overlap; the embedding
+    /// phase takes the maximum of the two (Equation 3's budget).
     #[default]
     InterOpParallel,
 }
@@ -30,9 +38,10 @@ pub enum ExecutionMode {
 pub struct LatencyBreakdown {
     /// Bottom MLP over the continuous features.
     pub bottom_mlp: SimDuration,
-    /// All user-side embedding operators.
+    /// The user-side chain: every user-side operator's time plus the
+    /// per-operator overhead, back to back (see [`ExecutionMode`]).
     pub user_embeddings: SimDuration,
-    /// All item-side embedding operators.
+    /// The item-side chain, summed the same way.
     pub item_embeddings: SimDuration,
     /// Top MLP over the interactions (whole item batch).
     pub top_mlp: SimDuration,
@@ -273,6 +282,11 @@ impl InferenceEngine {
     /// reused buffers, and the backend accumulates rows straight into the
     /// caller's ranges.
     ///
+    /// Each operator is handed the instant its chain reaches it (see
+    /// [`ExecutionMode`]): the user chain starts at `now`, the item chain at
+    /// `now` or, when sequential, at `now + user_embeddings`. Every lookup
+    /// therefore ends inside the query's embedding phase.
+    ///
     /// # Errors
     ///
     /// Propagates backend failures and dimension errors.
@@ -296,24 +310,32 @@ impl InferenceEngine {
         )?;
         let bottom_time = self.compute.time_for_flops(self.bottom.flops());
 
-        // User-side embedding operators.
+        // User-side embedding operators: one chain from `now`, each operator
+        // handed the instant its predecessor finished.
         let mut user_time = SimDuration::ZERO;
         for req in &query.user_requests {
+            let at = now + user_time;
             let (op, took) =
-                self.pooled_op(backend, req.table, &req.indices, now, &mut buffers.pooled)?;
+                self.pooled_op(backend, req.table, &req.indices, at, &mut buffers.pooled)?;
             user_time += took + self.compute.operator_overhead;
             buffers.user_ops.push(op);
         }
 
         // Item-side embedding operators, grouped per ranked item. The
         // operators arrive in item order, so the (op, item slot) list stays
-        // contiguous per item — no per-item Vec of Vecs.
+        // contiguous per item — no per-item Vec of Vecs. Their chain starts
+        // beside the user chain, or after it when execution is sequential.
+        let item_start = match self.mode {
+            ExecutionMode::Sequential => now + user_time,
+            ExecutionMode::InterOpParallel => now,
+        };
         let item_tables = self.item_table_count.max(1);
         let item_slots = query.item_batch.max(1) as usize;
         let mut item_time = SimDuration::ZERO;
         for (pos, req) in query.item_requests.iter().enumerate() {
+            let at = item_start + item_time;
             let (op, took) =
-                self.pooled_op(backend, req.table, &req.indices, now, &mut buffers.pooled)?;
+                self.pooled_op(backend, req.table, &req.indices, at, &mut buffers.pooled)?;
             item_time += took + self.compute.operator_overhead;
             let item_index = (pos / item_tables).min(item_slots - 1);
             buffers.item_ops.push((op, item_index));

@@ -227,12 +227,13 @@ impl Shard {
     /// Brings the shard's clock and its manager's to the later of the two;
     /// called where a stretch of work — a query or a batch — starts (after
     /// a batch's start is stamped) and where it ends. Serving never puts
-    /// the manager ahead — every lookup ends inside its query — so at a
-    /// start this is the identity unless a model update ran in between: the
-    /// update advanced the manager's clock by its writes and re-read, and
-    /// raising the shard to it charges that window to the batch about to
-    /// run, in its makespan. At an end it tells the manager the shard's
-    /// present, which is when an update applied next begins.
+    /// the manager ahead — every lookup ends inside its query's embedding
+    /// phase (`tests/clock_laws.rs`) — so at a start this is the identity
+    /// unless a model update ran in between: the update advanced the
+    /// manager's clock by its writes and re-read, and raising the shard to
+    /// it charges that window to the batch about to run, in its makespan.
+    /// At an end it tells the manager the shard's present, which is when an
+    /// update applied next begins.
     fn sync_clocks(&mut self) {
         self.clock = self.clock.max(self.manager.now());
         self.manager.advance_clock(self.clock);

@@ -10,7 +10,8 @@
 //!
 //! - [`sdm_metrics`] — simulated clock, latency histograms, byte/rate units
 //! - [`scm_device`] — SCM technology profiles, block devices, NVMe queues
-//! - [`io_engine`] — io_uring-style submission/completion rings and mmap
+//! - [`io_engine`] — asynchronous IO engine (admission limits, retries,
+//!   checksums, hedged reads) and the mmap read path
 //! - [`embedding`] — table descriptors, quantization, pruning, pooling,
 //!   SM placement layout
 //! - [`sdm_cache`] — row and pooled-embedding caches with warmup tracking

@@ -38,6 +38,14 @@
 //! deterministic executions. Every stripe path (promotion, hits,
 //! eviction, in-place refresh) still runs single-shard.
 //!
+//! Last re-pin: each embedding operator is now handed the instant its chain
+//! reaches it instead of the query's start (`dlrm::ExecutionMode`). An
+//! operator's misses no longer queue behind its siblings, per-IO latency
+//! depends on queue depth and misses pool in completion order, so every
+//! score and stats digest moved. On the tier rows `resident_bytes` rose
+//! (M1 157 108 → 157 931, M2 163 265 → 163 724, M3 191 598 → 191 932):
+//! completion order is fill order, and fill order is LRU order.
+//!
 //! To re-capture (e.g. after an *intentional* behaviour change), run:
 //! `SDM_CAPTURE_GOLDEN=1 cargo test --test refactor_identity -- --nocapture`
 //! and paste the printed table over `GOLDEN`.
@@ -228,57 +236,57 @@ fn run_scenario(model: &dlrm::ModelConfig, seed: u64, scenario: Scenario) -> Fin
 /// Golden fingerprints, model-major, then `SCENARIOS` order.
 const GOLDEN: &[(u64, u64, u64, u64)] = &[
     (
-        0xb1e91085341ec5e8,
-        0xacb1aba82dd50e1b,
+        0xc5dbfaa4716ea75f,
+        0x80beb512b2f94de4,
         0xdbf1bcd47137602d,
         58464,
     ), // M1 exact
     (
-        0xdb939be21227aa48,
-        0x04edcc4478241070,
-        0x2903c352beac0e58,
-        157108,
+        0xe408c10de5e85003,
+        0x713b958095f9a9f0,
+        0x0afaed25641c2af6,
+        157931,
     ), // M1 exact, tier
     (
-        0xab335bbe53c2f754,
-        0x430d434a55c670d4,
+        0x1a0a0cc25cebc613,
+        0x3f6d54ee3e253ed0,
         0x85ed0c1c8cdfaefd,
         0,
     ), // M1 relaxed(8), pooled off
     (
-        0xee4408751a3a396a,
-        0x2033a12cc92af8f3,
+        0xfb8dcec046fe3cdc,
+        0x1742d055e86dd7e4,
         0x1847e2ce5336c35c,
         67356,
     ), // M2 exact
     (
-        0x5039009b9a0464c9,
-        0x1e56fb4b227c6487,
+        0x815e0028ffd06a04,
+        0x51e4967385ec33cc,
         0x4dcfe3aee4f10405,
-        163265,
+        163724,
     ), // M2 exact, tier
     (
-        0x749eb35e07eb3561,
-        0x28234a3282996a87,
+        0xb7ae4a7e95ca527f,
+        0xf1b48728c562db2d,
         0x902125ccd373eb26,
         0,
     ), // M2 relaxed(8), pooled off
     (
-        0x3a909a33214045ac,
-        0xaa03d29623c3dbc6,
-        0x6368552e7358278b,
+        0x36c6579892eddc7d,
+        0x374f6b5847b16139,
+        0xfdc4956c871c9516,
         66744,
     ), // M3 exact
     (
-        0xebda7f276f909488,
-        0x0804fde5dbf7033a,
+        0x06914db1950da9c6,
+        0x4f4e08a48e65b40d,
         0x6cc303626761ff8a,
-        191598,
+        191932,
     ), // M3 exact, tier
     (
-        0x2e45c27346d925e0,
-        0x7c0451108602ddaf,
-        0xfb75fdf58f26b782,
+        0x96f54f2dc9980835,
+        0x8322a070ac80b0d6,
+        0xd5169d418cce03b3,
         0,
     ), // M3 relaxed(8), pooled off
 ];
