@@ -2,14 +2,12 @@
 # Tier-1 verification for the SDM workspace. Run from anywhere; everything
 # is relative to the repository root.
 #
-#   ./ci.sh          # full gate: fmt, clippy, analyze, build, test, bench
-#                    # compile, and a release build of the benchmark/ harness
-#                    # against the workspace crates
+#   ./ci.sh          # full gate: fmt, clippy, analyze, build, test, the
+#                    # exact BENCH_hotpath.json gate (exp_hotpath --check),
+#                    # bench compile, and a release build of the benchmark/
+#                    # harness against the workspace crates
 #   ./ci.sh quick    # skip fmt/clippy/analyze (what the paper-repro driver runs)
-#   ./ci.sh bench    # run the criterion benches (quick shim), write
-#                    # BENCH_hotpath.json via the exp_hotpath experiment and
-#                    # enforce the numeric regression gate vs the committed
-#                    # snapshot (exp_hotpath --check)
+#   ./ci.sh bench    # run the criterion benches (quick shim)
 #   ./ci.sh benchmark  # the benchmark/ package's own gate (benchmark/check.sh:
 #                    # fmt, clippy, harness tests, smoke run of every workload
 #                    # on both paths)
@@ -103,39 +101,7 @@ fi
 if [[ "$mode" == "bench" ]]; then
     echo "==> cargo bench --workspace (quick criterion shim)"
     cargo bench --locked --workspace
-
-    echo "==> exp_hotpath --quick --check (writes BENCH_hotpath.json, gates vs committed snapshot)"
-    cargo run --locked --release -p sdm-bench --bin exp_hotpath -- --quick --check
-
-    echo "==> BENCH_hotpath.json sanity (tracked fields present)"
-    for field in slice_ns_per_row run_batch_qps allocations_per_query \
-                 kernel simd_available simd_speedup bit_identical \
-                 int8_scalar_ns int4_scalar_ns fp32_scalar_ns \
-                 qps_streams_1 qps_streams_4 scaling_efficiency_4 \
-                 exact_qps relaxed_qps \
-                 mean_queue_depth_exact mean_queue_depth_relaxed \
-                 p99_latency_exact p99_latency_relaxed \
-                 off_qps_2 on_qps_2 off_qps_4 on_qps_4 \
-                 qps_gain_4 hit_rate_4 \
-                 cross_shard_hit_rate_2 cross_shard_hit_rate_4 \
-                 always_admit_qps_2 always_admit_qps_4 \
-                 second_touch_qps_2 second_touch_qps_4 \
-                 always_admit_hit_rate_4 second_touch_hit_rate_4 \
-                 second_touch_denied_4 \
-                 row_hit_ns shared_hit_ns pooled_hit_ns \
-                 offered_qps_3 exact_p99_us_3 relaxed_p99_us_3 \
-                 exact_shed_rate_1 relaxed_shed_rate_1 \
-                 exact_served_qps_3 relaxed_served_qps_3 \
-                 healthy_qps storm_qps storm_retention \
-                 injected_corruptions detected_corruptions corrupted_served \
-                 storm_degraded_rows outage_degraded_rows outage_failovers \
-                 stuck_deadline_timeouts empty_plan_degraded_rows \
-                 empty_plan_identical replay_identical; do
-        grep -q "\"$field\"" BENCH_hotpath.json \
-            || { echo "missing $field in BENCH_hotpath.json"; exit 1; }
-    done
-
-    echo "Bench gate passed; see BENCH_hotpath.json."
+    echo "Bench lane passed."
     exit 0
 fi
 
@@ -165,6 +131,9 @@ echo "==> kernel equivalence with the pooling kernel forced to scalar"
 # whole hot path (auto_kernel dispatch included) serves on the scalar
 # fallback — what a non-x86 or pre-SSE2 host would run.
 SDM_POOL_KERNEL=scalar cargo test --locked -q --test kernel_equivalence --test zero_alloc
+
+echo "==> exp_hotpath --check (deterministic scenarios equal BENCH_hotpath.json; writes nothing)"
+cargo run --locked --release -q -p sdm-bench --bin exp_hotpath -- --check >/dev/null
 
 echo "==> cargo bench --no-run --workspace"
 cargo bench --locked --no-run --workspace

@@ -11,7 +11,29 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use embedding::kernels::SelectedKernel;
 use embedding::{pooling, PoolKernel, QuantScheme};
-use sdm_bench::{bench_quantized_rows as quantized_rows, pool_seed_style};
+
+/// Deterministic quantised rows: `pf` rows of `dim` elements.
+fn quantized_rows(pf: usize, dim: usize, scheme: QuantScheme) -> Vec<Vec<u8>> {
+    (0..pf)
+        .map(|i| {
+            let values: Vec<f32> = (0..dim).map(|j| ((i * j) as f32).sin()).collect();
+            embedding::quantize_row(&values, scheme)
+        })
+        .collect()
+}
+
+/// The seed pooling path, byte for byte: per-row dequantise into a fresh
+/// `Vec<f32>`, then a second pass summing into a freshly allocated output.
+fn pool_seed_style(rows: &[&[u8]], scheme: QuantScheme, dim: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; dim];
+    for &raw in rows {
+        let values = embedding::dequantize_row(raw, scheme, dim).unwrap();
+        for (o, v) in out.iter_mut().zip(&values) {
+            *o += *v;
+        }
+    }
+    out
+}
 
 fn pooling_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool_quantized");
@@ -55,8 +77,8 @@ fn seed_vs_slice(c: &mut Criterion) {
 
 /// Scalar vs every supported SIMD kernel on identical rows, per scheme.
 /// The bit-identity contract means this is a pure speed comparison: any
-/// divergence in the pooled values is caught by `tests/kernel_equivalence`
-/// and the `exp_hotpath --check` gate, not here.
+/// divergence in the pooled values is caught by `tests/kernel_equivalence`,
+/// not here. This group is the repo's only per-kernel timing.
 fn kernel_comparison(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool_kernels");
     group.sample_size(30);

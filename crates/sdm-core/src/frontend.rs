@@ -42,7 +42,7 @@
 use crate::error::SdmError;
 use crate::host::ServingHost;
 use crate::stats::SdmStats;
-use sdm_metrics::{LatencyHistogram, LoadPoint, SimDuration, SimInstant};
+use sdm_metrics::{LatencyHistogram, SimDuration, SimInstant};
 use workload::{ArrivalGenerator, Query};
 
 /// Token-bucket admission parameters.
@@ -219,28 +219,6 @@ impl FrontendReport {
             0.0
         } else {
             self.shed() as f64 / self.offered as f64
-        }
-    }
-
-    /// This run as a [`LoadPoint`] for a [`sdm_metrics::LoadCurveReport`],
-    /// tagged with the arrival process's configured rate.
-    pub fn load_point(&self, offered_qps_target: f64) -> LoadPoint {
-        LoadPoint {
-            offered_qps_target,
-            offered: self.offered,
-            admitted: self.admitted,
-            served: self.served,
-            shed_rate_limited: self.shed_rate_limited,
-            // A brownout shed is an overload shed with a tighter threshold;
-            // the load-curve schema folds them together.
-            shed_overload: self.shed_overload + self.shed_brownout,
-            offered_qps: self.offered_qps,
-            served_qps: self.served_qps,
-            p50_latency: self.p50_latency,
-            p99_latency: self.p99_latency,
-            mean_latency: self.mean_latency,
-            batches: self.batches,
-            mean_batch: self.mean_batch,
         }
     }
 }

@@ -31,7 +31,7 @@ use crate::update::{self, UpdateKind, UpdateReport};
 use dlrm::{LatencyBreakdown, ModelConfig};
 use io_engine::IoStats;
 use sdm_cache::SharedRowTier;
-use sdm_metrics::{CounterSet, LatencyHistogram, SimDuration, StreamMeasurement};
+use sdm_metrics::{CounterSet, LatencyHistogram, SimDuration};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -201,21 +201,6 @@ pub struct HostReport {
     pub virtual_qps: f64,
 }
 
-impl HostReport {
-    /// This run as a [`StreamMeasurement`], ready to be recorded into a
-    /// [`sdm_metrics::MultiStreamReport`].
-    pub fn measurement(&self) -> StreamMeasurement {
-        StreamMeasurement {
-            streams: self.shards,
-            queries: self.queries,
-            wall_seconds: self.wall_seconds,
-            mean_latency: self.mean_latency,
-            p95_latency: self.p95_latency,
-            p99_latency: self.p99_latency,
-        }
-    }
-}
-
 /// Reusable merge buffers: per-query score ranges and latencies in original
 /// query order, refilled from the shards' batch scratch after each batch.
 #[derive(Debug, Default)]
@@ -378,8 +363,6 @@ fn finish_report(
     wall_seconds: f64,
     virtual_makespan: SimDuration,
 ) -> HostReport {
-    // One source of truth for the query count, so `wall_qps` always agrees
-    // with `measurement().wall_qps()`.
     let executed = merged.hist.count();
     HostReport {
         queries: executed,
@@ -763,9 +746,6 @@ mod tests {
         assert!(report.mean_latency > SimDuration::ZERO);
         assert!(report.wall_seconds > 0.0);
         assert!(report.wall_qps > 0.0);
-        let m = report.measurement();
-        assert_eq!(m.streams, 4);
-        assert!((m.wall_qps() - report.wall_qps).abs() < 1e-9);
         // Every query produced scores of the item-batch width.
         for (i, q) in queries.iter().enumerate() {
             assert_eq!(host.scores(i).len(), q.item_batch as usize);

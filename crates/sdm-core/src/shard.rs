@@ -32,9 +32,8 @@ use workload::Query;
 
 /// Throughput/latency summary of a batch of queries executed on one stream.
 ///
-/// Multi-stream throughput is *measured* by [`crate::ServingHost`] and
-/// reported through [`sdm_metrics::MultiStreamReport`], not extrapolated
-/// from this.
+/// Multi-stream throughput is *measured* by [`crate::ServingHost`]
+/// ([`crate::HostReport`]), not extrapolated from this.
 #[derive(Debug, Clone)]
 pub struct QpsReport {
     /// Queries executed.

@@ -12,20 +12,6 @@
 //!   queries (p50/p95/p99 as used throughout the paper).
 //! * [`Counter`] and [`CounterSet`] — named monotonic counters, mergeable
 //!   across threads for per-shard statistic aggregation.
-//! * [`MultiStreamReport`] — *measured* wall-clock QPS per concurrent
-//!   stream count, replacing linear single-stream extrapolation.
-//! * [`BatchModeReport`] — exact-vs-relaxed batch execution comparison
-//!   (virtual QPS, p50/p99 latency, device-queue depth per mode).
-//! * [`SharedTierReport`] — shared-tier-on vs -off serving comparison per
-//!   shard count (deterministic virtual QPS, hit and cross-shard-hit
-//!   rates).
-//! * [`CachePolicyReport`] — admission-policy A/B on a capacity-constrained
-//!   shared tier (always-admit vs second-touch doorkeeper per shard count).
-//! * [`LoadCurveReport`] — open-loop latency-vs-offered-load curve
-//!   (p50/p99, shed rate and served QPS per offered-QPS point).
-//! * [`ResilienceReport`] — serving quality under injected faults
-//!   (throughput retention, degraded-row rate, the injected-vs-detected
-//!   corruption ledger CI pins to "nothing corrupted ever served").
 //! * [`IntMap`] — a `HashMap` on a one-multiply-per-word hasher for the
 //!   program-generated integer keys of the per-IO paths (arena offsets,
 //!   chunk indices, table tags).
@@ -53,25 +39,13 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod alloc_hook;
-mod batchmode;
-mod cachepolicy;
 mod clock;
 mod counters;
 mod histogram;
 mod inthash;
-mod loadcurve;
-mod multistream;
-mod resilience;
-mod sharedtier;
 pub mod units;
 
-pub use batchmode::{BatchModeMeasurement, BatchModeReport};
-pub use cachepolicy::{CachePolicyMeasurement, CachePolicyReport};
 pub use clock::{LocalCursor, SimClock, SimDuration, SimInstant};
 pub use counters::{Counter, CounterSet};
 pub use histogram::LatencyHistogram;
 pub use inthash::{IntBuildHasher, IntHasher, IntMap};
-pub use loadcurve::{LoadCurveReport, LoadPoint};
-pub use multistream::{MultiStreamReport, StreamMeasurement};
-pub use resilience::{ResilienceMeasurement, ResilienceReport};
-pub use sharedtier::{SharedTierMeasurement, SharedTierReport};
