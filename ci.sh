@@ -129,7 +129,7 @@ echo "==> kernel equivalence with the pooling kernel forced to scalar"
 # The SIMD kernels' bit-identity contract is covered by the default run;
 # this leg proves the SDM_POOL_KERNEL escape hatch works and that the
 # whole hot path (auto_kernel dispatch included) serves on the scalar
-# fallback — what a non-x86 or pre-SSE2 host would run.
+# fallback — what a host without AVX2 would run.
 SDM_POOL_KERNEL=scalar cargo test --locked -q --test kernel_equivalence --test zero_alloc
 
 echo "==> exp_hotpath --check (deterministic scenarios equal BENCH_hotpath.json; writes nothing)"

@@ -10,11 +10,9 @@
 //! 2. **`shared_tier`** — tier off vs on at 2 and 4 shards on a skewed
 //!    stream whose hot set overflows the private row caches: QPS, tier hit
 //!    rate and the share of hits on rows another shard promoted.
-//! 3. **`cache_policies`** — always-admit vs the second-touch doorkeeper on
-//!    the same stream through a tier smaller than the hot set.
-//! 4. **`open_loop`** — latency, shed rate and served QPS at three offered
+//! 3. **`open_loop`** — latency, shed rate and served QPS at three offered
 //!    Poisson rates through the SLO-aware front end, per batch mode.
-//! 5. **`fault_resilience`** — injected faults (transient errors, bit flips,
+//! 4. **`fault_resilience`** — injected faults (transient errors, bit flips,
 //!    stuck IOs, latency storms, a shard outage) against retries,
 //!    checksums, deadlines, hedged reads and failover.
 //!
@@ -36,7 +34,6 @@ use sdm_bench::{
     measure_tier, queries_for, scaled, skewed_queries_for, FaultResilienceOutcome, ModeRun,
     TierRun,
 };
-use sdm_cache::TierAdmission;
 use sdm_core::{FrontendConfig, FrontendReport, SdmConfig, TokenBucketConfig};
 use sdm_metrics::units::Bytes;
 use sdm_metrics::SimDuration;
@@ -45,8 +42,7 @@ use std::collections::BTreeMap;
 /// Relaxed-mode window of `io_overlap` and `open_loop`.
 const WINDOW: usize = 8;
 
-/// Shard counts of `shared_tier` and `cache_policies`. One shard is left
-/// out: its undivided private budget holds the hot set, so the tier is
+/// Shard counts of `shared_tier`. One shard is left out: its undivided private budget holds the hot set, so the tier is
 /// never probed.
 const TIER_COUNTS: [usize; 2] = [2, 4];
 
@@ -58,16 +54,9 @@ const OPEN_RATES: [f64; 3] = [100.0, 250.0, 1_600.0];
 /// cannot pass just because the storm still serves something.
 const STORM_QPS_FLOOR_FRAC: f64 = 0.05;
 
-/// Minimum fraction of the full-budget tier's QPS the capacity-constrained
-/// always-admit tier must keep.
-const CONSTRAINED_TIER_QPS_FLOOR_FRAC: f64 = 0.75;
-
 const OVERLAP_QUERIES: usize = 256;
 const TIER_QUERIES: usize = 256;
 const TIER_BUDGET: Bytes = Bytes::from_mib(8);
-/// Below the skewed stream's hot row set (which fits at ~512 KiB), so the
-/// constrained tier keeps evicting and admission decides what stays.
-const POLICY_BUDGET: Bytes = Bytes::from_kib(384);
 const OPEN_QUERIES: usize = 256;
 const FAULT_QUERIES: usize = 96;
 const FAULT_SHARDS: usize = 2;
@@ -82,8 +71,6 @@ struct Scenarios {
     relaxed: ModeRun,
     /// Per [`TIER_COUNTS`] entry: (tier off, tier on).
     tier: [(TierRun, TierRun); TIER_COUNTS.len()],
-    /// Per [`TIER_COUNTS`] entry: (always-admit, second-touch).
-    policy: [(TierRun, TierRun); TIER_COUNTS.len()],
     frontend: FrontendConfig,
     /// One report per [`OPEN_RATES`] entry, per mode.
     open_exact: Vec<FrontendReport>,
@@ -110,17 +97,6 @@ fn run_scenarios() -> Scenarios {
     let tier_run = |config: &SdmConfig, shards| measure_tier(&m1, config, &tier_queries, shards);
     let tier_on = tier_config.clone().with_shared_tier(TIER_BUDGET);
     let tier = TIER_COUNTS.map(|n| (tier_run(&tier_config, n), tier_run(&tier_on, n)));
-    let constrained = |admission| {
-        tier_config
-            .clone()
-            .with_shared_tier(POLICY_BUDGET)
-            .with_shared_tier_admission(admission)
-    };
-    let (always, second) = (
-        constrained(TierAdmission::Always),
-        constrained(TierAdmission::SecondTouch),
-    );
-    let policy = TIER_COUNTS.map(|n| (tier_run(&always, n), tier_run(&second, n)));
 
     // One seeded Poisson stream per rate drives an exact and a relaxed host.
     let frontend = FrontendConfig {
@@ -157,7 +133,6 @@ fn run_scenarios() -> Scenarios {
         exact,
         relaxed,
         tier,
-        policy,
         frontend,
         open_exact,
         open_relaxed,
@@ -216,8 +191,7 @@ fn invariants(s: &Scenarios) -> Vec<String> {
         ),
     );
 
-    for (&n, ((off, on), (always, second))) in TIER_COUNTS.iter().zip(s.tier.iter().zip(&s.policy))
-    {
+    for (&n, (off, on)) in TIER_COUNTS.iter().zip(&s.tier) {
         // The tier never costs throughput, and the reuse it exists to
         // recover stays strictly positive.
         require(
@@ -227,27 +201,6 @@ fn invariants(s: &Scenarios) -> Vec<String> {
         require(
             on.cross_shard_hit_rate() > 0.0,
             format!("shared_tier: cross_shard_hit_rate_{n} not strictly positive"),
-        );
-        // The constrained tier may cost some throughput against the full
-        // one; the doorkeeper, which keeps one-touch tail rows from
-        // displacing the head, never hits less often than always-admit. At
-        // 4 shards promotion order depends on thread interleaving, and the
-        // hit rates jitter by a few tenths of a percent.
-        require(
-            always.virtual_qps >= on.virtual_qps * CONSTRAINED_TIER_QPS_FLOOR_FRAC,
-            format!(
-                "cache_policies: always_admit_qps_{n} below {CONSTRAINED_TIER_QPS_FLOOR_FRAC} \
-                 of shared_tier on_qps_{n}"
-            ),
-        );
-        let noise = if n >= 4 { 0.01 } else { 0.0 };
-        require(
-            second.hit_rate() >= always.hit_rate() - noise,
-            format!(
-                "cache_policies: second_touch_hit_rate_{n} {} below always_admit_hit_rate_{n} {}",
-                second.hit_rate(),
-                always.hit_rate()
-            ),
         );
     }
 
@@ -370,21 +323,6 @@ fn sections(s: &Scenarios) -> Vec<(&'static str, Vec<(String, String)>)> {
         ]);
     }
 
-    let mut cache_policies = fields![
-        "model" => ("\"M1-scaled\""),
-        "queries" => ("{TIER_QUERIES}"),
-        "budget_mib" => ("{:.1}", POLICY_BUDGET.as_mib_f64()),
-    ];
-    for (n, (always, second)) in TIER_COUNTS.iter().zip(&s.policy) {
-        cache_policies.extend(fields![
-            format!("always_admit_qps_{n}") => ("{:.1}", always.virtual_qps),
-            format!("second_touch_qps_{n}") => ("{:.1}", second.virtual_qps),
-            format!("always_admit_hit_rate_{n}") => ("{:.4}", always.hit_rate()),
-            format!("second_touch_hit_rate_{n}") => ("{:.4}", second.hit_rate()),
-            format!("second_touch_denied_{n}") => ("{}", second.admission_denied),
-        ]);
-    }
-
     let fe = &s.frontend;
     let mut open_loop = fields![
         "model" => ("\"M1-scaled\""),
@@ -446,7 +384,6 @@ fn sections(s: &Scenarios) -> Vec<(&'static str, Vec<(String, String)>)> {
     vec![
         ("io_overlap", io_overlap),
         ("shared_tier", shared_tier),
-        ("cache_policies", cache_policies),
         ("open_loop", open_loop),
         ("fault_resilience", fault_resilience),
     ]
@@ -490,12 +427,10 @@ fn printed_fields(doc: &str) -> Vec<(String, &str)> {
 }
 
 /// Fields whose value depends on thread interleaving: which shard thread
-/// promotes a row into the tier first sets its origin tag, and at 4 shards
-/// the constrained tier's eviction order. They are held to invariants, not
-/// to their committed values.
+/// promotes a row into the tier first sets its origin tag. They are held to
+/// invariants, not to their committed values.
 fn interleaving(field: &str) -> bool {
     field.starts_with("shared_tier.cross_shard_hit_rate_")
-        || (field.starts_with("cache_policies.") && field.ends_with("_4"))
 }
 
 /// The exact gate: one message per field of `committed` and `fresh` that
@@ -582,10 +517,6 @@ mod tests {
   \"shared_tier\": {
     \"on_qps_4\": 1001.6,
     \"cross_shard_hit_rate_4\": 0.9432
-  },
-  \"cache_policies\": {
-    \"always_admit_qps_2\": 796.1,
-    \"always_admit_qps_4\": 988.7
   }
 }
 ";
@@ -608,12 +539,10 @@ mod tests {
 
     #[test]
     fn a_change_only_in_interleaving_fields_passes() {
-        let fresh = COMMITTED
-            .replace("0.9432", "0.8974")
-            .replace("988.7", "984.7");
+        let fresh = COMMITTED.replace("0.9432", "0.8974");
         assert_eq!(compare(COMMITTED, &fresh), Vec::<String>::new());
-        // The same value outside an interleaving field is gated.
-        let fresh = COMMITTED.replace("796.1", "796.2");
+        // A change outside an interleaving field is gated.
+        let fresh = COMMITTED.replace("1001.6", "1001.7");
         assert_eq!(compare(COMMITTED, &fresh).len(), 1);
     }
 

@@ -190,8 +190,6 @@ pub struct TierRun {
     pub shared_misses: u64,
     /// Hits served by a row another shard promoted.
     pub cross_shard_hits: u64,
-    /// Promotions the tier's admission policy turned away.
-    pub admission_denied: u64,
 }
 
 impl TierRun {
@@ -219,8 +217,7 @@ impl TierRun {
 /// Measures a host on the *virtual* clock after warm-up: a `shards`-shard
 /// host (user-sticky routing) serves `queries` three times and the third
 /// batch is recorded — private caches warmed and, when `config` attaches a
-/// shared tier, the tier populated (or, below the hot set's size, churning
-/// under its admission policy).
+/// shared tier, the tier populated.
 ///
 /// The regime the tier exists for is a private row-cache budget smaller
 /// than the hot row set (dividing it across shards shrinks every slice
@@ -250,8 +247,7 @@ pub fn measure_tier(
     .expect("failed to build serving host");
     host.run_batch(queries).expect("warmup batch failed");
     host.run_batch(queries).expect("warmup batch failed");
-    let denied = |host: &ServingHost| host.shared_tier().map_or(0, |t| t.admission_denied());
-    let (before, denied_before) = (host.stats(), denied(&host));
+    let before = host.stats();
     let run = host.run_batch(queries).expect("measured batch failed");
     let stats = host.stats();
     TierRun {
@@ -259,7 +255,6 @@ pub fn measure_tier(
         shared_hits: stats.shared_tier_hits - before.shared_tier_hits,
         shared_misses: stats.shared_tier_misses - before.shared_tier_misses,
         cross_shard_hits: stats.shared_tier_cross_hits - before.shared_tier_cross_hits,
-        admission_denied: denied(&host) - denied_before,
     }
 }
 
@@ -670,7 +665,6 @@ mod tests {
         assert_eq!(off.hit_rate(), 0.0);
         assert!(on.shared_hits > 0);
         assert!(on.cross_shard_hit_rate() > 0.0);
-        assert_eq!(on.admission_denied, 0, "always-admit denies nothing");
         assert!(on.virtual_qps >= off.virtual_qps);
     }
 

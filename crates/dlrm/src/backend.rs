@@ -9,7 +9,7 @@
 use crate::config::ModelConfig;
 use crate::error::DlrmError;
 use embedding::kernels::{self, SelectedKernel};
-use embedding::{EmbeddingTable, PoolKernel, TableId};
+use embedding::{EmbeddingTable, TableId};
 use sdm_metrics::{IntMap, SimDuration, SimInstant};
 
 /// Serves pooled embedding lookups for the inference engine.
@@ -73,8 +73,7 @@ pub trait EmbeddingBackend {
 pub struct DramBackend {
     /// Keyed by the model's own table ids.
     tables: IntMap<TableId, EmbeddingTable>,
-    /// Resolved dequant-accumulate kernel (auto-detected at construction,
-    /// overridable via [`DramBackend::with_pool_kernel`]).
+    /// Resolved dequant-accumulate kernel ([`kernels::auto_kernel`]).
     kernel: SelectedKernel,
     /// DRAM random-access latency per row (cache-missing pointer chase).
     per_row_latency: SimDuration,
@@ -106,14 +105,6 @@ impl DramBackend {
             per_row_latency: SimDuration::from_nanos(150),
             per_element_cost: SimDuration::from_nanos(1),
         }
-    }
-
-    /// Selects the pooling kernel explicitly (the constructors default to
-    /// runtime auto-detection). Unsupported kernels fall back to scalar.
-    #[must_use]
-    pub fn with_pool_kernel(mut self, kernel: PoolKernel) -> Self {
-        self.kernel = kernel.resolve_default();
-        self
     }
 
     /// The resolved dequant-accumulate kernel this backend pools with.
@@ -233,16 +224,23 @@ mod tests {
     fn explicit_scalar_kernel_is_bit_identical_to_auto() {
         let model = model_zoo::tiny(1, 0, 50);
         let mut auto = DramBackend::new(&model, 7);
-        let mut scalar = DramBackend::new(&model, 7).with_pool_kernel(PoolKernel::Scalar);
-        assert_eq!(scalar.kernel().name(), "scalar");
         let indices = [3u64, 9, 11, 11, 42];
         let (a, _) = auto.pooled_lookup(0, &indices, SimInstant::EPOCH).unwrap();
-        let (b, _) = scalar
-            .pooled_lookup(0, &indices, SimInstant::EPOCH)
-            .unwrap();
+        let table = auto.table(0).unwrap();
+        let quant = table.descriptor().quant;
+        let mut b = vec![0.0f32; a.len()];
+        for &idx in &indices {
+            let row = table.row(idx).unwrap();
+            kernels::accumulate_row_with(SelectedKernel::SCALAR, row, quant, &mut b).unwrap();
+        }
         let a_bits: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
         let b_bits: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(a_bits, b_bits, "auto kernel diverged from scalar");
+        assert_eq!(
+            a_bits,
+            b_bits,
+            "{} kernel diverged from scalar",
+            auto.kernel()
+        );
     }
 
     #[test]

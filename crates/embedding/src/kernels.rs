@@ -3,12 +3,11 @@
 //! Every row served — from the FM table, the row cache, the shared tier or
 //! an SM completion — flows through `accumulate_row` /
 //! `accumulate_row_weighted`, so pooling arithmetic sits on 100 % of the
-//! hot path. This module provides explicit SSE2 and AVX2 implementations
-//! (via [`core::arch::x86_64`], selected behind
-//! [`is_x86_feature_detected!`] at runtime) of the six fused
-//! dequant-accumulate paths — int8 / int4 / fp32, unweighted and weighted —
-//! with the scalar loops as the portable fallback on every other
-//! architecture.
+//! hot path. This module provides explicit AVX2 implementations (via
+//! [`core::arch::x86_64`], selected behind [`is_x86_feature_detected!`] at
+//! runtime) of the six fused dequant-accumulate paths — int8 / int4 /
+//! fp32, unweighted and weighted — with the scalar loops as the
+//! bit-identity reference and the only path on every other host.
 //!
 //! # Bit-identity contract
 //!
@@ -26,22 +25,21 @@
 //!
 //! Both `u8` and 4-bit codes convert to `f32` exactly, and x86 packed
 //! multiply/add round identically to their scalar counterparts, so
-//! `tests/kernel_equivalence.rs` asserts `to_bits()` equality between every
-//! vector kernel and scalar across schemes, dims, weights, unaligned row
+//! `tests/kernel_equivalence.rs` asserts `to_bits()` equality between the
+//! vector kernels and scalar across schemes, dims, weights, unaligned row
 //! buffers and NaN/infinity scale-bias parameters.
 //!
 //! # Dispatch
 //!
-//! [`PoolKernel`] is the configuration knob (`Auto` picks the widest
-//! supported kernel); [`PoolKernel::resolve`] turns it into a
-//! [`SelectedKernel`], the only type the fused entry points accept.
-//! `SelectedKernel` is deliberately opaque: the SSE2/AVX2 variants can only
-//! be constructed after a successful `is_x86_feature_detected!` check, so
-//! holding one is proof the host supports it and the `unsafe`
-//! `#[target_feature]` calls below are sound. The process-wide default
-//! ([`auto_kernel`]) honours the `SDM_POOL_KERNEL` environment variable
-//! (`auto` / `scalar` / `sse2` / `avx2`, used by `ci.sh`'s force-scalar
-//! leg), falling back to `Auto` resolution.
+//! [`SelectedKernel`] is the only type the fused entry points accept. It is
+//! deliberately opaque: the AVX2 value comes only out of
+//! [`SelectedKernel::avx2`], after a successful `is_x86_feature_detected!`
+//! check, so holding one is proof the host supports it and the `unsafe`
+//! `#[target_feature]` calls below are sound. The process-wide kernel
+//! ([`auto_kernel`]) is AVX2 where the CPU has it and scalar otherwise;
+//! setting the [`KERNEL_ENV`] environment variable to `scalar` forces the
+//! scalar kernel (`ci.sh`'s scalar leg), and any other value is a
+//! configuration error ([`kernel_env`]).
 #![allow(unsafe_code)]
 
 use crate::error::EmbeddingError;
@@ -49,147 +47,20 @@ use crate::quant::{row_params, QuantScheme};
 use std::fmt;
 use std::sync::OnceLock;
 
-/// Pooling-kernel selection knob, threaded through `SdmConfig`.
+/// A concrete, runnable kernel choice.
 ///
-/// `Auto` resolves to the widest kernel the host supports; the explicit
-/// variants force one implementation for A/B comparisons and CI legs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PoolKernel {
-    /// Pick the widest supported kernel at runtime (AVX2 → SSE2 → scalar).
-    #[default]
-    Auto,
-    /// Force the portable scalar loops.
-    Scalar,
-    /// Force the 4-lane SSE2 kernels (falls back to scalar if unsupported).
-    Sse2,
-    /// Force the 8-lane AVX2 kernels (falls back to scalar if unsupported).
-    Avx2,
-}
-
-impl PoolKernel {
-    /// Parses a kernel name as accepted by the `SDM_POOL_KERNEL`
-    /// environment variable: `auto`, `scalar`, `sse2` or `avx2`
-    /// (ASCII case-insensitive). Returns `None` for anything else.
-    pub fn from_name(name: &str) -> Option<PoolKernel> {
-        if name.eq_ignore_ascii_case("auto") {
-            Some(PoolKernel::Auto)
-        } else if name.eq_ignore_ascii_case("scalar") {
-            Some(PoolKernel::Scalar)
-        } else if name.eq_ignore_ascii_case("sse2") {
-            Some(PoolKernel::Sse2)
-        } else if name.eq_ignore_ascii_case("avx2") {
-            Some(PoolKernel::Avx2)
-        } else {
-            None
-        }
-    }
-
-    /// Whether this selection can actually run on the current host.
-    ///
-    /// `Auto` and `Scalar` are always supported; `Sse2`/`Avx2` require the
-    /// matching CPU feature (and an x86_64 build at all).
-    pub fn is_supported(self) -> bool {
-        match self {
-            PoolKernel::Auto | PoolKernel::Scalar => true,
-            PoolKernel::Sse2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    is_x86_feature_detected!("sse2")
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
-                }
-            }
-            PoolKernel::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    is_x86_feature_detected!("avx2")
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Resolves the knob into a concrete, runnable kernel.
-    ///
-    /// `Auto` picks the widest detected kernel. An explicit `Sse2`/`Avx2`
-    /// request on a host without that feature resolves to `Scalar` (the
-    /// result is always safe to run); `SdmConfig::validate` rejects such
-    /// configurations up front so A/B runs cannot silently measure the
-    /// fallback.
-    pub fn resolve(self) -> SelectedKernel {
-        #[cfg(target_arch = "x86_64")]
-        {
-            match self {
-                PoolKernel::Auto => {
-                    if is_x86_feature_detected!("avx2") {
-                        return SelectedKernel(Arch::Avx2);
-                    }
-                    if is_x86_feature_detected!("sse2") {
-                        return SelectedKernel(Arch::Sse2);
-                    }
-                }
-                PoolKernel::Sse2 => {
-                    if is_x86_feature_detected!("sse2") {
-                        return SelectedKernel(Arch::Sse2);
-                    }
-                }
-                PoolKernel::Avx2 => {
-                    if is_x86_feature_detected!("avx2") {
-                        return SelectedKernel(Arch::Avx2);
-                    }
-                }
-                PoolKernel::Scalar => {}
-            }
-        }
-        SelectedKernel(Arch::Scalar)
-    }
-
-    /// Resolves like [`PoolKernel::resolve`], except that `Auto` defers to
-    /// the process-wide [`auto_kernel`] and therefore honours the
-    /// `SDM_POOL_KERNEL` environment override. Explicitly named kernels
-    /// ignore the environment — a config that picks a kernel beats the
-    /// ambient escape hatch. This is what the serving stack calls at
-    /// construction time.
-    pub fn resolve_default(self) -> SelectedKernel {
-        match self {
-            PoolKernel::Auto => auto_kernel(),
-            explicit => explicit.resolve(),
-        }
-    }
-}
-
-impl fmt::Display for PoolKernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PoolKernel::Auto => f.write_str("auto"),
-            PoolKernel::Scalar => f.write_str("scalar"),
-            PoolKernel::Sse2 => f.write_str("sse2"),
-            PoolKernel::Avx2 => f.write_str("avx2"),
-        }
-    }
-}
-
-/// A concrete kernel choice, produced by [`PoolKernel::resolve`].
-///
-/// The inner representation is private on purpose: an SSE2/AVX2 value can
-/// only come out of a successful feature-detection check, which is the
-/// safety invariant the `#[target_feature]` dispatch below relies on.
+/// The inner representation is private on purpose: an AVX2 value can only
+/// come out of a successful feature-detection check, which is the safety
+/// invariant the `#[target_feature]` dispatch below relies on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SelectedKernel(Arch);
 
-/// The concrete implementations. SAFETY invariant: `Sse2`/`Avx2` values are
-/// only ever constructed by [`PoolKernel::resolve`] after
+/// The concrete implementations. SAFETY invariant: `Avx2` values are only
+/// ever constructed by [`SelectedKernel::avx2`] after
 /// `is_x86_feature_detected!` confirmed the feature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Arch {
     Scalar,
-    #[cfg(target_arch = "x86_64")]
-    Sse2,
     #[cfg(target_arch = "x86_64")]
     Avx2,
 }
@@ -198,20 +69,24 @@ impl SelectedKernel {
     /// The portable scalar kernel (always available).
     pub const SCALAR: SelectedKernel = SelectedKernel(Arch::Scalar);
 
-    /// Kernel name for logs and bench JSON: `scalar`, `sse2` or `avx2`.
+    /// The 8-lane AVX2 kernel, or `None` on a host without AVX2.
+    pub fn avx2() -> Option<SelectedKernel> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                return Some(SelectedKernel(Arch::Avx2));
+            }
+        }
+        None
+    }
+
+    /// Kernel name for logs and bench JSON: `scalar` or `avx2`.
     pub fn name(self) -> &'static str {
         match self.0 {
             Arch::Scalar => "scalar",
             #[cfg(target_arch = "x86_64")]
-            Arch::Sse2 => "sse2",
-            #[cfg(target_arch = "x86_64")]
             Arch::Avx2 => "avx2",
         }
-    }
-
-    /// True for the vector kernels, false for scalar.
-    pub fn is_simd(self) -> bool {
-        self.0 != Arch::Scalar
     }
 }
 
@@ -221,20 +96,41 @@ impl fmt::Display for SelectedKernel {
     }
 }
 
-/// The process-wide default kernel used by the plain `accumulate_row` /
-/// `pool_quantized_into` entry points.
+/// The environment variable that forces the scalar kernel process-wide.
+pub const KERNEL_ENV: &str = "SDM_POOL_KERNEL";
+
+/// Parses a value of [`KERNEL_ENV`] (`None` when unset): `Ok(true)` when it
+/// forces the scalar kernel (`scalar`, ASCII case-insensitive), `Ok(false)`
+/// when unset. Anything else is an error naming the variable, so a typo
+/// cannot silently measure AVX2.
+pub fn parse_kernel_env(value: Option<&str>) -> Result<bool, String> {
+    match value {
+        None => Ok(false),
+        Some(name) if name.eq_ignore_ascii_case("scalar") => Ok(true),
+        Some(name) => Err(format!(
+            "{KERNEL_ENV}={name:?} is not understood; unset it or set it to `scalar`"
+        )),
+    }
+}
+
+/// [`parse_kernel_env`] applied to this process's environment.
+pub fn kernel_env() -> Result<bool, String> {
+    let value = std::env::var_os(KERNEL_ENV);
+    parse_kernel_env(value.as_deref().map(|v| v.to_string_lossy()).as_deref())
+}
+
+/// The process-wide kernel used by the serving stack and the plain
+/// `accumulate_row` / `pool_quantized_into` entry points.
 ///
-/// Resolved once: the `SDM_POOL_KERNEL` environment variable (if set to a
-/// valid kernel name) overrides `Auto` detection, which is how `ci.sh`
-/// forces the scalar fallback through the whole test suite on AVX2 runners.
+/// Resolved once: scalar when [`KERNEL_ENV`] is `scalar` (how `ci.sh`
+/// forces the scalar path through the test suite on AVX2 runners), else
+/// AVX2 where the CPU has it, else scalar. An unrecognised value leaves
+/// detection in charge here; `SdmConfig::validate` reports it.
 pub fn auto_kernel() -> SelectedKernel {
     static AUTO: OnceLock<SelectedKernel> = OnceLock::new();
-    *AUTO.get_or_init(|| {
-        std::env::var("SDM_POOL_KERNEL")
-            .ok()
-            .and_then(|name| PoolKernel::from_name(&name))
-            .unwrap_or(PoolKernel::Auto)
-            .resolve()
+    *AUTO.get_or_init(|| match kernel_env() {
+        Ok(true) => SelectedKernel::SCALAR,
+        _ => SelectedKernel::avx2().unwrap_or(SelectedKernel::SCALAR),
     })
 }
 
@@ -325,8 +221,6 @@ fn dispatch<const W: bool>(
             Arch::Scalar => scalar_fp32::<W>(buf, weight, out),
             // SAFETY: the Arch invariant guarantees the feature was detected.
             #[cfg(target_arch = "x86_64")]
-            Arch::Sse2 => unsafe { x86::fp32_sse2::<W>(buf, weight, out) },
-            #[cfg(target_arch = "x86_64")]
             Arch::Avx2 => unsafe { x86::fp32_avx2::<W>(buf, weight, out) },
         },
         QuantScheme::Int8 => {
@@ -334,10 +228,7 @@ fn dispatch<const W: bool>(
             let codes = &buf[..dim];
             match kernel.0 {
                 Arch::Scalar => scalar_int8::<W>(codes, scale, bias, weight, out),
-                // SAFETY: the Arch invariant guarantees the feature was
-                // detected.
-                #[cfg(target_arch = "x86_64")]
-                Arch::Sse2 => unsafe { x86::int8_sse2::<W>(codes, scale, bias, weight, out) },
+                // SAFETY: the Arch invariant guarantees the feature was detected.
                 #[cfg(target_arch = "x86_64")]
                 Arch::Avx2 => unsafe { x86::int8_avx2::<W>(codes, scale, bias, weight, out) },
             }
@@ -347,10 +238,7 @@ fn dispatch<const W: bool>(
             let codes = &buf[..dim.div_ceil(2)];
             match kernel.0 {
                 Arch::Scalar => scalar_int4_from::<W>(codes, 0, scale, bias, weight, out),
-                // SAFETY: the Arch invariant guarantees the feature was
-                // detected.
-                #[cfg(target_arch = "x86_64")]
-                Arch::Sse2 => unsafe { x86::int4_sse2::<W>(codes, scale, bias, weight, out) },
+                // SAFETY: the Arch invariant guarantees the feature was detected.
                 #[cfg(target_arch = "x86_64")]
                 Arch::Avx2 => unsafe { x86::int4_avx2::<W>(codes, scale, bias, weight, out) },
             }
@@ -408,39 +296,7 @@ mod x86 {
     use super::{scalar_fp32, scalar_int4_from, scalar_int8};
     use core::arch::x86_64::*;
 
-    /// Widens four `u8` codes (packed little-endian into `raw`) to `f32`
-    /// lanes, preserving byte order: lane `i` holds byte `i`.
-    #[target_feature(enable = "sse2")]
-    fn widen4_to_ps(raw: u32) -> __m128 {
-        let v = _mm_cvtsi32_si128(raw as i32);
-        let zero = _mm_setzero_si128();
-        let w16 = _mm_unpacklo_epi8(v, zero);
-        let w32 = _mm_unpacklo_epi16(w16, zero);
-        _mm_cvtepi32_ps(w32)
-    }
-
-    /// Dequantise + accumulate four lanes: `cur + ((codes*scale)+bias)[*w]`.
-    #[target_feature(enable = "sse2")]
-    fn step4<const W: bool>(
-        codes_f: __m128,
-        scale: __m128,
-        bias: __m128,
-        weight: __m128,
-        o: &mut [f32],
-    ) {
-        let mut v = _mm_add_ps(_mm_mul_ps(codes_f, scale), bias);
-        if W {
-            v = _mm_mul_ps(v, weight);
-        }
-        // SAFETY: `o` holds at least 4 f32s (checked by every caller);
-        // unaligned load/store are allowed by loadu/storeu.
-        unsafe {
-            let cur = _mm_loadu_ps(o.as_ptr());
-            _mm_storeu_ps(o.as_mut_ptr(), _mm_add_ps(cur, v));
-        }
-    }
-
-    /// Dequantise + accumulate eight lanes (AVX2 form of [`step4`]).
+    /// Dequantise + accumulate eight lanes: `cur + ((codes*scale)+bias)[*w]`.
     #[target_feature(enable = "avx2")]
     fn step8<const W: bool>(
         codes_f: __m256,
@@ -458,38 +314,6 @@ mod x86 {
             let cur = _mm256_loadu_ps(o.as_ptr());
             _mm256_storeu_ps(o.as_mut_ptr(), _mm256_add_ps(cur, v));
         }
-    }
-
-    /// SSE2 int8: 4 codes per step, scalar tail for `dim % 4` elements.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure SSE2 is available (guaranteed by the
-    /// `SelectedKernel` invariant). `codes.len()` must equal `out.len()`.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn int8_sse2<const W: bool>(
-        codes: &[u8],
-        scale: f32,
-        bias: f32,
-        weight: f32,
-        out: &mut [f32],
-    ) {
-        let scale_v = _mm_set1_ps(scale);
-        let bias_v = _mm_set1_ps(bias);
-        let weight_v = _mm_set1_ps(weight);
-        let mut code_chunks = codes.chunks_exact(4);
-        let mut out_chunks = out.chunks_exact_mut(4);
-        for (c, o) in (&mut code_chunks).zip(&mut out_chunks) {
-            let raw = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-            step4::<W>(widen4_to_ps(raw), scale_v, bias_v, weight_v, o);
-        }
-        scalar_int8::<W>(
-            code_chunks.remainder(),
-            scale,
-            bias,
-            weight,
-            out_chunks.into_remainder(),
-        );
     }
 
     /// AVX2 int8: 8 codes per step, scalar tail for `dim % 8` elements.
@@ -523,41 +347,6 @@ mod x86 {
             weight,
             out_chunks.into_remainder(),
         );
-    }
-
-    /// SSE2 int4: nibble unpack in scalar registers, dequantise-accumulate
-    /// in 4 SIMD lanes; scalar tail for `dim % 4` elements.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure SSE2 is available.
-    /// `codes.len() == out.len().div_ceil(2)`.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn int4_sse2<const W: bool>(
-        codes: &[u8],
-        scale: f32,
-        bias: f32,
-        weight: f32,
-        out: &mut [f32],
-    ) {
-        let scale_v = _mm_set1_ps(scale);
-        let bias_v = _mm_set1_ps(bias);
-        let weight_v = _mm_set1_ps(weight);
-        let dim = out.len();
-        let main = dim - (dim % 4);
-        for k in (0..main).step_by(4) {
-            let b0 = codes[k / 2];
-            let b1 = codes[k / 2 + 1];
-            let raw = u32::from_le_bytes([b0 & 0x0F, b0 >> 4, b1 & 0x0F, b1 >> 4]);
-            step4::<W>(
-                widen4_to_ps(raw),
-                scale_v,
-                bias_v,
-                weight_v,
-                &mut out[k..k + 4],
-            );
-        }
-        scalar_int4_from::<W>(codes, main, scale, bias, weight, out);
     }
 
     /// AVX2 int4: SIMD nibble unpack of 4 bytes into 8 codes per step,
@@ -594,32 +383,6 @@ mod x86 {
             step8::<W>(codes_f, scale_v, bias_v, weight_v, &mut out[k..k + 8]);
         }
         scalar_int4_from::<W>(codes, main, scale, bias, weight, out);
-    }
-
-    /// SSE2 fp32: 4 elements per step, scalar tail.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure SSE2 is available. `buf.len() == out.len() * 4`.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn fp32_sse2<const W: bool>(buf: &[u8], weight: f32, out: &mut [f32]) {
-        let weight_v = _mm_set1_ps(weight);
-        let mut byte_chunks = buf.chunks_exact(16);
-        let mut out_chunks = out.chunks_exact_mut(4);
-        for (b, o) in (&mut byte_chunks).zip(&mut out_chunks) {
-            // SAFETY: `b` holds exactly 16 bytes; x86 is little-endian, so
-            // the unaligned load reproduces `f32::from_le_bytes` per lane.
-            let mut v = unsafe { _mm_loadu_ps(b.as_ptr().cast()) };
-            if W {
-                v = _mm_mul_ps(v, weight_v);
-            }
-            // SAFETY: `o` holds exactly 4 f32s.
-            unsafe {
-                let cur = _mm_loadu_ps(o.as_ptr());
-                _mm_storeu_ps(o.as_mut_ptr(), _mm_add_ps(cur, v));
-            }
-        }
-        scalar_fp32::<W>(byte_chunks.remainder(), weight, out_chunks.into_remainder());
     }
 
     /// AVX2 fp32: 8 elements per step, scalar tail.
@@ -660,38 +423,28 @@ mod tests {
     }
 
     fn supported_kernels() -> Vec<SelectedKernel> {
-        let mut kernels = vec![PoolKernel::Scalar.resolve()];
-        for k in [PoolKernel::Sse2, PoolKernel::Avx2] {
-            if k.is_supported() {
-                kernels.push(k.resolve());
-            }
-        }
-        kernels
+        std::iter::once(SelectedKernel::SCALAR)
+            .chain(SelectedKernel::avx2())
+            .collect()
     }
 
     #[test]
-    fn knob_parsing_and_names() {
-        assert_eq!(PoolKernel::from_name("AVX2"), Some(PoolKernel::Avx2));
-        assert_eq!(PoolKernel::from_name("scalar"), Some(PoolKernel::Scalar));
-        assert_eq!(PoolKernel::from_name("sse2"), Some(PoolKernel::Sse2));
-        assert_eq!(PoolKernel::from_name("auto"), Some(PoolKernel::Auto));
-        assert_eq!(PoolKernel::from_name("avx512"), None);
-        assert_eq!(PoolKernel::default(), PoolKernel::Auto);
-        assert_eq!(PoolKernel::Avx2.to_string(), "avx2");
+    fn kernel_names() {
         assert_eq!(SelectedKernel::SCALAR.name(), "scalar");
-        assert!(!SelectedKernel::SCALAR.is_simd());
+        if let Some(avx2) = SelectedKernel::avx2() {
+            assert_eq!(avx2.to_string(), "avx2");
+        }
     }
 
     #[test]
-    fn scalar_and_auto_always_resolve() {
-        assert_eq!(PoolKernel::Scalar.resolve(), SelectedKernel::SCALAR);
-        assert!(PoolKernel::Scalar.is_supported());
-        assert!(PoolKernel::Auto.is_supported());
-        // Auto resolves to something runnable; on x86_64 that is SIMD.
-        let auto = PoolKernel::Auto.resolve();
-        assert!(!auto.name().is_empty());
-        #[cfg(target_arch = "x86_64")]
-        assert!(auto.is_simd(), "x86_64 always has at least SSE2");
+    fn kernel_env_accepts_only_unset_or_scalar() {
+        assert_eq!(parse_kernel_env(None), Ok(false));
+        assert_eq!(parse_kernel_env(Some("scalar")), Ok(true));
+        assert_eq!(parse_kernel_env(Some("SCALAR")), Ok(true));
+        for bad in ["sse2", "scalr"] {
+            let err = parse_kernel_env(Some(bad)).expect_err(bad);
+            assert!(err.contains(KERNEL_ENV) && err.contains(bad), "{err}");
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! * [`QuantScheme`], [`quantize_row`], [`dequantize_row`] — row-wise
 //!   quantisation with per-row scale/bias — plus the fused
 //!   [`accumulate_row`] kernel the zero-allocation pooling path uses.
-//! * [`kernels`] — SSE2/AVX2 vector implementations of the fused
-//!   dequant-accumulate paths with runtime dispatch ([`PoolKernel`]),
-//!   bit-identical to the scalar fallback, plus software prefetch.
+//! * [`kernels`] — AVX2 vector implementations of the fused
+//!   dequant-accumulate paths with runtime dispatch ([`SelectedKernel`]),
+//!   bit-identical to the scalar reference, plus software prefetch.
 //! * [`RowArena`] — one contiguous fixed-stride buffer per table, replacing
 //!   per-row heap allocations.
 //! * [`EmbeddingTable`] — materialised quantised rows (deterministically
@@ -56,7 +56,7 @@ mod table;
 
 pub use arena::RowArena;
 pub use error::EmbeddingError;
-pub use kernels::{PoolKernel, SelectedKernel};
+pub use kernels::SelectedKernel;
 pub use layout::{SmLayout, TablePlacement};
 pub use pruning::{DepruneReport, MappingTensor, PrunedTable};
 pub use quant::{

@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn explicit_kernel_pooling_matches_auto() {
-        use crate::kernels::{auto_kernel, PoolKernel};
+        use crate::kernels::{auto_kernel, SelectedKernel};
         let dim = 33;
         let rows: Vec<Vec<u8>> = (0..6)
             .map(|i| {
@@ -318,7 +318,7 @@ mod tests {
         pool_quantized_into(refs.iter().copied(), QuantScheme::Int4, &mut auto_out).unwrap();
         let mut scalar_out = vec![0.0f32; dim];
         pool_quantized_into_with(
-            PoolKernel::Scalar.resolve(),
+            SelectedKernel::SCALAR,
             refs.iter().copied(),
             QuantScheme::Int4,
             &mut scalar_out,
@@ -330,7 +330,7 @@ mod tests {
         pool_quantized_weighted_into(&refs, &weights, QuantScheme::Int4, &mut auto_w).unwrap();
         let mut scalar_w = vec![0.0f32; dim];
         pool_quantized_weighted_into_with(
-            PoolKernel::Scalar.resolve(),
+            SelectedKernel::SCALAR,
             &refs,
             &weights,
             QuantScheme::Int4,

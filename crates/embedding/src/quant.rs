@@ -166,9 +166,9 @@ pub fn dequantize_row(
 /// hits before IO completions — which can shift pooled sums by f32
 /// rounding in the last bits.)
 ///
-/// Runs the process-wide [`crate::kernels::auto_kernel`] — the widest
-/// SSE2/AVX2 kernel the host supports, which is bit-identical to the scalar
-/// loops by the [`crate::kernels`] contract. Use
+/// Runs the process-wide [`crate::kernels::auto_kernel`] — AVX2 where the
+/// host has it, which is bit-identical to the scalar loops by the
+/// [`crate::kernels`] contract. Use
 /// [`crate::kernels::accumulate_row_with`] to pin a specific kernel.
 ///
 /// # Errors

@@ -3,28 +3,11 @@
 use crate::error::CacheError;
 use sdm_metrics::units::Bytes;
 
-/// Admission policy selection for the shared row tier
-/// ([`crate::SharedRowTier`]).
-///
-/// Maps onto the [`crate::AdmissionPolicy`] implementations: `Always` is
-/// bit-identical to the pre-policy tier; `SecondTouch` keeps single-touch
-/// tail rows from churning the stripes on skewed streams (see
-/// [`crate::SecondTouch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TierAdmission {
-    /// Admit every promotion ([`crate::AlwaysAdmit`], the default).
-    #[default]
-    Always,
-    /// Admit a row only on its second touch within the doorkeeper window
-    /// ([`crate::SecondTouch`]).
-    SecondTouch,
-}
-
 /// Configuration for the fast-memory caches.
 ///
 /// Mirrors the tuning options the paper exposes at model-deployment time:
-/// cache sizes, the number of partitions, the row-size routing threshold of
-/// the dual cache and the pooled-embedding-cache length threshold.
+/// cache sizes, the row-size routing threshold of the dual cache and the
+/// pooled-embedding-cache length threshold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// Total fast-memory budget for the unified row cache.
@@ -35,9 +18,6 @@ pub struct CacheConfig {
     /// Rows of at most this many bytes are routed to the memory-optimized
     /// engine (paper: embedding dim ≤ 255 B).
     pub small_row_threshold: usize,
-    /// Number of hash partitions (bucket groups) in the memory-optimized
-    /// engine.
-    pub partitions: usize,
     /// Budget of the pooled-embedding cache (0 disables it).
     pub pooled_cache_budget: Bytes,
     /// Minimum index-sequence length admitted to the pooled-embedding cache
@@ -52,9 +32,6 @@ pub struct CacheConfig {
     pub shared_tier_budget: Bytes,
     /// Number of lock stripes in the shared tier.
     pub shared_tier_stripes: usize,
-    /// Admission policy of the shared tier (ignored while the tier is
-    /// disabled).
-    pub shared_tier_admission: TierAdmission,
 }
 
 impl Default for CacheConfig {
@@ -63,12 +40,10 @@ impl Default for CacheConfig {
             row_cache_budget: Bytes::from_mib(64),
             memory_optimized_fraction: 0.8,
             small_row_threshold: 255,
-            partitions: 16,
             pooled_cache_budget: Bytes::from_mib(4),
             pooled_len_threshold: 4,
             shared_tier_budget: Bytes::ZERO,
             shared_tier_stripes: 8,
-            shared_tier_admission: TierAdmission::Always,
         }
     }
 }
@@ -88,8 +63,8 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns [`CacheError::ZeroBudget`] when the row-cache budget is zero
-    /// and [`CacheError::InvalidConfig`] for out-of-range fractions or a
-    /// zero partition count.
+    /// and [`CacheError::InvalidConfig`] for an out-of-range fraction or a
+    /// zero stripe count on an enabled shared tier.
     pub fn validate(&self) -> Result<(), CacheError> {
         if self.row_cache_budget.is_zero() {
             return Err(CacheError::ZeroBudget);
@@ -100,11 +75,6 @@ impl CacheConfig {
                     "memory_optimized_fraction {} outside [0, 1]",
                     self.memory_optimized_fraction
                 ),
-            });
-        }
-        if self.partitions == 0 {
-            return Err(CacheError::InvalidConfig {
-                reason: "partitions must be at least 1".into(),
             });
         }
         if !self.shared_tier_budget.is_zero() && self.shared_tier_stripes == 0 {
@@ -124,7 +94,7 @@ impl CacheConfig {
     /// the remainder bytes go one each to the first shards, so the slices
     /// always sum exactly to the host budget (a plain truncating division
     /// silently dropped up to `shards - 1` bytes per resource). The
-    /// structural knobs (thresholds, partition count, engine split)
+    /// structural knobs (thresholds, stripe count, engine split)
     /// describe *how* a cache behaves, not how much memory it owns, and
     /// carry over unchanged — as does the shared-tier budget, which is a
     /// host-level resource the serving host carves out exactly once. A
@@ -187,15 +157,6 @@ mod tests {
             c.validate(),
             Err(CacheError::InvalidConfig { .. })
         ));
-
-        let c = CacheConfig {
-            partitions: 0,
-            ..Default::default()
-        };
-        assert!(matches!(
-            c.validate(),
-            Err(CacheError::InvalidConfig { .. })
-        ));
     }
 
     #[test]
@@ -207,7 +168,6 @@ mod tests {
             per_shard.pooled_cache_budget,
             Bytes(c.pooled_cache_budget.as_u64() / 4)
         );
-        assert_eq!(per_shard.partitions, c.partitions);
         assert_eq!(per_shard.small_row_threshold, c.small_row_threshold);
         assert!(per_shard.validate().is_ok());
         // Degenerate inputs: zero shards clamp to one, disabled stays

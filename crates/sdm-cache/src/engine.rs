@@ -1,4 +1,4 @@
-//! The generic arena-LRU engine core and the admission-policy seam.
+//! The generic arena-LRU engine core.
 //!
 //! Four caches in this workspace want the identical organisation: a hash
 //! index over slot records, payloads in a [`SlabArena`], exact LRU recency,
@@ -45,17 +45,6 @@
 //! replaced or inserted since is newer than every queued stamp; (3) the
 //! still-valid candidates kept their scan-time stamps and pop in ascending
 //! order.
-//!
-//! # Admission
-//!
-//! [`AdmissionPolicy`] decides whether a **not-yet-resident** key may enter
-//! a cache at all (resident refreshes are always allowed — denying them
-//! would drop data already paid for). [`AlwaysAdmit`] is the bit-identical
-//! default; [`SecondTouch`] is a bounded doorkeeper that admits a key only
-//! on its second touch within the doorkeeper's memory, which keeps
-//! single-touch tail rows from churning the shared tier's stripes. The
-//! policy sees only a mixed 64-bit key hash, so one implementation serves
-//! every key type.
 
 use crate::arena::SlabArena;
 use crate::stats::CacheStats;
@@ -351,86 +340,6 @@ where
         self.arena.clear();
         self.used = 0;
         self.note_residency();
-    }
-}
-
-/// Decides whether a not-yet-resident key may be inserted into a cache.
-///
-/// The policy sees a mixed 64-bit hash of the key (e.g.
-/// [`crate::RowKey::mix`]) rather than the key itself, so one policy
-/// implementation serves every engine. Implementations may be stateful —
-/// `admit` both decides and records the touch.
-pub trait AdmissionPolicy: std::fmt::Debug + Send {
-    /// Returns whether the key may enter, recording the touch for stateful
-    /// policies.
-    fn admit(&mut self, key_hash: u64) -> bool;
-
-    /// Forgets all recorded touches (cache clear / model update).
-    fn reset(&mut self);
-
-    /// Short policy name for reporting.
-    fn name(&self) -> &'static str;
-}
-
-/// The default policy: every key is admitted on first touch. Bit-identical
-/// to pre-policy behaviour by construction.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AlwaysAdmit;
-
-impl AdmissionPolicy for AlwaysAdmit {
-    fn admit(&mut self, _key_hash: u64) -> bool {
-        true
-    }
-
-    fn reset(&mut self) {}
-
-    fn name(&self) -> &'static str {
-        "always_admit"
-    }
-}
-
-/// Promote-on-second-touch doorkeeper: a key is admitted only when it was
-/// already touched while still in the doorkeeper's bounded memory.
-///
-/// The memory is a direct-mapped table of key hashes — O(1), allocation-free
-/// after construction, and deliberately lossy: a colliding key overwrites
-/// the previous occupant, which makes the doorkeeper behave like a recency
-/// window rather than an ever-growing set. Single-touch tail keys (the bulk
-/// of a power-law stream) are recorded and denied once, never entering the
-/// cache; genuinely warm keys come back while still remembered and are
-/// admitted on the second touch.
-#[derive(Debug, Clone)]
-pub struct SecondTouch {
-    seen: Vec<u64>,
-}
-
-impl SecondTouch {
-    /// Creates a doorkeeper remembering roughly `capacity` recent key
-    /// hashes (rounded up to a power of two, minimum 64).
-    pub fn new(capacity: usize) -> Self {
-        SecondTouch {
-            seen: vec![0; capacity.next_power_of_two().max(64)],
-        }
-    }
-}
-
-impl AdmissionPolicy for SecondTouch {
-    fn admit(&mut self, key_hash: u64) -> bool {
-        let idx = (key_hash as usize) & (self.seen.len() - 1);
-        if self.seen[idx] == key_hash {
-            true
-        } else {
-            self.seen[idx] = key_hash;
-            false
-        }
-    }
-
-    fn reset(&mut self) {
-        self.seen.fill(0);
-    }
-
-    fn name(&self) -> &'static str {
-        "second_touch"
     }
 }
 
@@ -732,29 +641,5 @@ mod tests {
         ops.extend([Op::Get(5), Op::Get(101), Op::Peek(6)]);
         ops.extend((108..140).map(|key| Op::Insert(key, 16, 7)));
         check_against_model(40 * 80, &ops).unwrap();
-    }
-
-    #[test]
-    fn always_admit_admits_and_second_touch_needs_two() {
-        let mut always = AlwaysAdmit;
-        assert!(always.admit(42));
-        assert_eq!(always.name(), "always_admit");
-
-        let mut st = SecondTouch::new(256);
-        assert!(!st.admit(42), "first touch must be denied");
-        assert!(st.admit(42), "second touch must be admitted");
-        assert!(st.admit(42), "later touches stay admitted while remembered");
-        st.reset();
-        assert!(!st.admit(42), "reset must forget touches");
-        assert_eq!(st.name(), "second_touch");
-    }
-
-    #[test]
-    fn second_touch_collisions_overwrite_the_doorkeeper_slot() {
-        let mut st = SecondTouch::new(64); // table size 64: hashes 1 and 65 collide
-        assert!(!st.admit(1));
-        assert!(!st.admit(65), "collision must evict the previous hash");
-        assert!(!st.admit(1), "evicted hash is a first touch again");
-        assert!(st.admit(1));
     }
 }

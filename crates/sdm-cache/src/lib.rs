@@ -64,10 +64,10 @@ mod tracked;
 mod warmup;
 
 pub use arena::SlabArena;
-pub use config::{CacheConfig, TierAdmission};
+pub use config::CacheConfig;
 pub use cpu_optimized::CpuOptimizedCache;
 pub use dual::DualRowCache;
-pub use engine::{AdmissionPolicy, AlwaysAdmit, ArenaLru, SecondTouch};
+pub use engine::ArenaLru;
 pub use error::CacheError;
 pub use memory_optimized::MemoryOptimizedCache;
 pub use pooled::{PooledEmbeddingCache, PooledKey};

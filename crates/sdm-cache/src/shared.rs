@@ -35,14 +35,9 @@
 //! tier's effect measurable: a hit whose origin differs from the probing
 //! shard is a *cross-shard* hit — one SM read amortised across streams.
 //!
-//! Promotion into the tier goes through a pluggable
-//! [`crate::AdmissionPolicy`] per stripe: [`crate::AlwaysAdmit`] by default
-//! (bit-identical to an unconditioned tier), or promote-on-second-touch
-//! ([`crate::SecondTouch`]) to keep the single-touch tail of a power-law
-//! stream from churning rows that earned their residency.
+//! Every promotion that fits is admitted: the tier has no admission policy.
 
-use crate::config::TierAdmission;
-use crate::engine::{AdmissionPolicy, AlwaysAdmit, ArenaLru, SecondTouch};
+use crate::engine::ArenaLru;
 use crate::row_cache::RowKey;
 use crate::stats::CacheStats;
 use crate::tracked::TrackedMutex;
@@ -52,12 +47,6 @@ use sdm_metrics::SimDuration;
 /// Metadata overhead per shared-tier entry (hash node, slot record with
 /// recency stamp and origin tag, victim-queue share).
 pub const ENTRY_OVERHEAD: usize = 64;
-
-/// Doorkeeper capacity per stripe for [`TierAdmission::SecondTouch`]:
-/// enough to remember a few thousand distinct recent rows per stripe, far
-/// more than a stripe holds, so warm keys are still remembered when they
-/// return.
-const SECOND_TOUCH_CAPACITY: usize = 4096;
 
 /// Outcome of a shared-tier hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,30 +81,10 @@ impl TierProbe {
 }
 
 /// One lock-striped partition: the shared [`ArenaLru`] engine core tagged
-/// with the promoting shard, plus the stripe's admission policy. DRAM
-/// per-entry overhead is paid once per *host* here rather than once per
-/// shard, so the indexed (CPU-optimized) organisation is the right one.
-#[derive(Debug)]
-struct Stripe {
-    engine: ArenaLru<RowKey, u32, u8>,
-    admission: Box<dyn AdmissionPolicy>,
-    /// Promotions the admission policy turned away (not part of
-    /// [`CacheStats`] — a denial is a policy decision, not cache pressure).
-    denied: u64,
-}
-
-impl Stripe {
-    fn insert(&mut self, key: RowKey, value: &[u8], origin: u32) -> bool {
-        // Admission applies to *new* residents only: refreshing a row that
-        // already earned its slot is always allowed (denying it would throw
-        // away residency the tier already paid an SM read for).
-        if !self.engine.contains(&key) && !self.admission.admit(key.mix()) {
-            self.denied += 1;
-            return false;
-        }
-        self.engine.insert(key, value, origin)
-    }
-}
+/// with the promoting shard. DRAM per-entry overhead is paid once per
+/// *host* here rather than once per shard, so the indexed (CPU-optimized)
+/// organisation is the right one.
+type Stripe = ArenaLru<RowKey, u32, u8>;
 
 /// The host-shared row-cache tier: K lock-striped arena-backed LRU
 /// partitions behind a `&self` API, shared across shards via `Arc`.
@@ -132,47 +101,26 @@ pub struct SharedRowTier {
     // and serving can continue.
     stripes: Vec<TrackedMutex<Stripe>>,
     budget: Bytes,
-    admission: TierAdmission,
 }
 
 impl SharedRowTier {
     /// Builds a tier of `stripes` lock-striped partitions sharing `budget`
-    /// bytes, with the default [`TierAdmission::Always`] policy — see
-    /// [`SharedRowTier::with_admission`].
+    /// bytes. The budget is split losslessly across stripes (remainder
+    /// bytes go to the first stripes); a zero stripe count clamps to one.
     pub fn new(budget: Bytes, stripes: usize) -> Self {
-        Self::with_admission(budget, stripes, TierAdmission::Always)
-    }
-
-    /// Builds a tier of `stripes` lock-striped partitions sharing `budget`
-    /// bytes under the given admission policy. The budget is split
-    /// losslessly across stripes (remainder bytes go to the first stripes);
-    /// a zero stripe count clamps to one.
-    pub fn with_admission(budget: Bytes, stripes: usize, admission: TierAdmission) -> Self {
         let n = stripes.max(1);
         let stripes = (0..n)
             .map(|i| {
-                let policy: Box<dyn AdmissionPolicy> = match admission {
-                    TierAdmission::Always => Box::new(AlwaysAdmit),
-                    TierAdmission::SecondTouch => Box::new(SecondTouch::new(SECOND_TOUCH_CAPACITY)),
-                };
                 TrackedMutex::new(
                     "shared-tier-stripe",
-                    Stripe {
-                        engine: ArenaLru::new(
-                            Bytes(split_share(budget.as_u64(), n as u64, i as u64)),
-                            ENTRY_OVERHEAD,
-                        ),
-                        admission: policy,
-                        denied: 0,
-                    },
+                    ArenaLru::new(
+                        Bytes(split_share(budget.as_u64(), n as u64, i as u64)),
+                        ENTRY_OVERHEAD,
+                    ),
                 )
             })
             .collect();
-        SharedRowTier {
-            stripes,
-            budget,
-            admission,
-        }
+        SharedRowTier { stripes, budget }
     }
 
     /// Number of lock stripes.
@@ -183,11 +131,6 @@ impl SharedRowTier {
     /// Configured byte budget across all stripes.
     pub fn budget(&self) -> Bytes {
         self.budget
-    }
-
-    /// The configured admission policy.
-    pub fn admission(&self) -> TierAdmission {
-        self.admission
     }
 
     /// Host CPU time of one tier probe (hash, stripe lock, index lookup).
@@ -229,11 +172,11 @@ impl SharedRowTier {
             // Index probes first, payload reads after: the probes are
             // independent of one another, so their cache misses overlap.
             for p in group.iter_mut() {
-                p.slot = stripe.engine.touch(&p.key);
+                p.slot = stripe.touch(&p.key);
             }
             for p in group.iter() {
                 if let Some(slot) = p.slot {
-                    let (bytes, &origin) = stripe.engine.entry(slot);
+                    let (bytes, &origin) = stripe.entry(slot);
                     let cross_shard = origin != source;
                     on_hit(p.tag, bytes, SharedHit { cross_shard });
                 }
@@ -253,7 +196,7 @@ impl SharedRowTier {
         f: F,
     ) -> Option<SharedHit> {
         let mut stripe = self.stripe_of(key).lock();
-        match stripe.engine.get(key) {
+        match stripe.get(key) {
             Some((bytes, &origin)) => {
                 f(bytes);
                 Some(SharedHit {
@@ -270,7 +213,7 @@ impl SharedRowTier {
     /// tier.
     pub fn peek_with<F: FnOnce(&[u8])>(&self, key: &RowKey, f: F) -> bool {
         let stripe = self.stripe_of(key).lock();
-        match stripe.engine.peek(key) {
+        match stripe.peek(key) {
             Some(bytes) => {
                 f(bytes);
                 true
@@ -280,24 +223,22 @@ impl SharedRowTier {
     }
 
     /// Promotes a row read from SM into the tier, tagged with the shard
-    /// that read it. Returns true when the row was admitted (false when the
-    /// admission policy turns it away, or a single entry exceeds the stripe
-    /// budget). Called at IO completion only, so no stripe lock is ever
-    /// held across an SM read.
+    /// that read it. Returns true when the row was stored (false when a
+    /// single entry exceeds the stripe budget). Called at IO completion
+    /// only, so no stripe lock is ever held across an SM read.
     pub fn insert(&self, key: RowKey, value: &[u8], source: u32) -> bool {
-        let mut stripe = self.stripe_of(&key).lock();
-        stripe.insert(key, value, source)
+        self.stripe_of(&key).lock().insert(key, value, source)
     }
 
     /// Returns true when the key is resident (without touching recency).
     pub fn contains(&self, key: &RowKey) -> bool {
         let stripe = self.stripe_of(key).lock();
-        stripe.engine.contains(key)
+        stripe.contains(key)
     }
 
     /// Number of resident rows across all stripes.
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().engine.len()).sum()
+        self.stripes.iter().map(|s| s.lock().len()).sum()
     }
 
     /// True when no rows are resident.
@@ -311,7 +252,7 @@ impl SharedRowTier {
         Bytes(
             self.stripes
                 .iter()
-                .map(|s| s.lock().engine.memory_used().as_u64())
+                .map(|s| s.lock().memory_used().as_u64())
                 .sum(),
         )
     }
@@ -321,26 +262,16 @@ impl SharedRowTier {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::new();
         for s in &self.stripes {
-            total.merge(s.lock().engine.stats());
+            total.merge(s.lock().stats());
         }
         total
     }
 
-    /// Promotions turned away by the admission policy across all stripes
-    /// (always zero under [`TierAdmission::Always`]).
-    pub fn admission_denied(&self) -> u64 {
-        self.stripes.iter().map(|s| s.lock().denied).sum()
-    }
-
-    /// Drops every resident row in every stripe and forgets the admission
-    /// policies' recorded touches (statistics are kept). Model updates call
-    /// this once, host-wide — stale doorkeeper state must not carry first
-    /// touches across a row-content change.
+    /// Drops every resident row in every stripe (statistics are kept).
+    /// Model updates call this once, host-wide.
     pub fn clear(&self) {
         for s in &self.stripes {
-            let mut stripe = s.lock();
-            stripe.engine.clear();
-            stripe.admission.reset();
+            s.lock().clear();
         }
     }
 }
@@ -376,19 +307,13 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert!(t.contains(&key));
         assert!(t.memory_used() > Bytes::ZERO);
-        assert_eq!(t.admission(), TierAdmission::Always);
-        assert_eq!(t.admission_denied(), 0);
     }
 
     #[test]
     fn stripe_budgets_split_losslessly_and_evict_lru() {
         // 1000 bytes over 3 stripes: 334 + 333 + 333.
         let t = tier(Bytes(1000), 3);
-        let per_stripe: u64 = t
-            .stripes
-            .iter()
-            .map(|s| s.lock().engine.budget().as_u64())
-            .sum();
+        let per_stripe: u64 = t.stripes.iter().map(|s| s.lock().budget().as_u64()).sum();
         assert_eq!(per_stripe, 1000);
         // Fill well past the budget; usage stays bounded and evictions run.
         for i in 0..64u64 {
@@ -442,28 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn second_touch_admits_only_repeated_rows() {
-        let t = SharedRowTier::with_admission(Bytes::from_kib(64), 2, TierAdmission::SecondTouch);
-        assert_eq!(t.admission(), TierAdmission::SecondTouch);
-        let key = RowKey::new(4, 11);
-        assert!(!t.insert(key, &[5u8; 64], 0), "first touch must be denied");
-        assert!(!t.contains(&key));
-        assert_eq!(t.admission_denied(), 1);
-        assert!(
-            t.insert(key, &[5u8; 64], 0),
-            "second touch must be admitted"
-        );
-        assert!(t.contains(&key));
-        // Resident refresh is always allowed — no doorkeeper round-trip.
-        assert!(t.insert(key, &[6u8; 64], 1));
-        assert_eq!(t.admission_denied(), 1);
-        // clear() resets the doorkeeper: the key is a first touch again.
-        t.clear();
-        assert!(!t.insert(key, &[5u8; 64], 0));
-        assert_eq!(t.admission_denied(), 2);
-    }
-
-    #[test]
     fn mixed_size_churn_never_serves_wrong_row() {
         // Regression: `Stripe` used to build its `LruList` via the derived
         // `Default`, whose zeroed head/tail claimed slot 0 was already
@@ -512,13 +415,9 @@ mod tests {
 
     /// Serves every round through `lookup_many` on one tier and through one
     /// `lookup_with` per row on its twin; everything observable must agree.
-    fn check_twins(
-        stripes: usize,
-        admission: TierAdmission,
-        rounds: &[Round],
-    ) -> Result<(), TestCaseError> {
+    fn check_twins(stripes: usize, rounds: &[Round]) -> Result<(), TestCaseError> {
         // ~100 of the 300 keys fit: inserts evict, so recency matters.
-        let build = || SharedRowTier::with_admission(Bytes::from_kib(20), stripes, admission);
+        let build = || tier(Bytes::from_kib(20), stripes);
         let (batched, per_row) = (build(), build());
         for (rows, source, promoted) in rounds {
             let keys: Vec<RowKey> = rows.iter().map(|&r| RowKey::new(0, r)).collect();
@@ -545,7 +444,6 @@ mod tests {
             }
             prop_assert_eq!(batched.stats(), per_row.stats());
             prop_assert_eq!(batched.len(), per_row.len());
-            prop_assert_eq!(batched.admission_denied(), per_row.admission_denied());
             // The promotions above evicted by recency: the same rows survive
             // only if both tiers recorded the lookups' recency identically.
             for r in 0..300 {
@@ -571,9 +469,8 @@ mod tests {
             )
         ) {
             for stripes in [1, 3, 8] {
-                check_twins(stripes, TierAdmission::Always, &rounds)?;
+                check_twins(stripes, &rounds)?;
             }
-            check_twins(3, TierAdmission::SecondTouch, &rounds)?;
         }
     }
 

@@ -3,7 +3,6 @@
 
 use crate::error::SdmError;
 use crate::placement::PlacementPolicy;
-use embedding::PoolKernel;
 use io_engine::{CompletionMode, EngineConfig};
 use scm_device::TechnologyProfile;
 use sdm_cache::CacheConfig;
@@ -90,10 +89,6 @@ pub struct SdmConfig {
     pub transform: LoadTransform,
     /// Batch execution mode (exact vs relaxed/overlapped).
     pub batch_mode: BatchMode,
-    /// Dequant-accumulate pooling kernel ([`PoolKernel::Auto`] picks the
-    /// widest SIMD kernel the host supports; explicit values pin one
-    /// implementation for A/B runs — all choices are bit-identical).
-    pub pool_kernel: PoolKernel,
     /// Seed for table materialisation.
     pub seed: u64,
 }
@@ -111,7 +106,6 @@ impl Default for SdmConfig {
             placement: PlacementPolicy::SmOnlyWithCache,
             transform: LoadTransform::default(),
             batch_mode: BatchMode::default(),
-            pool_kernel: PoolKernel::default(),
             seed: 0x5d31,
         }
     }
@@ -172,14 +166,6 @@ impl SdmConfig {
         })
     }
 
-    /// Pins the dequant-accumulate pooling kernel (A/B comparisons, the
-    /// CI force-scalar leg). All kernels are bit-identical; `Auto` (the
-    /// default) picks the widest one the host supports.
-    pub fn with_pool_kernel(mut self, kernel: PoolKernel) -> Self {
-        self.pool_kernel = kernel;
-        self
-    }
-
     /// Enables the host-shared second cache tier with the given budget
     /// (paper §3's host-level DRAM cache in front of SM). The budget is a
     /// host-level resource: [`SdmConfig::divide_among_indexed`] does not
@@ -193,24 +179,13 @@ impl SdmConfig {
         self
     }
 
-    /// Selects the shared tier's admission policy (see
-    /// [`sdm_cache::TierAdmission`]). The default,
-    /// [`sdm_cache::TierAdmission::Always`], admits every promotion and is
-    /// bit-identical to previous revisions;
-    /// [`sdm_cache::TierAdmission::SecondTouch`] requires a row to be
-    /// promoted twice before it displaces residents, which protects a
-    /// capacity-constrained tier from single-use pollution.
-    pub fn with_shared_tier_admission(mut self, admission: sdm_cache::TierAdmission) -> Self {
-        self.cache.shared_tier_admission = admission;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`SdmError::InvalidConfig`] for zero devices or capacities and
-    /// propagates cache / IO configuration errors.
+    /// Returns [`SdmError::InvalidConfig`] for zero devices or capacities
+    /// and for an unrecognised `SDM_POOL_KERNEL` value, and propagates
+    /// cache / IO configuration errors.
     pub fn validate(&self) -> Result<(), SdmError> {
         if self.device_count == 0 {
             return Err(SdmError::InvalidConfig {
@@ -251,16 +226,9 @@ impl SdmConfig {
                 reason: "relaxed batch mode needs max_inflight_queries >= 1".into(),
             });
         }
-        // Reject an explicit SIMD kernel the host cannot run rather than
-        // silently measuring the scalar fallback in an A/B comparison.
-        if !self.pool_kernel.is_supported() {
-            return Err(SdmError::InvalidConfig {
-                reason: format!(
-                    "pool kernel {} is not supported on this host",
-                    self.pool_kernel
-                ),
-            });
-        }
+        // The pooling kernel is not a field: a value of SDM_POOL_KERNEL the
+        // kernels do not understand would otherwise measure AVX2 silently.
+        embedding::kernels::kernel_env().map_err(|reason| SdmError::InvalidConfig { reason })?;
         self.cache.validate()?;
         self.io.validate()?;
         Ok(())
@@ -314,25 +282,6 @@ mod tests {
     fn default_config_is_valid() {
         assert!(SdmConfig::default().validate().is_ok());
         assert!(SdmConfig::for_tests().validate().is_ok());
-    }
-
-    #[test]
-    fn pool_kernel_knob_validates_and_divides() {
-        // Auto and Scalar are supported everywhere.
-        assert!(SdmConfig::for_tests()
-            .with_pool_kernel(PoolKernel::Scalar)
-            .validate()
-            .is_ok());
-        assert_eq!(SdmConfig::default().pool_kernel, PoolKernel::Auto);
-        // The kernel choice is host-wide and carries over to shard slices.
-        let c = SdmConfig::for_tests().with_pool_kernel(PoolKernel::Scalar);
-        assert_eq!(c.divide_among_indexed(4, 2).pool_kernel, PoolKernel::Scalar);
-        // An explicit SIMD kernel validates only where the host supports it
-        // (resolve() would run — as scalar — but A/B configs must not lie).
-        for k in [PoolKernel::Sse2, PoolKernel::Avx2] {
-            let c = SdmConfig::for_tests().with_pool_kernel(k);
-            assert_eq!(c.validate().is_ok(), k.is_supported());
-        }
     }
 
     #[test]

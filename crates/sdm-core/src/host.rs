@@ -422,10 +422,9 @@ impl ServingHost {
         let shared = if config.cache.shared_tier_budget.is_zero() {
             None
         } else {
-            let tier = Arc::new(SharedRowTier::with_admission(
+            let tier = Arc::new(SharedRowTier::new(
                 config.cache.shared_tier_budget,
                 config.cache.shared_tier_stripes,
-                config.cache.shared_tier_admission,
             ));
             for (i, shard) in built.iter_mut().enumerate() {
                 shard.attach_shared_tier(Arc::clone(&tier), i as u32);

@@ -72,7 +72,6 @@ mod stats;
 mod update;
 
 pub use config::{AccessGranularity, BatchMode, LoadTransform, SdmConfig};
-pub use embedding::PoolKernel;
 pub use error::SdmError;
 pub use frontend::{
     BatchRecord, CloseReason, Frontend, FrontendConfig, FrontendReport, QueryOutcome, QueryRecord,

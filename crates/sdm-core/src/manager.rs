@@ -222,8 +222,8 @@ fn fill_caches(
 #[derive(Debug)]
 struct ReadPath {
     config: SdmConfig,
-    /// Dequant-accumulate kernel resolved once from
-    /// `config.pool_kernel` at build time (all choices bit-identical).
+    /// Dequant-accumulate kernel resolved once at build time
+    /// ([`kernels::auto_kernel`]; every kernel is bit-identical).
     kernel: SelectedKernel,
     engine: IoEngine,
     row_cache: DualRowCache,
@@ -629,12 +629,11 @@ impl SdmMemoryManager {
             config.cache.pooled_cache_budget,
             config.cache.pooled_len_threshold,
         );
-        let kernel = config.pool_kernel.resolve_default();
         SdmMemoryManager {
             loaded,
             path: ReadPath {
                 config,
-                kernel,
+                kernel: kernels::auto_kernel(),
                 engine,
                 row_cache,
                 pooled_cache,
@@ -665,8 +664,7 @@ impl SdmMemoryManager {
         &self.path.config
     }
 
-    /// The pooling kernel the manager resolved from
-    /// [`SdmConfig::pool_kernel`] at construction time.
+    /// The pooling kernel the manager resolved at construction time.
     pub fn kernel(&self) -> SelectedKernel {
         self.path.kernel
     }

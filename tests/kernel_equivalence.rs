@@ -1,7 +1,7 @@
 //! Bit-for-bit equivalence of the SIMD pooling kernels against scalar.
 //!
-//! The contract in `embedding::kernels` is that every kernel — scalar,
-//! SSE2, AVX2 — produces *identical bit patterns*, not merely close
+//! The contract in `embedding::kernels` is that both kernels — scalar and
+//! AVX2 — produce *identical bit patterns*, not merely close
 //! floats: same `code as f32 * scale + bias` dequantise expression, a
 //! separate packed multiply and packed add (never FMA), lane-for-lane
 //! order, and scalar tails that reuse the same expression. This suite
@@ -10,21 +10,22 @@
 //! nibble), deliberately unaligned row buffers, weighted and unweighted
 //! pooling, and non-finite scale/bias/weight values.
 //!
-//! The `SDM_POOL_KERNEL` environment knob is exercised by a dedicated CI
-//! leg that re-runs this suite with the kernel forced to `scalar`; the
-//! tests pass trivially there (scalar vs scalar), which is exactly the
-//! point — the suite itself never depends on what the host supports.
+//! The `SDM_POOL_KERNEL` environment variable is exercised by a dedicated
+//! CI leg that re-runs this suite with the kernel forced to `scalar`; the
+//! equivalence tests still compare scalar with AVX2 there, and
+//! `kernel_inventory_is_coherent` fails if the override did not take
+//! effect.
 
-use embedding::kernels::{accumulate_row_weighted_with, accumulate_row_with, SelectedKernel};
-use embedding::{quantize_row, PoolKernel, QuantScheme};
+use embedding::kernels::{
+    accumulate_row_weighted_with, accumulate_row_with, auto_kernel, SelectedKernel, KERNEL_ENV,
+};
+use embedding::{quantize_row, QuantScheme};
 use proptest::prelude::*;
 
 /// Every kernel this host can run, scalar always included first.
 fn supported_kernels() -> Vec<SelectedKernel> {
-    [PoolKernel::Scalar, PoolKernel::Sse2, PoolKernel::Avx2]
-        .into_iter()
-        .filter(|k| k.is_supported())
-        .map(PoolKernel::resolve)
+    std::iter::once(SelectedKernel::SCALAR)
+        .chain(SelectedKernel::avx2())
         .collect()
 }
 
@@ -251,22 +252,31 @@ fn zero_dimension_rows_are_no_ops_for_every_kernel() {
     }
 }
 
-/// The host actually reports its kernel inventory coherently: scalar is
-/// always supported, AVX2 support implies SSE2 support, and `Auto`
-/// resolves to the best supported kernel.
+/// The host reports its kernel inventory coherently: the AVX2 kernel
+/// exists exactly when the CPU has AVX2, and the process-wide kernel is
+/// AVX2 if and only if it exists — unless `SDM_POOL_KERNEL` is set, in
+/// which case it must be scalar.
 #[test]
 fn kernel_inventory_is_coherent() {
-    assert!(PoolKernel::Scalar.is_supported());
-    if PoolKernel::Avx2.is_supported() {
-        assert!(PoolKernel::Sse2.is_supported(), "AVX2 host without SSE2");
-    }
-    let auto = PoolKernel::Auto.resolve();
-    if PoolKernel::Avx2.is_supported() {
-        assert_eq!(auto.name(), "avx2");
-    } else if PoolKernel::Sse2.is_supported() {
-        assert_eq!(auto.name(), "sse2");
+    let has_avx2 = {
+        #[cfg(target_arch = "x86_64")]
+        {
+            is_x86_feature_detected!("avx2")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    };
+    assert_eq!(SelectedKernel::avx2().is_some(), has_avx2);
+    let auto = auto_kernel();
+    if std::env::var_os(KERNEL_ENV).is_some() {
+        assert_eq!(
+            auto,
+            SelectedKernel::SCALAR,
+            "{KERNEL_ENV} is set but the {auto} kernel serves"
+        );
     } else {
-        assert_eq!(auto.name(), "scalar");
+        assert_eq!(auto.name() == "avx2", has_avx2, "auto kernel {auto}");
     }
-    assert_eq!(auto.is_simd(), auto.name() != "scalar");
 }

@@ -1,6 +1,6 @@
 //! Refactor bit-identity suite: a refactor of the serving stack must not
-//! move a single bit of serving behaviour while the admission policy is the
-//! default [`sdm_cache::AlwaysAdmit`].
+//! move a single bit of serving behaviour (the shared tier admits every
+//! promotion).
 //!
 //! The golden fingerprints below are captured from the parent commit of
 //! whatever refactor leans on them (same scenarios, same seeds). Per

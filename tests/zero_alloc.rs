@@ -11,8 +11,7 @@ use dlrm::{model_zoo, QueryResult};
 use io_engine::RetryConfig;
 use sdm_cache::{RowCache, SharedRowTier};
 use sdm_core::{
-    BatchMode, Frontend, FrontendConfig, PoolKernel, SdmConfig, ServingHost, Shard,
-    TokenBucketConfig,
+    BatchMode, Frontend, FrontendConfig, SdmConfig, ServingHost, Shard, TokenBucketConfig,
 };
 use sdm_metrics::alloc_hook;
 use sdm_metrics::units::Bytes;
@@ -280,40 +279,6 @@ fn warmed_hot_path_performs_zero_allocations() {
     assert!(
         frontend_report.served > 0,
         "open-loop run served nothing; the measurement is vacuous"
-    );
-
-    // --- warmed hot path with the pooling kernel forced to scalar ---
-    // Kernel dispatch is resolved once at build time into a Copy handle, so
-    // selecting a kernel explicitly (the SIMD A/B lever) must not add any
-    // per-query work: the scalar-forced system is as allocation-free as the
-    // auto-dispatched one.
-    let scalar_cfg = SdmConfig::for_tests().with_pool_kernel(PoolKernel::Scalar);
-    let mut scalar_system = Shard::build(&model, scalar_cfg, 7).unwrap();
-    for _ in 0..3 {
-        for q in &queries {
-            scalar_system.run_query_into(q, &mut result).unwrap();
-        }
-    }
-    scalar_system.run_batch(&queries).unwrap();
-    scalar_system.run_batch(&queries).unwrap();
-    alloc_hook::reset();
-    alloc_hook::set_enabled(true);
-    for q in &queries {
-        scalar_system.run_query_into(q, &mut result).unwrap();
-    }
-    scalar_system.run_batch(&queries).unwrap();
-    alloc_hook::set_enabled(false);
-    let scalar_allocs = alloc_hook::allocations();
-    assert_eq!(
-        scalar_allocs,
-        0,
-        "steady-state scalar-kernel serving allocated {scalar_allocs} times over {} queries",
-        queries.len()
-    );
-    assert_eq!(
-        scalar_system.manager().kernel().name(),
-        "scalar",
-        "forced scalar kernel did not take effect"
     );
 
     // --- steady-state MISS path: SM reads on every batch ---
