@@ -120,7 +120,10 @@ echo "==> cargo build --release --workspace (lib, bins, examples)"
 cargo build --locked --release --workspace --lib --bins --examples
 
 echo "==> cargo test --workspace"
-cargo test --locked -q --workspace
+cargo test --locked -q --workspace --no-fail-fast
+
+echo "==> zero_alloc unoptimised (an allocation the optimiser removes must still count)"
+cargo test --locked -q --test zero_alloc --config profile.test.opt-level=0
 
 echo "==> cargo test fault_injection + model_update (pinned-seed fault-plan invariants)"
 cargo test --locked -q --test fault_injection --test model_update

@@ -5,9 +5,10 @@
 //! ```
 //!
 //! Scans every workspace source file (crates, umbrella `src/`, `tests/`,
-//! `examples/`; `vendor/` and `target/` excluded), prints one
-//! `file:line: [rule] message` diagnostic per finding and exits non-zero
-//! when any finding survives suppression. `--list-rules` prints the rule
+//! `examples/`; `vendor/` and `target/` excluded; `benchmark/src/` only as
+//! a user of exported items), prints one `file:line: [rule] message`
+//! diagnostic per finding and exits non-zero when any finding survives
+//! suppression. `--list-rules` prints the rule
 //! table and exits.
 
 use std::path::PathBuf;

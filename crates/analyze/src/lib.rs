@@ -20,6 +20,7 @@
 //! | `no-print-in-libs` | library sources, non-test code | `println!`/`eprintln!`/`dbg!` belong to bins, tests and examples |
 //! | `lock-across-await-style` | library sources | a held lock guard's scope must not contain an IO submission call |
 //! | `default-hasher-on-serving-path` | serving-path crates, non-test code | a `HashMap`/`HashSet` on the default (SipHash) hasher is a decision: program-generated keys take `IntMap`, outside input keeps the default and says so |
+//! | `unreferenced-pub-item` | library sources, non-test code (a workspace pass) | a `pub` item whose name no other source file uses is dead or should be narrowed |
 //!
 //! # Suppressions
 //!
@@ -46,12 +47,13 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::Path;
 
 /// Crates whose serving paths run on the virtual clock: any wall-clock
 /// time source inside them silently breaks determinism and replay.
-pub const VIRTUAL_CLOCK_CRATES: &[&str] = &[
+const VIRTUAL_CLOCK_CRATES: &[&str] = &[
     "sdm-core",
     "io-engine",
     "scm-device",
@@ -63,12 +65,11 @@ pub const VIRTUAL_CLOCK_CRATES: &[&str] = &[
 /// pays SipHash per lookup for keys the program generated itself, or is
 /// keyed by outside input and needs the default — the rule makes each site
 /// say which.
-pub const SERVING_PATH_CRATES: &[&str] =
-    &["dlrm", "sdm-core", "sdm-cache", "io-engine", "scm-device"];
+const SERVING_PATH_CRATES: &[&str] = &["dlrm", "sdm-core", "sdm-cache", "io-engine", "scm-device"];
 
 /// Call markers treated as IO submission points by
 /// [`lock-across-await-style`](self#rules).
-const IO_SUBMIT_MARKERS: &[&str] = &["submit(", "submit_batch(", "drain_each(", "poll_wait("];
+const IO_SUBMIT_MARKERS: &[&str] = &["submit(", "drain_each(", "poll_wait("];
 
 /// One diagnostic produced by a rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,7 +137,20 @@ pub const RULES: &[RuleInfo] = &[
         scope: "serving-path crates: dlrm, sdm-core, sdm-cache, io-engine, scm-device, outside #[cfg(test)]",
         rationale: "program-generated keys use IntMap; a default-hasher map states why its keys are outside input",
     },
+    RuleInfo {
+        name: UNREFERENCED_PUB_ITEM,
+        scope: "pub items in library sources, outside #[cfg(test)] and trait impls; users are every other .rs file under crates/, src/, tests/, examples/, benchmark/src/",
+        rationale: "an exported item nothing else names is deleted, or narrowed when its own file uses it",
+    },
 ];
+
+/// Name of the workspace pass that no single file can decide.
+const UNREFERENCED_PUB_ITEM: &str = "unreferenced-pub-item";
+
+/// Directories whose sources count as users of a library's exported items.
+/// The benchmark harness is its own workspace but builds against the
+/// public API, so its sources count too.
+const USER_ROOTS: &[&str] = &["crates/", "src/", "tests/", "examples/", "benchmark/src/"];
 
 /// How a source file participates in the build, which decides rule scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -368,9 +382,11 @@ fn lex(content: &str) -> Vec<Line> {
             }
             i += 1;
         }
-        // Unterminated ordinary string/char literals do not span lines in
-        // practice; reset so one odd quote cannot blank the rest of a file.
-        if matches!(state, LexState::Str | LexState::Char) {
+        // A string literal may span lines (test sources are often written
+        // as `\`-continued strings), and its braces must not move the depth
+        // that bounds `#[cfg(test)]` regions. A char literal never spans
+        // lines; reset so one odd quote cannot blank the rest of a file.
+        if state == LexState::Char {
             state = LexState::Code;
         }
         if code.trim_start().starts_with("#[cfg(test)]") || code.contains("#[cfg(test)]") {
@@ -661,20 +677,267 @@ fn collect_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Res
     Ok(())
 }
 
-/// Analyzes the whole workspace rooted at `root`. Returns findings across
-/// every scannable file, sorted by path and line.
-pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut files = Vec::new();
-    collect_files(root, root, &mut files)?;
-    files.sort();
+/// Splits `code` into identifier-like words.
+fn words(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+}
+
+/// The leading identifier of `token` (`foo<T>(x` → `foo`).
+fn ident_prefix(token: &str) -> &str {
+    let end = token
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(token.len());
+    &token[..end]
+}
+
+/// A `pub` item declaration: `(kind, name)`, where kind is the item
+/// keyword (`fn`, `struct`, …). `None` for fields, modules and re-exports.
+fn pub_item(code: &str) -> Option<(&str, &str)> {
+    let mut tokens = code.trim_start().strip_prefix("pub ")?.split_whitespace();
+    let mut kw = tokens.next()?;
+    // Qualifiers before the keyword: `unsafe fn`, `extern "C" fn`.
+    while matches!(kw, "unsafe" | "async" | "extern") || kw.starts_with('"') {
+        kw = tokens.next()?;
+    }
+    let mut rest = tokens.next()?;
+    // `const fn` is a function; `static mut` is a static.
+    if kw == "const" && rest == "fn" {
+        kw = "fn";
+        rest = tokens.next()?;
+    } else if kw == "static" && rest == "mut" {
+        rest = tokens.next()?;
+    }
+    let name = ident_prefix(rest);
+    let known = matches!(
+        kw,
+        "fn" | "const" | "static" | "struct" | "enum" | "trait" | "type" | "union"
+    );
+    (known && !name.is_empty()).then_some((kw, name))
+}
+
+/// An open `impl`/`trait` block while scanning for exported items.
+struct Block {
+    /// Brace depth outside the block.
+    base: i32,
+    /// `impl Trait for …` or a trait body: nothing inside is an export.
+    trait_like: bool,
+    /// The self type of an inherent `impl`, whose own signatures do not
+    /// export it.
+    self_ty: String,
+}
+
+/// Starts a block header when `code` opens an `impl` or `trait` item.
+fn block_header(code: &str) -> bool {
+    let t = code.trim_start();
+    let t = t
+        .strip_prefix("pub(crate) ")
+        .or_else(|| t.strip_prefix("pub "))
+        .unwrap_or(t);
+    let t = t.strip_prefix("unsafe ").unwrap_or(t);
+    t.starts_with("impl ") || t.starts_with("impl<") || t.starts_with("trait ")
+}
+
+/// Classifies a complete header text (everything up to its `{`).
+fn block_for(header: &str, base: i32) -> Block {
+    let trait_like = contains_word(header, "trait") || contains_word(header, "for");
+    // Self type of `impl<…> Path::Name<…> {`: the last path segment.
+    let after = header.trim_start().trim_start_matches("unsafe ");
+    let mut after = after.strip_prefix("impl").unwrap_or("");
+    if after.starts_with('<') {
+        let mut depth = 0;
+        for (i, c) in after.char_indices() {
+            depth += match c {
+                '<' => 1,
+                '>' => -1,
+                _ => 0,
+            };
+            if depth == 0 {
+                after = &after[i + 1..];
+                break;
+            }
+        }
+    }
+    let path = after.trim_start();
+    let path_end = path
+        .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
+        .unwrap_or(path.len());
+    let self_ty = path[..path_end]
+        .rsplit("::")
+        .next()
+        .unwrap_or("")
+        .to_string();
+    Block {
+        base,
+        trait_like,
+        self_ty,
+    }
+}
+
+/// The exports of one library file: its `pub` items `(line index, kind,
+/// name)`, and every word its exported signatures name (`pub fn`
+/// parameters and returns, `pub` fields, `pub const` types, `pub type`
+/// aliases).
+fn exports(lines: &[Line]) -> (Vec<(usize, &str, &str)>, HashSet<&str>) {
+    let mut items = Vec::new();
+    let mut signature_words = HashSet::new();
+    let mut blocks: Vec<Block> = Vec::new();
+    let mut header: Option<(String, i32)> = None;
+    // A `pub fn` signature continuing onto later lines.
+    let mut in_signature = false;
+    let mut depth_before = 0;
+    for (idx, line) in lines.iter().enumerate() {
+        let code = line.code.as_str();
+        while blocks.last().is_some_and(|b| depth_before <= b.base) {
+            blocks.pop();
+        }
+        let hidden = line.in_test || blocks.iter().any(|b| b.trait_like);
+        let self_ty = blocks.last().map_or("", |b| b.self_ty.as_str());
+        if !hidden {
+            let item = pub_item(code);
+            if let Some((kind, name)) = item {
+                items.push((idx, kind, name));
+            }
+            let trimmed = code.trim_start();
+            let signature = if in_signature || matches!(item, Some(("fn", _))) {
+                in_signature = !(code.contains('{') || code.contains(';'));
+                Some(code.split(['{', ';']).next().unwrap_or(""))
+            } else if matches!(item, Some(("const" | "static", _))) {
+                Some(code.split('=').next().unwrap_or(""))
+            } else if matches!(item, Some(("type", _))) {
+                // A `pub type` alias exports what it names.
+                code.split_once('=').map(|(_, ty)| ty)
+            } else if item.is_none() && trimmed.starts_with("pub ") {
+                // A `pub` field: the type after its colon.
+                trimmed.split_once(':').map(|(_, ty)| ty)
+            } else {
+                None
+            };
+            signature_words.extend(
+                signature
+                    .into_iter()
+                    .flat_map(words)
+                    .filter(|w| *w != self_ty),
+            );
+        }
+        if header.is_none() && block_header(code) {
+            header = Some((String::new(), depth_before));
+        }
+        if let Some((text, base)) = header.as_mut() {
+            text.push_str(code.split('{').next().unwrap_or(""));
+            text.push(' ');
+            if code.contains('{') {
+                blocks.push(block_for(text, *base));
+                header = None;
+            }
+        }
+        depth_before = line.depth_after;
+    }
+    (items, signature_words)
+}
+
+/// Every word `lines` use as code: comments, literals and `use` items
+/// (imports and re-exports) do not count, but the code blocks of doc
+/// comments do — they compile as doctests.
+fn used_words(lines: &[Line]) -> HashSet<&str> {
+    let mut used = HashSet::new();
+    let mut in_use_item = false;
+    let mut in_doctest = false;
+    for line in lines {
+        let code = line.code.as_str();
+        let t = code.trim_start();
+        let t = t
+            .strip_prefix("pub(crate) ")
+            .or_else(|| t.strip_prefix("pub "))
+            .unwrap_or(t);
+        in_use_item |= t.starts_with("use ");
+        if !in_use_item {
+            used.extend(words(code));
+        }
+        in_use_item &= !code.contains(';');
+
+        let raw = line.raw.trim_start();
+        if let Some(doc) = raw.strip_prefix("///").or_else(|| raw.strip_prefix("//!")) {
+            if doc.trim_start().starts_with("```") {
+                in_doctest = !in_doctest;
+            } else if in_doctest {
+                used.extend(words(doc));
+            }
+        }
+    }
+    used
+}
+
+/// The `unreferenced-pub-item` pass over a set of workspace-relative
+/// `(path, content)` sources: a `pub` item in library code (outside tests,
+/// trait impls and trait bodies) is reported when no other user file names
+/// it as a whole word in code or in a doctest. A type its own file names in
+/// an exported signature is exempt: callers reach it through that
+/// signature. Name collisions can only hide a dead item, never report a
+/// live one.
+pub fn unreferenced_pub_items(files: &[(String, String)]) -> Vec<Finding> {
+    let lexed: Vec<(&str, Vec<Line>)> = files
+        .iter()
+        .filter(|(rel, _)| {
+            rel.ends_with(".rs")
+                && !rel.contains("analyze_fixtures/")
+                && USER_ROOTS.iter().any(|r| rel.starts_with(r))
+        })
+        .map(|(rel, content)| (rel.as_str(), lex(content)))
+        .collect();
+    let used: Vec<HashSet<&str>> = lexed.iter().map(|(_, lines)| used_words(lines)).collect();
+    // How many files use each word.
+    let mut users: HashMap<&str, usize> = HashMap::new();
+    for word in used.iter().flatten() {
+        *users.entry(word).or_default() += 1;
+    }
     let mut findings = Vec::new();
-    for rel in &files {
-        if classify(rel).is_none() {
+    for ((rel, lines), own) in lexed.iter().zip(&used) {
+        if classify(rel) != Some(FileKind::Lib) {
             continue;
         }
-        let content = std::fs::read_to_string(root.join(rel))?;
-        findings.extend(analyze_source(rel, &content));
+        let allows = file_allows(lines);
+        let (items, signature_words) = exports(lines);
+        for (idx, kind, name) in items {
+            let elsewhere = users.get(name).copied().unwrap_or(0) - usize::from(own.contains(name));
+            let is_type = matches!(kind, "struct" | "enum" | "trait" | "type" | "union");
+            if elsewhere > 0
+                || is_type && signature_words.contains(name)
+                || suppressed(lines, idx, UNREFERENCED_PUB_ITEM, &allows)
+            {
+                continue;
+            }
+            findings.push(Finding {
+                path: rel.to_string(),
+                line: idx + 1,
+                rule: UNREFERENCED_PUB_ITEM,
+                message: format!(
+                    "`pub {kind} {name}` is used by no other source file: delete it, or narrow \
+                     it to pub(crate)/private if this file uses it"
+                ),
+            });
+        }
     }
+    findings
+}
+
+/// Analyzes the whole workspace rooted at `root`: every per-file rule over
+/// every scannable file, then the workspace pass. Returns findings sorted
+/// by path and line.
+pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
+    let mut paths = Vec::new();
+    collect_files(root, root, &mut paths)?;
+    paths.sort();
+    let mut files = Vec::new();
+    for rel in paths {
+        let content = std::fs::read_to_string(root.join(&rel))?;
+        files.push((rel, content));
+    }
+    let mut findings: Vec<Finding> = files
+        .iter()
+        .flat_map(|(rel, content)| analyze_source(rel, content))
+        .collect();
+    findings.extend(unreferenced_pub_items(&files));
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     Ok(findings)
@@ -821,8 +1084,57 @@ mod tests {
                 "no-print-in-libs",
                 "lock-across-await-style",
                 "default-hasher-on-serving-path",
+                "unreferenced-pub-item",
             ]
         );
+    }
+
+    #[test]
+    fn unreferenced_pub_item_reads_scope_and_uses() {
+        let lib = "pub struct Own;\n\
+                   impl Own {\n\
+                   pub fn new() -> Own { Own }\n\
+                   pub fn helper(&self) {}\n\
+                   }\n\
+                   impl Clone for Own {\n\
+                   pub fn clone(&self) -> Own { Own }\n\
+                   }\n\
+                   pub struct Aliased;\n\
+                   pub type Alias = Vec<Aliased>;\n\
+                   pub const LIMIT: usize = 4;\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   pub fn only_in_tests() {}\n\
+                   }\n";
+        let user = "use fixture::{helper, Alias, LIMIT};\n\
+                    fn f() { let _ = Own::new(); } // LIMIT\n";
+        let files = [
+            ("crates/dlrm/src/fixture.rs".to_string(), lib.to_string()),
+            ("tests/user.rs".to_string(), user.to_string()),
+        ];
+        let names_in = |files: &[(String, String)]| -> Vec<String> {
+            unreferenced_pub_items(files)
+                .iter()
+                .map(|f| f.message.split('`').nth(1).unwrap_or("").to_string())
+                .collect()
+        };
+        let names = names_in(&files);
+        // `Own` is named only by its own impl's signatures, so the user's
+        // `Own::new()` is what keeps it; `Aliased` is exported through the
+        // alias. Imports and comments are not uses; trait impls and test
+        // code are out of scope.
+        assert_eq!(
+            names,
+            ["pub fn helper", "pub type Alias", "pub const LIMIT"],
+            "{names:?}"
+        );
+        let without_user = names_in(&files[..1]);
+        assert!(without_user.contains(&"pub struct Own".to_string()));
+        // A doctest compiles, so it is a use; prose in the same comment is not.
+        let doc_user = "//! Calls `LIMIT`.\n//! ```\n//! fixture::helper();\n//! ```\n";
+        let doc_only = names_in(&[files[0].clone(), ("src/lib.rs".into(), doc_user.into())]);
+        assert!(!doc_only.contains(&"pub fn helper".to_string()));
+        assert!(doc_only.contains(&"pub const LIMIT".to_string()));
     }
 
     #[test]

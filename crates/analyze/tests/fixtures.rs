@@ -3,7 +3,7 @@
 //! silence a justified violation, and the live workspace must scan clean.
 //! A scanner regression that disarms a rule fails here, not silently.
 
-use sdm_analyze::{analyze_source, analyze_workspace, Finding, RULES};
+use sdm_analyze::{analyze_source, analyze_workspace, unreferenced_pub_items, Finding, RULES};
 use std::path::{Path, PathBuf};
 
 /// Workspace root: two levels up from this crate's manifest.
@@ -113,6 +113,48 @@ fn default_hasher_fixture_trips_default_hasher_on_serving_path() {
 }
 
 #[test]
+fn unreferenced_fixture_trips_unreferenced_pub_item() {
+    // A two-file workspace: one library, one test file that uses part of it.
+    let fixture = root().join("tests/analyze_fixtures/unreferenced");
+    let findings = analyze_workspace(&fixture).expect("fixture workspace scan failed");
+    assert!(
+        findings.iter().all(|f| f.rule == "unreferenced-pub-item"),
+        "unexpected extra rules in {findings:?}"
+    );
+    let reported: Vec<&str> = findings
+        .iter()
+        .map(|f| f.message.split('`').nth(1).unwrap_or(""))
+        .collect();
+    // Dead, named only in a doc comment, named only by `pub use`. Not the
+    // type reached through a return value, the items the test file uses,
+    // the trait-impl method or the suppressed item.
+    assert_eq!(
+        reported,
+        [
+            "pub fn dead_helper",
+            "pub fn doc_only",
+            "pub fn reexported_only"
+        ],
+        "{findings:?}"
+    );
+
+    // The same-line suppression is what keeps `kept_on_purpose` quiet.
+    let read = |rel: &str| {
+        let content = std::fs::read_to_string(fixture.join(rel)).expect("fixture unreadable");
+        (rel.to_string(), content)
+    };
+    let (lib, content) = read("crates/demo/src/lib.rs");
+    let unsuppressed = content.replace("sdm-analyze: allow(unreferenced-pub-item)", "");
+    let findings = unreferenced_pub_items(&[(lib, unsuppressed), read("tests/uses.rs")]);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.message.contains("pub fn kept_on_purpose")),
+        "{findings:?}"
+    );
+}
+
+#[test]
 fn suppressed_fixture_is_clean() {
     let findings = scan_fixture("suppressed_clean.rs", "crates/workload/src/fixture.rs");
     assert!(findings.is_empty(), "suppressions ignored: {findings:?}");
@@ -129,6 +171,7 @@ fn every_rule_has_a_fixture_that_trips_it() {
         "no-print-in-libs",
         "lock-across-await-style",
         "default-hasher-on-serving-path",
+        "unreferenced-pub-item",
     ];
     for rule in RULES {
         assert!(

@@ -37,10 +37,10 @@ use workload::{
 /// Divisor applied to paper-scale row counts so experiments run in seconds
 /// on a development machine. Capacity-derived results always use the
 /// unscaled descriptors.
-pub const DEFAULT_CAPACITY_DIVISOR: u64 = 200_000;
+const DEFAULT_CAPACITY_DIVISOR: u64 = 200_000;
 
 /// Divisor applied to MLP widths for the materialised replicas.
-pub const DEFAULT_MLP_DIVISOR: f64 = 40.0;
+const DEFAULT_MLP_DIVISOR: f64 = 40.0;
 
 /// Seed used by all experiments (printed so runs are reproducible).
 pub const EXPERIMENT_SEED: u64 = 0x5d_2022;
@@ -325,23 +325,6 @@ pub struct FaultRun {
     pub hedge_wins: u64,
     /// Shard-batches routed away from an unhealthy shard.
     pub failovers: u64,
-}
-
-impl FaultRun {
-    /// All injected faults, of every kind.
-    pub fn injected_total(&self) -> u64 {
-        self.injected_transient + self.injected_corruptions + self.injected_stuck
-    }
-
-    /// Share of injected corruptions the checksum caught (1 when none were
-    /// injected).
-    pub fn corruption_detection_rate(&self) -> f64 {
-        if self.injected_corruptions == 0 {
-            1.0
-        } else {
-            self.detected_corruptions as f64 / self.injected_corruptions as f64
-        }
-    }
 }
 
 /// Everything the fault-resilience measurement produces: one run per
@@ -681,13 +664,14 @@ mod tests {
         );
         let healthy = out.healthy;
         assert!(healthy.virtual_qps > 0.0);
-        assert_eq!(healthy.injected_total(), 0);
+        let injected =
+            |r: &FaultRun| r.injected_transient + r.injected_corruptions + r.injected_stuck;
+        assert_eq!(injected(&healthy), 0);
         assert_eq!(healthy.degraded_rows, 0);
         let storm = out.storm;
-        assert!(storm.injected_total() > 0, "storm must inject faults");
+        assert!(injected(&storm) > 0, "storm must inject faults");
         assert_eq!(
-            storm.corruption_detection_rate(),
-            1.0,
+            storm.detected_corruptions, storm.injected_corruptions,
             "checksums must catch every injected flip: {storm:?}"
         );
         assert_eq!(out.corrupted_served(), 0);

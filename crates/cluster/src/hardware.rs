@@ -12,17 +12,6 @@ pub enum SsdKind {
     Optane,
 }
 
-impl SsdKind {
-    /// Random-read IOPS one device of this kind sustains (paper Table 1 /
-    /// Figure 3: Nand ≈ 0.5 M, Optane ≈ 4 M).
-    pub fn iops_per_device(self) -> f64 {
-        match self {
-            SsdKind::NandFlash => 500_000.0,
-            SsdKind::Optane => 4_000_000.0,
-        }
-    }
-}
-
 /// A set of identical SSDs on one host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SsdSpec {
@@ -184,24 +173,6 @@ impl HostConfig {
             .map(|s| s.capacity * s.count as u64)
             .unwrap_or(Bytes::ZERO)
     }
-
-    /// Aggregate SSD random-read IOPS on the host.
-    pub fn ssd_iops(&self) -> f64 {
-        self.ssd
-            .map(|s| s.kind.iops_per_device() * s.count as f64)
-            .unwrap_or(0.0)
-    }
-
-    /// Memory capacity usable for embeddings: DRAM plus SSD plus accelerator
-    /// memory.
-    pub fn total_memory(&self) -> Bytes {
-        self.dram
-            + self.ssd_capacity()
-            + self
-                .accelerator
-                .map(|a| a.memory * a.count as u64)
-                .unwrap_or(Bytes::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -218,21 +189,5 @@ mod tests {
         assert_eq!(hosts[2].ssd_capacity(), Bytes::from_tib(4));
         assert!(hosts[3].accelerator.is_some());
         assert_eq!(hosts[4].ssd.unwrap().kind, SsdKind::Optane);
-    }
-
-    #[test]
-    fn ssd_capacity_extends_memory_well_beyond_dram() {
-        let hw_ss = HostConfig::hw_ss();
-        // Paper §5.1: using HW-SS saves ~159 TB of DRAM fleet-wide because
-        // each host gains 4 TB of SSD over 64 GB of DRAM.
-        assert!(hw_ss.total_memory() > hw_ss.dram * 60);
-    }
-
-    #[test]
-    fn optane_hosts_provide_more_iops_than_nand_hosts() {
-        assert!(HostConfig::hw_ao().ssd_iops() > HostConfig::hw_an().ssd_iops());
-        assert_eq!(HostConfig::hw_l().ssd_iops(), 0.0);
-        // HW-FAO provides the 36 MIOPS Table 10 asks for.
-        assert!(HostConfig::hw_fao().ssd_iops() >= 36_000_000.0);
     }
 }

@@ -10,10 +10,9 @@
 //! * [`HostConfig`] — the hardware platforms of Table 7 (HW-L, HW-S, HW-SS,
 //!   HW-AN, HW-AO and the future accelerator host of §5.3);
 //! * [`PowerModel`] — component-level host power estimates;
-//! * [`roofline`] — Equations 5–7 (QPS, latency, hosts needed);
+//! * [`roofline`] — Equations 5 and 7 (QPS per host, hosts needed);
 //! * [`ServingScenario`] / [`ScenarioComparison`] — the Table 8/9 style
 //!   deployments;
-//! * [`scale_out`] — the fan-out deployment of Lui et al. that SDM replaces;
 //! * [`multi_tenancy`] — the utilisation/power model behind Table 11;
 //! * [`sizing`] — the IOPS → number-of-SSDs sizing of Table 10.
 //!
@@ -39,7 +38,6 @@ mod hardware;
 pub mod multi_tenancy;
 mod power;
 pub mod roofline;
-pub mod scale_out;
 mod scenario;
 pub mod sizing;
 

@@ -63,11 +63,6 @@ impl PowerModel {
         self.host_power(host)
             .normalized_to(self.host_power(baseline))
     }
-
-    /// Total power of a fleet of `hosts` identical hosts.
-    pub fn fleet_power(&self, host: &HostConfig, hosts: f64) -> Watts {
-        self.host_power(host) * hosts.max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -92,15 +87,6 @@ mod tests {
         let an = m.host_power(&HostConfig::hw_an()).as_f64();
         let ao = m.host_power(&HostConfig::hw_ao()).as_f64();
         assert!((ao - an).abs() / an < 0.05, "an={an} ao={ao}");
-    }
-
-    #[test]
-    fn fleet_power_scales_with_hosts() {
-        let m = PowerModel::default();
-        let one = m.fleet_power(&HostConfig::hw_l(), 1.0);
-        let thousand = m.fleet_power(&HostConfig::hw_l(), 1000.0);
-        assert!((thousand.as_f64() / one.as_f64() - 1000.0).abs() < 1e-6);
-        assert_eq!(m.fleet_power(&HostConfig::hw_l(), -5.0), Watts::ZERO * 1.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Roofline throughput and fleet sizing (paper Equations 5–7).
+//! Roofline throughput and fleet sizing (paper Equations 5 and 7).
 
 use crate::error::ClusterError;
 
@@ -42,23 +42,6 @@ pub fn qps_per_host(demand: QueryDemand, supply: HostSupply) -> Result<f64, Clus
     }
     Ok((supply.memory_bandwidth / demand.bytes_per_query)
         .min(supply.compute / demand.flops_per_query))
-}
-
-/// Equation 6: the latency of one query is the sum of its memory time and
-/// its compute time on the host.
-///
-/// # Errors
-///
-/// Returns [`ClusterError::InvalidParameter`] when the supply is not
-/// positive.
-pub fn latency_per_query(demand: QueryDemand, supply: HostSupply) -> Result<f64, ClusterError> {
-    if supply.memory_bandwidth <= 0.0 || supply.compute <= 0.0 {
-        return Err(ClusterError::InvalidParameter {
-            name: "supply",
-            reason: "memory_bandwidth and compute must be positive".into(),
-        });
-    }
-    Ok(demand.bytes_per_query / supply.memory_bandwidth + demand.flops_per_query / supply.compute)
 }
 
 /// Equation 7: hosts needed to serve a total QPS with a per-host QPS.
@@ -109,16 +92,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_adds_memory_and_compute_time() {
-        let supply = HostSupply {
-            memory_bandwidth: 100.0e9,
-            compute: 2.0e12,
-        };
-        let l = latency_per_query(DEMAND, supply).unwrap();
-        assert!((l - (1.0e-4 + 1.0e-3)).abs() < 1e-9);
-    }
-
-    #[test]
     fn hosts_needed_rounds_up() {
         assert_eq!(hosts_needed(1000.0, 240.0).unwrap(), 5);
         assert_eq!(hosts_needed(0.0, 100.0).unwrap(), 0);
@@ -133,7 +106,6 @@ mod tests {
             compute: 1.0,
         };
         assert!(qps_per_host(DEMAND, bad_supply).is_err());
-        assert!(latency_per_query(DEMAND, bad_supply).is_err());
         let bad_demand = QueryDemand {
             bytes_per_query: 0.0,
             flops_per_query: 1.0,

@@ -44,7 +44,7 @@ impl ServingScenario {
     /// # Errors
     ///
     /// Propagates [`ClusterError`] for non-positive per-host QPS.
-    pub fn serving_hosts(&self, total_qps: f64) -> Result<u64, ClusterError> {
+    fn serving_hosts(&self, total_qps: f64) -> Result<u64, ClusterError> {
         hosts_needed(total_qps, self.qps_per_host)
     }
 
@@ -63,7 +63,7 @@ impl ServingScenario {
     /// # Errors
     ///
     /// Propagates [`ClusterError`] for non-positive per-host QPS.
-    pub fn total_power(&self, total_qps: f64) -> Result<Watts, ClusterError> {
+    fn total_power(&self, total_qps: f64) -> Result<Watts, ClusterError> {
         let serving = self.serving_hosts(total_qps)?;
         Ok(self.power_per_host * serving as f64)
     }

@@ -88,28 +88,6 @@ pub fn capacity_fraction_below_demand(model: &ModelConfig, bytes_per_query: Byte
     low as f64 / total as f64
 }
 
-/// Memory bandwidth demanded by the model's embeddings at a given QPS
-/// (Equation 2): `QPS * (B_I * Σ_item p_i d_i + B_U * Σ_user p_j d_j)` with
-/// `B_U = 1`.
-pub fn bandwidth_requirement(model: &ModelConfig, qps: f64) -> f64 {
-    let per_query: u64 = model
-        .tables
-        .iter()
-        .map(|t| t.bytes_per_query(model.item_batch).as_u64())
-        .sum();
-    qps * per_query as f64
-}
-
-/// Bandwidth demanded by only the user-side (slow-memory candidate) tables.
-pub fn user_bandwidth_requirement(model: &ModelConfig, qps: f64) -> f64 {
-    let per_query: u64 = model
-        .user_tables()
-        .iter()
-        .map(|t| t.bytes_per_query(model.item_batch).as_u64())
-        .sum();
-    qps * per_query as f64
-}
-
 /// IOPS demanded from slow memory when the given tables live there
 /// (Equation 8): `QPS * Σ p_i` over the SM-resident tables, scaled by each
 /// table's per-query batch.
@@ -123,12 +101,6 @@ pub fn iops_requirement<'a>(
         .map(|t| t.lookups_per_query(item_batch))
         .sum();
     qps * lookups as f64
-}
-
-/// IOPS demanded from SM after a fast-memory cache absorbs `hit_rate` of the
-/// lookups (the sizing calculation behind Tables 8–10).
-pub fn iops_after_cache(raw_iops: f64, hit_rate: f64) -> f64 {
-    raw_iops * (1.0 - hit_rate.clamp(0.0, 1.0))
 }
 
 #[cfg(test)]
@@ -173,35 +145,19 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_scales_linearly_with_qps() {
-        let m = model_zoo::m1();
-        let at_100 = bandwidth_requirement(&m, 100.0);
-        let at_200 = bandwidth_requirement(&m, 200.0);
-        assert!((at_200 / at_100 - 2.0).abs() < 1e-9);
-        assert!(user_bandwidth_requirement(&m, 100.0) < at_100);
-    }
-
-    #[test]
     fn m1_iops_matches_paper_sizing() {
-        // Paper §5.1: 120 QPS × ~50 user tables × avg PF 42 ≈ 246K IOPS and
-        // ≥96 % hit rate leaves <10K IOPS in steady state.
+        // Paper §5.1: 120 QPS × ~50 user tables × avg PF 42 ≈ 246K IOPS.
         let m = model_zoo::m1();
         let user_tables = m.user_tables();
         let raw = iops_requirement(user_tables.iter().copied(), 120.0, m.item_batch);
         assert!(raw > 150_000.0 && raw < 450_000.0, "raw = {raw}");
-        let steady = iops_after_cache(raw, 0.96);
-        assert!(steady < 0.05 * raw);
-        assert_eq!(iops_after_cache(raw, 2.0), 0.0);
     }
 
     #[test]
     fn m2_iops_matches_paper_sizing() {
-        // Paper §5.2: 450 QPS × 450 tables × avg PF 25 ≈ 4.8M IOPS raw,
-        // ~480K after a 90% hit rate.
+        // Paper §5.2: 450 QPS × 450 tables × avg PF 25 ≈ 4.8M IOPS raw.
         let m = model_zoo::m2();
         let raw = iops_requirement(m.user_tables().iter().copied(), 450.0, m.item_batch);
         assert!(raw > 3.0e6 && raw < 7.0e6, "raw = {raw}");
-        let after = iops_after_cache(raw, 0.90);
-        assert!(after < 0.11 * raw);
     }
 }

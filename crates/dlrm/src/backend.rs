@@ -112,11 +112,6 @@ impl DramBackend {
         self.kernel
     }
 
-    /// Number of resident tables.
-    pub fn num_tables(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Access to a resident table (for tests).
     pub fn table(&self, id: TableId) -> Option<&EmbeddingTable> {
         self.tables.get(&id)
@@ -193,7 +188,6 @@ mod tests {
     fn dram_backend_serves_pooled_lookups() {
         let model = model_zoo::tiny(2, 1, 200);
         let mut backend = DramBackend::new(&model, 5);
-        assert_eq!(backend.num_tables(), 3);
         let (pooled, latency) = backend
             .pooled_lookup(0, &[1, 2, 3, 4], SimInstant::EPOCH)
             .unwrap();

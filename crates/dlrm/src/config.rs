@@ -32,14 +32,6 @@ impl MlpConfig {
         self.widths.len().saturating_sub(1)
     }
 
-    /// Number of parameters (weights + biases).
-    pub fn num_parameters(&self) -> u64 {
-        self.widths
-            .windows(2)
-            .map(|w| (w[0] as u64) * (w[1] as u64) + w[1] as u64)
-            .sum()
-    }
-
     /// Multiply-accumulate FLOPs per forward pass of one sample.
     pub fn flops(&self) -> u64 {
         self.widths
@@ -222,7 +214,6 @@ mod tests {
     fn mlp_config_arithmetic() {
         let m = MlpConfig::new(vec![4, 8, 2]);
         assert_eq!(m.num_layers(), 2);
-        assert_eq!(m.num_parameters(), 4 * 8 + 8 + 8 * 2 + 2);
         assert_eq!(m.flops(), 2 * (4 * 8 + 8 * 2));
         let u = MlpConfig::uniform(3, 10);
         assert_eq!(u.num_layers(), 3);

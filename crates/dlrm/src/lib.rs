@@ -48,4 +48,4 @@ pub use backend::{DramBackend, EmbeddingBackend};
 pub use config::{ComputeModel, MlpConfig, ModelConfig, UseCase};
 pub use engine::{ExecutionMode, InferenceEngine, LatencyBreakdown, PoolingBuffers, QueryResult};
 pub use error::DlrmError;
-pub use mlp::{DenseLayer, Mlp};
+pub use mlp::Mlp;

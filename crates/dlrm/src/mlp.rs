@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 
 /// One fully connected layer with ReLU activation.
 #[derive(Debug, Clone)]
-pub struct DenseLayer {
+struct DenseLayer {
     weights: Vec<f32>, // row-major, out x in
     bias: Vec<f32>,
     in_dim: usize,
@@ -29,30 +29,13 @@ impl DenseLayer {
     }
 
     /// Input dimension.
-    pub fn in_dim(&self) -> usize {
+    fn in_dim(&self) -> usize {
         self.in_dim
     }
 
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// Forward pass with ReLU.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::DimensionMismatch`] for a wrong input length.
-    pub fn forward(&self, input: &[f32]) -> Result<Vec<f32>, DlrmError> {
-        let mut out = Vec::with_capacity(self.out_dim);
-        self.forward_into(input, &mut out)?;
-        Ok(out)
-    }
-
-    /// Forward pass writing into a reusable output vector (cleared and
-    /// refilled; capacity is reused across calls, so a warm serving loop
-    /// allocates nothing here). Arithmetic is identical to
-    /// [`DenseLayer::forward`].
+    /// Forward pass with ReLU, writing into a reusable output vector
+    /// (cleared and refilled; capacity is reused across calls, so a warm
+    /// serving loop allocates nothing here).
     ///
     /// # Errors
     ///
@@ -116,11 +99,6 @@ impl Mlp {
         self.layers.first().map(|l| l.in_dim()).unwrap_or(0)
     }
 
-    /// Output dimension of the last layer (0 for an empty stack).
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().map(|l| l.out_dim()).unwrap_or(0)
-    }
-
     /// Forward pass through every layer.
     ///
     /// # Errors
@@ -173,7 +151,6 @@ mod tests {
         let mlp = Mlp::generate(&MlpConfig::new(vec![4, 8, 3]), 1);
         assert_eq!(mlp.num_layers(), 2);
         assert_eq!(mlp.input_dim(), 4);
-        assert_eq!(mlp.output_dim(), 3);
         let out = mlp.forward(&[0.1, 0.2, 0.3, 0.4]).unwrap();
         assert_eq!(out.len(), 3);
         // ReLU output is non-negative.

@@ -21,13 +21,6 @@ pub enum EmbeddingError {
         /// Actual byte length.
         actual: usize,
     },
-    /// Weighted pooling was given a different number of weights than rows.
-    WeightCountMismatch {
-        /// Number of rows to pool.
-        rows: usize,
-        /// Number of weights supplied.
-        weights: usize,
-    },
     /// A table descriptor was invalid (zero rows or zero dimension).
     InvalidDescriptor {
         /// Explanation of the problem.
@@ -55,12 +48,6 @@ impl fmt::Display for EmbeddingError {
                 write!(
                     f,
                     "malformed quantised row: expected {expected} bytes, got {actual}"
-                )
-            }
-            EmbeddingError::WeightCountMismatch { rows, weights } => {
-                write!(
-                    f,
-                    "weighted pooling weight count mismatch: {rows} rows but {weights} weights"
                 )
             }
             EmbeddingError::InvalidDescriptor { reason } => {
@@ -94,12 +81,6 @@ mod tests {
         assert!(EmbeddingError::UnknownTable { table: 2 }
             .to_string()
             .contains("2"));
-        let mismatch = EmbeddingError::WeightCountMismatch {
-            rows: 3,
-            weights: 5,
-        };
-        assert!(mismatch.to_string().contains("3 rows"));
-        assert!(mismatch.to_string().contains("5 weights"));
     }
 
     #[test]

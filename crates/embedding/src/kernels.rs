@@ -1,8 +1,8 @@
 //! SIMD fused dequant-accumulate pooling kernels with runtime dispatch.
 //!
 //! Every row served — from the FM table, the row cache, the shared tier or
-//! an SM completion — flows through `accumulate_row` /
-//! `accumulate_row_weighted`, so pooling arithmetic sits on 100 % of the
+//! an SM completion — flows through [`accumulate_row_with`] /
+//! [`accumulate_row_weighted_with`], so pooling arithmetic sits on 100 % of the
 //! hot path. This module provides explicit AVX2 implementations (via
 //! [`core::arch::x86_64`], selected behind [`is_x86_feature_detected!`] at
 //! runtime) of the six fused dequant-accumulate paths — int8 / int4 /
@@ -11,7 +11,7 @@
 //!
 //! # Bit-identity contract
 //!
-//! `accumulate_row` is an **element-wise add into `out`**, not a horizontal
+//! [`accumulate_row_with`] is an **element-wise add into `out`**, not a horizontal
 //! reduction, so the vector kernels can and must stay bit-identical to the
 //! scalar reference:
 //!
@@ -103,7 +103,7 @@ pub const KERNEL_ENV: &str = "SDM_POOL_KERNEL";
 /// forces the scalar kernel (`scalar`, ASCII case-insensitive), `Ok(false)`
 /// when unset. Anything else is an error naming the variable, so a typo
 /// cannot silently measure AVX2.
-pub fn parse_kernel_env(value: Option<&str>) -> Result<bool, String> {
+fn parse_kernel_env(value: Option<&str>) -> Result<bool, String> {
     match value {
         None => Ok(false),
         Some(name) if name.eq_ignore_ascii_case("scalar") => Ok(true),
@@ -120,7 +120,7 @@ pub fn kernel_env() -> Result<bool, String> {
 }
 
 /// The process-wide kernel used by the serving stack and the plain
-/// `accumulate_row` / `pool_quantized_into` entry points.
+/// `pool_quantized_into` entry point.
 ///
 /// Resolved once: scalar when [`KERNEL_ENV`] is `scalar` (how `ci.sh`
 /// forces the scalar path through the test suite on AVX2 runners), else
@@ -322,7 +322,7 @@ mod x86 {
     ///
     /// Caller must ensure AVX2 is available. `codes.len() == out.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn int8_avx2<const W: bool>(
+    pub(super) unsafe fn int8_avx2<const W: bool>(
         codes: &[u8],
         scale: f32,
         bias: f32,
@@ -358,7 +358,7 @@ mod x86 {
     /// Caller must ensure AVX2 is available.
     /// `codes.len() == out.len().div_ceil(2)`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn int4_avx2<const W: bool>(
+    pub(super) unsafe fn int4_avx2<const W: bool>(
         codes: &[u8],
         scale: f32,
         bias: f32,
@@ -391,7 +391,7 @@ mod x86 {
     ///
     /// Caller must ensure AVX2 is available. `buf.len() == out.len() * 4`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn fp32_avx2<const W: bool>(buf: &[u8], weight: f32, out: &mut [f32]) {
+    pub(super) unsafe fn fp32_avx2<const W: bool>(buf: &[u8], weight: f32, out: &mut [f32]) {
         let weight_v = _mm256_set1_ps(weight);
         let mut byte_chunks = buf.chunks_exact(32);
         let mut out_chunks = out.chunks_exact_mut(8);

@@ -56,8 +56,6 @@ impl TablePlacement {
 #[derive(Debug, Clone, Default)]
 pub struct SmLayout {
     placements: HashMap<TableId, TablePlacement>,
-    device_used: Vec<u64>,
-    alignment: u64,
 }
 
 impl SmLayout {
@@ -125,11 +123,7 @@ impl SmLayout {
                 },
             );
         }
-        Ok(SmLayout {
-            placements,
-            device_used,
-            alignment,
-        })
+        Ok(SmLayout { placements })
     }
 
     /// Placement of one table.
@@ -144,17 +138,6 @@ impl SmLayout {
             .ok_or(EmbeddingError::UnknownTable { table })
     }
 
-    /// Device offset of `(table, row)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::UnknownTable`] or
-    /// [`EmbeddingError::RowOutOfRange`].
-    pub fn row_location(&self, table: TableId, row: u64) -> Result<(usize, u64), EmbeddingError> {
-        let p = self.placement(table)?;
-        Ok((p.device_index, p.row_offset(row)?))
-    }
-
     /// Number of tables laid out.
     pub fn len(&self) -> usize {
         self.placements.len()
@@ -163,16 +146,6 @@ impl SmLayout {
     /// True when no tables are laid out.
     pub fn is_empty(&self) -> bool {
         self.placements.is_empty()
-    }
-
-    /// Bytes used on each device.
-    pub fn device_usage(&self) -> Vec<Bytes> {
-        self.device_used.iter().map(|&b| Bytes(b)).collect()
-    }
-
-    /// The base alignment used when planning.
-    pub fn alignment(&self) -> Bytes {
-        Bytes(self.alignment)
     }
 
     /// Iterates over `(TableId, &TablePlacement)`.
@@ -204,11 +177,8 @@ mod tests {
             assert_eq!(p.base_offset % 4096, 0);
             assert_eq!(p.row_stride % 4, 0);
             assert!(p.row_stride >= p.row_bytes as u64);
+            assert!(Bytes(p.base_offset) + p.footprint() <= Bytes::from_mib(4));
         }
-        let usage = layout.device_usage();
-        assert_eq!(usage.len(), 2);
-        assert!(usage.iter().all(|u| *u <= Bytes::from_mib(4)));
-        assert_eq!(layout.alignment(), Bytes::from_kib(4));
     }
 
     #[test]
@@ -229,7 +199,7 @@ mod tests {
             layout.placement(99),
             Err(EmbeddingError::UnknownTable { table: 99 })
         ));
-        assert!(layout.row_location(0, 10).is_ok());
+        assert!(layout.placement(0).unwrap().row_offset(10).is_ok());
     }
 
     #[test]

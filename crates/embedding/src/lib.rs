@@ -12,8 +12,7 @@
 //! * [`TableDescriptor`] / [`TableKind`] — the logical description (rows,
 //!   dimension, pooling factor, user vs item) used for capacity math.
 //! * [`QuantScheme`], [`quantize_row`], [`dequantize_row`] — row-wise
-//!   quantisation with per-row scale/bias — plus the fused
-//!   [`accumulate_row`] kernel the zero-allocation pooling path uses.
+//!   quantisation with per-row scale/bias.
 //! * [`kernels`] — AVX2 vector implementations of the fused
 //!   dequant-accumulate paths with runtime dispatch ([`SelectedKernel`]),
 //!   bit-identical to the scalar reference, plus software prefetch.
@@ -59,8 +58,5 @@ pub use error::EmbeddingError;
 pub use kernels::SelectedKernel;
 pub use layout::{SmLayout, TablePlacement};
 pub use pruning::{DepruneReport, MappingTensor, PrunedTable};
-pub use quant::{
-    accumulate_row, accumulate_row_weighted, dequantize_row, quantize_row, quantize_row_into,
-    QuantScheme,
-};
+pub use quant::{dequantize_row, quantize_row, quantize_row_into, QuantScheme};
 pub use table::{EmbeddingTable, TableDescriptor, TableId, TableKind};

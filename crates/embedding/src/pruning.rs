@@ -52,11 +52,6 @@ impl MappingTensor {
         self.entries.get(unpruned_index as usize).copied().flatten()
     }
 
-    /// Number of surviving (unpruned) rows.
-    pub fn surviving_rows(&self) -> u64 {
-        self.entries.iter().filter(|e| e.is_some()).count() as u64
-    }
-
     /// Fast-memory footprint of the tensor:
     /// `NumRows(unpruned) * IdxType` (paper §4.5).
     pub fn footprint(&self) -> Bytes {
@@ -134,11 +129,6 @@ impl PrunedTable {
             pruned_rows,
             mapping: MappingTensor::new(entries, index_bytes),
         })
-    }
-
-    /// Descriptor of the original, unpruned table.
-    pub fn unpruned_descriptor(&self) -> &TableDescriptor {
-        &self.unpruned_descriptor
     }
 
     /// The physical pruned table.
@@ -223,7 +213,6 @@ mod tests {
         let t = table();
         let pruned = PrunedTable::prune(&t, 0.6, 42).unwrap();
         assert_eq!(pruned.pruned_rows().num_rows(), 120);
-        assert_eq!(pruned.mapping().surviving_rows(), 120);
         assert_eq!(pruned.mapping().len(), 200);
         assert!(!pruned.mapping().is_empty());
     }

@@ -11,7 +11,7 @@ use std::fmt;
 
 /// Number of parameter bytes appended to each quantised row (scale + bias,
 /// both `f32`).
-pub const ROW_PARAM_BYTES: usize = 8;
+const ROW_PARAM_BYTES: usize = 8;
 
 /// How a table's rows are encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -33,11 +33,6 @@ impl QuantScheme {
             QuantScheme::Int4 => dim.div_ceil(2) + ROW_PARAM_BYTES,
             QuantScheme::Fp32 => dim * 4,
         }
-    }
-
-    /// Ratio of this scheme's row size to the `f32` row size.
-    pub fn compression_ratio(self, dim: usize) -> f64 {
-        QuantScheme::Fp32.row_bytes(dim) as f64 / self.row_bytes(dim) as f64
     }
 }
 
@@ -152,60 +147,6 @@ pub fn dequantize_row(
     }
 }
 
-/// De-quantises a row buffer and *adds* it element-wise into `out`,
-/// without materialising the intermediate `f32` row.
-///
-/// This is the fused kernel behind the slice-based pooling path: the seed
-/// implementation allocated a fresh `Vec<f32>` per row
-/// ([`dequantize_row`]) and then summed it in a second pass; fusing the two
-/// removes one allocation and one full pass over the row per pooled lookup.
-/// The per-row arithmetic (`code * scale + bias`, then one `f32` add) is
-/// identical to the two-pass version, so accumulating the same rows in the
-/// same order is bit-for-bit unchanged. (Callers may still sum rows in a
-/// different order than the seed did — the SM serving path now pools cache
-/// hits before IO completions — which can shift pooled sums by f32
-/// rounding in the last bits.)
-///
-/// Runs the process-wide [`crate::kernels::auto_kernel`] — AVX2 where the
-/// host has it, which is bit-identical to the scalar loops by the
-/// [`crate::kernels`] contract. Use
-/// [`crate::kernels::accumulate_row_with`] to pin a specific kernel.
-///
-/// # Errors
-///
-/// Returns [`EmbeddingError::MalformedRow`] when the buffer length does not
-/// match `scheme.row_bytes(out.len())`.
-pub fn accumulate_row(
-    buf: &[u8],
-    scheme: QuantScheme,
-    out: &mut [f32],
-) -> Result<(), EmbeddingError> {
-    crate::kernels::accumulate_row_with(crate::kernels::auto_kernel(), buf, scheme, out)
-}
-
-/// Weighted variant of [`accumulate_row`]: adds `weight * value` into `out`
-/// (SparseLengthsWeightedSum). Kept separate so the unweighted hot loop does
-/// not pay a multiply per element. Dispatches through
-/// [`crate::kernels::auto_kernel`] like the unweighted form.
-///
-/// # Errors
-///
-/// Returns [`EmbeddingError::MalformedRow`] for a wrong buffer length.
-pub fn accumulate_row_weighted(
-    buf: &[u8],
-    scheme: QuantScheme,
-    weight: f32,
-    out: &mut [f32],
-) -> Result<(), EmbeddingError> {
-    crate::kernels::accumulate_row_weighted_with(
-        crate::kernels::auto_kernel(),
-        buf,
-        scheme,
-        weight,
-        out,
-    )
-}
-
 /// Reads the trailing per-row `(scale, bias)` parameters. The caller must
 /// have validated the buffer length.
 pub(crate) fn row_params(buf: &[u8]) -> (f32, f32) {
@@ -236,6 +177,7 @@ fn min_max(values: &[f32]) -> (f32, f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{accumulate_row_weighted_with, accumulate_row_with, auto_kernel};
 
     fn sample_row(dim: usize) -> Vec<f32> {
         (0..dim)
@@ -314,7 +256,6 @@ mod tests {
         assert_eq!(QuantScheme::Int8.row_bytes(64), 72);
         assert_eq!(QuantScheme::Fp32.row_bytes(64), 256);
         assert_eq!(QuantScheme::Int4.row_bytes(64), 40);
-        assert!(QuantScheme::Int8.compression_ratio(64) > 3.0);
     }
 
     #[test]
@@ -385,7 +326,7 @@ mod tests {
             let row = sample_row(dim);
             let q = quantize_row(&row, scheme);
             let mut fused = vec![0.25f32; dim];
-            accumulate_row(&q, scheme, &mut fused).unwrap();
+            accumulate_row_with(auto_kernel(), &q, scheme, &mut fused).unwrap();
             let values = dequantize_row(&q, scheme, dim).unwrap();
             let mut two_pass = vec![0.25f32; dim];
             for (o, v) in two_pass.iter_mut().zip(&values) {
@@ -401,7 +342,7 @@ mod tests {
         let row = vec![1.0f32; dim];
         let q = quantize_row(&row, QuantScheme::Int8);
         let mut out = vec![0.0f32; dim];
-        accumulate_row_weighted(&q, QuantScheme::Int8, 3.0, &mut out).unwrap();
+        accumulate_row_weighted_with(auto_kernel(), &q, QuantScheme::Int8, 3.0, &mut out).unwrap();
         for v in out {
             assert!((v - 3.0).abs() < 0.1);
         }
@@ -411,11 +352,17 @@ mod tests {
     fn accumulate_rejects_malformed_buffers() {
         let mut out = vec![0.0f32; 8];
         assert!(matches!(
-            accumulate_row(&[0u8; 3], QuantScheme::Int8, &mut out),
+            accumulate_row_with(auto_kernel(), &[0u8; 3], QuantScheme::Int8, &mut out),
             Err(EmbeddingError::MalformedRow { .. })
         ));
         assert!(matches!(
-            accumulate_row_weighted(&[0u8; 3], QuantScheme::Fp32, 1.0, &mut out),
+            accumulate_row_weighted_with(
+                auto_kernel(),
+                &[0u8; 3],
+                QuantScheme::Fp32,
+                1.0,
+                &mut out
+            ),
             Err(EmbeddingError::MalformedRow { .. })
         ));
     }

@@ -104,12 +104,6 @@ impl TableDescriptor {
         self
     }
 
-    /// Sets the pruned fraction.
-    pub fn with_pruned_fraction(mut self, fraction: f64) -> Self {
-        self.pruned_fraction = fraction.clamp(0.0, 1.0);
-        self
-    }
-
     /// Validates the descriptor.
     ///
     /// # Errors

@@ -18,7 +18,7 @@
 //!   `tables_tracked == table_sched.iter().filter(|s| !s.is_empty()).count()`.
 //! * **Payload buffers** are recycled: `submit` pops one from `buffers`, the
 //!   device fills it in place, and `drain_each` returns it after the
-//!   caller's closure has looked at the completion. `poll`/`drain` hand
+//!   caller's closure has looked at the completion. `drain` hands
 //!   completions out by value, so their buffers leave the pool.
 //! * **Reaping order** is `(completed_at, submission sequence)`: a total
 //!   order, so the in-place unstable sort reaps equal instants in
@@ -97,7 +97,7 @@ pub struct IoCompletion {
 
 impl IoCompletion {
     /// Total latency seen by the caller (queueing + device).
-    pub fn total_latency(&self) -> SimDuration {
+    fn total_latency(&self) -> SimDuration {
         self.completed_at.duration_since(self.submitted_at)
     }
 }
@@ -255,7 +255,7 @@ impl IoStats {
 pub struct EngineStats {
     /// Requests submitted.
     pub submitted: u64,
-    /// Requests completed (scheduled; they become visible via `poll`).
+    /// Requests completed (scheduled; they become visible via `drain`).
     pub completed: u64,
     /// Total host CPU time spent on submission + completion handling.
     pub cpu_time: SimDuration,
@@ -364,8 +364,8 @@ enum Attempt {
 /// The engine owns the host's [`DeviceArray`] and schedules every read on
 /// the virtual clock: requests are admitted as soon as the configured
 /// outstanding-IO limits allow, the device model provides the service time
-/// at the observed queue depth, and completions become visible to `poll`
-/// once the clock passes their completion instant.
+/// at the observed queue depth, and completions are reaped by `drain`/`drain_each`
+/// in completion-instant order.
 #[derive(Debug)]
 pub struct IoEngine {
     array: DeviceArray,
@@ -455,7 +455,7 @@ impl IoEngine {
     /// deadline — are retried with exponential backoff per the configured
     /// [`RetryConfig`]; slow clean completions may additionally be hedged
     /// with a duplicate read. The winning completion becomes visible
-    /// through [`IoEngine::poll`] or [`IoEngine::drain`].
+    /// through [`IoEngine::drain`] or [`IoEngine::drain_each`].
     ///
     /// # Errors
     ///
@@ -706,29 +706,6 @@ impl IoEngine {
         }
     }
 
-    /// Submits a batch of requests as one ring submission: every request is
-    /// enqueued at the same instant, in order, and each one's issue time
-    /// still honours the outstanding-IO limits (queue depth is respected
-    /// exactly as if the requests had been submitted one by one at `now`).
-    ///
-    /// This is the io_uring-style path the serving loop uses for a pooled
-    /// operator's cache misses (§3.2): one submission call for the whole
-    /// miss set instead of a syscall-equivalent per row.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the first failing submission.
-    pub fn submit_batch(
-        &mut self,
-        requests: impl IntoIterator<Item = IoRequest>,
-        now: SimInstant,
-    ) -> Result<(), IoError> {
-        for request in requests {
-            self.submit(request, now)?;
-        }
-        Ok(())
-    }
-
     /// Puts the ready queue into reaping order — completion instant, then
     /// submission order — in its own storage, and returns the instant the
     /// last scheduled completion finishes (`now` when nothing is in flight).
@@ -738,16 +715,6 @@ impl IoEngine {
         self.ready
             .last()
             .map_or(now, |s| s.completion.completed_at.max(now))
-    }
-
-    /// Returns every completion whose completion instant is at or before
-    /// `now`, in completion order.
-    pub fn poll(&mut self, now: SimInstant) -> Vec<IoCompletion> {
-        self.sort_ready(now);
-        let done = self
-            .ready
-            .partition_point(|s| s.completion.completed_at <= now);
-        self.ready.drain(..done).map(|s| s.completion).collect()
     }
 
     /// Waits for everything in flight: returns all outstanding completions
@@ -964,22 +931,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_only_returns_finished_ios() {
-        let mut engine = engine_with(TechnologyProfile::nand_flash(), 1, EngineConfig::default());
-        let now = SimInstant::EPOCH;
-        engine
-            .submit(IoRequest::new(DeviceId(0), ReadCommand::sgl(0, 128)), now)
-            .unwrap();
-        // Nothing is done after 1us (Nand base latency ~90us).
-        assert!(engine.poll(now + SimDuration::from_micros(1)).is_empty());
-        assert_eq!(engine.outstanding(), 1);
-        let later = now + SimDuration::from_millis(10);
-        let done = engine.poll(later);
-        assert_eq!(done.len(), 1);
-        assert_eq!(engine.outstanding(), 0);
-    }
-
-    #[test]
     fn higher_concurrency_raises_latency() {
         // Reproduces the Figure 3 trend: driving the device towards its IOPS
         // ceiling inflates the observed latency.
@@ -1163,7 +1114,7 @@ mod tests {
         assert_eq!(engine.buffers.len(), 8);
         submit_round(&mut engine);
         assert!(engine.buffers.is_empty());
-        let polled = engine.poll(now + SimDuration::from_millis(1));
+        let (polled, _) = engine.drain(now).unwrap();
         assert_eq!(
             polled.iter().map(|c| c.user_data).collect::<Vec<_>>(),
             (0..8).collect::<Vec<u64>>()
@@ -1524,7 +1475,6 @@ mod tests {
                 max_attempts: 7,
                 io_deadline: SimDuration::from_millis(50),
                 hedge_after: Some(SimDuration::from_millis(40)),
-                ..RetryConfig::default()
             },
             ..EngineConfig::default()
         };
@@ -1541,19 +1491,5 @@ mod tests {
         }
         assert_eq!(a.stats().resilience, b.stats().resilience);
         assert_eq!(a.stats().resilience, ResilienceStats::default());
-    }
-
-    #[test]
-    fn submit_batch_preserves_order_and_counts() {
-        let mut engine = engine_with(TechnologyProfile::optane_ssd(), 1, EngineConfig::default());
-        let now = SimInstant::EPOCH;
-        let reqs: Vec<IoRequest> = (0..10)
-            .map(|i| IoRequest::new(DeviceId(0), ReadCommand::sgl(i * 512, 64)).with_user_data(i))
-            .collect();
-        engine.submit_batch(reqs, now).unwrap();
-        let (completions, _) = engine.drain(now).unwrap();
-        assert_eq!(completions.len(), 10);
-        assert_eq!(engine.stats().submitted, 10);
-        assert!(engine.stats().cpu_time > SimDuration::ZERO);
     }
 }

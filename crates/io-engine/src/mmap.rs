@@ -13,7 +13,7 @@ use sdm_metrics::{LatencyHistogram, SimDuration, SimInstant};
 use std::collections::HashMap;
 
 /// Page size used by the simulated page cache (x86 base pages).
-pub const PAGE_SIZE: u64 = 4096;
+const PAGE_SIZE: u64 = 4096;
 
 /// Statistics for the mmap path.
 #[derive(Debug, Clone, Default)]
@@ -147,11 +147,6 @@ impl MmapIo {
             }
         }
     }
-
-    /// Number of resident pages.
-    pub fn resident_pages(&self) -> usize {
-        self.resident.len()
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +182,7 @@ mod tests {
         for i in 0..8u64 {
             mmap.read(&mut arr, i * PAGE_SIZE, 64, now).unwrap();
         }
-        assert!(mmap.resident_pages() <= 2);
+        assert!(mmap.resident.len() <= 2);
         assert_eq!(mmap.stats().faults, 8);
         // Re-reading an evicted page faults again.
         mmap.read(&mut arr, 0, 64, now).unwrap();

@@ -6,7 +6,7 @@
 //! virtual clock so they stay deterministic:
 //!
 //! * **bounded retry with exponential backoff**: a failed attempt is re-issued
-//!   after `backoff_base * backoff_multiplier^(attempt-1)`, up to
+//!   after `10 µs * 2^(attempt-1)`, up to
 //!   `max_attempts` total attempts;
 //! * **per-IO deadlines**: an IO whose device latency exceeds `io_deadline`
 //!   is abandoned (its queue slot stays occupied until the device would have
@@ -24,17 +24,18 @@
 use crate::error::IoError;
 use sdm_metrics::SimDuration;
 
+/// Backoff before the first retry.
+const BACKOFF_BASE: SimDuration = SimDuration::from_micros(10);
+
+/// Factor the backoff grows by per extra attempt.
+const BACKOFF_MULTIPLIER: u64 = 2;
+
 /// Retry/deadline/hedging knobs, embedded in
 /// [`crate::EngineConfig::retry`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryConfig {
     /// Total attempts per logical read, including the first (minimum 1).
     pub max_attempts: u32,
-    /// Backoff before the first retry; doubles (or whatever
-    /// `backoff_multiplier` says) on each subsequent one.
-    pub backoff_base: SimDuration,
-    /// Multiplier applied to the backoff per extra attempt.
-    pub backoff_multiplier: u32,
     /// Per-IO deadline: an attempt whose device latency exceeds this is
     /// abandoned and retried. [`SimDuration::ZERO`] disables deadlines.
     pub io_deadline: SimDuration,
@@ -49,8 +50,6 @@ impl Default for RetryConfig {
     fn default() -> Self {
         RetryConfig {
             max_attempts: 3,
-            backoff_base: SimDuration::from_micros(10),
-            backoff_multiplier: 2,
             io_deadline: SimDuration::ZERO,
             hedge_after: None,
         }
@@ -59,11 +58,10 @@ impl Default for RetryConfig {
 
 impl RetryConfig {
     /// Backoff to wait before re-issuing after the given (1-based) failed
-    /// attempt: `backoff_base * backoff_multiplier^(attempt-1)`.
+    /// attempt: `BACKOFF_BASE * BACKOFF_MULTIPLIER^(attempt-1)`.
     pub fn backoff(&self, attempt: u32) -> SimDuration {
         let exp = attempt.saturating_sub(1).min(32);
-        let factor = u64::from(self.backoff_multiplier.max(1)).saturating_pow(exp);
-        self.backoff_base * factor
+        BACKOFF_BASE * BACKOFF_MULTIPLIER.saturating_pow(exp)
     }
 
     /// Validates the configuration.
@@ -104,11 +102,6 @@ pub struct ResilienceStats {
 }
 
 impl ResilienceStats {
-    /// Total failed attempts across all failure modes.
-    pub fn total_failures(&self) -> u64 {
-        self.transient_errors + self.checksum_failures + self.deadline_timeouts
-    }
-
     /// Folds another engine's counters into this one (multi-shard hosts).
     pub fn merge(&mut self, other: &ResilienceStats) {
         self.retries += other.retries;
@@ -160,7 +153,7 @@ mod tests {
         let b = a;
         a.merge(&b);
         assert_eq!(a.retries, 2);
-        assert_eq!(a.total_failures(), 18);
+        assert_eq!(a.deadline_timeouts, 8);
         assert_eq!(a.hedge_wins, 2);
     }
 }

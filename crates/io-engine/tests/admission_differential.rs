@@ -256,7 +256,6 @@ fn run_sequence(seed: u64) -> (u64, u64) {
             max_attempts: 3,
             io_deadline: SimDuration::from_millis(2),
             hedge_after: Some(SimDuration::from_micros(400)),
-            ..RetryConfig::default()
         },
         ..EngineConfig::default()
     };

@@ -5,7 +5,7 @@ use crate::error::DeviceError;
 use crate::nvme::ReadCommand;
 use crate::tech::TechnologyProfile;
 use sdm_metrics::units::Bytes;
-use sdm_metrics::{SimDuration, SimInstant};
+use sdm_metrics::SimInstant;
 use std::fmt;
 
 /// Identifies one device within a [`DeviceArray`].
@@ -65,25 +65,6 @@ impl DeviceArray {
     /// True when the array holds no devices.
     pub fn is_empty(&self) -> bool {
         self.devices.is_empty()
-    }
-
-    /// Total capacity across all devices.
-    pub fn total_capacity(&self) -> Bytes {
-        self.devices.iter().map(|d| d.capacity()).sum()
-    }
-
-    /// Aggregate random-read IOPS ceiling across all devices.
-    pub fn total_max_iops(&self) -> f64 {
-        self.devices.iter().map(|d| d.profile().max_read_iops).sum()
-    }
-
-    /// Aggregate IOPS sustainable while keeping per-IO latency under
-    /// `target` (used for the Table 10 sizing experiment).
-    pub fn total_iops_at_latency(&self, target: SimDuration) -> f64 {
-        self.devices
-            .iter()
-            .map(|d| d.iops_at_latency_target(target))
-            .sum()
     }
 
     /// Borrow a device.
@@ -179,16 +160,6 @@ impl DeviceArray {
     ) -> Result<WriteOutcome, DeviceError> {
         self.device_mut(id)?.write_at(offset, data)
     }
-
-    /// Picks the device with the fewest reads served so far (simple
-    /// least-loaded placement helper).
-    pub fn least_loaded(&self) -> Option<DeviceId> {
-        self.devices
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, d)| d.stats().reads)
-            .map(|(i, _)| DeviceId(i))
-    }
 }
 
 #[cfg(test)]
@@ -196,13 +167,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn homogeneous_array_has_aggregate_capacity_and_iops() {
+    fn homogeneous_array_has_the_requested_devices() {
         let arr = DeviceArray::homogeneous(TechnologyProfile::optane_ssd(), Bytes::from_mib(8), 2)
             .unwrap();
         assert_eq!(arr.len(), 2);
         assert!(!arr.is_empty());
-        assert_eq!(arr.total_capacity(), Bytes::from_mib(16));
-        assert!((arr.total_max_iops() - 8_000_000.0).abs() < 1.0);
+        assert!(DeviceArray::new(vec![]).is_empty());
     }
 
     #[test]
@@ -228,28 +198,5 @@ mod tests {
         assert_eq!(out0.data, vec![0u8; 64]);
         assert_eq!(out1.data, vec![9u8; 64]);
         assert_eq!(arr.device(DeviceId(1)).unwrap().stats().writes, 1);
-    }
-
-    #[test]
-    fn least_loaded_balances() {
-        let mut arr =
-            DeviceArray::homogeneous(TechnologyProfile::optane_ssd(), Bytes::from_mib(1), 2)
-                .unwrap();
-        arr.read(DeviceId(0), &ReadCommand::sgl(0, 64), 1).unwrap();
-        assert_eq!(arr.least_loaded(), Some(DeviceId(1)));
-        let empty = DeviceArray::new(vec![]);
-        assert_eq!(empty.least_loaded(), None);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn aggregate_iops_at_latency_is_bounded_by_ceiling() {
-        let arr = DeviceArray::homogeneous(TechnologyProfile::optane_ssd(), Bytes::from_mib(1), 9)
-            .unwrap();
-        let sustainable = arr.total_iops_at_latency(SimDuration::from_micros(40));
-        assert!(sustainable > 0.0);
-        assert!(sustainable <= arr.total_max_iops());
-        // 9 Optane SSDs provide ~36M IOPS ceiling (paper Table 10).
-        assert!(arr.total_max_iops() >= 36_000_000.0 - 1.0);
     }
 }

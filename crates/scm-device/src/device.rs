@@ -7,7 +7,7 @@ use crate::latency::LoadedLatencyModel;
 use crate::nvme::ReadCommand;
 use crate::tech::TechnologyProfile;
 use sdm_metrics::units::Bytes;
-use sdm_metrics::{Counter, CounterSet, SimDuration, SimInstant};
+use sdm_metrics::{SimDuration, SimInstant};
 
 /// Outcome of one read command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,16 +96,6 @@ pub struct ScmDevice {
     store: PageStore,
     latency: LoadedLatencyModel,
     stats: DeviceStats,
-    counters: CounterSet,
-    /// Handles into `counters`, resolved once here so the read and write
-    /// paths bump an atomic instead of taking the registry lock and
-    /// building a `String` per call.
-    reads: Counter,
-    bus_bytes: Counter,
-    writes: Counter,
-    bytes_written: Counter,
-    lifetime_write_budget: Option<Bytes>,
-    enforce_endurance: bool,
     fault: Option<FaultPlan>,
 }
 
@@ -122,21 +112,12 @@ impl ScmDevice {
     ) -> Result<Self, DeviceError> {
         let store = PageStore::new(capacity)?;
         let latency = LoadedLatencyModel::new(&profile);
-        let lifetime_write_budget = profile.lifetime_write_budget(capacity);
-        let counters = CounterSet::new();
         Ok(ScmDevice {
             name: name.into(),
             profile,
             store,
             latency,
             stats: DeviceStats::default(),
-            reads: counters.counter("reads"),
-            bus_bytes: counters.counter("bus_bytes"),
-            writes: counters.counter("writes"),
-            bytes_written: counters.counter("bytes_written"),
-            counters,
-            lifetime_write_budget,
-            enforce_endurance: false,
             fault: None,
         })
     }
@@ -161,18 +142,6 @@ impl ScmDevice {
         &self.stats
     }
 
-    /// Named counters (exposed for dashboards / experiment output).
-    pub fn counters(&self) -> &CounterSet {
-        &self.counters
-    }
-
-    /// When enabled, writes beyond the rated lifetime endurance budget are
-    /// rejected with [`DeviceError::EnduranceExhausted`]. Disabled by default
-    /// so functional tests are not bounded by endurance.
-    pub fn set_enforce_endurance(&mut self, enforce: bool) {
-        self.enforce_endurance = enforce;
-    }
-
     /// Attaches (or with `None`, detaches) a deterministic fault plan. Reads
     /// issued through [`ScmDevice::read_at`] consult the plan; an empty plan
     /// or no plan leaves the device's behaviour bit-identical.
@@ -189,27 +158,12 @@ impl ScmDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::OutOfBounds`] for writes past the capacity and
-    /// [`DeviceError::EnduranceExhausted`] when endurance enforcement is
-    /// enabled and the budget is spent.
+    /// Returns [`DeviceError::OutOfBounds`] for writes past the capacity.
     pub fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        if self.enforce_endurance {
-            if let Some(budget) = self.lifetime_write_budget {
-                let after = self.stats.bytes_written + Bytes(data.len() as u64);
-                if after > budget {
-                    return Err(DeviceError::EnduranceExhausted {
-                        written: self.stats.bytes_written,
-                        budget,
-                    });
-                }
-            }
-        }
         self.store.write_at(offset, data)?;
         let written = Bytes(data.len() as u64);
         self.stats.writes += 1;
         self.stats.bytes_written += written;
-        self.writes.incr();
-        self.bytes_written.add(written.as_u64());
         let latency = self.profile.base_write_latency
             + SimDuration::from_secs_f64(
                 written.as_u64() as f64 / self.profile.write_bandwidth.max(1.0),
@@ -348,8 +302,6 @@ impl ScmDevice {
         self.stats.bytes_requested += requested_bytes;
         self.stats.bytes_on_bus += bus_bytes;
         self.stats.read_time += latency;
-        self.reads.incr();
-        self.bus_bytes.add(bus_bytes.as_u64());
 
         Ok(ReadInfo {
             device_latency: latency,
@@ -447,19 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn endurance_enforcement_rejects_excess_writes() {
-        let mut profile = TechnologyProfile::nand_flash();
-        profile.endurance_dwpd = 1.0 / (5.0 * 365.0); // budget = 1x capacity
-        let mut dev = ScmDevice::new("tiny", profile, Bytes::from_kib(4)).unwrap();
-        dev.set_enforce_endurance(true);
-        // Budget is roughly one full capacity (~4 KiB); the first half-sized
-        // write fits, a subsequent full-capacity write does not.
-        dev.write_at(0, &vec![0u8; 2048]).unwrap();
-        let err = dev.write_at(0, &vec![0u8; 4096]).unwrap_err();
-        assert!(matches!(err, DeviceError::EnduranceExhausted { .. }));
-    }
-
-    #[test]
     fn multi_range_read_concatenates_in_order() {
         let mut dev = small_optane();
         dev.write_at(0, &[1u8; 64]).unwrap();
@@ -503,7 +442,6 @@ mod tests {
             assert_eq!(info.blocks_touched, owned.blocks_touched);
         }
         assert_eq!(a.stats(), b.stats());
-        assert_eq!(b.counters().value("reads"), 4);
     }
 
     #[test]
@@ -589,6 +527,5 @@ mod tests {
         }
         assert_eq!(dev.stats().reads, 10);
         assert_eq!(dev.stats().bytes_requested, Bytes(1280));
-        assert_eq!(dev.counters().value("reads"), 10);
     }
 }

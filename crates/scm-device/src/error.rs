@@ -34,14 +34,6 @@ pub enum DeviceError {
         /// Number of devices in the array.
         len: usize,
     },
-    /// A write was rejected because the device has exhausted its rated
-    /// endurance budget.
-    EnduranceExhausted {
-        /// Total bytes written so far.
-        written: Bytes,
-        /// Lifetime write budget.
-        budget: Bytes,
-    },
     /// A read failed transiently (injected by a [`crate::FaultPlan`] or, in
     /// a real deployment, a media/link hiccup). Safe to retry.
     TransientRead {
@@ -82,10 +74,6 @@ impl fmt::Display for DeviceError {
                     "device index {index} out of range (array has {len} devices)"
                 )
             }
-            DeviceError::EnduranceExhausted { written, budget } => write!(
-                f,
-                "endurance budget exhausted: {written} written of {budget} lifetime budget"
-            ),
             DeviceError::TransientRead { device } => {
                 write!(f, "transient read failure on device {device} (retryable)")
             }

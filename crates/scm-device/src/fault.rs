@@ -71,7 +71,7 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 /// A latency-storm window: reads issued at a virtual instant inside
 /// `[start, end)` have their device latency multiplied.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultWindow {
+struct FaultWindow {
     /// First instant of the storm (inclusive).
     pub start: SimInstant,
     /// End of the storm (exclusive).

@@ -60,7 +60,7 @@ impl LoadedLatencyModel {
     /// Media latency for one access at the given utilisation (fraction of
     /// the IOPS ceiling, clamped to `[0, 0.99]`), excluding bus transfer and
     /// excluding the tail.
-    pub fn latency_at_utilisation(&self, utilisation: f64) -> SimDuration {
+    fn latency_at_utilisation(&self, utilisation: f64) -> SimDuration {
         let rho = utilisation.clamp(0.0, 0.99);
         if rho <= self.knee {
             // Gentle linear rise up to the knee (controller pipelining hides
@@ -75,17 +75,6 @@ impl LoadedLatencyModel {
         let remaining = (rho - self.knee) / (1.0 - self.knee); // 0..1
         let inflation = (at_knee / (1.0 - remaining * 0.98)).min(self.max_inflation);
         self.base * inflation
-    }
-
-    /// Media latency for one access given the current queue depth, using
-    /// Little's law to convert outstanding IOs into utilisation.
-    pub fn latency_at_queue_depth(&self, queue_depth: usize) -> SimDuration {
-        let service = self.base.as_secs_f64().max(1e-9);
-        // The device can retire roughly max_iops requests/s; queue_depth
-        // requests outstanding implies an offered load of qd / (service *
-        // max_iops) of the ceiling.
-        let utilisation = queue_depth as f64 / (service * self.max_iops).max(1.0);
-        self.latency_at_utilisation(utilisation)
     }
 
     /// Returns the latency for the next read, including the deterministic
@@ -176,15 +165,6 @@ mod tests {
         }
         let expected = (n as f64 * profile.tail_probability) as i64;
         assert!((tails - expected).abs() <= 1, "tails = {tails}");
-    }
-
-    #[test]
-    fn queue_depth_mapping_is_sane() {
-        let m = LoadedLatencyModel::new(&TechnologyProfile::optane_ssd());
-        // 4M IOPS * 10us = 40 outstanding at saturation; qd=4 is light load.
-        let light = m.latency_at_queue_depth(4);
-        let heavy = m.latency_at_queue_depth(60);
-        assert!(light < heavy);
     }
 
     #[test]

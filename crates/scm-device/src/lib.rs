@@ -61,7 +61,7 @@ pub use array::{DeviceArray, DeviceId};
 pub use block::PageStore;
 pub use device::{DeviceStats, ReadInfo, ReadOutcome, ScmDevice, WriteOutcome};
 pub use error::DeviceError;
-pub use fault::{checksum64, FaultPlan, FaultStats, FaultWindow};
+pub use fault::{checksum64, FaultPlan, FaultStats};
 pub use latency::LoadedLatencyModel;
 pub use nvme::{AccessMode, ReadCommand, SglRange};
 pub use tech::{Sourcing, TechnologyKind, TechnologyProfile};

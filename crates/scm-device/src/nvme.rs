@@ -16,7 +16,7 @@ use crate::tech::TechnologyProfile;
 use sdm_metrics::units::Bytes;
 
 /// DWORD granularity required by the SGL path.
-pub const DWORD: u64 = 4;
+const DWORD: u64 = 4;
 
 /// One contiguous byte range requested from the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,7 +40,7 @@ impl SglRange {
 
     /// The range aligned outward to DWORD boundaries, as the SGL transport
     /// actually transfers it.
-    pub fn dword_aligned(&self) -> SglRange {
+    fn dword_aligned(&self) -> SglRange {
         let start = self.offset - (self.offset % DWORD);
         let end = self.end().div_ceil(DWORD) * DWORD;
         SglRange {

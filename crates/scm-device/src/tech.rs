@@ -143,7 +143,7 @@ impl TechnologyProfile {
 
     /// PCIe ZSSD: 1 M IOPS, O(100 µs) loaded, 4 KiB granularity,
     /// 1/10 DRAM cost (Table 1 row 3).
-    pub fn zssd() -> Self {
+    fn zssd() -> Self {
         TechnologyProfile {
             kind: TechnologyKind::Zssd,
             max_read_iops: 1_000_000.0,
@@ -186,7 +186,7 @@ impl TechnologyProfile {
 
     /// CXL-attached 3DXP: >10 M IOPS, ~0.5 µs, 64–128 B granularity
     /// (Table 1 row 5).
-    pub fn cxl_3dxp() -> Self {
+    fn cxl_3dxp() -> Self {
         TechnologyProfile {
             kind: TechnologyKind::Cxl3dxp,
             max_read_iops: 12_000_000.0,
@@ -263,17 +263,6 @@ impl TechnologyProfile {
         } else {
             1.0 / refreshes_per_day
         }
-    }
-
-    /// Lifetime write budget (5 years at the rated DWPD) for a device of the
-    /// given capacity. Unbounded endurance yields `None`.
-    pub fn lifetime_write_budget(&self, capacity: Bytes) -> Option<Bytes> {
-        if !self.endurance_dwpd.is_finite() {
-            return None;
-        }
-        let days = 5.0 * 365.0;
-        let total_gib = self.endurance_dwpd * days * capacity.as_gib_f64();
-        Some(Bytes((total_gib * 1024.0 * 1024.0 * 1024.0) as u64))
     }
 
     /// Bus transfer time for `bytes` at the profile's link bandwidth.
@@ -353,19 +342,6 @@ mod tests {
         assert!(nand
             .min_update_interval_days(Bytes::ZERO, cap)
             .is_infinite());
-    }
-
-    #[test]
-    fn lifetime_budget_only_for_finite_endurance() {
-        let nand = TechnologyProfile::nand_flash();
-        let dram = TechnologyProfile::dram();
-        let cap = Bytes::from_tib(1);
-        assert!(nand.lifetime_write_budget(cap).is_some());
-        assert!(dram.lifetime_write_budget(cap).is_none());
-        let budget = nand.lifetime_write_budget(cap).unwrap();
-        // 5 DWPD for 5 years on a 1 TiB drive ≈ 9125 TiB
-        assert!(budget > Bytes::from_tib(9000));
-        assert!(budget < Bytes::from_tib(9300));
     }
 
     #[test]

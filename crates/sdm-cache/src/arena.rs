@@ -14,8 +14,7 @@
 //! what bounds resident memory under mixed-size churn: freed payload space
 //! is fungible across size classes, so the gap between [`SlabArena::len`]
 //! and [`SlabArena::live_len`] stays a small fragmentation slack.
-//! `CacheStats::{resident_bytes, live_bytes, retained_bytes}` expose that
-//! slack per cache.
+//! `CacheStats::{resident_bytes, live_bytes}` expose that slack per cache.
 //!
 //! # Free-list structure
 //!
@@ -238,7 +237,7 @@ impl<T: Copy + Default> SlabArena<T> {
     /// Elements currently live (allocated and not yet freed). The gap
     /// between [`SlabArena::len`] and this is free-list slack: with
     /// coalescing it is bounded by fragmentation rather than by per-size
-    /// peak usage, and `CacheStats::retained_bytes` tracks it per cache.
+    /// peak usage, and `CacheStats` tracks it per cache.
     pub fn live_len(&self) -> usize {
         self.live
     }

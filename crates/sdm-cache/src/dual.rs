@@ -55,13 +55,6 @@ impl DualRowCache {
         self.disabled_tables[index] = true;
     }
 
-    /// Re-enables caching for a table.
-    pub fn enable_table(&mut self, table: u32) {
-        if let Some(disabled) = self.disabled_tables.get_mut(table as usize) {
-            *disabled = false;
-        }
-    }
-
     /// Returns true if the table participates in caching.
     #[inline]
     pub fn table_enabled(&self, table: u32) -> bool {
@@ -222,9 +215,6 @@ mod tests {
         // Other tables unaffected.
         c.insert(RowKey::new(8, 1), &[1u8; 64]);
         assert!(c.get(&RowKey::new(8, 1)).is_some());
-        c.enable_table(7);
-        c.insert(RowKey::new(7, 1), &[1u8; 64]);
-        assert!(c.contains(&RowKey::new(7, 1)));
     }
 
     #[test]
@@ -264,7 +254,6 @@ mod tests {
         assert!(c.table_enabled(u32::MAX));
         c.insert(RowKey::new(u32::MAX, 1), &[3u8; 32]);
         assert!(c.contains(&RowKey::new(u32::MAX, 1)));
-        c.enable_table(u32::MAX); // never disabled: a no-op, not a resize
         assert_eq!(c.disabled_tables.len(), 6);
         assert!(!c.table_enabled(5));
         assert!(c.table_enabled(4));

@@ -212,11 +212,6 @@ where
         })
     }
 
-    /// Side-effect-free probe of an entry's tag.
-    pub fn peek_tag(&self, key: &K) -> Option<&T> {
-        self.map.get(key).map(|&slot| &self.slots[slot].tag)
-    }
-
     /// Inserts (or replaces) an entry, evicting LRU entries as needed to
     /// stay within the byte budget. Returns whether the entry is resident
     /// afterwards (`false` when it cannot fit even after evicting
@@ -350,6 +345,11 @@ mod tests {
 
     type Engine = ArenaLru<u64, (), u8>;
 
+    /// Side-effect-free probe of an entry's tag.
+    fn peek_tag<'a, K: Eq + Hash, T, E>(engine: &'a ArenaLru<K, T, E>, key: &K) -> Option<&'a T> {
+        engine.map.get(key).map(|&slot| &engine.slots[slot].tag)
+    }
+
     #[test]
     fn get_insert_roundtrip_with_stats() {
         let mut e: Engine = ArenaLru::new(Bytes::from_kib(4), 64);
@@ -415,7 +415,7 @@ mod tests {
         e.insert(5, &[1u8; 16], 7);
         assert_eq!(*e.get(&5).unwrap().1, 7);
         e.insert(5, &[2u8; 16], 9); // same length: in-place, tag refreshed
-        assert_eq!(*e.peek_tag(&5).unwrap(), 9);
+        assert_eq!(*peek_tag(&e, &5).unwrap(), 9);
         assert_eq!(e.peek(&5).unwrap(), &[2u8; 16]);
         assert_eq!(e.len(), 1);
     }
@@ -544,7 +544,7 @@ mod tests {
                 Op::Peek(key) => {
                     let want = model.position(key).map(|at| &model.entries[at]);
                     prop_assert_eq!(engine.peek(&key), want.map(|e| e.1.as_slice()));
-                    prop_assert_eq!(engine.peek_tag(&key), want.map(|e| &e.2));
+                    prop_assert_eq!(peek_tag(&engine, &key), want.map(|e| &e.2));
                 }
                 Op::Clear => {
                     engine.clear();
@@ -563,7 +563,7 @@ mod tests {
                 for (key, bytes, tag) in &model.entries {
                     let wrong = format!("step {step}: {op:?} left key {key} wrong");
                     prop_assert_eq!(engine.peek(key), Some(bytes.as_slice()), "{}", wrong);
-                    prop_assert_eq!(engine.peek_tag(key), Some(tag), "{}", wrong);
+                    prop_assert_eq!(peek_tag(&engine, key), Some(tag), "{}", wrong);
                 }
             }
         }

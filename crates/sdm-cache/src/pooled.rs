@@ -64,11 +64,6 @@ impl PooledKey {
     pub fn table(&self) -> u32 {
         self.table
     }
-
-    /// Length of the keyed sequence.
-    pub fn sequence_len(&self) -> u32 {
-        self.len
-    }
 }
 
 /// Metadata overhead per pooled entry (key, LRU links, allocation headers).
@@ -95,11 +90,6 @@ impl PooledEmbeddingCache {
             hit_len_total: 0,
             skipped_short: 0,
         }
-    }
-
-    /// The admission length threshold.
-    pub fn len_threshold(&self) -> usize {
-        self.len_threshold
     }
 
     /// Whether a sequence of `len` indices is even eligible for this cache.
@@ -213,7 +203,7 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, d);
-        assert_eq!(a.sequence_len(), 4);
+        assert_eq!(a.len, 4);
         assert_eq!(d.table(), 2);
     }
 
@@ -246,7 +236,7 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.stats().lookups(), 0);
         assert_eq!(c.skipped_short(), 1);
-        assert_eq!(c.len_threshold(), 8);
+        assert_eq!(c.len_threshold, 8);
     }
 
     #[test]

@@ -207,21 +207,6 @@ impl SharedRowTier {
         }
     }
 
-    /// Side-effect-free probe: hands the row bytes to `f` under the stripe
-    /// lock without touching the LRU order or any statistic. Returns whether
-    /// the row was resident. The closure must not call back into the same
-    /// tier.
-    pub fn peek_with<F: FnOnce(&[u8])>(&self, key: &RowKey, f: F) -> bool {
-        let stripe = self.stripe_of(key).lock();
-        match stripe.peek(key) {
-            Some(bytes) => {
-                f(bytes);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Promotes a row read from SM into the tier, tagged with the shard
     /// that read it. Returns true when the row was stored (false when a
     /// single entry exceeds the stripe budget). Called at IO completion
@@ -344,26 +329,6 @@ mod tests {
         assert_eq!(t.stats().resident_bytes, resident);
         let hit = t.lookup_with(&key, 0, |bytes| assert_eq!(bytes, &[2u8; 64]));
         assert_eq!(hit, Some(SharedHit { cross_shard: true }));
-    }
-
-    #[test]
-    fn peek_with_has_no_side_effects() {
-        // Stripe budget fits exactly two 100-byte rows.
-        let t = tier(Bytes(330), 1);
-        let (a, b, c) = (RowKey::new(0, 1), RowKey::new(0, 2), RowKey::new(0, 3));
-        t.insert(a, &[1u8; 100], 0);
-        t.insert(b, &[2u8; 100], 0);
-        // Peeking the LRU row must not rescue it from eviction...
-        let mut seen = 0usize;
-        assert!(t.peek_with(&a, |bytes| seen = bytes.len()));
-        assert_eq!(seen, 100);
-        let before = t.stats();
-        t.insert(c, &[3u8; 100], 0);
-        assert!(!t.contains(&a), "peek refreshed recency");
-        // ...and must not have moved the hit/miss counters.
-        let after = t.stats();
-        assert_eq!((before.hits, before.misses), (after.hits, after.misses));
-        assert!(!t.peek_with(&RowKey::new(9, 9), |_| {}));
     }
 
     #[test]

@@ -59,13 +59,6 @@ impl CacheStats {
         self.misses += 1;
     }
 
-    /// Bytes of backing memory retained beyond the live payload: the
-    /// exact-size free-list slack the arena-compaction ROADMAP item is
-    /// about. Zero for a cache whose entries all share one size.
-    pub fn retained_bytes(&self) -> u64 {
-        self.resident_bytes.saturating_sub(self.live_bytes)
-    }
-
     /// Merges another stats block into this one. Counters add; the
     /// residency gauges add too, so a merged block reports the aggregate
     /// footprint of the merged caches.
@@ -125,7 +118,6 @@ mod tests {
         assert_eq!(a.rejected, 10);
         assert_eq!(a.resident_bytes, 200);
         assert_eq!(a.live_bytes, 120);
-        assert_eq!(a.retained_bytes(), 80);
     }
 
     #[test]

@@ -109,7 +109,7 @@ mod imp {
         /// Registers a new lock class and returns its id. Classes are
         /// per-instance: two mutexes sharing a name stay distinct nodes in
         /// the order graph.
-        pub fn register(name: &'static str) -> LockClassId {
+        fn register(name: &'static str) -> LockClassId {
             let mut g = recover(graph().lock());
             let id = g.names.len() as u32;
             g.names.push(name);
@@ -129,7 +129,7 @@ mod imp {
         /// Panics when this thread holds any tracked lock. `context` names
         /// the boundary being enforced (e.g. "SM submit").
         #[track_caller]
-        pub fn assert_none_held(context: &str) {
+        pub(super) fn assert_none_held(context: &str) {
             let held = Self::held_by_current_thread();
             assert!(
                 held.is_empty(),

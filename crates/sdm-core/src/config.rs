@@ -3,7 +3,7 @@
 
 use crate::error::SdmError;
 use crate::placement::PlacementPolicy;
-use io_engine::{CompletionMode, EngineConfig};
+use io_engine::EngineConfig;
 use scm_device::TechnologyProfile;
 use sdm_cache::CacheConfig;
 use sdm_metrics::units::Bytes;
@@ -146,12 +146,6 @@ impl SdmConfig {
         self
     }
 
-    /// Switches the completion mode (interrupt vs polling, §A.1).
-    pub fn with_completion_mode(mut self, mode: CompletionMode) -> Self {
-        self.io.completion_mode = mode;
-        self
-    }
-
     /// Sets the batch execution mode (exact vs relaxed/overlapped).
     pub fn with_batch_mode(mut self, mode: BatchMode) -> Self {
         self.batch_mode = mode;
@@ -232,11 +226,6 @@ impl SdmConfig {
         self.cache.validate()?;
         self.io.validate()?;
         Ok(())
-    }
-
-    /// Total SM capacity across the host's devices.
-    pub fn total_sm_capacity(&self) -> Bytes {
-        self.device_capacity * self.device_count as u64
     }
 
     /// The per-shard slice (`index` of `shards`) of this host configuration
@@ -399,15 +388,12 @@ mod tests {
         let c = SdmConfig::for_tests()
             .with_nand_flash()
             .with_granularity(AccessGranularity::Block)
-            .with_completion_mode(CompletionMode::Polling)
             .with_transform(LoadTransform {
                 deprune: true,
                 dequantize: false,
             });
         assert_eq!(c.technology.kind, scm_device::TechnologyKind::NandFlash);
         assert_eq!(c.granularity, AccessGranularity::Block);
-        assert_eq!(c.io.completion_mode, CompletionMode::Polling);
         assert!(c.transform.deprune);
-        assert_eq!(c.total_sm_capacity(), c.device_capacity * 2);
     }
 }

@@ -31,7 +31,7 @@ use crate::update::{self, UpdateKind, UpdateReport};
 use dlrm::{LatencyBreakdown, ModelConfig};
 use io_engine::IoStats;
 use sdm_cache::SharedRowTier;
-use sdm_metrics::{CounterSet, LatencyHistogram, SimDuration};
+use sdm_metrics::{LatencyHistogram, SimDuration};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -527,18 +527,6 @@ impl ServingHost {
         total
     }
 
-    /// Host-level device counters: every device's [`CounterSet`] (reads,
-    /// writes, bus bytes) across every shard, folded into one set.
-    pub fn device_counters(&self) -> CounterSet {
-        let total = CounterSet::new();
-        for shard in &self.shards {
-            for (_, device) in shard.manager().io_engine().array().iter() {
-                total.merge_from(device.counters());
-            }
-        }
-        total
-    }
-
     /// Applies a model update to the whole host: every shard's SM image is
     /// rewritten from tables generated once, every shard's caches and the
     /// shared tier are invalidated, and then each shard re-reads the rows
@@ -753,11 +741,6 @@ mod tests {
         // All shards saw work under sticky routing with many users.
         let stats = host.stats();
         assert!(stats.pooled_ops > 0);
-        // Host-level device counters aggregate across shards: model load
-        // writes plus serving-time SM reads all land in one set.
-        let devices = host.device_counters();
-        assert!(devices.value("writes") > 0);
-        assert!(devices.value("reads") > 0);
     }
 
     #[test]

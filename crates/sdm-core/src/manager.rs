@@ -716,15 +716,6 @@ impl SdmMemoryManager {
         self.clock
     }
 
-    /// Fast-memory bytes consumed by the stack: directly placed tables,
-    /// mapping tensors, and the configured cache budgets.
-    pub fn fm_usage(&self) -> Bytes {
-        self.loaded.fm_table_bytes
-            + self.loaded.fm_mapping_bytes
-            + self.path.config.cache.row_cache_budget
-            + self.path.config.cache.pooled_cache_budget
-    }
-
     /// Drops every cached row and pooled vector (what a full model update
     /// does) and restarts warmup tracking. With a shared tier attached the
     /// tier is cleared too — it caches rows of the same model image, so a
@@ -832,7 +823,7 @@ impl SdmMemoryManager {
     ///
     /// Returns [`SdmError`] for unknown tables, out-of-range indices or IO
     /// failures.
-    pub fn pooled_lookup_into_at(
+    fn pooled_lookup_into_at(
         &mut self,
         table: TableId,
         indices: &[u64],
@@ -1130,14 +1121,5 @@ mod tests {
             .pooled_lookup_at(0, &indices, SimInstant::EPOCH)
             .unwrap();
         assert!(block.stats().read_amplification() > 5.0 * sgl.stats().read_amplification());
-    }
-
-    #[test]
-    fn fm_usage_accounts_for_tables_mappings_and_caches() {
-        let model = model_zoo::tiny(1, 1, 200);
-        let sdm = build(&model, SdmConfig::for_tests());
-        let usage = sdm.fm_usage();
-        assert!(usage >= sdm.config().cache.row_cache_budget);
-        assert!(usage >= sdm.loaded().fm_table_bytes);
     }
 }

@@ -54,8 +54,6 @@ pub enum PlacementPolicy {
 pub struct PlacementPlan {
     /// Keyed by the model's own table ids.
     locations: IntMap<TableId, TableLocation>,
-    fm_direct_bytes: Bytes,
-    sm_bytes: Bytes,
 }
 
 impl PlacementPlan {
@@ -130,12 +128,6 @@ impl PlacementPlan {
     }
 
     fn set(&mut self, table: &TableDescriptor, location: TableLocation) {
-        match location {
-            TableLocation::FastMemory => self.fm_direct_bytes += table.capacity(),
-            TableLocation::SlowMemoryCached | TableLocation::SlowMemoryUncached => {
-                self.sm_bytes += table.capacity()
-            }
-        }
         self.locations.insert(table.id, location);
     }
 
@@ -177,16 +169,6 @@ impl PlacementPlan {
         v
     }
 
-    /// Bytes of tables placed directly in fast memory (paper-scale).
-    pub fn fm_direct_bytes(&self) -> Bytes {
-        self.fm_direct_bytes
-    }
-
-    /// Bytes of tables placed on slow memory (paper-scale).
-    pub fn sm_bytes(&self) -> Bytes {
-        self.sm_bytes
-    }
-
     /// Number of tables covered by the plan.
     pub fn len(&self) -> usize {
         self.locations.len()
@@ -215,7 +197,6 @@ mod tests {
         for t in model.user_tables() {
             assert_eq!(plan.location(t.id), TableLocation::SlowMemoryCached);
         }
-        assert!(plan.sm_bytes() > Bytes::ZERO);
     }
 
     #[test]
@@ -236,7 +217,6 @@ mod tests {
             .filter(|t| plan.location(t.id) == TableLocation::FastMemory)
             .count();
         assert_eq!(fm_users, 2);
-        assert!(plan.fm_direct_bytes() >= budget.saturating_sub(Bytes(1)) || fm_users == 2);
         assert_eq!(plan.sm_tables().len(), 4);
     }
 

@@ -121,22 +121,6 @@ impl SdmStats {
         self.shard_failovers += other.shard_failovers;
     }
 
-    /// Fraction of served rows that were degraded (pooled as zero after
-    /// exhausted retries) over every row access the serving path resolved;
-    /// zero without faults.
-    pub fn degraded_row_rate(&self) -> f64 {
-        let rows = self.row_cache_hits
-            + self.shared_tier_hits
-            + self.sm_reads
-            + self.pruned_zero_rows
-            + self.degraded_rows;
-        if rows == 0 {
-            0.0
-        } else {
-            self.degraded_rows as f64 / rows as f64
-        }
-    }
-
     /// Row-cache hit rate over SM-resident lookups.
     pub fn row_cache_hit_rate(&self) -> f64 {
         let lookups = self.row_cache_hits + self.shared_tier_hits + self.sm_reads;
@@ -268,14 +252,12 @@ mod tests {
     }
 
     #[test]
-    fn resilience_counters_merge_and_rate() {
+    fn resilience_counters_merge() {
         let mut s = SdmStats::new();
-        assert_eq!(s.degraded_row_rate(), 0.0);
         s.row_cache_hits = 6;
         s.sm_reads = 2;
         s.pruned_zero_rows = 1;
         s.degraded_rows = 1;
-        assert!((s.degraded_row_rate() - 0.1).abs() < 1e-12);
         s.io_retries = 4;
         s.io_transient_errors = 3;
         s.io_checksum_failures = 2;

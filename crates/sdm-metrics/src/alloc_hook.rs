@@ -50,11 +50,6 @@ pub fn set_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::SeqCst);
 }
 
-/// True while allocations are being counted.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
-}
-
 /// Zeroes the counters (does not change the enabled flag).
 pub fn reset() {
     ALLOCATIONS.store(0, Ordering::SeqCst);
@@ -122,7 +117,7 @@ mod tests {
         assert_eq!(scope.allocations(), 2);
         assert_eq!(allocated_bytes(), 128);
         drop(scope);
-        assert!(!is_enabled());
+        assert!(!ENABLED.load(Ordering::SeqCst));
         note_alloc(1);
         assert_eq!(allocations(), 2, "counting after drop must be off");
     }

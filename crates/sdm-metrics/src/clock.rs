@@ -1,12 +1,8 @@
 //! Virtual time used by the simulated device and IO stack.
 
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A span of simulated time with nanosecond resolution.
 ///
@@ -53,7 +49,7 @@ impl SimDuration {
     /// Creates a duration from fractional microseconds.
     ///
     /// Negative or non-finite inputs saturate to zero.
-    pub fn from_micros_f64(micros: f64) -> Self {
+    fn from_micros_f64(micros: f64) -> Self {
         if !micros.is_finite() || micros <= 0.0 {
             return SimDuration::ZERO;
         }
@@ -90,7 +86,7 @@ impl SimDuration {
     }
 
     /// Duration expressed as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
+    fn as_millis_f64(self) -> f64 {
         self.nanos as f64 / 1_000_000.0
     }
 
@@ -272,104 +268,6 @@ impl fmt::Display for SimInstant {
     }
 }
 
-/// A shared, thread-safe virtual clock.
-///
-/// The clock only moves when [`SimClock::advance`] (or
-/// [`SimClock::advance_to`]) is called; every component of the simulated
-/// stack reads the same clock, so cross-component latencies compose
-/// deterministically.
-///
-/// Cloning a `SimClock` produces a handle to the *same* underlying clock.
-///
-/// # Example
-///
-/// ```
-/// use sdm_metrics::{SimClock, SimDuration};
-///
-/// let clock = SimClock::new();
-/// let t0 = clock.now();
-/// clock.advance(SimDuration::from_micros(25));
-/// assert_eq!((clock.now() - t0).as_micros(), 25);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SimClock {
-    nanos: Arc<AtomicU64>,
-}
-
-impl SimClock {
-    /// Creates a clock at the epoch.
-    pub fn new() -> Self {
-        SimClock {
-            nanos: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimInstant {
-        SimInstant {
-            nanos: self.nanos.load(Ordering::SeqCst),
-        }
-    }
-
-    /// Advances the clock by `d` and returns the new time.
-    pub fn advance(&self, d: SimDuration) -> SimInstant {
-        let new = self.nanos.fetch_add(d.nanos, Ordering::SeqCst) + d.nanos;
-        SimInstant { nanos: new }
-    }
-
-    /// Moves the clock forward to `t` if `t` is in the future; never moves it
-    /// backwards. Returns the (possibly unchanged) current time.
-    pub fn advance_to(&self, t: SimInstant) -> SimInstant {
-        let mut cur = self.nanos.load(Ordering::SeqCst);
-        while cur < t.nanos {
-            match self
-                .nanos
-                .compare_exchange(cur, t.nanos, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return t,
-                Err(observed) => cur = observed,
-            }
-        }
-        SimInstant { nanos: cur }
-    }
-}
-
-/// A single-threaded clock cursor used by discrete-event style loops where a
-/// local notion of "current time for this actor" is needed on top of the
-/// shared [`SimClock`].
-#[derive(Debug, Clone)]
-pub struct LocalCursor {
-    at: Rc<Cell<SimInstant>>,
-}
-
-impl LocalCursor {
-    /// Creates a cursor starting at `t`.
-    pub fn starting_at(t: SimInstant) -> Self {
-        LocalCursor {
-            at: Rc::new(Cell::new(t)),
-        }
-    }
-
-    /// Current position of the cursor.
-    pub fn now(&self) -> SimInstant {
-        self.at.get()
-    }
-
-    /// Moves the cursor forward by `d`.
-    pub fn advance(&self, d: SimDuration) -> SimInstant {
-        let next = self.at.get() + d;
-        self.at.set(next);
-        next
-    }
-
-    /// Moves the cursor to `t` if later than the current position.
-    pub fn advance_to(&self, t: SimInstant) -> SimInstant {
-        let next = self.at.get().max(t);
-        self.at.set(next);
-        next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,40 +316,6 @@ mod tests {
         assert_eq!((t1 - t0).as_micros(), 10);
         assert_eq!(t0.duration_since(t1), SimDuration::ZERO);
         assert_eq!(t1.max(t0), t1);
-    }
-
-    #[test]
-    fn clock_advances_monotonically() {
-        let clock = SimClock::new();
-        let t0 = clock.now();
-        clock.advance(SimDuration::from_micros(5));
-        let t1 = clock.now();
-        assert_eq!((t1 - t0).as_micros(), 5);
-
-        // advance_to never goes backwards
-        clock.advance_to(SimInstant::EPOCH);
-        assert_eq!(clock.now(), t1);
-        clock.advance_to(t1 + SimDuration::from_micros(1));
-        assert_eq!((clock.now() - t1).as_micros(), 1);
-    }
-
-    #[test]
-    fn clock_clones_share_state() {
-        let clock = SimClock::new();
-        let other = clock.clone();
-        clock.advance(SimDuration::from_micros(7));
-        assert_eq!(other.now().as_nanos(), 7_000);
-    }
-
-    #[test]
-    fn local_cursor_tracks_independent_time() {
-        let cursor = LocalCursor::starting_at(SimInstant::EPOCH);
-        cursor.advance(SimDuration::from_micros(4));
-        assert_eq!(cursor.now().as_nanos(), 4_000);
-        cursor.advance_to(SimInstant::from_nanos(1_000));
-        assert_eq!(cursor.now().as_nanos(), 4_000);
-        cursor.advance_to(SimInstant::from_nanos(9_000));
-        assert_eq!(cursor.now().as_nanos(), 9_000);
     }
 
     #[test]

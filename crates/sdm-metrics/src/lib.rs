@@ -1,17 +1,16 @@
 //! Measurement and simulation-time primitives shared by the SDM stack.
 //!
-//! The reproduction runs on a *virtual clock* ([`SimClock`]) so device
-//! latencies, queueing delays and warmup behaviour are deterministic and do
-//! not depend on the wall-clock speed of the host running the experiments.
+//! The reproduction runs on *virtual time* so device latencies, queueing
+//! delays and warmup behaviour are deterministic and do not depend on the
+//! wall-clock speed of the host running the experiments. There is no shared
+//! clock object: every component is handed the [`SimInstant`] its work
+//! starts at and returns the instant it finishes.
 //!
 //! The crate provides:
 //!
-//! * [`SimClock`], [`SimInstant`] and [`SimDuration`] — nanosecond-resolution
-//!   virtual time.
+//! * [`SimInstant`] and [`SimDuration`] — nanosecond-resolution virtual time.
 //! * [`LatencyHistogram`] — log-bucketed latency histograms with percentile
 //!   queries (p50/p95/p99 as used throughout the paper).
-//! * [`Counter`] and [`CounterSet`] — named monotonic counters, mergeable
-//!   across threads for per-shard statistic aggregation.
 //! * [`IntMap`] — a `HashMap` on a one-multiply-per-word hasher for the
 //!   program-generated integer keys of the per-IO paths (arena offsets,
 //!   chunk indices, table tags).
@@ -40,12 +39,10 @@
 
 pub mod alloc_hook;
 mod clock;
-mod counters;
 mod histogram;
 mod inthash;
 pub mod units;
 
-pub use clock::{LocalCursor, SimClock, SimDuration, SimInstant};
-pub use counters::{Counter, CounterSet};
+pub use clock::{SimDuration, SimInstant};
 pub use histogram::LatencyHistogram;
 pub use inthash::{IntBuildHasher, IntHasher, IntMap};

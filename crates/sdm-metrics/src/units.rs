@@ -242,11 +242,6 @@ impl RelativeCost {
     pub fn as_f64(self) -> f64 {
         self.0
     }
-
-    /// Total relative cost of a capacity at this per-GB cost.
-    pub fn total_for(self, capacity: Bytes) -> f64 {
-        self.0 * capacity.as_gib_f64()
-    }
 }
 
 impl fmt::Display for RelativeCost {
@@ -336,12 +331,5 @@ mod tests {
         assert_eq!(Watts(5.0).to_string(), "5.0W");
         assert_eq!(Watts(1500.0).to_string(), "1.50kW");
         assert_eq!(Watts(2_000_000.0).to_string(), "2.00MW");
-    }
-
-    #[test]
-    fn relative_cost_totals() {
-        let nand = RelativeCost(1.0 / 30.0);
-        let total = nand.total_for(Bytes::from_gib(300));
-        assert!((total - 10.0).abs() < 1e-9);
     }
 }

@@ -114,7 +114,7 @@ impl ArrivalProcess {
     }
 
     /// Instantaneous rate (queries per virtual second) at `now`.
-    pub fn rate_at(&self, now: SimInstant) -> f64 {
+    fn rate_at(&self, now: SimInstant) -> f64 {
         let elapsed = now.duration_since(SimInstant::EPOCH);
         match *self {
             ArrivalProcess::Poisson { rate_qps } => rate_qps,

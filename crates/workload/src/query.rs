@@ -4,7 +4,7 @@ use crate::error::WorkloadError;
 use crate::zipf::ZipfSampler;
 use embedding::{TableDescriptor, TableId, TableKind};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// One pooled-embedding lookup: a table plus the index sequence to pool.
@@ -253,11 +253,6 @@ impl QueryGenerator {
     /// Generates a batch of queries.
     pub fn generate(&mut self, count: usize) -> Vec<Query> {
         (0..count).map(|_| self.next_query()).collect()
-    }
-
-    /// Draws a uniformly random user id (useful for tests).
-    pub fn random_user(&mut self) -> u64 {
-        self.rng.gen_range(0..self.config.user_population)
     }
 }
 

@@ -90,7 +90,7 @@ impl Scheduler {
     /// lists, reusing the inner `Vec` capacity across calls so a serving
     /// loop that partitions batch after batch stays allocation-free once
     /// warmed.
-    pub fn partition_into<'a>(&mut self, queries: &'a [Query], parts: &mut Vec<Vec<&'a Query>>) {
+    fn partition_into<'a>(&mut self, queries: &'a [Query], parts: &mut Vec<Vec<&'a Query>>) {
         parts.resize_with(self.hosts, Vec::new);
         for p in parts.iter_mut() {
             p.clear();

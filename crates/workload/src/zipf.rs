@@ -16,7 +16,6 @@ use rand_distr::{Distribution, Zipf};
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     num_rows: u64,
-    exponent: f64,
     zipf: Zipf<f64>,
     scramble_key: u64,
 }
@@ -47,7 +46,6 @@ impl ZipfSampler {
         })?;
         Ok(ZipfSampler {
             num_rows,
-            exponent,
             zipf,
             scramble_key,
         })
@@ -56,11 +54,6 @@ impl ZipfSampler {
     /// Number of rows the sampler draws from.
     pub fn num_rows(&self) -> u64 {
         self.num_rows
-    }
-
-    /// The configured exponent.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 
     /// Maps a popularity rank (1 = hottest) to a scattered row index.
@@ -115,7 +108,6 @@ mod tests {
         assert_eq!(xs, ys);
         assert!(xs.iter().all(|&x| x < 1000));
         assert_eq!(s.num_rows(), 1000);
-        assert!((s.exponent() - 0.9).abs() < 1e-12);
     }
 
     #[test]

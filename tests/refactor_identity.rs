@@ -292,7 +292,7 @@ const GOLDEN: &[(u64, u64, u64, u64)] = &[
 ];
 
 #[test]
-fn refactor_is_bit_identical_under_always_admit() {
+fn every_scenario_matches_its_golden_fingerprint() {
     let capture = std::env::var_os("SDM_CAPTURE_GOLDEN").is_some();
     let mut fresh = Vec::new();
     for model in &models() {

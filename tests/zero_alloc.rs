@@ -169,7 +169,6 @@ fn warmed_hot_path_performs_zero_allocations() {
         max_attempts: 4,
         io_deadline: SimDuration::from_millis(50),
         hedge_after: Some(SimDuration::from_millis(10)),
-        ..RetryConfig::default()
     };
     let mut resilient = Shard::build(&model, resilient_cfg, 7).unwrap();
     for _ in 0..3 {
