@@ -4,7 +4,8 @@
 #
 #   ./ci.sh          # full gate: fmt, clippy, analyze, build, test, the
 #                    # exact BENCH_hotpath.json gate (exp_hotpath --check),
-#                    # bench compile, and a release build of the benchmark/
+#                    # one smoke run of every other exp_* binary, bench
+#                    # compile, and a release build of the benchmark/
 #                    # harness against the workspace crates
 #   ./ci.sh quick    # skip fmt/clippy/analyze (what the paper-repro driver runs)
 #   ./ci.sh bench    # run the criterion benches (quick shim)
@@ -137,6 +138,16 @@ SDM_POOL_KERNEL=scalar cargo test --locked -q --test kernel_equivalence --test z
 
 echo "==> exp_hotpath --check (deterministic scenarios equal BENCH_hotpath.json; writes nothing)"
 cargo run --locked --release -q -p sdm-bench --bin exp_hotpath -- --check >/dev/null
+
+if [[ "$mode" == "full" ]]; then
+    echo "==> every other exp_* binary once (release; each must exit 0)"
+    for bin in crates/bench/src/bin/exp_*.rs; do
+        name="$(basename "$bin" .rs)"
+        [[ "$name" == exp_hotpath ]] && continue
+        echo "    $name"
+        cargo run --locked --release -q -p sdm-bench --bin "$name" >/dev/null
+    done
+fi
 
 echo "==> cargo bench --no-run --workspace"
 cargo bench --locked --no-run --workspace

@@ -1,9 +1,9 @@
 //! Criterion bench backing Tables 8/9: end-to-end query execution on the
 //! DRAM baseline vs the SDM stack (Nand and Optane) — plus the batched
-//! serving-loop comparison (`run_batch` vs looped `run_query`).
+//! serving-loop comparison (one 64-query batch vs 64 one-query batches).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sdm_bench::{bench_sdm_config, build_system, queries_for, scaled};
+use sdm_bench::{bench_sdm_config, build_system, identity_picks, queries_for, scaled};
 use sdm_core::PlacementPolicy;
 
 fn end_to_end(c: &mut Criterion) {
@@ -11,6 +11,7 @@ fn end_to_end(c: &mut Criterion) {
     group.sample_size(10);
     let model = scaled(&dlrm::model_zoo::m1());
     let queries = queries_for(&model, 64, 99);
+    let all = identity_picks(&queries);
 
     let configs = [
         (
@@ -23,42 +24,43 @@ fn end_to_end(c: &mut Criterion) {
         ("sdm_nand", bench_sdm_config().with_nand_flash()),
     ];
     for (name, config) in configs {
-        let mut system = build_system(&model, config);
+        let mut host = build_system(&model, config);
         // Warm the caches outside the measured region.
-        let _ = system.run_queries(&queries[..32]).unwrap();
+        let _ = host.run_selected_batch(&queries, &all[..32]).unwrap();
         let mut i = 0usize;
         group.bench_function(name, |b| {
             b.iter(|| {
                 i = (i + 1) % queries.len();
-                system.run_query(&queries[i]).unwrap()
+                host.run_selected_batch(&queries, &all[i..=i]).unwrap()
             })
         });
     }
     group.finish();
 }
 
-/// Looped `run_query` vs `run_batch` over the same warmed stream: virtual
-/// time is identical by construction (see the `batch_equivalence` suite),
-/// so the delta is pure host-side serving-loop overhead.
+/// 64 one-query batches vs one 64-query batch over the same warmed stream:
+/// virtual time is identical by construction (see the `batch_equivalence`
+/// suite), so the delta is pure host-side per-batch overhead.
 fn batch_vs_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving_loop_m1");
     group.sample_size(10);
     let model = scaled(&dlrm::model_zoo::m1());
     let queries = queries_for(&model, 64, 99);
+    let all = identity_picks(&queries);
 
-    // One system serves both benchmarks so the comparison is not polluted
+    // One host serves both benchmarks so the comparison is not polluted
     // by instance-to-instance heap-layout differences.
-    let mut system = build_system(&model, bench_sdm_config());
-    let _ = system.run_queries(&queries).unwrap();
-    group.bench_function("looped_run_query_64", |b| {
+    let mut host = build_system(&model, bench_sdm_config());
+    let _ = host.run_selected_batch(&queries, &all).unwrap();
+    group.bench_function("one_query_batches_64", |b| {
         b.iter(|| {
-            for q in &queries {
-                system.run_query(q).unwrap();
+            for i in 0..all.len() {
+                host.run_selected_batch(&queries, &all[i..=i]).unwrap();
             }
         })
     });
-    group.bench_function("run_batch_64", |b| {
-        b.iter(|| system.run_batch(&queries).unwrap())
+    group.bench_function("one_batch_64", |b| {
+        b.iter(|| host.run_selected_batch(&queries, &all).unwrap())
     });
     group.finish();
 }

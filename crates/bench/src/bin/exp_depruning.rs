@@ -3,7 +3,7 @@
 //! requests; the paper measures ~2.5% extra requests and up to 48% higher
 //! performance when the workload is bounded by SM-resident user embeddings.
 
-use sdm_bench::{bench_sdm_config, build_system, header, pct, queries_for, scaled};
+use sdm_bench::{bench_sdm_config, build_system, header, identity_picks, pct, queries_for, scaled};
 use sdm_core::LoadTransform;
 use sdm_metrics::units::Bytes;
 
@@ -16,6 +16,7 @@ fn main() {
         }
     }
     let queries = queries_for(&model, 120, 15);
+    let all = identity_picks(&queries);
 
     let run = |label: &str, deprune: bool, cache_budget: Bytes| {
         let mut config = bench_sdm_config()
@@ -25,22 +26,21 @@ fn main() {
                 dequantize: false,
             });
         config.cache = sdm_cache::CacheConfig::with_total_budget(cache_budget);
-        let mut system = build_system(&model, config);
-        let _ = system.run_queries(&queries[..40]).unwrap();
-        let report = system.run_queries(&queries[40..]).unwrap();
-        let stats = system.manager().stats();
+        let mut host = build_system(&model, config);
+        let _ = host.run_selected_batch(&queries, &all[..40]).unwrap();
+        let report = host.run_selected_batch(&queries, &all[40..]).unwrap();
+        let qps = 1.0 / report.mean_latency.as_secs_f64();
+        let manager = host.shard(0).manager();
+        let stats = manager.stats();
         println!(
             "  {label:<44} SM reads={:>7}  total SM requests={:>7}  hit rate={:>6}  qps={:>8.1}  mapping FM={}",
             stats.sm_reads,
             stats.sm_reads + stats.row_cache_hits,
             pct(stats.row_cache_hit_rate()),
-            report.qps_single_stream,
-            system.manager().loaded().fm_mapping_bytes
+            qps,
+            manager.loaded().fm_mapping_bytes
         );
-        (
-            stats.sm_reads + stats.row_cache_hits,
-            report.qps_single_stream,
-        )
+        (stats.sm_reads + stats.row_cache_hits, qps)
     };
 
     // Without de-pruning the mapping tensors live in FM; give the cache the

@@ -2,8 +2,8 @@
 //! cheap SM capacity for dequantisation CPU, but shrinks the effective FM
 //! cache (fewer, larger rows), which usually loses.
 
-use sdm_bench::{header, pct, EXPERIMENT_SEED};
-use sdm_core::{LoadTransform, SdmConfig, Shard};
+use sdm_bench::{build_system, header, identity_picks, pct, EXPERIMENT_SEED};
+use sdm_core::{LoadTransform, SdmConfig};
 use sdm_metrics::units::Bytes;
 use workload::{QueryGenerator, WorkloadConfig};
 
@@ -24,6 +24,7 @@ fn main() {
     let queries = QueryGenerator::new(&model.tables, workload, 19)
         .unwrap()
         .generate(300);
+    let all = identity_picks(&queries);
 
     let mut results = Vec::new();
     for (label, dequantize) in [
@@ -40,18 +41,20 @@ fn main() {
         config.fm_budget = Bytes::from_mib(8);
         config.cache = sdm_cache::CacheConfig::with_total_budget(Bytes::from_mib(1));
         config.seed = EXPERIMENT_SEED;
-        let mut system = Shard::build(&model, config, EXPERIMENT_SEED).expect("build failed");
-        let _ = system.run_queries(&queries[..100]).unwrap();
-        let report = system.run_queries(&queries[100..]).unwrap();
-        let stats = system.manager().stats();
+        let mut host = build_system(&model, config);
+        let _ = host.run_selected_batch(&queries, &all[..100]).unwrap();
+        let report = host.run_selected_batch(&queries, &all[100..]).unwrap();
+        let qps = 1.0 / report.mean_latency.as_secs_f64();
+        let manager = host.shard(0).manager();
+        let stats = manager.stats();
         println!(
             "  {label:<32} SM image={:>10}  cache hit rate={:>6}  pooling time={:>10}  qps={:>8.1}",
-            system.manager().loaded().sm_written_bytes,
+            manager.loaded().sm_written_bytes,
             pct(stats.row_cache_hit_rate()),
             stats.pooling_time.to_string(),
-            report.qps_single_stream
+            qps
         );
-        results.push((stats.row_cache_hit_rate(), report.qps_single_stream));
+        results.push((stats.row_cache_hit_rate(), qps));
     }
     println!(
         "\n  cache hit rate change from de-quantising: {:+.1} points",

@@ -2,7 +2,7 @@
 //! placement choices, evaluated on an InferenceEval-style workload on Nand
 //! Flash (the configuration most sensitive to these choices).
 
-use sdm_bench::{bench_sdm_config, build_system, header, scaled, EXPERIMENT_SEED};
+use sdm_bench::{bench_sdm_config, build_system, header, identity_picks, scaled, EXPERIMENT_SEED};
 use sdm_core::PlacementPolicy;
 use sdm_metrics::units::Bytes;
 use workload::{Query, QueryGenerator, WorkloadConfig};
@@ -20,15 +20,21 @@ fn eval_queries(model: &dlrm::ModelConfig, count: usize) -> Vec<Query> {
 }
 
 fn run(label: &str, model: &dlrm::ModelConfig, config: sdm_core::SdmConfig, queries: &[Query]) {
-    let mut system = build_system(model, config);
-    let _ = system.run_queries(&queries[..30]).expect("warmup failed");
-    let report = system.run_queries(&queries[30..]).expect("run failed");
+    let mut host = build_system(model, config);
+    let all = identity_picks(queries);
+    let _ = host
+        .run_selected_batch(queries, &all[..30])
+        .expect("warmup failed");
+    let report = host
+        .run_selected_batch(queries, &all[30..])
+        .expect("run failed");
+    let stats = host.shard(0).manager().stats();
     println!(
         "  {label:<38} qps={:>8.1}  p95={:>10}  row-cache hit={:>6.1}%  SM reads={}",
-        report.qps_single_stream,
+        1.0 / report.mean_latency.as_secs_f64(),
         report.p95_latency.to_string(),
-        system.manager().stats().row_cache_hit_rate() * 100.0,
-        system.manager().stats().sm_reads,
+        stats.row_cache_hit_rate() * 100.0,
+        stats.sm_reads,
     );
 }
 

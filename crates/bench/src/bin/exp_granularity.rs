@@ -3,7 +3,7 @@
 //! reads.
 
 use scm_device::{ReadCommand, ScmDevice, TechnologyProfile};
-use sdm_bench::{bench_sdm_config, build_system, header, pct, queries_for, scaled};
+use sdm_bench::{bench_sdm_config, build_system, header, identity_picks, pct, queries_for, scaled};
 use sdm_core::AccessGranularity;
 use sdm_metrics::units::Bytes;
 
@@ -44,9 +44,11 @@ fn main() {
         let config = bench_sdm_config()
             .with_nand_flash()
             .with_granularity(granularity);
-        let mut system = build_system(&model, config);
-        let _ = system.run_queries(&queries).expect("run failed");
-        let stats = system.manager().stats();
+        let mut host = build_system(&model, config);
+        let _ = host
+            .run_selected_batch(&queries, &identity_picks(&queries))
+            .expect("run failed");
+        let stats = host.shard(0).manager().stats();
         let io_per_read = stats.io_time / stats.sm_reads.max(1);
         println!(
             "  {label:<22} bus bytes/row = {:>6.1}  read amplification = {:>6.2}  SM IO time/row = {}",

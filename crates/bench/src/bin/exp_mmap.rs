@@ -61,10 +61,11 @@ fn main() {
                 now,
             )
             .unwrap();
-        let (completions, finished) = engine.drain(now).unwrap();
+        let finished = engine
+            .drain_each(now, |c| cache.insert(key, &c.data))
+            .unwrap();
         direct_hist.record(finished.duration_since(now) + cache.lookup_cost());
         now = finished;
-        cache.insert(key, &completions[0].data);
     }
 
     println!("\n  path                      mean latency   p99 latency   FM resident      hit rate   read amplification");

@@ -3,7 +3,7 @@
 //! power at the same p95 latency.
 
 use cluster::{ScenarioComparison, ServingScenario};
-use sdm_bench::{bench_sdm_config, build_system, header, pct, queries_for, scaled};
+use sdm_bench::{bench_sdm_config, build_system, header, identity_picks, pct, queries_for, scaled};
 use sdm_metrics::units::Watts;
 
 fn main() {
@@ -20,23 +20,26 @@ fn main() {
         }),
     );
     let mut sdm_nand = build_system(&model, bench_sdm_config().with_nand_flash());
-    let _ = dram_like.run_queries(&queries[..60]).unwrap();
-    let _ = sdm_nand.run_queries(&queries[..60]).unwrap();
-    let dram_report = dram_like.run_queries(&queries[60..]).unwrap();
-    let sdm_report = sdm_nand.run_queries(&queries[60..]).unwrap();
-    let hit_rate = sdm_nand.manager().stats().row_cache_hit_rate();
-    let qps_ratio = sdm_report.qps_single_stream / dram_report.qps_single_stream;
+    let all = identity_picks(&queries);
+    let _ = dram_like.run_selected_batch(&queries, &all[..60]).unwrap();
+    let _ = sdm_nand.run_selected_batch(&queries, &all[..60]).unwrap();
+    let dram_report = dram_like.run_selected_batch(&queries, &all[60..]).unwrap();
+    let sdm_report = sdm_nand.run_selected_batch(&queries, &all[60..]).unwrap();
+    let hit_rate = sdm_nand.shard(0).manager().stats().row_cache_hit_rate();
+    let dram_qps = 1.0 / dram_report.mean_latency.as_secs_f64();
+    let sdm_qps = 1.0 / sdm_report.mean_latency.as_secs_f64();
+    let qps_ratio = sdm_qps / dram_qps;
 
     println!("\nmeasured on the simulated stack:");
     println!(
         "  DRAM-only   qps/stream={:>8.1} p95={:>10} p99={:>10}",
-        dram_report.qps_single_stream,
+        dram_qps,
         dram_report.p95_latency.to_string(),
         dram_report.p99_latency.to_string()
     );
     println!(
         "  SDM (Nand)  qps/stream={:>8.1} p95={:>10} p99={:>10}  steady-state cache hit rate={}",
-        sdm_report.qps_single_stream,
+        sdm_qps,
         sdm_report.p95_latency.to_string(),
         sdm_report.p99_latency.to_string(),
         pct(hit_rate)

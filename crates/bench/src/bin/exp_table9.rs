@@ -6,8 +6,10 @@
 use cluster::{ScenarioComparison, ServingScenario};
 use dlrm::ComputeModel;
 use scm_device::TechnologyProfile;
-use sdm_bench::{bench_sdm_config, header, pct, queries_for, scaled, EXPERIMENT_SEED};
-use sdm_core::Shard;
+use sdm_bench::{
+    bench_sdm_config, build_system, header, identity_picks, pct, queries_for, scaled,
+    EXPERIMENT_SEED,
+};
 use sdm_metrics::units::Watts;
 use sdm_metrics::SimDuration;
 
@@ -18,15 +20,15 @@ fn main() {
     let queries = queries_for(&model, 40, 92);
 
     // 1. Measure the steady-state cache hit rate on the simulated stack.
-    let mut system =
-        Shard::build(&model, bench_sdm_config(), EXPERIMENT_SEED).expect("system build failed");
-    system
+    let mut host = build_system(&model, bench_sdm_config());
+    host.shard_mut(0)
         .set_compute(ComputeModel::accelerator(), EXPERIMENT_SEED)
         .expect("compute model rejected");
-    let _ = system.run_queries(&queries[..20]).unwrap();
-    system.manager_mut().invalidate_caches();
-    let _ = system.run_queries(&queries[20..]).unwrap();
-    let hit_rate = system.manager().stats().row_cache_hit_rate();
+    let all = identity_picks(&queries);
+    let _ = host.run_selected_batch(&queries, &all[..20]).unwrap();
+    host.shard_mut(0).manager_mut().invalidate_caches();
+    let _ = host.run_selected_batch(&queries, &all[20..]).unwrap();
+    let hit_rate = host.shard(0).manager().stats().row_cache_hit_rate();
     println!(
         "\nmeasured steady-state SM cache hit rate: {}",
         pct(hit_rate)

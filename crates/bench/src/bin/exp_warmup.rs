@@ -1,7 +1,7 @@
 //! Experiment E18 — paper §A.4: cache warmup after a model update and the
 //! extra capacity needed to ride out rolling updates.
 
-use sdm_bench::{bench_sdm_config, build_system, header, pct, queries_for, scaled};
+use sdm_bench::{bench_sdm_config, build_system, header, identity_picks, pct, queries_for, scaled};
 use sdm_cache::warmup_capacity_overhead;
 use sdm_core::{ModelUpdater, UpdateKind};
 use sdm_metrics::SimDuration;
@@ -10,14 +10,16 @@ fn main() {
     header("Cache warmup after a full model update");
     let model = scaled(&dlrm::model_zoo::m1());
     let queries = queries_for(&model, 240, 18);
-    let mut system = build_system(&model, bench_sdm_config().with_nand_flash());
+    let all = identity_picks(&queries);
+    let mut host = build_system(&model, bench_sdm_config().with_nand_flash());
 
     // Warm up, then apply a full update — which invalidates the caches and
     // re-reads the rows they held from the new image — and watch the hit
     // rate afterwards.
-    let _ = system.run_queries(&queries[..80]).unwrap();
-    let warm_hit = system.manager().stats().row_cache_hit_rate();
-    let report = ModelUpdater::apply(system.manager_mut(), UpdateKind::Full, 77).unwrap();
+    let _ = host.run_selected_batch(&queries, &all[..80]).unwrap();
+    let warm_hit = host.shard(0).manager().stats().row_cache_hit_rate();
+    let report =
+        ModelUpdater::apply(host.shard_mut(0).manager_mut(), UpdateKind::Full, 77).unwrap();
     let window = report.write_time + report.rewarm_time;
     println!(
         "\nfull update: wrote {} in {}, caches invalidated = {}",
@@ -30,14 +32,17 @@ fn main() {
     );
 
     let mut batches = Vec::new();
-    for chunk in queries[80..].chunks(20) {
-        let reads_before =
-            system.manager().stats().sm_reads + system.manager().stats().row_cache_hits;
-        let hits_before = system.manager().stats().row_cache_hits;
-        let _ = system.run_queries(chunk).unwrap();
-        let reads = system.manager().stats().sm_reads + system.manager().stats().row_cache_hits
-            - reads_before;
-        let hits = system.manager().stats().row_cache_hits - hits_before;
+    // (row reads, row-cache hits) so far.
+    let counts = |host: &sdm_core::ServingHost| {
+        let s = host.shard(0).manager().stats();
+        (s.sm_reads + s.row_cache_hits, s.row_cache_hits)
+    };
+    for chunk in all[80..].chunks(20) {
+        let (reads_before, hits_before) = counts(&host);
+        let _ = host.run_selected_batch(&queries, chunk).unwrap();
+        let (reads_after, hits_after) = counts(&host);
+        let reads = reads_after - reads_before;
+        let hits = hits_after - hits_before;
         batches.push(hits as f64 / reads.max(1) as f64);
     }
     println!("steady-state hit rate before update: {}", pct(warm_hit));

@@ -1,9 +1,8 @@
 //! Shared helpers for the experiment binaries (`exp_*`) and Criterion
 //! benches that regenerate the paper's tables and figures.
 //!
-//! Every binary prints a self-contained report to stdout; EXPERIMENTS.md
-//! records the paper-reported values next to the values these binaries
-//! produce.
+//! Every binary prints a self-contained report to stdout, with the
+//! paper-reported value beside each value it reproduces.
 //!
 //! # Panic policy
 //!
@@ -27,7 +26,7 @@
 use dlrm::{model_zoo, ModelConfig};
 use io_engine::RetryConfig;
 use scm_device::{DeviceId, FaultPlan, FaultStats};
-use sdm_core::{Frontend, FrontendConfig, FrontendReport, SdmConfig, ServingHost, Shard};
+use sdm_core::{Frontend, FrontendConfig, FrontendReport, SdmConfig, ServingHost};
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{LatencyHistogram, SimDuration, SimInstant};
 use workload::{
@@ -68,7 +67,8 @@ pub fn bench_sdm_config() -> SdmConfig {
     }
 }
 
-/// Builds a full SDM system for a scaled model.
+/// Builds a full SDM system for a scaled model: one serving stream, which is
+/// a 1-shard host.
 ///
 /// # Panics
 ///
@@ -77,8 +77,21 @@ pub fn bench_sdm_config() -> SdmConfig {
 // Harness policy: a fatal setup/serving error aborts the experiment
 // with the message below (crate docs, "Panic policy").
 #[allow(clippy::expect_used)]
-pub fn build_system(model: &ModelConfig, config: SdmConfig) -> Shard {
-    Shard::build(model, config, EXPERIMENT_SEED).expect("failed to build SDM system")
+pub fn build_system(model: &ModelConfig, config: SdmConfig) -> ServingHost {
+    ServingHost::build(
+        model,
+        &config,
+        EXPERIMENT_SEED,
+        1,
+        RoutingPolicy::UserSticky,
+    )
+    .expect("failed to build SDM system")
+}
+
+/// The selection of every query in `queries`, in stream order: how a whole
+/// stream is served through [`ServingHost::run_selected_batch`].
+pub fn identity_picks(queries: &[Query]) -> Vec<usize> {
+    (0..queries.len()).collect()
 }
 
 /// Generates a query stream for a (scaled) model.
@@ -161,12 +174,15 @@ pub fn measure_batch_modes(
     window: usize,
 ) -> (ModeRun, ModeRun) {
     let run = |cfg: SdmConfig| {
-        let mut system = build_system(model, cfg);
-        let report = system.run_batch(queries).expect("mode batch failed");
-        let depth = &system.manager().io_engine().stats().queue_depth;
+        let mut host = build_system(model, cfg);
+        let report = host
+            .run_selected_batch(queries, &identity_picks(queries))
+            .expect("mode batch failed");
+        let shard = host.shard(0);
+        let depth = &shard.manager().io_engine().stats().queue_depth;
         ModeRun {
-            qps: report.batch_qps,
-            p50_latency: system.batch_hist().percentile(0.5),
+            qps: report.virtual_qps,
+            p50_latency: shard.batch_hist().percentile(0.5),
             p99_latency: report.p99_latency,
             mean_queue_depth: depth.mean_depth(),
             max_queue_depth: depth.max_depth,
@@ -245,10 +261,15 @@ pub fn measure_tier(
         RoutingPolicy::UserSticky,
     )
     .expect("failed to build serving host");
-    host.run_batch(queries).expect("warmup batch failed");
-    host.run_batch(queries).expect("warmup batch failed");
+    let all = identity_picks(queries);
+    host.run_selected_batch(queries, &all)
+        .expect("warmup batch failed");
+    host.run_selected_batch(queries, &all)
+        .expect("warmup batch failed");
     let before = host.stats();
-    let run = host.run_batch(queries).expect("measured batch failed");
+    let run = host
+        .run_selected_batch(queries, &all)
+        .expect("measured batch failed");
     let stats = host.stats();
     TierRun {
         virtual_qps: run.virtual_qps,
@@ -412,10 +433,13 @@ fn run_fault_condition(
     }
     let mut total_makespan = SimDuration::ZERO;
     let mut served = 0u64;
+    let all = identity_picks(queries);
     for _ in 0..rounds.max(1) {
         // Injected faults never fail a batch: reads retry, rows degrade to
         // zeros, unhealthy shards are routed around.
-        let report = host.run_batch(queries).expect("resilience batch failed");
+        let report = host
+            .run_selected_batch(queries, &all)
+            .expect("resilience batch failed");
         total_makespan += report.virtual_makespan;
         served += report.queries;
     }
@@ -606,10 +630,13 @@ mod tests {
     #[test]
     fn build_system_and_run_one_query() {
         let model = scaled(&model_zoo::m1());
-        let mut system = build_system(&model, bench_sdm_config());
+        let mut host = build_system(&model, bench_sdm_config());
         let queries = queries_for(&model, 1, 1);
-        let result = system.run_query(&queries[0]).unwrap();
-        assert!(!result.scores.is_empty());
+        let report = host
+            .run_selected_batch(&queries, &identity_picks(&queries))
+            .unwrap();
+        assert_eq!(report.queries, 1);
+        assert!(!host.scores(0).is_empty());
     }
 
     #[test]

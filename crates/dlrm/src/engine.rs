@@ -253,28 +253,10 @@ impl InferenceEngine {
         Ok((PooledOp { table, start, dim }, took))
     }
 
-    /// Executes one query against the backend.
-    ///
-    /// Convenience form that allocates fresh scratch; the serving loop uses
-    /// [`InferenceEngine::execute_into`] with persistent buffers instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend failures and dimension errors.
-    pub fn execute<B: EmbeddingBackend + ?Sized>(
-        &self,
-        query: &Query,
-        backend: &mut B,
-        now: SimInstant,
-    ) -> Result<QueryResult, DlrmError> {
-        let mut buffers = PoolingBuffers::new();
-        let mut result = QueryResult::default();
-        self.execute_into(query, backend, now, &mut buffers, &mut result)?;
-        Ok(result)
-    }
-
     /// Executes one query against the backend using caller-provided scratch
     /// buffers, writing scores and latency into `result` (cleared first).
+    /// Scratch never affects values: fresh and reused buffers give the same
+    /// result.
     ///
     /// With warm `buffers`/`result` capacity and a warmed backend cache this
     /// path performs zero heap allocations per query: pooled vectors are
@@ -436,12 +418,24 @@ mod tests {
         (engine, backend, queries)
     }
 
+    /// Runs one query on fresh scratch buffers.
+    fn run<B: EmbeddingBackend>(
+        engine: &InferenceEngine,
+        query: &Query,
+        backend: &mut B,
+        now: SimInstant,
+    ) -> QueryResult {
+        let mut result = QueryResult::default();
+        engine
+            .execute_into(query, backend, now, &mut PoolingBuffers::new(), &mut result)
+            .unwrap();
+        result
+    }
+
     #[test]
     fn execution_produces_one_score_per_item() {
         let (engine, mut backend, queries) = setup();
-        let result = engine
-            .execute(&queries[0], &mut backend, SimInstant::EPOCH)
-            .unwrap();
+        let result = run(&engine, &queries[0], &mut backend, SimInstant::EPOCH);
         assert_eq!(result.scores.len(), 10);
         assert!(result.latency.total > SimDuration::ZERO);
         assert!(result.latency.user_embeddings > SimDuration::ZERO);
@@ -451,12 +445,8 @@ mod tests {
     #[test]
     fn results_are_deterministic() {
         let (engine, mut backend, queries) = setup();
-        let a = engine
-            .execute(&queries[1], &mut backend, SimInstant::EPOCH)
-            .unwrap();
-        let b = engine
-            .execute(&queries[1], &mut backend, SimInstant::EPOCH)
-            .unwrap();
+        let a = run(&engine, &queries[1], &mut backend, SimInstant::EPOCH);
+        let b = run(&engine, &queries[1], &mut backend, SimInstant::EPOCH);
         assert_eq!(a.scores, b.scores);
         assert_eq!(a.latency.total, b.latency.total);
     }
@@ -465,13 +455,9 @@ mod tests {
     fn interop_parallelism_reduces_latency() {
         let (mut engine, mut backend, queries) = setup();
         engine.set_mode(ExecutionMode::Sequential);
-        let seq = engine
-            .execute(&queries[0], &mut backend, SimInstant::EPOCH)
-            .unwrap();
+        let seq = run(&engine, &queries[0], &mut backend, SimInstant::EPOCH);
         engine.set_mode(ExecutionMode::InterOpParallel);
-        let par = engine
-            .execute(&queries[0], &mut backend, SimInstant::EPOCH)
-            .unwrap();
+        let par = run(&engine, &queries[0], &mut backend, SimInstant::EPOCH);
         assert!(par.latency.total < seq.latency.total);
         // Scores do not depend on the execution mode.
         assert_eq!(par.scores, seq.scores);
@@ -536,7 +522,7 @@ mod tests {
         for mode in [ExecutionMode::InterOpParallel, ExecutionMode::Sequential] {
             engine.set_mode(mode);
             let mut backend = RecordingBackend::default();
-            let r = engine.execute(query, &mut backend, start).unwrap();
+            let r = run(&engine, query, &mut backend, start);
 
             let (mut want, user_time) = chain(&query.user_requests, start);
             let item_start = match mode {
@@ -568,12 +554,12 @@ mod tests {
     }
 
     #[test]
-    fn execute_into_with_reused_buffers_matches_execute() {
+    fn execute_into_with_reused_buffers_matches_fresh_buffers() {
         let (engine, mut backend, queries) = setup();
         let mut buffers = PoolingBuffers::new();
         let mut result = QueryResult::default();
         for q in &queries {
-            let fresh = engine.execute(q, &mut backend, SimInstant::EPOCH).unwrap();
+            let fresh = run(&engine, q, &mut backend, SimInstant::EPOCH);
             engine
                 .execute_into(
                     q,
@@ -599,9 +585,7 @@ mod tests {
     fn latency_breakdown_sums_to_total_in_sequential_mode() {
         let (mut engine, mut backend, queries) = setup();
         engine.set_mode(ExecutionMode::Sequential);
-        let r = engine
-            .execute(&queries[2], &mut backend, SimInstant::EPOCH)
-            .unwrap();
+        let r = run(&engine, &queries[2], &mut backend, SimInstant::EPOCH);
         let sum = r.latency.bottom_mlp
             + r.latency.user_embeddings
             + r.latency.item_embeddings

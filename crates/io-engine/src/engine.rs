@@ -717,30 +717,15 @@ impl IoEngine {
             .map_or(now, |s| s.completion.completed_at.max(now))
     }
 
-    /// Waits for everything in flight: returns all outstanding completions
-    /// (sorted by completion time) and the instant the last one finished
-    /// (`now` when nothing was in flight).
-    ///
-    /// # Errors
-    ///
-    /// This method is currently infallible but returns `Result` so the
-    /// signature can accommodate cancellation in the future.
-    pub fn drain(&mut self, now: SimInstant) -> Result<(Vec<IoCompletion>, SimInstant), IoError> {
-        let finished_at = self.sort_ready(now);
-        let done = self.ready.drain(..).map(|s| s.completion).collect();
-        Ok((done, finished_at))
-    }
-
-    /// Like [`IoEngine::drain`], but lends each completion to `f` in
-    /// completion order instead of collecting them, and returns the instant
-    /// the last one finished (`now` when nothing was in flight).
+    /// Waits for everything in flight: lends each completion to `f` in
+    /// completion order (equal-time completions in submission order) and
+    /// returns the instant the last one finished (`now` when nothing was in
+    /// flight).
     ///
     /// This lets the caller overlap completion reaping with downstream work
     /// (the serving loop dequantises and pools each row as it is reaped)
     /// without an intermediate completion vector, and lets the engine take
-    /// each payload buffer back for the next submission. Equal-time
-    /// completions are reaped in submission order, as in
-    /// [`IoEngine::drain`].
+    /// each payload buffer back for the next submission.
     ///
     /// # Errors
     ///
@@ -767,6 +752,13 @@ mod tests {
     fn engine_with(profile: TechnologyProfile, devices: usize, cfg: EngineConfig) -> IoEngine {
         let array = DeviceArray::homogeneous(profile, Bytes::from_mib(4), devices).unwrap();
         IoEngine::new(array, cfg)
+    }
+
+    /// Reaps everything in flight, keeping a copy of each completion.
+    fn drain_all(engine: &mut IoEngine, now: SimInstant) -> (Vec<IoCompletion>, SimInstant) {
+        let mut reaped = Vec::new();
+        let finished = engine.drain_each(now, |c| reaped.push(c.clone())).unwrap();
+        (reaped, finished)
     }
 
     #[test]
@@ -844,7 +836,7 @@ mod tests {
                 now,
             )
             .unwrap();
-        let (completions, at) = engine.drain(now).unwrap();
+        let (completions, at) = drain_all(&mut engine, now);
         assert_eq!(completions.len(), 1);
         let c = &completions[0];
         assert_eq!(c.user_data, 42);
@@ -882,7 +874,7 @@ mod tests {
                 )
                 .unwrap();
         }
-        let (completions, _) = engine.drain(now).unwrap();
+        let (completions, _) = drain_all(&mut engine, now);
         assert_eq!(completions.len(), 4);
         // The first two go straight to the device; the last two wait.
         let delayed = completions
@@ -920,7 +912,7 @@ mod tests {
                 now,
             )
             .unwrap();
-        let (completions, _) = engine.drain(now).unwrap();
+        let (completions, _) = drain_all(&mut engine, now);
         let other = completions.iter().find(|c| c.user_data == 99).unwrap();
         assert_eq!(other.queue_delay, SimDuration::ZERO);
         let table7_delayed = completions
@@ -1035,7 +1027,7 @@ mod tests {
                     .unwrap();
             }
             // One slot: the four reads issue strictly one after another.
-            let (completions, _) = engine.drain(now).unwrap();
+            let (completions, _) = drain_all(engine, now);
             assert_eq!(completions.len(), 4);
             for pair in completions.windows(2) {
                 assert!(pair[1].issued_at >= pair[0].completed_at);
@@ -1114,7 +1106,7 @@ mod tests {
         assert_eq!(engine.buffers.len(), 8);
         submit_round(&mut engine);
         assert!(engine.buffers.is_empty());
-        let (polled, _) = engine.drain(now).unwrap();
+        let (polled, _) = drain_all(&mut engine, now);
         assert_eq!(
             polled.iter().map(|c| c.user_data).collect::<Vec<_>>(),
             (0..8).collect::<Vec<u64>>()
@@ -1123,34 +1115,21 @@ mod tests {
     }
 
     #[test]
-    fn drain_each_matches_drain() {
-        let make = || {
-            let mut e = engine_with(TechnologyProfile::nand_flash(), 1, EngineConfig::default());
-            for i in 0..8u64 {
-                e.submit(
-                    IoRequest::new(DeviceId(0), ReadCommand::sgl(i * 4096, 128)).with_user_data(i),
-                    SimInstant::EPOCH,
-                )
-                .unwrap();
-            }
-            e
-        };
-        let mut a = make();
-        let mut b = make();
-        let (collected, finished_a) = a.drain(SimInstant::EPOCH).unwrap();
-        let mut streamed = Vec::new();
-        let finished_b = b
-            .drain_each(SimInstant::EPOCH, |c| streamed.push(c.clone()))
+    fn drain_each_reaps_everything_in_flight() {
+        let mut e = engine_with(TechnologyProfile::nand_flash(), 1, EngineConfig::default());
+        for i in 0..8u64 {
+            e.submit(
+                IoRequest::new(DeviceId(0), ReadCommand::sgl(i * 4096, 128)).with_user_data(i),
+                SimInstant::EPOCH,
+            )
             .unwrap();
-        assert_eq!(finished_a, finished_b);
-        assert_eq!(collected.len(), streamed.len());
-        for (x, y) in collected.iter().zip(&streamed) {
-            assert_eq!(x.user_data, y.user_data);
-            assert_eq!(x.completed_at, y.completed_at);
         }
+        let (reaped, finished) = drain_all(&mut e, SimInstant::EPOCH);
+        assert_eq!(reaped.len(), 8);
+        assert_eq!(finished, reaped.last().unwrap().completed_at);
         // Nothing left behind.
-        assert_eq!(b.outstanding(), 0);
-        let empty_at = b
+        assert_eq!(e.outstanding(), 0);
+        let empty_at = e
             .drain_each(SimInstant::EPOCH, |_| panic!("no IOs"))
             .unwrap();
         assert_eq!(empty_at, SimInstant::EPOCH);
@@ -1226,7 +1205,7 @@ mod tests {
         assert!(res.retries > 0);
         assert_eq!(engine.stats().completed, served);
         // Retried completions pay the backoff in caller-visible latency.
-        let (completions, _) = engine.drain(now).unwrap();
+        let (completions, _) = drain_all(&mut engine, now);
         assert!(completions
             .iter()
             .any(|c| c.queue_delay >= SimDuration::from_micros(10)));
@@ -1310,7 +1289,7 @@ mod tests {
             "every injected corruption must be detected"
         );
         // And no delivered payload is corrupt.
-        let (completions, _) = engine.drain(now).unwrap();
+        let (completions, _) = drain_all(&mut engine, now);
         assert_eq!(completions.len(), 32);
         for c in &completions {
             assert_eq!(c.data, vec![0xA5u8; 64], "corrupt payload served");
@@ -1406,7 +1385,7 @@ mod tests {
         assert!(engine.stats().resilience.deadline_timeouts > 0);
         // Caller-visible latency is bounded by deadline+backoff retries,
         // far below the 100ms hang.
-        let (completions, _) = engine.drain(now).unwrap();
+        let (completions, _) = drain_all(&mut engine, now);
         for c in &completions {
             assert!(
                 c.total_latency() < hang,
@@ -1480,8 +1459,8 @@ mod tests {
         };
         let mut a = make(EngineConfig::default());
         let mut b = make(tuned);
-        let (ca, fa) = a.drain(SimInstant::EPOCH).unwrap();
-        let (cb, fb) = b.drain(SimInstant::EPOCH).unwrap();
+        let (ca, fa) = drain_all(&mut a, SimInstant::EPOCH);
+        let (cb, fb) = drain_all(&mut b, SimInstant::EPOCH);
         assert_eq!(fa, fb);
         assert_eq!(ca.len(), cb.len());
         for (x, y) in ca.iter().zip(&cb) {

@@ -31,9 +31,9 @@
 //! let mut engine = IoEngine::new(array, EngineConfig::default());
 //! let now = SimInstant::EPOCH;
 //! engine.submit(IoRequest::new(DeviceId(0), ReadCommand::sgl(0, 128)).with_user_data(7), now)?;
-//! let (completions, done_at) = engine.drain(now)?;
-//! assert_eq!(completions.len(), 1);
-//! assert_eq!(completions[0].user_data, 7);
+//! let mut reaped = Vec::new();
+//! let done_at = engine.drain_each(now, |c| reaped.push(c.user_data))?;
+//! assert_eq!(reaped, [7]);
 //! assert!(done_at > now);
 //! # Ok(())
 //! # }

@@ -8,9 +8,9 @@
 //! (Figure 6).
 //!
 //! The cache is a thin [`RowKey`]-typed wrapper over the shared
-//! [`ArenaLru`] engine core: one hash index, an intrusive LRU list and a
-//! [`crate::SlabArena`] payload slab, so a hit touches two flat vectors and
-//! returns a borrowed slice, performing no heap allocation.
+//! [`ArenaLru`] engine core: one hash index, a recency stamp per slot and
+//! a [`crate::SlabArena`] payload slab, so a hit touches two flat vectors
+//! and returns a borrowed slice, performing no heap allocation.
 
 use crate::engine::ArenaLru;
 use crate::row_cache::{RowCache, RowKey};
@@ -18,8 +18,8 @@ use crate::stats::CacheStats;
 use sdm_metrics::units::Bytes;
 use sdm_metrics::SimDuration;
 
-/// Per-entry metadata overhead of the indexed engine (hash node, LRU links,
-/// slot record).
+/// Per-entry metadata overhead of the indexed engine (hash node, recency
+/// stamp, slot record).
 pub const ENTRY_OVERHEAD: usize = 64;
 
 /// Hash-indexed, exact-LRU row cache.

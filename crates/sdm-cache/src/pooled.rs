@@ -66,7 +66,8 @@ impl PooledKey {
     }
 }
 
-/// Metadata overhead per pooled entry (key, LRU links, allocation headers).
+/// Metadata overhead per pooled entry (key, recency stamp, allocation
+/// headers).
 const ENTRY_OVERHEAD: usize = 64;
 
 /// LRU cache of pooled embedding outputs, bounded by a byte budget.

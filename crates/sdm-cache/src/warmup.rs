@@ -155,8 +155,7 @@ mod tests {
         // (r*w)/(p*t) literally gives 3.3%; the paper's own numeric example
         // (1.2%) swaps w and t when plugging in. Either way the conclusion —
         // a small single-digit-percent over-provision — holds, which is what
-        // this test pins down (the discrepancy is recorded in
-        // EXPERIMENTS.md).
+        // this test pins down (`exp_warmup` prints the discrepancy).
         let overhead = warmup_capacity_overhead(
             0.10,
             SimDuration::from_secs(5 * 60),

@@ -164,10 +164,9 @@ impl SdmConfig {
     /// (paper §3's host-level DRAM cache in front of SM). The budget is a
     /// host-level resource: [`SdmConfig::divide_among_indexed`] does not
     /// divide it, and [`crate::ServingHost::build`] carves the tier out
-    /// exactly once and hands every shard a handle (a bare
-    /// [`crate::Shard::build`] never attaches one — a single stream that
-    /// wants the tier is a 1-shard host). Zero disables the tier (the
-    /// default), which keeps single-tier serving bit-identical.
+    /// exactly once and hands every shard a handle — a 1-shard host, the
+    /// single stream, included. Zero disables the tier (the default),
+    /// which keeps single-tier serving bit-identical.
     pub fn with_shared_tier(mut self, budget: Bytes) -> Self {
         self.cache.shared_tier_budget = budget;
         self

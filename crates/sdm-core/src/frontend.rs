@@ -1,7 +1,7 @@
 //! Open-loop request front end: SLO-aware dynamic batching and load
 //! shedding ahead of a [`ServingHost`].
 //!
-//! Closed-loop driving ([`ServingHost::run_batch`] on pre-built batches)
+//! Closed-loop driving ([`ServingHost::run_selected_batch`] on pre-built batches)
 //! measures how fast shards drain work; the paper's serving criterion is
 //! what p50/p99 the host delivers *at a given offered QPS* while meeting a
 //! latency target. This module provides that measurement surface:
@@ -793,7 +793,8 @@ mod tests {
         // guard would have admitted.
         for _ in 0..2 {
             host.shard_mut(2).poison();
-            assert!(host.run_batch(&queries).is_err());
+            let all: Vec<usize> = (0..queries.len()).collect();
+            assert!(host.run_selected_batch(&queries, &all).is_err());
         }
         assert!(host.health_fraction() < 1.0);
         let browned = fe

@@ -107,8 +107,8 @@ fn is_unhealthy(h: &ShardHealth, reference: Option<u64>) -> bool {
 }
 
 /// Moves every unhealthy shard's picks onto healthy shards, round-robin,
-/// keeping `pos` (merge positions) in tandem with `exec` when the caller
-/// uses a two-level mapping. Returns the number of shard-batches
+/// keeping `pos` (merge positions) in tandem with `exec`. Returns the
+/// number of shard-batches
 /// rerouted. No-ops — without allocating — when every shard is healthy,
 /// so the steady-state hot path stays allocation-free; also no-ops when
 /// *no* shard is healthy (there is nowhere to fail over to, so the batch
@@ -116,7 +116,7 @@ fn is_unhealthy(h: &ShardHealth, reference: Option<u64>) -> bool {
 fn reroute_unhealthy(
     health: &[ShardHealth],
     exec: &mut [Vec<usize>],
-    mut pos: Option<&mut [Vec<usize>]>,
+    pos: &mut [Vec<usize>],
 ) -> u64 {
     let reference = ewma_reference(health);
     if !health.iter().any(|h| is_unhealthy(h, reference)) {
@@ -136,18 +136,13 @@ fn reroute_unhealthy(
             while is_unhealthy(&health[target], reference) {
                 target = (target + 1) % health.len();
             }
-            let pick = exec[u][k];
+            let (pick, merge_at) = (exec[u][k], pos[u][k]);
             exec[target].push(pick);
-            if let Some(p) = pos.as_deref_mut() {
-                let merge_at = p[u][k];
-                p[target].push(merge_at);
-            }
+            pos[target].push(merge_at);
             target = (target + 1) % health.len();
         }
         exec[u].clear();
-        if let Some(p) = pos.as_deref_mut() {
-            p[u].clear();
-        }
+        pos[u].clear();
     }
     moved
 }
@@ -158,7 +153,7 @@ fn reroute_unhealthy(
 fn record_batch_health(health: &mut [ShardHealth], shards: &[Shard], exec: &[Vec<usize>]) {
     for ((h, shard), picks) in health.iter_mut().zip(shards.iter()).zip(exec.iter()) {
         if !picks.is_empty() {
-            h.record_success(shard.batch_report().makespan);
+            h.record_success(shard.batch_makespan());
         }
     }
 }
@@ -174,7 +169,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Measured outcome of one [`ServingHost::run_batch`].
+/// Measured outcome of one [`ServingHost::run_selected_batch`]: the merged
+/// latency distribution, the virtual makespan and QPS, and the measured
+/// wall-clock throughput. A 1-shard host's report is a single stream's:
+/// its `virtual_makespan` is the stream's clock advance over the batch.
 #[derive(Debug, Clone)]
 pub struct HostReport {
     /// Queries executed across all shards.
@@ -230,9 +228,9 @@ struct MergeScratch {
 /// `std::thread::scope` worker for each other non-empty one, and merged
 /// back into query order.
 ///
-/// A 1-shard host divides nothing, spawns nothing and executes exactly the
-/// [`Shard::run_batch`] hot path, so its results are bit-identical to a bare
-/// shard's (asserted by the `sharded_equivalence` suite).
+/// A 1-shard host divides nothing, spawns nothing and runs its one shard's
+/// [`Shard::run_indexed_batch`] on the calling thread, so its results are
+/// bit-identical to a bare shard's: it is how a single stream is served.
 #[derive(Debug)]
 pub struct ServingHost {
     shards: Vec<Shard>,
@@ -244,8 +242,7 @@ pub struct ServingHost {
     /// across batches so steady-state partitioning allocates nothing.
     exec: Vec<Vec<usize>>,
     /// Per-shard positions within the selection (where each result merges
-    /// back), parallel to `exec`; unused when the selection is the whole
-    /// batch, where `exec` is its own merge mapping.
+    /// back), parallel to `exec`.
     pos: Vec<Vec<usize>>,
     merged: MergeScratch,
     /// Per-shard health (failure streaks + makespan EWMA), driving
@@ -282,9 +279,8 @@ fn run_guarded(
 ///
 /// `exec_parts[s]` holds the positions within `queries` shard `s` executes;
 /// `merge_pos[s]` the parallel positions within the output selection
-/// (`0..out_len`) each result lands at: the same buffers when the selection
-/// is the whole batch, the two-level mapping from
-/// [`Scheduler::partition_picks_into`] otherwise.
+/// (`0..out_len`) each result lands at — the two-level mapping from
+/// [`Scheduler::partition_picks_into`].
 fn execute_and_merge(
     shards: &mut [Shard],
     queries: &[Query],
@@ -351,7 +347,7 @@ fn execute_and_merge(
     }
     Ok(shards
         .iter()
-        .map(|s| s.batch_report().makespan)
+        .map(Shard::batch_makespan)
         .max()
         .unwrap_or(SimDuration::ZERO))
 }
@@ -395,8 +391,10 @@ impl ServingHost {
     ///
     /// # Errors
     ///
-    /// Propagates configuration, layout and device errors — including a
-    /// per-shard budget slice that divides down to zero.
+    /// Returns [`SdmConfig::validate`]'s error for an invalid `config`
+    /// before dividing it (a per-shard slice floors a zero engine limit at
+    /// one, which would hide it), and propagates layout and device errors,
+    /// including a per-shard budget slice that divides down to zero.
     pub fn build(
         model: &ModelConfig,
         config: &SdmConfig,
@@ -404,6 +402,7 @@ impl ServingHost {
         shards: usize,
         policy: RoutingPolicy,
     ) -> Result<Self, SdmError> {
+        config.validate()?;
         let count = shards.max(1);
         let mut built = Vec::with_capacity(count);
         for i in 0..count {
@@ -553,17 +552,21 @@ impl ServingHost {
         update::apply_to_all(&mut managers, kind, new_version)
     }
 
-    /// Executes a batch: partitions it across the shards, runs the
-    /// partitions concurrently (the first on the calling thread), merges the
-    /// results back into query order and reports **measured** wall-clock
-    /// throughput.
+    /// Executes a *selection* of a query stream — `picks` holds positions
+    /// within `queries`, and a whole stream is the identity selection:
+    /// partitions it across the shards, runs the partitions concurrently
+    /// (the first on the calling thread), merges the results back into
+    /// selection order (result `i` belongs to query `queries[picks[i]]`)
+    /// and reports **measured** wall-clock throughput.
     ///
-    /// Scores are readable per query via [`ServingHost::scores`] — query
-    /// `i` of `queries` produces the same scores no matter how many shards
-    /// the host has or which policy routed it (asserted by the
-    /// `sharded_equivalence` suite). A batch that routes to a single shard
-    /// — every batch of a 1-shard host — runs entirely on the calling
-    /// thread, bit-identical to [`Shard::run_batch`].
+    /// Scores are readable per query via [`ServingHost::scores`] — a query
+    /// produces the same scores no matter how many shards the host has or
+    /// which policy routed it (asserted by the `sharded_equivalence`
+    /// suite). A batch that routes to a single shard — every batch of a
+    /// 1-shard host — runs entirely on the calling thread, bit-identical to
+    /// that shard's [`Shard::run_indexed_batch`]. Queries are served in
+    /// place, never copied, so the open-loop front end's warmed
+    /// admission→batch→serve loop performs no per-query allocation.
     ///
     /// # Errors
     ///
@@ -571,42 +574,10 @@ impl ServingHost {
     /// this returns. After an error the result accessors
     /// ([`ServingHost::len`], [`ServingHost::scores`], …) report an empty
     /// batch — never a previous batch's stale results.
-    pub fn run_batch(&mut self, queries: &[Query]) -> Result<HostReport, SdmError> {
-        self.run_partitioned(queries, None)
-    }
-
-    /// Executes a *selection* of a query stream: `picks` holds positions
-    /// within `queries`. Otherwise identical to
-    /// [`ServingHost::run_batch`] — partitioned by the same scheduler,
-    /// merged back into selection order (result `i` belongs to query
-    /// `queries[picks[i]]`), measured the same way.
-    ///
-    /// This is the dispatch path for an open-loop front end: a dynamic
-    /// batcher admits a subset of the arrival stream and serves it without
-    /// copying `Query` values, so the warmed admission→batch→serve loop
-    /// performs no per-query allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard error, exactly like
-    /// [`ServingHost::run_batch`].
     pub fn run_selected_batch(
         &mut self,
         queries: &[Query],
         picks: &[usize],
-    ) -> Result<HostReport, SdmError> {
-        self.run_partitioned(queries, Some(picks))
-    }
-
-    /// The one batch body: `picks = None` selects the whole of `queries`,
-    /// which is the selection over identity picks without materialising
-    /// them — pick positions equal query positions, so `exec` serves as
-    /// both the execution and the merge mapping (rerouting moves entries
-    /// within it, preserving that).
-    fn run_partitioned(
-        &mut self,
-        queries: &[Query],
-        picks: Option<&[usize]>,
     ) -> Result<HostReport, SdmError> {
         let Self {
             shards,
@@ -623,27 +594,20 @@ impl ServingHost {
         // serial partition, the parallel shard execution and the serial
         // merge — so `wall_qps` is delivered throughput, not just the
         // threaded middle. This is the host's *measurement* of real thread
-        // scaling (PR 3's whole point) — the only legitimate wall-clock
-        // read in the virtual-clock stack; serving decisions never see it.
+        // scaling — the only legitimate wall-clock read in the
+        // virtual-clock stack; serving decisions never see it.
         // sdm-analyze: allow(no-wall-clock)
         let wall = Instant::now();
-        match picks {
-            None => scheduler.partition_indices_into(queries, exec),
-            Some(picks) => scheduler.partition_picks_into(queries, picks, exec, pos),
-        }
+        scheduler.partition_picks_into(queries, picks, exec, pos);
         *batches_run += 1;
         // Failover: move picks off unhealthy shards — merge positions in
         // tandem — except on the periodic probe batch that lets them
         // demonstrate recovery.
         if *batches_run % PROBE_INTERVAL != 0 {
-            *failovers += reroute_unhealthy(health, exec, picks.map(|_| pos.as_mut_slice()));
+            *failovers += reroute_unhealthy(health, exec, pos);
         }
-        let (merge_pos, out_len) = match picks {
-            None => (&*exec, queries.len()),
-            Some(picks) => (&*pos, picks.len()),
-        };
         let virtual_makespan =
-            match execute_and_merge(shards, queries, exec, merge_pos, out_len, merged) {
+            match execute_and_merge(shards, queries, exec, pos, picks.len(), merged) {
                 Ok(m) => m,
                 Err(e) => {
                     if let SdmError::ShardFailed { shard, .. } = &e {
@@ -664,7 +628,7 @@ impl ServingHost {
         ))
     }
 
-    /// Number of queries in the last [`ServingHost::run_batch`].
+    /// Number of queries in the last batch.
     pub fn len(&self) -> usize {
         self.merged.ranges.len()
     }
@@ -711,6 +675,10 @@ mod tests {
         gen.generate(count)
     }
 
+    fn identity(queries: &[Query]) -> Vec<usize> {
+        (0..queries.len()).collect()
+    }
+
     #[test]
     fn host_serves_batches_across_shards() {
         let model = model_zoo::tiny(2, 1, 400);
@@ -726,7 +694,9 @@ mod tests {
         assert_eq!(host.shards(), 4);
         assert_eq!(host.policy(), RoutingPolicy::UserSticky);
         assert!(host.is_empty());
-        let report = host.run_batch(&queries).unwrap();
+        let report = host
+            .run_selected_batch(&queries, &identity(&queries))
+            .unwrap();
         assert_eq!(report.queries, 24);
         assert_eq!(report.shards, 4);
         assert_eq!(host.len(), 24);
@@ -756,8 +726,12 @@ mod tests {
         )
         .unwrap();
         let mut shard = Shard::build(&model, SdmConfig::for_tests(), 10).unwrap();
-        host.run_batch(&queries).unwrap();
-        let report = shard.run_batch(&queries).unwrap();
+        let report = host
+            .run_selected_batch(&queries, &identity(&queries))
+            .unwrap();
+        shard
+            .run_indexed_batch(&queries, &identity(&queries))
+            .unwrap();
         assert_eq!(host.len(), shard.batch_len());
         for i in 0..host.len() {
             assert_eq!(host.scores(i), shard.batch_scores(i));
@@ -768,6 +742,41 @@ mod tests {
         assert_eq!(a.row_cache_hits, b.row_cache_hits);
         assert_eq!(a.sm_reads, b.sm_reads);
         assert_eq!(report.queries, queries.len() as u64);
+        assert_eq!(report.virtual_makespan, shard.batch_makespan());
+    }
+
+    #[test]
+    fn host_report_carries_virtual_makespan_and_qps() {
+        // In exact mode a 1-shard host's makespan is the serial sum of
+        // per-query latencies, so virtual_qps and the 1/mean extrapolation
+        // agree.
+        let model = model_zoo::tiny(2, 1, 300);
+        let mut host = ServingHost::build(
+            &model,
+            &SdmConfig::for_tests(),
+            5,
+            1,
+            RoutingPolicy::RoundRobin,
+        )
+        .unwrap();
+        let queries = workload(&model, 12, 5);
+        let before = host.shard(0).now();
+        let report = host
+            .run_selected_batch(&queries, &identity(&queries))
+            .unwrap();
+        assert_eq!(
+            report.virtual_makespan,
+            host.shard(0).now().duration_since(before),
+            "exact makespan must equal the clock advance"
+        );
+        assert!(report.virtual_qps > 0.0);
+        // Mean latency truncates to whole nanoseconds, so the two rates
+        // agree only up to that rounding.
+        let per_stream = 1.0 / report.mean_latency.as_secs_f64();
+        assert!(
+            (report.virtual_qps - per_stream).abs() / per_stream < 1e-4,
+            "serial batch throughput equals 1/mean-latency (up to ns rounding)"
+        );
     }
 
     #[test]
@@ -782,40 +791,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(host.shards(), 1);
-    }
-
-    #[test]
-    fn selected_batch_on_identity_picks_matches_run_batch() {
-        let model = model_zoo::tiny(2, 1, 300);
-        let queries = workload(&model, 20, 14);
-        let identity: Vec<usize> = (0..queries.len()).collect();
-        for shards in [1, 3] {
-            let mut selected = ServingHost::build(
-                &model,
-                &SdmConfig::for_tests(),
-                14,
-                shards,
-                RoutingPolicy::UserSticky,
-            )
-            .unwrap();
-            let mut full = ServingHost::build(
-                &model,
-                &SdmConfig::for_tests(),
-                14,
-                shards,
-                RoutingPolicy::UserSticky,
-            )
-            .unwrap();
-            let a = selected.run_selected_batch(&queries, &identity).unwrap();
-            let b = full.run_batch(&queries).unwrap();
-            assert_eq!(a.queries, b.queries);
-            assert_eq!(a.virtual_makespan, b.virtual_makespan);
-            assert_eq!(selected.len(), full.len());
-            for i in 0..full.len() {
-                assert_eq!(selected.scores(i), full.scores(i));
-                assert_eq!(selected.latency(i), full.latency(i));
-            }
-        }
     }
 
     #[test]
@@ -843,7 +818,9 @@ mod tests {
         )
         .unwrap();
         let a = host.run_selected_batch(&queries, &picks).unwrap();
-        let b = reference.run_batch(&subset).unwrap();
+        let b = reference
+            .run_selected_batch(&subset, &identity(&subset))
+            .unwrap();
         assert_eq!(a.queries, picks.len() as u64);
         assert_eq!(host.len(), picks.len());
         assert_eq!(a.virtual_makespan, b.virtual_makespan);
@@ -869,7 +846,9 @@ mod tests {
             )
             .unwrap();
             host.shard_mut(poisoned).poison();
-            let err = host.run_batch(&queries).unwrap_err();
+            let err = host
+                .run_selected_batch(&queries, &identity(&queries))
+                .unwrap_err();
             match err {
                 SdmError::ShardFailed { shard, cause } => {
                     assert_eq!(shard, poisoned);
@@ -880,7 +859,9 @@ mod tests {
             // The failed batch reports empty results, never stale ones.
             assert!(host.is_empty());
             // The host survives: the next batch (poison cleared) serves fine.
-            let report = host.run_batch(&queries).unwrap();
+            let report = host
+                .run_selected_batch(&queries, &identity(&queries))
+                .unwrap();
             assert_eq!(report.queries, queries.len() as u64);
         }
     }
@@ -898,10 +879,16 @@ mod tests {
         )
         .unwrap();
         // A full batch first, so shard 0 has results that could go stale.
-        host.run_batch(&queries).unwrap();
+        host.run_selected_batch(&queries, &identity(&queries))
+            .unwrap();
         assert!(host.shard(0).batch_len() > 0);
-        let mut parts = Vec::new();
-        Scheduler::new(2, RoutingPolicy::UserSticky).partition_indices_into(&queries, &mut parts);
+        let (mut parts, mut pos) = (Vec::new(), Vec::new());
+        Scheduler::new(2, RoutingPolicy::UserSticky).partition_picks_into(
+            &queries,
+            &identity(&queries),
+            &mut parts,
+            &mut pos,
+        );
         let for_shard_1 = parts[1].clone();
         assert!(!for_shard_1.is_empty());
         // Shard 1's partition runs on the calling thread; shard 0 runs an
@@ -911,10 +898,7 @@ mod tests {
         assert_eq!(host.shard(0).batch_hist().count(), 0);
         assert_eq!(host.shard(1).batch_len(), for_shard_1.len());
         assert_eq!(report.queries, for_shard_1.len() as u64);
-        assert_eq!(
-            report.virtual_makespan,
-            host.shard(1).batch_report().makespan
-        );
+        assert_eq!(report.virtual_makespan, host.shard(1).batch_makespan());
         assert_eq!(report.mean_latency, host.shard(1).batch_hist().mean());
     }
 
@@ -931,9 +915,13 @@ mod tests {
         )
         .unwrap();
         host.shard_mut(0).poison();
-        let err = host.run_batch(&queries).unwrap_err();
+        let err = host
+            .run_selected_batch(&queries, &identity(&queries))
+            .unwrap_err();
         assert!(matches!(err, SdmError::ShardFailed { shard: 0, .. }));
-        assert!(host.run_batch(&queries).is_ok());
+        assert!(host
+            .run_selected_batch(&queries, &identity(&queries))
+            .is_ok());
     }
 
     #[test]
@@ -952,12 +940,16 @@ mod tests {
         // Two consecutive worker panics mark shard 2 unhealthy.
         for _ in 0..2 {
             host.shard_mut(2).poison();
-            assert!(host.run_batch(&queries).is_err());
+            assert!(host
+                .run_selected_batch(&queries, &identity(&queries))
+                .is_err());
         }
         assert!(host.health_fraction() < 1.0);
         // The next batch routes around shard 2: the batch succeeds in
         // full, shard 2 executes nothing, and the reroute is counted.
-        let report = host.run_batch(&queries).unwrap();
+        let report = host
+            .run_selected_batch(&queries, &identity(&queries))
+            .unwrap();
         assert_eq!(report.queries, queries.len() as u64);
         assert_eq!(host.shard(2).batch_len(), 0);
         assert!(host.failovers() >= 1);
@@ -969,11 +961,13 @@ mod tests {
         // traffic again; it succeeds, so the shard recovers and
         // subsequent batches stop rerouting.
         for _ in 0..(PROBE_INTERVAL as usize) {
-            host.run_batch(&queries).unwrap();
+            host.run_selected_batch(&queries, &identity(&queries))
+                .unwrap();
         }
         assert_eq!(host.health_fraction(), 1.0);
         let settled = host.failovers();
-        host.run_batch(&queries).unwrap();
+        host.run_selected_batch(&queries, &identity(&queries))
+            .unwrap();
         assert_eq!(host.failovers(), settled);
         assert!(host.shard(2).batch_len() > 0);
     }
@@ -1012,7 +1006,7 @@ mod tests {
         health[1].record_failure();
         let mut exec = vec![vec![0, 3], vec![1, 4], vec![2, 5]];
         let mut pos = vec![vec![10, 13], vec![11, 14], vec![12, 15]];
-        let moved = reroute_unhealthy(&health, &mut exec, Some(&mut pos));
+        let moved = reroute_unhealthy(&health, &mut exec, &mut pos);
         assert_eq!(moved, 1);
         assert!(exec[1].is_empty());
         assert!(pos[1].is_empty());
@@ -1032,7 +1026,7 @@ mod tests {
         health[0] = health[1];
         health[2] = health[1];
         let before = exec.clone();
-        assert_eq!(reroute_unhealthy(&health, &mut exec, Some(&mut pos)), 0);
+        assert_eq!(reroute_unhealthy(&health, &mut exec, &mut pos), 0);
         assert_eq!(exec, before);
     }
 
@@ -1048,12 +1042,16 @@ mod tests {
             RoutingPolicy::UserSticky,
         )
         .unwrap();
-        let first = host.run_batch(&queries).unwrap();
+        let first = host
+            .run_selected_batch(&queries, &identity(&queries))
+            .unwrap();
         let mut reference: Vec<Vec<f32>> = Vec::new();
         for i in 0..host.len() {
             reference.push(host.scores(i).to_vec());
         }
-        let second = host.run_batch(&queries).unwrap();
+        let second = host
+            .run_selected_batch(&queries, &identity(&queries))
+            .unwrap();
         assert_eq!(first.queries, second.queries);
         // Warm caches mean the second pass is not slower in virtual time.
         assert!(second.mean_latency <= first.mean_latency);

@@ -39,19 +39,23 @@
 //!
 //! ```
 //! use dlrm::model_zoo;
-//! use sdm_core::{SdmConfig, Shard};
-//! use workload::{QueryGenerator, WorkloadConfig};
+//! use sdm_core::{SdmConfig, ServingHost};
+//! use workload::{QueryGenerator, RoutingPolicy, WorkloadConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let model = model_zoo::tiny(2, 1, 500);
-//! let mut shard = Shard::build(&model, SdmConfig::default(), 7)?;
+//! // A single serving stream is a 1-shard host.
+//! let mut host =
+//!     ServingHost::build(&model, &SdmConfig::default(), 7, 1, RoutingPolicy::UserSticky)?;
 //! let mut gen = QueryGenerator::new(
 //!     &model.tables,
 //!     WorkloadConfig { item_batch: model.item_batch, ..WorkloadConfig::default() },
 //!     7,
 //! )?;
-//! let result = shard.run_query(&gen.next_query())?;
-//! assert_eq!(result.scores.len(), model.item_batch as usize);
+//! let queries = gen.generate(4);
+//! let report = host.run_selected_batch(&queries, &[0, 1, 2, 3])?;
+//! assert_eq!(report.queries, 4);
+//! assert_eq!(host.scores(0).len(), model.item_batch as usize);
 //! # Ok(())
 //! # }
 //! ```
@@ -81,6 +85,6 @@ pub use host::{HostReport, ServingHost};
 pub use loader::{LoadedModel, LoadedTable, ModelLoader};
 pub use manager::SdmMemoryManager;
 pub use placement::{PlacementPlan, PlacementPolicy, TableLocation};
-pub use shard::{QpsReport, Shard};
+pub use shard::Shard;
 pub use stats::SdmStats;
 pub use update::{ModelUpdater, UpdateKind, UpdateReport};

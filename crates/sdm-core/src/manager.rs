@@ -357,8 +357,8 @@ impl ReadPath {
     /// hit's bytes copied out under it — and a last pass pools the deferred
     /// rows in index order, counting hits and warm-up samples exactly where
     /// a row-at-a-time probe would have. What is still missing is gathered
-    /// into a reused scratch list, submitted as **one ring submission**,
-    /// and pooled as the completions drain — overlapping completion reaping
+    /// into a reused scratch list, submitted back to back with no per-IO
+    /// allocation, and pooled as the completions drain — overlapping completion reaping
     /// with the dequantise+pool work. Completed reads are promoted into the
     /// shared tier at drain time, so no stripe lock is ever held across IO.
     /// Each row costs one private-cache probe and at most one tier probe.
@@ -490,8 +490,8 @@ impl ReadPath {
         }
         self.stats.pruned_zero_rows += zero_rows;
 
-        // 3. Issue the misses as one ring submission of SGL (or block)
-        // reads, then pool each row as its completion drains.
+        // 3. Submit the misses as SGL (or block) reads, back to back, then
+        // pool each row as its completion drains.
         let mut io_time = SimDuration::ZERO;
         if !self.scratch.io_targets.is_empty() {
             // Lock-discipline boundary: stripe locks are sub-microsecond
@@ -842,26 +842,6 @@ impl SdmMemoryManager {
         self.clock = self.clock.max(now + took);
         Ok(took)
     }
-
-    /// Serves one pooled embedding operator, advancing the manager's clock.
-    /// Allocating convenience form of
-    /// [`SdmMemoryManager::pooled_lookup_into_at`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SdmError`] for unknown tables, out-of-range indices or IO
-    /// failures.
-    pub fn pooled_lookup_at(
-        &mut self,
-        table: TableId,
-        indices: &[u64],
-        now: SimInstant,
-    ) -> Result<(Vec<f32>, SimDuration), SdmError> {
-        let dim = self.loaded.table(table)?.stored.dim;
-        let mut pooled = vec![0.0f32; dim];
-        let took = self.pooled_lookup_into_at(table, indices, now, &mut pooled)?;
-        Ok((pooled, took))
-    }
 }
 
 impl EmbeddingBackend for SdmMemoryManager {
@@ -871,8 +851,15 @@ impl EmbeddingBackend for SdmMemoryManager {
         indices: &[u64],
         now: SimInstant,
     ) -> Result<(Vec<f32>, SimDuration), DlrmError> {
-        self.pooled_lookup_at(table, indices, now)
-            .map_err(DlrmError::backend)
+        let dim = self
+            .loaded
+            .table(table)
+            .map_err(DlrmError::backend)?
+            .stored
+            .dim;
+        let mut pooled = vec![0.0f32; dim];
+        let took = self.pooled_lookup_into(table, indices, now, &mut pooled)?;
+        Ok((pooled, took))
     }
 
     fn pooled_lookup_into(
@@ -926,7 +913,7 @@ mod tests {
         let indices = vec![3u64, 17, 99, 250, 3];
         for table in [0u32, 1, 2] {
             let (a, _) = sdm
-                .pooled_lookup_at(table, &indices, SimInstant::EPOCH)
+                .pooled_lookup(table, &indices, SimInstant::EPOCH)
                 .unwrap();
             let (b, _) = dram
                 .pooled_lookup(table, &indices, SimInstant::EPOCH)
@@ -944,12 +931,8 @@ mod tests {
         let model = model_zoo::tiny(1, 0, 500);
         let mut sdm = build(&model, SdmConfig::for_tests());
         let indices = vec![10u64, 20, 30, 40];
-        let (_, cold) = sdm
-            .pooled_lookup_at(0, &indices, SimInstant::EPOCH)
-            .unwrap();
-        let (_, warm) = sdm
-            .pooled_lookup_at(0, &indices, SimInstant::EPOCH)
-            .unwrap();
+        let (_, cold) = sdm.pooled_lookup(0, &indices, SimInstant::EPOCH).unwrap();
+        let (_, warm) = sdm.pooled_lookup(0, &indices, SimInstant::EPOCH).unwrap();
         assert!(warm < cold / 2, "warm {warm} vs cold {cold}");
         assert!(sdm.stats().row_cache_hits >= 4 || sdm.stats().pooled_cache_hits >= 1);
         assert!(sdm.stats().sm_reads >= 4);
@@ -962,14 +945,11 @@ mod tests {
         config.cache.pooled_len_threshold = 2;
         let mut sdm = build(&model, config);
         let indices = vec![5u64, 6, 7, 8, 9];
-        sdm.pooled_lookup_at(0, &indices, SimInstant::EPOCH)
-            .unwrap();
+        sdm.pooled_lookup(0, &indices, SimInstant::EPOCH).unwrap();
         let before = sdm.stats().pooled_cache_hits;
         // Same multiset in a different order still hits.
         let shuffled = vec![9u64, 8, 7, 6, 5];
-        let (_, latency) = sdm
-            .pooled_lookup_at(0, &shuffled, SimInstant::EPOCH)
-            .unwrap();
+        let (_, latency) = sdm.pooled_lookup(0, &shuffled, SimInstant::EPOCH).unwrap();
         assert_eq!(sdm.stats().pooled_cache_hits, before + 1);
         assert!(latency <= SimDuration::from_micros(1));
         assert!(sdm.stats().pooled_cache_hit_rate() > 0.0);
@@ -992,9 +972,9 @@ mod tests {
             (&short, SimDuration::ZERO),
             (&long, POOLED_CACHE_PROBE_COST),
         ] {
-            let (_, took) = sdm.pooled_lookup_at(0, indices, SimInstant::EPOCH).unwrap();
+            let (_, took) = sdm.pooled_lookup(0, indices, SimInstant::EPOCH).unwrap();
             let (_, base) = unprobed
-                .pooled_lookup_at(0, indices, SimInstant::EPOCH)
+                .pooled_lookup(0, indices, SimInstant::EPOCH)
                 .unwrap();
             assert_eq!(took, base + probe);
         }
@@ -1010,7 +990,7 @@ mod tests {
         let model = model_zoo::tiny(1, 1, 300);
         let mut sdm = build(&model, SdmConfig::for_tests());
         let item_table = model.item_tables()[0].id;
-        sdm.pooled_lookup_at(item_table, &[1, 2, 3], SimInstant::EPOCH)
+        sdm.pooled_lookup(item_table, &[1, 2, 3], SimInstant::EPOCH)
             .unwrap();
         assert_eq!(sdm.stats().sm_reads, 0);
         assert_eq!(sdm.stats().fm_direct_lookups, 3);
@@ -1028,14 +1008,14 @@ mod tests {
         b.attach_shared_tier(Arc::clone(&tier), 1);
         let indices = vec![10u64, 20, 30, 40];
         // Manager A reads cold: SM reads, then promotion into the tier.
-        let (want, _) = a.pooled_lookup_at(0, &indices, SimInstant::EPOCH).unwrap();
+        let (want, _) = a.pooled_lookup(0, &indices, SimInstant::EPOCH).unwrap();
         assert_eq!(a.stats().sm_reads, 4);
         assert_eq!(a.stats().shared_tier_promotions, 4);
         assert_eq!(tier.len(), 4);
         // Manager B misses privately but hits the shared tier: no SM IO,
         // every hit is cross-shard, and the pooled values are bit-identical
         // (same rows accumulated in the same index order).
-        let (got, _) = b.pooled_lookup_at(0, &indices, SimInstant::EPOCH).unwrap();
+        let (got, _) = b.pooled_lookup(0, &indices, SimInstant::EPOCH).unwrap();
         assert_eq!(got, want);
         assert_eq!(b.stats().sm_reads, 0);
         assert_eq!(b.stats().shared_tier_hits, 4);
@@ -1047,7 +1027,7 @@ mod tests {
         // invalidating only the private side via a fresh manager).
         let mut a2 = build(&model, config);
         a2.attach_shared_tier(Arc::clone(&tier), 0);
-        a2.pooled_lookup_at(0, &indices, SimInstant::EPOCH).unwrap();
+        a2.pooled_lookup(0, &indices, SimInstant::EPOCH).unwrap();
         assert_eq!(a2.stats().shared_tier_hits, 4);
         assert_eq!(a2.stats().shared_tier_cross_hits, 0);
     }
@@ -1058,8 +1038,7 @@ mod tests {
         let tier = Arc::new(SharedRowTier::new(Bytes::from_mib(1), 2));
         let mut sdm = build(&model, SdmConfig::for_tests());
         sdm.attach_shared_tier(Arc::clone(&tier), 0);
-        sdm.pooled_lookup_at(0, &[1, 2, 3], SimInstant::EPOCH)
-            .unwrap();
+        sdm.pooled_lookup(0, &[1, 2, 3], SimInstant::EPOCH).unwrap();
         assert!(!tier.is_empty());
         sdm.invalidate_caches();
         assert!(tier.is_empty());
@@ -1070,9 +1049,9 @@ mod tests {
         let model = model_zoo::tiny(1, 0, 100);
         let mut sdm = build(&model, SdmConfig::for_tests());
         assert!(sdm
-            .pooled_lookup_at(0, &[1_000_000], SimInstant::EPOCH)
+            .pooled_lookup(0, &[1_000_000], SimInstant::EPOCH)
             .is_err());
-        assert!(sdm.pooled_lookup_at(77, &[0], SimInstant::EPOCH).is_err());
+        assert!(sdm.pooled_lookup(77, &[0], SimInstant::EPOCH).is_err());
     }
 
     #[test]
@@ -1081,9 +1060,7 @@ mod tests {
         model.tables[0].pruned_fraction = 0.5;
         let mut sdm = build(&model, SdmConfig::for_tests());
         let indices: Vec<u64> = (0..50).collect();
-        let (pooled, _) = sdm
-            .pooled_lookup_at(0, &indices, SimInstant::EPOCH)
-            .unwrap();
+        let (pooled, _) = sdm.pooled_lookup(0, &indices, SimInstant::EPOCH).unwrap();
         assert_eq!(pooled.len(), 32);
         assert!(sdm.stats().pruned_zero_rows > 0);
         // Rows actually read is total minus the pruned ones.
@@ -1095,12 +1072,10 @@ mod tests {
         let model = model_zoo::tiny(1, 0, 300);
         let mut sdm = build(&model, SdmConfig::for_tests());
         let indices = vec![1u64, 2, 3];
-        sdm.pooled_lookup_at(0, &indices, SimInstant::EPOCH)
-            .unwrap();
+        sdm.pooled_lookup(0, &indices, SimInstant::EPOCH).unwrap();
         let reads_before = sdm.stats().sm_reads;
         sdm.invalidate_caches();
-        sdm.pooled_lookup_at(0, &indices, SimInstant::EPOCH)
-            .unwrap();
+        sdm.pooled_lookup(0, &indices, SimInstant::EPOCH).unwrap();
         assert_eq!(sdm.stats().sm_reads, reads_before + 3);
     }
 
@@ -1115,11 +1090,8 @@ mod tests {
                 .with_granularity(AccessGranularity::Block),
         );
         let indices: Vec<u64> = (0..20).collect();
-        sgl.pooled_lookup_at(0, &indices, SimInstant::EPOCH)
-            .unwrap();
-        block
-            .pooled_lookup_at(0, &indices, SimInstant::EPOCH)
-            .unwrap();
+        sgl.pooled_lookup(0, &indices, SimInstant::EPOCH).unwrap();
+        block.pooled_lookup(0, &indices, SimInstant::EPOCH).unwrap();
         assert!(block.stats().read_amplification() > 5.0 * sgl.stats().read_amplification());
     }
 }

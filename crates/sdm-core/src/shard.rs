@@ -5,12 +5,13 @@
 //! caches), a virtual clock and the reusable scratch that makes the hot
 //! path allocation-free. Shards share nothing, so they are `Send` by
 //! construction (asserted by the `send_assertions` suite) and a
-//! [`crate::ServingHost`] can run one per worker thread. A single stream is
-//! one bare `Shard`; a host-shared cache tier is attached by the
-//! [`crate::ServingHost`] that owns it, never by the shard.
+//! [`crate::ServingHost`] can run one per worker thread. Only a host builds
+//! shards — a single stream is a 1-shard host — and a host-shared cache
+//! tier is attached by the host that owns it, never by the shard.
 //!
 //! There is one query path — [`dlrm::InferenceEngine::execute_into`] over
-//! [`crate::SdmMemoryManager`] — and one batch loop over it. Every state
+//! [`crate::SdmMemoryManager`] — and one batch loop over it,
+//! [`Shard::run_indexed_batch`]. Every state
 //! change a query makes (row-cache fill, tier promotion, pooled-cache
 //! insert) happens in program order; what [`BatchMode`] chooses is only the
 //! *instant* each query is handed, which is where overlap lives on a
@@ -29,57 +30,6 @@ use scm_device::DeviceArray;
 use sdm_metrics::{LatencyHistogram, SimDuration, SimInstant};
 use std::collections::VecDeque;
 use workload::Query;
-
-/// Throughput/latency summary of a batch of queries executed on one stream.
-///
-/// Multi-stream throughput is *measured* by [`crate::ServingHost`]
-/// ([`crate::HostReport`]), not extrapolated from this.
-#[derive(Debug, Clone)]
-pub struct QpsReport {
-    /// Queries executed.
-    pub queries: u64,
-    /// Mean end-to-end latency.
-    pub mean_latency: SimDuration,
-    /// 95th percentile latency.
-    pub p95_latency: SimDuration,
-    /// 99th percentile latency.
-    pub p99_latency: SimDuration,
-    /// Queries per second a single serving stream achieves
-    /// (`1 / mean latency`).
-    pub qps_single_stream: f64,
-    /// Virtual time from the batch's first issue to its last completion.
-    /// Under [`crate::BatchMode::Exact`] this is the sum of per-query
-    /// latencies; under [`crate::BatchMode::Relaxed`] overlapped IO makes
-    /// it shorter than the sum.
-    pub makespan: SimDuration,
-    /// Batch throughput on the virtual clock: `queries / makespan`. This is
-    /// the number the exact-vs-relaxed comparison trades against per-query
-    /// tail latency.
-    pub batch_qps: f64,
-}
-
-impl QpsReport {
-    fn new(hist: &LatencyHistogram, makespan: SimDuration) -> Self {
-        let mean = hist.mean();
-        QpsReport {
-            queries: hist.count(),
-            mean_latency: mean,
-            p95_latency: hist.p95(),
-            p99_latency: hist.p99(),
-            qps_single_stream: if mean.is_zero() {
-                0.0
-            } else {
-                1.0 / mean.as_secs_f64()
-            },
-            makespan,
-            batch_qps: if makespan.is_zero() {
-                0.0
-            } else {
-                hist.count() as f64 / makespan.as_secs_f64()
-            },
-        }
-    }
-}
 
 /// Reusable storage for the results of the last batch a shard executed:
 /// scores live back to back in one flat arena, so executing a batch
@@ -135,6 +85,7 @@ pub struct Shard {
     /// Test hook: when set, the next batch panics inside the worker. Lets
     /// the failure-handling tests exercise the host's panic-to-error
     /// conversion without a real crash site.
+    #[cfg(test)]
     poisoned: bool,
 }
 
@@ -144,7 +95,11 @@ impl Shard {
     /// # Errors
     ///
     /// Propagates configuration, layout and device errors.
-    pub fn build(model: &ModelConfig, config: SdmConfig, seed: u64) -> Result<Self, SdmError> {
+    pub(crate) fn build(
+        model: &ModelConfig,
+        config: SdmConfig,
+        seed: u64,
+    ) -> Result<Self, SdmError> {
         config.validate()?;
         let array = DeviceArray::homogeneous(
             config.technology.clone(),
@@ -163,6 +118,7 @@ impl Shard {
             buffers: PoolingBuffers::new(),
             batch: BatchScratch::default(),
             inflight: VecDeque::new(),
+            #[cfg(test)]
             poisoned: false,
         })
     }
@@ -171,8 +127,8 @@ impl Shard {
     ///
     /// Failure-handling test hook: the host must convert the panic into
     /// [`SdmError::ShardFailed`] and keep the other shards serving.
-    #[doc(hidden)]
-    pub fn poison(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn poison(&mut self) {
         self.poisoned = true;
     }
 
@@ -187,11 +143,6 @@ impl Shard {
         Ok(())
     }
 
-    /// The DLRM inference engine.
-    pub fn engine(&self) -> &InferenceEngine {
-        &self.engine
-    }
-
     /// Mutable access to the inference engine (to switch execution mode).
     pub fn engine_mut(&mut self) -> &mut InferenceEngine {
         &mut self.engine
@@ -200,7 +151,7 @@ impl Shard {
     /// Attaches the host-shared cache tier to this shard's manager,
     /// tagging its promotions with `source` (the shard's index in the
     /// host). See [`crate::SdmMemoryManager::attach_shared_tier`].
-    pub fn attach_shared_tier(
+    pub(crate) fn attach_shared_tier(
         &mut self,
         tier: std::sync::Arc<sdm_cache::SharedRowTier>,
         source: u32,
@@ -238,51 +189,6 @@ impl Shard {
         self.manager.advance_clock(self.clock);
     }
 
-    /// Executes one query into a caller-provided (reusable) result,
-    /// advancing the shard's virtual clock by its latency.
-    ///
-    /// This is the steady-state serving path: with warm shard scratch, a
-    /// warmed cache and a recycled `result`, it performs **zero heap
-    /// allocations per query** (asserted by the `zero_alloc` test suite).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine and memory errors.
-    pub fn run_query_into(
-        &mut self,
-        query: &Query,
-        result: &mut QueryResult,
-    ) -> Result<(), SdmError> {
-        self.sync_clocks();
-        self.engine.execute_into(
-            query,
-            &mut self.manager,
-            self.clock,
-            &mut self.buffers,
-            result,
-        )?;
-        self.clock += result.latency.total;
-        self.sync_clocks();
-        Ok(())
-    }
-
-    /// Executes one query, advancing the virtual clock by its latency.
-    ///
-    /// Convenience form of [`Shard::run_query_into`]: the returned
-    /// `QueryResult` is fresh and owns its scores, so each call pays the
-    /// allocation the reusable paths ([`Shard::run_query_into`] and
-    /// [`Shard::run_batch`]) amortise away. Results are identical either
-    /// way — scratch never affects values.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine and memory errors.
-    pub fn run_query(&mut self, query: &Query) -> Result<QueryResult, SdmError> {
-        let mut result = QueryResult::default();
-        self.run_query_into(query, &mut result)?;
-        Ok(result)
-    }
-
     /// The batch execution mode this shard was configured with.
     pub fn batch_mode(&self) -> BatchMode {
         self.manager.config().batch_mode
@@ -298,34 +204,64 @@ impl Shard {
         }
     }
 
-    /// The batch core: executes every yielded query through the
-    /// zero-allocation hot path, in order, recording scores, latencies and
-    /// the latency histogram into the batch scratch. Query `k` starts at
-    /// `max(start[k−1] + bottom MLP of k−1, finish[k−W])` — the issuer is
-    /// busy for a query's bottom MLP before it can start the next, and a
-    /// full window waits for its oldest query — and the shard clock ends at
-    /// the latest finish. With `W = 1` the second term always wins, so each
-    /// query starts where the previous one finished: the per-query loop.
+    /// Executes the subset of `queries` selected by `picks` (positions into
+    /// `queries`, in the order given) through the zero-allocation hot path,
+    /// honouring the configured [`BatchMode`]; query `picks[k]`'s scores
+    /// are [`Shard::batch_scores`]`(k)`. A whole stream is the identity
+    /// selection.
     ///
-    /// A failing query ends the batch; the clock has advanced over the
-    /// queries that ran.
-    fn run_batch_core<'a>(
+    /// This is the one way a shard serves: a [`workload::Scheduler`]
+    /// partitions a host batch into per-shard pick lists, each shard runs
+    /// its picks, and the host merges results back into query order via
+    /// the pick positions. With warm scratch and warmed caches it performs
+    /// **zero heap allocations** (asserted by the `zero_alloc` suite): one
+    /// set of scratch buffers serves the whole batch and per-query results
+    /// land in a flat reused arena.
+    ///
+    /// Query `k` starts at `max(start[k−1] + bottom MLP of k−1,
+    /// finish[k−W])` — the issuer is busy for a query's bottom MLP before
+    /// it can start the next, and a full window of `W` in-flight queries
+    /// waits for its oldest — and the shard clock ends at the latest
+    /// finish. Under [`BatchMode::Exact`] (`W = 1`) the second term always
+    /// wins, so each query starts where the previous one finished and one
+    /// N-query batch is bit-identical to N one-query batches (asserted by
+    /// the `batch_equivalence` suite). Under [`BatchMode::Relaxed`] the
+    /// queries' SM misses share the device queues: deeper queues and a
+    /// shorter makespan at the cost of per-query tail latency (the
+    /// `batch_overlap` suite pins down the equivalence and conservation
+    /// contracts).
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine and memory errors; the batch stops at the first
+    /// failing query, with the clock advanced over the queries that ran.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a pick is out of range for `queries`.
+    pub fn run_indexed_batch(
         &mut self,
-        queries: impl Iterator<Item = &'a Query>,
+        queries: &[Query],
+        picks: &[usize],
     ) -> Result<(), SdmError> {
+        #[cfg(test)]
+        if self.poisoned {
+            self.poisoned = false;
+            panic!("poisoned shard (test hook)");
+        }
         let window = self.window();
         self.batch.reset(self.clock);
         self.sync_clocks();
         self.inflight.clear();
         let mut submit = self.clock;
-        for q in queries {
+        for &i in picks {
             if self.inflight.len() == window {
                 if let Some(finished) = self.inflight.pop_front() {
                     submit = submit.max(finished);
                 }
             }
             self.engine.execute_into(
-                q,
+                &queries[i],
                 &mut self.manager,
                 submit,
                 &mut self.buffers,
@@ -342,94 +278,9 @@ impl Shard {
         Ok(())
     }
 
-    /// Summarises the last batch from its histogram and makespan.
-    pub(crate) fn batch_report(&self) -> QpsReport {
-        QpsReport::new(
-            &self.batch.hist,
-            self.clock.duration_since(self.batch.started_at),
-        )
-    }
-
-    /// Executes a batch of queries through the zero-allocation hot path and
-    /// summarises latency and throughput, honouring the configured
-    /// [`BatchMode`].
-    ///
-    /// In [`BatchMode::Exact`] (the default) virtual-time semantics are
-    /// identical to looping [`Shard::run_query`] — each query starts where
-    /// its predecessor finished, so results, cache counters and IO totals
-    /// are bit-for-bit the same (asserted by the `batch_equivalence`
-    /// suite). What batching buys is host-side efficiency: one set of
-    /// scratch buffers serves the whole batch, per-query results land in a
-    /// flat reused arena (readable via [`Shard::batch_scores`]) instead of
-    /// a fresh `QueryResult` per query, and each operator's SM misses go to
-    /// the device as one ring submission whose completions are pooled as
-    /// they drain.
-    ///
-    /// In [`BatchMode::Relaxed`] up to `max_inflight_queries` queries are
-    /// started before the oldest finishes, so their SM misses share the
-    /// device queues: deeper queues and a shorter batch makespan
-    /// ([`QpsReport::batch_qps`]) at the cost of per-query tail latency
-    /// (the `batch_overlap` suite pins down the equivalence and
-    /// conservation contracts).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine and memory errors; the batch stops at the first
-    /// failing query.
-    pub fn run_batch(&mut self, queries: &[Query]) -> Result<QpsReport, SdmError> {
-        self.run_batch_core(queries.iter())?;
-        Ok(self.batch_report())
-    }
-
-    /// Executes a stream of queries and summarises latency and throughput:
-    /// a thin loop over [`Shard::run_batch`] in bounded chunks, so an
-    /// arbitrarily long stream never retains more than one chunk's worth of
-    /// per-query scores in the batch scratch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine and memory errors.
-    pub fn run_queries(&mut self, queries: &[Query]) -> Result<QpsReport, SdmError> {
-        /// Caps batch-scratch retention (scores, latencies) for long streams.
-        const CHUNK: usize = 1024;
-        if queries.len() <= CHUNK {
-            return self.run_batch(queries);
-        }
-        let started = self.now();
-        let mut hist = LatencyHistogram::new();
-        for chunk in queries.chunks(CHUNK) {
-            self.run_batch(chunk)?;
-            hist.merge(&self.batch.hist);
-        }
-        Ok(QpsReport::new(&hist, self.now().duration_since(started)))
-    }
-
-    /// Executes the subset of `queries` selected by `picks` (positions into
-    /// `queries`, in stream order) through the batched hot path.
-    ///
-    /// This is the sharded serving entry point: a
-    /// [`workload::Scheduler`] partitions a host batch into per-shard
-    /// index lists, each shard runs its picks, and the host merges results
-    /// back into query order via the pick positions — query `picks[k]`'s
-    /// scores are [`Shard::batch_scores`]`(k)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine and memory errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a pick is out of range for `queries`.
-    pub fn run_indexed_batch(
-        &mut self,
-        queries: &[Query],
-        picks: &[usize],
-    ) -> Result<(), SdmError> {
-        if self.poisoned {
-            self.poisoned = false;
-            panic!("poisoned shard (test hook)");
-        }
-        self.run_batch_core(picks.iter().map(|&i| &queries[i]))
+    /// Virtual time from the last batch's start to its last completion.
+    pub(crate) fn batch_makespan(&self) -> SimDuration {
+        self.clock.duration_since(self.batch.started_at)
     }
 
     /// Number of queries in the last batch.
@@ -478,21 +329,8 @@ mod tests {
         gen.generate(count)
     }
 
-    #[test]
-    fn indexed_batch_matches_contiguous_batch_on_identity_picks() {
-        let model = model_zoo::tiny(2, 1, 400);
-        let queries = workload(&model, 16, 5);
-        let picks: Vec<usize> = (0..queries.len()).collect();
-        let mut direct = Shard::build(&model, SdmConfig::for_tests(), 5).unwrap();
-        let mut indexed = Shard::build(&model, SdmConfig::for_tests(), 5).unwrap();
-        direct.run_batch(&queries).unwrap();
-        indexed.run_indexed_batch(&queries, &picks).unwrap();
-        assert_eq!(direct.batch_len(), indexed.batch_len());
-        for i in 0..direct.batch_len() {
-            assert_eq!(direct.batch_scores(i), indexed.batch_scores(i));
-            assert_eq!(direct.batch_latency(i), indexed.batch_latency(i));
-        }
-        assert_eq!(direct.now(), indexed.now());
+    fn identity(queries: &[Query]) -> Vec<usize> {
+        (0..queries.len()).collect()
     }
 
     #[test]
@@ -503,13 +341,13 @@ mod tests {
         let mut batched = Shard::build(&model, SdmConfig::for_tests(), 6).unwrap();
         batched.run_indexed_batch(&queries, &picks).unwrap();
         assert_eq!(batched.batch_len(), picks.len());
-        // Bit-identical to a per-query loop visiting the same picks in the
+        // Bit-identical to one-query batches visiting the same picks in the
         // same order (so cache warm-up history matches exactly).
         let mut looped = Shard::build(&model, SdmConfig::for_tests(), 6).unwrap();
         for (k, &qi) in picks.iter().enumerate() {
-            let r = looped.run_query(&queries[qi]).unwrap();
-            assert_eq!(r.scores.as_slice(), batched.batch_scores(k));
-            assert_eq!(r.latency, batched.batch_latency(k));
+            looped.run_indexed_batch(&queries, &[qi]).unwrap();
+            assert_eq!(looped.batch_scores(0), batched.batch_scores(k));
+            assert_eq!(looped.batch_latency(0), batched.batch_latency(k));
         }
         assert_eq!(looped.now(), batched.now());
     }
@@ -521,64 +359,26 @@ mod tests {
         let mut shard = Shard::build(&model, SdmConfig::for_tests(), 7).unwrap();
         shard.run_indexed_batch(&queries, &[]).unwrap();
         assert_eq!(shard.batch_len(), 0);
-        assert_eq!(shard.batch_report().queries, 0);
+        assert_eq!(shard.batch_hist().count(), 0);
+        assert_eq!(shard.batch_makespan(), SimDuration::ZERO);
         assert_eq!(shard.now(), SimInstant::EPOCH);
     }
 
     #[test]
-    fn run_queries_executes_a_stream_end_to_end() {
+    fn indexed_batch_executes_a_stream_end_to_end() {
         let model = model_zoo::tiny(2, 1, 400);
         let mut shard = Shard::build(&model, SdmConfig::for_tests(), 3).unwrap();
         let queries = workload(&model, 20, 3);
-        let report = shard.run_queries(&queries).unwrap();
-        assert_eq!(report.queries, 20);
-        assert!(report.mean_latency > SimDuration::ZERO);
-        assert!(report.p99_latency >= report.p95_latency);
-        assert!(report.qps_single_stream > 0.0);
+        shard
+            .run_indexed_batch(&queries, &identity(&queries))
+            .unwrap();
+        let hist = shard.batch_hist();
+        assert_eq!(hist.count(), 20);
+        assert!(hist.mean() > SimDuration::ZERO);
+        assert!(hist.p99() >= hist.p95());
         assert!(shard.now() > SimInstant::EPOCH);
         // The SM path was actually exercised.
         assert!(shard.manager().stats().sm_reads > 0);
-    }
-
-    #[test]
-    fn batch_report_carries_virtual_makespan_and_qps() {
-        // In exact mode the makespan is the serial sum of per-query
-        // latencies, so batch_qps and the 1/mean extrapolation agree.
-        let model = model_zoo::tiny(2, 1, 300);
-        let mut shard = Shard::build(&model, SdmConfig::for_tests(), 5).unwrap();
-        let queries = workload(&model, 12, 5);
-        let before = shard.now();
-        let report = shard.run_batch(&queries).unwrap();
-        assert_eq!(
-            report.makespan,
-            shard.now().duration_since(before),
-            "exact makespan must equal the clock advance"
-        );
-        assert!(report.batch_qps > 0.0);
-        // Mean latency truncates to whole nanoseconds, so the two rates
-        // agree only up to that rounding.
-        assert!(
-            (report.batch_qps - report.qps_single_stream).abs() / report.qps_single_stream < 1e-4,
-            "serial batch throughput equals 1/mean-latency (up to ns rounding)"
-        );
-    }
-
-    #[test]
-    fn chunked_run_queries_matches_single_batch_report() {
-        let model = model_zoo::tiny(1, 1, 200);
-        let queries = workload(&model, 1200, 8); // > CHUNK forces the chunked path
-        let mut chunked = Shard::build(&model, SdmConfig::for_tests(), 8).unwrap();
-        let mut single = Shard::build(&model, SdmConfig::for_tests(), 8).unwrap();
-        let a = chunked.run_queries(&queries).unwrap();
-        let b = single.run_batch(&queries).unwrap();
-        assert_eq!(a.queries, 1200);
-        assert_eq!(a.queries, b.queries);
-        assert_eq!(a.mean_latency, b.mean_latency);
-        assert_eq!(a.p95_latency, b.p95_latency);
-        assert_eq!(a.p99_latency, b.p99_latency);
-        assert_eq!(chunked.now(), single.now());
-        // The chunked path retains at most one chunk of scores.
-        assert!(chunked.batch_len() <= 1024);
     }
 
     #[test]
@@ -594,7 +394,7 @@ mod tests {
         // No digest: rebuild every start instant from the per-query
         // latencies alone — `start[k] = max(start[k−1] + bottom[k−1],
         // finish[k−W])`, `finish[k] = start[k] + total[k]` — and the shard
-        // clock and the reported makespan must come out exactly.
+        // clock and the batch makespan must come out exactly.
         let model = model_zoo::tiny(2, 1, 400);
         let queries = workload(&model, 30, 9);
         for window in [1usize, 2, 8] {
@@ -603,7 +403,7 @@ mod tests {
             // Two batches: the second starts from a non-zero clock.
             for batch in queries.chunks(15) {
                 let began = shard.now();
-                let report = shard.run_batch(batch).unwrap();
+                shard.run_indexed_batch(batch, &identity(batch)).unwrap();
                 let mut starts: Vec<SimInstant> = Vec::new();
                 let mut finishes: Vec<SimInstant> = Vec::new();
                 for k in 0..batch.len() {
@@ -620,7 +420,7 @@ mod tests {
                 let end = finishes.iter().copied().max().unwrap();
                 assert_eq!(shard.now(), end, "window {window}: clock");
                 assert_eq!(
-                    report.makespan,
+                    shard.batch_makespan(),
                     end.duration_since(began),
                     "window {window}: makespan"
                 );
@@ -635,9 +435,9 @@ mod tests {
         let mut cpu = Shard::build(&model, SdmConfig::for_tests(), 8).unwrap();
         let mut accel = Shard::build(&model, SdmConfig::for_tests(), 8).unwrap();
         accel.set_compute(ComputeModel::accelerator(), 8).unwrap();
-        let c = cpu.run_query(&queries[0]).unwrap();
-        let a = accel.run_query(&queries[0]).unwrap();
-        assert!(a.latency.top_mlp < c.latency.top_mlp);
-        assert_eq!(a.scores, c.scores);
+        cpu.run_indexed_batch(&queries, &[0]).unwrap();
+        accel.run_indexed_batch(&queries, &[0]).unwrap();
+        assert!(accel.batch_latency(0).top_mlp < cpu.batch_latency(0).top_mlp);
+        assert_eq!(accel.batch_scores(0), cpu.batch_scores(0));
     }
 }

@@ -175,7 +175,7 @@ mod tests {
     use crate::config::SdmConfig;
     use crate::loader::ModelLoader;
     use crate::manager::{SdmMemoryManager, REWARM_GROUP_ROWS};
-    use dlrm::model_zoo;
+    use dlrm::{model_zoo, EmbeddingBackend};
     use io_engine::{EngineConfig, IoEngine};
     use scm_device::DeviceArray;
     use sdm_cache::{RowCache, RowKey};
@@ -220,7 +220,7 @@ mod tests {
     fn full_update_rewrites_everything_and_rereads_the_resident_rows() {
         let mut m = manager();
         for table in [0u32, 1] {
-            m.pooled_lookup_at(table, &[1, 2, 3, 40, 41], SimInstant::EPOCH)
+            m.pooled_lookup(table, &[1, 2, 3, 40, 41], SimInstant::EPOCH)
                 .unwrap();
         }
         let before = resident_keys(&m);
@@ -246,15 +246,14 @@ mod tests {
         // The re-read is device IO, not demand traffic.
         assert_eq!(m.io_engine().stats().submitted, device_reads + 10);
         assert_eq!(m.stats().sm_reads, demand_reads);
-        m.pooled_lookup_at(0, &[1, 2, 3], SimInstant::EPOCH)
-            .unwrap();
+        m.pooled_lookup(0, &[1, 2, 3], SimInstant::EPOCH).unwrap();
         assert_eq!(m.stats().sm_reads, demand_reads, "re-read rows must hit");
     }
 
     #[test]
     fn back_to_back_updates_reread_the_same_rows() {
         let mut m = manager();
-        m.pooled_lookup_at(0, &[5, 6, 7, 8], SimInstant::EPOCH)
+        m.pooled_lookup(0, &[5, 6, 7, 8], SimInstant::EPOCH)
             .unwrap();
         let before = resident_keys(&m);
         let first = ModelUpdater::apply(&mut m, UpdateKind::Full, 7).unwrap();
@@ -291,7 +290,7 @@ mod tests {
         let mut m = build(&model, config);
         let touch = |m: &mut SdmMemoryManager, rows: std::ops::Range<u64>| {
             for row in rows {
-                m.pooled_lookup_at(0, &[row], SimInstant::EPOCH).unwrap();
+                m.pooled_lookup(0, &[row], SimInstant::EPOCH).unwrap();
             }
         };
         // Recency order = row order: rows 0..2048 form the first group.

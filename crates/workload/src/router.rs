@@ -77,56 +77,16 @@ impl Scheduler {
         traces
     }
 
-    /// Partitions a stream of queries into per-host query lists.
-    ///
-    /// Allocating convenience form of [`Scheduler::partition_into`].
-    pub fn partition<'a>(&mut self, queries: &'a [Query]) -> Vec<Vec<&'a Query>> {
-        let mut parts = Vec::new();
-        self.partition_into(queries, &mut parts);
-        parts
-    }
-
-    /// Partitions a stream of queries into caller-owned per-host query
-    /// lists, reusing the inner `Vec` capacity across calls so a serving
-    /// loop that partitions batch after batch stays allocation-free once
-    /// warmed.
-    fn partition_into<'a>(&mut self, queries: &'a [Query], parts: &mut Vec<Vec<&'a Query>>) {
-        parts.resize_with(self.hosts, Vec::new);
-        for p in parts.iter_mut() {
-            p.clear();
-        }
-        for q in queries {
-            let host = self.route(q);
-            parts[host].push(q);
-        }
-    }
-
-    /// Partitions a stream of queries into per-host lists of *positions
-    /// within `queries`*, reusing the inner `Vec` capacity across calls.
-    ///
-    /// Sharded serving uses this form: each shard executes its picks by
-    /// index and the host can merge per-shard results back into the
-    /// original query order without any per-batch bookkeeping allocation.
-    pub fn partition_indices_into(&mut self, queries: &[Query], parts: &mut Vec<Vec<usize>>) {
-        parts.resize_with(self.hosts, Vec::new);
-        for p in parts.iter_mut() {
-            p.clear();
-        }
-        for (i, q) in queries.iter().enumerate() {
-            let host = self.route(q);
-            parts[host].push(i);
-        }
-    }
-
     /// Partitions a *selection* of queries — `picks` holds positions within
     /// `queries` — into per-host lists, reusing inner `Vec` capacity.
     ///
     /// Two parallel outputs are filled per host: `exec_parts` holds the
     /// global positions within `queries` (what a shard executes) and
     /// `pick_parts` the positions within `picks` (where the caller merges
-    /// each result back). A dynamic batcher dispatching admitted subsets of
-    /// an open-loop stream uses this form; it stays allocation-free once
-    /// the buffers are warmed.
+    /// each result back). Picks are visited in order, so each host's lists
+    /// keep selection order. Sharded serving partitions every batch this
+    /// way — a whole stream is the identity selection — and stays
+    /// allocation-free once the buffers are warmed.
     pub fn partition_picks_into(
         &mut self,
         queries: &[Query],
@@ -165,12 +125,32 @@ mod tests {
         ]
     }
 
+    /// The reference partition, straight from [`Scheduler::route`]: each
+    /// query's position lands in its host's list, in stream order.
+    fn reference_partition(sched: &mut Scheduler, queries: &[Query]) -> Vec<Vec<usize>> {
+        let mut parts = vec![Vec::new(); sched.hosts()];
+        for (i, q) in queries.iter().enumerate() {
+            parts[sched.route(q)].push(i);
+        }
+        parts
+    }
+
+    /// Partitions the identity selection of `queries`.
+    fn partition_all(sched: &mut Scheduler, queries: &[Query]) -> Vec<Vec<usize>> {
+        let identity: Vec<usize> = (0..queries.len()).collect();
+        let (mut exec, mut pos) = (Vec::new(), Vec::new());
+        sched.partition_picks_into(queries, &identity, &mut exec, &mut pos);
+        // On the identity selection, pick positions equal global positions.
+        assert_eq!(pos, exec);
+        exec
+    }
+
     #[test]
     fn round_robin_spreads_evenly() {
         let mut gen = QueryGenerator::new(&tables(), WorkloadConfig::default(), 1).unwrap();
         let queries = gen.generate(100);
         let mut sched = Scheduler::new(4, RoutingPolicy::RoundRobin);
-        let parts = sched.partition(&queries);
+        let parts = partition_all(&mut sched, &queries);
         assert_eq!(parts.len(), 4);
         for p in &parts {
             assert_eq!(p.len(), 25);
@@ -259,34 +239,29 @@ mod tests {
     }
 
     #[test]
-    fn partition_into_matches_partition_and_reuses_capacity() {
-        let mut gen = QueryGenerator::new(&tables(), WorkloadConfig::default(), 5).unwrap();
-        let queries = gen.generate(120);
-        let expected = Scheduler::new(4, RoutingPolicy::UserSticky).partition(&queries);
-        let mut parts = Vec::new();
+    fn partition_picks_match_the_reference_and_reuse_buffers() {
+        let mut gen = QueryGenerator::new(&tables(), WorkloadConfig::default(), 7).unwrap();
+        let queries = gen.generate(80);
+        let expected =
+            reference_partition(&mut Scheduler::new(5, RoutingPolicy::UserSticky), &queries);
+        let identity: Vec<usize> = (0..queries.len()).collect();
+        let (mut exec, mut pos) = (Vec::new(), Vec::new());
         // Two rounds over the same stream: the second must refill the same
         // buffers (same results, no extra inner vectors).
         for _ in 0..2 {
-            let mut sched = Scheduler::new(4, RoutingPolicy::UserSticky);
-            sched.partition_into(&queries, &mut parts);
-        }
-        assert_eq!(parts.len(), expected.len());
-        for (got, want) in parts.iter().zip(&expected) {
-            assert_eq!(got.len(), want.len());
-            for (a, b) in got.iter().zip(want) {
-                assert!(std::ptr::eq(*a, *b));
-            }
+            Scheduler::new(5, RoutingPolicy::UserSticky)
+                .partition_picks_into(&queries, &identity, &mut exec, &mut pos);
+            assert_eq!(exec, expected);
+            assert_eq!(pos, expected);
         }
     }
 
     #[test]
-    fn partition_indices_preserve_query_order_and_cover_all() {
+    fn partition_picks_preserve_stream_order_and_cover_all() {
         let mut gen = QueryGenerator::new(&tables(), WorkloadConfig::default(), 6).unwrap();
         let queries = gen.generate(100);
         for policy in [RoutingPolicy::RoundRobin, RoutingPolicy::UserSticky] {
-            let mut sched = Scheduler::new(3, policy);
-            let mut parts = Vec::new();
-            sched.partition_indices_into(&queries, &mut parts);
+            let parts = partition_all(&mut Scheduler::new(3, policy), &queries);
             assert_eq!(parts.len(), 3);
             // Every query appears exactly once, and each part is sorted
             // (queries are visited in stream order).
@@ -303,21 +278,11 @@ mod tests {
     }
 
     #[test]
-    fn partition_picks_agree_with_full_partition_on_identity_selection() {
+    fn partition_picks_cover_a_strict_subset_once() {
         let mut gen = QueryGenerator::new(&tables(), WorkloadConfig::default(), 9).unwrap();
         let queries = gen.generate(90);
-        let identity: Vec<usize> = (0..queries.len()).collect();
-        let mut full = Vec::new();
-        Scheduler::new(4, RoutingPolicy::UserSticky).partition_indices_into(&queries, &mut full);
-        let (mut exec, mut pos) = (Vec::new(), Vec::new());
-        Scheduler::new(4, RoutingPolicy::UserSticky)
-            .partition_picks_into(&queries, &identity, &mut exec, &mut pos);
-        assert_eq!(exec, full);
-        // On the identity selection, pick positions equal global positions.
-        assert_eq!(pos, full);
-
-        // A strict subset still covers each pick exactly once.
         let picks: Vec<usize> = (0..queries.len()).step_by(3).collect();
+        let (mut exec, mut pos) = (Vec::new(), Vec::new());
         Scheduler::new(4, RoutingPolicy::UserSticky)
             .partition_picks_into(&queries, &picks, &mut exec, &mut pos);
         let mut seen = vec![false; picks.len()];
@@ -330,20 +295,5 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn partition_indices_agree_with_reference_partition() {
-        let mut gen = QueryGenerator::new(&tables(), WorkloadConfig::default(), 7).unwrap();
-        let queries = gen.generate(80);
-        let expected = Scheduler::new(5, RoutingPolicy::UserSticky).partition(&queries);
-        let mut parts = Vec::new();
-        Scheduler::new(5, RoutingPolicy::UserSticky).partition_indices_into(&queries, &mut parts);
-        for (idx_part, ref_part) in parts.iter().zip(&expected) {
-            assert_eq!(idx_part.len(), ref_part.len());
-            for (&i, q) in idx_part.iter().zip(ref_part) {
-                assert!(std::ptr::eq(&queries[i], *q));
-            }
-        }
     }
 }

@@ -5,9 +5,9 @@
 //! Run with: `cargo run --release --example placement_tuning`
 
 use dlrm::model_zoo;
-use sdm_core::{PlacementPolicy, SdmConfig, Shard};
+use sdm_core::{PlacementPolicy, SdmConfig, ServingHost};
 use sdm_metrics::units::Bytes;
-use workload::{QueryGenerator, WorkloadConfig};
+use workload::{QueryGenerator, RoutingPolicy, WorkloadConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = model_zoo::scaled_model(&model_zoo::m2(), 200_000, 40.0);
@@ -18,6 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut generator = QueryGenerator::new(&model.tables, workload, 21)?;
     let queries = generator.generate(120);
+    let all: Vec<usize> = (0..queries.len()).collect();
 
     let budgets = [
         Bytes::ZERO,
@@ -56,22 +57,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             config.device_capacity = Bytes::from_mib(256);
             config.fm_budget = Bytes::from_mib(64);
             config.cache = sdm_cache::CacheConfig::with_total_budget(Bytes::from_mib(cache_mib));
-            let mut system = Shard::build(&model, config, 21)?;
-            let _ = system.run_queries(&queries[..40])?;
-            let report = system.run_queries(&queries[40..])?;
+            let mut host = ServingHost::build(&model, &config, 21, 1, RoutingPolicy::UserSticky)?;
+            let _ = host.run_selected_batch(&queries, &all[..40])?;
+            let report = host.run_selected_batch(&queries, &all[40..])?;
+            let qps = 1.0 / report.mean_latency.as_secs_f64();
             let label = format!("{policy_name}, {cache_mib} MiB cache");
             println!(
                 "  {label:<42} qps={:>8.1}  p95={:>10}  hit rate={:>5.1}%",
-                report.qps_single_stream,
+                qps,
                 report.p95_latency,
-                system.manager().stats().row_cache_hit_rate() * 100.0
+                host.shard(0).manager().stats().row_cache_hit_rate() * 100.0
             );
-            if best
-                .as_ref()
-                .map(|(_, q)| report.qps_single_stream > *q)
-                .unwrap_or(true)
-            {
-                best = Some((label, report.qps_single_stream));
+            if best.as_ref().map(|(_, q)| qps > *q).unwrap_or(true) {
+                best = Some((label, qps));
             }
         }
     }

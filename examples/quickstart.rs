@@ -4,8 +4,8 @@
 //! Run with: `cargo run --example quickstart`
 
 use dlrm::model_zoo;
-use sdm_core::{SdmConfig, Shard};
-use workload::{QueryGenerator, WorkloadConfig};
+use sdm_core::{SdmConfig, ServingHost};
+use workload::{QueryGenerator, RoutingPolicy, WorkloadConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small model: 4 user tables + 2 item tables, 2000 rows each.
@@ -19,8 +19,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Default SDM deployment: user tables on 2 simulated Optane SSDs, item
     // tables in fast memory, dual row cache + pooled-embedding cache in
-    // front.
-    let mut system = Shard::build(&model, SdmConfig::default(), 42)?;
+    // front. One serving stream is a 1-shard host.
+    let mut host = ServingHost::build(
+        &model,
+        &SdmConfig::default(),
+        42,
+        1,
+        RoutingPolicy::UserSticky,
+    )?;
 
     // Generate a query stream and serve it.
     let workload = WorkloadConfig {
@@ -30,15 +36,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut generator = QueryGenerator::new(&model.tables, workload, 42)?;
     let queries = generator.generate(200);
-    let report = system.run_queries(&queries)?;
+    let all: Vec<usize> = (0..queries.len()).collect();
+    let report = host.run_selected_batch(&queries, &all)?;
 
     println!("\nserved {} queries", report.queries);
     println!("  mean latency  : {}", report.mean_latency);
     println!("  p95 latency   : {}", report.p95_latency);
     println!("  p99 latency   : {}", report.p99_latency);
-    println!("  single-stream QPS: {:.1}", report.qps_single_stream);
+    println!(
+        "  single-stream QPS: {:.1}",
+        1.0 / report.mean_latency.as_secs_f64()
+    );
 
-    let stats = system.manager().stats();
+    let manager = host.shard(0).manager();
+    let stats = manager.stats();
     println!("\nSDM memory manager:");
     println!(
         "  row-cache hit rate    : {:.1}%",
@@ -55,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  device IOs issued     : {}",
-        system.manager().io_engine().stats().submitted
+        manager.io_engine().stats().submitted
     );
     Ok(())
 }

@@ -5,9 +5,9 @@
 //! Run with: `cargo run --release --example serve_m1_on_nand`
 
 use dlrm::model_zoo;
-use sdm_core::{ModelUpdater, SdmConfig, Shard, UpdateKind};
+use sdm_core::{ModelUpdater, SdmConfig, ServingHost, UpdateKind};
 use sdm_metrics::units::Bytes;
-use workload::{QueryGenerator, WorkloadConfig};
+use workload::{QueryGenerator, RoutingPolicy, WorkloadConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // M1 scaled down so it materialises in milliseconds; the table mix,
@@ -17,7 +17,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.device_capacity = Bytes::from_mib(256);
     config.cache = sdm_cache::CacheConfig::with_total_budget(Bytes::from_mib(16));
     config.fm_budget = Bytes::from_mib(32);
-    let mut system = Shard::build(&model, config, 7)?;
+    let mut host = ServingHost::build(&model, &config, 7, 1, RoutingPolicy::UserSticky)?;
+    // Each round serves a fresh 50-query batch in full.
+    let all: Vec<usize> = (0..50).collect();
 
     let workload = WorkloadConfig {
         item_batch: 16,
@@ -29,17 +31,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("serving M1 (scaled) from Nand Flash; watching the cache warm up:");
     for round in 0..6 {
-        let queries = generator.generate(50);
-        let report = system.run_queries(&queries)?;
+        let queries = generator.generate(all.len());
+        let report = host.run_selected_batch(&queries, &all)?;
         println!(
             "  round {round}: p95 = {:>10}, row-cache hit rate so far = {:.1}%",
             report.p95_latency,
-            system.manager().stats().row_cache_hit_rate() * 100.0
+            host.shard(0).manager().stats().row_cache_hit_rate() * 100.0
         );
     }
 
     println!("\napplying a full model update (new embedding snapshot)...");
-    let update = ModelUpdater::apply(system.manager_mut(), UpdateKind::Full, 99)?;
+    let update = ModelUpdater::apply(host.shard_mut(0).manager_mut(), UpdateKind::Full, 99)?;
     println!(
         "  wrote {} to SM in {}, min update interval at rated endurance: {:.4} days",
         update.bytes_written, update.write_time, update.min_update_interval_days
@@ -51,16 +53,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\npost-update rounds (the first carries the update window):");
     for round in 0..4 {
-        let queries = generator.generate(50);
-        let report = system.run_queries(&queries)?;
+        let queries = generator.generate(all.len());
+        let report = host.run_selected_batch(&queries, &all)?;
         println!(
             "  round {round}: p95 = {:>10}, makespan = {:>10}",
-            report.p95_latency, report.makespan
+            report.p95_latency, report.virtual_makespan
         );
     }
     println!(
         "\nfinal stats: {:?}",
-        system.manager().stats().sm_op_latency
+        host.shard(0).manager().stats().sm_op_latency
     );
     Ok(())
 }

@@ -1,88 +1,76 @@
-//! Equivalence suite: `Shard::run_batch` must be **bit-identical** to
-//! looping `run_query` — same scores, same latency breakdowns, same cache
+//! Equivalence suite: one N-query batch must be **bit-identical** to N
+//! one-query batches — same scores, same latency breakdowns, same cache
 //! hit/miss counters, same IO byte totals — across the model zoo and a
 //! range of batch sizes.
 //!
-//! This is the contract that makes the batched hot path a pure host-side
-//! optimisation: batching reuses scratch buffers and submits each
-//! operator's misses as one ring submission, but every query still observes
-//! exactly the virtual-time and cache state a sequential serving loop would
-//! have produced.
+//! This is the contract that makes batching a pure host-side optimisation:
+//! one set of scratch buffers and one result arena serve the whole batch,
+//! but under exact batching every query still observes exactly the
+//! virtual-time and cache state a query-at-a-time serving loop would have
+//! produced.
 
-mod common;
+pub mod common;
 
-use common::assert_live_scores;
+use common::{assert_live_scores, identity_picks, scaled_config, single_stream, Stream};
 use dlrm::model_zoo;
 use sdm_cache::RowCache;
-use sdm_core::{SdmConfig, Shard};
-use sdm_metrics::units::Bytes;
-use workload::{Query, QueryGenerator, WorkloadConfig};
+use sdm_core::SdmConfig;
 
 /// Batch sizes exercised for every model: single query, small batch, and a
 /// batch larger than the paper's typical ranking burst.
 const BATCH_SIZES: &[usize] = &[1, 8, 33];
 
-fn queries_for(model: &dlrm::ModelConfig, count: usize, seed: u64) -> Vec<Query> {
-    let cfg = WorkloadConfig {
-        item_batch: model.item_batch.min(8),
-        user_population: 400,
-        ..WorkloadConfig::default()
-    };
-    QueryGenerator::new(&model.tables, cfg, seed)
-        .unwrap()
-        .generate(count)
-}
+const STREAM: Stream = Stream {
+    users: 400,
+    item_cap: 8,
+    skew: None,
+};
 
-fn scaled_config() -> SdmConfig {
-    SdmConfig {
-        device_capacity: Bytes::from_mib(64),
-        cache: sdm_cache::CacheConfig::with_total_budget(Bytes::from_mib(4)),
-        ..SdmConfig::for_tests()
-    }
-}
-
-/// Runs the same stream through a per-query loop and through `run_batch` on
-/// two identically built systems and asserts bit-identical behaviour.
+/// Runs the same stream as one-query batches and as whole batches on two
+/// identically built 1-shard hosts and asserts bit-identical behaviour.
 ///
-/// The two systems are built once and the batch sizes consume successive
+/// The two hosts are built once and the batch sizes consume successive
 /// chunks of one query stream, so the suite also proves equivalence on
 /// *warm* cache state, not just from cold.
 fn assert_equivalent(model: &dlrm::ModelConfig, config: SdmConfig, seed: u64) {
     let total: usize = BATCH_SIZES.iter().sum();
-    let queries = queries_for(model, total, seed);
-    let mut looped = Shard::build(model, config.clone(), seed).unwrap();
-    let mut batched = Shard::build(model, config, seed).unwrap();
+    let queries = common::stream(model, STREAM, total, seed);
+    let all = identity_picks(&queries);
+    let mut looped = single_stream(model, &config, seed);
+    let mut batched = single_stream(model, &config, seed);
     let mut compared = Vec::new();
     let mut at = 0usize;
     for &batch in BATCH_SIZES {
-        let stream = &queries[at..at + batch];
+        let picks = &all[at..at + batch];
         at += batch;
 
         let mut loop_results = Vec::new();
-        for q in stream {
-            loop_results.push(looped.run_query(q).unwrap());
+        for k in 0..picks.len() {
+            looped.run_selected_batch(&queries, &picks[k..=k]).unwrap();
+            loop_results.push((looped.scores(0).to_vec(), looped.latency(0)));
         }
-        let report = batched.run_batch(stream).unwrap();
+        let report = batched.run_selected_batch(&queries, picks).unwrap();
 
         // Per-query results: scores bit-for-bit, latency breakdowns equal.
-        assert_eq!(batched.batch_len(), stream.len());
-        assert_eq!(report.queries, stream.len() as u64);
-        for (i, r) in loop_results.iter().enumerate() {
+        assert_eq!(batched.len(), picks.len());
+        assert_eq!(report.queries, picks.len() as u64);
+        for (i, (scores, latency)) in loop_results.iter().enumerate() {
             assert_eq!(
-                r.scores.as_slice(),
-                batched.batch_scores(i),
+                scores.as_slice(),
+                batched.scores(i),
                 "{}: scores diverge at query {i} (batch {batch})",
                 model.name
             );
             assert_eq!(
-                r.latency,
-                batched.batch_latency(i),
+                *latency,
+                batched.latency(i),
                 "{}: latency diverges at query {i} (batch {batch})",
                 model.name
             );
-            compared.extend_from_slice(&r.scores);
+            compared.extend_from_slice(scores);
         }
 
+        let (looped, batched) = (looped.shard(0), batched.shard(0));
         // Virtual clocks advanced identically.
         assert_eq!(
             looped.now(),

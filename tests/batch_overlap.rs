@@ -17,59 +17,36 @@
 //!    `sm_reads == submitted` are invariant across modes and windows.
 //!
 //! Plus the throughput side: on a cold M1-scaled stream the relaxed mode
-//! must deliver a shorter virtual makespan (higher `batch_qps`) and a
+//! must deliver a shorter virtual makespan (higher `virtual_qps`) and a
 //! strictly deeper mean device-queue depth than exact mode.
 
-mod common;
+pub mod common;
 
-use common::assert_live_scores;
+use common::{
+    assert_live_scores, assert_scores_close, identity_picks, scaled_config, single_stream, Stream,
+};
 use dlrm::model_zoo;
-use sdm_core::{BatchMode, SdmConfig, ServingHost, Shard};
+use sdm_core::{BatchMode, SdmConfig, ServingHost};
 use sdm_metrics::units::Bytes;
-use workload::{Query, QueryGenerator, RoutingPolicy, WorkloadConfig};
+use workload::{Query, RoutingPolicy};
 
 const BATCH_SIZES: &[usize] = &[1, 8, 33];
 
-fn queries_for(model: &dlrm::ModelConfig, count: usize, seed: u64) -> Vec<Query> {
-    let cfg = WorkloadConfig {
-        user_population: 400,
-        ..WorkloadConfig::default()
-    };
-    stream_for(model, cfg, count, seed)
-}
-
-fn stream_for(
-    model: &dlrm::ModelConfig,
-    cfg: WorkloadConfig,
-    count: usize,
-    seed: u64,
-) -> Vec<Query> {
-    let cfg = WorkloadConfig {
-        item_batch: model.item_batch.min(8),
-        ..cfg
-    };
-    QueryGenerator::new(&model.tables, cfg, seed)
-        .unwrap()
-        .generate(count)
-}
-
-fn scaled_config() -> SdmConfig {
-    SdmConfig {
-        device_capacity: Bytes::from_mib(64),
-        cache: sdm_cache::CacheConfig::with_total_budget(Bytes::from_mib(4)),
-        ..SdmConfig::for_tests()
-    }
-}
+const STREAM: Stream = Stream {
+    users: 400,
+    item_cap: 8,
+    skew: None,
+};
 
 /// [`assert_window1_identical_on`] over the suite's default stream.
 fn assert_window1_identical(model: &dlrm::ModelConfig, config: SdmConfig, seed: u64) {
     let total: usize = BATCH_SIZES.iter().sum();
-    let queries = queries_for(model, total, seed);
+    let queries = common::stream(model, STREAM, total, seed);
     assert_window1_identical_on(model, config, seed, &queries);
 }
 
 /// Runs the same stream through exact mode and `Relaxed { 1 }` on two
-/// identically built systems and asserts bit-identical behaviour, warm
+/// identically built 1-shard hosts and asserts bit-identical behaviour, warm
 /// state included (batch sizes consume successive chunks of one stream).
 fn assert_window1_identical_on(
     model: &dlrm::ModelConfig,
@@ -78,39 +55,41 @@ fn assert_window1_identical_on(
     queries: &[Query],
 ) {
     assert_eq!(queries.len(), BATCH_SIZES.iter().sum::<usize>());
-    let mut exact = Shard::build(model, config.clone(), seed).unwrap();
-    let relaxed_cfg = config.with_relaxed_batching(1);
-    let mut relaxed = Shard::build(model, relaxed_cfg, seed).unwrap();
+    let mut exact = single_stream(model, &config, seed);
+    let mut relaxed = single_stream(model, &config.with_relaxed_batching(1), seed);
+    let all = identity_picks(queries);
     let mut compared = Vec::new();
     let mut at = 0usize;
     for &batch in BATCH_SIZES {
-        let stream = &queries[at..at + batch];
+        let picks = &all[at..at + batch];
         at += batch;
 
-        let er = exact.run_batch(stream).unwrap();
-        let rr = relaxed.run_batch(stream).unwrap();
+        let er = exact.run_selected_batch(queries, picks).unwrap();
+        let rr = relaxed.run_selected_batch(queries, picks).unwrap();
 
-        assert_eq!(exact.batch_len(), relaxed.batch_len());
-        for i in 0..exact.batch_len() {
-            compared.extend_from_slice(exact.batch_scores(i));
+        assert_eq!(exact.len(), relaxed.len());
+        for i in 0..exact.len() {
+            compared.extend_from_slice(exact.scores(i));
         }
-        for i in 0..exact.batch_len() {
+        for i in 0..exact.len() {
             assert_eq!(
-                exact.batch_scores(i),
-                relaxed.batch_scores(i),
+                exact.scores(i),
+                relaxed.scores(i),
                 "{}: scores diverge at query {i} (batch {batch})",
                 model.name
             );
             assert_eq!(
-                exact.batch_latency(i),
-                relaxed.batch_latency(i),
+                exact.latency(i),
+                relaxed.latency(i),
                 "{}: latency diverges at query {i} (batch {batch})",
                 model.name
             );
         }
-        assert_eq!(exact.now(), relaxed.now(), "{}: clocks diverge", model.name);
-        assert_eq!(er.makespan, rr.makespan);
+        assert_eq!(er.virtual_makespan, rr.virtual_makespan);
         assert_eq!(er.queries, rr.queries);
+
+        let (exact, relaxed) = (exact.shard(0), relaxed.shard(0));
+        assert_eq!(exact.now(), relaxed.now(), "{}: clocks diverge", model.name);
 
         // Cache and IO counters identical.
         let a = exact.manager().stats();
@@ -177,14 +156,21 @@ fn window1_is_bit_identical_under_pooled_cache_eviction() {
     config.cache.row_cache_budget = Bytes::from_kib(96);
     config.cache.pooled_cache_budget = Bytes::from_kib(64);
     let total: usize = BATCH_SIZES.iter().sum();
-    let queries = stream_for(&model, WorkloadConfig::skewed(48, 1.1), total, 93);
+    let skewed = Stream {
+        users: 48,
+        skew: Some(1.1),
+        ..STREAM
+    };
+    let queries = common::stream(&model, skewed, total, 93);
     assert_window1_identical_on(&model, config.clone(), 93, &queries);
 
     // The case means what it says only while the pooled cache both hits
     // and evicts on this stream.
-    let mut probe = Shard::build(&model, config, 93).unwrap();
-    probe.run_batch(&queries).unwrap();
-    let pooled = probe.manager().pooled_cache().stats();
+    let mut probe = single_stream(&model, &config, 93);
+    probe
+        .run_selected_batch(&queries, &identity_picks(&queries))
+        .unwrap();
+    let pooled = probe.shard(0).manager().pooled_cache().stats();
     assert!(pooled.hits > 0 && pooled.evictions > 0, "{pooled:?}");
 }
 
@@ -217,39 +203,24 @@ fn window1_is_bit_identical_m3() {
     assert_window1_identical(&model, scaled_config(), 23);
 }
 
-/// Asserts two score slices agree within the f32 reassociation tolerance
-/// used by the sharded-equivalence suite.
-fn assert_scores_close(want: &[f32], got: &[f32], context: &str) {
-    assert_eq!(want.len(), got.len(), "{context}: score widths diverge");
-    for (i, (&a, &b)) in want.iter().zip(got).enumerate() {
-        let tol = 1e-4 * a.abs().max(b.abs()).max(1.0);
-        assert!(
-            (a - b).abs() <= tol,
-            "{context}: score {i} diverges beyond reassociation tolerance: {a} vs {b}"
-        );
-    }
-}
-
 #[test]
 fn deeper_windows_stay_reassociation_tight() {
     // Divisor 40, seed 93: divisor 60 at seed 31 scores 0.0 everywhere.
     let model = model_zoo::scaled_model(&model_zoo::m1(), 400_000, 40.0);
-    let queries = queries_for(&model, 42, 93);
-    let mut exact = Shard::build(&model, scaled_config(), 93).unwrap();
-    exact.run_batch(&queries).unwrap();
-    assert_live_scores(
-        &model.name,
-        (0..exact.batch_len()).map(|i| exact.batch_scores(i)),
-    );
+    let queries = common::stream(&model, STREAM, 42, 93);
+    let all = identity_picks(&queries);
+    let mut exact = single_stream(&model, &scaled_config(), 93);
+    exact.run_selected_batch(&queries, &all).unwrap();
+    assert_live_scores(&model.name, (0..exact.len()).map(|i| exact.scores(i)));
     for window in [2usize, 4, 8] {
         let cfg = scaled_config().with_relaxed_batching(window);
-        let mut relaxed = Shard::build(&model, cfg, 93).unwrap();
-        relaxed.run_batch(&queries).unwrap();
-        assert_eq!(exact.batch_len(), relaxed.batch_len());
-        for i in 0..exact.batch_len() {
+        let mut relaxed = single_stream(&model, &cfg, 93);
+        relaxed.run_selected_batch(&queries, &all).unwrap();
+        assert_eq!(exact.len(), relaxed.len());
+        for i in 0..exact.len() {
             assert_scores_close(
-                exact.batch_scores(i),
-                relaxed.batch_scores(i),
+                relaxed.scores(i),
+                exact.scores(i),
                 &format!("window {window}, query {i}"),
             );
         }
@@ -264,7 +235,7 @@ fn counters_are_conserved_across_modes() {
     let mut config = scaled_config();
     config.cache.pooled_cache_budget = Bytes::ZERO;
     let model = model_zoo::scaled_model(&model_zoo::m1(), 400_000, 60.0);
-    let queries = queries_for(&model, 40, 41);
+    let queries = common::stream(&model, STREAM, 40, 41);
 
     let mut accesses: Vec<u64> = Vec::new();
     for mode in [
@@ -280,10 +251,12 @@ fn counters_are_conserved_across_modes() {
         },
     ] {
         let cfg = config.clone().with_batch_mode(mode);
-        let mut system = Shard::build(&model, cfg, 41).unwrap();
-        system.run_batch(&queries).unwrap();
-        let stats = system.manager().stats();
-        let io = system.manager().io_engine().stats();
+        let mut host = single_stream(&model, &cfg, 41);
+        host.run_selected_batch(&queries, &identity_picks(&queries))
+            .unwrap();
+        let manager = host.shard(0).manager();
+        let stats = manager.stats();
+        let io = manager.io_engine().stats();
         // Every SM read is exactly one submitted IO (minus the loader's
         // image writes, which go through the device array, not the engine).
         assert_eq!(
@@ -306,24 +279,25 @@ fn relaxed_mode_overlaps_io_and_deepens_queues() {
     // makespan and drive the device queues strictly deeper, at equal or
     // higher p99 per-query latency (the documented trade-off).
     let model = model_zoo::scaled_model(&model_zoo::m1(), 400_000, 60.0);
-    let queries = queries_for(&model, 64, 51);
+    let queries = common::stream(&model, STREAM, 64, 51);
+    let all = identity_picks(&queries);
 
-    let mut exact = Shard::build(&model, scaled_config(), 51).unwrap();
-    let er = exact.run_batch(&queries).unwrap();
-    let exact_depth = exact.manager().io_engine().stats().queue_depth.clone();
+    let mut exact = single_stream(&model, &scaled_config(), 51);
+    let er = exact.run_selected_batch(&queries, &all).unwrap();
+    let exact_depth = exact.queue_depth();
 
     let cfg = scaled_config().with_relaxed_batching(8);
-    let mut relaxed = Shard::build(&model, cfg, 51).unwrap();
-    let rr = relaxed.run_batch(&queries).unwrap();
-    let relaxed_depth = relaxed.manager().io_engine().stats().queue_depth.clone();
+    let mut relaxed = single_stream(&model, &cfg, 51);
+    let rr = relaxed.run_selected_batch(&queries, &all).unwrap();
+    let relaxed_depth = relaxed.queue_depth();
 
     assert!(
-        rr.makespan < er.makespan,
+        rr.virtual_makespan < er.virtual_makespan,
         "relaxed makespan {} not shorter than exact {}",
-        rr.makespan,
-        er.makespan
+        rr.virtual_makespan,
+        er.virtual_makespan
     );
-    assert!(rr.batch_qps > er.batch_qps);
+    assert!(rr.virtual_qps > er.virtual_qps);
     assert!(
         relaxed_depth.mean_depth() > exact_depth.mean_depth(),
         "relaxed mean queue depth {:.2} not deeper than exact {:.2}",
@@ -342,7 +316,8 @@ fn serving_host_runs_relaxed_shards() {
     // relaxed host produces reassociation-tight scores vs an exact host at
     // every shard count, and reports deeper aggregate queue occupancy.
     let model = model_zoo::tiny(2, 1, 400);
-    let queries = queries_for(&model, 24, 61);
+    let queries = common::stream(&model, STREAM, 24, 61);
+    let all = identity_picks(&queries);
     for shards in [1usize, 2, 4] {
         let mut exact = ServingHost::build(
             &model,
@@ -356,8 +331,8 @@ fn serving_host_runs_relaxed_shards() {
         let mut relaxed =
             ServingHost::build(&model, &relaxed_cfg, 61, shards, RoutingPolicy::UserSticky)
                 .unwrap();
-        exact.run_batch(&queries).unwrap();
-        relaxed.run_batch(&queries).unwrap();
+        exact.run_selected_batch(&queries, &all).unwrap();
+        relaxed.run_selected_batch(&queries, &all).unwrap();
         assert_eq!(exact.len(), relaxed.len());
         assert_live_scores(
             &format!("{shards} shard(s)"),
@@ -365,8 +340,8 @@ fn serving_host_runs_relaxed_shards() {
         );
         for i in 0..exact.len() {
             assert_scores_close(
-                exact.scores(i),
                 relaxed.scores(i),
+                exact.scores(i),
                 &format!("{shards} shard(s), query {i}"),
             );
         }

@@ -19,17 +19,20 @@
 //!    start plus its embedding phase (`latency.user_embeddings` on a model
 //!    with only user tables). `Shard`'s clock sync relies on this.
 //!
-//! Each law is checked per query on one cold `Exact` shard, SM-only with a
+//! Each law is checked per query on one cold `Exact` stream, SM-only with a
 //! row cache, in both execution modes: a user-tables-only model, whose one
 //! chain runs under `InterOpParallel`, and a user + item model under
 //! `Sequential`, whose item chain starts where the user chain ended.
 
+pub mod common;
+
+use common::single_stream;
 use dlrm::{
     model_zoo, ComputeModel, DlrmError, EmbeddingBackend, ExecutionMode, InferenceEngine,
     ModelConfig, PoolingBuffers, QueryResult,
 };
 use embedding::TableId;
-use sdm_core::{SdmConfig, SdmMemoryManager, Shard};
+use sdm_core::{SdmConfig, SdmMemoryManager};
 use sdm_metrics::{SimDuration, SimInstant};
 use workload::{QueryGenerator, WorkloadConfig};
 
@@ -96,8 +99,9 @@ fn check_laws(name: &str, model: &ModelConfig, mode: ExecutionMode) {
     let queries = QueryGenerator::new(&model.tables, workload, SEED)
         .unwrap()
         .generate(QUERIES);
-    let mut shard = Shard::build(model, config.clone(), SEED).unwrap();
-    let mut twin = Shard::build(model, config.clone(), SEED).unwrap();
+    let mut stream = single_stream(model, &config, SEED);
+    let mut twin = single_stream(model, &config, SEED);
+    let (shard, twin) = (stream.shard_mut(0), twin.shard_mut(0));
     let mut engine = InferenceEngine::new(model.clone(), ComputeModel::default(), SEED).unwrap();
     engine.set_mode(mode);
     let overhead = engine.compute().operator_overhead;
@@ -142,7 +146,7 @@ fn check_laws(name: &str, model: &ModelConfig, mode: ExecutionMode) {
         for req in query.user_requests.iter().chain(&query.item_requests) {
             let (_, isolated) = twin
                 .manager_mut()
-                .pooled_lookup_at(req.table, &req.indices, twin_at)
+                .pooled_lookup(req.table, &req.indices, twin_at)
                 .unwrap();
             serial += isolated + overhead;
             twin_at += isolated + SimDuration::from_millis(1);

@@ -21,27 +21,25 @@
 //! * **Replay** — the same fault seed replays bit-identically: same
 //!   scores, same injected and handled fault ledgers.
 
+pub mod common;
+
+use common::{identity_picks, single_stream, Stream};
 use dlrm::model_zoo;
 use io_engine::ResilienceStats;
 use proptest::prelude::*;
 use scm_device::{DeviceId, FaultPlan, FaultStats};
-use sdm_core::{SdmConfig, SdmStats, Shard};
+use sdm_core::{SdmConfig, SdmStats, ServingHost};
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{SimDuration, SimInstant};
-use workload::{Query, QueryGenerator, WorkloadConfig};
+use workload::Query;
 
-fn queries_for(model: &dlrm::ModelConfig, count: usize, seed: u64) -> Vec<Query> {
-    let cfg = WorkloadConfig {
-        item_batch: model.item_batch,
-        // Small population so later rounds re-hit warmed rows and the
-        // conservation sum exercises cache hits, not just SM reads.
-        user_population: 8,
-        ..WorkloadConfig::default()
-    };
-    QueryGenerator::new(&model.tables, cfg, seed)
-        .unwrap()
-        .generate(count)
-}
+/// Small population so later rounds re-hit warmed rows and the
+/// conservation sum exercises cache hits, not just SM reads.
+const STREAM: Stream = Stream {
+    users: 8,
+    item_cap: u32::MAX,
+    skew: None,
+};
 
 /// Row lookups the stream requests per pass (the conservation target).
 fn total_lookups(queries: &[Query]) -> u64 {
@@ -65,9 +63,9 @@ fn fault_config() -> SdmConfig {
     config
 }
 
-/// Attaches `plan_for(device_index)` to every SM device of the system.
-fn attach_plans(system: &mut Shard, mut plan_for: impl FnMut(usize) -> Option<FaultPlan>) {
-    let array = system.manager_mut().io_engine_mut().array_mut();
+/// Attaches `plan_for(device_index)` to every SM device of the stream.
+fn attach_plans(host: &mut ServingHost, mut plan_for: impl FnMut(usize) -> Option<FaultPlan>) {
+    let array = host.shard_mut(0).manager_mut().io_engine_mut().array_mut();
     for d in 0..array.len() {
         let plan = plan_for(d);
         array
@@ -78,9 +76,9 @@ fn attach_plans(system: &mut Shard, mut plan_for: impl FnMut(usize) -> Option<Fa
 }
 
 /// Sum of the fault ledgers of every attached plan.
-fn injected(system: &Shard) -> FaultStats {
+fn injected(host: &ServingHost) -> FaultStats {
     let mut total = FaultStats::default();
-    for (_, device) in system.manager().io_engine().array().iter() {
+    for (_, device) in host.shard(0).manager().io_engine().array().iter() {
         if let Some(plan) = device.fault_plan() {
             total.merge(plan.stats());
         }
@@ -90,27 +88,29 @@ fn injected(system: &Shard) -> FaultStats {
 
 /// Serves `rounds` passes of the stream, returning the score fingerprint
 /// of the final pass plus the cumulative serving and IO-resilience
-/// statistics (the engine owns the retry/checksum/hedge ledger; a
-/// multi-shard host folds it into `SdmStats`, a bare system reports it
-/// from the engine directly).
+/// statistics of the stream's manager and of its engine, which owns the
+/// retry/checksum/hedge ledger.
 fn serve(
-    system: &mut Shard,
+    host: &mut ServingHost,
     queries: &[Query],
     rounds: usize,
 ) -> (Vec<f32>, SdmStats, ResilienceStats) {
+    let all = identity_picks(queries);
     let mut scores = Vec::new();
     for _ in 0..rounds {
         scores.clear();
-        for q in queries {
-            let result = system
-                .run_query(q)
-                .expect("injected faults never fail a query");
-            scores.extend_from_slice(&result.scores);
+        host.run_selected_batch(queries, &all)
+            .expect("injected faults never fail a query");
+        for i in 0..host.len() {
+            scores.extend_from_slice(host.scores(i));
         }
     }
-    let stats = system.manager().stats().clone();
-    let resilience = system.manager().io_engine().stats().resilience;
-    (scores, stats, resilience)
+    let manager = host.shard(0).manager();
+    (
+        scores,
+        manager.stats().clone(),
+        manager.io_engine().stats().resilience,
+    )
 }
 
 /// The conservation sum: every resolved row lookup lands in exactly one
@@ -160,21 +160,21 @@ proptest! {
         query_seed in 1u64..10_000,
     ) {
         let model = model_zoo::tiny(3, 2, 400);
-        let queries = queries_for(&model, 18, query_seed);
+        let queries = common::stream(&model, STREAM, 18, query_seed);
         let rounds = 2usize;
         let expected = total_lookups(&queries) * rounds as u64;
         let storm_end = SimInstant::EPOCH + SimDuration::from_secs(3600);
         let stuck_latency = SimDuration::from_micros(200);
 
         // Baseline: no plans attached.
-        let mut baseline = Shard::build(&model, fault_config(), 11).unwrap();
+        let mut baseline = single_stream(&model, &fault_config(), 11);
         let (base_scores, base_stats, base_io) = serve(&mut baseline, &queries, rounds);
         prop_assert_eq!(accounted_lookups(&base_stats), expected);
         prop_assert_eq!(base_stats.degraded_rows, 0);
         prop_assert_eq!(base_io.checksum_failures, 0);
 
         // Attached but all-zero-rate plan: bit-identical to no plan.
-        let mut inert = Shard::build(&model, fault_config(), 11).unwrap();
+        let mut inert = single_stream(&model, &fault_config(), 11);
         attach_plans(&mut inert, |d| Some(FaultPlan::new(device_seed(fault_seed, d))));
         let (inert_scores, inert_stats, inert_io) = serve(&mut inert, &queries, rounds);
         prop_assert_eq!(&inert_scores, &base_scores);
@@ -198,7 +198,7 @@ proptest! {
                     .with_storm(SimInstant::EPOCH, storm_end, storm_mult),
             )
         };
-        let mut faulty = Shard::build(&model, fault_config(), 11).unwrap();
+        let mut faulty = single_stream(&model, &fault_config(), 11);
         attach_plans(&mut faulty, plan_for);
         let (faulty_scores, faulty_stats, faulty_io) = serve(&mut faulty, &queries, rounds);
         let faulty_injected = injected(&faulty);
@@ -219,7 +219,7 @@ proptest! {
         }
 
         // Replay: the same fault seed reproduces the run bit-exactly.
-        let mut replay = Shard::build(&model, fault_config(), 11).unwrap();
+        let mut replay = single_stream(&model, &fault_config(), 11);
         attach_plans(&mut replay, plan_for);
         let (replay_scores, replay_stats, replay_io) = serve(&mut replay, &queries, rounds);
         prop_assert_eq!(&replay_scores, &faulty_scores);

@@ -178,7 +178,7 @@ mod detection {
 #[test]
 fn full_pipeline_runs_clean_under_lock_tracking() {
     use dlrm::model_zoo;
-    use sdm_core::{SdmConfig, ServingHost, Shard};
+    use sdm_core::{SdmConfig, ServingHost};
     use sdm_metrics::units::Bytes;
     use workload::{QueryGenerator, RoutingPolicy, WorkloadConfig};
 
@@ -198,21 +198,19 @@ fn full_pipeline_runs_clean_under_lock_tracking() {
     config.cache.row_cache_budget = Bytes::from_kib(64);
     config.cache.pooled_cache_budget = Bytes::ZERO;
 
-    let mut system = Shard::build(&model, config.clone(), 71).unwrap();
-    system.run_batch(&queries).unwrap();
-    assert!(
-        system.manager().stats().sm_reads > 0,
-        "exact: no SM traffic"
-    );
+    let all: Vec<usize> = (0..queries.len()).collect();
+    let mut system = ServingHost::build(&model, &config, 71, 1, RoutingPolicy::UserSticky).unwrap();
+    system.run_selected_batch(&queries, &all).unwrap();
+    assert!(system.stats().sm_reads > 0, "exact: no SM traffic");
 
     let relaxed = config.clone().with_relaxed_batching(4);
     let mut host = ServingHost::build(&model, &relaxed, 71, 2, RoutingPolicy::UserSticky).unwrap();
-    host.run_batch(&queries).unwrap();
+    host.run_selected_batch(&queries, &all).unwrap();
     assert!(host.stats().sm_reads > 0, "relaxed: no SM traffic");
 
     let tiered = config.with_shared_tier(Bytes::from_mib(2));
     let mut host = ServingHost::build(&model, &tiered, 71, 4, RoutingPolicy::UserSticky).unwrap();
-    host.run_batch(&queries).unwrap();
+    host.run_selected_batch(&queries, &all).unwrap();
     let stats = host.stats();
     assert!(stats.sm_reads > 0, "tiered: no SM traffic");
     assert!(

@@ -18,30 +18,28 @@
 //!   shard's, which is what makes the shard's clock raise an identity on
 //!   every workload that does not update.
 
-use dlrm::{model_zoo, ComputeModel, DramBackend, InferenceEngine, ModelConfig};
+pub mod common;
+
+use common::{assert_scores_close, identity_picks, single_stream, Stream};
+use dlrm::{
+    model_zoo, ComputeModel, DramBackend, InferenceEngine, ModelConfig, PoolingBuffers, QueryResult,
+};
 use embedding::EmbeddingTable;
 use io_engine::{EngineConfig, RetryConfig};
 use scm_device::{DeviceId, FaultPlan, FaultStats};
 use sdm_cache::{RowCache, RowKey};
-use sdm_core::{
-    ModelUpdater, SdmConfig, SdmMemoryManager, ServingHost, Shard, UpdateKind, UpdateReport,
-};
+use sdm_core::{ModelUpdater, SdmConfig, SdmMemoryManager, ServingHost, UpdateKind, UpdateReport};
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{SimDuration, SimInstant};
-use workload::{Query, QueryGenerator, RoutingPolicy, WorkloadConfig};
+use workload::{Query, RoutingPolicy};
 
 const ENGINE_SEED: u64 = 23;
 
-fn queries_for(model: &ModelConfig, count: usize, seed: u64) -> Vec<Query> {
-    let cfg = WorkloadConfig {
-        item_batch: model.item_batch,
-        user_population: 40,
-        ..WorkloadConfig::default()
-    };
-    QueryGenerator::new(&model.tables, cfg, seed)
-        .unwrap()
-        .generate(count)
-}
+const STREAM: Stream = Stream {
+    users: 40,
+    item_cap: u32::MAX,
+    skew: None,
+};
 
 /// Scores of `queries` from the engine over DRAM tables: SM-resident tables
 /// regenerated exactly as an update to `version` writes them (`None`: as
@@ -62,24 +60,15 @@ fn reference_scores(
     let mut dram = DramBackend::from_tables(tables.collect());
     let engine =
         InferenceEngine::new(loaded.model.clone(), ComputeModel::default(), ENGINE_SEED).unwrap();
+    let mut buffers = PoolingBuffers::new();
+    let mut result = QueryResult::default();
     let score = |q| {
         engine
-            .execute(q, &mut dram, SimInstant::EPOCH)
-            .unwrap()
-            .scores
+            .execute_into(q, &mut dram, SimInstant::EPOCH, &mut buffers, &mut result)
+            .unwrap();
+        result.scores.clone()
     };
     queries.iter().map(score).collect()
-}
-
-fn assert_scores_close(got: &[f32], want: &[f32], context: &str) {
-    assert_eq!(got.len(), want.len(), "{context}: score count");
-    for (i, (a, b)) in got.iter().zip(want).enumerate() {
-        let tol = 1e-4 * a.abs().max(b.abs()).max(1.0);
-        assert!(
-            (a - b).abs() <= tol,
-            "{context}: score {i} diverges beyond reassociation tolerance: {a} vs {b}"
-        );
-    }
 }
 
 /// The privately cached rows, in key order.
@@ -91,17 +80,21 @@ fn resident_keys(manager: &SdmMemoryManager) -> Vec<RowKey> {
     keys
 }
 
-fn attach_plans(system: &mut Shard, mut plan_for: impl FnMut(usize) -> Option<FaultPlan>) {
-    let array = system.manager_mut().io_engine_mut().array_mut();
+fn attach_plans(system: &mut ServingHost, mut plan_for: impl FnMut(usize) -> Option<FaultPlan>) {
+    let array = system
+        .shard_mut(0)
+        .manager_mut()
+        .io_engine_mut()
+        .array_mut();
     for d in 0..array.len() {
         let plan = plan_for(d);
         array.device_mut(DeviceId(d)).unwrap().set_fault_plan(plan);
     }
 }
 
-fn injected(system: &Shard) -> FaultStats {
+fn injected(system: &ServingHost) -> FaultStats {
     let mut total = FaultStats::default();
-    for (_, device) in system.manager().io_engine().array().iter() {
+    for (_, device) in system.shard(0).manager().io_engine().array().iter() {
         if let Some(plan) = device.fault_plan() {
             total.merge(plan.stats());
         }
@@ -116,29 +109,31 @@ fn device_seed(fault_seed: u64, device: usize) -> u64 {
 #[test]
 fn every_row_served_after_an_update_comes_from_the_new_image() {
     let model = model_zoo::tiny(3, 1, 500);
-    let queries = queries_for(&model, 24, 5);
-    let mut system = Shard::build(&model, SdmConfig::for_tests(), ENGINE_SEED).unwrap();
-    system.run_batch(&queries).unwrap();
-    let before = resident_keys(system.manager());
+    let queries = common::stream(&model, STREAM, 24, 5);
+    let all = identity_picks(&queries);
+    let mut system = single_stream(&model, &SdmConfig::for_tests(), ENGINE_SEED);
+    system.run_selected_batch(&queries, &all).unwrap();
+    let before = resident_keys(system.shard(0).manager());
     assert!(!before.is_empty());
 
-    let report = ModelUpdater::apply(system.manager_mut(), UpdateKind::Full, 77).unwrap();
+    let report =
+        ModelUpdater::apply(system.shard_mut(0).manager_mut(), UpdateKind::Full, 77).unwrap();
     assert_eq!(report.rows_rewarmed, before.len() as u64);
-    assert_eq!(resident_keys(system.manager()), before);
+    assert_eq!(resident_keys(system.shard(0).manager()), before);
 
     // Every row these queries touch was resident and was re-read, so the
     // replay is all hits, pooled in index order exactly as DRAM pools them:
     // bit-equal to the new image, and nowhere near the old one.
-    let sm_reads = system.manager().stats().sm_reads;
-    system.run_batch(&queries).unwrap();
-    assert_eq!(system.manager().stats().sm_reads, sm_reads);
-    let new = reference_scores(system.manager(), Some(77), &queries);
-    let old = reference_scores(system.manager(), None, &queries);
+    let sm_reads = system.shard(0).manager().stats().sm_reads;
+    system.run_selected_batch(&queries, &all).unwrap();
+    assert_eq!(system.shard(0).manager().stats().sm_reads, sm_reads);
+    let new = reference_scores(system.shard(0).manager(), Some(77), &queries);
+    let old = reference_scores(system.shard(0).manager(), None, &queries);
     for (i, want) in new.iter().enumerate() {
-        assert_eq!(system.batch_scores(i), want.as_slice(), "query {i}");
+        assert_eq!(system.scores(i), want.as_slice(), "query {i}");
     }
     assert!(
-        (0..queries.len()).any(|i| system.batch_scores(i) != old[i].as_slice()),
+        (0..queries.len()).any(|i| system.scores(i) != old[i].as_slice()),
         "the check cannot tell the two images apart"
     );
 }
@@ -150,27 +145,30 @@ fn faulty_update(
     queries: &[Query],
     retry: RetryConfig,
     plan_for: impl Fn(usize) -> Option<FaultPlan>,
-) -> (Shard, UpdateReport, Vec<RowKey>) {
+) -> (ServingHost, UpdateReport, Vec<RowKey>) {
     let mut config = SdmConfig::for_tests().with_nand_flash();
     config.cache.pooled_cache_budget = Bytes::ZERO;
-    let mut system = Shard::build(model, config, ENGINE_SEED).unwrap();
-    system.run_batch(queries).unwrap();
-    let before = resident_keys(system.manager());
+    let mut system = single_stream(model, &config, ENGINE_SEED);
+    system
+        .run_selected_batch(queries, &identity_picks(queries))
+        .unwrap();
+    let before = resident_keys(system.shard(0).manager());
     attach_plans(&mut system, plan_for);
-    let engine = system.manager_mut().io_engine_mut();
+    let engine = system.shard_mut(0).manager_mut().io_engine_mut();
     let tuned = EngineConfig {
         retry,
         ..engine.config().clone()
     };
     engine.set_config(tuned);
-    let report = ModelUpdater::apply(system.manager_mut(), UpdateKind::Full, 31).unwrap();
+    let report =
+        ModelUpdater::apply(system.shard_mut(0).manager_mut(), UpdateKind::Full, 31).unwrap();
     (system, report, before)
 }
 
 #[test]
 fn the_reread_pays_for_faults_like_any_other_read() {
     let model = model_zoo::tiny(3, 1, 600);
-    let queries = queries_for(&model, 32, 9);
+    let queries = common::stream(&model, STREAM, 32, 9);
     let plan_for = |d: usize| {
         Some(
             FaultPlan::new(device_seed(0x5d11_0020, d))
@@ -184,22 +182,24 @@ fn the_reread_pays_for_faults_like_any_other_read() {
         ..RetryConfig::default()
     };
     let (mut system, report, before) = faulty_update(&model, &queries, retry, plan_for);
-    let io = system.manager().io_engine().stats().resilience;
+    let io = system.shard(0).manager().io_engine().stats().resilience;
     let faults = injected(&system);
     assert!(faults.corruptions > 0 && faults.transient_errors > 0);
     assert_eq!(io.checksum_failures, faults.corruptions);
     assert_eq!(io.transient_errors, faults.transient_errors);
     assert_eq!(io.exhausted, 0);
     assert_eq!(report.rows_rewarmed, before.len() as u64);
-    assert_eq!(resident_keys(system.manager()), before);
+    assert_eq!(resident_keys(system.shard(0).manager()), before);
 
     // No corrupted payload reached the cache: the replay is all hits and
     // bit-equal to the new image.
-    system.run_batch(&queries).unwrap();
-    assert_eq!(system.manager().stats().degraded_rows, 0);
-    let want = reference_scores(system.manager(), Some(31), &queries);
+    system
+        .run_selected_batch(&queries, &identity_picks(&queries))
+        .unwrap();
+    assert_eq!(system.shard(0).manager().stats().degraded_rows, 0);
+    let want = reference_scores(system.shard(0).manager(), Some(31), &queries);
     for (i, want) in want.iter().enumerate() {
-        assert_eq!(system.batch_scores(i), want.as_slice(), "query {i}");
+        assert_eq!(system.scores(i), want.as_slice(), "query {i}");
     }
 
     // Same seeds, same report — times included.
@@ -210,7 +210,7 @@ fn the_reread_pays_for_faults_like_any_other_read() {
 #[test]
 fn a_row_whose_reread_fails_is_absent_not_degraded() {
     let model = model_zoo::tiny(3, 1, 600);
-    let queries = queries_for(&model, 32, 9);
+    let queries = common::stream(&model, STREAM, 32, 9);
     let plan_for =
         |d: usize| Some(FaultPlan::new(device_seed(0x5d11_0021, d)).with_transient_errors(0.2));
     let one_shot = RetryConfig {
@@ -218,33 +218,41 @@ fn a_row_whose_reread_fails_is_absent_not_degraded() {
         ..RetryConfig::default()
     };
     let (mut system, report, before) = faulty_update(&model, &queries, one_shot, plan_for);
-    let exhausted = system.manager().io_engine().stats().resilience.exhausted;
+    let exhausted = system
+        .shard(0)
+        .manager()
+        .io_engine()
+        .stats()
+        .resilience
+        .exhausted;
     assert!(exhausted > 0, "the plan failed no re-read");
     assert_eq!(report.rows_rewarmed + exhausted, before.len() as u64);
-    let after = resident_keys(system.manager());
+    let after = resident_keys(system.shard(0).manager());
     assert_eq!(after.len() as u64, report.rows_rewarmed);
     assert!(after.iter().all(|key| before.binary_search(key).is_ok()));
-    assert_eq!(system.manager().stats().degraded_rows, 0);
+    assert_eq!(system.shard(0).manager().stats().degraded_rows, 0);
 
     // With the device healthy again the missing rows are demand misses like
     // any other (an operator naming one twice misses twice): read from the
     // new image, cached, never served as zeros.
     attach_plans(&mut system, |_| None);
-    let sm_reads = system.manager().stats().sm_reads;
-    system.run_batch(&queries).unwrap();
-    assert!(system.manager().stats().sm_reads >= sm_reads + exhausted);
-    assert_eq!(system.manager().stats().degraded_rows, 0);
-    assert_eq!(resident_keys(system.manager()), before);
-    let want = reference_scores(system.manager(), Some(31), &queries);
+    let sm_reads = system.shard(0).manager().stats().sm_reads;
+    system
+        .run_selected_batch(&queries, &identity_picks(&queries))
+        .unwrap();
+    assert!(system.shard(0).manager().stats().sm_reads >= sm_reads + exhausted);
+    assert_eq!(system.shard(0).manager().stats().degraded_rows, 0);
+    assert_eq!(resident_keys(system.shard(0).manager()), before);
+    let want = reference_scores(system.shard(0).manager(), Some(31), &queries);
     for (i, want) in want.iter().enumerate() {
-        assert_scores_close(system.batch_scores(i), want, &format!("query {i}"));
+        assert_scores_close(system.scores(i), want, &format!("query {i}"));
     }
 }
 
 #[test]
 fn the_update_window_lands_in_the_first_batch_and_only_there() {
     let model = model_zoo::tiny(3, 1, 600);
-    let queries = queries_for(&model, 48, 13);
+    let queries = common::stream(&model, STREAM, 48, 13);
     for config in [
         SdmConfig::for_tests().with_nand_flash(),
         SdmConfig::for_tests()
@@ -252,35 +260,41 @@ fn the_update_window_lands_in_the_first_batch_and_only_there() {
             .with_relaxed_batching(8),
     ] {
         let exact = config.batch_mode == sdm_core::BatchMode::Exact;
-        let mut shard = Shard::build(&model, config, ENGINE_SEED).unwrap();
+        let mut host = single_stream(&model, &config, ENGINE_SEED);
+        let all = identity_picks(&queries);
         // Without an update the manager never runs ahead of the shard.
-        for batch in queries[..32].chunks(8) {
-            shard.run_batch(batch).unwrap();
+        for batch in all[..32].chunks(8) {
+            host.run_selected_batch(&queries, batch).unwrap();
+            let shard = host.shard(0);
             assert!(shard.manager().now() <= shard.now());
         }
 
+        let shard = host.shard_mut(0);
         let report = ModelUpdater::apply(shard.manager_mut(), UpdateKind::Full, 4).unwrap();
         assert!(report.rows_rewarmed > 0);
         let window = report.write_time + report.rewarm_time;
         assert_eq!(shard.manager().now(), shard.now() + window);
 
-        let first = shard.run_batch(&queries[32..40]).unwrap();
-        assert!(first.makespan >= window, "{} < {window}", first.makespan);
+        let first = host.run_selected_batch(&queries, &all[32..40]).unwrap();
+        let makespan = first.virtual_makespan;
+        assert!(makespan >= window, "{makespan} < {window}");
         if exact {
             // Serial service: the makespan is the window plus the queries.
-            let served = (0..shard.batch_len()).map(|i| shard.batch_latency(i).total);
-            assert_eq!(first.makespan, window + served.sum::<SimDuration>());
+            let served = (0..host.len()).map(|i| host.latency(i).total);
+            assert_eq!(makespan, window + served.sum::<SimDuration>());
         }
+        let shard = host.shard(0);
         assert!(shard.manager().now() <= shard.now());
-        let second = shard.run_batch(&queries[40..]).unwrap();
-        assert!(second.makespan < window, "{} >= {window}", second.makespan);
+        let second = host.run_selected_batch(&queries, &all[40..]).unwrap();
+        let makespan = second.virtual_makespan;
+        assert!(makespan < window, "{makespan} >= {window}");
     }
 }
 
 #[test]
 fn a_host_update_clears_the_tier_once_and_serves_no_stale_row() {
     let model = model_zoo::tiny(3, 1, 600);
-    let queries = queries_for(&model, 48, 17);
+    let queries = common::stream(&model, STREAM, 48, 17);
     // Private slices too small for the hot set, so the tier serves rows the
     // private caches dropped — before and after the update.
     let mut config = SdmConfig::for_tests().with_shared_tier(Bytes::from_mib(2));
@@ -289,9 +303,10 @@ fn a_host_update_clears_the_tier_once_and_serves_no_stale_row() {
     let build =
         || ServingHost::build(&model, &config, ENGINE_SEED, 2, RoutingPolicy::UserSticky).unwrap();
     let (mut host, mut per_shard) = (build(), build());
+    let all = identity_picks(&queries);
     for _ in 0..2 {
-        host.run_batch(&queries).unwrap();
-        per_shard.run_batch(&queries).unwrap();
+        host.run_selected_batch(&queries, &all).unwrap();
+        per_shard.run_selected_batch(&queries, &all).unwrap();
     }
 
     let report = host.apply_update(UpdateKind::Full, 55).unwrap();
@@ -311,8 +326,8 @@ fn a_host_update_clears_the_tier_once_and_serves_no_stale_row() {
     }
 
     let tier_hits = host.stats().shared_tier_hits;
-    host.run_batch(&queries).unwrap();
-    per_shard.run_batch(&queries).unwrap();
+    host.run_selected_batch(&queries, &all).unwrap();
+    per_shard.run_selected_batch(&queries, &all).unwrap();
     assert!(
         host.stats().shared_tier_hits > tier_hits,
         "the tier level was not exercised after the update"

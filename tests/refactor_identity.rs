@@ -50,14 +50,14 @@
 //! `SDM_CAPTURE_GOLDEN=1 cargo test --test refactor_identity -- --nocapture`
 //! and paste the printed table over `GOLDEN`.
 
-mod common;
+pub mod common;
 
-use common::assert_live_scores;
+use common::{assert_live_scores, identity_picks, Stream};
 use dlrm::model_zoo;
 use sdm_cache::RowCache;
 use sdm_core::{SdmConfig, ServingHost};
 use sdm_metrics::units::Bytes;
-use workload::{Query, QueryGenerator, RoutingPolicy, WorkloadConfig};
+use workload::RoutingPolicy;
 
 /// FNV-1a, the same pinned-seed style the fault-injection suite uses:
 /// deterministic, dependency-free, good enough to detect any bit flip.
@@ -81,15 +81,12 @@ struct Fingerprint {
     resident_bytes: u64,
 }
 
-fn skewed_queries(model: &dlrm::ModelConfig, count: usize, seed: u64) -> Vec<Query> {
-    let cfg = WorkloadConfig {
-        item_batch: model.item_batch.min(8),
-        ..WorkloadConfig::skewed(48, 1.1)
-    };
-    QueryGenerator::new(&model.tables, cfg, seed)
-        .unwrap()
-        .generate(count)
-}
+/// A skewed stream: a small hot user set under a steep Zipf exponent.
+const SKEWED: Stream = Stream {
+    users: 48,
+    item_cap: 8,
+    skew: Some(1.1),
+};
 
 /// MLP divisor of the scaled replicas: the benchmark's.
 const MLP_DIVISOR: f64 = 40.0;
@@ -180,7 +177,8 @@ fn scenario_config(scenario: Scenario) -> SdmConfig {
 }
 
 fn run_scenario(model: &dlrm::ModelConfig, seed: u64, scenario: Scenario) -> Fingerprint {
-    let queries = skewed_queries(model, 24, seed);
+    let queries = common::stream(model, SKEWED, 24, seed);
+    let all = identity_picks(&queries);
     let config = scenario_config(scenario);
     // Tier-on runs must be single-shard to stay deterministic (see the
     // module docs); tier-off runs cover the multi-shard merge paths.
@@ -191,7 +189,7 @@ fn run_scenario(model: &dlrm::ModelConfig, seed: u64, scenario: Scenario) -> Fin
     let mut scores = 0xcbf2_9ce4_8422_2325u64;
     let mut all_scores = Vec::new();
     for _batch in 0..3 {
-        host.run_batch(&queries).unwrap();
+        host.run_selected_batch(&queries, &all).unwrap();
         for i in 0..host.len() {
             for s in host.scores(i) {
                 fnv1a(&mut scores, &s.to_bits().to_le_bytes());

@@ -1,5 +1,5 @@
 //! Sharded-serving equivalence: a `ServingHost` must produce, per query
-//! id, the same scores as the single-stream `run_batch` baseline — no
+//! id, the same scores as the single-stream baseline (a 1-shard host) — no
 //! matter how many shards serve the batch or which routing policy
 //! partitions it — and its cache counters must obey the conservation laws
 //! partitioning cannot break.
@@ -26,40 +26,29 @@
 //!   is precisely the cache-contention effect measured multi-stream QPS
 //!   exists to capture.
 //! * **1 shard** — everything is invariant: a single-shard host divides
-//!   nothing and runs today's `run_batch` inline, bit for bit, latencies
-//!   and clock included.
+//!   nothing and runs its one shard inline, so every routing policy
+//!   reproduces the baseline bit for bit, latencies and clock included.
 
-mod common;
+pub mod common;
 
-use common::assert_live_scores;
+use common::{
+    assert_live_scores, assert_scores_close, identity_picks, scaled_config, single_stream, Stream,
+};
 use dlrm::model_zoo;
-use sdm_core::{SdmConfig, ServingHost, Shard};
+use sdm_core::{SdmConfig, ServingHost};
 use sdm_metrics::units::Bytes;
-use workload::{Query, QueryGenerator, RoutingPolicy, WorkloadConfig};
+use workload::RoutingPolicy;
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 4];
 const POLICIES: &[RoutingPolicy] = &[RoutingPolicy::RoundRobin, RoutingPolicy::UserSticky];
 
-fn queries_for(model: &dlrm::ModelConfig, count: usize, seed: u64) -> Vec<Query> {
-    let cfg = WorkloadConfig {
-        item_batch: model.item_batch.min(8),
-        // Small population so users repeat and sticky routing has
-        // per-shard locality to exploit.
-        user_population: 200,
-        ..WorkloadConfig::default()
-    };
-    QueryGenerator::new(&model.tables, cfg, seed)
-        .unwrap()
-        .generate(count)
-}
-
-fn scaled_config() -> SdmConfig {
-    SdmConfig {
-        device_capacity: Bytes::from_mib(64),
-        cache: sdm_cache::CacheConfig::with_total_budget(Bytes::from_mib(4)),
-        ..SdmConfig::for_tests()
-    }
-}
+/// Small population so users repeat and sticky routing has per-shard
+/// locality to exploit.
+const STREAM: Stream = Stream {
+    users: 200,
+    item_cap: 8,
+    skew: None,
+};
 
 /// The main sweep config: pooled cache off (see module docs).
 fn exact_config() -> SdmConfig {
@@ -68,40 +57,27 @@ fn exact_config() -> SdmConfig {
     config
 }
 
-/// Asserts two score slices are equal up to f32 summation reassociation:
-/// same values pooled in a (possibly) different order, then passed through
-/// the same MLPs.
-fn assert_scores_close(got: &[f32], want: &[f32], context: &str) {
-    assert_eq!(got.len(), want.len(), "{context}: score count");
-    for (i, (a, b)) in got.iter().zip(want).enumerate() {
-        let tol = 1e-4 * a.abs().max(b.abs()).max(1.0);
-        assert!(
-            (a - b).abs() <= tol,
-            "{context}: score {i} diverges beyond reassociation tolerance: {a} vs {b}"
-        );
-    }
-}
-
 /// Runs `queries` through the single-stream baseline and through sharded
 /// hosts at every `SHARD_COUNTS` × `POLICIES` combination, asserting score
 /// equivalence per query id and the partition-invariant counter totals.
 fn assert_sharding_equivalent(model: &dlrm::ModelConfig, config: &SdmConfig, seed: u64) {
-    let queries = queries_for(model, 48, seed);
-    let mut baseline = Shard::build(model, config.clone(), seed).unwrap();
-    let report = baseline.run_batch(&queries).unwrap();
+    let queries = common::stream(model, STREAM, 48, seed);
+    let all = identity_picks(&queries);
+    let mut baseline = single_stream(model, config, seed);
+    let report = baseline.run_selected_batch(&queries, &all).unwrap();
     assert_eq!(report.queries, queries.len() as u64);
     assert_live_scores(
         &format!("{} seed {seed}", model.name),
-        (0..baseline.batch_len()).map(|i| baseline.batch_scores(i)),
+        (0..baseline.len()).map(|i| baseline.scores(i)),
     );
-    let base = baseline.manager().stats().clone();
+    let base = baseline.stats();
 
     for &shards in SHARD_COUNTS {
         for &policy in POLICIES {
             let mut host = ServingHost::build(model, config, seed, shards, policy).unwrap();
-            let host_report = host.run_batch(&queries).unwrap();
+            let host_report = host.run_selected_batch(&queries, &all).unwrap();
             assert_eq!(host_report.queries, queries.len() as u64);
-            assert_eq!(host.len(), baseline.batch_len());
+            assert_eq!(host.len(), baseline.len());
 
             // Scores per query id: bit-exact at 1 shard, reassociation
             // tolerance beyond (see module docs).
@@ -109,14 +85,14 @@ fn assert_sharding_equivalent(model: &dlrm::ModelConfig, config: &SdmConfig, see
                 if shards == 1 {
                     assert_eq!(
                         host.scores(i),
-                        baseline.batch_scores(i),
+                        baseline.scores(i),
                         "{}: scores diverge at query {i} (1 shard, {policy:?})",
                         model.name
                     );
                 } else {
                     assert_scores_close(
                         host.scores(i),
-                        baseline.batch_scores(i),
+                        baseline.scores(i),
                         &format!("{}: query {i} ({shards} shards, {policy:?})", model.name),
                     );
                 }
@@ -144,9 +120,9 @@ fn assert_sharding_equivalent(model: &dlrm::ModelConfig, config: &SdmConfig, see
             // the full counter block match exactly.
             if shards == 1 {
                 for i in 0..queries.len() {
-                    assert_eq!(host.latency(i), baseline.batch_latency(i), "{tag}: latency");
+                    assert_eq!(host.latency(i), baseline.latency(i), "{tag}: latency");
                 }
-                assert_eq!(host.shard(0).now(), baseline.now(), "{tag}: clock");
+                assert_eq!(host.shard(0).now(), baseline.shard(0).now(), "{tag}: clock");
                 assert_eq!(agg.row_cache_hits, base.row_cache_hits, "{tag}: hits");
                 assert_eq!(agg.sm_reads, base.sm_reads, "{tag}: sm_reads");
                 assert_eq!(
@@ -227,29 +203,27 @@ fn pooled_cache_enabled_sharding_keeps_scores_equivalent() {
     // one, where the host is the baseline bit for bit.
     let model = model_zoo::tiny(3, 2, 500);
     let config = scaled_config();
-    let queries = queries_for(&model, 48, 46);
-    let mut baseline = Shard::build(&model, config.clone(), 46).unwrap();
-    baseline.run_batch(&queries).unwrap();
-    assert_live_scores(
-        "pooled-on",
-        (0..baseline.batch_len()).map(|i| baseline.batch_scores(i)),
-    );
-    let base = baseline.manager().stats().clone();
+    let queries = common::stream(&model, STREAM, 48, 46);
+    let all = identity_picks(&queries);
+    let mut baseline = single_stream(&model, &config, 46);
+    baseline.run_selected_batch(&queries, &all).unwrap();
+    assert_live_scores("pooled-on", (0..baseline.len()).map(|i| baseline.scores(i)));
+    let base = baseline.stats();
     for &shards in SHARD_COUNTS {
         for &policy in POLICIES {
             let mut host = ServingHost::build(&model, &config, 46, shards, policy).unwrap();
-            host.run_batch(&queries).unwrap();
+            host.run_selected_batch(&queries, &all).unwrap();
             for i in 0..queries.len() {
                 if shards == 1 {
                     assert_eq!(
                         host.scores(i),
-                        baseline.batch_scores(i),
+                        baseline.scores(i),
                         "scores diverge at query {i} (1 shard, {policy:?})"
                     );
                 } else {
                     assert_scores_close(
                         host.scores(i),
-                        baseline.batch_scores(i),
+                        baseline.scores(i),
                         &format!("pooled-on query {i} ({shards} shards, {policy:?})"),
                     );
                 }
@@ -270,11 +244,12 @@ fn sticky_routing_concentrates_cache_locality() {
     // the same total capacity, so this compares pure locality.)
     let model = model_zoo::tiny(2, 1, 500);
     let config = exact_config();
-    let queries = queries_for(&model, 160, 47);
+    let queries = common::stream(&model, STREAM, 160, 47);
     let mut hits = Vec::new();
     for &policy in POLICIES {
         let mut host = ServingHost::build(&model, &config, 47, 4, policy).unwrap();
-        host.run_batch(&queries).unwrap();
+        host.run_selected_batch(&queries, &identity_picks(&queries))
+            .unwrap();
         hits.push(host.stats().row_cache_hits);
     }
     let (rr, sticky) = (hits[0], hits[1]);

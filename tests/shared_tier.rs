@@ -2,11 +2,11 @@
 //!
 //! What the tier must and must not change:
 //!
-//! * **Disabled tier (the default)** — serving is bit-identical to the
-//!   committed PR-4 behaviour: a 1-shard host (exact mode, and relaxed
-//!   window 1) reproduces the single-stream `Shard` scores, latencies,
-//!   clock and counters exactly, and `ServingHost::shared_tier()` is
-//!   `None`.
+//! * **Disabled tier (the default)** — serving is bit-identical to a bare
+//!   shard's: a 1-shard host (exact mode, and relaxed window 1) reproduces
+//!   the scores, latencies, clock and counters of a shard driven directly
+//!   through `Shard::run_indexed_batch`, and `ServingHost::shared_tier()`
+//!   is `None`.
 //! * **Enabled tier** — scores stay within f32 reassociation tolerance of
 //!   the single-stream baseline at every shard count: a shared-tier hit
 //!   pools the same row bytes a private hit or SM read would have, only
@@ -20,23 +20,20 @@
 //!   cross-shard hits are strictly positive and SM reads drop relative to
 //!   the tier-off host.
 
-mod common;
+pub mod common;
 
-use common::assert_live_scores;
+use common::{assert_live_scores, assert_scores_close, identity_picks, single_stream, Stream};
 use dlrm::model_zoo;
-use sdm_core::{SdmConfig, ServingHost, Shard};
+use sdm_core::{SdmConfig, ServingHost};
 use sdm_metrics::units::Bytes;
-use workload::{Query, QueryGenerator, RoutingPolicy, WorkloadConfig};
+use workload::RoutingPolicy;
 
-fn skewed_queries(model: &dlrm::ModelConfig, count: usize, seed: u64) -> Vec<Query> {
-    let cfg = WorkloadConfig {
-        item_batch: model.item_batch.min(8),
-        ..WorkloadConfig::skewed(48, 1.1)
-    };
-    QueryGenerator::new(&model.tables, cfg, seed)
-        .unwrap()
-        .generate(count)
-}
+/// A skewed stream: a small hot user set under a steep Zipf exponent.
+const SKEWED: Stream = Stream {
+    users: 48,
+    item_cap: 8,
+    skew: Some(1.1),
+};
 
 /// Pooled cache off (whole-operator replay would hide the row path) and a
 /// private row budget small enough that divided slices cannot hold the hot
@@ -48,20 +45,10 @@ fn constrained_config() -> SdmConfig {
     config
 }
 
-fn assert_scores_close(got: &[f32], want: &[f32], context: &str) {
-    assert_eq!(got.len(), want.len(), "{context}: score count");
-    for (i, (a, b)) in got.iter().zip(want).enumerate() {
-        let tol = 1e-4 * a.abs().max(b.abs()).max(1.0);
-        assert!(
-            (a - b).abs() <= tol,
-            "{context}: score {i} diverges beyond reassociation tolerance: {a} vs {b}"
-        );
-    }
-}
-
 /// With the tier disabled (the default config), a 1-shard host — in exact
-/// mode and at relaxed window 1 — remains bit-identical to the
-/// single-stream system across the M1–M3 scaled replicas.
+/// mode and at relaxed window 1 — remains bit-identical to a bare shard
+/// (another 1-shard host's shard, driven directly) across the M1–M3 scaled
+/// replicas.
 #[test]
 fn tier_disabled_single_shard_serving_is_bit_identical() {
     // Divisor 40, seed 93 — the `refactor_identity` replicas: divisor 60 at
@@ -93,19 +80,20 @@ fn tier_disabled_single_shard_serving_is_bit_identical() {
     ];
     for model in &models {
         let seed = 93;
-        let queries = skewed_queries(model, 24, seed);
+        let queries = common::stream(model, SKEWED, 24, seed);
+        let all = identity_picks(&queries);
         for window in [None, Some(1)] {
             let config = match window {
                 None => SdmConfig::for_tests(),
                 Some(w) => SdmConfig::for_tests().with_relaxed_batching(w),
             };
             assert!(config.cache.shared_tier_budget.is_zero());
-            let mut host =
-                ServingHost::build(model, &config, seed, 1, RoutingPolicy::UserSticky).unwrap();
+            let mut host = single_stream(model, &config, seed);
             assert!(host.shared_tier().is_none(), "tier must be off by default");
-            let mut system = Shard::build(model, config, seed).unwrap();
-            host.run_batch(&queries).unwrap();
-            system.run_batch(&queries).unwrap();
+            let mut bare = single_stream(model, &config, seed);
+            host.run_selected_batch(&queries, &all).unwrap();
+            let system = bare.shard_mut(0);
+            system.run_indexed_batch(&queries, &all).unwrap();
             let tag = format!("{} (window {window:?})", model.name);
             assert_eq!(host.len(), system.batch_len(), "{tag}: batch length");
             assert_live_scores(&tag, (0..host.len()).map(|i| host.scores(i)));
@@ -135,17 +123,15 @@ fn tier_disabled_single_shard_serving_is_bit_identical() {
 #[test]
 fn tier_enabled_sharding_stays_equivalent_and_recovers_reuse() {
     let model = model_zoo::tiny(3, 2, 500);
-    let queries = skewed_queries(&model, 64, 71);
+    let queries = common::stream(&model, SKEWED, 64, 71);
+    let all = identity_picks(&queries);
     let config = constrained_config();
 
     // Baseline: single stream, tier off.
-    let mut baseline = Shard::build(&model, config.clone(), 71).unwrap();
-    baseline.run_batch(&queries).unwrap();
-    assert_live_scores(
-        "baseline",
-        (0..baseline.batch_len()).map(|i| baseline.batch_scores(i)),
-    );
-    let base = baseline.manager().stats().clone();
+    let mut baseline = single_stream(&model, &config, 71);
+    baseline.run_selected_batch(&queries, &all).unwrap();
+    assert_live_scores("baseline", (0..baseline.len()).map(|i| baseline.scores(i)));
+    let base = baseline.stats();
     let base_accesses = base.row_cache_hits + base.sm_reads + base.pruned_zero_rows;
     assert_eq!(base.shared_tier_hits, 0);
 
@@ -153,7 +139,7 @@ fn tier_enabled_sharding_stays_equivalent_and_recovers_reuse() {
         // Tier-off host at the same shard count, for the SM-read contrast.
         let mut off =
             ServingHost::build(&model, &config, 71, shards, RoutingPolicy::UserSticky).unwrap();
-        off.run_batch(&queries).unwrap();
+        off.run_selected_batch(&queries, &all).unwrap();
         let off_stats = off.stats();
 
         let enabled = config.clone().with_shared_tier(Bytes::from_mib(2));
@@ -161,13 +147,13 @@ fn tier_enabled_sharding_stays_equivalent_and_recovers_reuse() {
             ServingHost::build(&model, &enabled, 71, shards, RoutingPolicy::UserSticky).unwrap();
         let tier = host.shared_tier().expect("tier enabled");
         assert_eq!(tier.stripe_count(), enabled.cache.shared_tier_stripes);
-        host.run_batch(&queries).unwrap();
+        host.run_selected_batch(&queries, &all).unwrap();
 
         let tag = format!("{shards} shards");
         for i in 0..queries.len() {
             assert_scores_close(
                 host.scores(i),
-                baseline.batch_scores(i),
+                baseline.scores(i),
                 &format!("{tag}: query {i}"),
             );
         }
@@ -220,7 +206,8 @@ fn tier_enabled_sharding_stays_equivalent_and_recovers_reuse() {
 #[test]
 fn relaxed_mode_with_shared_tier_stays_equivalent() {
     let model = model_zoo::tiny(2, 1, 400);
-    let queries = skewed_queries(&model, 48, 83);
+    let queries = common::stream(&model, SKEWED, 48, 83);
+    let all = identity_picks(&queries);
     let exact_cfg = constrained_config().with_shared_tier(Bytes::from_mib(2));
     let relaxed_cfg = exact_cfg.clone().with_relaxed_batching(4);
 
@@ -228,8 +215,8 @@ fn relaxed_mode_with_shared_tier_stays_equivalent() {
         ServingHost::build(&model, &exact_cfg, 83, 2, RoutingPolicy::UserSticky).unwrap();
     let mut relaxed =
         ServingHost::build(&model, &relaxed_cfg, 83, 2, RoutingPolicy::UserSticky).unwrap();
-    exact.run_batch(&queries).unwrap();
-    relaxed.run_batch(&queries).unwrap();
+    exact.run_selected_batch(&queries, &all).unwrap();
+    relaxed.run_selected_batch(&queries, &all).unwrap();
 
     assert_live_scores("exact", (0..exact.len()).map(|i| exact.scores(i)));
     for i in 0..queries.len() {
@@ -253,13 +240,14 @@ fn relaxed_mode_with_shared_tier_stays_equivalent() {
 #[test]
 fn steady_state_tier_serving_eliminates_duplicate_sm_reads() {
     let model = model_zoo::tiny(2, 1, 400);
-    let queries = skewed_queries(&model, 48, 97);
+    let queries = common::stream(&model, SKEWED, 48, 97);
+    let all = identity_picks(&queries);
     let config = constrained_config().with_shared_tier(Bytes::from_mib(4));
     let mut host = ServingHost::build(&model, &config, 97, 4, RoutingPolicy::UserSticky).unwrap();
-    host.run_batch(&queries).unwrap();
-    host.run_batch(&queries).unwrap();
+    host.run_selected_batch(&queries, &all).unwrap();
+    host.run_selected_batch(&queries, &all).unwrap();
     let warmed = host.stats();
-    host.run_batch(&queries).unwrap();
+    host.run_selected_batch(&queries, &all).unwrap();
     let after = host.stats();
     let steady_sm_reads = after.sm_reads - warmed.sm_reads;
     assert_eq!(

@@ -5,7 +5,7 @@ use cluster::multi_tenancy::fleet_power_ratio;
 use cluster::sizing::{size_ssds, SizingInputs};
 use cluster::{ScenarioComparison, ServingScenario};
 use dlrm::{analysis, model_zoo};
-use sdm_core::{SdmConfig, Shard};
+use sdm_core::{SdmConfig, ServingHost};
 use sdm_metrics::units::Watts;
 use workload::{AccessTrace, QueryGenerator, RoutingPolicy, Scheduler, WorkloadConfig};
 
@@ -23,8 +23,16 @@ fn skewed_tables_get_higher_cache_hit_rates() {
     let queries = QueryGenerator::new(&model.tables, cfg, 5)
         .unwrap()
         .generate(400);
-    let mut system = Shard::build(&model, SdmConfig::for_tests(), 5).unwrap();
-    system.run_queries(&queries).unwrap();
+    let mut system = ServingHost::build(
+        &model,
+        &SdmConfig::for_tests(),
+        5,
+        1,
+        RoutingPolicy::UserSticky,
+    )
+    .unwrap();
+    let all: Vec<usize> = (0..queries.len()).collect();
+    system.run_selected_batch(&queries, &all).unwrap();
 
     // Reconstruct per-table hit behaviour from the trace: the skewed table
     // re-references rows far more often, so the overall hit rate must be
@@ -39,7 +47,7 @@ fn skewed_tables_get_higher_cache_hit_rates() {
         unique(1) < unique(0),
         "skewed table should re-reference more"
     );
-    assert!(system.manager().stats().row_cache_hit_rate() > 0.1);
+    assert!(system.shard(0).manager().stats().row_cache_hit_rate() > 0.1);
 }
 
 #[test]
@@ -55,11 +63,13 @@ fn sticky_routing_gives_each_host_a_repeating_user_population() {
         .unwrap()
         .generate(600);
     let mut sticky = Scheduler::new(8, RoutingPolicy::UserSticky);
-    let parts = sticky.partition(&queries);
+    let all: Vec<usize> = (0..queries.len()).collect();
+    let (mut parts, mut pos) = (Vec::new(), Vec::new());
+    sticky.partition_picks_into(&queries, &all, &mut parts, &mut pos);
     // Every user's queries land on exactly one host.
     let mut seen: std::collections::HashMap<u64, usize> = Default::default();
     for (host, part) in parts.iter().enumerate() {
-        for q in part {
+        for q in part.iter().map(|&i| &queries[i]) {
             if let Some(&h) = seen.get(&q.user_id) {
                 assert_eq!(h, host);
             }

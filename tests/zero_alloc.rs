@@ -1,26 +1,25 @@
 //! Steady-state allocation audit: on a fully warmed cache, the serving hot
-//! path — `run_query_into` with a recycled result, and `run_batch` with
-//! warm scratch — performs **zero heap allocations per query**.
+//! path — `ServingHost::run_selected_batch` with warm scratch and reused
+//! picks, one query at a time or a whole batch — performs **zero heap
+//! allocations per query**.
 //!
 //! A counting `GlobalAlloc` wrapper reports every allocation into
 //! `sdm_metrics::alloc_hook`; the assertions below turn the hook on around
 //! the measured serving loops only, so test-harness and setup allocations
 //! do not pollute the count.
 
-use dlrm::{model_zoo, QueryResult};
+pub mod common;
+
+use common::{identity_picks, single_stream, Stream};
+use dlrm::model_zoo;
 use io_engine::RetryConfig;
-use sdm_cache::{RowCache, SharedRowTier};
-use sdm_core::{
-    BatchMode, Frontend, FrontendConfig, SdmConfig, ServingHost, Shard, TokenBucketConfig,
-};
+use sdm_cache::RowCache;
+use sdm_core::{BatchMode, Frontend, FrontendConfig, SdmConfig, ServingHost, TokenBucketConfig};
 use sdm_metrics::alloc_hook;
 use sdm_metrics::units::Bytes;
 use sdm_metrics::SimDuration;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::Arc;
-use workload::{
-    ArrivalGenerator, ArrivalProcess, Query, QueryGenerator, RoutingPolicy, WorkloadConfig,
-};
+use workload::{ArrivalGenerator, ArrivalProcess, Query};
 
 /// System allocator wrapper that reports into the sdm-metrics hook.
 struct CountingAllocator;
@@ -62,99 +61,98 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn queries_for(model: &dlrm::ModelConfig, count: usize, seed: u64) -> Vec<Query> {
-    let cfg = WorkloadConfig {
-        item_batch: model.item_batch,
-        // Small population so the stream re-hits the same index sequences
-        // and the caches genuinely warm up.
-        user_population: 8,
-        ..WorkloadConfig::default()
-    };
-    QueryGenerator::new(&model.tables, cfg, seed)
-        .unwrap()
-        .generate(count)
+/// Small population so the stream re-hits the same index sequences and
+/// the caches genuinely warm up.
+const STREAM: Stream = Stream {
+    users: 8,
+    item_cap: u32::MAX,
+    skew: None,
+};
+
+/// Serves `queries` one query per batch, each batch's picks a one-element
+/// slice of `all` (the reused pick list).
+fn serve_one_by_one(host: &mut ServingHost, queries: &[Query], all: &[usize]) {
+    for k in 0..all.len() {
+        host.run_selected_batch(queries, &all[k..=k]).unwrap();
+    }
 }
 
 /// Warm every level: row cache, pooled cache, scratch-buffer capacity,
-/// batch-scratch capacity — by running the exact stream we will measure.
-fn warmed_system(model: &dlrm::ModelConfig, queries: &[Query], seed: u64) -> (Shard, QueryResult) {
-    let mut system = Shard::build(model, SdmConfig::for_tests(), seed).unwrap();
-    let mut result = QueryResult::default();
+/// batch-scratch capacity — by running the exact stream we will measure,
+/// one query per batch and whole.
+fn warm(host: &mut ServingHost, queries: &[Query], all: &[usize]) {
     for _ in 0..3 {
-        for q in queries {
-            system.run_query_into(q, &mut result).unwrap();
-        }
+        serve_one_by_one(host, queries, all);
     }
-    system.run_batch(queries).unwrap();
-    system.run_batch(queries).unwrap();
-    (system, result)
+    host.run_selected_batch(queries, all).unwrap();
+    host.run_selected_batch(queries, all).unwrap();
 }
 
-// The two measurements share one test because the allocation hook is
+// The measurements share one test because the allocation hook is
 // process-global and the harness runs tests concurrently.
 #[test]
 fn warmed_hot_path_performs_zero_allocations() {
     let model = model_zoo::tiny(3, 2, 400);
-    let queries = queries_for(&model, 12, 7);
-    let (mut system, mut result) = warmed_system(&model, &queries, 7);
+    let queries = common::stream(&model, STREAM, 12, 7);
+    let all = identity_picks(&queries);
+    let mut system = single_stream(&model, &SdmConfig::for_tests(), 7);
+    warm(&mut system, &queries, &all);
 
-    // --- run_query_into with a recycled QueryResult ---
+    // --- one-query batches with reused picks ---
     alloc_hook::reset();
     alloc_hook::set_enabled(true);
-    for q in &queries {
-        system.run_query_into(q, &mut result).unwrap();
-    }
+    serve_one_by_one(&mut system, &queries, &all);
     alloc_hook::set_enabled(false);
     let per_query = alloc_hook::allocations();
     assert_eq!(
         per_query,
         0,
-        "steady-state run_query allocated {per_query} times over {} queries \
+        "steady-state one-query batches allocated {per_query} times over {} queries \
          ({} bytes)",
         queries.len(),
         alloc_hook::allocated_bytes()
     );
 
-    // --- run_batch over the same warmed stream ---
+    // --- one batch over the same warmed stream ---
     alloc_hook::reset();
     alloc_hook::set_enabled(true);
-    let report = system.run_batch(&queries).unwrap();
+    let report = system.run_selected_batch(&queries, &all).unwrap();
     alloc_hook::set_enabled(false);
     let batch_allocs = alloc_hook::allocations();
     assert_eq!(
         batch_allocs, 0,
-        "steady-state run_batch allocated {batch_allocs} times for {} queries",
+        "steady-state batch allocated {batch_allocs} times for {} queries",
         report.queries
     );
     assert_eq!(report.queries, queries.len() as u64);
 
     // Sanity: the caches really were hot (this is what makes zero
     // allocations meaningful — no IO path, pure cache serving).
-    let stats = system.manager().stats();
+    let stats = system.shard(0).manager().stats();
     assert!(
         stats.row_cache_hits + stats.pooled_cache_hits > 0,
         "stream never hit a cache; the measurement is vacuous"
     );
 
-    // --- relaxed (overlapped) run_batch over a warmed stream ---
+    // --- relaxed (overlapped) batch over a warmed stream ---
     // The same loop as exact, handed different start instants: the ring of
     // in-flight finish instants is a reused field, so a deeper window
     // allocates nothing either.
     let relaxed_cfg = SdmConfig::for_tests().with_batch_mode(BatchMode::Relaxed {
         max_inflight_queries: 4,
     });
-    let mut relaxed = Shard::build(&model, relaxed_cfg, 7).unwrap();
-    relaxed.run_batch(&queries).unwrap();
-    relaxed.run_batch(&queries).unwrap();
-    relaxed.run_batch(&queries).unwrap();
+    let mut relaxed = single_stream(&model, &relaxed_cfg, 7);
+    for _ in 0..3 {
+        relaxed.run_selected_batch(&queries, &all).unwrap();
+    }
     alloc_hook::reset();
     alloc_hook::set_enabled(true);
-    let relaxed_report = relaxed.run_batch(&queries).unwrap();
+    let relaxed_report = relaxed.run_selected_batch(&queries, &all).unwrap();
     alloc_hook::set_enabled(false);
     let relaxed_allocs = alloc_hook::allocations();
     assert_eq!(
         relaxed_allocs, 0,
-        "steady-state relaxed run_batch allocated {relaxed_allocs} times for {} queries",
+        "steady-state relaxed batch allocated {relaxed_allocs} times for {} queries",
         relaxed_report.queries
     );
     assert_eq!(relaxed_report.queries, queries.len() as u64);
@@ -170,20 +168,12 @@ fn warmed_hot_path_performs_zero_allocations() {
         io_deadline: SimDuration::from_millis(50),
         hedge_after: Some(SimDuration::from_millis(10)),
     };
-    let mut resilient = Shard::build(&model, resilient_cfg, 7).unwrap();
-    for _ in 0..3 {
-        for q in &queries {
-            resilient.run_query_into(q, &mut result).unwrap();
-        }
-    }
-    resilient.run_batch(&queries).unwrap();
-    resilient.run_batch(&queries).unwrap();
+    let mut resilient = single_stream(&model, &resilient_cfg, 7);
+    warm(&mut resilient, &queries, &all);
     alloc_hook::reset();
     alloc_hook::set_enabled(true);
-    for q in &queries {
-        resilient.run_query_into(q, &mut result).unwrap();
-    }
-    resilient.run_batch(&queries).unwrap();
+    serve_one_by_one(&mut resilient, &queries, &all);
+    resilient.run_selected_batch(&queries, &all).unwrap();
     alloc_hook::set_enabled(false);
     let resilient_allocs = alloc_hook::allocations();
     assert_eq!(
@@ -194,7 +184,7 @@ fn warmed_hot_path_performs_zero_allocations() {
         queries.len()
     );
     assert_eq!(
-        resilient.manager().stats().degraded_rows,
+        resilient.shard(0).manager().stats().degraded_rows,
         0,
         "fault-free devices must never degrade a row"
     );
@@ -202,25 +192,19 @@ fn warmed_hot_path_performs_zero_allocations() {
     // --- warmed serving through the shared tier ---
     // A tiny private row cache forces private misses every query; the
     // shared tier (populated by the warmup passes' promotions) then serves
-    // them. The stripe lookup — hash, mutex lock, intrusive-LRU touch,
+    // them. The stripe lookup — hash, mutex lock, recency-stamp touch,
     // closure accumulate out of the stripe arena — must allocate nothing.
-    let mut tier_cfg = SdmConfig::for_tests();
+    let mut tier_cfg = SdmConfig::for_tests().with_shared_tier(Bytes::from_mib(4));
     tier_cfg.cache.row_cache_budget = Bytes::from_kib(2);
     tier_cfg.cache.pooled_cache_budget = Bytes::ZERO;
-    let tier = Arc::new(SharedRowTier::new(Bytes::from_mib(4), 8));
-    let mut shard = Shard::build(&model, tier_cfg, 7).unwrap();
-    shard.attach_shared_tier(Arc::clone(&tier), 0);
+    let mut tiered = single_stream(&model, &tier_cfg, 7);
     for _ in 0..3 {
-        for q in &queries {
-            shard.run_query_into(q, &mut result).unwrap();
-        }
+        serve_one_by_one(&mut tiered, &queries, &all);
     }
-    let hits_before = shard.manager().stats().shared_tier_hits;
+    let hits_before = tiered.shard(0).manager().stats().shared_tier_hits;
     alloc_hook::reset();
     alloc_hook::set_enabled(true);
-    for q in &queries {
-        shard.run_query_into(q, &mut result).unwrap();
-    }
+    serve_one_by_one(&mut tiered, &queries, &all);
     alloc_hook::set_enabled(false);
     let tier_allocs = alloc_hook::allocations();
     assert_eq!(
@@ -230,7 +214,7 @@ fn warmed_hot_path_performs_zero_allocations() {
         queries.len()
     );
     assert!(
-        shard.manager().stats().shared_tier_hits > hits_before,
+        tiered.shard(0).manager().stats().shared_tier_hits > hits_before,
         "measured loop never hit the shared tier; the measurement is vacuous"
     );
 
@@ -248,14 +232,7 @@ fn warmed_hot_path_performs_zero_allocations() {
             refill_per_sec: 1_000_000.0,
         }),
     };
-    let mut host = ServingHost::build(
-        &model,
-        &SdmConfig::for_tests(),
-        7,
-        1,
-        RoutingPolicy::UserSticky,
-    )
-    .unwrap();
+    let mut host = single_stream(&model, &SdmConfig::for_tests(), 7);
     let mut frontend = Frontend::new(frontend_config).unwrap();
     let open_loop = ArrivalProcess::Poisson { rate_qps: 5_000.0 };
     for _ in 0..3 {
@@ -288,16 +265,12 @@ fn warmed_hot_path_performs_zero_allocations() {
     // bins and boundary maps, the in-place completion sort — must run on
     // retained capacity alone once warmed.
     let miss_model = model_zoo::tiny(3, 2, 4_000);
-    let miss_queries = {
-        let cfg = WorkloadConfig {
-            item_batch: miss_model.item_batch,
-            user_population: 64,
-            ..WorkloadConfig::default()
-        };
-        QueryGenerator::new(&miss_model.tables, cfg, 11)
-            .unwrap()
-            .generate(48)
+    let miss_stream = Stream {
+        users: 64,
+        ..STREAM
     };
+    let miss_queries = common::stream(&miss_model, miss_stream, 48, 11);
+    let miss_all = identity_picks(&miss_queries);
     let miss_config = |row_cache_budget: Bytes| {
         let mut cfg = SdmConfig::for_tests().with_batch_mode(BatchMode::Relaxed {
             max_inflight_queries: 8,
@@ -307,25 +280,29 @@ fn warmed_hot_path_performs_zero_allocations() {
         cfg
     };
     let working_set = {
-        let mut roomy = Shard::build(&miss_model, miss_config(Bytes::from_mib(4)), 11).unwrap();
-        roomy.run_batch(&miss_queries).unwrap();
-        roomy.manager().row_cache().memory_used()
+        let mut roomy = single_stream(&miss_model, &miss_config(Bytes::from_mib(4)), 11);
+        roomy.run_selected_batch(&miss_queries, &miss_all).unwrap();
+        roomy.shard(0).manager().row_cache().memory_used()
     };
-    let mut missing = Shard::build(
+    let mut missing = single_stream(
         &miss_model,
-        miss_config(Bytes(working_set.as_u64() / 4)),
+        &miss_config(Bytes(working_set.as_u64() / 4)),
         11,
-    )
-    .unwrap();
+    );
     for _ in 0..12 {
-        missing.run_batch(&miss_queries).unwrap();
+        missing
+            .run_selected_batch(&miss_queries, &miss_all)
+            .unwrap();
     }
-    let reads_before = missing.manager().stats().sm_reads;
-    let evictions_before = missing.manager().row_cache().small_engine_stats().evictions;
+    let manager = missing.shard(0).manager();
+    let reads_before = manager.stats().sm_reads;
+    let evictions_before = manager.row_cache().small_engine_stats().evictions;
     for batch in 0..4 {
         alloc_hook::reset();
         alloc_hook::set_enabled(true);
-        missing.run_batch(&miss_queries).unwrap();
+        missing
+            .run_selected_batch(&miss_queries, &miss_all)
+            .unwrap();
         alloc_hook::set_enabled(false);
         let miss_allocs = alloc_hook::allocations();
         assert_eq!(
@@ -337,21 +314,23 @@ fn warmed_hot_path_performs_zero_allocations() {
             alloc_hook::allocated_bytes()
         );
     }
-    let reads = missing.manager().stats().sm_reads - reads_before;
-    let evictions = missing.manager().row_cache().small_engine_stats().evictions - evictions_before;
+    let manager = missing.shard(0).manager();
+    let reads = manager.stats().sm_reads - reads_before;
+    let evictions = manager.row_cache().small_engine_stats().evictions - evictions_before;
     assert!(
         reads > 4 * 200 && evictions > 4 * 100,
         "measured batches made {reads} SM reads and {evictions} evictions; \
          the miss-path measurement is vacuous"
     );
 
-    // Control: the allocating run_query wrapper does allocate (the returned
-    // QueryResult), proving the counter actually observes this code path.
+    // Control: a cold host's first batch grows its scratch and fills its
+    // caches, so it does allocate — proving the counter actually observes
+    // this code path.
+    let mut cold = single_stream(&model, &SdmConfig::for_tests(), 7);
     alloc_hook::reset();
     alloc_hook::set_enabled(true);
-    let owned = system.run_query(&queries[0]).unwrap();
+    cold.run_selected_batch(&queries, &all).unwrap();
     alloc_hook::set_enabled(false);
-    assert!(!owned.scores.is_empty());
     assert!(
         alloc_hook::allocations() > 0,
         "control failed: the counting allocator is not installed"
