@@ -4,8 +4,8 @@
 #
 #   ./ci.sh          # full gate: fmt, clippy, analyze, build, test, the
 #                    # exact BENCH_hotpath.json gate (exp_hotpath --check),
-#                    # one smoke run of every other exp_* binary, bench
-#                    # compile, and a release build of the benchmark/
+#                    # the exact BENCH_paper.json gate (exp_paper --check),
+#                    # bench compile, and a release build of the benchmark/
 #                    # harness against the workspace crates
 #   ./ci.sh quick    # skip fmt/clippy/analyze (what the paper-repro driver runs)
 #   ./ci.sh bench    # run the criterion benches (quick shim)
@@ -140,13 +140,8 @@ echo "==> exp_hotpath --check (deterministic scenarios equal BENCH_hotpath.json;
 cargo run --locked --release -q -p sdm-bench --bin exp_hotpath -- --check >/dev/null
 
 if [[ "$mode" == "full" ]]; then
-    echo "==> every other exp_* binary once (release; each must exit 0)"
-    for bin in crates/bench/src/bin/exp_*.rs; do
-        name="$(basename "$bin" .rs)"
-        [[ "$name" == exp_hotpath ]] && continue
-        echo "    $name"
-        cargo run --locked --release -q -p sdm-bench --bin "$name" >/dev/null
-    done
+    echo "==> exp_paper --check (paper scoreboard equals BENCH_paper.json; writes nothing)"
+    cargo run --locked --release -q -p sdm-bench --bin exp_paper -- --check >/dev/null
 fi
 
 echo "==> cargo bench --no-run --workspace"

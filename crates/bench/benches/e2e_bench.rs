@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sdm_bench::{bench_sdm_config, build_system, identity_picks, queries_for, scaled};
-use sdm_core::PlacementPolicy;
+use sdm_core::{PlacementPolicy, SdmConfig};
 
 fn end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_e2e_m1");
@@ -16,9 +16,12 @@ fn end_to_end(c: &mut Criterion) {
     let configs = [
         (
             "dram_only",
-            bench_sdm_config().with_placement(PlacementPolicy::FixedFmThenSm {
-                dram_budget: model.user_capacity(),
-            }),
+            SdmConfig {
+                placement: PlacementPolicy::FixedFmThenSm {
+                    dram_budget: model.user_capacity(),
+                },
+                ..bench_sdm_config()
+            },
         ),
         ("sdm_optane", bench_sdm_config()),
         ("sdm_nand", bench_sdm_config().with_nand_flash()),

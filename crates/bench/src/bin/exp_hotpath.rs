@@ -29,6 +29,7 @@
 //! against the parent's own spread, and the criterion benches keep the
 //! per-kernel timings.
 
+use sdm_bench::gate::{render, GateArgs};
 use sdm_bench::{
     bench_sdm_config, header, measure_batch_modes, measure_fault_resilience, measure_load_curve,
     measure_tier, queries_for, scaled, skewed_queries_for, FaultResilienceOutcome, ModeRun,
@@ -37,7 +38,6 @@ use sdm_bench::{
 use sdm_core::{FrontendConfig, FrontendReport, SdmConfig, TokenBucketConfig};
 use sdm_metrics::units::Bytes;
 use sdm_metrics::SimDuration;
-use std::collections::BTreeMap;
 
 /// Relaxed-mode window of `io_overlap` and `open_loop`.
 const WINDOW: usize = 8;
@@ -389,43 +389,6 @@ fn sections(s: &Scenarios) -> Vec<(&'static str, Vec<(String, String)>)> {
     ]
 }
 
-/// Renders the document: one `"key": value` per line, one level of
-/// sections (no JSON crate is vendored).
-fn render(sections: &[(&str, Vec<(String, String)>)]) -> String {
-    let mut doc = String::from("{\n  \"schema\": \"sdm-hotpath-v1\"");
-    for (name, fields) in sections {
-        doc.push_str(&format!(",\n  \"{name}\": {{"));
-        for (i, (key, value)) in fields.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            doc.push_str(&format!("{sep}\n    \"{key}\": {value}"));
-        }
-        doc.push_str("\n  }");
-    }
-    doc.push_str("\n}\n");
-    doc
-}
-
-/// `section.field` (or `field` at the top level) and its printed value,
-/// for every field line of a document [`render`] wrote.
-fn printed_fields(doc: &str) -> Vec<(String, &str)> {
-    let mut section = None;
-    let mut out = Vec::new();
-    for line in doc.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line.starts_with('}') {
-            section = None;
-        } else if let Some((key, value)) = line.split_once(": ") {
-            let key = key.trim_matches('"');
-            match (value, section) {
-                ("{", _) => section = Some(key),
-                (_, Some(section)) => out.push((format!("{section}.{key}"), value)),
-                (_, None) => out.push((key.to_string(), value)),
-            }
-        }
-    }
-    out
-}
-
 /// Fields whose value depends on thread interleaving: which shard thread
 /// promotes a row into the tier first sets its origin tag. They are held to
 /// invariants, not to their committed values.
@@ -433,167 +396,15 @@ fn interleaving(field: &str) -> bool {
     field.starts_with("shared_tier.cross_shard_hit_rate_")
 }
 
-/// The exact gate: one message per field of `committed` and `fresh` that
-/// differs, is missing from `fresh`, or is extra in `fresh`. Interleaving
-/// fields must be present but may differ.
-fn compare(committed: &str, fresh: &str) -> Vec<String> {
-    let old: BTreeMap<_, _> = printed_fields(committed).into_iter().collect();
-    let new: BTreeMap<_, _> = printed_fields(fresh).into_iter().collect();
-    let mut failures = Vec::new();
-    for (key, was) in &old {
-        match new.get(key) {
-            None => failures.push(format!(
-                "{key}: missing from the fresh run (committed {was})"
-            )),
-            Some(now) if now != was && !interleaving(key) => {
-                failures.push(format!("{key}: committed {was}, fresh {now}"))
-            }
-            Some(_) => {}
-        }
-    }
-    for (key, now) in &new {
-        if !old.contains_key(key) {
-            failures.push(format!("{key}: not in the committed file (fresh {now})"));
-        }
-    }
-    failures
-}
-
-fn usage() -> ! {
-    eprintln!("usage: exp_hotpath [--check] [--out PATH]");
-    std::process::exit(2)
-}
-
 fn main() {
-    let mut check = false;
-    let mut out_path = "BENCH_hotpath.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--out" => out_path = args.next().unwrap_or_else(|| usage()),
-            _ => usage(),
-        }
-    }
-
+    let args = GateArgs::from_env("exp_hotpath", "BENCH_hotpath.json");
     header("Deterministic serving scenarios (virtual clock)");
     let scenarios = run_scenarios();
-    let doc = render(&sections(&scenarios));
+    let doc = render("sdm-hotpath-v1", &sections(&scenarios));
     print!("{doc}");
 
     let mut failures = invariants(&scenarios);
-    if check {
-        match std::fs::read_to_string(&out_path) {
-            Ok(committed) => failures.extend(compare(&committed, &doc)),
-            Err(err) => failures.push(format!("{out_path}: {err}")),
-        }
-    } else {
-        std::fs::write(&out_path, &doc).expect("failed to write the document");
-        println!("wrote {out_path}");
-    }
-    if !failures.is_empty() {
-        for failure in &failures {
-            eprintln!("FAIL {failure}");
-        }
-        std::process::exit(1);
-    }
-    if check {
-        println!("{out_path}: every field equal, every invariant holds");
-    } else {
-        println!("every invariant holds");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const COMMITTED: &str = "{
-  \"schema\": \"sdm-hotpath-v1\",
-  \"io_overlap\": {
-    \"exact_qps\": 484.6,
-    \"p99_latency_exact\": 2096.895
-  },
-  \"shared_tier\": {
-    \"on_qps_4\": 1001.6,
-    \"cross_shard_hit_rate_4\": 0.9432
-  }
-}
-";
-
-    #[test]
-    fn an_identical_document_passes() {
-        assert_eq!(compare(COMMITTED, COMMITTED), Vec::<String>::new());
-    }
-
-    #[test]
-    fn a_change_in_the_last_printed_digit_fails_and_names_the_field() {
-        let fresh = COMMITTED.replace("2096.895", "2096.896");
-        let failures = compare(COMMITTED, &fresh);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(
-            failures[0].starts_with("io_overlap.p99_latency_exact:"),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn a_change_only_in_interleaving_fields_passes() {
-        let fresh = COMMITTED.replace("0.9432", "0.8974");
-        assert_eq!(compare(COMMITTED, &fresh), Vec::<String>::new());
-        // A change outside an interleaving field is gated.
-        let fresh = COMMITTED.replace("1001.6", "1001.7");
-        assert_eq!(compare(COMMITTED, &fresh).len(), 1);
-    }
-
-    #[test]
-    fn a_missing_field_fails() {
-        let fresh = COMMITTED.replace("    \"on_qps_4\": 1001.6,\n", "");
-        let failures = compare(COMMITTED, &fresh);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(
-            failures[0].starts_with("shared_tier.on_qps_4: missing"),
-            "{failures:?}"
-        );
-        // Interleaving fields may differ, but not vanish.
-        let fresh = COMMITTED.replace(",\n    \"cross_shard_hit_rate_4\": 0.9432", "");
-        assert_eq!(compare(COMMITTED, &fresh).len(), 1);
-    }
-
-    #[test]
-    fn an_extra_field_fails() {
-        let fresh = COMMITTED.replace(
-            "\"exact_qps\": 484.6,",
-            "\"exact_qps\": 484.6,\n    \"promotions_4\": 0,",
-        );
-        let failures = compare(COMMITTED, &fresh);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(
-            failures[0].starts_with("io_overlap.promotions_4: not in the committed file"),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn render_and_printed_fields_round_trip() {
-        let doc = render(&[
-            ("a", fields!["x" => ("{:.1}", 2.0 / 3.0), "y" => ("\"m\"")]),
-            ("b", fields!["z" => ("{}", 3)]),
-        ]);
-        assert_eq!(
-            doc,
-            "{\n  \"schema\": \"sdm-hotpath-v1\",\n  \"a\": {\n    \"x\": 0.7,\n    \
-             \"y\": \"m\"\n  },\n  \"b\": {\n    \"z\": 3\n  }\n}\n"
-        );
-        let parsed = printed_fields(&doc);
-        assert_eq!(
-            parsed,
-            [
-                ("schema".to_string(), "\"sdm-hotpath-v1\""),
-                ("a.x".to_string(), "0.7"),
-                ("a.y".to_string(), "\"m\""),
-                ("b.z".to_string(), "3"),
-            ]
-        );
-    }
+    failures.extend(args.apply(&doc, interleaving));
+    args.finish(&failures);
+    println!("every invariant holds");
 }

@@ -1,8 +1,9 @@
-//! Shared helpers for the experiment binaries (`exp_*`) and Criterion
-//! benches that regenerate the paper's tables and figures.
+//! Shared helpers for the two gated bench binaries and the Criterion
+//! benches: `exp_paper` (the paper scoreboard, `BENCH_paper.json`) and
+//! `exp_hotpath` (deterministic serving scenarios, `BENCH_hotpath.json`).
 //!
-//! Every binary prints a self-contained report to stdout, with the
-//! paper-reported value beside each value it reproduces.
+//! [`gate`] renders, parses and compares both committed documents;
+//! [`paper`] holds the scoreboard's rows and its one tolerance rule.
 //!
 //! # Panic policy
 //!
@@ -22,6 +23,9 @@
 // printer writes to stdout — that *is* this crate's output channel.
 // sdm-analyze: allow-file(no-unwrap-outside-tests)
 // sdm-analyze: allow-file(no-print-in-libs)
+
+pub mod gate;
+pub mod paper;
 
 use dlrm::{model_zoo, ModelConfig};
 use io_engine::RetryConfig;
@@ -132,11 +136,6 @@ pub fn skewed_queries_for(model: &ModelConfig, count: usize, seed: u64) -> Vec<Q
     let mut generator =
         QueryGenerator::new(&model.tables, cfg, seed).expect("workload generation failed");
     generator.generate(count)
-}
-
-/// Formats a fraction as a percentage string.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
 }
 
 /// One execution mode's cold batch on the virtual clock, as
@@ -637,11 +636,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.queries, 1);
         assert!(!host.scores(0).is_empty());
-    }
-
-    #[test]
-    fn pct_formats() {
-        assert_eq!(pct(0.205), "20.5%");
     }
 
     #[test]

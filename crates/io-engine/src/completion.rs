@@ -47,7 +47,7 @@ impl Default for CpuCostModel {
 
 impl CpuCostModel {
     /// Host CPU time consumed by one IO end to end under the given mode.
-    pub fn cpu_time_per_io(&self, mode: CompletionMode) -> SimDuration {
+    fn cpu_time_per_io(&self, mode: CompletionMode) -> SimDuration {
         match mode {
             CompletionMode::Interrupt => self.submit_cost + self.interrupt_completion_cost,
             CompletionMode::Polling => self.submit_cost + self.polling_completion_cost,
@@ -62,21 +62,6 @@ impl CpuCostModel {
         }
         1.0 / per_io
     }
-
-    /// Number of cores needed to drive `iops` IOs per second under the mode.
-    pub fn cores_for_iops(&self, iops: f64, mode: CompletionMode) -> f64 {
-        if iops <= 0.0 {
-            return 0.0;
-        }
-        iops / self.iops_per_core(mode)
-    }
-
-    /// Relative IOPS/core improvement of polling over interrupts
-    /// (the paper reports ≈ 0.5, i.e. 50 %).
-    pub fn polling_improvement(&self) -> f64 {
-        self.iops_per_core(CompletionMode::Polling) / self.iops_per_core(CompletionMode::Interrupt)
-            - 1.0
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +71,9 @@ mod tests {
     #[test]
     fn polling_improves_iops_per_core_by_about_half() {
         let m = CpuCostModel::default();
-        let gain = m.polling_improvement();
+        let gain = m.iops_per_core(CompletionMode::Polling)
+            / m.iops_per_core(CompletionMode::Interrupt)
+            - 1.0;
         assert!(gain > 0.40 && gain < 0.60, "gain = {gain}");
     }
 
@@ -104,25 +91,7 @@ mod tests {
     }
 
     #[test]
-    fn cores_for_iops_scales_linearly() {
-        let m = CpuCostModel::default();
-        let one = m.cores_for_iops(100_000.0, CompletionMode::Interrupt);
-        let two = m.cores_for_iops(200_000.0, CompletionMode::Interrupt);
-        assert!((two / one - 2.0).abs() < 1e-9);
-        assert_eq!(m.cores_for_iops(0.0, CompletionMode::Polling), 0.0);
-    }
-
-    #[test]
     fn default_mode_is_interrupt() {
         assert_eq!(CompletionMode::default(), CompletionMode::Interrupt);
-    }
-
-    #[test]
-    fn millions_of_iops_need_multiple_cores() {
-        // Paper §5.2: 4.8M IOPS demand would be prohibitive in CPU terms;
-        // check the model reflects that (>10 cores with interrupts).
-        let m = CpuCostModel::default();
-        let cores = m.cores_for_iops(4_800_000.0, CompletionMode::Interrupt);
-        assert!(cores > 10.0, "cores = {cores}");
     }
 }

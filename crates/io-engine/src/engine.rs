@@ -24,7 +24,6 @@
 //!   order, so the in-place unstable sort reaps equal instants in
 //!   submission order exactly as a stable sort by `completed_at` would.
 
-use crate::completion::{CompletionMode, CpuCostModel};
 use crate::error::{FailureKind, IoError};
 use crate::retry::{ResilienceStats, RetryConfig};
 use scm_device::{checksum64, DeviceArray, DeviceId, ReadCommand, ReadInfo};
@@ -114,10 +113,6 @@ pub struct EngineConfig {
     /// Maximum number of distinct tables that may have IOs in flight at the
     /// same time.
     pub max_tables_in_flight: usize,
-    /// How completions are harvested (interrupt vs polled, §A.1).
-    pub completion_mode: CompletionMode,
-    /// Host CPU cost per IO.
-    pub cpu_cost: CpuCostModel,
     /// Retry, per-IO deadline and hedged-read policy. The default policy
     /// never changes the behaviour of a fault-free device.
     pub retry: RetryConfig,
@@ -129,8 +124,6 @@ impl Default for EngineConfig {
             max_outstanding_per_device: 64,
             max_outstanding_per_table: 32,
             max_tables_in_flight: 64,
-            completion_mode: CompletionMode::Interrupt,
-            cpu_cost: CpuCostModel::default(),
             retry: RetryConfig::default(),
         }
     }
@@ -150,8 +143,8 @@ impl EngineConfig {
     /// still floor at one slot so every shard's engine stays valid, which
     /// is the only case where the sum can exceed the host limit. The
     /// per-table limit bounds a single operator's burst and is a
-    /// per-stream property, so it carries over unchanged, as do the
-    /// completion mode and CPU cost model.
+    /// per-stream property, so it carries over unchanged, as does the
+    /// retry policy.
     pub fn divide_among_indexed(&self, shards: usize, index: usize) -> EngineConfig {
         let n = shards.max(1) as u64;
         let i = index as u64;
@@ -257,8 +250,6 @@ pub struct EngineStats {
     pub submitted: u64,
     /// Requests completed (scheduled; they become visible via `drain`).
     pub completed: u64,
-    /// Total host CPU time spent on submission + completion handling.
-    pub cpu_time: SimDuration,
     /// Total bytes shipped over device links.
     pub bus_bytes: Bytes,
     /// Total payload bytes requested.
@@ -495,10 +486,6 @@ impl IoEngine {
 
         self.stats.submitted += 1;
         self.stats.completed += 1;
-        self.stats.cpu_time += self
-            .config
-            .cpu_cost
-            .cpu_time_per_io(self.config.completion_mode);
         self.stats.bus_bytes += info.bus_bytes;
         self.stats.requested_bytes += info.requested_bytes;
         self.stats.queue_delay += completion.queue_delay;
@@ -774,7 +761,6 @@ mod tests {
             quarter.max_outstanding_per_table,
             cfg.max_outstanding_per_table
         );
-        assert_eq!(quarter.completion_mode, cfg.completion_mode);
         assert!(quarter.validate().is_ok());
         // More shards than queue slots still yields a valid config.
         let tiny = cfg.divide_among(10_000);
@@ -996,7 +982,6 @@ mod tests {
                 max_attempts: 0,
                 ..RetryConfig::default()
             },
-            ..EngineConfig::default()
         };
         assert!(zeroed().validate().is_err());
         let mut built = engine_with(TechnologyProfile::optane_ssd(), 1, zeroed());

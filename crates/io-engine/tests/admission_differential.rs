@@ -257,7 +257,6 @@ fn run_sequence(seed: u64) -> (u64, u64) {
             io_deadline: SimDuration::from_millis(2),
             hedge_after: Some(SimDuration::from_micros(400)),
         },
-        ..EngineConfig::default()
     };
     let mut engine = IoEngine::new(devices(seed * 31), config.clone());
     let mut reference = Reference {

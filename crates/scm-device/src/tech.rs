@@ -13,12 +13,8 @@ pub enum TechnologyKind {
     NandFlash,
     /// PCIe 3DXP (Optane) SSD.
     OptaneSsd,
-    /// PCIe ZSSD (low-latency SLC Nand).
-    Zssd,
     /// 3DXP on the DDR bus (Optane DIMM / App Direct).
     Dimm3dxp,
-    /// 3DXP behind a CXL link.
-    Cxl3dxp,
     /// Plain DRAM, used as the fast-memory reference point.
     Dram,
 }
@@ -28,9 +24,7 @@ impl fmt::Display for TechnologyKind {
         let name = match self {
             TechnologyKind::NandFlash => "PCIe Nand Flash",
             TechnologyKind::OptaneSsd => "PCIe 3DXP (Optane) SSD",
-            TechnologyKind::Zssd => "PCIe ZSSD",
             TechnologyKind::Dimm3dxp => "DIMM 3DXP (Optane)",
-            TechnologyKind::Cxl3dxp => "CXL 3DXP",
             TechnologyKind::Dram => "DDR4 DRAM",
         };
         f.write_str(name)
@@ -141,27 +135,6 @@ impl TechnologyProfile {
         }
     }
 
-    /// PCIe ZSSD: 1 M IOPS, O(100 µs) loaded, 4 KiB granularity,
-    /// 1/10 DRAM cost (Table 1 row 3).
-    fn zssd() -> Self {
-        TechnologyProfile {
-            kind: TechnologyKind::Zssd,
-            max_read_iops: 1_000_000.0,
-            base_read_latency: SimDuration::from_micros(20),
-            access_granularity: Bytes::from_kib(4),
-            supports_sgl_bit_bucket: true,
-            write_bandwidth: 2.0e9,
-            base_write_latency: SimDuration::from_micros(20),
-            endurance_dwpd: 5.0,
-            link_bandwidth: 3.2e9,
-            cost_per_gb: RelativeCost(1.0 / 10.0),
-            sourcing: Sourcing::Single,
-            tail_probability: 0.005,
-            tail_multiplier: 10.0,
-            knee_utilisation: 0.6,
-        }
-    }
-
     /// DIMM 3DXP (Optane persistent memory): sub-microsecond latency, 64 B
     /// granularity, 1/3 DRAM cost; shares the DDR bus with DRAM (Table 1
     /// row 4).
@@ -177,27 +150,6 @@ impl TechnologyProfile {
             endurance_dwpd: 300.0,
             link_bandwidth: 20.0e9,
             cost_per_gb: RelativeCost(1.0 / 3.0),
-            sourcing: Sourcing::Single,
-            tail_probability: 0.0,
-            tail_multiplier: 1.0,
-            knee_utilisation: 0.9,
-        }
-    }
-
-    /// CXL-attached 3DXP: >10 M IOPS, ~0.5 µs, 64–128 B granularity
-    /// (Table 1 row 5).
-    fn cxl_3dxp() -> Self {
-        TechnologyProfile {
-            kind: TechnologyKind::Cxl3dxp,
-            max_read_iops: 12_000_000.0,
-            base_read_latency: SimDuration::from_nanos(500),
-            access_granularity: Bytes(128),
-            supports_sgl_bit_bucket: false,
-            write_bandwidth: 10.0e9,
-            base_write_latency: SimDuration::from_nanos(600),
-            endurance_dwpd: 300.0,
-            link_bandwidth: 25.0e9,
-            cost_per_gb: RelativeCost(0.25),
             sourcing: Sourcing::Single,
             tail_probability: 0.0,
             tail_multiplier: 1.0,
@@ -224,17 +176,6 @@ impl TechnologyProfile {
             tail_multiplier: 1.0,
             knee_utilisation: 0.95,
         }
-    }
-
-    /// All the slow-memory candidates of paper Table 1, in table order.
-    pub fn table1() -> Vec<TechnologyProfile> {
-        vec![
-            Self::nand_flash(),
-            Self::optane_ssd(),
-            Self::zssd(),
-            Self::dimm_3dxp(),
-            Self::cxl_3dxp(),
-        ]
     }
 
     /// Expected interval between full-model updates, in days, before the
@@ -272,40 +213,11 @@ impl TechnologyProfile {
         }
         SimDuration::from_secs_f64(bytes.as_u64() as f64 / self.link_bandwidth)
     }
-
-    /// Human-readable one-line summary (used by the Table 1 experiment).
-    pub fn summary(&self) -> String {
-        format!(
-            "{:<26} IOPS={:>5.1}M latency={:>9} granularity={:>8} endurance={:>6} DWPD cost={:>6.3} sourcing={}",
-            self.kind.to_string(),
-            self.max_read_iops / 1.0e6,
-            self.base_read_latency.to_string(),
-            self.access_granularity.to_string(),
-            if self.endurance_dwpd.is_finite() {
-                format!("{:.0}", self.endurance_dwpd)
-            } else {
-                "inf".to_string()
-            },
-            self.cost_per_gb.as_f64(),
-            self.sourcing,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table1_ordering_matches_paper() {
-        let rows = TechnologyProfile::table1();
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[0].kind, TechnologyKind::NandFlash);
-        assert_eq!(rows[1].kind, TechnologyKind::OptaneSsd);
-        assert_eq!(rows[2].kind, TechnologyKind::Zssd);
-        assert_eq!(rows[3].kind, TechnologyKind::Dimm3dxp);
-        assert_eq!(rows[4].kind, TechnologyKind::Cxl3dxp);
-    }
 
     #[test]
     fn optane_beats_nand_on_iops_and_latency() {
@@ -321,13 +233,12 @@ mod tests {
 
     #[test]
     fn cost_ordering_matches_table1() {
-        // nand < zssd < optane ssd < dimm < dram
+        // nand < optane ssd < dimm < dram
         let nand = TechnologyProfile::nand_flash().cost_per_gb.as_f64();
-        let zssd = TechnologyProfile::zssd().cost_per_gb.as_f64();
         let optane = TechnologyProfile::optane_ssd().cost_per_gb.as_f64();
         let dimm = TechnologyProfile::dimm_3dxp().cost_per_gb.as_f64();
         let dram = TechnologyProfile::dram().cost_per_gb.as_f64();
-        assert!(nand < zssd && zssd < optane && optane < dimm && dimm < dram);
+        assert!(nand < optane && optane < dimm && dimm < dram);
     }
 
     #[test]
@@ -354,15 +265,8 @@ mod tests {
     }
 
     #[test]
-    fn summary_mentions_kind() {
-        let s = TechnologyProfile::nand_flash().summary();
-        assert!(s.contains("Nand"));
-        assert!(s.contains("IOPS"));
-    }
-
-    #[test]
     fn display_impls() {
         assert_eq!(Sourcing::Multi.to_string(), "multi");
-        assert!(TechnologyKind::Cxl3dxp.to_string().contains("CXL"));
+        assert!(TechnologyKind::Dimm3dxp.to_string().contains("DIMM"));
     }
 }

@@ -128,24 +128,6 @@ impl SdmConfig {
         self
     }
 
-    /// Sets the placement policy.
-    pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
-        self.placement = placement;
-        self
-    }
-
-    /// Sets the load-time transformation flags.
-    pub fn with_transform(mut self, transform: LoadTransform) -> Self {
-        self.transform = transform;
-        self
-    }
-
-    /// Sets the access granularity.
-    pub fn with_granularity(mut self, granularity: AccessGranularity) -> Self {
-        self.granularity = granularity;
-        self
-    }
-
     /// Sets the batch execution mode (exact vs relaxed/overlapped).
     pub fn with_batch_mode(mut self, mode: BatchMode) -> Self {
         self.batch_mode = mode;
@@ -384,15 +366,7 @@ mod tests {
 
     #[test]
     fn builder_helpers_apply() {
-        let c = SdmConfig::for_tests()
-            .with_nand_flash()
-            .with_granularity(AccessGranularity::Block)
-            .with_transform(LoadTransform {
-                deprune: true,
-                dequantize: false,
-            });
+        let c = SdmConfig::for_tests().with_nand_flash();
         assert_eq!(c.technology.kind, scm_device::TechnologyKind::NandFlash);
-        assert_eq!(c.granularity, AccessGranularity::Block);
-        assert!(c.transform.deprune);
     }
 }

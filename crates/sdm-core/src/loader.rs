@@ -297,10 +297,13 @@ mod tests {
 
         // With de-pruning the mapping disappears and the stored table is full
         // size again.
-        let config = SdmConfig::for_tests().with_transform(LoadTransform {
-            deprune: true,
-            dequantize: false,
-        });
+        let config = SdmConfig {
+            transform: LoadTransform {
+                deprune: true,
+                dequantize: false,
+            },
+            ..SdmConfig::for_tests()
+        };
         let mut eng = engine(&config);
         let loaded = ModelLoader::load(&model, &config, &mut eng).unwrap();
         let t = &loaded.tables[&0];
@@ -316,10 +319,13 @@ mod tests {
         let mut eng = engine(&base_cfg);
         let quantised = ModelLoader::load(&model, &base_cfg, &mut eng).unwrap();
 
-        let wide_cfg = SdmConfig::for_tests().with_transform(LoadTransform {
-            deprune: false,
-            dequantize: true,
-        });
+        let wide_cfg = SdmConfig {
+            transform: LoadTransform {
+                deprune: false,
+                dequantize: true,
+            },
+            ..SdmConfig::for_tests()
+        };
         let mut eng = engine(&wide_cfg);
         let dequantised = ModelLoader::load(&model, &wide_cfg, &mut eng).unwrap();
         assert!(dequantised.sm_written_bytes > quantised.sm_written_bytes * 2);

@@ -607,8 +607,9 @@ impl ReadPath {
 /// are dequant-accumulated straight out of the cache's arena into the
 /// caller's output range (rows the shared tier serves, and the private hits
 /// behind them in the same operator, take one staging copy — see
-/// `ReadPath::sm_lookup_core`), and misses are submitted as one ring
-/// submission whose completions are pooled as they drain.
+/// `ReadPath::sm_lookup_core`), and misses are submitted to the IO engine
+/// back to back, then pooled one by one as `IoEngine::drain_each` hands
+/// their completions over.
 #[derive(Debug)]
 pub struct SdmMemoryManager {
     loaded: LoadedModel,
@@ -1085,9 +1086,10 @@ mod tests {
         let mut sgl = build(&model, SdmConfig::for_tests());
         let mut block = build(
             &model,
-            SdmConfig::for_tests()
-                .with_nand_flash()
-                .with_granularity(AccessGranularity::Block),
+            SdmConfig {
+                granularity: AccessGranularity::Block,
+                ..SdmConfig::for_tests().with_nand_flash()
+            },
         );
         let indices: Vec<u64> = (0..20).collect();
         sgl.pooled_lookup(0, &indices, SimInstant::EPOCH).unwrap();

@@ -53,7 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ] {
         for cache_mib in [4u64, 16] {
-            let mut config = SdmConfig::default().with_placement(policy.clone());
+            let mut config = SdmConfig {
+                placement: policy.clone(),
+                ..SdmConfig::default()
+            };
             config.device_capacity = Bytes::from_mib(256);
             config.fm_budget = Bytes::from_mib(64);
             config.cache = sdm_cache::CacheConfig::with_total_budget(Bytes::from_mib(cache_mib));

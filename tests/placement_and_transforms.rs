@@ -27,9 +27,12 @@ fn direct_dram_placement_reduces_sm_traffic() {
     let mut sm_only = single_stream(&model, &SdmConfig::for_tests(), 2);
     let mut half_dram = single_stream(
         &model,
-        &SdmConfig::for_tests().with_placement(PlacementPolicy::FixedFmThenSm {
-            dram_budget: model.user_capacity() / 2,
-        }),
+        &SdmConfig {
+            placement: PlacementPolicy::FixedFmThenSm {
+                dram_budget: model.user_capacity() / 2,
+            },
+            ..SdmConfig::for_tests()
+        },
         2,
     );
     sm_only.run_selected_batch(&stream, &all).unwrap();
@@ -50,9 +53,12 @@ fn per_table_cache_enablement_disables_caching_for_cold_tables() {
     let all = identity_picks(&stream);
     let mut system = single_stream(
         &model,
-        &SdmConfig::for_tests().with_placement(PlacementPolicy::PerTableCacheEnablement {
-            min_zipf_exponent: 0.5,
-        }),
+        &SdmConfig {
+            placement: PlacementPolicy::PerTableCacheEnablement {
+                min_zipf_exponent: 0.5,
+            },
+            ..SdmConfig::for_tests()
+        },
         3,
     );
     system.run_selected_batch(&stream, &all).unwrap();
@@ -77,10 +83,13 @@ fn depruning_trades_fm_mapping_space_for_sm_capacity() {
     let mut mapped = single_stream(&model, &SdmConfig::for_tests(), 4);
     let mut depruned = single_stream(
         &model,
-        &SdmConfig::for_tests().with_transform(LoadTransform {
-            deprune: true,
-            dequantize: false,
-        }),
+        &SdmConfig {
+            transform: LoadTransform {
+                deprune: true,
+                dequantize: false,
+            },
+            ..SdmConfig::for_tests()
+        },
         4,
     );
 
@@ -116,10 +125,13 @@ fn dequantization_at_load_grows_the_sm_image_and_preserves_results() {
     let mut int8 = single_stream(&model, &SdmConfig::for_tests(), 6);
     let mut fp32 = single_stream(
         &model,
-        &SdmConfig::for_tests().with_transform(LoadTransform {
-            deprune: false,
-            dequantize: true,
-        }),
+        &SdmConfig {
+            transform: LoadTransform {
+                deprune: false,
+                dequantize: true,
+            },
+            ..SdmConfig::for_tests()
+        },
         6,
     );
     assert!(
@@ -141,10 +153,13 @@ fn pinned_tables_stay_in_fast_memory() {
     let model = model_zoo::tiny(3, 0, 400);
     let system = single_stream(
         &model,
-        &SdmConfig::for_tests().with_placement(PlacementPolicy::PinnedTables {
-            pinned: vec![1],
-            dram_budget: model.tables[1].capacity(),
-        }),
+        &SdmConfig {
+            placement: PlacementPolicy::PinnedTables {
+                pinned: vec![1],
+                dram_budget: model.tables[1].capacity(),
+            },
+            ..SdmConfig::for_tests()
+        },
         8,
     );
     use sdm_core::TableLocation;
