@@ -13,8 +13,7 @@
 #                    # fmt, clippy, harness tests, smoke run of every workload
 #                    # on both paths)
 #   ./ci.sh analyze  # static-analysis lane: sdm-analyze lint driver over the
-#                    # workspace, its fixture self-tests, and the
-#                    # lock-discipline suite (debug + release profiles)
+#                    # workspace and its fixture self-tests
 #   ./ci.sh miri     # opt-in: curated test subset under Miri (needs a
 #                    # nightly toolchain with the miri component; skips with
 #                    # a visible NOTICE otherwise)
@@ -44,10 +43,6 @@ if [[ "$mode" == "analyze" ]]; then
     echo "==> sdm-analyze self-tests (unit + known-bad fixtures)"
     cargo test --locked -q -p sdm-analyze
 
-    echo "==> lock-discipline suite (debug: detection; release: zero-cost layout)"
-    cargo test --locked -q --test lock_discipline
-    cargo test --locked -q --release --test lock_discipline
-
     echo "Analyze lane passed."
     exit 0
 fi
@@ -65,9 +60,9 @@ if [[ "$mode" == "miri" ]]; then
     echo "==> miri setup"
     cargo +nightly miri setup
     # Curated subset: the unsafe-adjacent and concurrency-heavy suite
-    # (cache engine units incl. TrackedMutex) — small enough to finish
-    # under Miri's interpreter. Isolation is disabled so proptest can read
-    # its persisted failure seeds.
+    # (cache engine units incl. the shared tier's concurrent tests) — small
+    # enough to finish under Miri's interpreter. Isolation is disabled so
+    # proptest can read its persisted failure seeds.
     echo "==> curated test subset under Miri"
     MIRIFLAGS="-Zmiri-disable-isolation" \
         cargo +nightly miri test --locked -q -p sdm-cache --lib

@@ -38,10 +38,11 @@
 //!
 //! This is a lint, not a proof: it sees tokens, not semantics (the
 //! `lock-across-await-style` rule in particular is a heuristic over guard
-//! binding scopes). The runtime side of the same contracts — the
-//! `sdm_cache::TrackedMutex` lock-order registry and the
-//! `assert_no_locks_held` hook at the SM submission boundary — catches
-//! what a textual scan cannot, and vice versa.
+//! binding scopes). On the serving path the "no stripe lock across an SM
+//! submit" contract also holds by construction — the shared tier's batched
+//! lookup runs no caller code under its lock — and the rule is its static
+//! check: a stripe guard (`.lock()` / `stripe_lock(` binding) still live at
+//! a submit call trips it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,7 +13,7 @@
 //! free range that is large enough), splitting off the remainder. This is
 //! what bounds resident memory under mixed-size churn: freed payload space
 //! is fungible across size classes, so the gap between [`SlabArena::len`]
-//! and [`SlabArena::live_len`] stays a small fragmentation slack.
+//! and `SlabArena::live_len` stays a small fragmentation slack.
 //! `CacheStats::{resident_bytes, live_bytes}` expose that slack per cache.
 //!
 //! # Free-list structure
@@ -238,7 +238,7 @@ impl<T: Copy + Default> SlabArena<T> {
     /// between [`SlabArena::len`] and this is free-list slack: with
     /// coalescing it is bounded by fragmentation rather than by per-size
     /// peak usage, and `CacheStats` tracks it per cache.
-    pub fn live_len(&self) -> usize {
+    pub(crate) fn live_len(&self) -> usize {
         self.live
     }
 

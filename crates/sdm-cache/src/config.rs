@@ -117,12 +117,12 @@ impl CacheConfig {
     }
 
     /// Budget for the memory-optimized engine.
-    pub fn memory_optimized_budget(&self) -> Bytes {
+    pub(crate) fn memory_optimized_budget(&self) -> Bytes {
         Bytes((self.row_cache_budget.as_u64() as f64 * self.memory_optimized_fraction) as u64)
     }
 
     /// Budget for the CPU-optimized engine.
-    pub fn cpu_optimized_budget(&self) -> Bytes {
+    pub(crate) fn cpu_optimized_budget(&self) -> Bytes {
         self.row_cache_budget
             .saturating_sub(self.memory_optimized_budget())
     }

@@ -316,13 +316,15 @@ where
 
     /// Slot records ever grown (resident + free-listed) — an introspection
     /// hook for slot-recycling tests.
-    pub fn slot_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn slot_count(&self) -> usize {
         self.slots.len()
     }
 
     /// Elements currently backing the payload arena (live + freed) — an
     /// introspection hook for arena-recycling tests.
-    pub fn arena_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn arena_len(&self) -> usize {
         self.arena.len()
     }
 

@@ -23,10 +23,6 @@
 //!   per-shard caches lose;
 //! * [`WarmupTracker`] — detects when the cache has reached steady state
 //!   after a model update (§A.4);
-//! * [`TrackedMutex`] / [`assert_no_locks_held`] — debug-build lock
-//!   discipline instrumentation (order-inversion detection, "no stripe
-//!   lock across SM submit" enforcement) wrapping the [`SharedRowTier`]
-//!   stripe locks; a transparent `Mutex` in release builds.
 //!
 //! All caches store payloads in per-cache [`SlabArena`]s and return
 //! *borrowed* slices on hit — the serving loop dequantises straight out of
@@ -60,7 +56,6 @@ mod pooled;
 mod row_cache;
 mod shared;
 mod stats;
-mod tracked;
 mod warmup;
 
 pub use arena::SlabArena;
@@ -74,7 +69,4 @@ pub use pooled::{PooledEmbeddingCache, PooledKey};
 pub use row_cache::{RowCache, RowKey};
 pub use shared::{SharedHit, SharedRowTier, TierProbe};
 pub use stats::CacheStats;
-pub use tracked::{assert_no_locks_held, TrackedMutex};
-#[cfg(debug_assertions)]
-pub use tracked::{LockClassId, LockRegistry, TrackedMutexGuard};
 pub use warmup::{warmup_capacity_overhead, WarmupTracker};

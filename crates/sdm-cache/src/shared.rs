@@ -16,20 +16,20 @@
 //! share one tier through an `Arc` — the tier is `Send + Sync` by
 //! construction (asserted by the `send_assertions` suite).
 //!
-//! Lookups hand the row bytes to a caller closure *under the stripe lock*.
 //! The serving loop probes a whole operator at once
 //! ([`SharedRowTier::lookup_many`]): the probes are ordered by stripe, each
 //! stripe is locked **once**, its index probes run back to back (each one
 //! a hash lookup plus one recency-stamp store into the entry's own slot
-//! record — see [`ArenaLru`]), and each hit's bytes go to the closure,
-//! which *copies* them (≈ 100 B) into the caller's staging buffer. The copy
-//! is what buys one lock acquisition per (operator, stripe) instead of one
-//! per row while the caller still pools in index order. Every stripe sees
-//! its own probes in the operator's order, so its counters, recency and
-//! later evictions are exactly those of one [`SharedRowTier::lookup_with`]
-//! (the one-row form) per row. Fills happen only at IO completion
-//! ([`SharedRowTier::insert`]), so no stripe lock is ever held across an SM
-//! read.
+//! record — see [`ArenaLru`]), and each hit's bytes are *copied* (≈ 100 B)
+//! into the caller's staging buffer, the hit's range recorded on its
+//! [`TierProbe`]. The copy is what buys one lock acquisition per
+//! (operator, stripe) instead of one per row while the caller still pools
+//! in index order, and it means no caller code runs under a stripe lock.
+//! Every stripe sees its own probes in the operator's order, so its
+//! counters, recency and later evictions are exactly those of one
+//! [`SharedRowTier::lookup_with`] (the one-row form) per row. Fills happen
+//! only at IO completion ([`SharedRowTier::insert`]), so no stripe lock is
+//! ever held across an SM read.
 //!
 //! Every entry records the shard that promoted it, which is what makes the
 //! tier's effect measurable: a hit whose origin differs from the probing
@@ -40,9 +40,10 @@
 use crate::engine::ArenaLru;
 use crate::row_cache::RowKey;
 use crate::stats::CacheStats;
-use crate::tracked::TrackedMutex;
 use sdm_metrics::units::{split_share, Bytes};
 use sdm_metrics::SimDuration;
+use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Metadata overhead per shared-tier entry (hash node, slot record with
 /// recency stamp and origin tag, victim-queue share).
@@ -57,7 +58,8 @@ pub struct SharedHit {
 }
 
 /// One row of a batched lookup ([`SharedRowTier::lookup_many`]): the key
-/// plus the caller's handle for it, handed back with a hit.
+/// plus the caller's handle for it, and after the lookup where a hit's
+/// bytes were staged.
 #[derive(Debug, Clone, Copy)]
 pub struct TierProbe {
     key: RowKey,
@@ -65,6 +67,8 @@ pub struct TierProbe {
     stripe: u32,
     /// Engine slot of a hit; meaningful only under the stripe lock.
     slot: Option<usize>,
+    /// A hit's `(start, len)` in the staging buffer, and its origin.
+    hit: Option<(usize, usize, SharedHit)>,
 }
 
 impl TierProbe {
@@ -76,7 +80,19 @@ impl TierProbe {
             tag,
             stripe: 0,
             slot: None,
+            hit: None,
         }
+    }
+
+    /// The caller's handle given to [`TierProbe::new`].
+    pub fn tag(&self) -> u32 {
+        self.tag
+    }
+
+    /// After [`SharedRowTier::lookup_many`]: on a hit, where its bytes lie
+    /// in the staging buffer and whether another shard promoted it.
+    pub fn hit(&self) -> Option<(Range<usize>, SharedHit)> {
+        self.hit.map(|(start, len, hit)| (start..start + len, hit))
     }
 }
 
@@ -90,16 +106,7 @@ type Stripe = ArenaLru<RowKey, u32, u8>;
 /// partitions behind a `&self` API, shared across shards via `Arc`.
 #[derive(Debug)]
 pub struct SharedRowTier {
-    // `TrackedMutex` (not a bare `Mutex`): under `debug_assertions` every
-    // stripe acquisition feeds the lock-order graph and the held-lock
-    // stack, so the "no stripe lock across SM submit" contract is enforced
-    // by `assert_no_locks_held` at the submission boundary; in release it
-    // is a transparent `Mutex`. Poison recovery lives there too: a stripe
-    // can only be poisoned by a panic in caller code running under a
-    // lookup's closure — the engine itself completes every mutation
-    // before handing bytes out — so the stripe data is still consistent
-    // and serving can continue.
-    stripes: Vec<TrackedMutex<Stripe>>,
+    stripes: Vec<Mutex<Stripe>>,
     budget: Bytes,
 }
 
@@ -111,13 +118,10 @@ impl SharedRowTier {
         let n = stripes.max(1);
         let stripes = (0..n)
             .map(|i| {
-                TrackedMutex::new(
-                    "shared-tier-stripe",
-                    ArenaLru::new(
-                        Bytes(split_share(budget.as_u64(), n as u64, i as u64)),
-                        ENTRY_OVERHEAD,
-                    ),
-                )
+                Mutex::new(ArenaLru::new(
+                    Bytes(split_share(budget.as_u64(), n as u64, i as u64)),
+                    ENTRY_OVERHEAD,
+                ))
             })
             .collect();
         SharedRowTier { stripes, budget }
@@ -147,55 +151,58 @@ impl SharedRowTier {
         (key.mix() >> 32) as usize % self.stripes.len()
     }
 
-    fn stripe_of(&self, key: &RowKey) -> &TrackedMutex<Stripe> {
-        &self.stripes[self.stripe_index(key)]
+    /// Locks stripe `i`. A stripe can only be poisoned by a panic in a
+    /// [`SharedRowTier::lookup_with`] closure — the engine completes every
+    /// mutation before it hands bytes out — so its data is still
+    /// consistent and serving continues.
+    fn stripe_lock(&self, i: usize) -> MutexGuard<'_, Stripe> {
+        self.stripes[i]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks a whole operator's rows up with one lock acquisition per stripe
     /// touched: reorders `probes` by `(stripe, tag)` in place, then per
     /// stripe refreshes recency and the hit/miss counters for every probe
-    /// before handing each hit's tag and bytes to `on_hit` under the lock.
-    /// Equivalent to one [`SharedRowTier::lookup_with`] per probe in tag
-    /// order. The closure must not call back into the same tier.
-    pub fn lookup_many<F: FnMut(u32, &[u8], SharedHit)>(
-        &self,
-        probes: &mut [TierProbe],
-        source: u32,
-        mut on_hit: F,
-    ) {
+    /// and, still under the lock, appends each hit's bytes to `staged` and
+    /// records where on the probe ([`TierProbe::hit`]). Equivalent to one
+    /// [`SharedRowTier::lookup_with`] per probe in tag order.
+    pub fn lookup_many(&self, probes: &mut [TierProbe], source: u32, staged: &mut Vec<u8>) {
         for p in probes.iter_mut() {
             p.stripe = self.stripe_index(&p.key) as u32;
         }
         probes.sort_unstable_by_key(|p| (p.stripe, p.tag));
         for group in probes.chunk_by_mut(|a, b| a.stripe == b.stripe) {
-            let mut stripe = self.stripes[group[0].stripe as usize].lock();
+            let mut stripe = self.stripe_lock(group[0].stripe as usize);
             // Index probes first, payload reads after: the probes are
             // independent of one another, so their cache misses overlap.
             for p in group.iter_mut() {
                 p.slot = stripe.touch(&p.key);
             }
-            for p in group.iter() {
-                if let Some(slot) = p.slot {
+            for p in group.iter_mut() {
+                p.hit = p.slot.map(|slot| {
                     let (bytes, &origin) = stripe.entry(slot);
+                    let start = staged.len();
+                    staged.extend_from_slice(bytes);
                     let cross_shard = origin != source;
-                    on_hit(p.tag, bytes, SharedHit { cross_shard });
-                }
+                    (start, bytes.len(), SharedHit { cross_shard })
+                });
             }
         }
     }
 
-    /// Looks a row up and, on a hit, hands its bytes to `f` under the
-    /// stripe lock (recency refreshed). Returns whether the hit was
-    /// promoted by a different shard than `source`. The closure must not
-    /// call back into the same tier (single-stripe locks are not
-    /// re-entrant).
+    /// Looks a row up and, on a hit, hands its bytes to `f` (recency
+    /// refreshed). Returns whether the hit was promoted by a different
+    /// shard than `source`. The closure runs under the stripe lock: it
+    /// must not submit IO nor call back into the same tier (a stripe lock
+    /// is not re-entrant).
     pub fn lookup_with<F: FnOnce(&[u8])>(
         &self,
         key: &RowKey,
         source: u32,
         f: F,
     ) -> Option<SharedHit> {
-        let mut stripe = self.stripe_of(key).lock();
+        let mut stripe = self.stripe_lock(self.stripe_index(key));
         match stripe.get(key) {
             Some((bytes, &origin)) => {
                 f(bytes);
@@ -212,18 +219,20 @@ impl SharedRowTier {
     /// single entry exceeds the stripe budget). Called at IO completion
     /// only, so no stripe lock is ever held across an SM read.
     pub fn insert(&self, key: RowKey, value: &[u8], source: u32) -> bool {
-        self.stripe_of(&key).lock().insert(key, value, source)
+        self.stripe_lock(self.stripe_index(&key))
+            .insert(key, value, source)
     }
 
     /// Returns true when the key is resident (without touching recency).
     pub fn contains(&self, key: &RowKey) -> bool {
-        let stripe = self.stripe_of(key).lock();
-        stripe.contains(key)
+        self.stripe_lock(self.stripe_index(key)).contains(key)
     }
 
     /// Number of resident rows across all stripes.
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().len()).sum()
+        (0..self.stripes.len())
+            .map(|i| self.stripe_lock(i).len())
+            .sum()
     }
 
     /// True when no rows are resident.
@@ -235,9 +244,8 @@ impl SharedRowTier {
     /// stripes.
     pub fn memory_used(&self) -> Bytes {
         Bytes(
-            self.stripes
-                .iter()
-                .map(|s| s.lock().memory_used().as_u64())
+            (0..self.stripes.len())
+                .map(|i| self.stripe_lock(i).memory_used().as_u64())
                 .sum(),
         )
     }
@@ -246,8 +254,8 @@ impl SharedRowTier {
     /// the stripe locks; residency gauges sum).
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::new();
-        for s in &self.stripes {
-            total.merge(s.lock().stats());
+        for i in 0..self.stripes.len() {
+            total.merge(self.stripe_lock(i).stats());
         }
         total
     }
@@ -255,8 +263,8 @@ impl SharedRowTier {
     /// Drops every resident row in every stripe (statistics are kept).
     /// Model updates call this once, host-wide.
     pub fn clear(&self) {
-        for s in &self.stripes {
-            s.lock().clear();
+        for i in 0..self.stripes.len() {
+            self.stripe_lock(i).clear();
         }
     }
 }
@@ -298,7 +306,7 @@ mod tests {
     fn stripe_budgets_split_losslessly_and_evict_lru() {
         // 1000 bytes over 3 stripes: 334 + 333 + 333.
         let t = tier(Bytes(1000), 3);
-        let per_stripe: u64 = t.stripes.iter().map(|s| s.lock().budget().as_u64()).sum();
+        let per_stripe: u64 = (0..3).map(|i| t.stripe_lock(i).budget().as_u64()).sum();
         assert_eq!(per_stripe, 1000);
         // Fill well past the budget; usage stays bounded and evictions run.
         for i in 0..64u64 {
@@ -391,10 +399,14 @@ mod tests {
                 .enumerate()
                 .map(|(pos, key)| TierProbe::new(*key, pos as u32))
                 .collect();
+            let mut staged = Vec::new();
+            batched.lookup_many(&mut probes, *source, &mut staged);
             let mut got = vec![None; keys.len()];
-            batched.lookup_many(&mut probes, *source, |tag, bytes, hit| {
-                got[tag as usize] = Some((bytes.to_vec(), hit.cross_shard));
-            });
+            for p in &probes {
+                got[p.tag() as usize] = p
+                    .hit()
+                    .map(|(bytes, hit)| (staged[bytes].to_vec(), hit.cross_shard));
+            }
             for (pos, key) in keys.iter().enumerate() {
                 let mut bytes = Vec::new();
                 let want = per_row
@@ -461,7 +473,7 @@ mod tests {
                             rng
                         };
                         let (mut hits, mut probed) = (0u64, 0u64);
-                        let mut probes = Vec::new();
+                        let (mut probes, mut staged) = (Vec::new(), Vec::new());
                         start.wait();
                         for _ in 0..4_000 {
                             let r = next();
@@ -478,10 +490,15 @@ mod tests {
                             }
                             let keys: Vec<RowKey> = probes.iter().map(|p| p.key).collect();
                             probed += probes.len() as u64;
-                            t.lookup_many(&mut probes, shard, |tag, bytes, _| {
-                                assert_eq!(bytes, row_for(&keys[tag as usize]), "wrong row");
-                                hits += 1;
-                            });
+                            staged.clear();
+                            t.lookup_many(&mut probes, shard, &mut staged);
+                            for p in &probes {
+                                if let Some((bytes, _)) = p.hit() {
+                                    let want = row_for(&keys[p.tag() as usize]);
+                                    assert_eq!(staged[bytes], want, "wrong row");
+                                    hits += 1;
+                                }
+                            }
                         }
                         (hits, probed)
                     })

@@ -49,13 +49,13 @@ impl CacheStats {
 
     /// Records a hit.
     #[inline]
-    pub fn record_hit(&mut self) {
+    pub(crate) fn record_hit(&mut self) {
         self.hits += 1;
     }
 
     /// Records a miss.
     #[inline]
-    pub fn record_miss(&mut self) {
+    pub(crate) fn record_miss(&mut self) {
         self.misses += 1;
     }
 

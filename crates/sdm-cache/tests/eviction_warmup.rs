@@ -1,74 +1,13 @@
-//! Eviction-under-load and warmup behaviour across the cache engines —
-//! the hot paths the serving loop exercises on every query (paper §4.3,
-//! §A.4) that the per-module unit tests only cover in isolation.
+//! Eviction-under-load behaviour across the cache engines — the hot paths
+//! the serving loop exercises on every query (paper §4.3) that the
+//! per-module unit tests only cover in isolation. Warm-up across the
+//! engines is tested next to `WarmupTracker`, whose getters are
+//! crate-internal.
 
 use sdm_cache::{
-    CacheConfig, CpuOptimizedCache, DualRowCache, MemoryOptimizedCache, PooledEmbeddingCache,
-    RowCache, RowKey, WarmupTracker,
+    CacheConfig, DualRowCache, MemoryOptimizedCache, PooledEmbeddingCache, RowCache, RowKey,
 };
 use sdm_metrics::units::Bytes;
-
-/// Simulates the demand-fill loop the SDM manager runs: look up, record the
-/// outcome, insert on miss. Returns the tracker after `passes` sweeps over
-/// the working set.
-fn demand_fill<C: RowCache>(
-    cache: &mut C,
-    rows: u64,
-    row_bytes: usize,
-    passes: usize,
-    window: u64,
-) -> WarmupTracker {
-    let mut tracker = WarmupTracker::new(window, 0.95);
-    for _ in 0..passes {
-        for row in 0..rows {
-            let key = RowKey::new(0, row);
-            let hit = cache.get(&key).is_some();
-            tracker.record(hit);
-            if !hit {
-                cache.insert(key, &vec![row as u8; row_bytes]);
-            }
-        }
-    }
-    tracker
-}
-
-#[test]
-fn memory_optimized_cache_warms_up_when_working_set_fits() {
-    // 256 rows x (64 + overhead) bytes comfortably fit in 64 KiB.
-    let mut cache = MemoryOptimizedCache::with_expected_row_size(Bytes::from_kib(64), 64);
-    let tracker = demand_fill(&mut cache, 256, 64, 4, 256);
-
-    // First sweep is all misses; later sweeps are all hits.
-    assert!(tracker.window_rates()[0] < 0.05, "cold window should miss");
-    assert!(tracker.is_warm(), "cache never reached steady state");
-    assert_eq!(tracker.steady_state_window(), Some(1));
-    assert_eq!(tracker.lookups_to_steady_state(), Some(512));
-    assert_eq!(cache.stats().evictions, 0, "no eviction when the set fits");
-}
-
-#[test]
-fn cpu_optimized_cache_warms_up_when_working_set_fits() {
-    let mut cache = CpuOptimizedCache::new(Bytes::from_kib(64));
-    let tracker = demand_fill(&mut cache, 256, 64, 4, 256);
-    assert!(tracker.is_warm());
-    assert!(tracker.window_rates().last().unwrap() > &0.99);
-    assert_eq!(cache.stats().evictions, 0);
-}
-
-#[test]
-fn thrashing_working_set_never_warms_and_keeps_evicting() {
-    // ~8 KiB budget vs a 256-row x 128-byte (~36 KiB + overhead) cycle:
-    // sequential sweeps with LRU eviction never re-hit a resident row.
-    let mut cache = CpuOptimizedCache::new(Bytes::from_kib(8));
-    let tracker = demand_fill(&mut cache, 256, 128, 4, 256);
-
-    assert!(!tracker.is_warm(), "thrashing cache reported steady state");
-    for rate in tracker.window_rates() {
-        assert!(*rate < 0.2, "window rate {rate} too high for a thrash loop");
-    }
-    assert!(cache.stats().evictions > 256, "eviction pressure expected");
-    assert!(cache.memory_used() <= cache.budget());
-}
 
 #[test]
 fn eviction_keeps_hot_rows_under_skewed_access() {

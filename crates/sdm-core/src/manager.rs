@@ -15,9 +15,11 @@
 //!    the scan is resolve → tier → pool: private misses collect in a probe
 //!    list that goes to [`SharedRowTier::lookup_many`] **once** per operator
 //!    (one stripe lock per stripe touched, hit bytes copied into a reused
-//!    staging buffer under it); rows from the first probe on — later
-//!    private hits included, staged the same way — pool in a last pass in
-//!    index order, and the tier's misses join the miss list there.
+//!    staging buffer under it and their ranges handed back on the probes,
+//!    so no manager code runs under a stripe lock); rows from the first
+//!    probe on — later private hits included, staged the same way — pool
+//!    in a last pass in index order, and the tier's misses join the miss
+//!    list there.
 //! 2. **Submit**: one [`IoRequest`] per miss, its single range inline in
 //!    the [`ReadCommand`]. The engine admits it from per-device and
 //!    per-table sorted completion lists and an incrementally maintained
@@ -36,9 +38,10 @@
 //!
 //! Invariants the manager relies on: completions are reaped in
 //! `(completed_at, submission order)`, so the pooled sum is
-//! order-deterministic; no stripe lock is held across submit or drain; a
-//! read that exhausts its retries produces no completion and is counted as
-//! a degraded row instead.
+//! order-deterministic; no stripe lock is held across submit or drain (the
+//! tier is only ever called, never calls back into the manager); a read
+//! that exhausts its retries produces no completion and is counted as a
+//! degraded row instead.
 //!
 //! # One table resolve per operator
 //!
@@ -168,7 +171,7 @@ struct LookupScratch {
 enum DeferredRow {
     /// Private-cache hit, its bytes at `staged[start..start + len]`.
     PrivateHit { start: usize, len: usize },
-    /// Tier hit, staged the same way by the lookup's closure.
+    /// Tier hit, staged the same way by the tier lookup.
     TierHit {
         start: usize,
         len: usize,
@@ -446,18 +449,20 @@ impl ReadPath {
         }
         if let Some(shared) = &self.shared {
             // One stripe lock per stripe the operator touches; a hit's
-            // bytes are copied out under it.
-            let (deferred, staged) = (&mut scratch.deferred, &mut scratch.staged);
+            // bytes are copied into `staged` under it.
+            let probes = &mut scratch.probes;
             shared
                 .tier
-                .lookup_many(&mut scratch.probes, shared.source, |tag, bytes, hit| {
-                    deferred[tag as usize] = DeferredRow::TierHit {
-                        start: staged.len(),
+                .lookup_many(probes, shared.source, &mut scratch.staged);
+            for probe in probes.iter() {
+                if let Some((bytes, hit)) = probe.hit() {
+                    scratch.deferred[probe.tag() as usize] = DeferredRow::TierHit {
+                        start: bytes.start,
                         len: bytes.len(),
                         cross_shard: hit.cross_shard,
                     };
-                    staged.extend_from_slice(bytes);
-                });
+                }
+            }
         }
         for row in &scratch.deferred {
             let stats = &mut self.stats;
@@ -494,12 +499,6 @@ impl ReadPath {
         // pool each row as its completion drains.
         let mut io_time = SimDuration::ZERO;
         if !self.scratch.io_targets.is_empty() {
-            // Lock-discipline boundary: stripe locks are sub-microsecond
-            // critical sections and fills happen at IO *completion*, so no
-            // tracked lock may be held while SM reads are submitted. Debug
-            // builds panic here on a violation; release builds compile this
-            // to nothing.
-            sdm_cache::assert_no_locks_held("SM submit boundary (manager::sm_lookup_core)");
             // Split borrows so the drain closure can fill the caches and
             // count while the engine lends it completions.
             let Self {
@@ -766,9 +765,6 @@ impl SdmMemoryManager {
         let mut now = start;
         let mut reread = 0u64;
         for group in rows.chunks(REWARM_GROUP_ROWS) {
-            // Same boundary as the miss path: fills happen at completion,
-            // so no stripe lock is held while the group is submitted.
-            sdm_cache::assert_no_locks_held("SM submit boundary (manager::reread_rows)");
             for (i, (_, key)) in group.iter().enumerate() {
                 // The miss path's request (`sm_lookup_core`, step 3), row by
                 // row. Kept as a second copy on purpose: building it in a
@@ -921,7 +917,7 @@ mod tests {
                 .unwrap();
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
-                assert!((x - y).abs() < 1e-4, "table {table}: {x} vs {y}");
+                assert_eq!(x.to_bits(), y.to_bits(), "table {table}: {x} vs {y}");
             }
         }
         assert_eq!(sdm.backend_name(), "sdm");

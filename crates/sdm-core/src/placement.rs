@@ -223,10 +223,11 @@ mod tests {
     #[test]
     fn fixed_fm_prefers_hot_per_byte_tables() {
         let mut model = model_zoo::tiny(2, 0, 1000);
-        // Table 0: large but cold (PF 1); table 1: small and hot (PF 30).
+        // Same size, so either table fits the budget alone and only the
+        // ranking decides: table 0 is cold (PF 1), table 1 hot (PF 30).
         model.tables[0].pooling_factor = 1;
         model.tables[1].pooling_factor = 30;
-        model.tables[1].num_rows = 100;
+        assert_eq!(model.tables[0].capacity(), model.tables[1].capacity());
         let budget = model.tables[1].capacity();
         let plan = PlacementPlan::compute(
             &model,
