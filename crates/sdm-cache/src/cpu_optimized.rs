@@ -41,6 +41,12 @@ impl CpuOptimizedCache {
     pub(crate) fn append_resident(&self, out: &mut Vec<(u64, RowKey)>) {
         self.engine.append_resident(out);
     }
+
+    /// Makes `key` the most recently used row without counting a hit;
+    /// returns whether it is resident.
+    pub(crate) fn restamp(&mut self, key: &RowKey) -> bool {
+        self.engine.restamp(key)
+    }
 }
 
 impl RowCache for CpuOptimizedCache {

@@ -100,6 +100,19 @@ impl DualRowCache {
         out[large_from..].sort_unstable();
     }
 
+    /// Makes `key` the most recently used row of its engine without
+    /// counting a lookup: no hit, miss or eviction statistic moves, and a
+    /// key that is not resident is ignored. Re-stamping rows in the order
+    /// [`Self::append_resident_lru_first`] listed them restores that order
+    /// exactly, whatever order they were inserted in — which is how a
+    /// model update's refill, reading rows in device-address order, puts
+    /// recency back.
+    pub fn restamp(&mut self, key: &RowKey) {
+        if !self.small.restamp(key) {
+            self.large.restamp(key);
+        }
+    }
+
     /// Payload bytes of live entries across both engines.
     pub fn live_bytes(&self) -> Bytes {
         Bytes(self.small.stats().live_bytes + self.large.stats().live_bytes)
@@ -294,6 +307,34 @@ mod tests {
         again.clear();
         c.append_resident_lru_first(&mut again);
         assert!(again.is_empty());
+    }
+
+    #[test]
+    fn restamp_reorders_recency_without_counting_lookups() {
+        let mut c = cache();
+        for row in 0..4 {
+            c.insert(RowKey::new(0, row), &[0u8; 64]); // small engine
+            c.insert(RowKey::new(0, 10 + row), &[0u8; 400]); // large engine
+        }
+        let stats = (
+            c.stats().clone(),
+            c.small_engine_stats().clone(),
+            c.large_engine_stats().clone(),
+        );
+        for row in [2, 12, 0, 10, 3, 13, 1, 11, 99] {
+            c.restamp(&RowKey::new(0, row)); // row 99 is not resident
+        }
+        let mut out = Vec::new();
+        c.append_resident_lru_first(&mut out);
+        let rows: Vec<u64> = out.iter().map(|(_, key)| key.row).collect();
+        assert_eq!(rows, [2, 0, 3, 1, 12, 10, 13, 11]);
+        let after = (
+            c.stats().clone(),
+            c.small_engine_stats().clone(),
+            c.large_engine_stats().clone(),
+        );
+        assert_eq!(after, stats);
+        assert_eq!(c.len(), 8);
     }
 
     #[test]

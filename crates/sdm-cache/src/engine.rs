@@ -202,6 +202,16 @@ where
         Some(self.entry(slot))
     }
 
+    /// Makes `key` the most recently used entry without counting a hit;
+    /// returns whether it is resident.
+    pub(crate) fn restamp(&mut self, key: &K) -> bool {
+        let slot = self.map.get(key).copied();
+        if let Some(slot) = slot {
+            self.stamp(slot);
+        }
+        slot.is_some()
+    }
+
     /// Side-effect-free probe: returns the payload without touching the LRU
     /// order or the hit/miss statistics. Prefetch probes and routing layers
     /// must not perturb eviction order or hit rates.

@@ -21,8 +21,8 @@
 //!   private caches: K lock-striped arena-backed LRU partitions with a
 //!   `&self` API, recovering the cross-shard row reuse that fully private
 //!   per-shard caches lose;
-//! * [`WarmupTracker`] — detects when the cache has reached steady state
-//!   after a model update (§A.4);
+//! * [`warmup_capacity_overhead`] — the extra serving capacity a rolling
+//!   model update costs (§A.4).
 //!
 //! All caches store payloads in per-cache [`SlabArena`]s and return
 //! *borrowed* slices on hit — the serving loop dequantises straight out of
@@ -69,4 +69,4 @@ pub use pooled::{PooledEmbeddingCache, PooledKey};
 pub use row_cache::{RowCache, RowKey};
 pub use shared::{SharedHit, SharedRowTier, TierProbe};
 pub use stats::CacheStats;
-pub use warmup::{warmup_capacity_overhead, WarmupTracker};
+pub use warmup::warmup_capacity_overhead;

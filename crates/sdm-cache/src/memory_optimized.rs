@@ -111,6 +111,21 @@ impl MemoryOptimizedCache {
         out.extend(self.buckets.iter().flatten().map(|e| (e.stamp, e.key)));
     }
 
+    /// Makes `key` the most recently used row without counting a hit;
+    /// returns whether it is resident.
+    pub(crate) fn restamp(&mut self, key: &RowKey) -> bool {
+        let bucket = self.bucket_of(key);
+        let Some(entry) = self.buckets[bucket].iter_mut().find(|e| e.key == *key) else {
+            return false;
+        };
+        self.clock += 1;
+        let previous = std::mem::replace(&mut entry.stamp, self.clock);
+        if previous == self.bucket_min[bucket] {
+            self.refresh_bucket_min(bucket);
+        }
+        true
+    }
+
     /// Evicts the oldest entry of `bucket`, leaving the runner-up's stamp as
     /// the bucket's new minimum — one scan for both. Returns false for an
     /// empty bucket.

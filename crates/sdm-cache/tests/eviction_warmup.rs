@@ -1,11 +1,11 @@
-//! Eviction-under-load behaviour across the cache engines — the hot paths
-//! the serving loop exercises on every query (paper §4.3) that the
-//! per-module unit tests only cover in isolation. Warm-up across the
-//! engines is tested next to `WarmupTracker`, whose getters are
-//! crate-internal.
+//! Eviction-under-load and warm-up behaviour across the cache engines — the
+//! hot paths the serving loop exercises on every query (paper §4.3) that
+//! the per-module unit tests only cover in isolation. Warm-up is read off
+//! each engine's own `CacheStats`, pass by pass.
 
 use sdm_cache::{
-    CacheConfig, DualRowCache, MemoryOptimizedCache, PooledEmbeddingCache, RowCache, RowKey,
+    CacheConfig, CpuOptimizedCache, DualRowCache, MemoryOptimizedCache, PooledEmbeddingCache,
+    RowCache, RowKey,
 };
 use sdm_metrics::units::Bytes;
 
@@ -77,4 +77,61 @@ fn pooled_cache_eviction_respects_budget_under_churn() {
     // The most recent entry is still resident.
     let last: Vec<u64> = (511..519).collect();
     assert!(cache.lookup(0, &last).is_some());
+}
+
+/// Runs the demand-fill loop the SDM manager runs — look up, insert on miss
+/// — over `rows` rows of `row_bytes`, `passes` times, and returns each
+/// pass's `(hits, misses)` as the engine's own statistics count them.
+fn demand_fill<C: RowCache>(
+    cache: &mut C,
+    rows: u64,
+    row_bytes: usize,
+    passes: usize,
+) -> Vec<(u64, u64)> {
+    let mut per_pass = Vec::with_capacity(passes);
+    for _ in 0..passes {
+        let (hits, misses) = (cache.stats().hits, cache.stats().misses);
+        for row in 0..rows {
+            let key = RowKey::new(0, row);
+            if cache.get(&key).is_none() {
+                cache.insert(key, &vec![row as u8; row_bytes]);
+            }
+        }
+        per_pass.push((cache.stats().hits - hits, cache.stats().misses - misses));
+    }
+    per_pass
+}
+
+#[test]
+fn memory_optimized_cache_warms_up_when_working_set_fits() {
+    // 256 rows x (64 + overhead) bytes comfortably fit in 64 KiB.
+    let mut cache = MemoryOptimizedCache::with_expected_row_size(Bytes::from_kib(64), 64);
+    let passes = demand_fill(&mut cache, 256, 64, 4);
+    // The first sweep is all misses; every later sweep is all hits.
+    assert_eq!(passes, [(0, 256), (256, 0), (256, 0), (256, 0)]);
+    assert_eq!(cache.stats().evictions, 0, "no eviction when the set fits");
+}
+
+#[test]
+fn cpu_optimized_cache_warms_up_when_working_set_fits() {
+    let mut cache = CpuOptimizedCache::new(Bytes::from_kib(64));
+    let passes = demand_fill(&mut cache, 256, 64, 4);
+    assert_eq!(passes, [(0, 256), (256, 0), (256, 0), (256, 0)]);
+    assert_eq!(cache.stats().evictions, 0);
+}
+
+#[test]
+fn thrashing_working_set_never_warms_and_keeps_evicting() {
+    // ~8 KiB budget vs a 256-row x 128-byte (~36 KiB + overhead) cycle:
+    // sequential sweeps with LRU eviction never re-hit a resident row.
+    let mut cache = CpuOptimizedCache::new(Bytes::from_kib(8));
+    for (pass, (hits, misses)) in demand_fill(&mut cache, 256, 128, 4).into_iter().enumerate() {
+        let rate = hits as f64 / (hits + misses) as f64;
+        assert!(
+            rate < 0.2,
+            "pass {pass} hit rate {rate} too high for a thrash loop"
+        );
+    }
+    assert!(cache.stats().evictions > 256, "eviction pressure expected");
+    assert!(cache.memory_used() <= cache.budget());
 }

@@ -85,34 +85,54 @@
 //! not the *choice* of rows: new weights do not change which users and items
 //! are popular. So the update snapshots the private row cache's resident
 //! keys, invalidates, and [`SdmMemoryManager::reread_rows`] reads them back
-//! through steps 2–4 above — same request, same admission limits, retries,
-//! back-off, hedging and checksum guard, same fill (row cache, then shared
-//! tier), recycled payload buffers, no stripe lock across submit or drain —
-//! in groups of `REWARM_GROUP_ROWS`, oldest first. A group is submitted at
-//! one instant and drained before the next is submitted, and fills happen in
-//! drain order, so every row of an earlier group ends up older than every
-//! row of a later one: recency survives group-wise. What differs from a
-//! demand miss is the accounting: the reads show in the engine's and the
-//! devices' statistics as the IO they are and in **no** demand counter
-//! (`sm_reads`, `row_cache_hits`, warm-up samples), so row conservation
-//! keeps its meaning; and a read that exhausts its retries leaves its row
-//! uncached for a later miss instead of counting as degraded — nobody was
-//! waiting for it. The manager's clock advances to the last completion;
-//! [`crate::Shard`] raises its own to it, which puts the update's window in
-//! the makespan of the first batch afterwards.
+//! from the new image as gathered reads. The snapshot is sorted by device
+//! and address, and every device block holding a row's first byte becomes
+//! one command naming each such row as a range (a row straddling the
+//! block's end makes its command touch two blocks), in the access mode of
+//! `config.granularity` as a demand miss is: an SGL gather, or whole
+//! blocks. The device charges media time per block touched, so the refill
+//! pays per block, not per row (paper §4.1.1). Commands go out in address
+//! order, in groups bounded by `REFILL_GROUP_BYTES` of payload; a group is
+//! submitted at one instant and drained before the next. Everything else is
+//! the miss path's steps 2–4: admission limits, retries, back-off, hedging
+//! and the checksum guard act per command, a completion's payload is split
+//! by range into the ordinary fill (row cache, then shared tier), payload
+//! buffers are recycled and no stripe lock is held across submit or drain.
+//! Fills land in address order, so afterwards the rows are re-stamped in
+//! the snapshot's least-recently-used-first order
+//! ([`DualRowCache::restamp`], no statistic moves): each engine's recency
+//! is exactly what it was before the update.
+//!
+//! What differs from a demand miss is the accounting: the reads show in the
+//! engine's and the devices' statistics as the IO they are and in **no**
+//! demand counter (`sm_reads`, `row_cache_hits`), so row conservation keeps
+//! its meaning; and a command that exhausts its retries leaves its rows
+//! uncached for later misses instead of counting them as degraded — nobody
+//! was waiting for them. The manager's clock advances to the last
+//! completion; [`crate::Shard`] raises its own to it, which puts the
+//! update's window in the makespan of the first batch afterwards.
 //!
 //! | workload | winner | factor | reason |
 //! |---|---|---|---|
-//! | refill after an update, `refresh_nand` (29 190 resident rows, two Nand devices) | bulk re-read over demand misses | 30 542 → 142 demand reads in the next segment; the refill itself ≈ 124 ms at up to 2 048 deep against ≈ 85 ms *per query* for the first ≈ 21 queries | queue depth: a group fills both devices' queues, eight in-flight queries fill them with whatever they happen to miss on |
+//! | refill after an update, `refresh_nand` (≈ 29 200 resident rows, two Nand devices) | bulk re-read over demand misses | 30 542 → 142 demand reads in the next segment | queue depth: a group fills both devices' queues, eight in-flight queries fill them with whatever they happen to miss on |
+//! | the same refill, seed 1, fault-free / under the benchmark's fault plan | one gathered command per block over one command per row | 29 190 → 1 351 commands; 123.9 → 13.8 ms / 61.1 → 9.4 ms; `virt_slow10_us_r1` 3 393 → 2 359 µs | media time is paid per 4 KiB block: 29 190 rows sit in 1 351 blocks, 21.6 per command |
 //!
-//! Group size is a constant because only its order of magnitude matters
-//! (same 29 190 rows, no faults): groups of 128 / 512 / 2 048 / 8 192 take
-//! 390 / 176 / 124 / 112 ms — small groups pay for the barrier at their end,
-//! and past a few thousand the devices are simply busy — while one group of
-//! payload buffers stays in the engine's pool afterwards, which is what
-//! keeps it from being larger. Not done on purpose: coalescing neighbours
-//! under [`AccessGranularity::Block`] (each row costs its own read, as a
-//! demand miss does), re-creating pooled-cache entries (their keys are
+//! The group bound is a constant because only its order of magnitude
+//! matters. Under it the refill trades window against memory: one group of
+//! payload buffers stays in the engine's pool afterwards. Measured on the
+//! snapshot above, seed 1 (refill ms fault-free / under faults; process
+//! peak RSS against the per-row refill):
+//!
+//! | bound | 64 KiB | 256 KiB | 512 KiB | **1 MiB** | 2 MiB | 4 MiB (one group) |
+//! |---|---|---|---|---|---|---|
+//! | refill (ms) | 34.9 / 36.7 | 25.7 / 26.6 | 17.9 / 16.2 | **13.8 / 9.4** | 11.8 / 6.2 | 6.8 / 3.4 |
+//! | peak RSS | +0.7 MB | +1.3 MB | +1.9 MB | **+2.5 MB** | +3.6 MB | +4.2 MB |
+//!
+//! Small groups pay for the barrier at their end: every hundredth Nand read
+//! is a 20× tail, and a group waits for its slowest. At 1 MiB
+//! `refresh_nand`'s `peak_rss_mib` reads 107.15 → 108.64 MiB (+1.4 %)
+//! against the per-row refill, whose 2 048-row group had cost +0.9 MiB.
+//! Not done on purpose: re-creating pooled-cache entries (their keys are
 //! hashes of index sequences), and interleaving the re-read with serving
 //! under a share of the queue slots (needs an asynchronous serving path).
 
@@ -124,10 +144,9 @@ use dlrm::{DlrmError, EmbeddingBackend};
 use embedding::kernels::{self, SelectedKernel};
 use embedding::{EmbeddingError, EmbeddingTable, QuantScheme, SmLayout, TableId};
 use io_engine::{IoEngine, IoError, IoRequest};
-use scm_device::{DeviceId, ReadCommand};
+use scm_device::{AccessMode, DeviceId, ReadCommand, SglRange};
 use sdm_cache::{
     DualRowCache, PooledEmbeddingCache, PooledKey, RowCache, RowKey, SharedRowTier, TierProbe,
-    WarmupTracker,
 };
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{SimDuration, SimInstant};
@@ -144,9 +163,10 @@ const MAPPING_LOOKUP_COST: SimDuration = SimDuration::from_nanos(40);
 /// DRAM random access cost for rows of directly-placed tables.
 const FM_ROW_COST: SimDuration = SimDuration::from_nanos(150);
 
-/// Rows per group of the post-update re-read. A constant, not a knob: see
-/// the module docs ("After a model update") for the measured sizes.
-pub(crate) const REWARM_GROUP_ROWS: usize = 2_048;
+/// Payload bytes per group of the post-update refill. A constant, not a
+/// knob: see the module docs ("After a model update") for the measured
+/// sizes.
+const REFILL_GROUP_BYTES: usize = 1024 * 1024;
 
 /// Reusable per-lookup scratch: every list survives across lookups so a
 /// steady-state query never allocates for them.
@@ -164,6 +184,15 @@ struct LookupScratch {
     /// Bytes of the deferred hits (private hits copied during the walk,
     /// tier hits copied under the stripe lock).
     staged: Vec<u8>,
+}
+
+/// A snapshot row at its device address, for the post-update refill.
+#[derive(Debug, Clone, Copy)]
+struct RefillRow {
+    device: usize,
+    offset: u64,
+    len: u32,
+    key: RowKey,
 }
 
 /// One row whose pooling waits for the operator's tier lookup.
@@ -235,7 +264,6 @@ struct ReadPath {
     /// SM-IO submission. `None` (the default) keeps the single-tier serving
     /// path bit-identical to previous revisions.
     shared: Option<SharedTierHandle>,
-    warmup: WarmupTracker,
     stats: SdmStats,
     scratch: LookupScratch,
 }
@@ -358,10 +386,10 @@ impl ReadPath {
     /// staging buffer. The tier then answers the whole list in one
     /// [`SharedRowTier::lookup_many`] — one lock acquisition per stripe, a
     /// hit's bytes copied out under it — and a last pass pools the deferred
-    /// rows in index order, counting hits and warm-up samples exactly where
-    /// a row-at-a-time probe would have. What is still missing is gathered
-    /// into a reused scratch list, submitted back to back with no per-IO
-    /// allocation, and pooled as the completions drain — overlapping completion reaping
+    /// rows in index order, counting hits exactly where a row-at-a-time
+    /// probe would have. What is still missing is gathered into a reused
+    /// scratch list, submitted back to back with no per-IO allocation, and
+    /// pooled as the completions drain — overlapping completion reaping
     /// with the dequantise+pool work. Completed reads are promoted into the
     /// shared tier at drain time, so no stripe lock is ever held across IO.
     /// Each row costs one private-cache probe and at most one tier probe.
@@ -421,7 +449,6 @@ impl ReadPath {
                 Some(bytes) if scratch.deferred.is_empty() => {
                     kernels::accumulate_row_with(kernel, bytes, quant, out)?;
                     self.stats.row_cache_hits += 1;
-                    self.warmup.record(true);
                     pooled_rows += 1;
                 }
                 Some(bytes) => {
@@ -441,7 +468,6 @@ impl ReadPath {
                     }
                     None => {
                         self.stats.sm_reads += 1;
-                        self.warmup.record(false);
                         scratch.io_targets.push((pos, stored_row));
                     }
                 },
@@ -483,14 +509,12 @@ impl ReadPath {
                 DeferredRow::TierMiss { pos, stored_row } => {
                     stats.shared_tier_misses += 1;
                     stats.sm_reads += 1;
-                    self.warmup.record(false);
                     scratch.io_targets.push((pos, stored_row));
                     continue;
                 }
             };
             let bytes = &scratch.staged[start..start + len];
             kernels::accumulate_row_with(kernel, bytes, quant, out)?;
-            self.warmup.record(true);
             pooled_rows += 1;
         }
         self.stats.pruned_zero_rows += zero_rows;
@@ -638,7 +662,6 @@ impl SdmMemoryManager {
                 row_cache,
                 pooled_cache,
                 shared: None,
-                warmup: WarmupTracker::new(2_000, 0.8),
                 stats: SdmStats::new(),
                 scratch: LookupScratch::default(),
             },
@@ -706,28 +729,22 @@ impl SdmMemoryManager {
         &self.path.pooled_cache
     }
 
-    /// Warmup tracker (hit-rate windows since the last cache invalidation).
-    pub fn warmup(&self) -> &WarmupTracker {
-        &self.path.warmup
-    }
-
     /// Current position of the manager's virtual clock.
     pub fn now(&self) -> SimInstant {
         self.clock
     }
 
     /// Drops every cached row and pooled vector (what a full model update
-    /// does) and restarts warmup tracking. With a shared tier attached the
-    /// tier is cleared too — it caches rows of the same model image, so a
-    /// model update invalidates it host-wide (idempotent when several
-    /// shards invalidate after the same update).
+    /// does). With a shared tier attached the tier is cleared too — it
+    /// caches rows of the same model image, so a model update invalidates it
+    /// host-wide (idempotent when several shards invalidate after the same
+    /// update).
     pub fn invalidate_caches(&mut self) {
         self.path.row_cache.clear();
         self.path.pooled_cache.clear();
         if let Some(shared) = &self.path.shared {
             shared.tier.clear();
         }
-        self.path.warmup = WarmupTracker::new(2_000, 0.8);
     }
 
     /// Re-reads `rows` (a snapshot from
@@ -740,8 +757,8 @@ impl SdmMemoryManager {
     ///
     /// # Errors
     ///
-    /// Propagates hard IO errors. A read that exhausts its retries is not
-    /// one: its row stays uncached.
+    /// Propagates hard IO errors. A command that exhausts its retries is
+    /// not one: its rows stay uncached.
     pub(crate) fn reread_rows(
         &mut self,
         rows: &[(u64, RowKey)],
@@ -755,46 +772,90 @@ impl SdmMemoryManager {
             stats,
             ..
         } = &mut self.path;
-        // Completions are matched to rows by their position in the group, so
-        // a stray one from an aborted lookup would fill the wrong key.
+        // Completions are matched to commands by their index, so a stray
+        // one from an aborted lookup would fill the wrong keys.
         if engine.outstanding() != 0 {
             return Err(SdmError::Internal {
                 invariant: "no IO is in flight when a model update re-reads",
             });
         }
-        let mut now = start;
-        let mut reread = 0u64;
-        for group in rows.chunks(REWARM_GROUP_ROWS) {
-            for (i, (_, key)) in group.iter().enumerate() {
-                // The miss path's request (`sm_lookup_core`, step 3), row by
-                // row. Kept as a second copy on purpose: building it in a
-                // shared helper cost the miss path 8 % of `sm_bound`'s
-                // `wall_qps`.
-                let placement = self.loaded.layout.placement(key.table)?;
-                let offset = placement.row_offset(key.row)?;
-                let command = match config.granularity {
-                    AccessGranularity::Sgl => ReadCommand::sgl(offset, placement.row_bytes),
-                    AccessGranularity::Block => ReadCommand::block(offset, placement.row_bytes),
-                };
-                let request = IoRequest::new(DeviceId(placement.device_index), command)
-                    .with_table(key.table)
-                    .with_user_data(i as u64);
+        // Every row at its device address, in address order: the rows of
+        // one device block become neighbours.
+        let mut targets = Vec::with_capacity(rows.len());
+        for &(_, key) in rows {
+            let placement = self.loaded.layout.placement(key.table)?;
+            targets.push(RefillRow {
+                device: placement.device_index,
+                offset: placement.row_offset(key.row)?,
+                len: placement.row_bytes,
+                key,
+            });
+        }
+        targets.sort_unstable_by_key(|t| (t.device, t.offset));
+        // One command per block holding a row's first byte, and groups of
+        // consecutive commands up to the payload bound (at least one each).
+        // Table bases are block-aligned, so a block's rows share the table
+        // that tags its command for throttling.
+        let mut commands: Vec<std::ops::Range<usize>> = Vec::new();
+        let mut group_ends = Vec::new();
+        let (mut first, mut payload) = (0, 0);
+        while first < targets.len() {
+            let head = targets[first];
+            let profile = engine.array().device(DeviceId(head.device))?.profile();
+            let block_bytes = profile.access_granularity.as_u64().max(1);
+            let in_block = targets[first..].iter().take_while(|t| {
+                t.device == head.device && t.offset / block_bytes == head.offset / block_bytes
+            });
+            let end = first + in_block.count();
+            let bytes: usize = targets[first..end].iter().map(|t| t.len as usize).sum();
+            if payload > 0 && payload + bytes > REFILL_GROUP_BYTES {
+                group_ends.push(commands.len());
+                payload = 0;
+            }
+            payload += bytes;
+            commands.push(first..end);
+            first = end;
+        }
+        group_ends.push(commands.len());
+        let mode = match config.granularity {
+            AccessGranularity::Sgl => AccessMode::Sgl,
+            AccessGranularity::Block => AccessMode::Block,
+        };
+        let (mut now, mut reread, mut group_start) = (start, 0u64, 0);
+        for group_end in group_ends {
+            for c in group_start..group_end {
+                let block = &targets[commands[c].clone()];
+                let ranges = block.iter().map(|t| SglRange::new(t.offset, t.len));
+                let command = ReadCommand::with_ranges(ranges.collect(), mode)?;
+                let request = IoRequest::new(DeviceId(block[0].device), command)
+                    .with_table(block[0].key.table)
+                    .with_user_data(c as u64);
                 match engine.submit(request, now) {
                     Ok(()) => {}
-                    // Unlike a demand miss, nobody is waiting for this row:
-                    // it stays uncached and a later miss reads it.
+                    // Unlike a demand miss, nobody is waiting for these
+                    // rows: they stay uncached and later misses read them.
                     Err(IoError::RetriesExhausted { .. }) => {}
                     Err(e) => return Err(e.into()),
                 }
             }
             // The group's last completion is the next group's submission
-            // instant, and fills happen in drain order, so every row of an
-            // earlier group ends up older than every row of a later one.
+            // instant; a completion's payload is its rows back to back.
             now = engine.drain_each(now, |completion| {
-                let (_, key) = group[completion.user_data as usize];
-                fill_caches(row_cache, shared, stats, key, &completion.data);
-                reread += 1;
+                let span = commands[completion.user_data as usize].clone();
+                let mut data = &completion.data[..];
+                for row in &targets[span] {
+                    let (bytes, rest) = data.split_at(row.len as usize);
+                    fill_caches(row_cache, shared, stats, row.key, bytes);
+                    data = rest;
+                    reread += 1;
+                }
             })?;
+            group_start = group_end;
+        }
+        // Fills landed in address order; re-stamping in the snapshot's
+        // order puts every engine's recency back exactly as it was.
+        for (_, key) in rows {
+            row_cache.restamp(key);
         }
         self.clock = self.clock.max(now);
         Ok((reread, now))

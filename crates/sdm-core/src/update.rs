@@ -11,14 +11,20 @@
 //! 2. **snapshot** — `(stamp, key)` of every privately cached row, least
 //!    recently used first, into one transient buffer;
 //! 3. **invalidate** — [`SdmMemoryManager::invalidate_caches`] on every
-//!    shard (row cache, pooled cache, shared tier, warm-up tracker), before
-//!    any re-read, so no shard's clear wipes what another just promoted;
-//! 4. **re-read** — the snapshot's rows come back from the new image as bulk
-//!    IO through the ordinary read path (queue limits, retries, checksum
-//!    guard), in groups drained oldest first so recency survives group-wise,
-//!    each fill promoted into the shared tier like any other. Rows resident
-//!    *only* in the tier are not re-read, and pooled-cache entries are not
-//!    re-created (their keys are hashes of index sequences).
+//!    shard (row cache, pooled cache, shared tier), before any re-read, so
+//!    no shard's clear wipes what another just promoted;
+//! 4. **re-read** — the snapshot's rows come back from the new image as
+//!    gathered IO through the ordinary read path: one multi-range command
+//!    per device block holding a row's first byte (SGL, or whole-block under
+//!    block granularity), submitted in address order in groups
+//!    of bounded payload, with queue limits, retries and the checksum guard
+//!    acting per command. Each completion is split by range into the fills
+//!    a demand miss makes, each promoted into the shared tier like any
+//!    other, and the rows are then re-stamped in the snapshot's order, so
+//!    recency is exactly what it was. A command that exhausts its retries
+//!    leaves its rows uncached. Rows resident *only* in the tier are not
+//!    re-read, and pooled-cache entries are not re-created (their keys are
+//!    hashes of index sequences).
 //!
 //! Nothing about this is off the clock. The shard tells the manager its
 //! present whenever a stretch of work ends, so the update starts where the
@@ -172,12 +178,12 @@ pub(crate) fn apply_to_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SdmConfig;
+    use crate::config::{AccessGranularity, SdmConfig};
     use crate::loader::ModelLoader;
-    use crate::manager::{SdmMemoryManager, REWARM_GROUP_ROWS};
+    use crate::manager::SdmMemoryManager;
     use dlrm::{model_zoo, EmbeddingBackend};
     use io_engine::{EngineConfig, IoEngine};
-    use scm_device::DeviceArray;
+    use scm_device::{DeviceArray, DeviceId};
     use sdm_cache::{RowCache, RowKey};
     use sdm_metrics::SimInstant;
 
@@ -206,12 +212,33 @@ mod tests {
         keys
     }
 
+    /// Distinct `(device, device block)` pairs holding the first byte of a
+    /// resident row: what a refill of the current cache has to read.
+    fn resident_blocks(m: &SdmMemoryManager) -> u64 {
+        let block_of = |key: &RowKey| {
+            let placement = m.loaded().layout.placement(key.table).unwrap();
+            let device = DeviceId(placement.device_index);
+            let profile = m.io_engine().array().device(device).unwrap().profile();
+            let offset = placement.row_offset(key.row).unwrap();
+            (device.0, offset / profile.access_granularity.as_u64())
+        };
+        let mut blocks: Vec<(usize, u64)> = resident_keys(m).iter().map(block_of).collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        blocks.len() as u64
+    }
+
     /// Asserts that every resident row holds the bytes of `version`'s image.
     fn assert_cache_holds_version(m: &mut SdmMemoryManager, version: u64) {
+        let mut image: Option<(u32, EmbeddingTable)> = None;
         for key in resident_keys(m) {
-            let stored = m.loaded().table(key.table).unwrap().stored.clone();
-            let table = EmbeddingTable::generate(&stored, version ^ u64::from(key.table));
-            let cached = m.row_cache_mut().get(&key).unwrap().to_vec();
+            if image.as_ref().map(|(id, _)| *id) != Some(key.table) {
+                let stored = &m.loaded().table(key.table).unwrap().stored;
+                let table = EmbeddingTable::generate(stored, version ^ u64::from(key.table));
+                image = Some((key.table, table));
+            }
+            let table = &image.as_ref().unwrap().1;
+            let cached = m.row_cache_mut().get(&key).unwrap();
             assert_eq!(cached, table.row(key.row).unwrap(), "{key} is stale");
         }
     }
@@ -225,6 +252,9 @@ mod tests {
         }
         let before = resident_keys(&m);
         assert_eq!(before.len(), 10);
+        // Per table, rows 1–3 share a device block and rows 40–41 another.
+        let blocks = resident_blocks(&m);
+        assert_eq!(blocks, 4);
         let (demand_reads, started) = (m.stats().sm_reads, m.now());
         let device_reads = m.io_engine().stats().submitted;
 
@@ -243,11 +273,48 @@ mod tests {
         assert_eq!(resident_keys(&m), before);
         assert_cache_holds_version(&mut m, 99);
         assert_eq!(m.pooled_cache().len(), 0);
-        // The re-read is device IO, not demand traffic.
-        assert_eq!(m.io_engine().stats().submitted, device_reads + 10);
+        // The re-read is device IO — one command per block — not demand
+        // traffic.
+        assert_eq!(m.io_engine().stats().submitted, device_reads + blocks);
         assert_eq!(m.stats().sm_reads, demand_reads);
         m.pooled_lookup(0, &[1, 2, 3], SimInstant::EPOCH).unwrap();
         assert_eq!(m.stats().sm_reads, demand_reads, "re-read rows must hit");
+    }
+
+    #[test]
+    fn the_refill_issues_one_command_per_block_at_every_granularity() {
+        // 308-byte rows: some straddle a 512 B or 4 KiB block boundary, and
+        // their command then touches two blocks.
+        let mut model = model_zoo::tiny(2, 0, 3_000);
+        for table in &mut model.tables {
+            table.dim = 300;
+        }
+        let nand = || SdmConfig::for_tests().with_nand_flash();
+        let block_nand = SdmConfig {
+            granularity: AccessGranularity::Block,
+            ..nand()
+        };
+        for config in [SdmConfig::for_tests(), nand(), block_nand] {
+            let mut m = build(&model, config);
+            let scattered = (0..400u64).map(|i| i * i % 3_000);
+            let rows: Vec<u64> = (0..120).chain(scattered).collect();
+            for table in [0u32, 1] {
+                for chunk in rows.chunks(10) {
+                    m.pooled_lookup(table, chunk, SimInstant::EPOCH).unwrap();
+                }
+            }
+            let before = resident_keys(&m);
+            let blocks = resident_blocks(&m);
+            assert!(blocks < before.len() as u64);
+            let device_reads = m.io_engine().stats().submitted;
+
+            let report = ModelUpdater::apply(&mut m, UpdateKind::Full, 12).unwrap();
+            let submitted = m.io_engine().stats().submitted - device_reads;
+            assert_eq!(submitted, blocks, "{:?}", m.config().technology.kind);
+            assert_eq!(report.rows_rewarmed, before.len() as u64);
+            assert_eq!(resident_keys(&m), before);
+            assert_cache_holds_version(&mut m, 12);
+        }
     }
 
     #[test]
@@ -277,45 +344,39 @@ mod tests {
     }
 
     #[test]
-    fn rows_of_an_earlier_reread_group_are_evicted_first() {
+    fn evictions_after_a_refill_take_the_oldest_snapshot_rows_first() {
         // 308-byte rows go to the exact-LRU engine (64 bytes of overhead per
-        // entry), sized to hold one full re-read group and part of a second.
+        // entry), sized to hold exactly `capacity` rows.
         let mut model = model_zoo::tiny(1, 0, 8_000);
         model.tables[0].dim = 300;
-        let second_group = 452;
-        let capacity = REWARM_GROUP_ROWS + second_group;
+        let capacity = 2_500;
         let mut config = SdmConfig::for_tests();
         config.cache.memory_optimized_fraction = 0.0;
         config.cache.row_cache_budget = Bytes((capacity * (308 + 64)) as u64);
         let mut m = build(&model, config);
-        let touch = |m: &mut SdmMemoryManager, rows: std::ops::Range<u64>| {
-            for row in rows {
+        let touch = |m: &mut SdmMemoryManager, rows: &[u64]| {
+            for &row in rows {
                 m.pooled_lookup(0, &[row], SimInstant::EPOCH).unwrap();
             }
         };
-        // Recency order = row order: rows 0..2048 form the first group.
-        touch(&mut m, 0..capacity as u64);
+        // Recency order far from address order: a stride walk over the
+        // table (7 919 is coprime to 8 000, so no row repeats).
+        let walk: Vec<u64> = (0..8_000u64).map(|i| i * 7_919 % 8_000).collect();
+        let (snapshot, fresh) = walk.split_at(capacity);
+        touch(&mut m, snapshot);
         assert_eq!(m.row_cache().len(), capacity);
         let report = ModelUpdater::apply(&mut m, UpdateKind::Full, 5).unwrap();
         assert_eq!(report.rows_rewarmed, capacity as u64);
         assert_eq!(m.row_cache().stats().evictions, 0);
 
-        let resident = |m: &SdmMemoryManager, rows: std::ops::Range<u64>| {
-            rows.filter(|row| m.row_cache().contains(&RowKey::new(0, *row)))
-                .count()
-        };
-        let (first, second) = (
-            0..REWARM_GROUP_ROWS as u64,
-            REWARM_GROUP_ROWS as u64..capacity as u64,
-        );
-        // 300 new rows push out 300 rows of the first group and none of the
-        // second, whatever order the first group's completions landed in.
-        touch(&mut m, 5_000..5_300);
-        assert_eq!(resident(&m, first.clone()), REWARM_GROUP_ROWS - 300);
-        assert_eq!(resident(&m, second.clone()), second_group);
-        // The second group goes only once the first is gone.
-        touch(&mut m, 5_300..7_200);
-        assert_eq!(resident(&m, first), 0);
-        assert_eq!(resident(&m, second), second_group - 152);
+        // Each new row evicts exactly the oldest snapshot row left.
+        let mut evicted = 0;
+        for k in [1, 299, 700, 1_500] {
+            touch(&mut m, &fresh[evicted..evicted + k]);
+            evicted += k;
+            let resident = |row: &u64| m.row_cache().contains(&RowKey::new(0, *row));
+            assert!(!snapshot[..evicted].iter().any(resident), "after {evicted}");
+            assert!(snapshot[evicted..].iter().all(resident), "after {evicted}");
+        }
     }
 }

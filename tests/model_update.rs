@@ -8,10 +8,11 @@
 //! * **No stale row, at any cache level** — after an update, scores equal
 //!   `InferenceEngine` + `DramBackend` over tables regenerated at the new
 //!   version, on one stream and on a two-shard host behind a shared tier.
-//! * **The re-read is an ordinary read** — under a pinned-seed `FaultPlan`
-//!   every injected corruption is detected, nothing is served degraded, a
-//!   row whose re-read exhausts its retries is simply absent (a later
-//!   demand miss reads it), and one seed replays to an equal `UpdateReport`.
+//! * **The re-read is an ordinary read** — one gathered command per device
+//!   block; under a pinned-seed `FaultPlan` every injected corruption is
+//!   detected, nothing is served degraded, the rows of a command that
+//!   exhausts its retries are simply absent (later demand misses read
+//!   them), and one seed replays to an equal `UpdateReport`.
 //! * **The window is on the clock** — the first batch after an update
 //!   carries `write_time + rewarm_time` in its makespan, the next does not,
 //!   and without an update the manager's clock never runs ahead of the
@@ -106,6 +107,35 @@ fn device_seed(fault_seed: u64, device: usize) -> u64 {
     fault_seed ^ (device as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
+/// Tables long enough that a warm-up's rows spread over hundreds of device
+/// blocks: the refill, one command per block, then issues hundreds of
+/// commands — enough for a few-per-cent fault plan to hit several — and
+/// takes longer than a batch of all-hit queries.
+fn long_tables() -> ModelConfig {
+    model_zoo::tiny(3, 1, 50_000)
+}
+
+/// The sorted, distinct `(device, device block)` pairs holding the first
+/// byte of `keys`' rows: the refill reads each such block with one command.
+fn blocks_of(manager: &SdmMemoryManager, keys: &[RowKey]) -> Vec<(usize, u64)> {
+    let block_of = |key: &RowKey| {
+        let placement = manager.loaded().layout.placement(key.table).unwrap();
+        let device = DeviceId(placement.device_index);
+        let profile = manager
+            .io_engine()
+            .array()
+            .device(device)
+            .unwrap()
+            .profile();
+        let offset = placement.row_offset(key.row).unwrap();
+        (device.0, offset / profile.access_granularity.as_u64())
+    };
+    let mut blocks: Vec<(usize, u64)> = keys.iter().map(block_of).collect();
+    blocks.sort_unstable();
+    blocks.dedup();
+    blocks
+}
+
 #[test]
 fn every_row_served_after_an_update_comes_from_the_new_image() {
     let model = model_zoo::tiny(3, 1, 500);
@@ -167,7 +197,7 @@ fn faulty_update(
 
 #[test]
 fn the_reread_pays_for_faults_like_any_other_read() {
-    let model = model_zoo::tiny(3, 1, 600);
+    let model = long_tables();
     let queries = common::stream(&model, STREAM, 32, 9);
     let plan_for = |d: usize| {
         Some(
@@ -209,7 +239,7 @@ fn the_reread_pays_for_faults_like_any_other_read() {
 
 #[test]
 fn a_row_whose_reread_fails_is_absent_not_degraded() {
-    let model = model_zoo::tiny(3, 1, 600);
+    let model = long_tables();
     let queries = common::stream(&model, STREAM, 32, 9);
     let plan_for =
         |d: usize| Some(FaultPlan::new(device_seed(0x5d11_0021, d)).with_transient_errors(0.2));
@@ -226,10 +256,25 @@ fn a_row_whose_reread_fails_is_absent_not_degraded() {
         .resilience
         .exhausted;
     assert!(exhausted > 0, "the plan failed no re-read");
-    assert_eq!(report.rows_rewarmed + exhausted, before.len() as u64);
     let after = resident_keys(system.shard(0).manager());
     assert_eq!(after.len() as u64, report.rows_rewarmed);
     assert!(after.iter().all(|key| before.binary_search(key).is_ok()));
+    // Conservation per row: a snapshot row was re-read or its command
+    // exhausted its retries, and such a command loses its whole block —
+    // one lost block per exhausted command, none of its rows kept.
+    let absent: Vec<RowKey> = before
+        .iter()
+        .filter(|key| after.binary_search(key).is_err())
+        .copied()
+        .collect();
+    assert_eq!(
+        report.rows_rewarmed + absent.len() as u64,
+        before.len() as u64
+    );
+    let manager = system.shard(0).manager();
+    let (lost, kept) = (blocks_of(manager, &absent), blocks_of(manager, &after));
+    assert_eq!(lost.len() as u64, exhausted);
+    assert!(lost.iter().all(|block| kept.binary_search(block).is_err()));
     assert_eq!(system.shard(0).manager().stats().degraded_rows, 0);
 
     // With the device healthy again the missing rows are demand misses like
@@ -251,7 +296,7 @@ fn a_row_whose_reread_fails_is_absent_not_degraded() {
 
 #[test]
 fn the_update_window_lands_in_the_first_batch_and_only_there() {
-    let model = model_zoo::tiny(3, 1, 600);
+    let model = long_tables();
     let queries = common::stream(&model, STREAM, 48, 13);
     for config in [
         SdmConfig::for_tests().with_nand_flash(),
