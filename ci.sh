@@ -7,13 +7,16 @@
 #                    # the exact BENCH_paper.json gate (exp_paper --check),
 #                    # bench compile, and a release build of the benchmark/
 #                    # harness against the workspace crates
-#   ./ci.sh quick    # skip fmt/clippy/analyze (what the paper-repro driver runs)
+#   ./ci.sh quick    # skip fmt/clippy/analyze; the no-unwrap, no-print and
+#                    # documented-unsafe contracts are clippy lints, so only
+#                    # the full gate's clippy step checks them
 #   ./ci.sh bench    # run the criterion benches (quick shim)
 #   ./ci.sh benchmark  # the benchmark/ package's own gate (benchmark/check.sh:
 #                    # fmt, clippy, harness tests, smoke run of every workload
 #                    # on both paths)
 #   ./ci.sh analyze  # static-analysis lane: sdm-analyze lint driver over the
-#                    # workspace and its fixture self-tests
+#                    # workspace and its fixture self-tests (the textual
+#                    # rules only; the clippy-held contracts run in full)
 #   ./ci.sh miri     # opt-in: curated test subset under Miri (needs a
 #                    # nightly toolchain with the miri component; skips with
 #                    # a visible NOTICE otherwise)

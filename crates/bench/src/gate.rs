@@ -7,14 +7,10 @@
 //! JSON crate is vendored). Values are compared as printed, so a change in
 //! the last printed digit fails the gate.
 
-// Harness crate (crate docs, "Panic policy"): a gated binary's usage error
-// is printed and ends the process.
-// sdm-analyze: allow-file(no-print-in-libs)
-
 use std::collections::BTreeMap;
 
 /// One document section: its name, then field names and printed values.
-pub type Section<S> = (S, Vec<(String, String)>);
+pub(crate) type Section<S> = (S, Vec<(String, String)>);
 
 /// Renders a document: the `schema` line, then each section's fields in
 /// order.
@@ -34,7 +30,7 @@ pub fn render<S: AsRef<str>>(schema: &str, sections: &[Section<S>]) -> String {
 
 /// `section.field` (or `field` at the top level) and its printed value,
 /// for every field line of a document [`render`] wrote.
-pub fn printed_fields(doc: &str) -> Vec<(String, &str)> {
+pub(crate) fn printed_fields(doc: &str) -> Vec<(String, &str)> {
     let mut section = None;
     let mut out = Vec::new();
     for line in doc.lines() {
@@ -56,7 +52,11 @@ pub fn printed_fields(doc: &str) -> Vec<(String, &str)> {
 /// The exact gate: one message per field of `committed` and `fresh` that
 /// differs, is missing from `fresh`, or is extra in `fresh`. A field for
 /// which `may_differ` holds must be present but may differ.
-pub fn compare(committed: &str, fresh: &str, may_differ: impl Fn(&str) -> bool) -> Vec<String> {
+pub(crate) fn compare(
+    committed: &str,
+    fresh: &str,
+    may_differ: impl Fn(&str) -> bool,
+) -> Vec<String> {
     let old: BTreeMap<_, _> = printed_fields(committed).into_iter().collect();
     let new: BTreeMap<_, _> = printed_fields(fresh).into_iter().collect();
     let mut failures = Vec::new();

@@ -60,7 +60,7 @@ impl HostConfig {
     }
 
     /// HW-S: single-socket, 64 GB DRAM.
-    pub fn hw_s() -> Self {
+    pub(crate) fn hw_s() -> Self {
         HostConfig {
             name: "HW-S".into(),
             cpu_sockets: 1,
@@ -86,7 +86,7 @@ impl HostConfig {
     }
 
     /// HW-AN: single-socket, 64 GB DRAM, 2 × 1 TB Nand Flash, accelerator.
-    pub fn hw_an() -> Self {
+    pub(crate) fn hw_an() -> Self {
         HostConfig {
             name: "HW-AN".into(),
             cpu_sockets: 1,
@@ -104,7 +104,7 @@ impl HostConfig {
     }
 
     /// HW-AO: single-socket, 64 GB DRAM, 2 × 0.4 TB Optane, accelerator.
-    pub fn hw_ao() -> Self {
+    pub(crate) fn hw_ao() -> Self {
         HostConfig {
             name: "HW-AO".into(),
             cpu_sockets: 1,

@@ -1,5 +1,5 @@
-//! Datacenter-level modelling: hardware configurations, power, roofline
-//! throughput, scale-out and multi-tenancy.
+//! Datacenter-level modelling: hardware configurations, power, fleet
+//! sizing, scale-out and multi-tenancy.
 //!
 //! The paper's headline results (Tables 8, 9, 10 and 11) are fleet-level
 //! arithmetic on top of per-host measurements: given the QPS one host
@@ -10,9 +10,8 @@
 //! * [`HostConfig`] — the hardware platforms of Table 7 (HW-L, HW-S, HW-SS,
 //!   HW-AN, HW-AO and the future accelerator host of §5.3);
 //! * [`PowerModel`] — component-level host power estimates;
-//! * [`roofline`] — Equations 5 and 7 (QPS per host, hosts needed);
 //! * [`ServingScenario`] / [`ScenarioComparison`] — the Table 8/9 style
-//!   deployments;
+//!   deployments, fleets sized by Equation 7;
 //! * [`multi_tenancy`] — the utilisation/power model behind Table 11;
 //! * [`sizing`] — the IOPS → number-of-SSDs sizing of Table 10.
 //!
@@ -32,12 +31,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro))]
 
 mod error;
 mod hardware;
 pub mod multi_tenancy;
 mod power;
-pub mod roofline;
 mod scenario;
 pub mod sizing;
 

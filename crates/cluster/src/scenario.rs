@@ -1,7 +1,6 @@
 //! Serving scenarios: the Table 8 / Table 9 style deployment comparisons.
 
 use crate::error::ClusterError;
-use crate::roofline::hosts_needed;
 use sdm_metrics::units::Watts;
 
 /// One way of serving a model: a host type at a measured per-host QPS.
@@ -39,13 +38,26 @@ impl ServingScenario {
         self
     }
 
-    /// Serving hosts needed for a total QPS.
+    /// Equation 7: serving hosts needed for a total QPS.
     ///
     /// # Errors
     ///
-    /// Propagates [`ClusterError`] for non-positive per-host QPS.
+    /// Returns [`ClusterError::InvalidParameter`] when the per-host QPS is
+    /// not positive or `total_qps` is negative.
     fn serving_hosts(&self, total_qps: f64) -> Result<u64, ClusterError> {
-        hosts_needed(total_qps, self.qps_per_host)
+        if self.qps_per_host <= 0.0 {
+            return Err(ClusterError::InvalidParameter {
+                name: "qps_per_host",
+                reason: "must be positive".into(),
+            });
+        }
+        if total_qps < 0.0 {
+            return Err(ClusterError::InvalidParameter {
+                name: "total_qps",
+                reason: "must be non-negative".into(),
+            });
+        }
+        Ok((total_qps / self.qps_per_host).ceil() as u64)
     }
 
     /// Total hosts (serving + auxiliary) for a total QPS.
@@ -53,7 +65,7 @@ impl ServingScenario {
     /// # Errors
     ///
     /// Propagates [`ClusterError`] for non-positive per-host QPS.
-    pub fn total_hosts(&self, total_qps: f64) -> Result<u64, ClusterError> {
+    pub(crate) fn total_hosts(&self, total_qps: f64) -> Result<u64, ClusterError> {
         let serving = self.serving_hosts(total_qps)?;
         Ok(serving + (serving as f64 * self.auxiliary_hosts_per_host).ceil() as u64)
     }
@@ -145,6 +157,15 @@ impl ScenarioComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn serving_hosts_round_up() {
+        let host = |qps| ServingScenario::new("host", qps, Watts(1.0));
+        assert_eq!(host(240.0).serving_hosts(1000.0).unwrap(), 5);
+        assert_eq!(host(100.0).serving_hosts(0.0).unwrap(), 0);
+        assert!(host(0.0).serving_hosts(100.0).is_err());
+        assert!(host(10.0).serving_hosts(-1.0).is_err());
+    }
 
     /// Paper Table 8 with its own inputs: HW-L serves 240 QPS at power 1.0,
     /// HW-SS + SDM serves 120 QPS at power 0.4 → 20% fleet power saving.

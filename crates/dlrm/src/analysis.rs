@@ -16,7 +16,7 @@ pub struct CapacitySummary {
 
 impl CapacitySummary {
     /// Total embedding capacity.
-    pub fn total(&self) -> Bytes {
+    pub(crate) fn total(&self) -> Bytes {
         self.user + self.item
     }
 

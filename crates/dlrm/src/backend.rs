@@ -107,11 +107,6 @@ impl DramBackend {
         }
     }
 
-    /// The resolved dequant-accumulate kernel this backend pools with.
-    pub fn kernel(&self) -> SelectedKernel {
-        self.kernel
-    }
-
     /// Access to a resident table (for tests).
     pub fn table(&self, id: TableId) -> Option<&EmbeddingTable> {
         self.tables.get(&id)
@@ -230,10 +225,9 @@ mod tests {
         let a_bits: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
         let b_bits: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
         assert_eq!(
-            a_bits,
-            b_bits,
+            a_bits, b_bits,
             "{} kernel diverged from scalar",
-            auto.kernel()
+            auto.kernel
         );
     }
 

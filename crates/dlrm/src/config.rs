@@ -21,19 +21,14 @@ impl MlpConfig {
     }
 
     /// A uniform stack of `layers` dense layers of width `width`.
-    pub fn uniform(layers: usize, width: usize) -> Self {
+    pub(crate) fn uniform(layers: usize, width: usize) -> Self {
         MlpConfig {
             widths: vec![width.max(1); layers.max(1) + 1],
         }
     }
 
-    /// Number of dense layers.
-    pub fn num_layers(&self) -> usize {
-        self.widths.len().saturating_sub(1)
-    }
-
     /// Multiply-accumulate FLOPs per forward pass of one sample.
-    pub fn flops(&self) -> u64 {
+    pub(crate) fn flops(&self) -> u64 {
         self.widths
             .windows(2)
             .map(|w| 2 * (w[0] as u64) * (w[1] as u64))
@@ -42,7 +37,7 @@ impl MlpConfig {
 
     /// Scales every width by `factor` (used to materialise a laptop-sized
     /// replica of a datacenter-scale MLP while keeping the layer count).
-    pub fn scaled(&self, factor: f64) -> MlpConfig {
+    pub(crate) fn scaled(&self, factor: f64) -> MlpConfig {
         MlpConfig {
             widths: self
                 .widths
@@ -92,7 +87,7 @@ impl ComputeModel {
     }
 
     /// Time to execute `flops` floating point operations.
-    pub fn time_for_flops(&self, flops: u64) -> SimDuration {
+    pub(crate) fn time_for_flops(&self, flops: u64) -> SimDuration {
         if self.flops_per_second <= 0.0 {
             return self.operator_overhead;
         }
@@ -154,7 +149,7 @@ impl ModelConfig {
     }
 
     /// Tables of a given kind.
-    pub fn tables_of(&self, kind: TableKind) -> Vec<&TableDescriptor> {
+    pub(crate) fn tables_of(&self, kind: TableKind) -> Vec<&TableDescriptor> {
         self.tables.iter().filter(|t| t.kind == kind).collect()
     }
 
@@ -176,18 +171,6 @@ impl ModelConfig {
     /// Capacity of the user-side embeddings.
     pub fn user_capacity(&self) -> Bytes {
         self.user_tables().iter().map(|t| t.capacity()).sum()
-    }
-
-    /// Looks a table up by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DlrmError::UnknownTable`] when absent.
-    pub fn table(&self, id: u32) -> Result<&TableDescriptor, DlrmError> {
-        self.tables
-            .iter()
-            .find(|t| t.id == id)
-            .ok_or(DlrmError::UnknownTable { table: id })
     }
 }
 
@@ -213,10 +196,8 @@ mod tests {
     #[test]
     fn mlp_config_arithmetic() {
         let m = MlpConfig::new(vec![4, 8, 2]);
-        assert_eq!(m.num_layers(), 2);
         assert_eq!(m.flops(), 2 * (4 * 8 + 8 * 2));
         let u = MlpConfig::uniform(3, 10);
-        assert_eq!(u.num_layers(), 3);
         let s = u.scaled(0.1);
         assert!(s.widths.iter().all(|&w| w == 2));
     }
@@ -255,10 +236,5 @@ mod tests {
         assert_eq!(m.item_tables().len(), 1);
         assert_eq!(m.embedding_capacity(), Bytes(2 * 100 * 16));
         assert_eq!(m.user_capacity(), Bytes(100 * 16));
-        assert!(m.table(0).is_ok());
-        assert!(matches!(
-            m.table(9),
-            Err(DlrmError::UnknownTable { table: 9 })
-        ));
     }
 }

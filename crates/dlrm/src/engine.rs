@@ -182,11 +182,6 @@ impl InferenceEngine {
         &self.model
     }
 
-    /// Current execution mode.
-    pub fn mode(&self) -> ExecutionMode {
-        self.mode
-    }
-
     /// Switches between sequential and inter-op-parallel execution.
     pub fn set_mode(&mut self, mode: ExecutionMode) {
         self.mode = mode;
@@ -461,7 +456,7 @@ mod tests {
         assert!(par.latency.total < seq.latency.total);
         // Scores do not depend on the execution mode.
         assert_eq!(par.scores, seq.scores);
-        assert_eq!(engine.mode(), ExecutionMode::InterOpParallel);
+        assert_eq!(engine.mode, ExecutionMode::InterOpParallel);
     }
 
     /// Answers table `t` in a fixed `t + 1` µs and records the instant every

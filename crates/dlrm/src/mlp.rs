@@ -16,7 +16,7 @@ struct DenseLayer {
 
 impl DenseLayer {
     /// Creates a layer with deterministic pseudo-random weights.
-    pub fn generate(in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
+    pub(crate) fn generate(in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
         let scale = (2.0 / (in_dim.max(1) as f32)).sqrt();
         DenseLayer {
             weights: (0..in_dim * out_dim)
@@ -40,7 +40,7 @@ impl DenseLayer {
     /// # Errors
     ///
     /// Returns [`DlrmError::DimensionMismatch`] for a wrong input length.
-    pub fn forward_into(&self, input: &[f32], out: &mut Vec<f32>) -> Result<(), DlrmError> {
+    pub(crate) fn forward_into(&self, input: &[f32], out: &mut Vec<f32>) -> Result<(), DlrmError> {
         if input.len() != self.in_dim {
             return Err(DlrmError::DimensionMismatch {
                 expected: self.in_dim,
@@ -82,16 +82,6 @@ impl Mlp {
             layers,
             config: config.clone(),
         }
-    }
-
-    /// The configuration this MLP was built from.
-    pub fn config(&self) -> &MlpConfig {
-        &self.config
-    }
-
-    /// Number of dense layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
     }
 
     /// Input dimension of the first layer (0 for an empty stack).
@@ -137,7 +127,7 @@ impl Mlp {
     }
 
     /// FLOPs of one forward pass.
-    pub fn flops(&self) -> u64 {
+    pub(crate) fn flops(&self) -> u64 {
         self.config.flops()
     }
 }
@@ -149,7 +139,6 @@ mod tests {
     #[test]
     fn forward_produces_expected_shapes() {
         let mlp = Mlp::generate(&MlpConfig::new(vec![4, 8, 3]), 1);
-        assert_eq!(mlp.num_layers(), 2);
         assert_eq!(mlp.input_dim(), 4);
         let out = mlp.forward(&[0.1, 0.2, 0.3, 0.4]).unwrap();
         assert_eq!(out.len(), 3);
@@ -187,7 +176,7 @@ mod tests {
         let cfg = MlpConfig::new(vec![10, 20, 5]);
         let mlp = Mlp::generate(&cfg, 0);
         assert_eq!(mlp.flops(), cfg.flops());
-        assert_eq!(mlp.config(), &cfg);
+        assert_eq!(mlp.config, cfg);
     }
 
     #[test]

@@ -66,7 +66,11 @@ impl RowArena {
     /// Builds an arena by generating each row in index order through `f`,
     /// writing directly into the flat buffer (no intermediate per-row
     /// allocation beyond what `f` itself does).
-    pub fn generate(row_bytes: usize, num_rows: u64, mut f: impl FnMut(u64, &mut [u8])) -> Self {
+    pub(crate) fn generate(
+        row_bytes: usize,
+        num_rows: u64,
+        mut f: impl FnMut(u64, &mut [u8]),
+    ) -> Self {
         let mut data = vec![0u8; (num_rows as usize) * row_bytes];
         for i in 0..num_rows {
             let at = (i as usize) * row_bytes;
@@ -79,18 +83,13 @@ impl RowArena {
         }
     }
 
-    /// Encoded length of every row.
-    pub fn row_bytes(&self) -> usize {
-        self.row_bytes
-    }
-
     /// Number of rows stored.
     pub fn num_rows(&self) -> u64 {
         self.num_rows
     }
 
     /// Total payload bytes.
-    pub fn total_bytes(&self) -> usize {
+    pub(crate) fn total_bytes(&self) -> usize {
         self.data.len()
     }
 
@@ -112,18 +111,13 @@ impl RowArena {
     }
 
     /// Iterates over the rows in index order.
-    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
         // `chunks_exact(0)` panics; an arena of zero-length rows yields none.
         if self.row_bytes == 0 {
             self.data.chunks_exact(1).take(0)
         } else {
             self.data.chunks_exact(self.row_bytes).take(usize::MAX)
         }
-    }
-
-    /// The whole arena as one contiguous byte image (rows back to back).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.data
     }
 }
 
@@ -135,11 +129,11 @@ mod tests {
     fn from_rows_roundtrip() {
         let arena = RowArena::from_rows(2, vec![vec![1u8, 2], vec![3, 4], vec![5, 6]]).unwrap();
         assert_eq!(arena.num_rows(), 3);
-        assert_eq!(arena.row_bytes(), 2);
+        assert_eq!(arena.row_bytes, 2);
         assert_eq!(arena.total_bytes(), 6);
         assert_eq!(arena.row(0).unwrap(), &[1, 2]);
         assert_eq!(arena.row(2).unwrap(), &[5, 6]);
-        assert_eq!(arena.as_bytes(), &[1, 2, 3, 4, 5, 6]);
+        assert_eq!(&arena.data[..], &[1, 2, 3, 4, 5, 6]);
     }
 
     #[test]

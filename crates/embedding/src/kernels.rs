@@ -297,6 +297,11 @@ mod x86 {
     use core::arch::x86_64::*;
 
     /// Dequantise + accumulate eight lanes: `cur + ((codes*scale)+bias)[*w]`.
+    ///
+    /// # Safety
+    ///
+    /// Callable only where AVX2 is enabled, and `o` must hold at least 8
+    /// f32s: the unaligned load and store below do not check its length.
     #[target_feature(enable = "avx2")]
     fn step8<const W: bool>(
         codes_f: __m256,

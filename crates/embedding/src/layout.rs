@@ -8,7 +8,7 @@
 use crate::error::EmbeddingError;
 use crate::table::{TableDescriptor, TableId};
 use sdm_metrics::units::Bytes;
-use std::collections::HashMap;
+use sdm_metrics::IntMap;
 
 /// Where one table lives in the SM address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +55,7 @@ impl TablePlacement {
 /// because IOPS follow bytes for uniformly random row access — IO load.
 #[derive(Debug, Clone, Default)]
 pub struct SmLayout {
-    placements: HashMap<TableId, TablePlacement>,
+    placements: IntMap<TableId, TablePlacement>,
 }
 
 impl SmLayout {
@@ -80,7 +80,7 @@ impl SmLayout {
         }
         let alignment = alignment.as_u64().max(1);
         let mut device_used = vec![0u64; device_count];
-        let mut placements = HashMap::new();
+        let mut placements = IntMap::default();
 
         // Largest-first balances the devices.
         let mut order: Vec<&TableDescriptor> = tables.iter().collect();

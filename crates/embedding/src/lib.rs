@@ -43,6 +43,8 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro))]
 
 mod arena;
 mod error;
@@ -58,5 +60,5 @@ pub use error::EmbeddingError;
 pub use kernels::SelectedKernel;
 pub use layout::{SmLayout, TablePlacement};
 pub use pruning::{DepruneReport, MappingTensor, PrunedTable};
-pub use quant::{dequantize_row, quantize_row, quantize_row_into, QuantScheme};
+pub use quant::{dequantize_row, quantize_row, QuantScheme};
 pub use table::{EmbeddingTable, TableDescriptor, TableId, TableKind};

@@ -30,21 +30,11 @@ pub struct MappingTensor {
 impl MappingTensor {
     /// Builds a mapping tensor from explicit entries. `index_bytes` is the
     /// storage width per entry (4 or 8 bytes in the paper).
-    pub fn new(entries: Vec<Option<u64>>, index_bytes: usize) -> Self {
+    pub(crate) fn new(entries: Vec<Option<u64>>, index_bytes: usize) -> Self {
         MappingTensor {
             entries,
             index_bytes: if index_bytes == 8 { 8 } else { 4 },
         }
-    }
-
-    /// Number of entries (unpruned-space rows).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the tensor has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Looks up the pruned-space position of an unpruned index.
@@ -141,25 +131,6 @@ impl PrunedTable {
         &self.mapping
     }
 
-    /// Looks up an unpruned-space row: pruned rows decode to `None`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::RowOutOfRange`] when the unpruned index is
-    /// outside the original table.
-    pub fn row(&self, unpruned_index: u64) -> Result<Option<&[u8]>, EmbeddingError> {
-        if unpruned_index >= self.unpruned_descriptor.num_rows {
-            return Err(EmbeddingError::RowOutOfRange {
-                row: unpruned_index,
-                rows: self.unpruned_descriptor.num_rows,
-            });
-        }
-        match self.mapping.map(unpruned_index) {
-            Some(pos) => Ok(Some(self.pruned_rows.row(pos)?)),
-            None => Ok(None),
-        }
-    }
-
     /// De-prunes at load time (paper Algorithm 2): reconstructs a full table
     /// where pruned rows become explicit zero rows, so the mapping tensor is
     /// no longer needed at serving time.
@@ -213,8 +184,7 @@ mod tests {
         let t = table();
         let pruned = PrunedTable::prune(&t, 0.6, 42).unwrap();
         assert_eq!(pruned.pruned_rows().num_rows(), 120);
-        assert_eq!(pruned.mapping().len(), 200);
-        assert!(!pruned.mapping().is_empty());
+        assert_eq!(pruned.mapping().entries.len(), 200);
     }
 
     #[test]
@@ -231,16 +201,13 @@ mod tests {
         let pruned = PrunedTable::prune(&t, 0.5, 9).unwrap();
         let mut surviving_checked = 0;
         for idx in 0..t.num_rows() {
-            if let Some(row) = pruned.row(idx).unwrap() {
+            if let Some(pos) = pruned.mapping().map(idx) {
+                let row = pruned.pruned_rows().row(pos).unwrap();
                 assert_eq!(row, t.row(idx).unwrap());
                 surviving_checked += 1;
             }
         }
         assert_eq!(surviving_checked, 100);
-        assert!(matches!(
-            pruned.row(10_000),
-            Err(EmbeddingError::RowOutOfRange { .. })
-        ));
     }
 
     #[test]
@@ -265,8 +232,11 @@ mod tests {
         );
         // Surviving rows identical, pruned rows decode to zeros.
         for idx in 0..t.num_rows() {
-            match pruned.row(idx).unwrap() {
-                Some(orig) => assert_eq!(full.row(idx).unwrap(), orig),
+            match pruned.mapping().map(idx) {
+                Some(pos) => {
+                    let orig = pruned.pruned_rows().row(pos).unwrap();
+                    assert_eq!(full.row(idx).unwrap(), orig);
+                }
                 None => {
                     let values = full.dequantized_row(idx).unwrap();
                     assert!(values.iter().all(|v| v.abs() < 1e-6));

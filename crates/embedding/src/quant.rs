@@ -49,7 +49,7 @@ impl fmt::Display for QuantScheme {
 /// Quantises one row of `f32` values under the given scheme.
 ///
 /// The returned buffer has exactly [`QuantScheme::row_bytes`] bytes. This is
-/// the allocating form of [`quantize_row_into`].
+/// the allocating form of `quantize_row_into`.
 pub fn quantize_row(values: &[f32], scheme: QuantScheme) -> Vec<u8> {
     let mut out = vec![0u8; scheme.row_bytes(values.len())];
     quantize_row_into(values, scheme, &mut out);
@@ -62,7 +62,7 @@ pub fn quantize_row(values: &[f32], scheme: QuantScheme) -> Vec<u8> {
 /// # Panics
 ///
 /// Panics when `out` is not exactly [`QuantScheme::row_bytes`] long.
-pub fn quantize_row_into(values: &[f32], scheme: QuantScheme, out: &mut [u8]) {
+pub(crate) fn quantize_row_into(values: &[f32], scheme: QuantScheme, out: &mut [u8]) {
     assert_eq!(
         out.len(),
         scheme.row_bytes(values.len()),

@@ -203,7 +203,7 @@ impl EmbeddingTable {
     /// Returns [`EmbeddingError::MalformedRow`] if any row has the wrong
     /// length, or [`EmbeddingError::InvalidDescriptor`] if the row count does
     /// not match the descriptor.
-    pub fn from_rows(
+    pub(crate) fn from_rows(
         descriptor: TableDescriptor,
         rows: Vec<Vec<u8>>,
     ) -> Result<Self, EmbeddingError> {
@@ -254,11 +254,6 @@ impl EmbeddingTable {
     /// Iterates over the quantised rows in index order.
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
         self.rows.iter()
-    }
-
-    /// The backing arena holding every row back to back.
-    pub fn arena(&self) -> &RowArena {
-        &self.rows
     }
 
     /// Total bytes of quantised row data.

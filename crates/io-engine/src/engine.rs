@@ -32,7 +32,7 @@ use sdm_metrics::{IntMap, LatencyHistogram, SimDuration, SimInstant};
 
 /// Identifier for the embedding table an IO belongs to, used by the
 /// per-table throttling knobs. The engine treats it as an opaque tag.
-pub type TableTag = u32;
+pub(crate) type TableTag = u32;
 
 /// One read request handed to the engine.
 #[derive(Debug, Clone)]
@@ -158,13 +158,6 @@ impl EngineConfig {
         }
     }
 
-    /// The first (largest) per-shard slice; see
-    /// [`EngineConfig::divide_among_indexed`]. `divide_among(1)` is the
-    /// identity.
-    pub fn divide_among(&self, shards: usize) -> EngineConfig {
-        self.divide_among_indexed(shards, 0)
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -264,17 +257,6 @@ pub struct EngineStats {
     pub queue_depth: IoStats,
     /// Retry / checksum / deadline / hedging counters.
     pub resilience: ResilienceStats,
-}
-
-impl EngineStats {
-    /// Average read amplification (bus bytes / requested bytes).
-    pub fn read_amplification(&self) -> f64 {
-        if self.requested_bytes.is_zero() {
-            1.0
-        } else {
-            self.bus_bytes.as_u64() as f64 / self.requested_bytes.as_u64() as f64
-        }
-    }
 }
 
 /// Scheduling state of one queue (a device's, or a table's): the completion
@@ -751,7 +733,7 @@ mod tests {
     #[test]
     fn divide_among_splits_shared_limits_with_floor() {
         let cfg = EngineConfig::default();
-        let quarter = cfg.divide_among(4);
+        let quarter = cfg.divide_among_indexed(4, 0);
         assert_eq!(
             quarter.max_outstanding_per_device,
             cfg.max_outstanding_per_device / 4
@@ -763,13 +745,13 @@ mod tests {
         );
         assert!(quarter.validate().is_ok());
         // More shards than queue slots still yields a valid config.
-        let tiny = cfg.divide_among(10_000);
+        let tiny = cfg.divide_among_indexed(10_000, 0);
         assert_eq!(tiny.max_outstanding_per_device, 1);
         assert_eq!(tiny.max_tables_in_flight, 1);
         assert!(tiny.validate().is_ok());
         // Zero clamps to one (identity).
         assert_eq!(
-            cfg.divide_among(0).max_outstanding_per_device,
+            cfg.divide_among_indexed(0, 0).max_outstanding_per_device,
             cfg.max_outstanding_per_device
         );
     }
@@ -953,12 +935,14 @@ mod tests {
         engine
             .submit(IoRequest::new(DeviceId(0), ReadCommand::block(0, 128)), now)
             .unwrap();
-        assert!(engine.stats().read_amplification() > 30.0);
+        let amplification =
+            |s: &EngineStats| s.bus_bytes.as_u64() as f64 / s.requested_bytes.as_u64() as f64;
+        assert!(amplification(engine.stats()) > 30.0);
         let mut engine2 = engine_with(TechnologyProfile::nand_flash(), 1, EngineConfig::default());
         engine2
             .submit(IoRequest::new(DeviceId(0), ReadCommand::sgl(0, 128)), now)
             .unwrap();
-        assert!((engine2.stats().read_amplification() - 1.0).abs() < 1e-9);
+        assert!((amplification(engine2.stats()) - 1.0).abs() < 1e-9);
     }
 
     #[test]

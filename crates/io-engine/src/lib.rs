@@ -45,6 +45,8 @@
 // typed `IoError` the retry layer (and above it, degraded serving) can act
 // on. Tests opt back in locally with `#[allow(clippy::unwrap_used)]`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro))]
 
 mod completion;
 mod engine;
@@ -55,5 +57,5 @@ mod retry;
 pub use completion::{CompletionMode, CpuCostModel};
 pub use engine::{EngineConfig, EngineStats, IoCompletion, IoEngine, IoRequest, IoStats};
 pub use error::{FailureKind, IoError};
-pub use mmap::{MmapIo, MmapStats};
+pub use mmap::MmapIo;
 pub use retry::{ResilienceStats, RetryConfig};

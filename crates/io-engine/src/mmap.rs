@@ -17,7 +17,7 @@ const PAGE_SIZE: u64 = 4096;
 
 /// Statistics for the mmap path.
 #[derive(Debug, Clone, Default)]
-pub struct MmapStats {
+pub(crate) struct MmapStats {
     /// Row reads served.
     pub reads: u64,
     /// Page faults (device reads) incurred.
@@ -30,26 +30,6 @@ pub struct MmapStats {
     pub requested_bytes: Bytes,
     /// Latency distribution of row reads.
     pub latency: LatencyHistogram,
-}
-
-impl MmapStats {
-    /// Fraction of row reads that hit an already-resident page.
-    pub fn hit_rate(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            1.0 - self.faults as f64 / self.reads as f64
-        }
-    }
-
-    /// Read amplification of the mmap path.
-    pub fn read_amplification(&self) -> f64 {
-        if self.requested_bytes.is_zero() {
-            1.0
-        } else {
-            self.bus_bytes.as_u64() as f64 / self.requested_bytes.as_u64() as f64
-        }
-    }
 }
 
 /// Simulated `mmap` of one device with an LRU page cache bounded by a fast
@@ -83,11 +63,6 @@ impl MmapIo {
             page_fault_overhead: SimDuration::from_micros(3),
             stats: MmapStats::default(),
         }
-    }
-
-    /// Statistics observed so far.
-    pub fn stats(&self) -> &MmapStats {
-        &self.stats
     }
 
     /// Reads `len` bytes at `offset` through the mapped region.
@@ -168,9 +143,8 @@ mod tests {
         assert_eq!(data, vec![3u8; 128]);
         let (_, hit_latency) = mmap.read(&mut arr, 128, 128, now).unwrap();
         assert!(fault_latency > hit_latency * 10);
-        assert_eq!(mmap.stats().faults, 1);
-        assert_eq!(mmap.stats().reads, 2);
-        assert!(mmap.stats().hit_rate() > 0.4);
+        assert_eq!(mmap.stats.faults, 1);
+        assert_eq!(mmap.stats.reads, 2);
     }
 
     #[test]
@@ -183,10 +157,10 @@ mod tests {
             mmap.read(&mut arr, i * PAGE_SIZE, 64, now).unwrap();
         }
         assert!(mmap.resident.len() <= 2);
-        assert_eq!(mmap.stats().faults, 8);
+        assert_eq!(mmap.stats.faults, 8);
         // Re-reading an evicted page faults again.
         mmap.read(&mut arr, 0, 64, now).unwrap();
-        assert_eq!(mmap.stats().faults, 9);
+        assert_eq!(mmap.stats.faults, 9);
     }
 
     #[test]
@@ -198,7 +172,8 @@ mod tests {
             mmap.read(&mut arr, i * PAGE_SIZE, 128, now).unwrap();
         }
         // 4096/128 = 32x amplification
-        assert!(mmap.stats().read_amplification() > 30.0);
+        let s = &mmap.stats;
+        assert!(s.bus_bytes.as_u64() as f64 / s.requested_bytes.as_u64() as f64 > 30.0);
     }
 
     #[test]
@@ -207,7 +182,7 @@ mod tests {
         let mut mmap = MmapIo::new(DeviceId(0), Bytes::from_mib(1));
         let now = SimInstant::EPOCH;
         mmap.read(&mut arr, PAGE_SIZE - 64, 128, now).unwrap();
-        assert_eq!(mmap.stats().faults, 2);
+        assert_eq!(mmap.stats.faults, 2);
     }
 
     #[test]

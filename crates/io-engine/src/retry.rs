@@ -69,7 +69,7 @@ impl RetryConfig {
     /// # Errors
     ///
     /// Returns [`IoError::InvalidConfig`] when `max_attempts` is zero.
-    pub fn validate(&self) -> Result<(), IoError> {
+    pub(crate) fn validate(&self) -> Result<(), IoError> {
         if self.max_attempts == 0 {
             return Err(IoError::InvalidConfig {
                 reason: "retry.max_attempts must be at least 1".into(),
@@ -101,19 +101,6 @@ pub struct ResilienceStats {
     pub exhausted: u64,
 }
 
-impl ResilienceStats {
-    /// Folds another engine's counters into this one (multi-shard hosts).
-    pub fn merge(&mut self, other: &ResilienceStats) {
-        self.retries += other.retries;
-        self.transient_errors += other.transient_errors;
-        self.checksum_failures += other.checksum_failures;
-        self.deadline_timeouts += other.deadline_timeouts;
-        self.hedges += other.hedges;
-        self.hedge_wins += other.hedge_wins;
-        self.exhausted += other.exhausted;
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -137,23 +124,5 @@ mod tests {
         };
         assert!(matches!(cfg.validate(), Err(IoError::InvalidConfig { .. })));
         assert!(RetryConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn stats_merge_adds_counters() {
-        let mut a = ResilienceStats {
-            retries: 1,
-            transient_errors: 2,
-            checksum_failures: 3,
-            deadline_timeouts: 4,
-            hedges: 5,
-            hedge_wins: 1,
-            exhausted: 1,
-        };
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.retries, 2);
-        assert_eq!(a.deadline_timeouts, 8);
-        assert_eq!(a.hedge_wins, 2);
     }
 }

@@ -31,11 +31,6 @@ pub struct DeviceArray {
 }
 
 impl DeviceArray {
-    /// Creates an array from already-constructed devices.
-    pub fn new(devices: Vec<ScmDevice>) -> Self {
-        DeviceArray { devices }
-    }
-
     /// Creates `count` identical devices of the given profile and capacity.
     ///
     /// # Errors
@@ -114,7 +109,7 @@ impl DeviceArray {
     }
 
     /// Issues a read against a specific device at virtual instant `now`,
-    /// consulting any attached fault plan (see [`ScmDevice::read_at`]).
+    /// consulting any attached fault plan (see [`ScmDevice::read_into`]).
     ///
     /// # Errors
     ///
@@ -172,7 +167,6 @@ mod tests {
             .unwrap();
         assert_eq!(arr.len(), 2);
         assert!(!arr.is_empty());
-        assert!(DeviceArray::new(vec![]).is_empty());
     }
 
     #[test]

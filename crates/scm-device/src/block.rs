@@ -53,13 +53,8 @@ impl PageStore {
     }
 
     /// Logical capacity of the store.
-    pub fn capacity(&self) -> Bytes {
+    pub(crate) fn capacity(&self) -> Bytes {
         self.capacity
-    }
-
-    /// Number of bytes actually resident (allocated chunks).
-    pub fn resident_bytes(&self) -> Bytes {
-        Bytes((self.chunks.len() * CHUNK) as u64)
     }
 
     fn check_range(&self, offset: u64, len: u64) -> Result<(), DeviceError> {
@@ -117,7 +112,7 @@ impl PageStore {
     ///
     /// Returns [`DeviceError::OutOfBounds`] if the read extends past the
     /// device capacity.
-    pub fn read_into(&self, offset: u64, buf: &mut [u8]) -> Result<(), DeviceError> {
+    pub(crate) fn read_into(&self, offset: u64, buf: &mut [u8]) -> Result<(), DeviceError> {
         self.check_range(offset, buf.len() as u64)?;
         let mut read = 0usize;
         while read < buf.len() {
@@ -151,7 +146,7 @@ mod tests {
     fn unwritten_reads_are_zero() {
         let store = PageStore::new(Bytes::from_kib(64)).unwrap();
         assert_eq!(store.read_at(100, 16).unwrap(), vec![0u8; 16]);
-        assert_eq!(store.resident_bytes(), Bytes::ZERO);
+        assert!(store.chunks.is_empty());
     }
 
     #[test]
@@ -169,7 +164,7 @@ mod tests {
         store.write_at((CHUNK - 500) as u64, &data).unwrap();
         let back = store.read_at((CHUNK - 500) as u64, 1000).unwrap();
         assert_eq!(back, data);
-        assert_eq!(store.resident_bytes(), Bytes((2 * CHUNK) as u64));
+        assert_eq!(store.chunks.len(), 2);
     }
 
     #[test]

@@ -70,17 +70,6 @@ pub struct DeviceStats {
     pub read_time: SimDuration,
 }
 
-impl DeviceStats {
-    /// Average read amplification observed so far (1.0 when no reads yet).
-    pub fn read_amplification(&self) -> f64 {
-        if self.bytes_requested.is_zero() {
-            1.0
-        } else {
-            self.bytes_on_bus.as_u64() as f64 / self.bytes_requested.as_u64() as f64
-        }
-    }
-}
-
 /// One simulated SCM drive: a sparse byte store plus the technology's
 /// performance envelope.
 ///
@@ -122,11 +111,6 @@ impl ScmDevice {
         })
     }
 
-    /// Device name (for reporting).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The technology profile backing this device.
     pub fn profile(&self) -> &TechnologyProfile {
         &self.profile
@@ -143,7 +127,7 @@ impl ScmDevice {
     }
 
     /// Attaches (or with `None`, detaches) a deterministic fault plan. Reads
-    /// issued through [`ScmDevice::read_at`] consult the plan; an empty plan
+    /// issued through [`ScmDevice::read_into`] consult the plan; an empty plan
     /// or no plan leaves the device's behaviour bit-identical.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
@@ -204,7 +188,7 @@ impl ScmDevice {
     /// Everything [`ScmDevice::read`] returns, plus
     /// [`DeviceError::TransientRead`] when the fault plan injects a
     /// retryable failure.
-    pub fn read_at(
+    pub(crate) fn read_at(
         &mut self,
         cmd: &ReadCommand,
         queue_depth: usize,
@@ -222,7 +206,7 @@ impl ScmDevice {
         })
     }
 
-    /// [`ScmDevice::read_at`] into a caller-owned buffer: `data` is resized
+    /// `ScmDevice::read_at` into a caller-owned buffer: `data` is resized
     /// to the requested length and filled straight from the page store, so a
     /// caller that recycles its buffers (the IO engine) reads without
     /// touching the allocator. On error the buffer's contents are
@@ -230,7 +214,7 @@ impl ScmDevice {
     ///
     /// # Errors
     ///
-    /// Same as [`ScmDevice::read_at`].
+    /// Same as `ScmDevice::read_at`.
     pub fn read_into(
         &mut self,
         cmd: &ReadCommand,
@@ -353,7 +337,11 @@ mod tests {
         let out = dev.read(&ReadCommand::block(0, 128), 1).unwrap();
         assert_eq!(out.bus_bytes, Bytes::from_kib(4));
         assert_eq!(out.blocks_touched, 1);
-        assert!(dev.stats().read_amplification() > 30.0);
+        let stats = dev.stats();
+        assert_eq!(
+            stats.bytes_on_bus.as_u64(),
+            32 * stats.bytes_requested.as_u64()
+        );
     }
 
     #[test]

@@ -83,7 +83,7 @@ struct FaultWindow {
 
 impl FaultWindow {
     /// Whether the window covers the given instant.
-    pub fn contains(&self, t: SimInstant) -> bool {
+    pub(crate) fn contains(&self, t: SimInstant) -> bool {
         self.start <= t && t < self.end
     }
 }
@@ -138,7 +138,6 @@ pub(crate) struct FaultDecision {
 /// which faults actually fired.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    seed: u64,
     transient_error_rate: f64,
     corrupt_rate: f64,
     stuck_rate: f64,
@@ -152,7 +151,6 @@ impl FaultPlan {
     /// Creates an empty plan (injects nothing) with a pinned RNG seed.
     pub fn new(seed: u64) -> Self {
         FaultPlan {
-            seed,
             transient_error_rate: 0.0,
             corrupt_rate: 0.0,
             stuck_rate: 0.0,
@@ -204,34 +202,14 @@ impl FaultPlan {
         self
     }
 
-    /// The seed the plan's RNG was pinned with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Whether the plan can never inject anything.
-    pub fn is_empty(&self) -> bool {
-        self.transient_error_rate == 0.0
-            && self.corrupt_rate == 0.0
-            && self.stuck_rate == 0.0
-            && self.storms.is_empty()
-    }
-
     /// Cumulative injection counters.
     pub fn stats(&self) -> &FaultStats {
         &self.stats
     }
 
     /// The latency a stuck IO hangs for.
-    pub fn stuck_latency(&self) -> SimDuration {
+    pub(crate) fn stuck_latency(&self) -> SimDuration {
         self.stuck_latency
-    }
-
-    /// Rewinds the plan to its freshly-seeded state (RNG and counters), so
-    /// the identical fault sequence replays.
-    pub fn reset(&mut self) {
-        self.rng = StdRng::seed_from_u64(self.seed);
-        self.stats = FaultStats::default();
     }
 
     /// Decides the fate of one read issued at virtual instant `now`.
@@ -329,7 +307,6 @@ mod tests {
     #[test]
     fn empty_plan_injects_nothing() {
         let mut plan = FaultPlan::new(7);
-        assert!(plan.is_empty());
         for i in 0..1_000u64 {
             let d = plan.decide(SimInstant::from_nanos(i));
             assert!(!d.transient_error && !d.stuck && !d.corrupt);
@@ -361,14 +338,6 @@ mod tests {
         }
         assert_eq!(a.stats(), b.stats());
         assert!(a.stats().total() > 0, "rates this high must fire");
-
-        // reset() rewinds to the same sequence.
-        let before = *a.stats();
-        a.reset();
-        for i in 0..2_000u64 {
-            a.decide(SimInstant::from_nanos(i));
-        }
-        assert_eq!(*a.stats(), before);
     }
 
     #[test]
@@ -378,7 +347,6 @@ mod tests {
             SimInstant::from_nanos(20),
             8.0,
         );
-        assert!(!plan.is_empty());
         assert_eq!(plan.decide(SimInstant::from_nanos(9)).storm_multiplier, 1.0);
         assert_eq!(
             plan.decide(SimInstant::from_nanos(10)).storm_multiplier,

@@ -21,7 +21,7 @@ use sdm_metrics::SimDuration;
 ///
 /// The model is intentionally closed-form so experiments are reproducible.
 #[derive(Debug, Clone)]
-pub struct LoadedLatencyModel {
+pub(crate) struct LoadedLatencyModel {
     base: SimDuration,
     knee: f64,
     tail_probability: f64,
@@ -38,7 +38,7 @@ pub struct LoadedLatencyModel {
 
 impl LoadedLatencyModel {
     /// Builds the latency model for one technology profile.
-    pub fn new(profile: &TechnologyProfile) -> Self {
+    pub(crate) fn new(profile: &TechnologyProfile) -> Self {
         LoadedLatencyModel {
             base: profile.base_read_latency,
             knee: profile.knee_utilisation.clamp(0.01, 0.999),
@@ -53,7 +53,7 @@ impl LoadedLatencyModel {
     }
 
     /// The unloaded base latency.
-    pub fn base_latency(&self) -> SimDuration {
+    pub(crate) fn base_latency(&self) -> SimDuration {
         self.base
     }
 
@@ -79,7 +79,7 @@ impl LoadedLatencyModel {
 
     /// Returns the latency for the next read, including the deterministic
     /// tail. Tail reads occur every `1/tail_probability` reads.
-    pub fn next_read_latency(&mut self, utilisation: f64) -> SimDuration {
+    pub(crate) fn next_read_latency(&mut self, utilisation: f64) -> SimDuration {
         let body = self.latency_at_utilisation(utilisation);
         if self.tail_probability <= 0.0 {
             return body;
@@ -95,7 +95,7 @@ impl LoadedLatencyModel {
 
     /// Effective IOPS the device can sustain while keeping latency under
     /// `target`: found by walking the utilisation curve.
-    pub fn iops_at_latency_target(&self, target: SimDuration) -> f64 {
+    pub(crate) fn iops_at_latency_target(&self, target: SimDuration) -> f64 {
         if target < self.base {
             return 0.0;
         }

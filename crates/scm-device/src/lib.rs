@@ -47,6 +47,8 @@
 // `DeviceError` the IO engine's retry layer can act on. Tests opt back in
 // locally with `#[allow(clippy::unwrap_used)]`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro))]
 
 mod array;
 mod block;
@@ -62,6 +64,5 @@ pub use block::PageStore;
 pub use device::{DeviceStats, ReadInfo, ReadOutcome, ScmDevice, WriteOutcome};
 pub use error::DeviceError;
 pub use fault::{checksum64, FaultPlan, FaultStats};
-pub use latency::LoadedLatencyModel;
 pub use nvme::{AccessMode, ReadCommand, SglRange};
 pub use tech::{Sourcing, TechnologyKind, TechnologyProfile};

@@ -34,7 +34,7 @@ impl SglRange {
     }
 
     /// End offset (exclusive).
-    pub fn end(&self) -> u64 {
+    pub(crate) fn end(&self) -> u64 {
         self.offset + self.len as u64
     }
 
@@ -64,7 +64,7 @@ pub enum AccessMode {
 
 /// The ranges of one command. Nearly every command in this stack reads a
 /// single embedding row, so that range lives inline and building a command
-/// touches no allocator; gathers keep their list.
+/// touches no allocator; gathers keep their list, sorted by offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Ranges {
     One(SglRange),
@@ -99,16 +99,18 @@ impl ReadCommand {
         }
     }
 
-    /// Creates a multi-range command.
+    /// Creates a multi-range command. The ranges are sorted by offset (the
+    /// sort is stable), and the payload a read returns follows that order.
     ///
     /// # Errors
     ///
     /// Returns [`DeviceError::EmptyCommand`] when `ranges` is empty or all
     /// ranges have zero length.
-    pub fn with_ranges(ranges: Vec<SglRange>, mode: AccessMode) -> Result<Self, DeviceError> {
+    pub fn with_ranges(mut ranges: Vec<SglRange>, mode: AccessMode) -> Result<Self, DeviceError> {
         if ranges.is_empty() || ranges.iter().all(|r| r.len == 0) {
             return Err(DeviceError::EmptyCommand);
         }
+        ranges.sort_by_key(|r| r.offset);
         let ranges = match ranges[..] {
             [single] => Ranges::One(single),
             _ => Ranges::Many(ranges),
@@ -116,21 +118,16 @@ impl ReadCommand {
         Ok(ReadCommand { ranges, mode })
     }
 
-    /// The requested ranges.
-    pub fn ranges(&self) -> &[SglRange] {
+    /// The requested ranges, in offset order.
+    pub(crate) fn ranges(&self) -> &[SglRange] {
         match &self.ranges {
             Ranges::One(range) => std::slice::from_ref(range),
             Ranges::Many(ranges) => ranges,
         }
     }
 
-    /// The access mode.
-    pub fn mode(&self) -> AccessMode {
-        self.mode
-    }
-
     /// Total payload bytes the caller asked for.
-    pub fn requested_bytes(&self) -> Bytes {
+    pub(crate) fn requested_bytes(&self) -> Bytes {
         Bytes(self.ranges().iter().map(|r| r.len as u64).sum())
     }
 
@@ -138,7 +135,7 @@ impl ReadCommand {
     ///
     /// This is the media-side work regardless of the access mode: the device
     /// always senses whole blocks internally.
-    pub fn blocks_touched(&self, granularity: Bytes) -> u64 {
+    pub(crate) fn blocks_touched(&self, granularity: Bytes) -> u64 {
         let g = granularity.as_u64().max(1);
         let ranges = match &self.ranges {
             // One range covers one contiguous run of blocks.
@@ -146,16 +143,13 @@ impl ReadCommand {
             Ranges::One(r) => return (r.end() - 1) / g - r.offset / g + 1,
             Ranges::Many(ranges) => ranges,
         };
-        let mut blocks: Vec<(u64, u64)> = ranges
-            .iter()
-            .filter(|r| r.len > 0)
-            .map(|r| (r.offset / g, (r.end() - 1) / g))
-            .collect();
-        blocks.sort_unstable();
-        // Count unique blocks over the merged intervals.
+        // The ranges are sorted by offset, so their first blocks never
+        // decrease: of this range's blocks, the ones already counted are
+        // exactly those up to the last block counted.
         let mut count = 0u64;
         let mut last_counted: Option<u64> = None;
-        for (start, end) in blocks {
+        for r in ranges.iter().filter(|r| r.len > 0) {
+            let (start, end) = (r.offset / g, (r.end() - 1) / g);
             let from = match last_counted {
                 Some(l) if l >= start => l + 1,
                 _ => start,
@@ -176,7 +170,7 @@ impl ReadCommand {
     ///
     /// Returns [`DeviceError::SglUnsupported`] when SGL mode is requested on
     /// a technology without bit-bucket support.
-    pub fn bus_bytes(&self, profile: &TechnologyProfile) -> Result<Bytes, DeviceError> {
+    pub(crate) fn bus_bytes(&self, profile: &TechnologyProfile) -> Result<Bytes, DeviceError> {
         match self.mode {
             AccessMode::Block => Ok(Bytes(
                 self.blocks_touched(profile.access_granularity)
@@ -196,16 +190,6 @@ impl ReadCommand {
                 ))
             }
         }
-    }
-
-    /// The read-amplification factor: bus bytes divided by requested bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DeviceError::SglUnsupported`] from [`Self::bus_bytes`].
-    pub fn read_amplification(&self, profile: &TechnologyProfile) -> Result<f64, DeviceError> {
-        let requested = self.requested_bytes().as_u64().max(1);
-        Ok(self.bus_bytes(profile)?.as_u64() as f64 / requested as f64)
     }
 }
 
@@ -242,8 +226,7 @@ mod tests {
         let cmd = ReadCommand::block(100, 128);
         assert_eq!(cmd.blocks_touched(nand.access_granularity), 1);
         assert_eq!(cmd.bus_bytes(&nand).unwrap(), Bytes::from_kib(4));
-        let amp = cmd.read_amplification(&nand).unwrap();
-        assert!((amp - 32.0).abs() < 1e-9);
+        assert_eq!(cmd.requested_bytes(), Bytes(128));
     }
 
     #[test]
@@ -251,7 +234,6 @@ mod tests {
         let nand = TechnologyProfile::nand_flash();
         let cmd = ReadCommand::sgl(100, 128);
         assert_eq!(cmd.bus_bytes(&nand).unwrap(), Bytes(128));
-        assert!((cmd.read_amplification(&nand).unwrap() - 1.0).abs() < 1e-9);
         // Paper: only reading the needed parts saves ~75% of bus bandwidth
         // for 128B rows on 512B-granularity Optane.
         let optane = TechnologyProfile::optane_ssd();
@@ -328,5 +310,53 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cmd.blocks_touched(g), 2);
+    }
+
+    /// Reference count: every range's block interval, sorted and merged.
+    fn merged_block_count(ranges: &[SglRange], g: u64) -> u64 {
+        let mut blocks: Vec<(u64, u64)> = ranges
+            .iter()
+            .filter(|r| r.len > 0)
+            .map(|r| (r.offset / g, (r.end() - 1) / g))
+            .collect();
+        blocks.sort_unstable();
+        let mut count = 0u64;
+        let mut last_counted: Option<u64> = None;
+        for (start, end) in blocks {
+            let from = match last_counted {
+                Some(l) if l >= start => l + 1,
+                _ => start,
+            };
+            if from <= end {
+                count += end - from + 1;
+                last_counted = Some(end);
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn one_pass_count_matches_the_sort_and_merge() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5d);
+        for case in 0..2_000 {
+            let n = rng.gen_range(2..12usize);
+            // Offsets inside a few blocks, so ranges overlap and nest.
+            let ranges: Vec<SglRange> = (0..n)
+                .map(|_| SglRange::new(rng.gen_range(0..20_000u64), rng.gen_range(0..6_000u32)))
+                .collect();
+            let Ok(cmd) = ReadCommand::with_ranges(ranges.clone(), AccessMode::Block) else {
+                continue;
+            };
+            assert!(cmd.ranges().windows(2).all(|w| w[0].offset <= w[1].offset));
+            for g in [512u64, 4096] {
+                assert_eq!(
+                    cmd.blocks_touched(Bytes(g)),
+                    merged_block_count(&ranges, g),
+                    "case {case}, g={g}: {ranges:?}"
+                );
+            }
+        }
     }
 }

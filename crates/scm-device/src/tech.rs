@@ -15,8 +15,6 @@ pub enum TechnologyKind {
     OptaneSsd,
     /// 3DXP on the DDR bus (Optane DIMM / App Direct).
     Dimm3dxp,
-    /// Plain DRAM, used as the fast-memory reference point.
-    Dram,
 }
 
 impl fmt::Display for TechnologyKind {
@@ -25,7 +23,6 @@ impl fmt::Display for TechnologyKind {
             TechnologyKind::NandFlash => "PCIe Nand Flash",
             TechnologyKind::OptaneSsd => "PCIe 3DXP (Optane) SSD",
             TechnologyKind::Dimm3dxp => "DIMM 3DXP (Optane)",
-            TechnologyKind::Dram => "DDR4 DRAM",
         };
         f.write_str(name)
     }
@@ -157,27 +154,6 @@ impl TechnologyProfile {
         }
     }
 
-    /// DDR4 DRAM reference point used for the fast-memory side of the
-    /// comparison (not an SCM; granularity is one cache line).
-    pub fn dram() -> Self {
-        TechnologyProfile {
-            kind: TechnologyKind::Dram,
-            max_read_iops: 500_000_000.0,
-            base_read_latency: SimDuration::from_nanos(90),
-            access_granularity: Bytes(64),
-            supports_sgl_bit_bucket: false,
-            write_bandwidth: 20.0e9,
-            base_write_latency: SimDuration::from_nanos(90),
-            endurance_dwpd: f64::INFINITY,
-            link_bandwidth: 25.0e9,
-            cost_per_gb: RelativeCost::DRAM,
-            sourcing: Sourcing::Multi,
-            tail_probability: 0.0,
-            tail_multiplier: 1.0,
-            knee_utilisation: 0.95,
-        }
-    }
-
     /// Expected interval between full-model updates, in days, before the
     /// device exceeds its rated endurance:
     /// `UpdateInterval = 365 * ModelSize / (DWPD * Capacity)` inverted to a
@@ -207,7 +183,7 @@ impl TechnologyProfile {
     }
 
     /// Bus transfer time for `bytes` at the profile's link bandwidth.
-    pub fn transfer_time(&self, bytes: Bytes) -> SimDuration {
+    pub(crate) fn transfer_time(&self, bytes: Bytes) -> SimDuration {
         if self.link_bandwidth <= 0.0 {
             return SimDuration::ZERO;
         }
@@ -237,7 +213,7 @@ mod tests {
         let nand = TechnologyProfile::nand_flash().cost_per_gb.as_f64();
         let optane = TechnologyProfile::optane_ssd().cost_per_gb.as_f64();
         let dimm = TechnologyProfile::dimm_3dxp().cost_per_gb.as_f64();
-        let dram = TechnologyProfile::dram().cost_per_gb.as_f64();
+        let dram = RelativeCost::DRAM.as_f64();
         assert!(nand < optane && optane < dimm && dimm < dram);
     }
 

@@ -63,7 +63,7 @@ struct FreeRange {
 
 /// A growable slab of `T` handing out `(start, len)` ranges.
 #[derive(Debug, Default, Clone)]
-pub struct SlabArena<T> {
+pub(crate) struct SlabArena<T> {
     buf: Vec<T>,
     /// `bins[len]`: starts of the free ranges of exactly `len` elements,
     /// grown on demand up to `BIN_LIMIT` lists.
@@ -82,7 +82,7 @@ pub struct SlabArena<T> {
 
 impl<T: Copy + Default> SlabArena<T> {
     /// Creates an empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SlabArena {
             buf: Vec::new(),
             bins: Vec::new(),
@@ -161,7 +161,7 @@ impl<T: Copy + Default> SlabArena<T> {
     /// Copies `data` into the arena, reusing the best-fitting free range
     /// when one exists (splitting off any remainder), and returns the start
     /// offset. Only grows the buffer when no free range is large enough.
-    pub fn alloc(&mut self, data: &[T]) -> usize {
+    pub(crate) fn alloc(&mut self, data: &[T]) -> usize {
         if data.is_empty() {
             return self.buf.len();
         }
@@ -185,7 +185,7 @@ impl<T: Copy + Default> SlabArena<T> {
     /// Returns a range to the free list for reuse, merging it with any free
     /// neighbour. The caller must not use the range afterwards (ranges are
     /// plain offsets, not guarded).
-    pub fn free(&mut self, start: usize, len: usize) {
+    pub(crate) fn free(&mut self, start: usize, len: usize) {
         if len == 0 {
             return;
         }
@@ -206,18 +206,18 @@ impl<T: Copy + Default> SlabArena<T> {
 
     /// Borrows a previously allocated range.
     #[inline]
-    pub fn slice(&self, start: usize, len: usize) -> &[T] {
+    pub(crate) fn slice(&self, start: usize, len: usize) -> &[T] {
         &self.buf[start..start + len]
     }
 
     /// Overwrites a previously allocated range in place (same length).
-    pub fn write(&mut self, start: usize, data: &[T]) {
+    pub(crate) fn write(&mut self, start: usize, data: &[T]) {
         self.buf[start..start + data.len()].copy_from_slice(data);
     }
 
     /// Drops every allocation and free range. Buffer and free-list capacity
     /// is kept so a refill after `clear` does not re-allocate.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.buf.clear();
         for bin in &mut self.bins {
             bin.clear();
@@ -230,7 +230,7 @@ impl<T: Copy + Default> SlabArena<T> {
     }
 
     /// Elements currently backing the arena (live + freed).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
@@ -240,11 +240,6 @@ impl<T: Copy + Default> SlabArena<T> {
     /// peak usage, and `CacheStats` tracks it per cache.
     pub(crate) fn live_len(&self) -> usize {
         self.live
-    }
-
-    /// True when nothing has been allocated since the last clear.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 }
 
@@ -555,6 +550,6 @@ mod tests {
         a.write(x, &[1.0f32, 2.0, 3.0, 4.0]);
         assert_eq!(a.slice(x, 4), &[1.0, 2.0, 3.0, 4.0]);
         a.clear();
-        assert!(a.is_empty());
+        assert_eq!(a.len(), 0);
     }
 }

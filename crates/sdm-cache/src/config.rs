@@ -109,13 +109,6 @@ impl CacheConfig {
         }
     }
 
-    /// The first (largest) per-shard slice; see
-    /// [`CacheConfig::divide_among_indexed`]. `divide_among(1)` is the
-    /// bit-identical identity.
-    pub fn divide_among(&self, shards: usize) -> CacheConfig {
-        self.divide_among_indexed(shards, 0)
-    }
-
     /// Budget for the memory-optimized engine.
     pub(crate) fn memory_optimized_budget(&self) -> Bytes {
         Bytes((self.row_cache_budget.as_u64() as f64 * self.memory_optimized_fraction) as u64)
@@ -162,7 +155,7 @@ mod tests {
     #[test]
     fn divide_among_splits_budgets_and_keeps_knobs() {
         let c = CacheConfig::with_total_budget(Bytes::from_mib(16));
-        let per_shard = c.divide_among(4);
+        let per_shard = c.divide_among_indexed(4, 0);
         assert_eq!(per_shard.row_cache_budget, Bytes::from_mib(4));
         assert_eq!(
             per_shard.pooled_cache_budget,
@@ -172,12 +165,15 @@ mod tests {
         assert!(per_shard.validate().is_ok());
         // Degenerate inputs: zero shards clamp to one, disabled stays
         // disabled.
-        assert_eq!(c.divide_among(0), c.divide_among(1));
+        assert_eq!(c.divide_among_indexed(0, 0), c.divide_among_indexed(1, 0));
         let disabled = CacheConfig {
             pooled_cache_budget: Bytes::ZERO,
             ..c
         };
-        assert!(disabled.divide_among(8).pooled_cache_budget.is_zero());
+        assert!(disabled
+            .divide_among_indexed(8, 0)
+            .pooled_cache_budget
+            .is_zero());
     }
 
     #[test]
@@ -222,8 +218,8 @@ mod tests {
                 );
             }
         }
-        // divide_among(1) stays the bit-identical identity.
-        assert_eq!(c.divide_among(1), c);
+        // divide_among_indexed(1, 0) stays the bit-identical identity.
+        assert_eq!(c.divide_among_indexed(1, 0), c);
     }
 
     #[test]

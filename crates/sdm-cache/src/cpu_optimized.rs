@@ -20,7 +20,7 @@ use sdm_metrics::SimDuration;
 
 /// Per-entry metadata overhead of the indexed engine (hash node, recency
 /// stamp, slot record).
-pub const ENTRY_OVERHEAD: usize = 64;
+pub(crate) const ENTRY_OVERHEAD: usize = 64;
 
 /// Hash-indexed, exact-LRU row cache.
 #[derive(Debug)]

@@ -79,7 +79,7 @@ impl DualRowCache {
     /// Payload bytes currently backing both engines' arenas (live plus
     /// retained free-list ranges). Compare against [`RowCache::memory_used`]
     /// to observe the arenas' fragmentation slack (bounded by the coalescing
-    /// free lists — see [`crate::SlabArena`]).
+    /// free lists of each engine's `SlabArena`).
     pub fn resident_bytes(&self) -> Bytes {
         Bytes(self.small.stats().resident_bytes + self.large.stats().resident_bytes)
     }

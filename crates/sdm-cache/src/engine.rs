@@ -169,7 +169,7 @@ where
     /// the hit/miss counters and returns its slot for [`ArenaLru::entry`].
     /// Batched callers touch several keys back to back before reading any
     /// payload, so the index probes' cache misses overlap.
-    pub fn touch(&mut self, key: &K) -> Option<usize> {
+    pub(crate) fn touch(&mut self, key: &K) -> Option<usize> {
         match self.map.get(key).copied() {
             Some(slot) => {
                 self.stamp(slot);
@@ -189,7 +189,7 @@ where
     /// # Panics
     ///
     /// Panics when `slot` was never handed out by this engine.
-    pub fn entry(&self, slot: usize) -> (&[E], &T) {
+    pub(crate) fn entry(&self, slot: usize) -> (&[E], &T) {
         let s = &self.slots[slot];
         (self.arena.slice(s.start, s.len), &s.tag)
     }
@@ -215,7 +215,7 @@ where
     /// Side-effect-free probe: returns the payload without touching the LRU
     /// order or the hit/miss statistics. Prefetch probes and routing layers
     /// must not perturb eviction order or hit rates.
-    pub fn peek(&self, key: &K) -> Option<&[E]> {
+    pub(crate) fn peek(&self, key: &K) -> Option<&[E]> {
         self.map.get(key).map(|&slot| {
             let s = &self.slots[slot];
             self.arena.slice(s.start, s.len)
@@ -295,32 +295,32 @@ where
     }
 
     /// Returns true when the key is resident (without touching recency).
-    pub fn contains(&self, key: &K) -> bool {
+    pub(crate) fn contains(&self, key: &K) -> bool {
         self.map.contains_key(key)
     }
 
     /// Number of resident entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// True when no entries are resident.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
     /// Bytes currently consumed (payload + per-entry overhead).
-    pub fn memory_used(&self) -> Bytes {
+    pub(crate) fn memory_used(&self) -> Bytes {
         Bytes(self.used)
     }
 
     /// Configured byte budget.
-    pub fn budget(&self) -> Bytes {
+    pub(crate) fn budget(&self) -> Bytes {
         Bytes(self.budget)
     }
 
     /// Cache statistics.
-    pub fn stats(&self) -> &CacheStats {
+    pub(crate) fn stats(&self) -> &CacheStats {
         &self.stats
     }
 
@@ -339,7 +339,7 @@ where
     }
 
     /// Drops every resident entry and resets usage (statistics are kept).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
         self.free_slots.clear();

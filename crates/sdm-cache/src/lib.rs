@@ -24,7 +24,7 @@
 //! * [`warmup_capacity_overhead`] — the extra serving capacity a rolling
 //!   model update costs (§A.4).
 //!
-//! All caches store payloads in per-cache [`SlabArena`]s and return
+//! All caches store payloads in per-cache `SlabArena`s and return
 //! *borrowed* slices on hit — the serving loop dequantises straight out of
 //! the cache, so a warm lookup allocates nothing and copies nothing.
 //!
@@ -44,6 +44,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro))]
 
 mod arena;
 mod config;
@@ -58,7 +60,6 @@ mod shared;
 mod stats;
 mod warmup;
 
-pub use arena::SlabArena;
 pub use config::CacheConfig;
 pub use cpu_optimized::CpuOptimizedCache;
 pub use dual::DualRowCache;

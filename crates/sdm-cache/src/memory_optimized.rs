@@ -29,7 +29,7 @@ use sdm_metrics::SimDuration;
 
 /// Per-entry metadata overhead of the bucketed engine (key + stamp + range,
 /// no separate index node).
-pub const ENTRY_OVERHEAD: usize = 16;
+pub(crate) const ENTRY_OVERHEAD: usize = 16;
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {

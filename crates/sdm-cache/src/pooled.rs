@@ -59,11 +59,6 @@ impl PooledKey {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     }
-
-    /// The owning table.
-    pub fn table(&self) -> u32 {
-        self.table
-    }
 }
 
 /// Metadata overhead per pooled entry (key, recency stamp, allocation
@@ -205,7 +200,7 @@ mod tests {
         assert_ne!(a, c);
         assert_ne!(a, d);
         assert_eq!(a.len, 4);
-        assert_eq!(d.table(), 2);
+        assert_eq!(d.table, 2);
     }
 
     #[test]

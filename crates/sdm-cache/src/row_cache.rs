@@ -25,7 +25,7 @@ impl RowKey {
     /// A well-mixed 64-bit hash of the key (splitmix64 over both fields),
     /// used by the bucketed engine.
     #[inline]
-    pub fn mix(&self) -> u64 {
+    pub(crate) fn mix(&self) -> u64 {
         let mut x = (self.table as u64) << 48 ^ self.row ^ 0x9e37_79b9_7f4a_7c15;
         x ^= x >> 30;
         x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -47,7 +47,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Metadata overhead per shared-tier entry (hash node, slot record with
 /// recency stamp and origin tag, victim-queue share).
-pub const ENTRY_OVERHEAD: usize = 64;
+pub(crate) const ENTRY_OVERHEAD: usize = 64;
 
 /// Outcome of a shared-tier hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,16 +223,17 @@ impl SharedRowTier {
             .insert(key, value, source)
     }
 
-    /// Returns true when the key is resident (without touching recency).
-    pub fn contains(&self, key: &RowKey) -> bool {
-        self.stripe_lock(self.stripe_index(key)).contains(key)
-    }
-
     /// Number of resident rows across all stripes.
     pub fn len(&self) -> usize {
         (0..self.stripes.len())
             .map(|i| self.stripe_lock(i).len())
             .sum()
+    }
+
+    /// Returns true when the key is resident (without touching recency).
+    #[cfg(test)]
+    fn contains(&self, key: &RowKey) -> bool {
+        self.stripe_lock(self.stripe_index(key)).contains(key)
     }
 
     /// True when no rows are resident.

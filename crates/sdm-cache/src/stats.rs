@@ -28,7 +28,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Creates zeroed statistics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CacheStats::default()
     }
 
@@ -62,7 +62,7 @@ impl CacheStats {
     /// Merges another stats block into this one. Counters add; the
     /// residency gauges add too, so a merged block reports the aggregate
     /// footprint of the merged caches.
-    pub fn merge(&mut self, other: &CacheStats) {
+    pub(crate) fn merge(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
         self.insertions += other.insertions;

@@ -144,7 +144,7 @@ impl SdmConfig {
 
     /// Enables the host-shared second cache tier with the given budget
     /// (paper §3's host-level DRAM cache in front of SM). The budget is a
-    /// host-level resource: [`SdmConfig::divide_among_indexed`] does not
+    /// host-level resource: `SdmConfig::divide_among_indexed` does not
     /// divide it, and [`crate::ServingHost::build`] carves the tier out
     /// exactly once and hands every shard a handle — a 1-shard host, the
     /// single stream, included. Zero disables the tier (the default),
@@ -224,7 +224,7 @@ impl SdmConfig {
     /// as do placement policy and load transforms. The shared-tier budget
     /// is host-level and is never divided (the host builds one tier and
     /// hands every shard a handle).
-    pub fn divide_among_indexed(&self, shards: usize, index: usize) -> SdmConfig {
+    pub(crate) fn divide_among_indexed(&self, shards: usize, index: usize) -> SdmConfig {
         let n = shards.max(1) as u64;
         SdmConfig {
             fm_budget: self.fm_budget.split_among(n, index as u64),
@@ -232,15 +232,6 @@ impl SdmConfig {
             io: self.io.divide_among_indexed(shards, index),
             ..self.clone()
         }
-    }
-
-    /// The first (largest) per-shard slice; see
-    /// [`SdmConfig::divide_among_indexed`].
-    ///
-    /// `divide_among(1)` is the identity, which keeps the single-shard
-    /// serving path bit-identical to an undivided [`SdmConfig`].
-    pub fn divide_among(&self, shards: usize) -> SdmConfig {
-        self.divide_among_indexed(shards, 0)
     }
 }
 
@@ -291,7 +282,7 @@ mod tests {
         );
         assert!(c.validate().is_ok());
         // The divided per-shard slice keeps the mode.
-        assert_eq!(c.divide_among(4).batch_mode, c.batch_mode);
+        assert_eq!(c.divide_among_indexed(4, 0).batch_mode, c.batch_mode);
 
         let zero = SdmConfig::for_tests().with_relaxed_batching(0);
         assert!(zero.validate().is_err());
@@ -342,8 +333,8 @@ mod tests {
                 assert_eq!(s.cache.shared_tier_budget, c.cache.shared_tier_budget);
             }
         }
-        // divide_among(1) remains the bit-identical identity.
-        let identity = c.divide_among(1);
+        // divide_among_indexed(1, 0) remains the bit-identical identity.
+        let identity = c.divide_among_indexed(1, 0);
         assert_eq!(identity.fm_budget, c.fm_budget);
         assert_eq!(identity.cache, c.cache);
         assert_eq!(

@@ -41,7 +41,6 @@
 
 use crate::error::SdmError;
 use crate::host::ServingHost;
-use crate::stats::SdmStats;
 use sdm_metrics::{LatencyHistogram, SimDuration, SimInstant};
 use workload::{ArrivalGenerator, Query};
 
@@ -74,7 +73,7 @@ pub struct FrontendConfig {
 
 impl FrontendConfig {
     /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), SdmError> {
+    pub(crate) fn validate(&self) -> Result<(), SdmError> {
         if self.max_batch == 0 {
             return Err(SdmError::InvalidConfig {
                 reason: "frontend max_batch must be at least 1".to_string(),
@@ -136,7 +135,7 @@ pub enum QueryOutcome {
     ShedOverload,
     /// Shed by the brownout guard: backend shard health was degraded, so
     /// admission tightened to `max_queue_wait ×`
-    /// [`ServingHost::health_fraction`] — a healthy backend would have
+    /// `ServingHost::health_fraction` — a healthy backend would have
     /// admitted this query.
     ShedBrownout,
 }
@@ -287,11 +286,6 @@ pub struct Frontend {
     shed_rate_limited: u64,
     shed_overload: u64,
     shed_brownout: u64,
-    /// Lifetime counters across runs, surfaced via [`Frontend::stats`].
-    cum_admitted: u64,
-    cum_shed_rate_limited: u64,
-    cum_shed_overload: u64,
-    cum_shed_brownout: u64,
 }
 
 impl Frontend {
@@ -317,16 +311,7 @@ impl Frontend {
             shed_rate_limited: 0,
             shed_overload: 0,
             shed_brownout: 0,
-            cum_admitted: 0,
-            cum_shed_rate_limited: 0,
-            cum_shed_overload: 0,
-            cum_shed_brownout: 0,
         })
-    }
-
-    /// The configuration this front end runs with.
-    pub fn config(&self) -> &FrontendConfig {
-        &self.config
     }
 
     /// Per-query records of the last run, parallel to its query stream.
@@ -337,17 +322,6 @@ impl Frontend {
     /// Per-batch records of the last run, in dispatch order.
     pub fn batch_log(&self) -> &[BatchRecord] {
         &self.batch_log
-    }
-
-    /// Lifetime front-end counters as an [`SdmStats`] block, mergeable
-    /// with [`ServingHost::stats`] for a full serving picture.
-    pub fn stats(&self) -> SdmStats {
-        let mut stats = SdmStats::new();
-        stats.frontend_admitted = self.cum_admitted;
-        stats.frontend_shed_rate_limited = self.cum_shed_rate_limited;
-        stats.frontend_shed_overload = self.cum_shed_overload;
-        stats.frontend_shed_brownout = self.cum_shed_brownout;
-        stats
     }
 
     /// Drives the host with one open-loop pass over `queries`: query `i`
@@ -439,10 +413,6 @@ impl Frontend {
             let (close, _) = self.pending_close();
             self.dispatch(host, queries, close, CloseReason::Flush)?;
         }
-        self.cum_admitted += self.admitted;
-        self.cum_shed_rate_limited += self.shed_rate_limited;
-        self.cum_shed_overload += self.shed_overload;
-        self.cum_shed_brownout += self.shed_brownout;
         Ok(self.report(first_arrival, last_arrival))
     }
 
@@ -751,15 +721,6 @@ mod tests {
         assert_eq!(report.shed_rate_limited, 22);
         assert_eq!(report.shed_overload, 0);
         assert_eq!(report.served, 2);
-
-        // Lifetime counters accumulate across runs.
-        let (mut host2, _) = setup(24, 24);
-        fe.run(&mut host2, &queries, &mut poisson(1_000_000.0, 4))
-            .unwrap();
-        let stats = fe.stats();
-        assert_eq!(stats.frontend_admitted, 4);
-        assert_eq!(stats.frontend_shed_rate_limited, 44);
-        assert!((stats.frontend_shed_rate() - 44.0 / 48.0).abs() < 1e-12);
     }
 
     #[test]
@@ -812,8 +773,6 @@ mod tests {
             .filter(|r| r.outcome == QueryOutcome::ShedBrownout)
             .count() as u64;
         assert_eq!(shed_logged, browned.shed_brownout);
-        let stats = fe.stats();
-        assert_eq!(stats.frontend_shed_brownout, browned.shed_brownout);
     }
 
     #[test]

@@ -219,7 +219,7 @@ struct MergeScratch {
 /// A multi-stream serving host: N shards behind a routing scheduler.
 ///
 /// Shards are full serving replicas of the same model, built from an evenly
-/// divided [`SdmConfig`] (see [`SdmConfig::divide_among`]): each owns a
+/// divided [`SdmConfig`] (see `SdmConfig::divide_among_indexed`): each owns a
 /// slice of the host's fast-memory cache budget and device-queue slots. A
 /// batch is partitioned by the configured [`RoutingPolicy`] — user-sticky
 /// routing keeps each user's repeating index sequences on one shard, which
@@ -454,11 +454,6 @@ impl ServingHost {
         self.shards.len()
     }
 
-    /// The routing policy partitioning batches across shards.
-    pub fn policy(&self) -> RoutingPolicy {
-        self.scheduler.policy()
-    }
-
     /// Read access to shard `i` (its manager, caches and statistics).
     ///
     /// # Panics
@@ -481,7 +476,7 @@ impl ServingHost {
     /// Fraction of shards currently considered healthy (1.0 = all). The
     /// front end scales its admission threshold by this to brown out when
     /// backend capacity degrades.
-    pub fn health_fraction(&self) -> f64 {
+    pub(crate) fn health_fraction(&self) -> f64 {
         let reference = ewma_reference(&self.health);
         let healthy = self
             .health
@@ -692,7 +687,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(host.shards(), 4);
-        assert_eq!(host.policy(), RoutingPolicy::UserSticky);
+        assert_eq!(host.scheduler.policy(), RoutingPolicy::UserSticky);
         assert!(host.is_empty());
         let report = host
             .run_selected_batch(&queries, &identity(&queries))

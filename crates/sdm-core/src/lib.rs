@@ -63,6 +63,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro))]
 
 mod config;
 mod error;

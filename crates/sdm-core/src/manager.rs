@@ -643,7 +643,7 @@ pub struct SdmMemoryManager {
 impl SdmMemoryManager {
     /// Creates the manager from a loaded model and the IO engine that owns
     /// the devices holding its SM image.
-    pub fn new(config: SdmConfig, loaded: LoadedModel, engine: IoEngine) -> Self {
+    pub(crate) fn new(config: SdmConfig, loaded: LoadedModel, engine: IoEngine) -> Self {
         // Construction-time clone (once per deployment, not per query).
         let mut row_cache = DualRowCache::new(config.cache.clone());
         for table in loaded.placement.uncached_tables() {
@@ -673,23 +673,13 @@ impl SdmMemoryManager {
     /// promotions with `source` (its shard id). The serving host calls
     /// this once per shard at build time; without an attachment the
     /// manager serves exactly as before (private caches then SM).
-    pub fn attach_shared_tier(&mut self, tier: Arc<SharedRowTier>, source: u32) {
+    pub(crate) fn attach_shared_tier(&mut self, tier: Arc<SharedRowTier>, source: u32) {
         self.path.shared = Some(SharedTierHandle { tier, source });
-    }
-
-    /// The attached host-shared tier, if any.
-    pub fn shared_tier(&self) -> Option<&Arc<SharedRowTier>> {
-        self.path.shared.as_ref().map(|h| &h.tier)
     }
 
     /// The deployment configuration.
     pub fn config(&self) -> &SdmConfig {
         &self.path.config
-    }
-
-    /// The pooling kernel the manager resolved at construction time.
-    pub fn kernel(&self) -> SelectedKernel {
-        self.path.kernel
     }
 
     /// The loaded model.

@@ -63,7 +63,7 @@ impl PlacementPlan {
     /// embeddings in DRAM or accelerator memory; only user tables are SM
     /// candidates — §2.2 footnote 1). User tables are distributed according
     /// to the policy.
-    pub fn compute(model: &ModelConfig, policy: &PlacementPolicy) -> Self {
+    pub(crate) fn compute(model: &ModelConfig, policy: &PlacementPolicy) -> Self {
         let mut plan = PlacementPlan::default();
         for t in &model.tables {
             if t.kind == TableKind::Item {
@@ -140,25 +140,8 @@ impl PlacementPlan {
             .unwrap_or(TableLocation::FastMemory)
     }
 
-    /// Tables that live on slow memory (cached or not).
-    pub fn sm_tables(&self) -> Vec<TableId> {
-        let mut v: Vec<TableId> = self
-            .locations
-            .iter()
-            .filter(|(_, l)| {
-                matches!(
-                    l,
-                    TableLocation::SlowMemoryCached | TableLocation::SlowMemoryUncached
-                )
-            })
-            .map(|(t, _)| *t)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Tables that bypass the row cache.
-    pub fn uncached_tables(&self) -> Vec<TableId> {
+    pub(crate) fn uncached_tables(&self) -> Vec<TableId> {
         let mut v: Vec<TableId> = self
             .locations
             .iter()
@@ -168,16 +151,6 @@ impl PlacementPlan {
         v.sort_unstable();
         v
     }
-
-    /// Number of tables covered by the plan.
-    pub fn len(&self) -> usize {
-        self.locations.len()
-    }
-
-    /// True when the plan covers no tables.
-    pub fn is_empty(&self) -> bool {
-        self.locations.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -185,12 +158,20 @@ mod tests {
     use super::*;
     use dlrm::model_zoo;
 
+    /// Tables the plan puts on slow memory, cached or not.
+    fn sm_tables(plan: &PlacementPlan) -> usize {
+        plan.locations
+            .values()
+            .filter(|l| **l != TableLocation::FastMemory)
+            .count()
+    }
+
     #[test]
     fn sm_only_policy_sends_all_user_tables_to_sm() {
         let model = model_zoo::tiny(4, 2, 100);
         let plan = PlacementPlan::compute(&model, &PlacementPolicy::SmOnlyWithCache);
-        assert_eq!(plan.len(), 6);
-        assert_eq!(plan.sm_tables().len(), 4);
+        assert_eq!(plan.locations.len(), 6);
+        assert_eq!(sm_tables(&plan), 4);
         for t in model.item_tables() {
             assert_eq!(plan.location(t.id), TableLocation::FastMemory);
         }
@@ -217,7 +198,7 @@ mod tests {
             .filter(|t| plan.location(t.id) == TableLocation::FastMemory)
             .count();
         assert_eq!(fm_users, 2);
-        assert_eq!(plan.sm_tables().len(), 4);
+        assert_eq!(sm_tables(&plan), 4);
     }
 
     #[test]
@@ -276,7 +257,7 @@ mod tests {
     #[test]
     fn unknown_table_defaults_to_fast_memory() {
         let plan = PlacementPlan::default();
-        assert!(plan.is_empty());
+        assert!(plan.locations.is_empty());
         assert_eq!(plan.location(42), TableLocation::FastMemory);
     }
 }

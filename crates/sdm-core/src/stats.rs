@@ -79,7 +79,7 @@ pub struct SdmStats {
 
 impl SdmStats {
     /// Creates zeroed statistics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SdmStats::default()
     }
 
@@ -90,7 +90,7 @@ impl SdmStats {
     /// statistics after the worker threads have joined — every shard owns
     /// its stats exclusively while serving, so aggregation needs no
     /// serving-path synchronisation.
-    pub fn merge(&mut self, other: &SdmStats) {
+    pub(crate) fn merge(&mut self, other: &SdmStats) {
         self.pooled_ops += other.pooled_ops;
         self.pooled_cache_hits += other.pooled_cache_hits;
         self.fm_direct_lookups += other.fm_direct_lookups;
@@ -163,20 +163,6 @@ impl SdmStats {
         }
     }
 
-    /// Fraction of front-end arrivals shed (any cause, brownout included)
-    /// over all arrivals; zero when no front end fed this serving path.
-    pub fn frontend_shed_rate(&self) -> f64 {
-        let shed = self.frontend_shed_rate_limited
-            + self.frontend_shed_overload
-            + self.frontend_shed_brownout;
-        let offered = self.frontend_admitted + shed;
-        if offered == 0 {
-            0.0
-        } else {
-            shed as f64 / offered as f64
-        }
-    }
-
     /// Read amplification observed on the SM path.
     pub fn read_amplification(&self) -> f64 {
         if self.sm_bytes_read.is_zero() {
@@ -236,13 +222,11 @@ mod tests {
     }
 
     #[test]
-    fn frontend_counters_merge_and_rate() {
+    fn frontend_counters_merge() {
         let mut s = SdmStats::new();
-        assert_eq!(s.frontend_shed_rate(), 0.0);
         s.frontend_admitted = 150;
         s.frontend_shed_rate_limited = 30;
         s.frontend_shed_overload = 20;
-        assert!((s.frontend_shed_rate() - 0.25).abs() < 1e-12);
         let mut merged = SdmStats::new();
         merged.merge(&s);
         merged.merge(&s);

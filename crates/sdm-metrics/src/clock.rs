@@ -95,31 +95,6 @@ impl SimDuration {
         self.nanos as f64 / 1_000_000_000.0
     }
 
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration {
-            nanos: self.nanos.saturating_sub(rhs.nanos),
-        }
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.nanos >= other.nanos {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.nanos <= other.nanos {
-            self
-        } else {
-            other
-        }
-    }
-
     /// Returns true if this is the zero duration.
     pub const fn is_zero(self) -> bool {
         self.nanos == 0
@@ -218,24 +193,10 @@ impl SimInstant {
         SimInstant { nanos }
     }
 
-    /// Nanoseconds elapsed since the epoch.
-    pub const fn as_nanos(self) -> u64 {
-        self.nanos
-    }
-
     /// Time elapsed since an earlier instant, saturating at zero.
     pub fn duration_since(self, earlier: SimInstant) -> SimDuration {
         SimDuration {
             nanos: self.nanos.saturating_sub(earlier.nanos),
-        }
-    }
-
-    /// Returns the later of two instants.
-    pub fn max(self, other: SimInstant) -> SimInstant {
-        if self.nanos >= other.nanos {
-            self
-        } else {
-            other
         }
     }
 }

@@ -103,11 +103,6 @@ impl LatencyHistogram {
         self.count
     }
 
-    /// Returns true when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Mean of the recorded samples, or zero when empty.
     pub fn mean(&self) -> SimDuration {
         if self.count == 0 {
@@ -125,11 +120,6 @@ impl LatencyHistogram {
     /// Smallest recorded sample, or zero when empty.
     pub fn min(&self) -> SimDuration {
         self.min.unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Sum of all recorded samples.
-    pub fn total(&self) -> SimDuration {
-        self.total
     }
 
     /// Returns an upper bound on the `q`-quantile (`q` in `[0, 1]`).
@@ -253,7 +243,7 @@ mod tests {
     #[test]
     fn empty_histogram_is_zero() {
         let h = LatencyHistogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), SimDuration::ZERO);
         assert_eq!(h.percentile(0.99), SimDuration::ZERO);
         assert_eq!(h.min(), SimDuration::ZERO);
@@ -290,7 +280,7 @@ mod tests {
             h.record(SimDuration::from_micros(us));
         }
         assert_eq!(h.mean(), SimDuration::from_micros(20));
-        assert_eq!(h.total(), SimDuration::from_micros(60));
+        assert_eq!(h.total, SimDuration::from_micros(60));
     }
 
     #[test]
@@ -310,7 +300,7 @@ mod tests {
         let mut h = LatencyHistogram::new();
         h.record(SimDuration::from_micros(5));
         h.reset();
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         assert_eq!(h.max(), SimDuration::ZERO);
     }
 

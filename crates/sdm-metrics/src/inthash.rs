@@ -48,11 +48,8 @@ impl Hasher for IntHasher {
     }
 }
 
-/// `BuildHasher` for [`IntHasher`].
-pub type IntBuildHasher = BuildHasherDefault<IntHasher>;
-
 /// A `HashMap` keyed by program-generated integers (see the module docs).
-pub type IntMap<K, V> = HashMap<K, V, IntBuildHasher>;
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 #[cfg(test)]
 mod tests {
@@ -63,7 +60,7 @@ mod tests {
     fn aligned_keys_spread_over_low_bits() {
         // Offsets that are all multiples of 128 must not collapse onto a
         // handful of bucket indices (the low 7 bits of the hash).
-        let build = IntBuildHasher::default();
+        let build = BuildHasherDefault::<IntHasher>::default();
         let mut seen = [false; 128];
         for i in 0..4096usize {
             seen[(build.hash_one(i * 128) & 127) as usize] = true;

@@ -36,6 +36,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro))]
 
 pub mod alloc_hook;
 mod clock;
@@ -45,4 +47,4 @@ pub mod units;
 
 pub use clock::{SimDuration, SimInstant};
 pub use histogram::LatencyHistogram;
-pub use inthash::{IntBuildHasher, IntHasher, IntMap};
+pub use inthash::{IntHasher, IntMap};

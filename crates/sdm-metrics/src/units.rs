@@ -68,16 +68,6 @@ impl Bytes {
         Bytes(self.0.saturating_sub(rhs.0))
     }
 
-    /// Smaller of two quantities.
-    pub fn min(self, other: Bytes) -> Bytes {
-        Bytes(self.0.min(other.0))
-    }
-
-    /// Larger of two quantities.
-    pub fn max(self, other: Bytes) -> Bytes {
-        Bytes(self.0.max(other.0))
-    }
-
     /// True when the quantity is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
@@ -166,7 +156,7 @@ pub struct Watts(pub f64);
 
 impl Watts {
     /// Zero watts.
-    pub const ZERO: Watts = Watts(0.0);
+    pub(crate) const ZERO: Watts = Watts(0.0);
 
     /// Raw value.
     pub fn as_f64(self) -> f64 {

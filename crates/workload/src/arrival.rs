@@ -58,7 +58,7 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// Validates the process parameters.
-    pub fn validate(&self) -> Result<(), WorkloadError> {
+    pub(crate) fn validate(&self) -> Result<(), WorkloadError> {
         fn positive(value: f64, what: &'static str) -> Result<(), WorkloadError> {
             if value.is_finite() && value > 0.0 {
                 Ok(())
@@ -166,17 +166,6 @@ impl ArrivalGenerator {
             rng: StdRng::seed_from_u64(seed),
             cursor: SimInstant::EPOCH,
         })
-    }
-
-    /// The process driving this generator.
-    pub fn process(&self) -> &ArrivalProcess {
-        &self.process
-    }
-
-    /// Instant of the most recently generated arrival (epoch before the
-    /// first call to [`next_arrival`](Self::next_arrival)).
-    pub fn now(&self) -> SimInstant {
-        self.cursor
     }
 
     /// Advances to and returns the next arrival instant.

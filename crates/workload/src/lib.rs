@@ -37,6 +37,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro))]
 
 mod arrival;
 mod error;
@@ -48,7 +50,7 @@ mod zipf;
 
 pub use arrival::{ArrivalGenerator, ArrivalProcess};
 pub use error::WorkloadError;
-pub use locality::{locality_report, spatial_locality, temporal_locality_cdf, LocalityReport};
+pub use locality::{spatial_locality, temporal_locality_cdf};
 pub use query::{EmbeddingRequest, Query, QueryGenerator, WorkloadConfig};
 pub use router::{RoutingPolicy, Scheduler};
 pub use trace::AccessTrace;

@@ -2,29 +2,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-/// Summary of the temporal locality of one access stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalityReport {
-    /// Total accesses analysed.
-    pub total_accesses: u64,
-    /// Distinct rows touched.
-    pub unique_rows: u64,
-    /// Share of accesses captured by the hottest 1 % of touched rows.
-    pub top1_share: f64,
-    /// Share of accesses captured by the hottest 10 % of touched rows.
-    pub top10_share: f64,
-    /// Share of accesses captured by the hottest 50 % of touched rows.
-    pub top50_share: f64,
-}
-
-impl LocalityReport {
-    /// A crude "does this look like a power law" indicator: the hottest 10 %
-    /// of rows capturing well over 10 % of traffic.
-    pub fn is_skewed(&self) -> bool {
-        self.top10_share > 0.3
-    }
-}
-
 /// Computes the cumulative distribution of accesses over rows ranked by
 /// popularity: the returned points are `(fraction_of_unique_rows,
 /// fraction_of_accesses)` with rows ordered hottest-first (the curve plotted
@@ -58,38 +35,6 @@ pub fn temporal_locality_cdf(accesses: &[u64], points: usize) -> Vec<(f64, f64)>
             (frac_rows, cumulative[idx] as f64 / total as f64)
         })
         .collect()
-}
-
-/// Builds a [`LocalityReport`] from an access stream.
-pub fn locality_report(accesses: &[u64]) -> LocalityReport {
-    if accesses.is_empty() {
-        return LocalityReport {
-            total_accesses: 0,
-            unique_rows: 0,
-            top1_share: 0.0,
-            top10_share: 0.0,
-            top50_share: 0.0,
-        };
-    }
-    let curve = temporal_locality_cdf(accesses, 100);
-    let mut counts: HashSet<u64> = HashSet::new();
-    for &row in accesses {
-        counts.insert(row);
-    }
-    let share_at = |frac: f64| -> f64 {
-        curve
-            .iter()
-            .find(|(f, _)| *f >= frac - 1e-9)
-            .map(|(_, s)| *s)
-            .unwrap_or(1.0)
-    };
-    LocalityReport {
-        total_accesses: accesses.len() as u64,
-        unique_rows: counts.len() as u64,
-        top1_share: share_at(0.01),
-        top10_share: share_at(0.10),
-        top50_share: share_at(0.50),
-    }
 }
 
 /// Computes the paper's spatial-locality proxy (Figure 5) for one access
@@ -141,7 +86,6 @@ mod tests {
     #[test]
     fn empty_stream_yields_empty_results() {
         assert!(temporal_locality_cdf(&[], 10).is_empty());
-        assert_eq!(locality_report(&[]).total_accesses, 0);
         assert_eq!(spatial_locality(&[], 128, 4096, 100), 0.0);
     }
 
@@ -153,7 +97,6 @@ mod tests {
         for (frac_rows, frac_accesses) in curve {
             assert!((frac_rows - frac_accesses).abs() < 0.01);
         }
-        assert!(!locality_report(&accesses).is_skewed());
     }
 
     #[test]
@@ -161,14 +104,13 @@ mod tests {
         let sampler = ZipfSampler::new(10_000, 1.0, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let accesses = sampler.sample_many(&mut rng, 50_000);
-        let report = locality_report(&accesses);
-        assert!(report.is_skewed());
-        assert!(report.top10_share > 0.5, "top10 = {}", report.top10_share);
-        assert!(report.top1_share > 0.15, "top1 = {}", report.top1_share);
-        assert!(report.top50_share > report.top10_share);
-        assert!(report.unique_rows < report.total_accesses);
+        // Shares of the accesses taken by the hottest 1 %, 10 % and 50 %.
+        let curve = temporal_locality_cdf(&accesses, 100);
+        let (top1, top10, top50) = (curve[0].1, curve[9].1, curve[49].1);
+        assert!(top10 > 0.5, "top10 = {top10}");
+        assert!(top1 > 0.15, "top1 = {top1}");
+        assert!(top50 > top10);
         // CDF is monotone non-decreasing and ends at 1.
-        let curve = temporal_locality_cdf(&accesses, 50);
         for w in curve.windows(2) {
             assert!(w[1].1 >= w[0].1 - 1e-12);
         }

@@ -99,7 +99,7 @@ impl WorkloadConfig {
     ///
     /// Returns [`WorkloadError::InvalidConfig`] for zero batches or
     /// populations.
-    pub fn validate(&self) -> Result<(), WorkloadError> {
+    pub(crate) fn validate(&self) -> Result<(), WorkloadError> {
         if self.item_batch == 0 {
             return Err(WorkloadError::InvalidConfig {
                 reason: "item_batch must be at least 1".into(),
@@ -180,21 +180,6 @@ impl QueryGenerator {
             rng: StdRng::seed_from_u64(seed),
             next_id: 0,
         })
-    }
-
-    /// The user-side table descriptors.
-    pub fn user_tables(&self) -> &[TableDescriptor] {
-        &self.user_tables
-    }
-
-    /// The item-side table descriptors.
-    pub fn item_tables(&self) -> &[TableDescriptor] {
-        &self.item_tables
-    }
-
-    /// The workload configuration.
-    pub fn config(&self) -> &WorkloadConfig {
-        &self.config
     }
 
     /// Index sequence a given user produces for a given user table. This is
@@ -386,8 +371,8 @@ mod tests {
     #[test]
     fn accessors_expose_partitioned_tables() {
         let gen = QueryGenerator::new(&tables(), WorkloadConfig::default(), 2).unwrap();
-        assert_eq!(gen.user_tables().len(), 2);
-        assert_eq!(gen.item_tables().len(), 1);
-        assert_eq!(gen.config().item_batch, 50);
+        assert_eq!(gen.user_tables.len(), 2);
+        assert_eq!(gen.item_tables.len(), 1);
+        assert_eq!(gen.config.item_batch, 50);
     }
 }

@@ -14,18 +14,18 @@ pub struct AccessTrace {
 
 impl AccessTrace {
     /// Creates an empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AccessTrace::default()
     }
 
     /// Records one row access.
-    pub fn record(&mut self, table: TableId, row: u64) {
+    pub(crate) fn record(&mut self, table: TableId, row: u64) {
         self.accesses.entry(table).or_default().push(row);
         self.total += 1;
     }
 
     /// Records every lookup of a query.
-    pub fn record_query(&mut self, query: &Query) {
+    pub(crate) fn record_query(&mut self, query: &Query) {
         for req in query.user_requests.iter().chain(query.item_requests.iter()) {
             for &idx in &req.indices {
                 self.record(req.table, idx);
@@ -40,13 +40,6 @@ impl AccessTrace {
             trace.record_query(q);
         }
         trace
-    }
-
-    /// Tables present in the trace.
-    pub fn tables(&self) -> Vec<TableId> {
-        let mut t: Vec<TableId> = self.accesses.keys().copied().collect();
-        t.sort_unstable();
-        t
     }
 
     /// The access stream of one table (empty slice when absent).
@@ -66,15 +59,6 @@ impl AccessTrace {
     pub fn is_empty(&self) -> bool {
         self.total == 0
     }
-
-    /// Merges another trace into this one (order within tables is this
-    /// trace's accesses followed by the other's).
-    pub fn merge(&mut self, other: &AccessTrace) {
-        for (table, rows) in &other.accesses {
-            self.accesses.entry(*table).or_default().extend(rows);
-        }
-        self.total += other.total;
-    }
 }
 
 #[cfg(test)]
@@ -91,7 +75,7 @@ mod tests {
         t.record(3, 11);
         t.record(5, 2);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.tables(), vec![3, 5]);
+        assert_eq!(t.table_accesses(5), &[2]);
         assert_eq!(t.table_accesses(3), &[10, 11]);
         assert!(t.table_accesses(99).is_empty());
     }
@@ -111,18 +95,5 @@ mod tests {
         let trace = AccessTrace::from_queries(&queries);
         let expected: usize = queries.iter().map(|q| q.total_lookups()).sum();
         assert_eq!(trace.len(), expected as u64);
-    }
-
-    #[test]
-    fn merge_combines_streams() {
-        let mut a = AccessTrace::new();
-        a.record(1, 5);
-        let mut b = AccessTrace::new();
-        b.record(1, 6);
-        b.record(2, 7);
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.table_accesses(1), &[5, 6]);
-        assert_eq!(a.table_accesses(2), &[7]);
     }
 }

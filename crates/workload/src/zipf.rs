@@ -51,11 +51,6 @@ impl ZipfSampler {
         })
     }
 
-    /// Number of rows the sampler draws from.
-    pub fn num_rows(&self) -> u64 {
-        self.num_rows
-    }
-
     /// Maps a popularity rank (1 = hottest) to a scattered row index.
     fn scramble(&self, rank: u64) -> u64 {
         // Feistel-free multiplicative hash, then reduce modulo the table
@@ -78,7 +73,7 @@ impl ZipfSampler {
 
     /// Draws a pooled lookup: `count` row indices (duplicates allowed, as in
     /// real traces).
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<u64> {
+    pub(crate) fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<u64> {
         (0..count).map(|_| self.sample(rng)).collect()
     }
 }
@@ -107,7 +102,7 @@ mod tests {
         let ys = s.sample_many(&mut b, 100);
         assert_eq!(xs, ys);
         assert!(xs.iter().all(|&x| x < 1000));
-        assert_eq!(s.num_rows(), 1000);
+        assert_eq!(s.num_rows, 1000);
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //!
 //! External dependencies are vendored offline shims (see `vendor/README.md`).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::dbg_macro))]
+
 pub use cluster;
 pub use dlrm;
 pub use embedding;

@@ -2,14 +2,23 @@
 //! suppression, so the scanner must report nothing. Guards the
 //! suppression syntax itself against regressions.
 
-pub fn startup_config(raw: &str) -> u32 {
-    // Startup-only path: a malformed baked-in default is a build bug, and
-    // aborting with the parse message is the correct behaviour.
-    // sdm-analyze: allow(no-unwrap-outside-tests)
-    raw.parse().unwrap()
+use std::collections::HashMap;
+use std::time::Instant;
+
+pub fn trace_stamp() -> Instant {
+    // Trace timestamps are wall time by design and never reach the
+    // virtual clock.
+    // sdm-analyze: allow(no-wall-clock)
+    Instant::now()
 }
 
-pub fn log_banner() {
-    // One-shot startup banner, written before logging is initialised.
-    println!("booting"); // sdm-analyze: allow(no-print-in-libs)
+pub struct ByUserName {
+    // Keyed by names that arrive with the request.
+    names: HashMap<String, u32>, // sdm-analyze: allow(default-hasher-on-serving-path)
+}
+
+pub fn stamped_names() -> (Instant, ByUserName) {
+    // Both at once: a comma-separated list names each rule it suppresses.
+    // sdm-analyze: allow(no-wall-clock, default-hasher-on-serving-path)
+    (Instant::now(), ByUserName { names: HashMap::new() })
 }

@@ -13,11 +13,12 @@ pub mod common;
 use common::{identity_picks, single_stream, Stream};
 use dlrm::model_zoo;
 use io_engine::RetryConfig;
+use scm_device::{AccessMode, ReadCommand, ScmDevice, SglRange, TechnologyProfile};
 use sdm_cache::RowCache;
 use sdm_core::{BatchMode, Frontend, FrontendConfig, SdmConfig, ServingHost, TokenBucketConfig};
 use sdm_metrics::alloc_hook;
 use sdm_metrics::units::Bytes;
-use sdm_metrics::SimDuration;
+use sdm_metrics::{SimDuration, SimInstant};
 use std::alloc::{GlobalAlloc, Layout, System};
 use workload::{ArrivalGenerator, ArrivalProcess, Query};
 
@@ -322,6 +323,41 @@ fn warmed_hot_path_performs_zero_allocations() {
         "measured batches made {reads} SM reads and {evictions} evictions; \
          the miss-path measurement is vacuous"
     );
+
+    // --- a warm multi-range device read ---
+    // The post-update refill gathers every resident row of a device block
+    // into one command. Counting the blocks such a command touches (once
+    // for the media time, once more for the block-mode bus bytes) must not
+    // allocate once the payload buffer has its capacity.
+    let mut device =
+        ScmDevice::new("nand", TechnologyProfile::nand_flash(), Bytes::from_mib(1)).unwrap();
+    device.write_at(0, &[7u8; 16_384]).unwrap();
+    let gather = ReadCommand::with_ranges(
+        vec![
+            SglRange::new(8_000, 128),
+            SglRange::new(100, 128),
+            SglRange::new(4_000, 200),
+        ],
+        AccessMode::Block,
+    )
+    .unwrap();
+    let mut payload = Vec::new();
+    device
+        .read_into(&gather, 1, SimInstant::EPOCH, &mut payload)
+        .unwrap();
+    alloc_hook::reset();
+    alloc_hook::set_enabled(true);
+    let info = device
+        .read_into(&gather, 1, SimInstant::EPOCH, &mut payload)
+        .unwrap();
+    alloc_hook::set_enabled(false);
+    let gather_allocs = alloc_hook::allocations();
+    assert_eq!(
+        gather_allocs, 0,
+        "a warm multi-range read allocated {gather_allocs} times"
+    );
+    assert_eq!(info.blocks_touched, 2);
+    assert_eq!(payload, [7u8; 456]);
 
     // Control: a cold host's first batch grows its scratch and fills its
     // caches, so it does allocate — proving the counter actually observes
