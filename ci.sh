@@ -18,16 +18,28 @@
 #                    # workspace and its fixture self-tests (the textual
 #                    # rules only; the clippy-held contracts run in full)
 #   ./ci.sh miri     # opt-in: curated test subset under Miri (needs a
-#                    # nightly toolchain with the miri component; skips with
-#                    # a visible NOTICE otherwise)
+#                    # nightly toolchain with the miri component)
 #   ./ci.sh asan     # opt-in: curated test subset under AddressSanitizer
-#                    # (needs a nightly toolchain; skips with a visible
-#                    # NOTICE otherwise)
+#                    # (needs a nightly toolchain with rust-src)
+#
+# A sanitizer lane whose toolchain is missing exits 0 but reads "not run",
+# never green: it prints a NOTICE and a GitHub `::warning::` annotation, and
+# appends "<lane>: not run" to $GITHUB_STEP_SUMMARY when that is set.
 
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")"
 
 mode="${1:-full}"
+
+# Reports a sanitizer lane that could not run: a warning annotation and a
+# step-summary line, so the skip is visible in the run rather than a pass.
+lane_not_run() {
+    local lane="$1" reason="$2"
+    echo "::warning title=${lane} lane not run::${reason}"
+    if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
+        echo "${lane}: not run (${reason})" >>"$GITHUB_STEP_SUMMARY"
+    fi
+}
 
 if [[ "$mode" == "benchmark" ]]; then
     echo "==> benchmark/check.sh (fmt, clippy, harness tests, smoke run)"
@@ -58,6 +70,7 @@ if [[ "$mode" == "miri" ]]; then
         echo "Install with: rustup toolchain install nightly --component miri"
         echo "This is a skip, not a pass: nothing was checked."
         echo "=============================================================="
+        lane_not_run miri "no nightly toolchain with the miri component"
         exit 0
     fi
     echo "==> miri setup"
@@ -84,6 +97,7 @@ if [[ "$mode" == "asan" ]]; then
         echo "Install with: rustup toolchain install nightly --component rust-src"
         echo "This is a skip, not a pass: nothing was checked."
         echo "=============================================================="
+        lane_not_run asan "no nightly toolchain with the rust-src component"
         exit 0
     fi
     echo "==> curated test subset under AddressSanitizer"

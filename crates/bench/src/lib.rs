@@ -229,9 +229,18 @@ impl TierRun {
 }
 
 /// Measures a host on the *virtual* clock after warm-up: a `shards`-shard
-/// host (user-sticky routing) serves `queries` three times and the third
-/// batch is recorded — private caches warmed and, when `config` attaches a
-/// shared tier, the tier populated.
+/// host (user-sticky routing) serves `queries` twice as warm-up and a third
+/// time as the recorded batch — private caches warmed and, when `config`
+/// attaches a shared tier, the tier populated.
+///
+/// The warm-up serves each shard's share of the stream (as the host's own
+/// scheduler routes it) as its own batch, one shard at a time, so which
+/// shard reads a row from SM and promotes it into the tier follows from
+/// the stream, not from thread timing. Warmed concurrently, that race
+/// decides which rows each private cache holds and so how long the
+/// measured batch's user chains take. The order chosen is the tier's least
+/// favourable: the first shard promotes every row it shares, and a later
+/// shard that hits such a row in the tier never caches it privately.
 ///
 /// The regime the tier exists for is a private row-cache budget smaller
 /// than the hot row set (dividing it across shards shrinks every slice
@@ -260,10 +269,16 @@ pub fn measure_tier(
     )
     .expect("failed to build serving host");
     let all = identity_picks(queries);
-    host.run_selected_batch(queries, &all)
-        .expect("warmup batch failed");
-    host.run_selected_batch(queries, &all)
-        .expect("warmup batch failed");
+    let (mut parts, mut merge) = (Vec::new(), Vec::new());
+    host.scheduler()
+        .clone()
+        .partition_picks_into(queries, &all, &mut parts, &mut merge);
+    for _ in 0..2 {
+        for part in parts.iter().filter(|part| !part.is_empty()) {
+            host.run_selected_batch(queries, part)
+                .expect("warmup batch failed");
+        }
+    }
     let before = host.stats();
     let run = host
         .run_selected_batch(queries, &all)

@@ -59,10 +59,69 @@ pub trait EmbeddingBackend {
         Ok(took)
     }
 
+    /// One table-batched operator in the SparseLengthsSum shape: `indices`
+    /// is every segment's index list back to back, `lengths` how many of
+    /// them each segment takes, and segment `s` is pooled into
+    /// `out[s * dim..(s + 1) * dim]`, where `dim = out.len() /
+    /// lengths.len()` is the table's dimension. `out` is zero-filled by the
+    /// caller. Returns the operator's time: the segments run back to back,
+    /// segment `s` handed `now + Σ_{r<s} took_r`.
+    ///
+    /// The default implementation is exactly that loop over
+    /// [`EmbeddingBackend::pooled_lookup_into`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DlrmError::DimensionMismatch`] when the lengths do not sum
+    /// to `indices.len()` or `out` is not a whole number of segments wide,
+    /// and propagates the per-segment errors.
+    fn pooled_lookup_segments_into(
+        &mut self,
+        table: TableId,
+        indices: &[u64],
+        lengths: &[usize],
+        now: SimInstant,
+        out: &mut [f32],
+    ) -> Result<SimDuration, DlrmError> {
+        let dim = segment_dim(indices.len(), lengths, out.len())?;
+        let mut took = SimDuration::ZERO;
+        let mut rest = indices;
+        for (s, &len) in lengths.iter().enumerate() {
+            let (head, tail) = rest.split_at(len);
+            let segment = &mut out[s * dim..(s + 1) * dim];
+            took += self.pooled_lookup_into(table, head, now + took, segment)?;
+            rest = tail;
+        }
+        Ok(took)
+    }
+
     /// Short name for reporting.
     fn backend_name(&self) -> &str {
         "backend"
     }
+}
+
+/// Checks a SparseLengthsSum operator's shape — `lengths` summing to the
+/// `indices` count and an `out_len`-wide output of one equal segment per
+/// length — and returns the segment width (0 when there are no segments).
+/// A mismatch is a [`DlrmError::DimensionMismatch`] naming the count that
+/// disagrees.
+fn segment_dim(indices: usize, lengths: &[usize], out_len: usize) -> Result<usize, DlrmError> {
+    let listed: usize = lengths.iter().sum();
+    if listed != indices {
+        return Err(DlrmError::DimensionMismatch {
+            expected: indices,
+            actual: listed,
+        });
+    }
+    let dim = out_len.checked_div(lengths.len()).unwrap_or(0);
+    if dim * lengths.len() != out_len {
+        return Err(DlrmError::DimensionMismatch {
+            expected: dim * lengths.len(),
+            actual: out_len,
+        });
+    }
+    Ok(dim)
 }
 
 /// Baseline backend: every table fully resident in DRAM.

@@ -1,4 +1,24 @@
 //! Query execution: bottom MLP, embedding operators, interaction, top MLP.
+//!
+//! # One operator per table
+//!
+//! A query's embedding work is issued the way table-batched embedding
+//! stacks issue it: **one pooled operator per (side, table)**, in the
+//! SparseLengthsSum shape. The user side is a batch of one (§2–§3), so each
+//! user table's operator has one segment — or one per repeat when the user
+//! side is batched too (inference-eval, Table 2). The item side ranks a
+//! batch of items, so each item table's operator pools every ranked item's
+//! request as one segment, in request order
+//! ([`EmbeddingBackend::pooled_lookup_segments_into`]). Operators run in the
+//! order their table is first requested, and each pays
+//! `ComputeModel::operator_overhead` once: a scaled-M1 query (16 ranked
+//! items over 30 item tables, plus 61 user tables) dispatches 91 operators,
+//! not 541.
+//!
+//! Batching changes only which vectors share an operator, never a value:
+//! every request still pools into its own range of the arena, and
+//! [`InferenceEngine`]'s interaction folds them per item in request order
+//! with the salts a per-request operator had.
 
 use crate::backend::EmbeddingBackend;
 use crate::config::{ComputeModel, ModelConfig};
@@ -7,7 +27,7 @@ use crate::mlp::Mlp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdm_metrics::{IntMap, SimDuration, SimInstant};
-use workload::Query;
+use workload::{EmbeddingRequest, Query};
 
 /// Whether embedding operators run one after another or overlap.
 ///
@@ -16,12 +36,16 @@ use workload::Query;
 /// item-side work. Inter-op parallelism cut M1's latency (and therefore
 /// raised QPS at fixed latency) by about 20 %.
 ///
-/// Both modes run a query's operators as two **chains**, user side and item
-/// side. Within a chain operators run back to back: operator *k* is handed
+/// Both modes run a query's operators — one per table on each side (see the
+/// module docs) — as two **chains**, user side and item side. Within a
+/// chain operators run back to back: operator *k* is handed
 /// `chain_start + Σ_{j<k}(took_j + operator_overhead)`, the instant its
 /// predecessor finished, so its SM reads never queue behind reads the chain
-/// has not reached yet. A chain's time is that same sum. The mode decides
-/// where the item chain starts and how the two chains combine.
+/// has not reached yet; within an operator, segment *s* is handed the
+/// operator's instant plus its earlier segments' time. A chain's time is
+/// the sum of its operators' times plus one `operator_overhead` per
+/// distinct table on that side. The mode decides where the item chain
+/// starts and how the two chains combine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecutionMode {
     /// The item chain starts where the user chain ends (no overlap); the
@@ -39,7 +63,8 @@ pub struct LatencyBreakdown {
     /// Bottom MLP over the continuous features.
     pub bottom_mlp: SimDuration,
     /// The user-side chain: every user-side operator's time plus the
-    /// per-operator overhead, back to back (see [`ExecutionMode`]).
+    /// per-operator overhead, one operator per user table, back to back
+    /// (see [`ExecutionMode`]).
     pub user_embeddings: SimDuration,
     /// The item-side chain, summed the same way.
     pub item_embeddings: SimDuration,
@@ -62,13 +87,56 @@ pub struct QueryResult {
     pub latency: LatencyBreakdown,
 }
 
-/// One pooled embedding operator's output, recorded as a range into the
-/// flat pooled-vector arena of [`PoolingBuffers`].
-#[derive(Debug, Clone, Copy)]
-struct PooledOp {
+/// One request's pooled vector — a segment of its table's operator —
+/// recorded as a range into the flat pooled-vector arena of
+/// [`PoolingBuffers`].
+#[derive(Debug, Clone, Copy, Default)]
+struct PooledVector {
     table: u32,
     start: usize,
     dim: usize,
+}
+
+/// A model table as the engine sees it: its position in the model (which
+/// indexes [`ChainPlan::op_of_table`]) and its embedding dimension.
+#[derive(Debug, Clone, Copy)]
+struct TableInfo {
+    slot: usize,
+    dim: usize,
+}
+
+/// One table-batched operator of the chain being run: its segments are the
+/// requests at `order[first..first + count]`.
+#[derive(Debug, Clone, Copy)]
+struct TableOp {
+    table: u32,
+    dim: usize,
+    first: usize,
+    count: usize,
+}
+
+/// Reused scratch that turns one side's requests into its table-batched
+/// operators: a counting sort of request positions by operator, plus the
+/// flat indices and lengths of the operator being issued.
+#[derive(Debug, Default)]
+struct ChainPlan {
+    /// The side's operators, in the order their table is first requested.
+    ops: Vec<TableOp>,
+    /// Per model table (by [`TableInfo::slot`]): its operator's index in
+    /// `ops`, or [`ChainPlan::NO_OP`].
+    op_of_table: Vec<usize>,
+    /// Per request: its operator's index in `ops`.
+    request_op: Vec<usize>,
+    /// Request positions grouped by operator, in request order within one.
+    order: Vec<usize>,
+    /// The current operator's segments' indices, back to back.
+    flat_indices: Vec<u64>,
+    /// The current operator's segment lengths.
+    lengths: Vec<usize>,
+}
+
+impl ChainPlan {
+    const NO_OP: usize = usize::MAX;
 }
 
 /// Reusable scratch for query execution — the heart of the zero-copy hot
@@ -79,13 +147,15 @@ struct PooledOp {
 /// worker threads (statically asserted by `engine_and_scratch_are_send`).
 ///
 /// The seed `execute` allocated per query: the dense-feature vector, one
-/// `Vec<f32>` per MLP layer, one pooled `Vec<f32>` per embedding operator
+/// `Vec<f32>` per MLP layer, one pooled `Vec<f32>` per embedding request
 /// (plus a `Vec<Vec<…>>` to group them per item), and the interaction
 /// buffer. `PoolingBuffers` replaces all of that with flat vectors whose
 /// capacity is reused across queries: pooled vectors live back to back in
-/// one `f32` arena addressed by `(start, dim)` ranges, and the MLPs
-/// ping-pong between two scratch buffers. After the first few queries the
-/// steady state performs zero heap allocations per query.
+/// one `f32` arena addressed by `(start, dim)` ranges, each operator's
+/// segments contiguous, the table-batched operators are planned in reused
+/// lists, and the MLPs ping-pong between two scratch buffers. After the
+/// first few queries the steady state performs zero heap allocations per
+/// query.
 ///
 /// The interaction is built in two halves that mirror the paper's broadcast
 /// structure (§2–§3: the user side of a query has a batch of one): `prefix`
@@ -104,11 +174,13 @@ pub struct PoolingBuffers {
     mlp_scratch: Vec<f32>,
     /// Flat arena of pooled embedding vectors for the current query.
     pooled: Vec<f32>,
-    /// User-side operators: ranges into `pooled`, in request order.
-    user_ops: Vec<PooledOp>,
-    /// Item-side operators: ranges into `pooled` plus the owning item slot,
-    /// in request order (item slots are contiguous).
-    item_ops: Vec<(PooledOp, usize)>,
+    /// The table-batched operators of the side being run.
+    plan: ChainPlan,
+    /// User-side pooled vectors: ranges into `pooled`, in request order.
+    user_vectors: Vec<PooledVector>,
+    /// Item-side pooled vectors, in request order (each ranked item's
+    /// requests are contiguous).
+    item_vectors: Vec<PooledVector>,
     /// The broadcast half of the interaction (bottom MLP + user side),
     /// folded once per query.
     prefix: Vec<f32>,
@@ -124,8 +196,6 @@ impl PoolingBuffers {
 
     fn reset(&mut self) {
         self.pooled.clear();
-        self.user_ops.clear();
-        self.item_ops.clear();
     }
 }
 
@@ -144,10 +214,11 @@ pub struct InferenceEngine {
     compute: ComputeModel,
     mode: ExecutionMode,
     dense_rng_seed: u64,
-    /// Embedding dimension per table, so output ranges can be sized without
-    /// consulting the backend. Keyed by the model's own table ids; an
-    /// unknown id from a query only misses.
-    table_dims: IntMap<u32, usize>,
+    /// Position and embedding dimension per table, so operators can be
+    /// grouped and output ranges sized without consulting the backend.
+    /// Keyed by the model's own table ids; an unknown id from a query only
+    /// misses.
+    tables: IntMap<u32, TableInfo>,
     /// Item-side table count, cached so the hot path never materialises the
     /// `Vec<&TableDescriptor>` that `ModelConfig::item_tables` collects.
     item_table_count: usize,
@@ -163,7 +234,12 @@ impl InferenceEngine {
         model.validate()?;
         let bottom = Mlp::generate(&model.bottom_mlp, seed ^ 0xb077);
         let top = Mlp::generate(&model.top_mlp, seed ^ 0x70b0);
-        let table_dims = model.tables.iter().map(|t| (t.id, t.dim)).collect();
+        let tables = model
+            .tables
+            .iter()
+            .enumerate()
+            .map(|(slot, t)| (t.id, TableInfo { slot, dim: t.dim }))
+            .collect();
         let item_table_count = model.item_tables().len();
         Ok(InferenceEngine {
             model,
@@ -172,7 +248,7 @@ impl InferenceEngine {
             compute,
             mode: ExecutionMode::default(),
             dense_rng_seed: seed,
-            table_dims,
+            tables,
             item_table_count,
         })
     }
@@ -228,24 +304,99 @@ impl InferenceEngine {
         }
     }
 
-    /// Reserves a zeroed `dim`-wide range in the pooled arena and runs the
-    /// backend's into-lookup against it.
-    fn pooled_op<B: EmbeddingBackend + ?Sized>(
+    /// Runs one side's `requests` as a chain of table-batched operators
+    /// starting at `start` (see [`ExecutionMode`]) and returns the chain's
+    /// time. Each operator's segments get a zeroed range of `pooled`, and
+    /// `vectors` receives every request's range in request order.
+    fn run_chain<B: EmbeddingBackend + ?Sized>(
         &self,
         backend: &mut B,
-        table: u32,
-        indices: &[u64],
-        now: SimInstant,
+        requests: &[EmbeddingRequest],
+        start: SimInstant,
+        plan: &mut ChainPlan,
         pooled: &mut Vec<f32>,
-    ) -> Result<(PooledOp, SimDuration), DlrmError> {
-        let dim = *self
-            .table_dims
-            .get(&table)
-            .ok_or(DlrmError::UnknownTable { table })?;
-        let start = pooled.len();
-        pooled.resize(start + dim, 0.0);
-        let took = backend.pooled_lookup_into(table, indices, now, &mut pooled[start..])?;
-        Ok((PooledOp { table, start, dim }, took))
+        vectors: &mut Vec<PooledVector>,
+    ) -> Result<SimDuration, DlrmError> {
+        let ChainPlan {
+            ops,
+            op_of_table,
+            request_op,
+            order,
+            flat_indices,
+            lengths,
+        } = plan;
+        // One operator per distinct table, in first-request order.
+        ops.clear();
+        request_op.clear();
+        op_of_table.clear();
+        op_of_table.resize(self.tables.len(), ChainPlan::NO_OP);
+        for req in requests {
+            let table = req.table;
+            let info = self
+                .tables
+                .get(&table)
+                .ok_or(DlrmError::UnknownTable { table })?;
+            let mut k = op_of_table[info.slot];
+            if k == ChainPlan::NO_OP {
+                k = ops.len();
+                op_of_table[info.slot] = k;
+                let dim = info.dim;
+                ops.push(TableOp {
+                    table,
+                    dim,
+                    first: 0,
+                    count: 0,
+                });
+            }
+            ops[k].count += 1;
+            request_op.push(k);
+        }
+        // Counting sort of the request positions by operator: stable, so an
+        // operator's segments stay in request order.
+        let mut first = 0;
+        for op in ops.iter_mut() {
+            op.first = first;
+            first += op.count;
+            op.count = 0;
+        }
+        order.clear();
+        order.resize(requests.len(), 0);
+        for (pos, &k) in request_op.iter().enumerate() {
+            let op = &mut ops[k];
+            order[op.first + op.count] = pos;
+            op.count += 1;
+        }
+
+        vectors.clear();
+        vectors.resize(requests.len(), PooledVector::default());
+        let mut time = SimDuration::ZERO;
+        for op in ops.iter() {
+            let members = &order[op.first..op.first + op.count];
+            flat_indices.clear();
+            lengths.clear();
+            for &pos in members {
+                flat_indices.extend_from_slice(&requests[pos].indices);
+                lengths.push(requests[pos].indices.len());
+            }
+            let base = pooled.len();
+            pooled.resize(base + op.count * op.dim, 0.0);
+            let took = backend.pooled_lookup_segments_into(
+                op.table,
+                flat_indices,
+                lengths,
+                start + time,
+                &mut pooled[base..],
+            )?;
+            time += took + self.compute.operator_overhead;
+            for (s, &pos) in members.iter().enumerate() {
+                vectors[pos] = PooledVector {
+                    table: op.table,
+                    start: base + s * op.dim,
+                    dim: op.dim,
+                };
+            }
+        }
+        Ok(time)
     }
 
     /// Executes one query against the backend using caller-provided scratch
@@ -255,14 +406,15 @@ impl InferenceEngine {
     ///
     /// With warm `buffers`/`result` capacity and a warmed backend cache this
     /// path performs zero heap allocations per query: pooled vectors are
-    /// written into a flat reused arena, the MLPs ping-pong between two
-    /// reused buffers, and the backend accumulates rows straight into the
-    /// caller's ranges.
+    /// written into a flat reused arena, operators are planned in reused
+    /// lists, the MLPs ping-pong between two reused buffers, and the backend
+    /// accumulates rows straight into the caller's ranges.
     ///
-    /// Each operator is handed the instant its chain reaches it (see
-    /// [`ExecutionMode`]): the user chain starts at `now`, the item chain at
-    /// `now` or, when sequential, at `now + user_embeddings`. Every lookup
-    /// therefore ends inside the query's embedding phase.
+    /// Each side issues one operator per table (see the module docs), each
+    /// handed the instant its chain reaches it (see [`ExecutionMode`]): the
+    /// user chain starts at `now`, the item chain at `now` or, when
+    /// sequential, at `now + user_embeddings`. Every lookup therefore ends
+    /// inside the query's embedding phase.
     ///
     /// # Errors
     ///
@@ -287,36 +439,32 @@ impl InferenceEngine {
         )?;
         let bottom_time = self.compute.time_for_flops(self.bottom.flops());
 
-        // User-side embedding operators: one chain from `now`, each operator
-        // handed the instant its predecessor finished.
-        let mut user_time = SimDuration::ZERO;
-        for req in &query.user_requests {
-            let at = now + user_time;
-            let (op, took) =
-                self.pooled_op(backend, req.table, &req.indices, at, &mut buffers.pooled)?;
-            user_time += took + self.compute.operator_overhead;
-            buffers.user_ops.push(op);
-        }
+        // User-side operators: one chain from `now`, one operator per user
+        // table, each handed the instant its predecessor finished.
+        let user_time = self.run_chain(
+            backend,
+            &query.user_requests,
+            now,
+            &mut buffers.plan,
+            &mut buffers.pooled,
+            &mut buffers.user_vectors,
+        )?;
 
-        // Item-side embedding operators, grouped per ranked item. The
-        // operators arrive in item order, so the (op, item slot) list stays
-        // contiguous per item — no per-item Vec of Vecs. Their chain starts
-        // beside the user chain, or after it when execution is sequential.
+        // Item-side operators, one per item table over every ranked item.
+        // Their chain starts beside the user chain, or after it when
+        // execution is sequential.
         let item_start = match self.mode {
             ExecutionMode::Sequential => now + user_time,
             ExecutionMode::InterOpParallel => now,
         };
-        let item_tables = self.item_table_count.max(1);
-        let item_slots = query.item_batch.max(1) as usize;
-        let mut item_time = SimDuration::ZERO;
-        for (pos, req) in query.item_requests.iter().enumerate() {
-            let at = item_start + item_time;
-            let (op, took) =
-                self.pooled_op(backend, req.table, &req.indices, at, &mut buffers.pooled)?;
-            item_time += took + self.compute.operator_overhead;
-            let item_index = (pos / item_tables).min(item_slots - 1);
-            buffers.item_ops.push((op, item_index));
-        }
+        let item_time = self.run_chain(
+            backend,
+            &query.item_requests,
+            item_start,
+            &mut buffers.plan,
+            &mut buffers.pooled,
+            &mut buffers.item_vectors,
+        )?;
 
         // Interaction + top MLP per item (user embeddings broadcast).
         let top_time = self.rank_items(query, buffers, result)?;
@@ -343,10 +491,11 @@ impl InferenceEngine {
     /// User embeddings are looked up once and broadcast over the ranked
     /// items, so their half of the interaction is folded once per query into
     /// `buffers.prefix`; each item copies the prefix and folds only its own
-    /// operators. Every slot still receives `0 + bottom + u₁ + … + uₙ + i₁ +
-    /// …` in that order — float addition is only reassociated if the order
-    /// changes, and it does not — so the scores are bit-identical to folding
-    /// the whole sequence per item.
+    /// requests' vectors, in request order. Every slot still receives `0 +
+    /// bottom + u₁ + … + uₙ + i₁ + …` in that order — float addition is only
+    /// reassociated if the order changes, and it does not — so the scores
+    /// are bit-identical to folding the whole sequence per item, however the
+    /// vectors were batched into operators.
     fn rank_items(
         &self,
         query: &Query,
@@ -360,21 +509,29 @@ impl InferenceEngine {
         buffers.prefix.clear();
         buffers.prefix.resize(top_in_dim, 0.0);
         Self::fold_into(&mut buffers.prefix, &buffers.bottom_out, 0);
-        for (salt, op) in buffers.user_ops.iter().enumerate() {
-            let v = &buffers.pooled[op.start..op.start + op.dim];
-            Self::fold_into(&mut buffers.prefix, v, salt + 1 + op.table as usize);
+        for (salt, v) in buffers.user_vectors.iter().enumerate() {
+            let pooled = &buffers.pooled[v.start..v.start + v.dim];
+            Self::fold_into(&mut buffers.prefix, pooled, salt + 1 + v.table as usize);
         }
+        // Request `pos` belongs to ranked item `pos / item_tables` (the last
+        // slot takes any overflow), so each item's requests are one run.
+        let item_tables = self.item_table_count.max(1);
+        let item_of = |pos: usize| (pos / item_tables).min(item_slots - 1);
         let mut item_cursor = 0usize;
         for item in 0..item_slots {
             buffers.interaction.clear();
             buffers.interaction.extend_from_slice(&buffers.prefix);
-            // This item's contiguous run of operators, salted by their
+            // This item's contiguous run of vectors, salted by their
             // position within the item (exactly the seed's per-item order).
             let mut salt = 0usize;
-            while item_cursor < buffers.item_ops.len() && buffers.item_ops[item_cursor].1 == item {
-                let op = buffers.item_ops[item_cursor].0;
-                let v = &buffers.pooled[op.start..op.start + op.dim];
-                Self::fold_into(&mut buffers.interaction, v, salt + 101 + op.table as usize);
+            while item_cursor < buffers.item_vectors.len() && item_of(item_cursor) == item {
+                let v = buffers.item_vectors[item_cursor];
+                let pooled = &buffers.pooled[v.start..v.start + v.dim];
+                Self::fold_into(
+                    &mut buffers.interaction,
+                    pooled,
+                    salt + 101 + v.table as usize,
+                );
                 salt += 1;
                 item_cursor += 1;
             }
@@ -499,22 +656,49 @@ mod tests {
     #[test]
     fn each_chain_hands_an_operator_the_instant_its_predecessor_finished() {
         let (mut engine, _, queries) = setup();
-        let query = &queries[0];
+        // Inference-eval repeats every user table once per ranked item, so
+        // the user side batches too.
+        let eval_workload = WorkloadConfig {
+            item_batch: engine.model().item_batch,
+            inference_eval: true,
+            ..WorkloadConfig::default()
+        };
+        let eval = QueryGenerator::new(&engine.model().tables, eval_workload, 2)
+            .unwrap()
+            .next_query();
         let overhead = engine.compute().operator_overhead;
         let start = SimInstant::EPOCH + SimDuration::from_millis(7);
-        // The chain rule, rebuilt from the fixed answers alone: operator k
-        // of a chain starts at `chain_start + Σ_{j<k}(took_j + overhead)`.
+        // The table-batched chain rule, rebuilt from the fixed answers
+        // alone: a side's requests form one operator per distinct table, in
+        // first-request order; operator k starts at `chain_start +
+        // Σ_{j<k}(took_j + overhead)`, where an operator's time is the sum of
+        // its segments', and segment s of an operator is handed the
+        // operator's start plus its earlier segments' time.
         let chain = |requests: &[workload::EmbeddingRequest], from: SimInstant| {
+            let mut tables: Vec<u32> = Vec::new();
+            for req in requests {
+                if !tables.contains(&req.table) {
+                    tables.push(req.table);
+                }
+            }
             let mut at = from;
             let mut handed = Vec::new();
-            for req in requests {
-                handed.push((req.table, at));
-                at += RecordingBackend::took(req.table) + overhead;
+            for table in tables {
+                for req in requests.iter().filter(|r| r.table == table) {
+                    handed.push((req.table, at));
+                    at += RecordingBackend::took(req.table);
+                }
+                at += overhead;
             }
             (handed, at.duration_since(from))
         };
-        assert!(!query.user_requests.is_empty() && !query.item_requests.is_empty());
-        for mode in [ExecutionMode::InterOpParallel, ExecutionMode::Sequential] {
+        for (query, mode) in [&queries[0], &eval].into_iter().flat_map(|q| {
+            [
+                (q, ExecutionMode::InterOpParallel),
+                (q, ExecutionMode::Sequential),
+            ]
+        }) {
+            assert!(!query.user_requests.is_empty() && !query.item_requests.is_empty());
             engine.set_mode(mode);
             let mut backend = RecordingBackend::default();
             let r = run(&engine, query, &mut backend, start);

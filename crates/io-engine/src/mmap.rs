@@ -9,7 +9,7 @@
 use crate::error::IoError;
 use scm_device::{DeviceArray, DeviceId, ReadCommand};
 use sdm_metrics::units::Bytes;
-use sdm_metrics::{LatencyHistogram, SimDuration, SimInstant};
+use sdm_metrics::{SimDuration, SimInstant};
 use std::collections::HashMap;
 
 /// Page size used by the simulated page cache (x86 base pages).
@@ -22,14 +22,10 @@ pub(crate) struct MmapStats {
     pub reads: u64,
     /// Page faults (device reads) incurred.
     pub faults: u64,
-    /// Bytes of fast memory currently pinned by cached pages.
-    pub resident_bytes: Bytes,
     /// Bytes shipped from the device (always whole pages).
     pub bus_bytes: Bytes,
     /// Payload bytes actually requested by callers.
     pub requested_bytes: Bytes,
-    /// Latency distribution of row reads.
-    pub latency: LatencyHistogram,
 }
 
 /// Simulated `mmap` of one device with an LRU page cache bounded by a fast
@@ -108,8 +104,6 @@ impl MmapIo {
 
         self.stats.reads += 1;
         self.stats.requested_bytes += Bytes(len as u64);
-        self.stats.resident_bytes = Bytes(self.resident.len() as u64 * PAGE_SIZE);
-        self.stats.latency.record(latency);
         Ok((data, latency))
     }
 

@@ -733,33 +733,58 @@ mod tests {
         };
         let mut gen = QueryGenerator::new(&model.tables, cfg, 26).unwrap();
         let queries = gen.generate(120);
-        let mut host = ServingHost::build(
-            &model,
-            &SdmConfig::for_tests(),
-            26,
-            3,
-            RoutingPolicy::UserSticky,
-        )
-        .unwrap();
-        // A healthy backend never browns out, whatever the load. The SLO
-        // is tight enough that the overloaded stream queues right up to
-        // it, so waits cross the brownout band once health degrades.
-        let mut fe = frontend(4, 1_000_000, 400);
+        let build = || {
+            ServingHost::build(
+                &model,
+                &SdmConfig::for_tests(),
+                26,
+                2,
+                RoutingPolicy::UserSticky,
+            )
+            .unwrap()
+        };
+        // A fresh host with shard 1 degraded by two consecutive worker
+        // panics: the host routes around it until its periodic recovery
+        // probe, and reports the lost capacity as health below 1.
+        let degraded = || {
+            let mut host = build();
+            for _ in 0..2 {
+                host.shard_mut(1).poison();
+                let all: Vec<usize> = (0..queries.len()).collect();
+                assert!(host.run_selected_batch(&queries, &all).is_err());
+            }
+            assert!(host.health_fraction() < 1.0);
+            host
+        };
+        // Under overload a query's wait grows one batch's service time per
+        // dispatched batch, so a wait lands in the brownout band — (health
+        // × SLO, SLO] — only if the band is wider than that step; and it
+        // must land there before the host's periodic recovery probe, a few
+        // batches in, restores full health. Size the SLO from the degraded
+        // host's own service time, measured by a run that sheds nothing: at
+        // half health 2.5 of its slowest batches put the band at 1.25 to
+        // 2.5 of them, which the queue reaches within three batches.
+        let mut sighting = frontend(4, 1_000_000, 1_000_000);
+        sighting
+            .run(&mut degraded(), &queries, &mut poisson(1_000_000.0, 6))
+            .unwrap();
+        let step = sighting
+            .batch_log()
+            .iter()
+            .map(|b| b.completed_at.duration_since(b.started_at))
+            .max()
+            .unwrap();
+        let mut fe = frontend(4, 1_000_000, (step * 5 / 2).as_micros());
+        // A healthy backend never browns out, whatever the load.
         let healthy = fe
-            .run(&mut host, &queries, &mut poisson(1_000_000.0, 6))
+            .run(&mut build(), &queries, &mut poisson(1_000_000.0, 6))
             .unwrap();
         assert_eq!(healthy.shed_brownout, 0);
-        // Degrade shard 2 (two consecutive worker panics), then offer the
-        // same overload: the tightened guard sheds queries the plain SLO
-        // guard would have admitted.
-        for _ in 0..2 {
-            host.shard_mut(2).poison();
-            let all: Vec<usize> = (0..queries.len()).collect();
-            assert!(host.run_selected_batch(&queries, &all).is_err());
-        }
-        assert!(host.health_fraction() < 1.0);
+        assert!(healthy.shed_overload > 0, "report: {healthy:?}");
+        // The same overload on the degraded host: the tightened guard sheds
+        // queries the plain SLO guard would have admitted.
         let browned = fe
-            .run(&mut host, &queries, &mut poisson(1_000_000.0, 6))
+            .run(&mut degraded(), &queries, &mut poisson(1_000_000.0, 6))
             .unwrap();
         assert!(browned.shed_brownout > 0, "report: {browned:?}");
         assert_eq!(

@@ -454,6 +454,11 @@ impl ServingHost {
         self.shards.len()
     }
 
+    /// The scheduler that routes each batch's queries to the shards.
+    pub fn scheduler(&self) -> &Scheduler {
+        &self.scheduler
+    }
+
     /// Read access to shard `i` (its manager, caches and statistics).
     ///
     /// # Panics

@@ -45,10 +45,14 @@
 //!
 //! # One table resolve per operator
 //!
-//! An operator names its table by id. The entry point
-//! ([`SdmMemoryManager::pooled_lookup_into_at`]) resolves that id once —
-//! against the fast-memory tables first, where most of a query's operators
-//! live, then the SM-side load state — and hands the resolved table down;
+//! The engine issues one table-batched operator per (side, table) per
+//! query, and the manager serves it with the trait's default: one pooled
+//! lookup per segment, each handed the instant the previous one finished
+//! (see [`EmbeddingBackend::pooled_lookup_segments_into`]), so the
+//! statistics stay per pooled vector. A lookup names its table by id. The
+//! entry point ([`SdmMemoryManager::pooled_lookup_into_at`]) resolves that
+//! id once — against the fast-memory tables first, where every item table
+//! lives, then the SM-side load state — and hands the resolved table down;
 //! nothing below it looks the id up again. That is why the state a lookup
 //! *mutates* (`ReadPath`) is a separate struct from the [`LoadedModel`] it
 //! reads.

@@ -6,9 +6,10 @@ use sdm_metrics::{LatencyHistogram, SimDuration};
 /// Cumulative statistics of the SDM serving path.
 #[derive(Debug, Clone, Default)]
 pub struct SdmStats {
-    /// Pooled embedding operators served.
+    /// Pooled vectors served: one per segment of a table-batched
+    /// operator (one per embedding request).
     pub pooled_ops: u64,
-    /// Pooled operators answered entirely from the pooled-embedding cache.
+    /// Pooled vectors answered entirely from the pooled-embedding cache.
     pub pooled_cache_hits: u64,
     /// Row lookups served from fast memory directly (FM-placed tables).
     pub fm_direct_lookups: u64,
@@ -33,26 +34,16 @@ pub struct SdmStats {
     pub sm_bytes_read: Bytes,
     /// Bytes that crossed the device links (includes read amplification).
     pub sm_bus_bytes: Bytes,
-    /// Latency distribution of pooled operators on SM-resident tables.
+    /// Latency distribution of pooled vectors on SM-resident tables, one
+    /// value per vector.
     pub sm_op_latency: LatencyHistogram,
-    /// Latency distribution of pooled operators on FM-resident tables.
+    /// Latency distribution of pooled vectors on FM-resident tables, one
+    /// value per vector.
     pub fm_op_latency: LatencyHistogram,
     /// Total simulated time spent in dequantisation + pooling.
     pub pooling_time: SimDuration,
     /// Total simulated time spent waiting on SM IO.
     pub io_time: SimDuration,
-    /// Queries admitted by an open-loop front end (zero when serving is
-    /// driven closed-loop, without a front end).
-    pub frontend_admitted: u64,
-    /// Queries shed by the front end's token-bucket admission control.
-    pub frontend_shed_rate_limited: u64,
-    /// Queries shed by the front end because the estimated queue wait
-    /// exceeded the SLO.
-    pub frontend_shed_overload: u64,
-    /// Queries shed by the front end's brownout (admission tightened while
-    /// backend shard health was degraded) that a healthy backend would
-    /// have admitted.
-    pub frontend_shed_brownout: u64,
     /// Row lookups whose SM read exhausted every retry and were served
     /// degraded: the row pools as zero, like `pruned_zero_rows`, instead
     /// of failing the query. Always zero without injected faults.
@@ -107,10 +98,6 @@ impl SdmStats {
         self.fm_op_latency.merge(&other.fm_op_latency);
         self.pooling_time += other.pooling_time;
         self.io_time += other.io_time;
-        self.frontend_admitted += other.frontend_admitted;
-        self.frontend_shed_rate_limited += other.frontend_shed_rate_limited;
-        self.frontend_shed_overload += other.frontend_shed_overload;
-        self.frontend_shed_brownout += other.frontend_shed_brownout;
         self.degraded_rows += other.degraded_rows;
         self.io_retries += other.io_retries;
         self.io_transient_errors += other.io_transient_errors;
@@ -154,7 +141,7 @@ impl SdmStats {
         }
     }
 
-    /// Pooled-embedding-cache hit rate over pooled operators.
+    /// Pooled-embedding-cache hit rate over pooled vectors.
     pub fn pooled_cache_hit_rate(&self) -> f64 {
         if self.pooled_ops == 0 {
             0.0
@@ -222,20 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn frontend_counters_merge() {
-        let mut s = SdmStats::new();
-        s.frontend_admitted = 150;
-        s.frontend_shed_rate_limited = 30;
-        s.frontend_shed_overload = 20;
-        let mut merged = SdmStats::new();
-        merged.merge(&s);
-        merged.merge(&s);
-        assert_eq!(merged.frontend_admitted, 300);
-        assert_eq!(merged.frontend_shed_rate_limited, 60);
-        assert_eq!(merged.frontend_shed_overload, 40);
-    }
-
-    #[test]
     fn resilience_counters_merge() {
         let mut s = SdmStats::new();
         s.row_cache_hits = 6;
@@ -249,7 +222,6 @@ mod tests {
         s.io_hedges = 5;
         s.io_hedge_wins = 2;
         s.shard_failovers = 1;
-        s.frontend_shed_brownout = 7;
         let mut merged = SdmStats::new();
         merged.merge(&s);
         merged.merge(&s);
@@ -261,7 +233,6 @@ mod tests {
         assert_eq!(merged.io_hedges, 10);
         assert_eq!(merged.io_hedge_wins, 4);
         assert_eq!(merged.shard_failovers, 2);
-        assert_eq!(merged.frontend_shed_brownout, 14);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Laws of one query's embedding phase on the virtual clock.
 //!
-//! A query's embedding operators run as chains (`dlrm::ExecutionMode`):
-//! operator *k* of a chain starts when operator *k − 1* finished plus the
-//! per-operator overhead. The device and the ledger must agree on that:
+//! A query's embedding operators run as chains (`dlrm::ExecutionMode`), one
+//! operator per table on each side: operator *k* of a chain starts when
+//! operator *k − 1* finished plus the per-operator overhead, and its
+//! segments — one per request of that table — run back to back. The
+//! device and the ledger must agree on that:
 //!
 //! 1. **No self-queueing.** An operator's reads never wait behind reads of
 //!    its own query that the chain has not reached yet: with every
@@ -11,13 +13,18 @@
 //!    miss count, and no read waits for admission at all.
 //! 2. **Chain bounds.** A query's embedding phase is at least its last
 //!    completion minus its start, and at most the serial sum of its
-//!    operators' *isolated* latencies (each plus the per-operator
-//!    overhead). The isolated latency of an operator is what it takes on a
-//!    twin stack with the same history and idle devices.
+//!    requests' *isolated* latencies plus one per-operator overhead per
+//!    distinct table. The isolated latency of a request is what it takes on
+//!    a twin stack with the same history and idle devices.
 //! 3. **Every lookup ends inside its query.** After a query the manager's
 //!    clock — the latest end of any lookup — is no later than the query's
 //!    start plus its embedding phase (`latency.user_embeddings` on a model
 //!    with only user tables). `Shard`'s clock sync relies on this.
+//! 4. **Chain time.** Each side's chain time in the latency breakdown is
+//!    exactly the sum of the times its lookups took plus
+//!    `operator_overhead` times the number of distinct tables that side
+//!    requested: the overhead is paid once per table operator, not once
+//!    per request.
 //!
 //! Each law is checked per query on one cold `Exact` stream, SM-only with a
 //! row cache, in both execution modes: a user-tables-only model, whose one
@@ -34,7 +41,7 @@ use dlrm::{
 use embedding::TableId;
 use sdm_core::{SdmConfig, SdmMemoryManager};
 use sdm_metrics::{SimDuration, SimInstant};
-use workload::{QueryGenerator, WorkloadConfig};
+use workload::{EmbeddingRequest, QueryGenerator, WorkloadConfig};
 
 const SEED: u64 = 17;
 const QUERIES: usize = 24;
@@ -90,6 +97,18 @@ impl EmbeddingBackend for Recorder<'_> {
     }
 }
 
+/// How many distinct tables `requests` name: the side's operator count.
+fn distinct_tables(requests: &[EmbeddingRequest]) -> u64 {
+    let mut tables: Vec<TableId> = requests.iter().map(|r| r.table).collect();
+    tables.sort_unstable();
+    tables.dedup();
+    tables.len() as u64
+}
+
+fn total_took(ops: &[Op]) -> SimDuration {
+    ops.iter().fold(SimDuration::ZERO, |sum, op| sum + op.took)
+}
+
 fn check_laws(name: &str, model: &ModelConfig, mode: ExecutionMode) {
     let config = SdmConfig::for_tests();
     let workload = WorkloadConfig {
@@ -139,16 +158,35 @@ fn check_laws(name: &str, model: &ModelConfig, mode: ExecutionMode) {
             last - start
         );
 
+        // Law 4: each chain is its lookups' time plus one overhead per
+        // table operator. The recorder saw the user side's lookups first.
+        let (user_tables, item_tables) = (
+            distinct_tables(&query.user_requests),
+            distinct_tables(&query.item_requests),
+        );
+        let (user_ops, item_ops) = ops.split_at(query.user_requests.len());
+        assert_eq!(
+            latency.user_embeddings,
+            total_took(user_ops) + overhead * user_tables,
+            "{tag}: user chain"
+        );
+        assert_eq!(
+            latency.item_embeddings,
+            total_took(item_ops) + overhead * item_tables,
+            "{tag}: item chain"
+        );
+
         // Law 2, upper bound: no longer than the serial sum of isolated
-        // operators — the same operators, in the same order, on a twin with
-        // the same history whose devices are idle at every operator.
-        let mut serial = SimDuration::ZERO;
+        // requests — the same requests, in the same order, on a twin with
+        // the same history whose devices are idle at every request — plus
+        // one overhead per table operator.
+        let mut serial = overhead * (user_tables + item_tables);
         for req in query.user_requests.iter().chain(&query.item_requests) {
             let (_, isolated) = twin
                 .manager_mut()
                 .pooled_lookup(req.table, &req.indices, twin_at)
                 .unwrap();
-            serial += isolated + overhead;
+            serial += isolated;
             twin_at += isolated + SimDuration::from_millis(1);
         }
         assert!(

@@ -6,6 +6,7 @@ use dlrm::model_zoo;
 use proptest::prelude::*;
 use sdm_bench::{bench_sdm_config, measure_batch_modes, measure_load_curve, queries_for, scaled};
 use sdm_core::{CloseReason, Frontend, FrontendConfig, QueryOutcome, SdmConfig, ServingHost};
+use sdm_metrics::units::Bytes;
 use sdm_metrics::SimDuration;
 use workload::{ArrivalGenerator, ArrivalProcess, RoutingPolicy};
 
@@ -207,18 +208,43 @@ fn overload_closes_batches_full_or_on_deadline_only() {
     assert!(full > 0 && deadline > 0, "full {full}, deadline {deadline}");
 }
 
-/// Regression for the histogram percentile fix: on the cold M1-scaled
-/// stream the exact and relaxed(8) medians are close enough that the old
+/// Regression for the histogram percentile fix: on a cold M1-scaled stream
+/// the exact and relaxed(8) medians are close enough that the old
 /// bucket-lower-bound percentile collapsed them into the same value, hiding
 /// the latency cost of overlapping. With within-bucket interpolation the
 /// two medians are distinct (and both positive).
+///
+/// The medians must come from the user chain, the side whose SM reads the
+/// two modes overlap differently. Under the default 16 MiB row cache the
+/// user chain finishes inside the item chain — one fast-memory operator per
+/// item table — so both medians are that item chain, 1 161 249 ns in either
+/// mode, whatever the percentile does. A 480 KiB row cache with the pooled
+/// cache off (`sm_bound`'s shape) makes the user chain critical while
+/// keeping both medians inside one histogram bucket.
 #[test]
 fn batch_mode_medians_are_distinguishable_on_m1() {
     let m1 = scaled(&model_zoo::m1());
     let queries = queries_for(&m1, 256, 109);
-    let (exact, relaxed) = measure_batch_modes(&m1, &bench_sdm_config(), &queries, 8);
+    let mut config = bench_sdm_config();
+    config.cache.row_cache_budget = Bytes::from_kib(480);
+    config.cache.pooled_cache_budget = Bytes::ZERO;
+    let (exact, relaxed) = measure_batch_modes(&m1, &config, &queries, 8);
     assert!(!exact.p50_latency.is_zero());
     assert!(!relaxed.p50_latency.is_zero());
+    // The histogram's bucket of a value: its power of two, split 16 ways.
+    let bucket = |d: SimDuration| {
+        let nanos = d.as_nanos();
+        let exp = 63 - nanos.leading_zeros();
+        (exp, ((nanos - (1 << exp)) << 4) >> exp)
+    };
+    assert_eq!(
+        bucket(exact.p50_latency),
+        bucket(relaxed.p50_latency),
+        "the medians ({:?}, {:?}) no longer share a bucket: the test no longer \
+         exercises interpolation",
+        exact.p50_latency,
+        relaxed.p50_latency
+    );
     assert_ne!(
         exact.p50_latency, relaxed.p50_latency,
         "interpolated p50s must separate the two execution modes"

@@ -38,13 +38,17 @@
 //! deterministic executions. Every stripe path (promotion, hits,
 //! eviction, in-place refresh) still runs single-shard.
 //!
-//! Last re-pin: each embedding operator is now handed the instant its chain
-//! reaches it instead of the query's start (`dlrm::ExecutionMode`). An
-//! operator's misses no longer queue behind its siblings, per-IO latency
-//! depends on queue depth and misses pool in completion order, so every
-//! score and stats digest moved. On the tier rows `resident_bytes` rose
-//! (M1 157 108 → 157 931, M2 163 265 → 163 724, M3 191 598 → 191 932):
-//! completion order is fill order, and fill order is LRU order.
+//! Last re-pin: a query issues one embedding operator per (side, table)
+//! instead of one per request (`dlrm`'s engine docs), so the item chain pays
+//! the per-operator overhead once per item table and every shard clock moved
+//! (the stats digests). Item tables are fast-memory, so no row's pooling
+//! order changed in exact mode and every exact score digest, every cache
+//! counter digest and every `resident_bytes` held. The one score digest that
+//! moved is M3 relaxed(8), pooled off: with overlapped queries the shorter
+//! item chain moves the next queries' start instants, hence the device
+//! queues their SM misses meet and the completion order those misses pool
+//! in — float reassociation, not a routing change (its cache counters held).
+//! The same re-pin dropped `SdmStats`' four write-only `frontend_*` fields.
 //!
 //! To re-capture (e.g. after an *intentional* behaviour change), run:
 //! `SDM_CAPTURE_GOLDEN=1 cargo test --test refactor_identity -- --nocapture`
@@ -235,55 +239,55 @@ fn run_scenario(model: &dlrm::ModelConfig, seed: u64, scenario: Scenario) -> Fin
 const GOLDEN: &[(u64, u64, u64, u64)] = &[
     (
         0xc5dbfaa4716ea75f,
-        0x80beb512b2f94de4,
+        0xce5c55908d66daae,
         0xdbf1bcd47137602d,
         58464,
     ), // M1 exact
     (
         0xe408c10de5e85003,
-        0x713b958095f9a9f0,
+        0x0222e5cf7c389d78,
         0x0afaed25641c2af6,
         157931,
     ), // M1 exact, tier
     (
         0x1a0a0cc25cebc613,
-        0x3f6d54ee3e253ed0,
+        0xd437bd27f517aeba,
         0x85ed0c1c8cdfaefd,
         0,
     ), // M1 relaxed(8), pooled off
     (
         0xfb8dcec046fe3cdc,
-        0x1742d055e86dd7e4,
+        0x18391a19182ef8a0,
         0x1847e2ce5336c35c,
         67356,
     ), // M2 exact
     (
         0x815e0028ffd06a04,
-        0x51e4967385ec33cc,
+        0xe27a21f1f9cfd0f6,
         0x4dcfe3aee4f10405,
         163724,
     ), // M2 exact, tier
     (
         0xb7ae4a7e95ca527f,
-        0xf1b48728c562db2d,
+        0x36efc306e4d7defb,
         0x902125ccd373eb26,
         0,
     ), // M2 relaxed(8), pooled off
     (
         0x36c6579892eddc7d,
-        0x374f6b5847b16139,
+        0xd7972bd42908afdc,
         0xfdc4956c871c9516,
         66744,
     ), // M3 exact
     (
         0x06914db1950da9c6,
-        0x4f4e08a48e65b40d,
+        0x0619e6b83d31bd03,
         0x6cc303626761ff8a,
         191932,
     ), // M3 exact, tier
     (
-        0x96f54f2dc9980835,
-        0x8322a070ac80b0d6,
+        0x8b3806d8849948c1,
+        0xeb0aea39f84cadd6,
         0xd5169d418cce03b3,
         0,
     ), // M3 relaxed(8), pooled off

@@ -20,7 +20,7 @@ use sdm_metrics::alloc_hook;
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{SimDuration, SimInstant};
 use std::alloc::{GlobalAlloc, Layout, System};
-use workload::{ArrivalGenerator, ArrivalProcess, Query};
+use workload::{ArrivalGenerator, ArrivalProcess, Query, QueryGenerator, WorkloadConfig};
 
 /// System allocator wrapper that reports into the sdm-metrics hook.
 struct CountingAllocator;
@@ -322,6 +322,37 @@ fn warmed_hot_path_performs_zero_allocations() {
         reads > 4 * 200 && evictions > 4 * 100,
         "measured batches made {reads} SM reads and {evictions} evictions; \
          the miss-path measurement is vacuous"
+    );
+
+    // --- warmed table-batched operators with more than one SM segment ---
+    // Every stream above already runs one operator per item table over all
+    // ranked items. Inference-eval also repeats each user table once per
+    // ranked item, so every user operator carries ten SM segments: its
+    // flat indices, lengths and operator plan must live in retained
+    // capacity too.
+    let eval_workload = WorkloadConfig {
+        item_batch: model.item_batch,
+        user_population: 8,
+        inference_eval: true,
+        ..WorkloadConfig::default()
+    };
+    let eval_queries = QueryGenerator::new(&model.tables, eval_workload, 7)
+        .unwrap()
+        .generate(12);
+    assert!(eval_queries[0].user_requests.len() > model.user_tables().len());
+    let mut eval = single_stream(&model, &SdmConfig::for_tests(), 7);
+    warm(&mut eval, &eval_queries, &all);
+    alloc_hook::reset();
+    alloc_hook::set_enabled(true);
+    serve_one_by_one(&mut eval, &eval_queries, &all);
+    eval.run_selected_batch(&eval_queries, &all).unwrap();
+    alloc_hook::set_enabled(false);
+    let eval_allocs = alloc_hook::allocations();
+    assert_eq!(
+        eval_allocs,
+        0,
+        "steady-state inference-eval serving allocated {eval_allocs} times over {} queries",
+        eval_queries.len()
     );
 
     // --- a warm multi-range device read ---
