@@ -2,14 +2,14 @@
 # Tier-1 verification for the SDM workspace. Run from anywhere; everything
 # is relative to the repository root.
 #
-#   ./ci.sh          # full gate: fmt, clippy, analyze, build, test, the
-#                    # exact BENCH_hotpath.json gate (exp_hotpath --check),
+#   ./ci.sh          # full gate: fmt, clippy, analyze, rustdoc, build, test,
+#                    # the exact BENCH_hotpath.json gate (exp_hotpath --check),
 #                    # the exact BENCH_paper.json gate (exp_paper --check),
 #                    # bench compile, and a release build of the benchmark/
 #                    # harness against the workspace crates
-#   ./ci.sh quick    # skip fmt/clippy/analyze; the no-unwrap, no-print and
-#                    # documented-unsafe contracts are clippy lints, so only
-#                    # the full gate's clippy step checks them
+#   ./ci.sh quick    # skip fmt/clippy/analyze/rustdoc; the no-unwrap,
+#                    # no-print and documented-unsafe contracts are clippy
+#                    # lints, so only the full gate's clippy step checks them
 #   ./ci.sh bench    # run the criterion benches (quick shim)
 #   ./ci.sh benchmark  # the benchmark/ package's own gate (benchmark/check.sh:
 #                    # fmt, clippy, harness tests, smoke run of every workload
@@ -127,6 +127,9 @@ if [[ "$mode" == "full" ]]; then
 
     echo "==> sdm-analyze (workspace lint driver; './ci.sh analyze' for the full lane)"
     cargo run --locked --release -p sdm-analyze
+
+    echo "==> cargo doc --workspace --document-private-items (a broken doc link fails)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps --workspace --document-private-items
 fi
 
 echo "==> cargo build --release --workspace (lib, bins, examples)"

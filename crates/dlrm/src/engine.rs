@@ -8,9 +8,10 @@
 //! user table's operator has one segment — or one per repeat when the user
 //! side is batched too (inference-eval, Table 2). The item side ranks a
 //! batch of items, so each item table's operator pools every ranked item's
-//! request as one segment, in request order
-//! ([`EmbeddingBackend::pooled_lookup_segments_into`]). Operators run in the
-//! order their table is first requested, and each pays
+//! request as one segment, in request order: one
+//! [`EmbeddingBackend::pooled_lookup_into`] per segment, into its own range
+//! of the arena, handed the instant the previous segment finished.
+//! Operators run in the order their table is first requested, and each pays
 //! `ComputeModel::operator_overhead` once: a scaled-M1 query (16 ranked
 //! items over 30 item tables, plus 61 user tables) dispatches 91 operators,
 //! not 541.
@@ -116,8 +117,7 @@ struct TableOp {
 }
 
 /// Reused scratch that turns one side's requests into its table-batched
-/// operators: a counting sort of request positions by operator, plus the
-/// flat indices and lengths of the operator being issued.
+/// operators: a counting sort of request positions by operator.
 #[derive(Debug, Default)]
 struct ChainPlan {
     /// The side's operators, in the order their table is first requested.
@@ -129,10 +129,6 @@ struct ChainPlan {
     request_op: Vec<usize>,
     /// Request positions grouped by operator, in request order within one.
     order: Vec<usize>,
-    /// The current operator's segments' indices, back to back.
-    flat_indices: Vec<u64>,
-    /// The current operator's segment lengths.
-    lengths: Vec<usize>,
 }
 
 impl ChainPlan {
@@ -306,7 +302,7 @@ impl InferenceEngine {
 
     /// Runs one side's `requests` as a chain of table-batched operators
     /// starting at `start` (see [`ExecutionMode`]) and returns the chain's
-    /// time. Each operator's segments get a zeroed range of `pooled`, and
+    /// time. Each segment gets its own zeroed range of `pooled`, and
     /// `vectors` receives every request's range in request order.
     fn run_chain<B: EmbeddingBackend + ?Sized>(
         &self,
@@ -322,8 +318,6 @@ impl InferenceEngine {
             op_of_table,
             request_op,
             order,
-            flat_indices,
-            lengths,
         } = plan;
         // One operator per distinct table, in first-request order.
         ops.clear();
@@ -371,30 +365,25 @@ impl InferenceEngine {
         vectors.resize(requests.len(), PooledVector::default());
         let mut time = SimDuration::ZERO;
         for op in ops.iter() {
-            let members = &order[op.first..op.first + op.count];
-            flat_indices.clear();
-            lengths.clear();
-            for &pos in members {
-                flat_indices.extend_from_slice(&requests[pos].indices);
-                lengths.push(requests[pos].indices.len());
-            }
-            let base = pooled.len();
-            pooled.resize(base + op.count * op.dim, 0.0);
-            let took = backend.pooled_lookup_segments_into(
-                op.table,
-                flat_indices,
-                lengths,
-                start + time,
-                &mut pooled[base..],
-            )?;
-            time += took + self.compute.operator_overhead;
-            for (s, &pos) in members.iter().enumerate() {
+            // The operator's segments run back to back, each handed the
+            // operator's instant plus its earlier segments' time.
+            let mut took = SimDuration::ZERO;
+            for &pos in &order[op.first..op.first + op.count] {
+                let at = pooled.len();
+                pooled.resize(at + op.dim, 0.0);
+                took += backend.pooled_lookup_into(
+                    op.table,
+                    &requests[pos].indices,
+                    start + time + took,
+                    &mut pooled[at..],
+                )?;
                 vectors[pos] = PooledVector {
                     table: op.table,
-                    start: base + s * op.dim,
+                    start: at,
                     dim: op.dim,
                 };
             }
+            time += took + self.compute.operator_overhead;
         }
         Ok(time)
     }

@@ -1,13 +1,12 @@
 //! SIMD fused dequant-accumulate pooling kernels with runtime dispatch.
 //!
 //! Every row served — from the FM table, the row cache, the shared tier or
-//! an SM completion — flows through [`accumulate_row_with`] /
-//! [`accumulate_row_weighted_with`], so pooling arithmetic sits on 100 % of the
-//! hot path. This module provides explicit AVX2 implementations (via
-//! [`core::arch::x86_64`], selected behind [`is_x86_feature_detected!`] at
-//! runtime) of the six fused dequant-accumulate paths — int8 / int4 /
-//! fp32, unweighted and weighted — with the scalar loops as the
-//! bit-identity reference and the only path on every other host.
+//! an SM completion — flows through [`accumulate_row_with`], so pooling
+//! arithmetic sits on 100 % of the hot path. This module provides explicit
+//! AVX2 implementations (via [`core::arch::x86_64`], selected behind
+//! [`is_x86_feature_detected!`] at runtime) of the three fused
+//! dequant-accumulate paths — int8, int4 and fp32 — with the scalar loops
+//! as the bit-identity reference and the only path on every other host.
 //!
 //! # Bit-identity contract
 //!
@@ -16,8 +15,7 @@
 //! scalar reference:
 //!
 //! * same arithmetic: `code as f32 * scale + bias`, then one separate
-//!   accumulate add (three roundings for the weighted form: dequantise,
-//!   scale by the weight, accumulate) — **no FMA contraction** anywhere;
+//!   accumulate add — **no FMA contraction** anywhere;
 //! * vector lanes map one-to-one to output positions (lane *i* only ever
 //!   touches `out[i]`);
 //! * a scalar tail handles odd dimensions and int4 nibble remainders with
@@ -26,8 +24,8 @@
 //! Both `u8` and 4-bit codes convert to `f32` exactly, and x86 packed
 //! multiply/add round identically to their scalar counterparts, so
 //! `tests/kernel_equivalence.rs` asserts `to_bits()` equality between the
-//! vector kernels and scalar across schemes, dims, weights, unaligned row
-//! buffers and NaN/infinity scale-bias parameters.
+//! vector kernels and scalar across schemes, dims, unaligned row buffers
+//! and NaN/infinity scale-bias parameters.
 //!
 //! # Dispatch
 //!
@@ -113,7 +111,9 @@ fn parse_kernel_env(value: Option<&str>) -> Result<bool, String> {
     }
 }
 
-/// [`parse_kernel_env`] applied to this process's environment.
+/// Whether this process's [`KERNEL_ENV`] forces the scalar kernel:
+/// `Ok(true)` for `scalar` (ASCII case-insensitive), `Ok(false)` when
+/// unset, and an error naming the variable for any other value.
 pub fn kernel_env() -> Result<bool, String> {
     let value = std::env::var_os(KERNEL_ENV);
     parse_kernel_env(value.as_deref().map(|v| v.to_string_lossy()).as_deref())
@@ -149,24 +149,43 @@ pub fn accumulate_row_with(
     scheme: QuantScheme,
     out: &mut [f32],
 ) -> Result<(), EmbeddingError> {
-    dispatch::<false>(kernel, buf, scheme, 1.0, out)
-}
-
-/// Weighted variant of [`accumulate_row_with`]:
-/// `out[i] += (code[i] as f32 * scale + bias) * weight`
-/// (SparseLengthsWeightedSum). Bit-identical across kernels.
-///
-/// # Errors
-///
-/// Returns [`EmbeddingError::MalformedRow`] for a wrong buffer length.
-pub fn accumulate_row_weighted_with(
-    kernel: SelectedKernel,
-    buf: &[u8],
-    scheme: QuantScheme,
-    weight: f32,
-    out: &mut [f32],
-) -> Result<(), EmbeddingError> {
-    dispatch::<true>(kernel, buf, scheme, weight, out)
+    let dim = out.len();
+    let expected = scheme.row_bytes(dim);
+    if buf.len() != expected {
+        return Err(EmbeddingError::MalformedRow {
+            expected,
+            actual: buf.len(),
+        });
+    }
+    match scheme {
+        QuantScheme::Fp32 => match kernel.0 {
+            Arch::Scalar => scalar_fp32(buf, out),
+            // SAFETY: the Arch invariant guarantees the feature was detected.
+            #[cfg(target_arch = "x86_64")]
+            Arch::Avx2 => unsafe { x86::fp32_avx2(buf, out) },
+        },
+        QuantScheme::Int8 => {
+            let (scale, bias) = row_params(buf);
+            let codes = &buf[..dim];
+            match kernel.0 {
+                Arch::Scalar => scalar_int8(codes, scale, bias, out),
+                // SAFETY: the Arch invariant guarantees the feature was detected.
+                #[cfg(target_arch = "x86_64")]
+                Arch::Avx2 => unsafe { x86::int8_avx2(codes, scale, bias, out) },
+            }
+        }
+        QuantScheme::Int4 => {
+            let (scale, bias) = row_params(buf);
+            let codes = &buf[..dim.div_ceil(2)];
+            match kernel.0 {
+                Arch::Scalar => scalar_int4_from(codes, 0, scale, bias, out),
+                // SAFETY: the Arch invariant guarantees the feature was detected.
+                #[cfg(target_arch = "x86_64")]
+                Arch::Avx2 => unsafe { x86::int4_avx2(codes, scale, bias, out) },
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Prefetches the leading cache lines of a row buffer into L1.
@@ -197,90 +216,30 @@ pub fn prefetch_row(bytes: &[u8]) {
     }
 }
 
-/// Shared validation + scheme/kernel dispatch. `W` selects the weighted
-/// forms at compile time so the unweighted hot loops never pay the extra
-/// multiply.
-#[inline]
-fn dispatch<const W: bool>(
-    kernel: SelectedKernel,
-    buf: &[u8],
-    scheme: QuantScheme,
-    weight: f32,
-    out: &mut [f32],
-) -> Result<(), EmbeddingError> {
-    let dim = out.len();
-    let expected = scheme.row_bytes(dim);
-    if buf.len() != expected {
-        return Err(EmbeddingError::MalformedRow {
-            expected,
-            actual: buf.len(),
-        });
-    }
-    match scheme {
-        QuantScheme::Fp32 => match kernel.0 {
-            Arch::Scalar => scalar_fp32::<W>(buf, weight, out),
-            // SAFETY: the Arch invariant guarantees the feature was detected.
-            #[cfg(target_arch = "x86_64")]
-            Arch::Avx2 => unsafe { x86::fp32_avx2::<W>(buf, weight, out) },
-        },
-        QuantScheme::Int8 => {
-            let (scale, bias) = row_params(buf);
-            let codes = &buf[..dim];
-            match kernel.0 {
-                Arch::Scalar => scalar_int8::<W>(codes, scale, bias, weight, out),
-                // SAFETY: the Arch invariant guarantees the feature was detected.
-                #[cfg(target_arch = "x86_64")]
-                Arch::Avx2 => unsafe { x86::int8_avx2::<W>(codes, scale, bias, weight, out) },
-            }
-        }
-        QuantScheme::Int4 => {
-            let (scale, bias) = row_params(buf);
-            let codes = &buf[..dim.div_ceil(2)];
-            match kernel.0 {
-                Arch::Scalar => scalar_int4_from::<W>(codes, 0, scale, bias, weight, out),
-                // SAFETY: the Arch invariant guarantees the feature was detected.
-                #[cfg(target_arch = "x86_64")]
-                Arch::Avx2 => unsafe { x86::int4_avx2::<W>(codes, scale, bias, weight, out) },
-            }
-        }
-    }
-    Ok(())
-}
-
 // --- scalar reference kernels (also the vector kernels' tail loops) ------
 
-/// `out[i] += codes[i] as f32 * scale + bias` (optionally `* weight`).
-fn scalar_int8<const W: bool>(codes: &[u8], scale: f32, bias: f32, weight: f32, out: &mut [f32]) {
+/// `out[i] += codes[i] as f32 * scale + bias`.
+fn scalar_int8(codes: &[u8], scale: f32, bias: f32, out: &mut [f32]) {
     for (o, &code) in out.iter_mut().zip(codes) {
-        let v = code as f32 * scale + bias;
-        *o += if W { v * weight } else { v };
+        *o += code as f32 * scale + bias;
     }
 }
 
 /// Int4 scalar loop starting at element `start` (so the vector kernels can
 /// hand over mid-row with the correct nibble parity). Low nibble first,
 /// high nibble second; the padding nibble of an odd-dim row is never read.
-fn scalar_int4_from<const W: bool>(
-    codes: &[u8],
-    start: usize,
-    scale: f32,
-    bias: f32,
-    weight: f32,
-    out: &mut [f32],
-) {
+fn scalar_int4_from(codes: &[u8], start: usize, scale: f32, bias: f32, out: &mut [f32]) {
     for (i, o) in out.iter_mut().enumerate().skip(start) {
         let byte = codes[i / 2];
         let code = if i % 2 == 0 { byte & 0x0F } else { byte >> 4 };
-        let v = code as f32 * scale + bias;
-        *o += if W { v * weight } else { v };
+        *o += code as f32 * scale + bias;
     }
 }
 
-/// `out[i] += row[i]` (optionally `* weight`) over little-endian f32 bytes.
-fn scalar_fp32<const W: bool>(buf: &[u8], weight: f32, out: &mut [f32]) {
+/// `out[i] += row[i]` over little-endian f32 bytes.
+fn scalar_fp32(buf: &[u8], out: &mut [f32]) {
     for (o, c) in out.iter_mut().zip(buf.chunks_exact(4)) {
-        let v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        *o += if W { v * weight } else { v };
+        *o += f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
     }
 }
 
@@ -288,32 +247,23 @@ fn scalar_fp32<const W: bool>(buf: &[u8], weight: f32, out: &mut [f32]) {
 //
 // Every kernel keeps the scalar arithmetic exactly: convert codes to f32
 // (exact for 0..=255), packed multiply by the splatted scale, packed add of
-// the splatted bias, optional packed multiply by the splatted weight, then
-// one packed add into `out` — each operation correctly rounded per lane,
-// matching the scalar sequence rounding for rounding. No FMA anywhere.
+// the splatted bias, then one packed add into `out` — each operation
+// correctly rounded per lane, matching the scalar sequence rounding for
+// rounding. No FMA anywhere.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{scalar_fp32, scalar_int4_from, scalar_int8};
     use core::arch::x86_64::*;
 
-    /// Dequantise + accumulate eight lanes: `cur + ((codes*scale)+bias)[*w]`.
+    /// Dequantise + accumulate eight lanes: `cur + ((codes*scale)+bias)`.
     ///
     /// # Safety
     ///
     /// Callable only where AVX2 is enabled, and `o` must hold at least 8
     /// f32s: the unaligned load and store below do not check its length.
     #[target_feature(enable = "avx2")]
-    fn step8<const W: bool>(
-        codes_f: __m256,
-        scale: __m256,
-        bias: __m256,
-        weight: __m256,
-        o: &mut [f32],
-    ) {
-        let mut v = _mm256_add_ps(_mm256_mul_ps(codes_f, scale), bias);
-        if W {
-            v = _mm256_mul_ps(v, weight);
-        }
+    fn step8(codes_f: __m256, scale: __m256, bias: __m256, o: &mut [f32]) {
+        let v = _mm256_add_ps(_mm256_mul_ps(codes_f, scale), bias);
         // SAFETY: `o` holds at least 8 f32s (checked by every caller).
         unsafe {
             let cur = _mm256_loadu_ps(o.as_ptr());
@@ -327,29 +277,21 @@ mod x86 {
     ///
     /// Caller must ensure AVX2 is available. `codes.len() == out.len()`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn int8_avx2<const W: bool>(
-        codes: &[u8],
-        scale: f32,
-        bias: f32,
-        weight: f32,
-        out: &mut [f32],
-    ) {
+    pub(super) unsafe fn int8_avx2(codes: &[u8], scale: f32, bias: f32, out: &mut [f32]) {
         let scale_v = _mm256_set1_ps(scale);
         let bias_v = _mm256_set1_ps(bias);
-        let weight_v = _mm256_set1_ps(weight);
         let mut code_chunks = codes.chunks_exact(8);
         let mut out_chunks = out.chunks_exact_mut(8);
         for (c, o) in (&mut code_chunks).zip(&mut out_chunks) {
             // SAFETY: `c` holds exactly 8 bytes.
             let raw = unsafe { _mm_loadl_epi64(c.as_ptr().cast()) };
             let codes_f = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(raw));
-            step8::<W>(codes_f, scale_v, bias_v, weight_v, o);
+            step8(codes_f, scale_v, bias_v, o);
         }
-        scalar_int8::<W>(
+        scalar_int8(
             code_chunks.remainder(),
             scale,
             bias,
-            weight,
             out_chunks.into_remainder(),
         );
     }
@@ -363,16 +305,9 @@ mod x86 {
     /// Caller must ensure AVX2 is available.
     /// `codes.len() == out.len().div_ceil(2)`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn int4_avx2<const W: bool>(
-        codes: &[u8],
-        scale: f32,
-        bias: f32,
-        weight: f32,
-        out: &mut [f32],
-    ) {
+    pub(super) unsafe fn int4_avx2(codes: &[u8], scale: f32, bias: f32, out: &mut [f32]) {
         let scale_v = _mm256_set1_ps(scale);
         let bias_v = _mm256_set1_ps(bias);
-        let weight_v = _mm256_set1_ps(weight);
         let low_mask = _mm_set1_epi8(0x0F);
         let dim = out.len();
         let main = dim - (dim % 8);
@@ -385,9 +320,9 @@ mod x86 {
             // Interleave to element order: b0&F, b0>>4, b1&F, b1>>4, ...
             let nibbles = _mm_unpacklo_epi8(lo, hi);
             let codes_f = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(nibbles));
-            step8::<W>(codes_f, scale_v, bias_v, weight_v, &mut out[k..k + 8]);
+            step8(codes_f, scale_v, bias_v, &mut out[k..k + 8]);
         }
-        scalar_int4_from::<W>(codes, main, scale, bias, weight, out);
+        scalar_int4_from(codes, main, scale, bias, out);
     }
 
     /// AVX2 fp32: 8 elements per step, scalar tail.
@@ -396,23 +331,19 @@ mod x86 {
     ///
     /// Caller must ensure AVX2 is available. `buf.len() == out.len() * 4`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fp32_avx2<const W: bool>(buf: &[u8], weight: f32, out: &mut [f32]) {
-        let weight_v = _mm256_set1_ps(weight);
+    pub(super) unsafe fn fp32_avx2(buf: &[u8], out: &mut [f32]) {
         let mut byte_chunks = buf.chunks_exact(32);
         let mut out_chunks = out.chunks_exact_mut(8);
         for (b, o) in (&mut byte_chunks).zip(&mut out_chunks) {
             // SAFETY: `b` holds exactly 32 bytes (unaligned load, LE lanes).
-            let mut v = unsafe { _mm256_loadu_ps(b.as_ptr().cast()) };
-            if W {
-                v = _mm256_mul_ps(v, weight_v);
-            }
+            let v = unsafe { _mm256_loadu_ps(b.as_ptr().cast()) };
             // SAFETY: `o` holds exactly 8 f32s.
             unsafe {
                 let cur = _mm256_loadu_ps(o.as_ptr());
                 _mm256_storeu_ps(o.as_mut_ptr(), _mm256_add_ps(cur, v));
             }
         }
-        scalar_fp32::<W>(byte_chunks.remainder(), weight, out_chunks.into_remainder());
+        scalar_fp32(byte_chunks.remainder(), out_chunks.into_remainder());
     }
 }
 
@@ -474,49 +405,15 @@ mod tests {
     }
 
     #[test]
-    fn weighted_kernels_match_scalar_bitwise() {
-        for scheme in [QuantScheme::Int8, QuantScheme::Int4, QuantScheme::Fp32] {
-            for dim in [5usize, 8, 31, 64] {
-                for weight in [0.0f32, 1.0, -2.5, 0.333] {
-                    let row = sample_row(dim);
-                    let q = quantize_row(&row, scheme);
-                    let mut reference = vec![0.5f32; dim];
-                    accumulate_row_weighted_with(
-                        SelectedKernel::SCALAR,
-                        &q,
-                        scheme,
-                        weight,
-                        &mut reference,
-                    )
-                    .expect("scalar weighted accumulate");
-                    for kernel in supported_kernels() {
-                        let mut out = vec![0.5f32; dim];
-                        accumulate_row_weighted_with(kernel, &q, scheme, weight, &mut out)
-                            .unwrap_or_else(|e| panic!("{kernel} weighted failed: {e}"));
-                        let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-                        let want: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(
-                            got, want,
-                            "kernel {kernel}, scheme {scheme}, dim {dim}, weight {weight}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn malformed_buffers_rejected_by_every_kernel() {
         for kernel in supported_kernels() {
             let mut out = vec![0.0f32; 8];
-            assert!(matches!(
-                accumulate_row_with(kernel, &[0u8; 3], QuantScheme::Int8, &mut out),
-                Err(EmbeddingError::MalformedRow { .. })
-            ));
-            assert!(matches!(
-                accumulate_row_weighted_with(kernel, &[0u8; 3], QuantScheme::Fp32, 1.0, &mut out),
-                Err(EmbeddingError::MalformedRow { .. })
-            ));
+            for scheme in [QuantScheme::Int8, QuantScheme::Fp32] {
+                assert!(matches!(
+                    accumulate_row_with(kernel, &[0u8; 3], scheme, &mut out),
+                    Err(EmbeddingError::MalformedRow { .. })
+                ));
+            }
         }
     }
 

@@ -189,7 +189,7 @@ fn min_max(values: &[f32]) -> (f32, f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{accumulate_row_weighted_with, accumulate_row_with, auto_kernel};
+    use crate::kernels::{accumulate_row_with, auto_kernel};
 
     fn sample_row(dim: usize) -> Vec<f32> {
         (0..dim)
@@ -380,34 +380,14 @@ mod tests {
     }
 
     #[test]
-    fn weighted_accumulate_scales_rows() {
-        let dim = 16;
-        let row = vec![1.0f32; dim];
-        let q = quantize_row(&row, QuantScheme::Int8);
-        let mut out = vec![0.0f32; dim];
-        accumulate_row_weighted_with(auto_kernel(), &q, QuantScheme::Int8, 3.0, &mut out).unwrap();
-        for v in out {
-            assert!((v - 3.0).abs() < 0.1);
-        }
-    }
-
-    #[test]
     fn accumulate_rejects_malformed_buffers() {
         let mut out = vec![0.0f32; 8];
-        assert!(matches!(
-            accumulate_row_with(auto_kernel(), &[0u8; 3], QuantScheme::Int8, &mut out),
-            Err(EmbeddingError::MalformedRow { .. })
-        ));
-        assert!(matches!(
-            accumulate_row_weighted_with(
-                auto_kernel(),
-                &[0u8; 3],
-                QuantScheme::Fp32,
-                1.0,
-                &mut out
-            ),
-            Err(EmbeddingError::MalformedRow { .. })
-        ));
+        for scheme in [QuantScheme::Int8, QuantScheme::Fp32] {
+            assert!(matches!(
+                accumulate_row_with(auto_kernel(), &[0u8; 3], scheme, &mut out),
+                Err(EmbeddingError::MalformedRow { .. })
+            ));
+        }
     }
 
     #[test]

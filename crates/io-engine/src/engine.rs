@@ -18,8 +18,7 @@
 //!   `tables_tracked == table_sched.iter().filter(|s| !s.is_empty()).count()`.
 //! * **Payload buffers** are recycled: `submit` pops one from `buffers`, the
 //!   device fills it in place, and `drain_each` returns it after the
-//!   caller's closure has looked at the completion. `drain` hands
-//!   completions out by value, so their buffers leave the pool.
+//!   caller's closure has looked at the completion.
 //! * **Reaping order** is `(completed_at, submission sequence)`: a total
 //!   order, so the in-place unstable sort reaps equal instants in
 //!   submission order exactly as a stable sort by `completed_at` would.
@@ -241,7 +240,8 @@ impl IoStats {
 pub struct EngineStats {
     /// Requests submitted.
     pub submitted: u64,
-    /// Requests completed (scheduled; they become visible via `drain`).
+    /// Requests completed (scheduled; they become visible via
+    /// `drain_each`).
     pub completed: u64,
     /// Total bytes shipped over device links.
     pub bus_bytes: Bytes,
@@ -337,8 +337,8 @@ enum Attempt {
 /// The engine owns the host's [`DeviceArray`] and schedules every read on
 /// the virtual clock: requests are admitted as soon as the configured
 /// outstanding-IO limits allow, the device model provides the service time
-/// at the observed queue depth, and completions are reaped by `drain`/`drain_each`
-/// in completion-instant order.
+/// at the observed queue depth, and completions are reaped by
+/// [`IoEngine::drain_each`] in completion-instant order.
 #[derive(Debug)]
 pub struct IoEngine {
     array: DeviceArray,
@@ -428,7 +428,7 @@ impl IoEngine {
     /// deadline — are retried with exponential backoff per the configured
     /// [`RetryConfig`]; slow clean completions may additionally be hedged
     /// with a duplicate read. The winning completion becomes visible
-    /// through [`IoEngine::drain`] or [`IoEngine::drain_each`].
+    /// through [`IoEngine::drain_each`].
     ///
     /// # Errors
     ///

@@ -9,8 +9,9 @@
 //!
 //! The cache is a thin [`RowKey`]-typed wrapper over the shared
 //! [`ArenaLru`] engine core: one hash index, a recency stamp per slot and
-//! a [`crate::SlabArena`] payload slab, so a hit touches two flat vectors
-//! and returns a borrowed slice, performing no heap allocation.
+//! a [`SlabArena`](crate::arena::SlabArena) payload slab, so a hit touches
+//! two flat vectors and returns a borrowed slice, performing no heap
+//! allocation.
 
 use crate::engine::ArenaLru;
 use crate::row_cache::{RowCache, RowKey};

@@ -69,7 +69,9 @@ const MIN_VICTIM_QUEUE: usize = 32;
 
 /// The generic arena-backed exact-LRU cache engine.
 ///
-/// See the [module docs](self) for the role of `K`, `T` and `E`.
+/// `K` is the entry key, `T` a small per-entry tag stored beside the
+/// payload and `E` the payload element; an entry costs `len ×
+/// size_of::<E>() + entry_overhead` bytes against the budget.
 #[derive(Debug)]
 pub struct ArenaLru<K, T = (), E = u8> {
     // Default (SipHash) hasher on purpose: the row engines key this map by

@@ -79,7 +79,7 @@ pub struct SdmConfig {
     pub fm_budget: Bytes,
     /// Row/pooled cache configuration.
     pub cache: CacheConfig,
-    /// IO engine tuning (outstanding-IO limits, completion mode).
+    /// IO engine tuning (outstanding-IO limits, retry policy).
     pub io: EngineConfig,
     /// Read granularity.
     pub granularity: AccessGranularity,

@@ -28,7 +28,7 @@
 //!
 //! The server is modelled as the serially-reused host: a dispatched batch
 //! starts at `max(close_time, server_free)` and occupies the host for its
-//! measured [`HostReport::virtual_makespan`]. Every query in a batch
+//! measured [`crate::HostReport::virtual_makespan`]. Every query in a batch
 //! completes when the batch does, so a served query's latency is
 //! `batch_completion - arrival`.
 //!

@@ -32,9 +32,9 @@
 //!    search over the scratch list, accumulates the payload into the
 //!    pooled vector and
 //! 4. **Fill**: copies it into the row cache — an in-bucket LRU eviction
-//!    plus one free and one best-fit allocation in the engine's
-//!    [`sdm_cache::SlabArena`] (segregated bins and boundary maps, O(1)
-//!    each) — and offers it to the shared tier.
+//!    plus one free and one best-fit allocation in the engine's slab
+//!    arena (segregated bins and boundary maps, O(1) each) — and offers
+//!    it to the shared tier.
 //!
 //! Invariants the manager relies on: completions are reaped in
 //! `(completed_at, submission order)`, so the pooled sum is
@@ -43,13 +43,13 @@
 //! that exhausts its retries produces no completion and is counted as a
 //! degraded row instead.
 //!
-//! # One table resolve per operator
+//! # One table resolve per lookup
 //!
 //! The engine issues one table-batched operator per (side, table) per
-//! query, and the manager serves it with the trait's default: one pooled
-//! lookup per segment, each handed the instant the previous one finished
-//! (see [`EmbeddingBackend::pooled_lookup_segments_into`]), so the
-//! statistics stay per pooled vector. A lookup names its table by id. The
+//! query and hands each of its requests to the manager as one pooled
+//! lookup, each at the instant the previous one finished (see
+//! [`dlrm::ExecutionMode`]), so the statistics stay per pooled vector. A
+//! lookup names its table by id. The
 //! entry point ([`SdmMemoryManager::pooled_lookup_into_at`]) resolves that
 //! id once — against the fast-memory tables first, where every item table
 //! lives, then the SM-side load state — and hands the resolved table down;

@@ -43,17 +43,6 @@ pub enum ArrivalProcess {
         /// Fraction of each period spent bursting, in `(0, 1)`.
         burst_fraction: f64,
     },
-    /// Sinusoidal day/night load: rate swings around `mean_qps` with
-    /// relative amplitude `amplitude` over each `period`.
-    Diurnal {
-        /// Mean offered load in queries per virtual second.
-        mean_qps: f64,
-        /// Relative swing in `[0, 1)`; instantaneous rate stays within
-        /// `mean_qps * (1 ± amplitude)` and therefore positive.
-        amplitude: f64,
-        /// Length of one full sinusoidal cycle.
-        period: SimDuration,
-    },
 }
 
 impl ArrivalProcess {
@@ -92,24 +81,6 @@ impl ArrivalProcess {
                 }
                 Ok(())
             }
-            ArrivalProcess::Diurnal {
-                mean_qps,
-                amplitude,
-                period,
-            } => {
-                positive(mean_qps, "Diurnal mean_qps")?;
-                if period.is_zero() {
-                    return Err(WorkloadError::InvalidConfig {
-                        reason: "Diurnal period must be non-zero".to_string(),
-                    });
-                }
-                if !(amplitude.is_finite() && (0.0..1.0).contains(&amplitude)) {
-                    return Err(WorkloadError::InvalidConfig {
-                        reason: format!("Diurnal amplitude must be in [0, 1), got {amplitude}"),
-                    });
-                }
-                Ok(())
-            }
         }
     }
 
@@ -131,15 +102,6 @@ impl ArrivalProcess {
                 } else {
                     base_qps
                 }
-            }
-            ArrivalProcess::Diurnal {
-                mean_qps,
-                amplitude,
-                period,
-            } => {
-                let phase_nanos = elapsed.as_nanos() % period.as_nanos();
-                let phase = phase_nanos as f64 / period.as_nanos() as f64;
-                mean_qps * (1.0 + amplitude * (std::f64::consts::TAU * phase).sin())
             }
         }
     }
@@ -200,11 +162,6 @@ mod tests {
                 period: SimDuration::from_millis(50),
                 burst_fraction: 0.25,
             },
-            ArrivalProcess::Diurnal {
-                mean_qps: 400.0,
-                amplitude: 0.5,
-                period: SimDuration::from_millis(200),
-            },
         ] {
             let a = collect(process, 0x5d_2022, 512);
             let b = collect(process, 0x5d_2022, 512);
@@ -237,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn bursty_rate_toggles_and_diurnal_rate_swings() {
+    fn bursty_rate_toggles() {
         let bursty = ArrivalProcess::Bursty {
             base_qps: 100.0,
             burst_qps: 900.0,
@@ -248,21 +205,6 @@ mod tests {
         let in_base = SimInstant::EPOCH + SimDuration::from_millis(60);
         assert_eq!(bursty.rate_at(in_burst), 900.0);
         assert_eq!(bursty.rate_at(in_base), 100.0);
-
-        let diurnal = ArrivalProcess::Diurnal {
-            mean_qps: 400.0,
-            amplitude: 0.5,
-            period: SimDuration::from_millis(100),
-        };
-        let peak = diurnal.rate_at(SimInstant::EPOCH + SimDuration::from_millis(25));
-        let trough = diurnal.rate_at(SimInstant::EPOCH + SimDuration::from_millis(75));
-        assert!((peak - 600.0).abs() < 1.0, "peak {peak}");
-        assert!((trough - 200.0).abs() < 1.0, "trough {trough}");
-        // Rate never dips to zero or below for amplitude < 1.
-        for ms in 0..100 {
-            let rate = diurnal.rate_at(SimInstant::EPOCH + SimDuration::from_millis(ms));
-            assert!(rate > 0.0, "rate {rate} at {ms}ms");
-        }
     }
 
     #[test]
@@ -281,16 +223,6 @@ mod tests {
                 burst_qps: 500.0,
                 period: SimDuration::from_millis(10),
                 burst_fraction: 1.0,
-            },
-            ArrivalProcess::Diurnal {
-                mean_qps: 400.0,
-                amplitude: 1.0,
-                period: SimDuration::from_millis(10),
-            },
-            ArrivalProcess::Diurnal {
-                mean_qps: -1.0,
-                amplitude: 0.2,
-                period: SimDuration::from_millis(10),
             },
         ];
         for process in bad {

@@ -25,6 +25,10 @@
 //!    `operator_overhead` times the number of distinct tables that side
 //!    requested: the overhead is paid once per table operator, not once
 //!    per request.
+//! 5. **Back to back.** Within a chain, each lookup is handed the instant
+//!    the previous one finished, plus `operator_overhead` where the table
+//!    (and so the operator) changes; a chain's first lookup is handed the
+//!    chain's start.
 //!
 //! Each law is checked per query on one cold `Exact` stream, SM-only with a
 //! row cache, in both execution modes: a user-tables-only model, whose one
@@ -46,8 +50,9 @@ use workload::{EmbeddingRequest, QueryGenerator, WorkloadConfig};
 const SEED: u64 = 17;
 const QUERIES: usize = 24;
 
-/// One operator as the engine handed it to the manager.
+/// One lookup as the engine handed it to the manager.
 struct Op {
+    table: TableId,
     handed: SimInstant,
     took: SimDuration,
     misses: u64,
@@ -60,9 +65,10 @@ struct Recorder<'a> {
 }
 
 impl Recorder<'_> {
-    fn record(&mut self, handed: SimInstant, took: SimDuration, reads_before: u64) {
+    fn record(&mut self, table: TableId, handed: SimInstant, took: SimDuration, reads_before: u64) {
         let misses = self.manager.stats().sm_reads - reads_before;
         self.ops.push(Op {
+            table,
             handed,
             took,
             misses,
@@ -79,7 +85,7 @@ impl EmbeddingBackend for Recorder<'_> {
     ) -> Result<(Vec<f32>, SimDuration), DlrmError> {
         let before = self.manager.stats().sm_reads;
         let (pooled, took) = self.manager.pooled_lookup(table, indices, now)?;
-        self.record(now, took, before);
+        self.record(table, now, took, before);
         Ok((pooled, took))
     }
 
@@ -92,7 +98,7 @@ impl EmbeddingBackend for Recorder<'_> {
     ) -> Result<SimDuration, DlrmError> {
         let before = self.manager.stats().sm_reads;
         let took = self.manager.pooled_lookup_into(table, indices, now, out)?;
-        self.record(now, took, before);
+        self.record(table, now, took, before);
         Ok(took)
     }
 }
@@ -175,6 +181,23 @@ fn check_laws(name: &str, model: &ModelConfig, mode: ExecutionMode) {
             total_took(item_ops) + overhead * item_tables,
             "{tag}: item chain"
         );
+
+        // Law 5: each chain's lookups run back to back, one overhead at
+        // each operator boundary.
+        let item_start = match mode {
+            ExecutionMode::Sequential => start + latency.user_embeddings,
+            ExecutionMode::InterOpParallel => start,
+        };
+        for (chain, from) in [(user_ops, start), (item_ops, item_start)] {
+            let mut at = from;
+            for (k, op) in chain.iter().enumerate() {
+                if k > 0 && chain[k - 1].table != op.table {
+                    at += overhead;
+                }
+                assert_eq!(op.handed, at, "{tag}: lookup {k} (table {})", op.table);
+                at = op.handed + op.took;
+            }
+        }
 
         // Law 2, upper bound: no longer than the serial sum of isolated
         // requests — the same requests, in the same order, on a twin with

@@ -7,8 +7,8 @@
 //! order, and scalar tails that reuse the same expression. This suite
 //! pins that contract with seeded property tests across quantisation
 //! schemes, dimensions (including zero, odd tails, and the int4 padding
-//! nibble), deliberately unaligned row buffers, weighted and unweighted
-//! pooling, and non-finite scale/bias/weight values.
+//! nibble), deliberately unaligned row buffers, and non-finite scale/bias
+//! values.
 //!
 //! The `SDM_POOL_KERNEL` environment variable is exercised by a dedicated
 //! CI leg that re-runs this suite with the kernel forced to `scalar`; the
@@ -16,9 +16,7 @@
 //! `kernel_inventory_is_coherent` fails if the override did not take
 //! effect.
 
-use embedding::kernels::{
-    accumulate_row_weighted_with, accumulate_row_with, auto_kernel, SelectedKernel, KERNEL_ENV,
-};
+use embedding::kernels::{accumulate_row_with, auto_kernel, SelectedKernel, KERNEL_ENV};
 use embedding::{quantize_row, QuantScheme};
 use proptest::prelude::*;
 
@@ -46,18 +44,14 @@ fn pooled_bits(
     row: &[u8],
     offset: usize,
     scheme: QuantScheme,
-    weight: Option<f32>,
     dim: usize,
     init: f32,
 ) -> Vec<u32> {
     let mut buf = vec![0u8; offset + row.len()];
     buf[offset..].copy_from_slice(row);
     let mut out = vec![init; dim];
-    match weight {
-        Some(w) => accumulate_row_weighted_with(kernel, &buf[offset..], scheme, w, &mut out),
-        None => accumulate_row_with(kernel, &buf[offset..], scheme, &mut out),
-    }
-    .unwrap_or_else(|e| panic!("kernel {kernel} rejected a well-formed row: {e}"));
+    accumulate_row_with(kernel, &buf[offset..], scheme, &mut out)
+        .unwrap_or_else(|e| panic!("kernel {kernel} rejected a well-formed row: {e}"));
     out.iter().map(|x| x.to_bits()).collect()
 }
 
@@ -66,8 +60,8 @@ proptest! {
     // reproduce exactly (same convention as tests/properties.rs).
     #![proptest_config(ProptestConfig::with_cases(96).with_seed(0x5d11_0008))]
 
-    /// Unweighted pooling: every supported kernel matches scalar
-    /// bit-for-bit at every buffer alignment.
+    /// Every supported kernel matches scalar bit-for-bit at every buffer
+    /// alignment.
     #[test]
     fn simd_pooling_is_bit_identical_to_scalar(
         values in prop::collection::vec(-8.0f32..8.0, 0..131),
@@ -78,39 +72,13 @@ proptest! {
         let scheme = scheme_for(scheme_pick);
         let dim = values.len();
         let row = quantize_row(&values, scheme);
-        let reference = pooled_bits(SelectedKernel::SCALAR, &row, 0, scheme, None, dim, init);
+        let reference = pooled_bits(SelectedKernel::SCALAR, &row, 0, scheme, dim, init);
         for kernel in supported_kernels() {
-            let got = pooled_bits(kernel, &row, offset, scheme, None, dim, init);
+            let got = pooled_bits(kernel, &row, offset, scheme, dim, init);
             prop_assert_eq!(
                 &got, &reference,
                 "kernel {} diverged from scalar ({:?}, dim {}, offset {})",
                 kernel, scheme, dim, offset
-            );
-        }
-    }
-
-    /// Weighted pooling: the extra per-lane multiply must round in the
-    /// same place in every kernel, including weight zero and negatives.
-    #[test]
-    fn weighted_simd_pooling_is_bit_identical_to_scalar(
-        values in prop::collection::vec(-8.0f32..8.0, 1..131),
-        scheme_pick in 0u8..3,
-        offset in 0usize..4,
-        weight_pick in 0usize..6,
-        init in -4.0f32..4.0,
-    ) {
-        let scheme = scheme_for(scheme_pick);
-        let dim = values.len();
-        let weight = [0.0f32, 1.0, -1.0, 0.333, -2.5, 1e20][weight_pick];
-        let row = quantize_row(&values, scheme);
-        let reference =
-            pooled_bits(SelectedKernel::SCALAR, &row, 0, scheme, Some(weight), dim, init);
-        for kernel in supported_kernels() {
-            let got = pooled_bits(kernel, &row, offset, scheme, Some(weight), dim, init);
-            prop_assert_eq!(
-                &got, &reference,
-                "weighted kernel {} diverged from scalar ({:?}, dim {}, weight {})",
-                kernel, scheme, dim, weight
             );
         }
     }
@@ -155,39 +123,17 @@ fn non_finite_scale_and_bias_propagate_identically() {
             &row,
             0,
             QuantScheme::Int8,
-            None,
             dim,
             0.25,
         );
         for kernel in supported_kernels() {
             for offset in 0..4 {
-                let got = pooled_bits(kernel, &row, offset, QuantScheme::Int8, None, dim, 0.25);
+                let got = pooled_bits(kernel, &row, offset, QuantScheme::Int8, dim, 0.25);
                 assert_eq!(
                     got, reference,
                     "kernel {kernel} diverged on scale {scale} bias {bias}"
                 );
             }
-        }
-    }
-    // Non-finite *weights* take the third rounding step through the same
-    // packed multiply; check those too.
-    let row = raw_int8_row(&codes, 0.125, -3.0);
-    for weight in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0] {
-        let reference = pooled_bits(
-            SelectedKernel::SCALAR,
-            &row,
-            0,
-            QuantScheme::Int8,
-            Some(weight),
-            dim,
-            1.5,
-        );
-        for kernel in supported_kernels() {
-            let got = pooled_bits(kernel, &row, 1, QuantScheme::Int8, Some(weight), dim, 1.5);
-            assert_eq!(
-                got, reference,
-                "kernel {kernel} diverged on weight {weight}"
-            );
         }
     }
 }
@@ -212,21 +158,12 @@ fn int4_padding_nibble_is_ignored_by_every_kernel() {
             &clean_row,
             0,
             QuantScheme::Int4,
-            None,
             dim,
             0.0,
         );
         for kernel in supported_kernels() {
             for offset in 0..4 {
-                let got = pooled_bits(
-                    kernel,
-                    &dirty_row,
-                    offset,
-                    QuantScheme::Int4,
-                    None,
-                    dim,
-                    0.0,
-                );
+                let got = pooled_bits(kernel, &dirty_row, offset, QuantScheme::Int4, dim, 0.0);
                 assert_eq!(
                     got, reference,
                     "kernel {kernel} read the int4 padding nibble (dim {dim})"
@@ -244,10 +181,9 @@ fn zero_dimension_rows_are_no_ops_for_every_kernel() {
         let row = quantize_row(&[], scheme);
         assert_eq!(row.len(), scheme.row_bytes(0));
         for kernel in supported_kernels() {
-            let bits = pooled_bits(kernel, &row, 0, scheme, None, 0, 0.0);
-            assert!(bits.is_empty());
-            let bits = pooled_bits(kernel, &row, 2, scheme, Some(2.0), 0, 0.0);
-            assert!(bits.is_empty());
+            for offset in [0, 2] {
+                assert!(pooled_bits(kernel, &row, offset, scheme, 0, 0.0).is_empty());
+            }
         }
     }
 }
