@@ -8,15 +8,14 @@
 #                    # bench compile, and a release build of the benchmark/
 #                    # harness against the workspace crates
 #   ./ci.sh quick    # skip fmt/clippy/analyze/rustdoc; the no-unwrap,
-#                    # no-print and documented-unsafe contracts are clippy
-#                    # lints, so only the full gate's clippy step checks them
+#                    # no-print, documented-unsafe, no-wall-clock, hasher and
+#                    # lock contracts are clippy lints (crates/clippy.toml,
+#                    # lib.rs lines), so only the full gate's clippy step
+#                    # checks them
 #   ./ci.sh bench    # run the criterion benches (quick shim)
 #   ./ci.sh benchmark  # the benchmark/ package's own gate (benchmark/check.sh:
 #                    # fmt, clippy, harness tests, smoke run of every workload
 #                    # on both paths)
-#   ./ci.sh analyze  # static-analysis lane: sdm-analyze lint driver over the
-#                    # workspace and its fixture self-tests (the textual
-#                    # rules only; the clippy-held contracts run in full)
 #   ./ci.sh miri     # opt-in: curated test subset under Miri (needs a
 #                    # nightly toolchain with the miri component)
 #   ./ci.sh asan     # opt-in: curated test subset under AddressSanitizer
@@ -30,6 +29,13 @@ set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")"
 
 mode="${1:-full}"
+case "$mode" in
+    full | quick | bench | benchmark | miri | asan) ;;
+    *)
+        echo "ci.sh: unknown mode '$mode' (full, quick, bench, benchmark, miri, asan)" >&2
+        exit 2
+        ;;
+esac
 
 # Reports a sanitizer lane that could not run: a warning annotation and a
 # step-summary line, so the skip is visible in the run rather than a pass.
@@ -45,20 +51,6 @@ if [[ "$mode" == "benchmark" ]]; then
     echo "==> benchmark/check.sh (fmt, clippy, harness tests, smoke run)"
     benchmark/check.sh
     echo "Benchmark lane passed."
-    exit 0
-fi
-
-if [[ "$mode" == "analyze" ]]; then
-    echo "==> sdm-analyze rules"
-    cargo run --locked --release -p sdm-analyze -- --list-rules
-
-    echo "==> sdm-analyze (workspace lint driver)"
-    cargo run --locked --release -p sdm-analyze
-
-    echo "==> sdm-analyze self-tests (unit + known-bad fixtures)"
-    cargo test --locked -q -p sdm-analyze
-
-    echo "Analyze lane passed."
     exit 0
 fi
 
@@ -125,7 +117,7 @@ if [[ "$mode" == "full" ]]; then
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --locked --workspace --all-targets -- -D warnings
 
-    echo "==> sdm-analyze (workspace lint driver; './ci.sh analyze' for the full lane)"
+    echo "==> sdm-analyze (unreferenced exports; its self-tests run with cargo test)"
     cargo run --locked --release -p sdm-analyze
 
     echo "==> cargo doc --workspace --document-private-items (a broken doc link fails)"

@@ -1,15 +1,14 @@
 //! CLI front end for the workspace lint driver.
 //!
 //! ```text
-//! sdm-analyze [--root <dir>] [--list-rules]
+//! sdm-analyze [--root <dir>]
 //! ```
 //!
 //! Scans every workspace source file (crates, umbrella `src/`, `tests/`,
 //! `examples/`; `vendor/` and `target/` excluded; `benchmark/src/` only as
 //! a user of exported items), prints one `file:line: [rule] message`
-//! diagnostic per finding and exits non-zero when any finding survives
-//! suppression. `--list-rules` prints the rule
-//! table and exits.
+//! diagnostic per unreferenced export and exits non-zero when any finding
+//! survives suppression.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -33,13 +32,11 @@ fn workspace_root(explicit: Option<PathBuf>) -> PathBuf {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root = None;
-    let mut list_rules = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
-            "--list-rules" => list_rules = true,
             "--help" | "-h" => {
-                println!("usage: sdm-analyze [--root <workspace-dir>] [--list-rules]");
+                println!("usage: sdm-analyze [--root <workspace-dir>]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -49,21 +46,10 @@ fn main() -> ExitCode {
         }
     }
 
-    if list_rules {
-        for rule in sdm_analyze::RULES {
-            println!("{:<32} {}", rule.name, rule.rationale);
-            println!("{:<32}   scope: {}", "", rule.scope);
-        }
-        return ExitCode::SUCCESS;
-    }
-
     let root = workspace_root(root);
     match sdm_analyze::analyze_workspace(&root) {
         Ok(findings) if findings.is_empty() => {
-            println!(
-                "sdm-analyze: workspace clean ({} rules)",
-                sdm_analyze::RULES.len()
-            );
+            println!("sdm-analyze: workspace clean");
             ExitCode::SUCCESS
         }
         Ok(findings) => {
@@ -71,8 +57,8 @@ fn main() -> ExitCode {
                 println!("{f}");
             }
             eprintln!(
-                "sdm-analyze: {} finding(s); suppress with `// sdm-analyze: allow(rule)` \
-                 next to a written justification",
+                "sdm-analyze: {} finding(s); suppress with \
+                 `// sdm-analyze: allow(unreferenced-pub-item)` next to a written justification",
                 findings.len()
             );
             ExitCode::FAILURE

@@ -1,97 +1,54 @@
 //! `sdm-analyze`: the workspace's offline static-analysis driver.
 //!
-//! The SDM stack keeps a few concurrency and hygiene contracts that rustc
-//! and clippy do not check here: no stripe lock held across SM IO
-//! submission, no wall-clock time source inside virtual-clock code, no
-//! default-hasher map on the serving path without a reason, and no export
-//! nothing else uses. This crate is a brace- and string-aware source
-//! scanner that turns those conventions into named, individually
-//! suppressable rules with `file:line` diagnostics — cheap enough to run
-//! on every CI gate, dependency-free so it can never break the build it
-//! guards.
+//! It keeps the one contract no compiler pass here decides: no export that
+//! nothing else uses. rustc never calls a `pub` item of a library dead, and
+//! its users are spread over every crate, the umbrella package and the
+//! `benchmark/` harness, a separate workspace. So this crate is a brace- and
+//! string-aware source scanner over all of them, with `file:line`
+//! diagnostics — cheap enough to run on every CI gate, dependency-free so it
+//! can never break the build it guards.
 //!
-//! Contracts the compiler can resolve are lints instead: `unwrap`/`expect`,
-//! prints and `dbg!` in library code outside tests are denied by clippy in
-//! each crate's `lib.rs`, and every `unsafe` block needs a `// SAFETY:`
-//! comment through the workspace's `clippy::undocumented_unsafe_blocks`.
+//! Contracts the compiler can resolve are lints instead (README, "Static
+//! analysis"): `crates/clippy.toml` bans host time, default-hasher maps, new
+//! locks and the shared tier's closure lookup in every `crates/*` member;
+//! each crate's `lib.rs` denies `unwrap`/`expect`, prints and `dbg!` outside
+//! tests; and every `unsafe` block needs a `// SAFETY:` comment through the
+//! workspace's `clippy::undocumented_unsafe_blocks`.
 //!
-//! # Rules
+//! # Rule
 //!
-//! | Rule | Scope | Contract |
-//! |------|-------|----------|
-//! | `no-wall-clock` | virtual-clock crates | `Instant::now` / `SystemTime::now` leak host time into deterministic code |
-//! | `lock-across-await-style` | library sources | a held lock guard's scope must not contain an IO submission call |
-//! | `default-hasher-on-serving-path` | serving-path crates, non-test code | a `HashMap`/`HashSet` on the default (SipHash) hasher is a decision: program-generated keys take `IntMap`, outside input keeps the default and says so |
-//! | `unreferenced-pub-item` | library sources, non-test code (a workspace pass) | a `pub` item whose name no other source file uses is dead or should be narrowed |
+//! `unreferenced-pub-item`: a `pub` item in library code (outside
+//! `#[cfg(test)]`, trait impls and trait bodies) whose name no other source
+//! file under `crates/`, `src/`, `tests/`, `examples/` or `benchmark/src/`
+//! uses is deleted, or narrowed when its own file uses it.
 //!
 //! # Suppressions
 //!
-//! A finding is suppressed by a justification comment naming the rule:
-//!
-//! * `// sdm-analyze: allow(rule-name)` — on the flagged line or the line
-//!   directly above it;
-//! * `// sdm-analyze: allow-file(rule-name)` — anywhere in the file,
-//!   suppresses the rule for the whole file.
-//!
-//! Several rules may be listed comma-separated. Suppressions are expected
-//! to sit next to a prose justification, mirroring `#[allow]` hygiene.
-//!
-//! # Honesty of a textual scanner
-//!
-//! This is a lint, not a proof: it sees tokens, not semantics (the
-//! `lock-across-await-style` rule in particular is a heuristic over guard
-//! binding scopes). On the serving path the "no stripe lock across an SM
-//! submit" contract also holds by construction — the shared tier's batched
-//! lookup runs no caller code under its lock — and the rule is its static
-//! check: a stripe guard (`.lock()` / `stripe_lock(` binding) still live at
-//! a submit call trips it.
+//! `// sdm-analyze: allow(unreferenced-pub-item)` on the flagged line, or on
+//! a comment line directly above it, keeps an item; it sits next to a prose
+//! justification, mirroring `#[expect]` hygiene.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![cfg_attr(not(test), deny(clippy::dbg_macro))]
+#![expect(
+    clippy::disallowed_types,
+    reason = "an offline source scanner, never linked into the serving stack"
+)]
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::Path;
 
-/// Crates whose serving paths run on the virtual clock: any wall-clock
-/// time source inside them silently breaks determinism and replay.
-const VIRTUAL_CLOCK_CRATES: &[&str] = &[
-    "sdm-core",
-    "io-engine",
-    "scm-device",
-    "workload",
-    "sdm-cache",
-];
-
-/// Crates a query passes through. A map on the default hasher there either
-/// pays SipHash per lookup for keys the program generated itself, or is
-/// keyed by outside input and needs the default — the rule makes each site
-/// say which.
-const SERVING_PATH_CRATES: &[&str] = &[
-    "dlrm",
-    "sdm-core",
-    "sdm-cache",
-    "io-engine",
-    "scm-device",
-    "embedding",
-];
-
-/// Call markers treated as IO submission points by
-/// [`lock-across-await-style`](self#rules).
-const IO_SUBMIT_MARKERS: &[&str] = &["submit(", "drain_each(", "poll_wait("];
-
-/// One diagnostic produced by a rule.
+/// One diagnostic: an exported item nothing else uses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Workspace-relative path of the offending file.
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule identifier (see [`RULES`]).
-    pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
 }
@@ -100,48 +57,13 @@ impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: [{}] {}",
-            self.path, self.line, self.rule, self.message
+            "{}:{}: [{UNREFERENCED_PUB_ITEM}] {}",
+            self.path, self.line, self.message
         )
     }
 }
 
-/// Static description of one rule, for `--list-rules` and the README table.
-#[derive(Debug, Clone, Copy)]
-pub struct RuleInfo {
-    /// Rule identifier used in diagnostics and suppressions.
-    pub name: &'static str,
-    /// Where the rule applies.
-    pub scope: &'static str,
-    /// The invariant the rule enforces.
-    pub rationale: &'static str,
-}
-
-/// Every rule the driver runs, in diagnostic order.
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        name: "no-wall-clock",
-        scope: "virtual-clock crates: sdm-core, io-engine, scm-device, workload, sdm-cache",
-        rationale: "Instant::now/SystemTime::now leak host time into deterministic replay",
-    },
-    RuleInfo {
-        name: "lock-across-await-style",
-        scope: "library sources",
-        rationale: "a lock guard's scope must not contain an IO submission call",
-    },
-    RuleInfo {
-        name: "default-hasher-on-serving-path",
-        scope: "serving-path crates: dlrm, sdm-core, sdm-cache, io-engine, scm-device, embedding, outside #[cfg(test)]",
-        rationale: "program-generated keys use IntMap; a default-hasher map states why its keys are outside input",
-    },
-    RuleInfo {
-        name: UNREFERENCED_PUB_ITEM,
-        scope: "pub items in library sources, outside #[cfg(test)] and trait impls; users are every other .rs file under crates/, src/, tests/, examples/, benchmark/src/",
-        rationale: "an exported item nothing else names is deleted, or narrowed when its own file uses it",
-    },
-];
-
-/// Name of the workspace pass that no single file can decide.
+/// Name of the rule, in diagnostics and suppressions.
 const UNREFERENCED_PUB_ITEM: &str = "unreferenced-pub-item";
 
 /// Directories whose sources count as users of a library's exported items.
@@ -149,53 +71,17 @@ const UNREFERENCED_PUB_ITEM: &str = "unreferenced-pub-item";
 /// public API, so its sources count too.
 const USER_ROOTS: &[&str] = &["crates/", "src/", "tests/", "examples/", "benchmark/src/"];
 
-/// How a source file participates in the build, which decides rule scope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FileKind {
-    /// `crates/*/src/**` (minus `src/bin`) and the umbrella `src/`.
-    Lib,
-    /// Binaries, examples and build scripts.
-    Bin,
-    /// Integration tests.
-    Test,
-    /// Criterion benches.
-    Bench,
-}
-
-/// Classifies a workspace-relative path; `None` means "do not scan".
-fn classify(rel: &str) -> Option<FileKind> {
-    if !rel.ends_with(".rs") {
-        return None;
-    }
-    if rel.starts_with("vendor/") || rel.starts_with("target/") {
-        return None;
-    }
-    // Known-bad rule fixtures are scanned only by the self-test.
-    if rel.contains("analyze_fixtures/") {
-        return None;
-    }
-    if rel.starts_with("tests/") || rel.contains("/tests/") {
-        return Some(FileKind::Test);
-    }
-    if rel.contains("/benches/") {
-        return Some(FileKind::Bench);
-    }
-    if rel.starts_with("examples/")
-        || rel.contains("/examples/")
-        || rel.contains("/src/bin/")
-        || rel.ends_with("build.rs")
-    {
-        return Some(FileKind::Bin);
-    }
-    if rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/")) {
-        return Some(FileKind::Lib);
-    }
-    None
-}
-
-/// The crate a workspace-relative path belongs to (`crates/<name>/…`).
-fn crate_of(rel: &str) -> Option<&str> {
-    rel.strip_prefix("crates/")?.split('/').next()
+/// True for a library source — `crates/*/src/**` (minus `src/bin`) and the
+/// umbrella `src/` — whose `pub` items the pass checks. Tests, benches,
+/// binaries, examples, build scripts, `vendor/`, `target/` and the rule's
+/// own fixtures are not.
+fn is_library(rel: &str) -> bool {
+    let in_src = rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/"));
+    in_src
+        && rel.ends_with(".rs")
+        && !["analyze_fixtures/", "/tests/", "/src/bin/"]
+            .iter()
+            .any(|part| rel.contains(part))
 }
 
 /// One source line after lexical analysis.
@@ -399,36 +285,15 @@ fn lex(content: &str) -> Vec<Line> {
     lines
 }
 
-/// True when `line` (or the line above) carries a line-level suppression
-/// for `rule`, or the file carries a file-level one.
-fn suppressed(lines: &[Line], idx: usize, rule: &str, file_allows: &[String]) -> bool {
-    if file_allows.iter().any(|r| r == rule) {
-        return true;
-    }
+/// True when line `idx`, or a pure comment line directly above it, carries
+/// the rule's suppression. A trailing suppression on a *code* line covers
+/// that line alone, not its successor.
+fn suppressed(lines: &[Line], idx: usize) -> bool {
     let hit = |l: &Line| {
         l.raw
-            .split("sdm-analyze: allow(")
-            .nth(1)
-            .and_then(|rest| rest.split(')').next())
-            .is_some_and(|list| list.split(',').any(|r| r.trim() == rule))
+            .contains(&format!("sdm-analyze: allow({UNREFERENCED_PUB_ITEM})"))
     };
-    // A suppression on the line above only counts when that line is pure
-    // comment — a trailing suppression on a *code* line covers that line
-    // alone, not its successor.
     hit(&lines[idx]) || (idx > 0 && lines[idx - 1].code.trim().is_empty() && hit(&lines[idx - 1]))
-}
-
-/// Collects the file-level `allow-file(...)` suppressions.
-fn file_allows(lines: &[Line]) -> Vec<String> {
-    let mut out = Vec::new();
-    for l in lines {
-        if let Some(rest) = l.raw.split("sdm-analyze: allow-file(").nth(1) {
-            if let Some(list) = rest.split(')').next() {
-                out.extend(list.split(',').map(|r| r.trim().to_string()));
-            }
-        }
-    }
-    out
 }
 
 /// True when `code` contains `needle` not preceded/followed by an
@@ -453,122 +318,6 @@ fn contains_word(code: &str, needle: &str) -> bool {
         start = after;
     }
     false
-}
-
-/// Analyzes one source file. `rel_path` must be workspace-relative with
-/// `/` separators — it decides which rules apply. Returns every finding,
-/// suppressions already applied.
-pub fn analyze_source(rel_path: &str, content: &str) -> Vec<Finding> {
-    let Some(kind) = classify(rel_path) else {
-        return Vec::new();
-    };
-    let lines = lex(content);
-    let allows = file_allows(&lines);
-    let mut findings = Vec::new();
-    let mut push = |idx: usize, rule: &'static str, message: String| {
-        findings.push(Finding {
-            path: rel_path.to_string(),
-            line: idx + 1,
-            rule,
-            message,
-        });
-    };
-
-    let in_virtual_clock_crate =
-        crate_of(rel_path).is_some_and(|c| VIRTUAL_CLOCK_CRATES.contains(&c));
-    let in_serving_path_crate =
-        crate_of(rel_path).is_some_and(|c| SERVING_PATH_CRATES.contains(&c));
-    // Inside a (possibly multi-line) `use` item: an import is not a use.
-    let mut in_use_item = false;
-
-    for (idx, line) in lines.iter().enumerate() {
-        let code = line.code.as_str();
-
-        // default-hasher-on-serving-path: the std map types named without
-        // an explicit hasher (`IntMap`, `…Hasher…`, `with_hasher`) on the
-        // same line.
-        let item = code.trim_start().trim_start_matches("pub ");
-        in_use_item |= item.starts_with("use ");
-        if kind == FileKind::Lib
-            && in_serving_path_crate
-            && !line.in_test
-            && !in_use_item
-            && (contains_word(code, "HashMap") || contains_word(code, "HashSet"))
-            && !code.contains("Hasher")
-            && !code.contains("with_hasher")
-            && !suppressed(&lines, idx, "default-hasher-on-serving-path", &allows)
-        {
-            push(
-                idx,
-                "default-hasher-on-serving-path",
-                "HashMap/HashSet on the default hasher in a serving-path crate: use \
-                 sdm_metrics::IntMap for program-generated keys, or keep it and say why"
-                    .to_string(),
-            );
-        }
-        in_use_item &= !code.contains(';');
-
-        // no-wall-clock
-        if in_virtual_clock_crate
-            && (code.contains("Instant::now") || code.contains("SystemTime::now"))
-            && !suppressed(&lines, idx, "no-wall-clock", &allows)
-        {
-            push(
-                idx,
-                "no-wall-clock",
-                "wall-clock time source in a virtual-clock crate breaks deterministic replay"
-                    .to_string(),
-            );
-        }
-    }
-
-    // lock-across-await-style: a guard binding's enclosing scope must not
-    // contain an IO submission call. Guard bindings are recognised
-    // textually: `let [mut] <name> = …lock(…)` / `…stripe_lock(…)`.
-    if kind == FileKind::Lib {
-        for (idx, line) in lines.iter().enumerate() {
-            let code = line.code.as_str();
-            let is_binding = code.contains("let ")
-                && (code.contains(".lock()") || code.contains("stripe_lock("));
-            if !is_binding || line.in_test {
-                continue;
-            }
-            let guard_name = code
-                .split("let ")
-                .nth(1)
-                .map(|r| r.trim_start_matches("mut "))
-                .and_then(|r| r.split(|c: char| !(c.is_alphanumeric() || c == '_')).next())
-                .unwrap_or("")
-                .to_string();
-            let scope_depth = line.depth_after;
-            for (jdx, later) in lines.iter().enumerate().skip(idx + 1) {
-                // Guard explicitly dropped: the scan stops being relevant.
-                if !guard_name.is_empty() && later.code.contains(&format!("drop({guard_name})")) {
-                    break;
-                }
-                if IO_SUBMIT_MARKERS.iter().any(|m| later.code.contains(m))
-                    && !suppressed(&lines, jdx, "lock-across-await-style", &allows)
-                {
-                    findings.push(Finding {
-                        path: rel_path.to_string(),
-                        line: jdx + 1,
-                        rule: "lock-across-await-style",
-                        message: format!(
-                            "IO submission inside the scope of lock guard `{guard_name}` \
-                             (acquired line {}); submit only after the guard is released",
-                            idx + 1
-                        ),
-                    });
-                }
-                if later.depth_after < scope_depth {
-                    break;
-                }
-            }
-        }
-    }
-
-    findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    findings
 }
 
 /// Recursively collects `.rs` files under `dir`, returning workspace
@@ -813,24 +562,20 @@ pub fn unreferenced_pub_items(files: &[(String, String)]) -> Vec<Finding> {
     }
     let mut findings = Vec::new();
     for ((rel, lines), own) in lexed.iter().zip(&used) {
-        if classify(rel) != Some(FileKind::Lib) {
+        if !is_library(rel) {
             continue;
         }
-        let allows = file_allows(lines);
         let (items, signature_words) = exports(lines);
         for (idx, kind, name) in items {
             let elsewhere = users.get(name).copied().unwrap_or(0) - usize::from(own.contains(name));
             let is_type = matches!(kind, "struct" | "enum" | "trait" | "type" | "union");
-            if elsewhere > 0
-                || is_type && signature_words.contains(name)
-                || suppressed(lines, idx, UNREFERENCED_PUB_ITEM, &allows)
+            if elsewhere > 0 || is_type && signature_words.contains(name) || suppressed(lines, idx)
             {
                 continue;
             }
             findings.push(Finding {
                 path: rel.to_string(),
                 line: idx + 1,
-                rule: UNREFERENCED_PUB_ITEM,
                 message: format!(
                     "`pub {kind} {name}` is used by no other source file: delete it, or narrow \
                      it to pub(crate)/private if this file uses it"
@@ -841,9 +586,8 @@ pub fn unreferenced_pub_items(files: &[(String, String)]) -> Vec<Finding> {
     findings
 }
 
-/// Analyzes the whole workspace rooted at `root`: every per-file rule over
-/// every scannable file, then the workspace pass. Returns findings sorted
-/// by path and line.
+/// Runs the pass over the whole workspace rooted at `root`. Returns
+/// findings sorted by path and line.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut paths = Vec::new();
     collect_files(root, root, &mut paths)?;
@@ -853,136 +597,106 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
         let content = std::fs::read_to_string(root.join(&rel))?;
         files.push((rel, content));
     }
-    let mut findings: Vec<Finding> = files
-        .iter()
-        .flat_map(|(rel, content)| analyze_source(rel, content))
-        .collect();
-    findings.extend(unreferenced_pub_items(&files));
-    findings
-        .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    Ok(findings)
+    Ok(unreferenced_pub_items(&files))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn lib_findings(src: &str) -> Vec<Finding> {
-        analyze_source("crates/dlrm/src/fixture.rs", src)
+    /// The names `unreferenced_pub_items` reports, as `pub <kind> <name>`.
+    fn reported(files: &[(String, String)]) -> Vec<String> {
+        unreferenced_pub_items(files)
+            .iter()
+            .map(|f| f.message.split('`').nth(1).unwrap_or("").to_string())
+            .collect()
     }
 
-    /// Scans `src` as an sdm-core library file: a virtual-clock and
-    /// serving-path crate, so every per-file rule applies.
-    fn core_findings(src: &str) -> Vec<Finding> {
-        analyze_source("crates/sdm-core/src/fixture.rs", src)
+    /// One library file at `rel` and nothing that uses it.
+    fn alone(rel: &str, src: &str) -> Vec<String> {
+        reported(&[(rel.to_string(), src.to_string())])
     }
 
     #[test]
-    fn wall_clock_in_strings_and_comments_is_ignored() {
+    fn comments_and_literals_are_blanked() {
         let src = "// calls Instant::now somewhere\n\
-                   fn f() { let s = \"Instant::now\"; g(s); }\n\
-                   /* SystemTime::now */\n";
-        assert!(core_findings(src).is_empty());
+                   fn f() { let s = \"Instant::now {\"; g(s); }\n\
+                   /* SystemTime::now\n\
+                   still Instant::now */ fn h() {}\n\
+                   const P: &str = r#\"Instant::now \"{\"#;\n";
+        let lines = lex(src);
+        for l in &lines {
+            assert!(!l.code.contains("now"), "{:?}", l.code);
+        }
+        // Code around the blanks survives, and literal braces move no depth.
+        assert!(lines[1].code.contains("fn f()") && lines[1].code.contains("g(s);"));
+        assert!(lines[3].code.contains("fn h()"));
+        assert!(lines.iter().all(|l| l.depth_after == 0));
+    }
+
+    #[test]
+    fn lifetimes_chars_and_test_regions_lex_cleanly() {
+        // A lifetime read as a char literal would blank the rest of line 1;
+        // a brace inside a char literal would move the depth that ends the
+        // test region, leaving the last line inside it.
+        let src = "fn f<'a>(x: &'a str) -> (&'a str, Marker) { g(x) }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   const Q: char = '{';\n\
+                   }\n\
+                   struct S { m: Marker }\n";
+        let lines = lex(src);
+        assert!(lines[0].code.contains("Marker"), "{:?}", lines[0].code);
+        let depth: Vec<i32> = lines.iter().map(|l| l.depth_after).collect();
+        assert_eq!(depth, [0, 0, 1, 1, 0, 0]);
+        let in_test: Vec<bool> = lines.iter().map(|l| l.in_test).collect();
+        assert_eq!(in_test, [false, false, true, true, true, false]);
     }
 
     #[test]
     fn line_suppression_covers_same_and_next_line() {
-        let src = "// justification: trace timestamps only\n\
-                   // sdm-analyze: allow(no-wall-clock)\n\
-                   fn f() { Instant::now(); }\n\
-                   fn g() { Instant::now(); } // sdm-analyze: allow(no-wall-clock)\n\
-                   fn h() { Instant::now(); }\n";
-        let f = core_findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].line, 5);
-    }
-
-    #[test]
-    fn file_suppression_covers_whole_file() {
-        let src = "// sdm-analyze: allow-file(no-wall-clock)\n\
-                   fn f() { Instant::now(); }\n\
-                   fn g() { SystemTime::now(); }\n";
-        assert!(core_findings(src).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_only_flagged_in_virtual_clock_crates() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        let fc = analyze_source("crates/sdm-core/src/fixture.rs", src);
-        assert_eq!(fc.len(), 1);
-        assert_eq!(fc[0].rule, "no-wall-clock");
-        // The bench crate measures wall time on purpose.
-        assert!(analyze_source("crates/bench/src/fixture.rs", src).is_empty());
-    }
-
-    #[test]
-    fn lock_guard_scope_containing_submit_is_flagged() {
-        let bad = "fn f(&self) {\n\
-                   let guard = self.stripes[0].lock();\n\
-                   self.engine.submit(req);\n\
-                   }\n";
-        let f = lib_findings(bad);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "lock-across-await-style");
-        assert_eq!(f[0].line, 3);
-        // Submission after the scope closes is fine.
-        let good = "fn f(&self) {\n\
-                    {\n\
-                    let guard = self.stripes[0].lock();\n\
-                    use_it(&guard);\n\
-                    }\n\
-                    self.engine.submit(req);\n\
-                    }\n";
-        assert!(lib_findings(good).is_empty(), "{:?}", lib_findings(good));
-        // An explicit drop releases the guard early.
-        let dropped = "fn f(&self) {\n\
-                       let guard = self.stripes[0].lock();\n\
-                       drop(guard);\n\
-                       self.engine.submit(req);\n\
-                       }\n";
-        assert!(lib_findings(dropped).is_empty());
+        let src = "// justification: kept for the next format version\n\
+                   // sdm-analyze: allow(unreferenced-pub-item)\n\
+                   pub fn above() {}\n\
+                   pub fn same() {} // sdm-analyze: allow(unreferenced-pub-item)\n\
+                   pub fn after_trailing() {}\n\
+                   // sdm-analyze: allow(some-other-rule)\n\
+                   pub fn other_rule() {}\n";
+        let f = unreferenced_pub_items(&[("crates/dlrm/src/fixture.rs".into(), src.into())]);
+        let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [5, 7], "{f:?}");
     }
 
     #[test]
     fn fixture_directory_and_vendor_are_never_scanned() {
-        let src = "fn f() { Instant::now(); }\n";
-        assert_eq!(core_findings(src).len(), 1);
+        let src = "pub fn dead() {}\n";
+        assert_eq!(
+            alone("crates/sdm-core/src/fixture.rs", src),
+            ["pub fn dead"]
+        );
         for rel in [
-            "crates/sdm-core/src/analyze_fixtures/wall.rs",
+            "crates/sdm-core/src/analyze_fixtures/dead.rs",
+            "tests/analyze_fixtures/unreferenced/crates/demo/src/lib.rs",
             "vendor/serde/src/lib.rs",
             "target/debug/build/foo.rs",
+            "crates/sdm-core/tests/dead.rs",
+            "crates/bench/src/bin/exp_x.rs",
         ] {
-            assert_eq!(classify(rel), None, "{rel}");
-            assert!(analyze_source(rel, src).is_empty(), "{rel}");
+            assert!(!is_library(rel), "{rel}");
+            assert!(alone(rel, src).is_empty(), "{rel}");
         }
-    }
-
-    #[test]
-    fn raw_strings_chars_and_lifetimes_lex_cleanly() {
-        // A lifetime read as a char literal would blank line 1's map; a
-        // brace inside a literal would move the depth that ends the test
-        // region, leaving line 5 inside it.
-        let src = "fn f<'a>(x: &'a str) -> (&'a str, HashMap<u8, u8>) { g(x) }\n\
-                   const P: &str = r#\"HashMap<u8, u8> {\"#;\n\
-                   #[cfg(test)]\n\
-                   mod tests { const Q: char = '{'; }\n\
-                   struct S { m: HashMap<u32, u8> }\n";
-        let lines: Vec<usize> = core_findings(src).iter().map(|f| f.line).collect();
-        assert_eq!(lines, [1, 5]);
-    }
-
-    #[test]
-    fn rules_table_matches_rule_names() {
-        let names: Vec<&str> = RULES.iter().map(|r| r.name).collect();
-        assert_eq!(
-            names,
-            vec![
-                "no-wall-clock",
-                "lock-across-await-style",
-                "default-hasher-on-serving-path",
-                "unreferenced-pub-item",
-            ]
-        );
+        // A fixture is not a user either: its use keeps nothing alive.
+        let files = [
+            (
+                "crates/sdm-core/src/fixture.rs".to_string(),
+                src.to_string(),
+            ),
+            (
+                "tests/analyze_fixtures/user.rs".to_string(),
+                "fn f() { dead(); }\n".to_string(),
+            ),
+        ];
+        assert_eq!(reported(&files), ["pub fn dead"]);
     }
 
     #[test]
@@ -1008,13 +722,7 @@ mod tests {
             ("crates/dlrm/src/fixture.rs".to_string(), lib.to_string()),
             ("tests/user.rs".to_string(), user.to_string()),
         ];
-        let names_in = |files: &[(String, String)]| -> Vec<String> {
-            unreferenced_pub_items(files)
-                .iter()
-                .map(|f| f.message.split('`').nth(1).unwrap_or("").to_string())
-                .collect()
-        };
-        let names = names_in(&files);
+        let names = reported(&files);
         // `Own` is named only by its own impl's signatures, so the user's
         // `Own::new()` is what keeps it; `Aliased` is exported through the
         // alias. Imports and comments are not uses; trait impls and test
@@ -1024,36 +732,12 @@ mod tests {
             ["pub fn helper", "pub type Alias", "pub const LIMIT"],
             "{names:?}"
         );
-        let without_user = names_in(&files[..1]);
+        let without_user = reported(&files[..1]);
         assert!(without_user.contains(&"pub struct Own".to_string()));
         // A doctest compiles, so it is a use; prose in the same comment is not.
         let doc_user = "//! Calls `LIMIT`.\n//! ```\n//! fixture::helper();\n//! ```\n";
-        let doc_only = names_in(&[files[0].clone(), ("src/lib.rs".into(), doc_user.into())]);
+        let doc_only = reported(&[files[0].clone(), ("src/lib.rs".into(), doc_user.into())]);
         assert!(!doc_only.contains(&"pub fn helper".to_string()));
         assert!(doc_only.contains(&"pub const LIMIT".to_string()));
-    }
-
-    #[test]
-    fn default_hasher_flagged_only_on_the_serving_path() {
-        let src = "use std::collections::{\n\
-                   HashMap,\n\
-                   };\n\
-                   struct S { m: HashMap<u32, usize> }\n\
-                   fn f() -> S { S { m: HashMap::new() } }\n\
-                   struct T { m: HashMap<u32, usize, IntBuildHasher>, n: IntMap<u32, u8> }\n\
-                   // keyed by query-supplied row indices\n\
-                   // sdm-analyze: allow(default-hasher-on-serving-path)\n\
-                   struct U { m: HashSet<u64> }\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                   fn g() { let s: HashSet<u8> = HashSet::new(); }\n\
-                   }\n";
-        let f = analyze_source("crates/sdm-cache/src/fixture.rs", src);
-        let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
-        assert_eq!(lines, vec![4, 5], "{f:?}");
-        assert!(f.iter().all(|f| f.rule == "default-hasher-on-serving-path"));
-        // Off the serving path the default hasher needs no justification.
-        assert!(analyze_source("crates/cluster/src/fixture.rs", src).is_empty());
-        assert!(analyze_source("crates/bench/src/bin/exp_x.rs", src).is_empty());
     }
 }

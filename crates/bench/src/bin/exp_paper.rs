@@ -15,6 +15,11 @@
 //! nothing is written: every field of the fresh document must equal the
 //! one in PATH, and no field may be missing or extra.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "Table 3's offline profile of a query log, not the serving path"
+)]
+
 use cluster::multi_tenancy::{
     fleet_power_ratio, tenants_by_memory, utilisation, TenancyHost, TenantModel,
 };

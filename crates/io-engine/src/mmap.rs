@@ -10,7 +10,6 @@ use crate::error::IoError;
 use scm_device::{DeviceArray, DeviceId, ReadCommand};
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{SimDuration, SimInstant};
-use std::collections::HashMap;
 
 /// Page size used by the simulated page cache (x86 base pages).
 const PAGE_SIZE: u64 = 4096;
@@ -35,10 +34,11 @@ pub struct MmapIo {
     device: DeviceId,
     fm_budget_pages: usize,
     /// page index -> LRU stamp
-    // Default hasher on purpose: pages are named by caller-supplied offsets
-    // (row indices from queries, once scaled by the row size).
-    // sdm-analyze: allow(default-hasher-on-serving-path)
-    resident: HashMap<u64, u64>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "pages are named by caller-supplied offsets: query row indices scaled by the row size"
+    )]
+    resident: std::collections::HashMap<u64, u64>,
     lru_clock: u64,
     dram_hit_latency: SimDuration,
     page_fault_overhead: SimDuration,
@@ -51,7 +51,7 @@ impl MmapIo {
         MmapIo {
             device,
             fm_budget_pages: (fm_budget.as_u64() / PAGE_SIZE).max(1) as usize,
-            resident: HashMap::new(), // sdm-analyze: allow(default-hasher-on-serving-path)
+            resident: Default::default(),
             lru_clock: 0,
             // A DRAM access plus kernel page-table walk cost.
             dram_hit_latency: SimDuration::from_nanos(300),

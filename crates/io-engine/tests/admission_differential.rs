@@ -19,7 +19,7 @@ use io_engine::{
 use scm_device::{checksum64, DeviceArray, DeviceId, FaultPlan, ReadCommand, TechnologyProfile};
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{SimDuration, SimInstant};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// xorshift64*: a seeded stream for the submit sequences.
 struct Stream(u64);
@@ -128,7 +128,7 @@ impl Reference {
 
         // Tables in flight: every *other* table with a completion still
         // ahead of `earliest` is active and drains at its last completion.
-        let mut drains: HashMap<u32, SimInstant> = HashMap::new();
+        let mut drains: BTreeMap<u32, SimInstant> = BTreeMap::new();
         for &(t, at) in &self.table_inflight {
             if t != table && at > earliest {
                 let drain = drains.entry(t).or_insert(at);
@@ -270,7 +270,7 @@ fn run_sequence(seed: u64) -> (u64, u64) {
     };
 
     let mut now = SimInstant::EPOCH;
-    let mut expected: HashMap<u64, (SimInstant, SimInstant)> = HashMap::new();
+    let mut expected: BTreeMap<u64, (SimInstant, SimInstant)> = BTreeMap::new();
     let mut served = 0u64;
     for id in 0..400u64 {
         // Mostly bursts at one instant, sometimes a step, rarely a long gap

@@ -49,7 +49,6 @@
 use crate::arena::SlabArena;
 use crate::stats::CacheStats;
 use sdm_metrics::units::Bytes;
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// One entry's record: its key (for reverse lookup at eviction), payload
@@ -74,11 +73,12 @@ const MIN_VICTIM_QUEUE: usize = 32;
 /// size_of::<E>() + entry_overhead` bytes against the budget.
 #[derive(Debug)]
 pub struct ArenaLru<K, T = (), E = u8> {
-    // Default (SipHash) hasher on purpose: the row engines key this map by
-    // `(table, row index)`, and row indices are query input — the case the
-    // default hasher's collision resistance exists for.
-    // sdm-analyze: allow(default-hasher-on-serving-path)
-    map: HashMap<K, usize>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed by (table, row index), and row indices are query input: \
+                  the case SipHash's collision resistance exists for"
+    )]
+    map: std::collections::HashMap<K, usize>,
     slots: Vec<EngineSlot<K, T>>,
     free_slots: Vec<usize>,
     /// Last stamp handed out (stamps start at 1).
@@ -104,7 +104,7 @@ where
     /// share — each wrapper's published `ENTRY_OVERHEAD`).
     pub fn new(budget: Bytes, entry_overhead: usize) -> Self {
         ArenaLru {
-            map: HashMap::new(), // sdm-analyze: allow(default-hasher-on-serving-path)
+            map: Default::default(),
             slots: Vec::new(),
             free_slots: Vec::new(),
             tick: 0,

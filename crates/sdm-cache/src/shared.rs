@@ -43,7 +43,7 @@ use crate::stats::CacheStats;
 use sdm_metrics::units::{split_share, Bytes};
 use sdm_metrics::SimDuration;
 use std::ops::Range;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{MutexGuard, PoisonError};
 
 /// Metadata overhead per shared-tier entry (hash node, slot record with
 /// recency stamp and origin tag, victim-queue share).
@@ -106,7 +106,11 @@ type Stripe = ArenaLru<RowKey, u32, u8>;
 /// partitions behind a `&self` API, shared across shards via `Arc`.
 #[derive(Debug)]
 pub struct SharedRowTier {
-    stripes: Vec<Mutex<Stripe>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the stripe locks: held for index work and byte copies only, never across an SM read"
+    )]
+    stripes: Vec<std::sync::Mutex<Stripe>>,
     budget: Bytes,
 }
 
@@ -118,10 +122,11 @@ impl SharedRowTier {
         let n = stripes.max(1);
         let stripes = (0..n)
             .map(|i| {
-                Mutex::new(ArenaLru::new(
+                ArenaLru::new(
                     Bytes(split_share(budget.as_u64(), n as u64, i as u64)),
                     ENTRY_OVERHEAD,
-                ))
+                )
+                .into()
             })
             .collect();
         SharedRowTier { stripes, budget }
@@ -271,6 +276,10 @@ impl SharedRowTier {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests the one-row form against the batched lookup"
+)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -596,7 +596,10 @@ impl ServingHost {
         // threaded middle. This is the host's *measurement* of real thread
         // scaling — the only legitimate wall-clock read in the
         // virtual-clock stack; serving decisions never see it.
-        // sdm-analyze: allow(no-wall-clock)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures wall_qps, never read by serving"
+        )]
         let wall = Instant::now();
         scheduler.partition_picks_into(queries, picks, exec, pos);
         *batches_run += 1;

@@ -6,7 +6,6 @@
 //! per-IO paths that look them up — one multiply per word does. Keep the
 //! default hasher for anything keyed by outside input.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Odd multiplier (2^64 / golden ratio): multiplying by it is a bijection
@@ -49,7 +48,11 @@ impl Hasher for IntHasher {
 }
 
 /// A `HashMap` keyed by program-generated integers (see the module docs).
-pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one HashMap the serving path may name: it brings its own hasher"
+)]
+pub type IntMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 #[cfg(test)]
 mod tests {

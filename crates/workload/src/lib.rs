@@ -39,6 +39,10 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![cfg_attr(not(test), deny(clippy::dbg_macro))]
+#![expect(
+    clippy::disallowed_types,
+    reason = "access traces and the Figure 4/5 locality statistics are analysis, never served"
+)]
 
 mod arrival;
 mod error;

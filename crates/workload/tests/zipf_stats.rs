@@ -2,6 +2,11 @@
 //! frequency curve must actually be ordered and heavy-tailed (the paper's
 //! temporal-locality premise, Figures 4/5), not merely in-range.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a test tallying sampled rows, off the serving path"
+)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
