@@ -12,6 +12,16 @@ use embedding::kernels::{self, SelectedKernel};
 use embedding::{EmbeddingTable, TableId};
 use sdm_metrics::{IntMap, SimDuration, SimInstant};
 
+/// Virtual cost of one row of a fast-memory-resident table: a DRAM random
+/// access (a cache-missing pointer chase). Charged per row by
+/// [`DramBackend`] and by the SDM manager's fast-memory tables.
+pub const FM_ROW_COST: SimDuration = SimDuration::from_nanos(150);
+
+/// Virtual cost of dequantising and accumulating one element while pooling
+/// a row. Charged per element by [`DramBackend`] and by the SDM manager's
+/// fast-memory and quantised SM tables.
+pub const DEQUANT_POOL_COST_PER_ELEMENT: SimDuration = SimDuration::from_nanos(1);
+
 /// Serves pooled embedding lookups for the inference engine.
 pub trait EmbeddingBackend {
     /// Reads and pools `indices` from `table`, returning the pooled vector
@@ -75,10 +85,6 @@ pub struct DramBackend {
     tables: IntMap<TableId, EmbeddingTable>,
     /// Resolved dequant-accumulate kernel ([`kernels::auto_kernel`]).
     kernel: SelectedKernel,
-    /// DRAM random-access latency per row (cache-missing pointer chase).
-    per_row_latency: SimDuration,
-    /// Per-element dequantise + accumulate cost.
-    per_element_cost: SimDuration,
 }
 
 impl DramBackend {
@@ -92,8 +98,6 @@ impl DramBackend {
         DramBackend {
             tables,
             kernel: kernels::auto_kernel(),
-            per_row_latency: SimDuration::from_nanos(150),
-            per_element_cost: SimDuration::from_nanos(1),
         }
     }
 
@@ -102,8 +106,6 @@ impl DramBackend {
         DramBackend {
             tables: tables.into_iter().map(|t| (t.descriptor().id, t)).collect(),
             kernel: kernels::auto_kernel(),
-            per_row_latency: SimDuration::from_nanos(150),
-            per_element_cost: SimDuration::from_nanos(1),
         }
     }
 
@@ -164,8 +166,8 @@ impl EmbeddingBackend for DramBackend {
             kernels::accumulate_row_with(self.kernel, row, desc.quant, out)
                 .map_err(DlrmError::backend)?;
         }
-        let latency = self.per_row_latency * indices.len() as u64
-            + self.per_element_cost * (indices.len() * desc.dim) as u64;
+        let latency = FM_ROW_COST * indices.len() as u64
+            + DEQUANT_POOL_COST_PER_ELEMENT * (indices.len() * desc.dim) as u64;
         Ok(latency)
     }
 

@@ -46,7 +46,7 @@ mod error;
 mod mlp;
 pub mod model_zoo;
 
-pub use backend::{DramBackend, EmbeddingBackend};
+pub use backend::{DramBackend, EmbeddingBackend, DEQUANT_POOL_COST_PER_ELEMENT, FM_ROW_COST};
 pub use config::{ComputeModel, MlpConfig, ModelConfig, UseCase};
 pub use engine::{ExecutionMode, InferenceEngine, LatencyBreakdown, PoolingBuffers, QueryResult};
 pub use error::DlrmError;

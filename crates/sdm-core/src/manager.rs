@@ -11,21 +11,23 @@
 //!    row — a flat per-table enable flag, then one bucket scan in the
 //!    memory-optimized engine and, only if that misses, one index probe in
 //!    the CPU-optimized engine. Without a shared tier, misses collect in a
-//!    reused scratch list, in ascending position order. With one attached
-//!    the scan is resolve → tier → pool: private misses collect in a probe
+//!    reused scratch list, in ascending position order, each with the
+//!    virtual instant the walk resolved it at. With one attached the scan
+//!    is resolve → tier → pool: private misses collect in a probe
 //!    list that goes to [`SharedRowTier::lookup_many`] **once** per operator
 //!    (one stripe lock per stripe touched, hit bytes copied into a reused
 //!    staging buffer under it and their ranges handed back on the probes,
 //!    so no manager code runs under a stripe lock); rows from the first
 //!    probe on — later private hits included, staged the same way — pool
 //!    in a last pass in index order, and the tier's misses join the miss
-//!    list there.
-//! 2. **Submit**: one [`IoRequest`] per miss, its single range inline in
-//!    the [`ReadCommand`]. The engine admits it from per-device and
-//!    per-table sorted completion lists and an incrementally maintained
-//!    count of tables in flight, and the device fills a recycled payload
-//!    buffer straight from its page store, stamping the guard checksum the
-//!    engine verifies (see `io_engine`'s engine module docs).
+//!    list there, stamped with the walk's end.
+//! 2. **Submit**: one [`IoRequest`] per miss at its stamped instant, its
+//!    single range inline in the [`ReadCommand`]. The engine admits it
+//!    from per-device and per-table sorted completion lists and an
+//!    incrementally maintained count of tables in flight, and the device
+//!    fills a recycled payload buffer straight from its page store,
+//!    stamping the guard checksum the engine verifies (see `io_engine`'s
+//!    engine module docs).
 //! 3. **Drain**: [`IoEngine::drain_each`] sorts the ready queue in place
 //!    and lends each completion to the closure below, then takes its
 //!    buffer back; the closure finds the miss's stored row by binary
@@ -43,6 +45,19 @@
 //! that exhausts its retries produces no completion and is counted as a
 //! degraded row instead.
 //!
+//! On the virtual clock the four layers are one core running a pipeline
+//! (paper §A.2: asynchronous IO pays only where the reads overlap the work
+//! around them). The walk starts after the pooled-cache probe and charges
+//! mapping and probe costs row by row; each read is submitted at its
+//! stamped instant, so it is in flight while the walk goes on; the hits
+//! pool after the walk, while the reads are still in flight; and each
+//! completion pools as it is reaped, `t = max(t, completed_at) + dim ×
+//! DEQUANT_POOL_COST_PER_ELEMENT`. The operator ends at `t` plus a fixed
+//! 100 ns, and [`SdmStats::io_time`] adds up only the stretches `t` waited
+//! for a completion. An operator without misses costs walk + pooling +
+//! 100 ns. The pipeline decides *when* rows pool, never the order they are
+//! summed in (hits in index order, then completions in reaping order).
+//!
 //! # One table resolve per lookup
 //!
 //! The engine issues one table-batched operator per (side, table) per
@@ -59,13 +74,16 @@
 //!
 //! # One request path
 //!
-//! A lookup is synchronous: `sm_lookup_core` submits an operator's reads
-//! and drains them before it returns, so when a lookup returns no IO is in
-//! flight and every state change it made (row-cache fill, tier promotion,
-//! pooled-cache insert) is applied. Overlap is a matter of the `now` each
-//! lookup is handed: within a query, each operator gets the instant its
-//! chain reaches it (see [`dlrm::ExecutionMode`]); across queries, each
-//! query gets its start (see [`crate::BatchMode`]). The engine's admission
+//! A lookup is synchronous on the host: `sm_lookup_core` submits an
+//! operator's reads and drains them before it returns, so when a lookup
+//! returns no IO is in flight and every state change it made (row-cache
+//! fill, tier promotion, pooled-cache insert) is applied. Overlap is a
+//! matter of virtual instants. Inside an operator, the reads overlap the
+//! rest of the walk and the pooling of the hits (the pipeline above).
+//! Across operators it is the `now` each lookup is handed: within a query,
+//! each operator gets the instant its chain reaches it (see
+//! [`dlrm::ExecutionMode`]); across queries, each query gets its start
+//! (see [`crate::BatchMode`]). The engine's admission
 //! schedules remember what earlier, later-finishing lookups put on the
 //! devices. A begin/finish seam belongs here only once a backend can
 //! actually leave an operation in flight.
@@ -144,7 +162,7 @@ use crate::config::{AccessGranularity, SdmConfig};
 use crate::error::SdmError;
 use crate::loader::{LoadedModel, LoadedTable};
 use crate::stats::SdmStats;
-use dlrm::{DlrmError, EmbeddingBackend};
+use dlrm::{DlrmError, EmbeddingBackend, DEQUANT_POOL_COST_PER_ELEMENT, FM_ROW_COST};
 use embedding::kernels::{self, SelectedKernel};
 use embedding::{EmbeddingError, EmbeddingTable, QuantScheme, SmLayout, TableId};
 use io_engine::{IoEngine, IoError, IoRequest};
@@ -156,16 +174,14 @@ use sdm_metrics::units::Bytes;
 use sdm_metrics::{SimDuration, SimInstant};
 use std::sync::Arc;
 
-/// Per-element cost of dequantise + accumulate during pooling.
-const DEQUANT_POOL_COST_PER_ELEMENT: SimDuration = SimDuration::from_nanos(1);
 /// Per-element cost of pooling already-dequantised (`f32`) rows.
 const POOL_ONLY_COST_PER_ELEMENT: SimDuration = SimDuration::from_nanos(0);
 /// Cost of probing the pooled-embedding cache (hashing the index sequence).
 const POOLED_CACHE_PROBE_COST: SimDuration = SimDuration::from_nanos(400);
 /// Cost of one mapping-tensor lookup in fast memory.
 const MAPPING_LOOKUP_COST: SimDuration = SimDuration::from_nanos(40);
-/// DRAM random access cost for rows of directly-placed tables.
-const FM_ROW_COST: SimDuration = SimDuration::from_nanos(150);
+/// Fixed cost of finishing an SM operator's pooled vector.
+const POOL_FINISH_COST: SimDuration = SimDuration::from_nanos(100);
 
 /// Payload bytes per group of the post-update refill. A constant, not a
 /// knob: see the module docs ("After a model update") for the measured
@@ -176,8 +192,9 @@ const REFILL_GROUP_BYTES: usize = 1024 * 1024;
 /// steady-state query never allocates for them.
 #[derive(Debug, Default)]
 struct LookupScratch {
-    /// `(position in the index list, stored row)` of each cache miss.
-    io_targets: Vec<(usize, u64)>,
+    /// `(position in the index list, stored row, submission instant)` of
+    /// each cache miss, in ascending position order.
+    io_targets: Vec<(usize, u64, SimInstant)>,
     /// Private-cache misses of the operator, probed in the shared tier in
     /// one [`SharedRowTier::lookup_many`] after the index walk.
     probes: Vec<TierProbe>,
@@ -222,16 +239,6 @@ enum DeferredRow {
 struct SharedTierHandle {
     tier: Arc<SharedRowTier>,
     source: u32,
-}
-
-/// Outcome of the SM scan core (`ReadPath::sm_lookup_core`).
-struct SmScan {
-    /// Mapping + cache-probe + shared-tier latency accrued by the scan.
-    latency: SimDuration,
-    /// Rows accumulated into the output (hits plus drained completions).
-    pooled_rows: usize,
-    /// Time the op's SM reads spent in flight (zero without misses).
-    io_time: SimDuration,
 }
 
 /// The fill every row read from SM gets, on a demand miss or a post-update
@@ -353,20 +360,10 @@ impl ReadPath {
             }
         }
 
-        // 2–3. Row caches, shared tier and SM IO.
-        let scan = self.sm_lookup_core(layout, table, t, indices, now, out)?;
-        latency += scan.latency + scan.io_time;
-
-        // 4. Dequantise + pool cost of the rows that were accumulated.
-        let per_element = if t.stored.quant == QuantScheme::Fp32 {
-            POOL_ONLY_COST_PER_ELEMENT
-        } else {
-            DEQUANT_POOL_COST_PER_ELEMENT
-        };
-        let pool_time =
-            per_element * (scan.pooled_rows * out.len()) as u64 + SimDuration::from_nanos(100);
-        self.stats.pooling_time += pool_time;
-        latency += pool_time;
+        // 2–4. Row caches, shared tier, SM IO and pooling, timed as one
+        // pipeline from the end of the probe (see `sm_lookup_core`).
+        let finished_at = self.sm_lookup_core(layout, table, t, indices, now + latency, out)?;
+        let latency = finished_at.duration_since(now);
 
         // 5. Feed the pooled-embedding cache with the final vector.
         if let Some(key) = pooled_key {
@@ -376,12 +373,25 @@ impl ReadPath {
         Ok(latency)
     }
 
-    /// Scan + IO core of the SM path (Algorithm 1 steps 2–3): resolves each
+    /// Scan + IO core of the SM path (Algorithm 1 steps 2–4): resolves each
     /// index through the mapping tensor, the private row cache, the shared
     /// tier (paper Algorithm 1 with the host-shared second tier between the
     /// private miss and the device) and finally SM reads, accumulating into
     /// `out` in one canonical order — hits in index order, then misses in
     /// completion order.
+    ///
+    /// On the virtual clock the operator is one core running a pipeline
+    /// that starts at `walk_start`. The walk charges mapping and probe
+    /// costs row by row, and a private miss's read is submitted at the
+    /// instant the walk resolved it (with a shared tier attached, a row
+    /// that misses the tier too is submitted at the walk's end, after
+    /// [`SharedRowTier::lookup_many`]). The hits pool after the walk, at
+    /// `row_pool` each (`dim` elements at the table's per-element cost),
+    /// while those reads are in flight; each completion then pools as it
+    /// is reaped: `t = max(t, completed_at) + row_pool`. Returns the
+    /// instant the operator finished, the final `t` plus a fixed finishing
+    /// cost; the time `t` waited for completions is added to
+    /// `SdmStats::io_time`.
     ///
     /// Private-cache hits are dequant-accumulated straight out of the
     /// cache's arena (no copy, no allocation) until the operator's first
@@ -403,11 +413,17 @@ impl ReadPath {
         table: TableId,
         t: &LoadedTable,
         indices: &[u64],
-        now: SimInstant,
+        walk_start: SimInstant,
         out: &mut [f32],
-    ) -> Result<SmScan, SdmError> {
+    ) -> Result<SimInstant, SdmError> {
         let kernel = self.kernel;
         let quant = t.stored.quant;
+        let per_element = if quant == QuantScheme::Fp32 {
+            POOL_ONLY_COST_PER_ELEMENT
+        } else {
+            DEQUANT_POOL_COST_PER_ELEMENT
+        };
+        let row_pool = per_element * out.len() as u64;
         let logical_rows = t.logical.num_rows;
         let mapping = t.mapping.as_ref();
         let mut latency = SimDuration::ZERO;
@@ -472,11 +488,13 @@ impl ReadPath {
                     }
                     None => {
                         self.stats.sm_reads += 1;
-                        scratch.io_targets.push((pos, stored_row));
+                        let submit_at = walk_start + latency;
+                        scratch.io_targets.push((pos, stored_row, submit_at));
                     }
                 },
             }
         }
+        let walk_end = walk_start + latency;
         if let Some(shared) = &self.shared {
             // One stripe lock per stripe the operator touches; a hit's
             // bytes are copied into `staged` under it.
@@ -513,7 +531,7 @@ impl ReadPath {
                 DeferredRow::TierMiss { pos, stored_row } => {
                     stats.shared_tier_misses += 1;
                     stats.sm_reads += 1;
-                    scratch.io_targets.push((pos, stored_row));
+                    scratch.io_targets.push((pos, stored_row, walk_end));
                     continue;
                 }
             };
@@ -523,9 +541,11 @@ impl ReadPath {
         }
         self.stats.pruned_zero_rows += zero_rows;
 
-        // 3. Submit the misses as SGL (or block) reads, back to back, then
-        // pool each row as its completion drains.
-        let mut io_time = SimDuration::ZERO;
+        // 3. The hits pool after the walk, while the reads are in flight.
+        let mut pooled_at = walk_end + row_pool * pooled_rows as u64;
+
+        // 4. Submit the misses as SGL (or block) reads at their instants,
+        // then pool each row as its completion drains.
         if !self.scratch.io_targets.is_empty() {
             // Split borrows so the drain closure can fill the caches and
             // count while the engine lends it completions.
@@ -540,8 +560,8 @@ impl ReadPath {
             } = self;
             let placement = layout.placement(table)?;
             let device = DeviceId(placement.device_index);
-            for (pos, stored_row) in &scratch.io_targets {
-                let offset = placement.row_offset(*stored_row)?;
+            for &(pos, stored_row, submit_at) in &scratch.io_targets {
+                let offset = placement.row_offset(stored_row)?;
                 let command = match config.granularity {
                     AccessGranularity::Sgl => ReadCommand::sgl(offset, placement.row_bytes),
                     AccessGranularity::Block => ReadCommand::block(offset, placement.row_bytes),
@@ -549,8 +569,8 @@ impl ReadPath {
                 match engine.submit(
                     IoRequest::new(device, command)
                         .with_table(table)
-                        .with_user_data(*pos as u64),
-                    now,
+                        .with_user_data(pos as u64),
+                    submit_at,
                 ) {
                     Ok(()) => {}
                     Err(IoError::RetriesExhausted { .. }) => {
@@ -568,7 +588,8 @@ impl ReadPath {
             }
             let io_targets = &scratch.io_targets;
             let mut pool_error: Option<SdmError> = None;
-            let finished_at = engine.drain_each(now, |completion| {
+            let mut io_wait = SimDuration::ZERO;
+            engine.drain_each(walk_end, |completion| {
                 // Pull the completed row's lines toward L1 ahead of the
                 // position binary search below: the same bytes are then
                 // read three times (accumulate, row-cache insert, shared
@@ -583,7 +604,7 @@ impl ReadPath {
                 // bug; record it as a typed error and skip the row rather
                 // than tearing the shard down mid-drain.
                 let stored_row = match io_targets
-                    .binary_search_by_key(&pos, |(p, _)| *p)
+                    .binary_search_by_key(&pos, |&(p, ..)| p)
                     .map(|i| io_targets[i].1)
                 {
                     Ok(row) => row,
@@ -603,6 +624,8 @@ impl ReadPath {
                         pool_error = Some(e.into());
                     } else {
                         pooled_rows += 1;
+                        io_wait += completion.completed_at.duration_since(pooled_at);
+                        pooled_at = pooled_at.max(completion.completed_at) + row_pool;
                     }
                 }
                 let key = RowKey::new(table, stored_row);
@@ -611,15 +634,11 @@ impl ReadPath {
             if let Some(e) = pool_error {
                 return Err(e);
             }
-            io_time = finished_at.duration_since(now);
-            stats.io_time += io_time;
+            stats.io_time += io_wait;
         }
 
-        Ok(SmScan {
-            latency,
-            pooled_rows,
-            io_time,
-        })
+        self.stats.pooling_time += row_pool * pooled_rows as u64 + POOL_FINISH_COST;
+        Ok(pooled_at + POOL_FINISH_COST)
     }
 }
 
@@ -948,6 +967,146 @@ mod tests {
         let mut engine = IoEngine::new(array, EngineConfig::default());
         let loaded = ModelLoader::load(model, &config, &mut engine).unwrap();
         SdmMemoryManager::new(config, loaded, engine)
+    }
+
+    /// One SM operator's timeline, rebuilt by hand. `sdm` and a twin stack
+    /// built the same way both serve `warm` first, so their devices share a
+    /// history; then `sdm` serves `indices` at `now` while the twin's
+    /// engine is fed the same reads at the instants the pipeline rule
+    /// names. The twin's completion instants drive the pooling recurrence,
+    /// whose end must equal what `sdm` charged to the nanosecond and lie
+    /// between the two bounds every schedule of this operator obeys.
+    /// Returns the time the operator's core waited on reads.
+    fn check_timeline(config: SdmConfig, tier: bool, warm: &[u64], indices: &[u64]) -> SimDuration {
+        let model = model_zoo::tiny(1, 0, 500);
+        let config = SdmConfig {
+            cache: sdm_cache::CacheConfig {
+                pooled_cache_budget: Bytes::ZERO,
+                ..config.cache.clone()
+            },
+            ..config
+        };
+        let (mut sdm, mut twin) = (build(&model, config.clone()), build(&model, config));
+        let tier_probe = tier.then(|| {
+            let tier = || Arc::new(SharedRowTier::new(Bytes::from_mib(2), 4));
+            let mine = tier();
+            sdm.attach_shared_tier(Arc::clone(&mine), 0);
+            twin.attach_shared_tier(tier(), 0);
+            mine.lookup_cost()
+        });
+        sdm.pooled_lookup(0, warm, SimInstant::EPOCH).unwrap();
+        twin.pooled_lookup(0, warm, SimInstant::EPOCH).unwrap();
+        let now = sdm.now() + SimDuration::from_micros(50);
+        let io_before = sdm.stats().io_time;
+        let (_, took) = sdm.pooled_lookup(0, indices, now).unwrap();
+
+        let stored = &sdm.loaded().tables[&0].stored;
+        assert_ne!(stored.quant, QuantScheme::Fp32);
+        let row_pool = DEQUANT_POOL_COST_PER_ELEMENT * stored.dim as u64;
+        let placement = sdm.loaded().layout.placement(0).unwrap();
+        let engine = &mut twin.path.engine;
+        let mut submit = |row: u64, at: SimInstant| {
+            let offset = placement.row_offset(row).unwrap();
+            let command = ReadCommand::sgl(offset, placement.row_bytes);
+            let device = DeviceId(placement.device_index);
+            let request = IoRequest::new(device, command).with_table(0);
+            engine.submit(request, at).unwrap();
+        };
+        // The walk: one private probe per row, one tier probe per private
+        // miss; without a tier a miss is submitted where the walk finds it.
+        let (mut walk_end, mut hits, mut first_submit) = (now, 0u64, None);
+        let mut tier_misses = Vec::new();
+        for &row in indices {
+            walk_end += sdm.row_cache().lookup_cost();
+            if warm.contains(&row) {
+                hits += 1;
+            } else if let Some(probe) = tier_probe {
+                walk_end += probe;
+                tier_misses.push(row);
+            } else {
+                submit(row, walk_end);
+                first_submit.get_or_insert(walk_end);
+            }
+        }
+        for row in tier_misses {
+            submit(row, walk_end);
+            first_submit.get_or_insert(walk_end);
+        }
+        let mut completions = Vec::new();
+        engine
+            .drain_each(walk_end, |c| completions.push(c.completed_at))
+            .unwrap();
+        // Hits pool while the reads are in flight; each completion pools as
+        // it is reaped.
+        let (mut t, mut waited) = (walk_end + row_pool * hits, SimDuration::ZERO);
+        for &done in &completions {
+            waited += done.duration_since(t);
+            t = t.max(done) + row_pool;
+        }
+
+        let end = t + POOL_FINISH_COST;
+        assert_eq!(now + took, end, "pattern {indices:?}, tier {tier}");
+        assert_eq!(sdm.stats().io_time - io_before, waited);
+
+        let all_pooling = row_pool * indices.len() as u64 + POOL_FINISH_COST;
+        let walk = walk_end.duration_since(now);
+        match (first_submit, completions.iter().max()) {
+            (Some(first), Some(&last)) => {
+                assert!(
+                    end >= last + row_pool,
+                    "ends before its last completion pools"
+                );
+                let serial = walk + last.duration_since(first) + all_pooling;
+                assert!(took <= serial, "took {took} over the serial sum {serial}");
+            }
+            _ => assert_eq!(
+                took,
+                walk + all_pooling,
+                "a hit-only operator keeps its time"
+            ),
+        }
+        waited
+    }
+
+    #[test]
+    fn hit_only_operator_is_walk_plus_pooling() {
+        check_timeline(SdmConfig::for_tests(), false, &[10, 20, 30], &[30, 10, 20]);
+    }
+
+    #[test]
+    fn cold_operator_submits_each_miss_as_the_walk_finds_it() {
+        check_timeline(SdmConfig::for_tests(), false, &[1], &[40, 41, 42, 43]);
+        let nand = SdmConfig::for_tests().with_nand_flash();
+        check_timeline(nand, false, &[1], &[40, 41, 42, 43]);
+    }
+
+    #[test]
+    fn hits_pool_while_the_reads_are_in_flight() {
+        let pattern = [10, 40, 20, 41, 30, 42];
+        check_timeline(SdmConfig::for_tests(), false, &[10, 20, 30], &pattern);
+        let nand = SdmConfig::for_tests().with_nand_flash();
+        check_timeline(nand, false, &[10, 20, 30], &pattern);
+    }
+
+    #[test]
+    fn a_read_that_lands_during_the_walk_costs_no_wait() {
+        // The first row's read completes while the walk is still probing
+        // the 80 warm rows behind it, so it pools after the hits, unwaited.
+        let warm: Vec<u64> = (100..180).collect();
+        let pattern: Vec<u64> = std::iter::once(40).chain(warm.iter().copied()).collect();
+        let waited = check_timeline(SdmConfig::for_tests(), false, &warm, &pattern);
+        assert!(
+            waited.is_zero(),
+            "the read outlasted an 80-row walk: {waited}"
+        );
+    }
+
+    #[test]
+    fn tier_misses_are_submitted_at_the_walks_end() {
+        let pattern = [40, 10, 41, 20, 42];
+        check_timeline(SdmConfig::for_tests(), true, &[10, 20], &pattern);
+        let nand = SdmConfig::for_tests().with_nand_flash();
+        check_timeline(nand, true, &[10, 20], &pattern);
     }
 
     #[test]

@@ -42,7 +42,10 @@ pub struct SdmStats {
     pub fm_op_latency: LatencyHistogram,
     /// Total simulated time spent in dequantisation + pooling.
     pub pooling_time: SimDuration,
-    /// Total simulated time spent waiting on SM IO.
+    /// Total simulated time SM operators' cores waited on reads: for each
+    /// completion, how far it landed after the core had pooled everything
+    /// before it (zero when it landed while the core was still walking or
+    /// pooling). Read time that overlaps the walk or pooling is not in it.
     pub io_time: SimDuration,
     /// Row lookups whose SM read exhausted every retry and were served
     /// degraded: the row pools as zero, like `pruned_zero_rows`, instead

@@ -38,17 +38,18 @@
 //! deterministic executions. Every stripe path (promotion, hits,
 //! eviction, in-place refresh) still runs single-shard.
 //!
-//! Last re-pin: a query issues one embedding operator per (side, table)
-//! instead of one per request (`dlrm`'s engine docs), so the item chain pays
-//! the per-operator overhead once per item table and every shard clock moved
-//! (the stats digests). Item tables are fast-memory, so no row's pooling
-//! order changed in exact mode and every exact score digest, every cache
-//! counter digest and every `resident_bytes` held. The one score digest that
-//! moved is M3 relaxed(8), pooled off: with overlapped queries the shorter
-//! item chain moves the next queries' start instants, hence the device
-//! queues their SM misses meet and the completion order those misses pool
-//! in — float reassociation, not a routing change (its cache counters held).
-//! The same re-pin dropped `SdmStats`' four write-only `frontend_*` fields.
+//! Last re-pin: an SM operator's miss path is timed as a pipeline (the
+//! manager's module docs): each private miss's read is submitted at the
+//! instant the walk resolves it instead of at the operator's start, and
+//! completions pool as they are reaped while the hits pool. Every shard
+//! clock moved (the stats digests). Reads submitted at distinct instants
+//! complete in another order, so the score digest of every tier-off
+//! scenario moved — the misses pool in that order, float reassociation,
+//! not a routing change — and M3's two tier-off cache counter digests
+//! moved with the row-cache insertion order. The tier scenarios submit
+//! their misses together at the walk's end, as before relative to one
+//! another: their score and counter digests held, as did every
+//! `resident_bytes`.
 //!
 //! To re-capture (e.g. after an *intentional* behaviour change), run:
 //! `SDM_CAPTURE_GOLDEN=1 cargo test --test refactor_identity -- --nocapture`
@@ -238,57 +239,57 @@ fn run_scenario(model: &dlrm::ModelConfig, seed: u64, scenario: Scenario) -> Fin
 /// Golden fingerprints, model-major, then `SCENARIOS` order.
 const GOLDEN: &[(u64, u64, u64, u64)] = &[
     (
-        0xc5dbfaa4716ea75f,
-        0xce5c55908d66daae,
+        0x5b2b758a98d75e38,
+        0xfebc94b393b7abee,
         0xdbf1bcd47137602d,
         58464,
     ), // M1 exact
     (
         0xe408c10de5e85003,
-        0x0222e5cf7c389d78,
+        0x4d0c50198eaaab5d,
         0x0afaed25641c2af6,
         157931,
     ), // M1 exact, tier
     (
-        0x1a0a0cc25cebc613,
-        0xd437bd27f517aeba,
+        0x098864e9557ced40,
+        0xaba171205919eea5,
         0x85ed0c1c8cdfaefd,
         0,
     ), // M1 relaxed(8), pooled off
     (
-        0xfb8dcec046fe3cdc,
-        0x18391a19182ef8a0,
+        0xd6f08f0838a03620,
+        0x2d167cf4d09dbf24,
         0x1847e2ce5336c35c,
         67356,
     ), // M2 exact
     (
         0x815e0028ffd06a04,
-        0xe27a21f1f9cfd0f6,
+        0x0ef8c6ed6eaf7504,
         0x4dcfe3aee4f10405,
         163724,
     ), // M2 exact, tier
     (
-        0xb7ae4a7e95ca527f,
-        0x36efc306e4d7defb,
+        0x251b0ca020a58136,
+        0x110beaa396c8bbda,
         0x902125ccd373eb26,
         0,
     ), // M2 relaxed(8), pooled off
     (
-        0x36c6579892eddc7d,
-        0xd7972bd42908afdc,
-        0xfdc4956c871c9516,
+        0xe7e2aa241656590f,
+        0xa41398ea49aa048c,
+        0x84a285fda634d5ab,
         66744,
     ), // M3 exact
     (
         0x06914db1950da9c6,
-        0x0619e6b83d31bd03,
+        0x0d78828f6e12a19d,
         0x6cc303626761ff8a,
         191932,
     ), // M3 exact, tier
     (
-        0x8b3806d8849948c1,
-        0xeb0aea39f84cadd6,
-        0xd5169d418cce03b3,
+        0xd290bdfb5b6e2eea,
+        0x40a4afad986c1b36,
+        0xfbc69d31bc281d01,
         0,
     ), // M3 relaxed(8), pooled off
 ];
